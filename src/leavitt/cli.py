@@ -114,7 +114,7 @@ def _cmd_analyze(args) -> int:
     else:
         lines.append("no_exit_cycles: true")
     payload["condition_K"] = condition_K(g)
-    payload["downward_directed"] = downward_directed(g, g.vertices)
+    payload["downward_directed"] = downward_directed(g)
     lines.append(f"condition_L: {payload['condition_L']}")
     lines.append(f"condition_K: {payload['condition_K']}")
     lines.append(f"downward_directed: {payload['downward_directed']}")
@@ -162,12 +162,9 @@ def _cmd_index(args) -> int:
                   "exit": _edge_json(reason.edge)}
             rt = (f"cycle {_cycle_text(g, reason.cycle)} has exit "
                   f"{_edge_text(g, reason.edge)}")
-        elif isinstance(reason, structure.OmegaPathFamily):
+        else:
             rj = {"kind": "omega_path_family", "vertex": reason.vertex}
             rt = f"infinitely many paths end at {reason.vertex}"
-        else:
-            rj = {"kind": "multi_cycle_vertex", "vertex": reason.vertex}
-            rt = f"{reason.vertex} lies on several cycles"
         payload = {"command": "index", "verdict": "unbounded", "reason": rj}
         _emit(args, payload, [f"Unbounded: {rt}"])
     return 0

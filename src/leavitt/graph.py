@@ -7,6 +7,11 @@ module provides the structural algorithms the algebra layers are built on:
 cycle enumeration, exit detection, path counting, hereditary saturated
 subsets, breaking vertices and quotient graphs.
 
+The structural predicates (cycle vertices, Conditions (K) and (L), downward
+directedness, path counts) read one cached pass per graph: Tarjan's strongly
+connected components without recursion, then one dynamic program over the
+condensation in topological order.
+
 Everything is immutable and iterates in lexicographic vertex/bundle order,
 so all results are reproducible.
 """
@@ -16,7 +21,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class LeavittError(Exception):
@@ -208,7 +213,7 @@ class Graph:
     valid graph.
     """
 
-    __slots__ = ("vertices", "bundles", "_by_id", "_out", "_into", "_succ", "_pred")
+    __slots__ = ("vertices", "bundles", "_by_id", "_out", "_into", "_succ", "_scc")
 
     def __init__(self, vertices: Iterable[str], bundles: Iterable[Bundle] = ()):
         self.vertices = tuple(sorted(vertices))
@@ -223,8 +228,7 @@ class Graph:
                 self._into[b.dst].append(b)
         self._succ = {v: sorted({b.dst for b in self._out[v] if b.dst in self._out})
                       for v in self.vertices}
-        self._pred = {v: sorted({b.src for b in self._into[v] if b.src in self._out})
-                      for v in self.vertices}
+        self._scc = None  # _Components, filled in on first use
 
     def __eq__(self, other):
         return (isinstance(other, Graph)
@@ -397,10 +401,6 @@ def cycle_vertices(g: Graph, c: Cycle) -> tuple:
     return tuple(g.src(e) for e in c.edges)
 
 
-def cycle_to_path(g: Graph, c: Cycle) -> Path:
-    return Path(g.src(c.edges[0]), c.edges)
-
-
 def rotate_cycle_to(g: Graph, c: Cycle, v: str) -> Path:
     """The cycle as a closed path based at its vertex v."""
     verts = cycle_vertices(g, c)
@@ -419,24 +419,108 @@ def path_contains_cycle(g: Graph, p: Path, c: Cycle) -> bool:
     return any(p.edges[i:i + m] in rotations for i in range(len(p.edges) - m + 1))
 
 
+# -- strongly connected components ----------------------------------------
+
+class _Components(NamedTuple):
+    """The strongly connected components of a graph and what is read off
+    them; built once per graph by :func:`_components`."""
+
+    comp: dict      # vertex -> index into members
+    members: list   # vertex lists, in topological order (sources first)
+    inner: list     # multiplicity of the bundles inside each component
+    sinks: int      # components that no bundle leaves
+    paths: dict     # vertex -> number of paths ending there
+    # multiplicities and counts are ints or OMEGA, as in Count.value
+
+
+def _components(g: Graph) -> _Components:
+    """Tarjan's algorithm with an explicit stack, then one pass over the
+    condensation in topological order; cached on the graph."""
+    if g._scc is not None:
+        return g._scc
+    index, low, comp, found, stack = {}, {}, {}, [], []
+    for root in g.vertices:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(g._succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(g._succ[w])))
+                    break
+                if w not in comp:  # still on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    members = []
+                    while v not in comp:
+                        members.append(stack.pop())
+                        comp[members[-1]] = len(found)
+                    found.append(sorted(members))
+    # Tarjan emits a component after every component it reaches
+    found.reverse()
+    comp = {v: len(found) - 1 - i for v, i in comp.items()}
+
+    inner = [0] * len(found)
+    left = [False] * len(found)
+    for b in g.bundles:
+        i, j = comp[b.src], comp[b.dst]
+        if i != j:
+            left[i] = True
+        else:
+            inner[i] = OMEGA if OMEGA in (inner[i], b.mult) else inner[i] + b.mult
+
+    # paths ending at v: 1 + sum of mult * paths(src) over the bundles into
+    # v, omega absorbing, where a source on a cycle feeds omega many (pump
+    # the cycle).  All vertices of a component that is one simple cycle
+    # share the sum of their own counts; any richer component gives omega.
+    paths, feed = {}, {}
+    for i, members in enumerate(found):
+        cnt = len(members)  # the trivial path at each member
+        for v in members:
+            for b in g._into[v]:
+                if comp[b.src] != i:
+                    f = feed[b.src]
+                    cnt = OMEGA if OMEGA in (cnt, f, b.mult) else cnt + b.mult * f
+        cyclic = inner[i] != 0
+        if cyclic and inner[i] != len(members):
+            cnt = OMEGA
+        for v in members:
+            paths[v], feed[v] = cnt, (OMEGA if cyclic else cnt)
+    g._scc = _Components(comp, found, inner, left.count(False), paths)
+    return g._scc
+
+
 def _vertex_cycles(g: Graph) -> list:
-    """Elementary vertex cycles, each once, minimal vertex first."""
+    """Elementary vertex cycles, each once, minimal vertex first.  Each
+    search stays inside its start vertex's strongly connected component."""
+    comp = _components(g).comp
     found = []
-    verts = g.vertices
-
-    def extend(start, at, trail, on_trail):
-        for nxt in g._succ[at]:
-            if nxt == start:
-                found.append(trail[:])
-            elif nxt > start and nxt not in on_trail:
-                trail.append(nxt)
-                on_trail.add(nxt)
-                extend(start, nxt, trail, on_trail)
-                on_trail.remove(nxt)
-                trail.pop()
-
-    for s in verts:
-        extend(s, s, [s], {s})
+    for start in g.vertices:
+        trail, on_trail = [start], {start}
+        work = [iter(g._succ[start])]
+        while work:
+            for nxt in work[-1]:
+                if nxt == start:
+                    found.append(trail[:])
+                elif nxt > start and nxt not in on_trail \
+                        and comp[nxt] == comp[start]:
+                    trail.append(nxt)
+                    on_trail.add(nxt)
+                    work.append(iter(g._succ[nxt]))
+                    break
+            else:
+                work.pop()
+                on_trail.discard(trail.pop())
     return found
 
 
@@ -447,23 +531,38 @@ def cycles(g: Graph) -> list:
     Raises CycleThroughOmegaBundle when an omega bundle lies on a closed
     walk, in which case there are unboundedly many cycles.
     """
+    comp = _components(g).comp
     for b in g.bundles:
-        if b.mult is OMEGA and b.dst in g._out and b.src in g._out \
-                and reachable(g, b.dst, b.src):
+        if b.mult is OMEGA and comp[b.src] == comp[b.dst]:
             raise CycleThroughOmegaBundle(
                 f"omega bundle {b.id!r} lies on a closed walk")
     out = []
     for vcyc in _vertex_cycles(g):
-        arcs = list(zip(vcyc, vcyc[1:] + vcyc[:1]))
-        choices = []
-        for x, y in arcs:
-            refs = []
-            for b in g._out[x]:
-                if b.dst == y:
-                    refs.extend(EdgeRef(b.id, i) for i in range(b.mult))
-            choices.append(sorted(refs))
-        for combo in itertools.product(*choices):
-            out.append(Cycle(tuple(combo)))
+        # one cycle per choice of parallel edge along each arc
+        arcs = zip(vcyc, vcyc[1:] + vcyc[:1])
+        choices = [sorted(EdgeRef(b.id, i) for b in g._out[x] if b.dst == y
+                          for i in range(b.mult)) for x, y in arcs]
+        out.extend(Cycle(combo) for combo in itertools.product(*choices))
+    out.sort(key=lambda c: (len(c.edges), c.edges))
+    return out
+
+
+def component_cycles(g: Graph) -> list:
+    """The cycles that form a whole strongly connected component (one per
+    component whose inside multiplicity equals its vertex count), in
+    canonical rotation and sorted as :func:`cycles` sorts.  When no cycle
+    has an exit these are all the cycles of the graph."""
+    s = _components(g)
+    out = []
+    for i, members in enumerate(s.members):
+        if s.inner[i] != len(members):
+            continue
+        edges, v = [], members[0]
+        while not edges or v != members[0]:
+            b = next(b for b in g._out[v] if s.comp[b.dst] == i)
+            edges.append(EdgeRef(b.id, 0))
+            v = b.dst
+        out.append(Cycle(tuple(edges)))
     out.sort(key=lambda c: (len(c.edges), c.edges))
     return out
 
@@ -492,12 +591,9 @@ def exits(g: Graph, c: Cycle) -> list:
 
 def vertices_on_cycles(g: Graph) -> frozenset:
     """Vertices lying on some elementary cycle (equivalently, on any closed
-    walk)."""
-    on = set()
-    for v in g.vertices:
-        if any(reachable(g, w, v) for w in g._succ[v]):
-            on.add(v)
-    return frozenset(on)
+    walk): those whose component has a bundle inside it."""
+    s = _components(g)
+    return frozenset(v for v, i in s.comp.items() if s.inner[i] != 0)
 
 
 def cycle_exit_witness(g: Graph):
@@ -552,11 +648,6 @@ def _shortest_closed_vertex_walk(g: Graph, v: str) -> list:
     raise InvalidCycle(f"no closed walk through {v!r}")
 
 
-def no_exit_cycles(g: Graph) -> bool:
-    """True when no cycle of the graph has an exit."""
-    return cycle_exit_witness(g) is None
-
-
 # -- reachability -----------------------------------------------------------
 
 def reachable(g: Graph, u: str, v: str) -> bool:
@@ -589,114 +680,31 @@ def descendants(g: Graph, v: str) -> frozenset:
     return frozenset(seen)
 
 
-def ancestors(g: Graph, v: str) -> frozenset:
-    g.check_vertex(v)
-    seen = {v}
-    queue = deque([v])
-    while queue:
-        for w in g._pred[queue.popleft()]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return frozenset(seen)
-
-
-def downward_directed(g: Graph, D: Iterable[str]) -> bool:
-    """True iff every pair of vertices in D has a common descendant in D."""
-    D = sorted(set(D))
-    desc = {}
-    for u in D:
-        desc[u] = descendants(g, u)
-    for u, v in itertools.combinations(D, 2):
-        if not (desc[u] & desc[v] & set(D)):
-            return False
-    return True
+def downward_directed(g: Graph) -> bool:
+    """True iff every pair of vertices has a common descendant: every
+    vertex reaches a sink component, so this holds iff there is at most
+    one."""
+    return _components(g).sinks <= 1
 
 
 # -- conditions (L) and (K) ---------------------------------------------------
 
 def condition_L(g: Graph) -> bool:
-    """Every cycle has at least one exit."""
-    return all(exits(g, c) for c in cycles(g))
-
-
-def _closed_simple_path_data(g: Graph, v: str, limit: int = 2):
-    """Count elementary closed paths based at v, stopping at `limit`; also
-    return the vertex walk of the unique one when the count is exactly 1."""
-    count = 0
-    unique_walk = None
-
-    def walk_mult(vwalk):
-        m = Count(1)
-        for x, y in zip(vwalk, vwalk[1:] + [v]):
-            arc = Count(0)
-            for b in g._out[x]:
-                if b.dst == y:
-                    arc = arc + Count(b.mult)
-            m = m * arc
-        return m
-
-    def dfs(at, trail, on_trail):
-        nonlocal count, unique_walk
-        if count >= limit:
-            return
-        for nxt in g._succ[at]:
-            if nxt == v:
-                m = walk_mult(trail)
-                if not m.finite:
-                    count = limit
-                else:
-                    count += m.value
-                if unique_walk is None:
-                    unique_walk = trail[:]
-                if count >= limit:
-                    return
-            elif nxt not in on_trail:
-                trail.append(nxt)
-                on_trail.add(nxt)
-                dfs(nxt, trail, on_trail)
-                on_trail.remove(nxt)
-                trail.pop()
-
-    dfs(v, [v], {v})
-    return count, (unique_walk if count == 1 else None)
-
-
-def _on_closed_walk_avoiding(g: Graph, w: str, forbidden: str) -> bool:
-    seen = set()
-    queue = deque()
-    for x in g._succ[w]:
-        if x == w:
-            return True
-        if x != forbidden:
-            seen.add(x)
-            queue.append(x)
-    while queue:
-        for x in g._succ[queue.popleft()]:
-            if x == w:
-                return True
-            if x != forbidden and x not in seen:
-                seen.add(x)
-                queue.append(x)
-    return False
+    """Every cycle has at least one exit.  A cycle without one is a whole
+    component in which every vertex emits exactly one edge."""
+    s = _components(g)
+    return not any(
+        s.inner[i] != 0 and all(g.out_multiplicity(v) == Count(1) for v in members)
+        for i, members in enumerate(s.members))
 
 
 def condition_K(g: Graph) -> bool:
     """Every vertex on a closed path is the base of at least two distinct
-    closed simple paths.
-
-    A second closed simple path exists iff there is a second elementary one,
-    or the unique elementary one passes through a vertex that lies on a
-    closed walk avoiding the base.
-    """
-    for v in sorted(vertices_on_cycles(g)):
-        n, walk = _closed_simple_path_data(g, v, limit=2)
-        if n >= 2:
-            continue
-        if any(_on_closed_walk_avoiding(g, w, v) for w in walk if w != v):
-            continue
-        return False
-    return True
+    closed simple paths.  A vertex bases only one exactly when its
+    component is a single cycle: inside multiplicity equal to its size."""
+    s = _components(g)
+    return not any(s.inner[i] == len(members)
+                   for i, members in enumerate(s.members))
 
 
 # -- path counting -------------------------------------------------------------
@@ -707,43 +715,11 @@ def count_paths_ending_at(g: Graph, v: str) -> Count:
 
     Returns omega when an omega bundle lies on a path into v, when a cycle
     not containing v reaches v, or when v lies on two or more distinct
-    cycles.  Otherwise the count is finite and computed by dynamic
-    programming over the ancestors of v.
+    cycles.  Otherwise the count is finite; all counts come from one
+    dynamic program over the strongly connected components.
     """
     g.check_vertex(v)
-    for b in g.bundles:
-        if b.mult is OMEGA and reachable(g, b.dst, v):
-            return COUNT_OMEGA
-    anc = ancestors(g, v)
-    sub = Graph(anc, [b for b in g.bundles if b.src in anc and b.dst in anc])
-    sub_cycles = cycles(sub)  # omega-free by the check above
-    through = [c for c in sub_cycles if v in cycle_vertices(sub, c)]
-    if len(sub_cycles) > len(through):
-        return COUNT_OMEGA
-    if len(through) >= 2:
-        return COUNT_OMEGA
-
-    memo = {}
-
-    def dag_count(u):
-        if u not in memo:
-            memo[u] = 1 + sum(b.mult * dag_count(b.src) for b in sub._into[u])
-        return memo[u]
-
-    if not through:
-        return Count(dag_count(v))
-
-    c = through[0]
-    cverts = set(cycle_vertices(sub, c))
-    into = {sub.dst(e): e for e in c.edges}
-    total = 0
-    for w in sorted(cverts):
-        # beyond the unique cycle edge every bundle into w comes from off
-        # the cycle, else a second cycle would have been detected above
-        side = sum(b.mult * dag_count(b.src)
-                   for b in sub._into[w] if b.id != into[w].bundle)
-        total += 1 + side
-    return Count(total)
+    return Count(_components(g).paths[v])
 
 
 # -- hereditary saturated machinery ---------------------------------------------
@@ -754,7 +730,8 @@ def hereditary_saturated_closure(g: Graph, X: Iterable[str]) -> frozenset:
     forced in)."""
     H = set()
     for v in X:
-        H |= descendants(g, v)
+        if v not in H:
+            H |= descendants(g, v)
     changed = True
     while changed:
         changed = False

@@ -1,9 +1,10 @@
 """Independent brute-force checks for the main modules.
 
 The enumerators here deliberately share no traversal logic with the
-dynamic-programming path counter or the rewriting engine they validate:
-path enumeration walks reversed edges breadth-first, cycle detection is a
-fresh depth-first search, and basis enumeration lists paths forward.
+component pass, path counter or rewriting engine they validate: path
+enumeration walks reversed edges breadth-first, cycle detection is a fresh
+depth-first search, closed simple paths are counted level by level, and
+basis enumeration lists paths forward.
 Random generation is fully determined by its seed.
 """
 
@@ -86,6 +87,28 @@ def enumerate_paths_ending_at(g: Graph, v: str, length_cap: int,
         frontier = nxt
     collected.sort(key=lambda p: (len(p.edges), p.edges, p.base))
     return collected
+
+
+def closed_simple_path_counts(g: Graph) -> dict:
+    """For each vertex v, the number of closed paths at v of length at most
+    2|V| that do not pass back through v before their end, counting an
+    omega bundle as two edges.  Counts walks out of v level by level."""
+    limit = 2 * len(g.vertices)
+    counts = {}
+    for v in g.vertices:
+        total, frontier = 0, {v: 1}
+        for _ in range(limit):
+            nxt = {}
+            for at, k in frontier.items():
+                for b in g.out_bundles(at):
+                    k_b = k * (2 if b.mult is OMEGA else b.mult)
+                    if b.dst == v:
+                        total += k_b
+                    else:
+                        nxt[b.dst] = nxt.get(b.dst, 0) + k_b
+            frontier = nxt
+        counts[v] = total
+    return counts
 
 
 def _all_paths(g: Graph, length_cap: int, max_paths: int) -> list:

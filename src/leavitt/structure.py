@@ -4,10 +4,14 @@ The central decision: the algebra has bounded index of nilpotence exactly
 when no cycle has an exit and the number of paths ending at every sink or
 cycle stays finite; the bound n is the maximum such count, and a family of
 n x n matrix units inside the algebra witnesses that it is attained.  An
-exit, an omega path family, or a multi-cycle vertex each witness
-unboundedness.  On top of that sit the polynomial-identity and
-direct-finiteness predicates, graded-quotient classification, and the
-matrix-ring decomposition available for row-finite graphs.
+exit or an omega path family witnesses unboundedness.  On top of that sit
+the polynomial-identity and direct-finiteness predicates, graded-quotient
+classification, and the matrix-ring decomposition available for row-finite
+graphs.
+
+The graph facts come from its cached component pass (:mod:`leavitt.graph`):
+with no exit the cycles are exactly the single-cycle components, so no
+decision here enumerates cycles.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from . import algebra
 from .graph import (
     OMEGA,
     AdmissiblePair,
-    Count,
     Cycle,
     EdgeRef,
     Graph,
@@ -26,14 +29,15 @@ from .graph import (
     Path,
     all_hereditary_saturated,
     breaking_vertices,
+    component_cycles,
     count_paths_ending_at,
     cycle_exit_witness,
-    cycle_to_path,
     cycle_vertices,
-    cycles,
     downward_directed,
+    hereditary_saturated_closure,
     path_contains_cycle,
     quotient_graph,
+    reachable,
     vertices_on_cycles,
 )
 
@@ -74,11 +78,6 @@ class OmegaPathFamily:
 
 
 @dataclass(frozen=True)
-class MultiCycleVertex:
-    vertex: str
-
-
-@dataclass(frozen=True)
 class Bounded:
     """Bounded-index verdict: n, the per-target path counts attaining it,
     and a matrix-unit recipe for a target achieving n (None only for the
@@ -91,7 +90,7 @@ class Bounded:
 
 @dataclass(frozen=True)
 class Unbounded:
-    reason: object  # CycleWithExit | OmegaPathFamily | MultiCycleVertex
+    reason: object  # CycleWithExit | OmegaPathFamily
 
 
 def _paths_into(g: Graph, v: str, exclude_cycle: Cycle | None,
@@ -129,7 +128,8 @@ def bounded_index_report(g: Graph):
     A cycle with an exit, or an infinite path family into a sink or cycle,
     yields Unbounded; otherwise n is the maximum path count over sinks and
     cycles (paths into interior vertices always extend to a target, so the
-    maximum is attained there)."""
+    maximum is attained there).  With no exit every cycle is a whole
+    component, so the cycle targets are the component cycles."""
     w = cycle_exit_witness(g)
     if w is not None:
         return Unbounded(CycleWithExit(w.cycle, w.edge))
@@ -139,7 +139,7 @@ def bounded_index_report(g: Graph):
         if not cnt.finite:
             return Unbounded(OmegaPathFamily(v))
         per_target.append((SinkTarget(v), cnt.value))
-    for c in cycles(g):
+    for c in component_cycles(g):
         base = g.src(c.edges[0])
         cnt = count_paths_ending_at(g, base)
         if not cnt.finite:
@@ -195,7 +195,6 @@ def witness_matrix_units(g: Graph, report, size: int | None = None):
 
 
 def _omega_family_units(g: Graph, v: str, n: int):
-    from .graph import reachable
     for b in g.bundles:
         if b.mult is OMEGA and reachable(g, b.dst, v):
             tail = _shortest_path(g, b.dst, v)
@@ -204,7 +203,7 @@ def _omega_family_units(g: Graph, v: str, n: int):
             on_cycles = vertices_on_cycles(g)
             if v not in on_cycles:
                 return algebra.matrix_units_acyclic(g, paths)
-            c = next(c for c in cycles(g) if v in cycle_vertices(g, c))
+            c = next(c for c in component_cycles(g) if v in cycle_vertices(g, c))
             return algebra.matrix_units_no_exit_cycle(g, c, paths)
     raise LeavittError(f"no omega bundle reaches {v!r}")
 
@@ -258,10 +257,10 @@ def classify_graded_quotient(g: Graph, pair: AdmissiblePair):
 
 
 def _classify_quotient(q: Graph):
-    if not q.vertices or not downward_directed(q, q.vertices):
+    if not q.vertices or not downward_directed(q):
         return NotDownwardDirected()
     sinks = q.sinks()
-    qcycles = cycles(q)
+    qcycles = component_cycles(q)
     assert len(sinks) + len(qcycles) == 1, "downward-directed bounded quotient must have one target"
     if sinks:
         t = count_paths_ending_at(q, sinks[0])
@@ -324,7 +323,6 @@ def decompose(g: Graph) -> Decomposition:
         else:
             factors.append(Factor(cnt, BASE_LAURENT))
             generators.update(cycle_vertices(g, target.cycle))
-    from .graph import hereditary_saturated_closure
     closure = hereditary_saturated_closure(g, generators)
     assert closure == frozenset(g.vertices), \
         "sinks and cycles must generate the whole graph"

@@ -3,6 +3,7 @@ import pathlib
 import pytest
 
 from leavitt import corpus
+from leavitt.graph import Bundle, Graph
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -19,3 +20,13 @@ def fixture_path(name: str) -> str:
 @pytest.fixture(scope="session")
 def corpus_graphs():
     return {name: build() for name, build in corpus.CORPUS.items()}
+
+
+def tailed_cycle(k: int, t: int) -> Graph:
+    """A k-cycle c0000 -> ... -> c0000 fed at c0000 by a t-vertex line;
+    it has bounded index n = k + t."""
+    cyc = [f"c{i:04d}" for i in range(k)]
+    tail = [f"t{i}" for i in range(1, t + 1)]
+    bundles = [Bundle(f"a{i:04d}", cyc[i], cyc[(i + 1) % k]) for i in range(k)]
+    bundles += [Bundle(f"s{i}", tail[i], (tail + cyc[:1])[i + 1]) for i in range(t)]
+    return Graph(cyc + tail, bundles)

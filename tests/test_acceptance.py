@@ -2,6 +2,8 @@
 tolerance).  Run with `pytest tests/test_acceptance.py -v` for one
 pass/fail line per criterion."""
 
+from fractions import Fraction
+
 import pytest
 
 from leavitt import corpus
@@ -20,10 +22,10 @@ from leavitt.graph import (
     count_paths_ending_at,
     cycles,
     exits,
-    no_exit_cycles,
     quotient_graph,
 )
 from leavitt.oracle import (
+    ExplosionGuard,
     RandomSpec,
     basis_monomials,
     cross_check_index,
@@ -162,7 +164,7 @@ def test_criterion_07_equivalence_suite(random_suite, capsys):
         if all(isinstance(b.mult, int) for b in g.bundles):
             # the four predicates coincide on omega-free graphs; with an
             # omega bundle present, no-exit may hold strictly (criterion 6)
-            assert bounded == no_exit_cycles(g) == decomposed, i
+            assert bounded == is_directly_finite(g) == decomposed, i
             omega_free += 1
         else:
             assert not decomposed, i
@@ -173,17 +175,30 @@ def test_criterion_07_equivalence_suite(random_suite, capsys):
 
 
 def test_criterion_08_oracle_agreement(random_suite, capsys):
-    checked = 0
-    for seed, g in enumerate(random_suite):
+    # a finite count is the exact number of paths; an omega count means the
+    # paths do not stop short of |V| + 1 edges (no finite family reaches
+    # that length without running round v's cycle in full)
+    omega_suite = [random_graph(RandomSpec(seed=seed, omega_probability=Fraction(1, 4)))
+                   for seed in range(100)]
+    checked = unbounded = 0
+    for i, g in enumerate(random_suite + omega_suite):
         for v in g.vertices:
             cnt = count_paths_ending_at(g, v)
-            if not cnt.finite:
+            if cnt.finite:
+                cap = len(g.vertices) * (cnt.value + 1)
+                assert len(enumerate_paths_ending_at(g, v, cap)) == cnt.value, (i, v)
+                checked += 1
                 continue
-            cap = len(g.vertices) * (cnt.value + 1)
-            assert len(enumerate_paths_ending_at(g, v, cap)) == cnt.value, (seed, v)
-            checked += 1
+            try:
+                paths = enumerate_paths_ending_at(g, v, len(g.vertices) + 1,
+                                                  max_paths=500)
+            except ExplosionGuard:
+                continue
+            assert len(paths[-1].edges) == len(g.vertices) + 1, (i, v)
+            unbounded += 1
     with capsys.disabled():
-        _passed(8, f"DP equals brute-force enumeration at {checked} vertices")
+        _passed(8, f"DP equals brute-force enumeration at {checked} vertices; "
+                   f"{unbounded} omega counts grow past |V| edges")
 
 
 def test_criterion_09_algebra_properties(capsys):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import fixture_path
+from conftest import fixture_path, tailed_cycle
 from leavitt import corpus
 from leavitt.cli import main
 from leavitt.graph import OMEGA
@@ -190,3 +190,13 @@ def test_json_outputs_are_byte_stable(capsys):
         _, first, _ = run(capsys, *args, "--format", "json")
         _, second, _ = run(capsys, *args, "--format", "json")
         assert first == second, args
+
+
+@pytest.mark.parametrize("command", ["analyze", "decompose"])
+def test_deep_tailed_cycle_runs(command, capsys, tmp_path):
+    doc = tmp_path / "deep.graph"
+    doc.write_text(canonical_document(tailed_cycle(1200, 3)))
+    code, out, err = run(capsys, command, str(doc))
+    assert code == 0 and "Traceback" not in err
+    if command == "decompose":
+        assert out == "M_1203(K[x,x^-1])\n"

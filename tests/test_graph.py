@@ -30,11 +30,11 @@ from leavitt.graph import (
     exits,
     hereditary_saturated_closure,
     is_hereditary_saturated,
-    no_exit_cycles,
     quotient_graph,
     reachable,
     validate,
 )
+from leavitt.structure import is_directly_finite
 
 
 def test_validate_ok_on_corpus():
@@ -81,10 +81,8 @@ def test_reachable():
 
 def test_downward_directed():
     f = corpus.graph_f()
-    assert downward_directed(f, f.vertices)
-    g = corpus.clock(3)
-    assert not downward_directed(g, g.vertices)
-    assert downward_directed(g, ["w2"])
+    assert downward_directed(f)
+    assert not downward_directed(corpus.clock(3))
 
 
 def test_cycles_basic():
@@ -143,9 +141,9 @@ def test_no_exit_cycles():
     w = cycle_exit_witness(f)
     assert [e.bundle for e in w.cycle.edges] == ["a1", "a2", "a3", "a4"]
     assert w.edge == EdgeRef("f", 0)
-    assert no_exit_cycles(corpus.loop_with_tail())
-    assert no_exit_cycles(corpus.line(3))
-    assert not no_exit_cycles(corpus.two_loops())
+    assert is_directly_finite(corpus.loop_with_tail())
+    assert is_directly_finite(corpus.line(3))
+    assert not is_directly_finite(corpus.two_loops())
 
 
 def test_conditions_L_K():
@@ -188,6 +186,11 @@ def test_count_examples():
 
 def test_count_multi_cycle_vertex_is_omega():
     assert count_paths_ending_at(corpus.two_loops(), "v") == COUNT_OMEGA
+
+
+def test_count_on_deep_line():
+    # deeper than the interpreter's recursion limit
+    assert count_paths_ending_at(corpus.line(3000), "u3000") == Count(3000)
 
 
 def test_count_loop_with_exit_to_sink():

@@ -15,14 +15,23 @@ from leavitt.graph import (
     Graph,
     breaking_vertices,
     cycles,
+    condition_K,
+    condition_L,
     cycle_exit_witness,
+    downward_directed,
     exits,
     hereditary_saturated_closure,
     is_hereditary_saturated,
-    no_exit_cycles,
     vertices_on_cycles,
 )
-from leavitt.oracle import RandomSpec, random_element, random_graph, random_raw_terms
+from leavitt.oracle import (
+    RandomSpec,
+    closed_simple_path_counts,
+    random_element,
+    random_graph,
+    random_raw_terms,
+)
+from leavitt.structure import is_directly_finite
 
 CORPUS_NAMES = sorted(corpus.CORPUS)
 
@@ -61,7 +70,7 @@ def test_no_exit_shortcut_agrees_with_direct_search(seed):
     except CycleThroughOmegaBundle:
         # an omega bundle on a closed walk forces an exit at its source
         direct = False
-    assert no_exit_cycles(g) == direct
+    assert is_directly_finite(g) == direct
 
 
 @settings(max_examples=60, deadline=None)
@@ -90,6 +99,53 @@ def test_cycles_canonical_on_random_graphs(seed):
     for c in cs:
         srcs = [g.src(e) for e in c.edges]
         assert srcs[0] == min(srcs)
+
+
+# -- component-pass predicates against independent references -----------------
+
+omega_rates = pytest.mark.parametrize("omega", [Fraction(0), Fraction(1, 4)])
+
+
+@omega_rates
+@settings(max_examples=80, deadline=None)
+@given(seed=seeds)
+def test_cycle_predicates_match_closed_path_counts(omega, seed):
+    g = random_graph(RandomSpec(seed=seed, omega_probability=omega))
+    counts = closed_simple_path_counts(g)
+    assert vertices_on_cycles(g) == {v for v, n in counts.items() if n >= 1}
+    assert condition_K(g) == (1 not in counts.values())
+
+
+@omega_rates
+@settings(max_examples=80, deadline=None)
+@given(seed=seeds)
+def test_condition_L_matches_cycle_exits(omega, seed):
+    g = random_graph(RandomSpec(seed=seed, omega_probability=omega))
+    try:
+        direct = all(exits(g, c) for c in cycles(g))
+    except CycleThroughOmegaBundle:
+        return
+    assert condition_L(g) == direct
+
+
+def _reach(g, v):
+    seen, todo = {v}, [v]
+    while todo:
+        for b in g.out_bundles(todo.pop()):
+            if b.dst not in seen:
+                seen.add(b.dst)
+                todo.append(b.dst)
+    return seen
+
+
+@omega_rates
+@settings(max_examples=80, deadline=None)
+@given(seed=seeds)
+def test_downward_directed_matches_pairwise_check(omega, seed):
+    g = random_graph(RandomSpec(seed=seed, omega_probability=omega))
+    reach = {v: _reach(g, v) for v in g.vertices}
+    pairwise = all(reach[u] & reach[v] for u in g.vertices for v in g.vertices)
+    assert downward_directed(g) == pairwise
 
 
 # -- algebra laws -----------------------------------------------------------------

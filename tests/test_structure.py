@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import tailed_cycle
 from leavitt import corpus
 from leavitt.algebra import (
     NilpotentOfIndex,
@@ -228,3 +229,10 @@ def test_spectrum_sizes_bounded_by_global_n():
             continue
         for _, cls in graded_spectrum(g):
             assert cls.t <= report.n
+
+
+def test_report_on_deep_tailed_cycle():
+    report = bounded_index_report(tailed_cycle(1200, 3))
+    assert isinstance(report, Bounded) and report.n == 1203
+    (target, count), = report.per_target
+    assert isinstance(target, CycleTarget) and count == 1203
