@@ -70,10 +70,21 @@ class BadMatrixUnitPaths(LeavittError):
 
 def special_edge(g: Graph, v: str) -> EdgeRef | None:
     """The rewriting basis edge at v: least outgoing EdgeRef of a regular
-    vertex, None at sinks and infinite emitters."""
-    if not g.is_regular(v):
-        return None
-    return g.edges_out(v)[0]
+    vertex, None at sinks and infinite emitters.
+
+    Every rewrite step asks for it, so the answers for all vertices are
+    computed on the first call and kept in the graph's ``_special`` slot.
+    Raises UnknownVertex for a vertex not in g."""
+    table = g._special
+    if table is None:
+        table = g._special = {
+            u: g.edges_out(u)[0] if g.is_regular(u) else None
+            for u in g.vertices}
+    try:
+        return table[v]
+    except KeyError:
+        g.check_vertex(v)
+        raise
 
 
 @dataclass(frozen=True)
@@ -485,34 +496,39 @@ def matrix_units_no_exit_cycle(g: Graph, c: Cycle,
 
 
 def verify_matrix_units(m: MatrixUnits) -> bool:
-    """Exhaustively check nonzeroness, idempotency of the diagonal and all
-    n^4 product identities by exact arithmetic."""
+    """Decide by exact arithmetic whether the grid is an n x n family of
+    matrix units: every u_ij is nonzero and u_ij u_kl = delta_jk u_il.
+
+    Only 2n^2 products are formed:
+
+        u_i1 u_1j = u_ij   and   u_1i u_j1 = delta_ij u_11   for all i, j.
+
+    These imply every identity, by associativity: the first family
+    contains u_i1 u_11 = u_i1 and u_11 u_1l = u_1l, so
+    u_ij u_kl = u_i1 (u_1j u_k1) u_1l = delta_jk u_i1 u_11 u_1l
+    = delta_jk u_il.  Both families are among the n^4 identities, so the
+    answer is that of the exhaustive check
+    (``oracle.verify_matrix_units_exhaustive``)."""
     n = m.n
     u = m.units
     if len(u) != n or any(len(row) != n for row in u):
         return False
-    g = u[0][0].graph
-    zero = Element.zero(g)
+    if any(x.is_zero() for row in u for x in row):
+        return False
+    zero = Element.zero(u[0][0].graph)
     for i in range(n):
         for j in range(n):
-            if u[i][j].is_zero():
+            if u[i][0] * u[0][j] != u[i][j]:
                 return False
-    for i in range(n):
-        if u[i][i] * u[i][i] != u[i][i]:
-            return False
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    expected = u[i][l] if j == k else zero
-                    if u[i][j] * u[k][l] != expected:
-                        return False
+            if u[0][i] * u[j][0] != (u[0][0] if i == j else zero):
+                return False
     return True
 
 
 def jordan_element(m: MatrixUnits) -> Element:
-    """The superdiagonal sum of a verified family of matrix units; its
-    nilpotence index is exactly n."""
+    """The superdiagonal sum of a family of matrix units; its nilpotence
+    index is exactly n.  Raises UnverifiedUnits unless
+    :func:`verify_matrix_units` accepts the family."""
     if not verify_matrix_units(m):
         raise UnverifiedUnits("matrix unit identities fail")
     g = m.units[0][0].graph

@@ -226,6 +226,8 @@ def _cmd_ideals(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.nilpotence_max < 1:
+        raise LeavittError("--nilpotence-max must be at least 1")
     g = graphio.load_graph(args.graph)
     ast = exprparse.parse_expr(args.expr)
     elem = exprparse.eval_expr(ast, g)
@@ -263,10 +265,12 @@ def _cmd_witness(args) -> int:
     g = graphio.load_graph(args.graph)
     report = structure.bounded_index_report(g)
     units = structure.witness_matrix_units(g, report, args.size)
-    ok = algebra.verify_matrix_units(units)
-    jordan_index = None
-    if ok:
-        j = algebra.jordan_element(units)
+    try:
+        j = algebra.jordan_element(units)  # verifies the units first
+    except algebra.UnverifiedUnits:
+        ok, jordan_index = False, None
+    else:
+        ok = True
         verdict = algebra.nilpotence_index(j, units.n + 1)
         jordan_index = verdict.index if isinstance(
             verdict, algebra.NilpotentOfIndex) else None

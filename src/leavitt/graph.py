@@ -213,7 +213,8 @@ class Graph:
     valid graph.
     """
 
-    __slots__ = ("vertices", "bundles", "_by_id", "_out", "_into", "_succ", "_scc")
+    __slots__ = ("vertices", "bundles", "_by_id", "_out", "_into", "_succ", "_scc",
+                 "_special")
 
     def __init__(self, vertices: Iterable[str], bundles: Iterable[Bundle] = ()):
         self.vertices = tuple(sorted(vertices))
@@ -229,6 +230,7 @@ class Graph:
         self._succ = {v: sorted({b.dst for b in self._out[v] if b.dst in self._out})
                       for v in self.vertices}
         self._scc = None  # _Components, filled in on first use
+        self._special = None  # algebra.special_edge table, filled in on first use
 
     def __eq__(self, other):
         return (isinstance(other, Graph)

@@ -3,8 +3,9 @@
 The enumerators here deliberately share no traversal logic with the
 component pass, path counter or rewriting engine they validate: path
 enumeration walks reversed edges breadth-first, cycle detection is a fresh
-depth-first search, closed simple paths are counted level by level, and
-basis enumeration lists paths forward.
+depth-first search, closed simple paths are counted level by level,
+basis enumeration lists paths forward, and matrix units are checked
+through all n^4 products.
 Random generation is fully determined by its seed.
 """
 
@@ -240,6 +241,35 @@ def random_element(g: Graph, spec: RandomSpec, max_terms: int = 4,
     """Reproducible random element in normal form."""
     return algebra.normal_form(g, random_raw_terms(g, spec, max_terms,
                                                    max_path_len))
+
+
+# -- matrix units ----------------------------------------------------------------
+
+def verify_matrix_units_exhaustive(m: algebra.MatrixUnits) -> bool:
+    """Check nonzeroness, idempotency of the diagonal and all n^4 product
+    identities u_ij u_kl = delta_jk u_il by exact arithmetic; the reference
+    for ``algebra.verify_matrix_units``."""
+    n = m.n
+    u = m.units
+    if len(u) != n or any(len(row) != n for row in u):
+        return False
+    g = u[0][0].graph
+    zero = algebra.Element.zero(g)
+    for i in range(n):
+        for j in range(n):
+            if u[i][j].is_zero():
+                return False
+    for i in range(n):
+        if u[i][i] * u[i][i] != u[i][i]:
+            return False
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    expected = u[i][l] if j == k else zero
+                    if u[i][j] * u[k][l] != expected:
+                        return False
+    return True
 
 
 # -- cross-checking --------------------------------------------------------------

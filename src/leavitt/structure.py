@@ -172,7 +172,9 @@ def witness_matrix_units(g: Graph, report, size: int | None = None):
     Bounded reports build their recipe (size defaults to n and may not
     exceed it).  A CycleWithExit reason builds exit units of any requested
     size; an OmegaPathFamily reason builds units of any requested size from
-    paths through the omega bundle."""
+    paths through the omega bundle.  A size below 1 is rejected."""
+    if size is not None and size < 1:
+        raise LeavittError(f"unit size must be at least 1, got {size}")
     if isinstance(report, Bounded):
         recipe = report.witness_recipe
         if recipe is None:

@@ -34,7 +34,8 @@ from leavitt.algebra import (
     verify_matrix_units,
     vertex_element,
 )
-from leavitt.graph import EdgeRef, Path, cycles
+from leavitt.graph import EdgeRef, Path, Regular, UnknownVertex, cycles
+from leavitt.oracle import RandomSpec, random_graph
 
 
 def line_paths(n):
@@ -95,6 +96,28 @@ def test_special_edge():
     assert special_edge(g, "w1") is None
     og = corpus.omega_gadget()
     assert special_edge(og, "v") is None  # infinite emitter: no CK-2
+
+
+@pytest.mark.parametrize("omega", [Fraction(0), Fraction(1, 4)])
+def test_special_edge_table_matches_definition(omega):
+    graphs = [build() for build in corpus.CORPUS.values()]
+    graphs += [random_graph(RandomSpec(seed=seed, omega_probability=omega))
+               for seed in range(300)]
+    for g in graphs:
+        for v in g.vertices:
+            if isinstance(g.vertex_class(v), Regular):
+                assert special_edge(g, v) == min(g.edges_out(v)), (g, v)
+            else:
+                assert special_edge(g, v) is None, (g, v)
+
+
+def test_special_edge_unknown_vertex():
+    with pytest.raises(UnknownVertex):
+        special_edge(corpus.clock(3), "nowhere")  # before the table exists
+    g = corpus.clock(3)
+    special_edge(g, "v")
+    with pytest.raises(UnknownVertex):
+        special_edge(g, "nowhere")  # after
 
 
 def test_linear_structure():

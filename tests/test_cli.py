@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conftest import fixture_path, tailed_cycle
-from leavitt import corpus
+from leavitt import algebra, corpus
 from leavitt.cli import main
 from leavitt.graph import OMEGA
 from leavitt.graphio import (
@@ -159,6 +159,37 @@ def test_witness(capsys):
     doc = json.loads(out)
     assert doc["n"] == 4 and doc["verified"] and doc["jordan_index"] == 4
     assert doc["provenance"]["kind"] == "cycle_exit_powers"
+
+
+@pytest.mark.parametrize("size", ["0", "-1"])
+@pytest.mark.parametrize("fixture", ["line4", "graph_f", "omega_gadget"])
+def test_witness_rejects_size_below_one(fixture, size, capsys):
+    code, out, err = run(capsys, "witness", fixture_path(fixture), "--size", size)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_eval_rejects_nilpotence_max_below_one(capsys):
+    code, out, err = run(capsys, "eval", fixture_path("line4"), "e1",
+                         "--nilpotence-max", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_witness_verifies_units_once(capsys, monkeypatch):
+    calls = []
+    verify = algebra.verify_matrix_units
+
+    def counting(m):
+        calls.append(m.n)
+        return verify(m)
+
+    monkeypatch.setattr(algebra, "verify_matrix_units", counting)
+    for args in (["clock5"], ["graph_f", "--size", "4"],
+                 ["omega_gadget", "--size", "3"], ["loop_with_tail"]):
+        calls.clear()
+        code, _, _ = run(capsys, "witness", fixture_path(args[0]), *args[1:])
+        assert code == 0 and len(calls) == 1, args
 
 
 def test_check(capsys):

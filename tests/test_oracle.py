@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from leavitt import corpus
-from leavitt.graph import EdgeRef, Path, count_paths_ending_at
+from leavitt.algebra import Element, MatrixUnits, matrix_units_exit, verify_matrix_units
+from leavitt.graph import EdgeRef, Path, count_paths_ending_at, cycles
 from leavitt.oracle import (
     CrossCheckReport,
     ExplosionGuard,
@@ -13,8 +14,15 @@ from leavitt.oracle import (
     enumerate_paths_ending_at,
     random_element,
     random_graph,
+    verify_matrix_units_exhaustive,
 )
-from leavitt.structure import PreconditionUnbounded, acyclic_dimension, decompose
+from leavitt.structure import (
+    PreconditionUnbounded,
+    acyclic_dimension,
+    bounded_index_report,
+    decompose,
+    witness_matrix_units,
+)
 
 
 def test_enumerate_clock3():
@@ -119,3 +127,45 @@ def test_dp_agreement_on_random_graphs():
             assert len(enumerate_paths_ending_at(g, v, cap)) == cnt.value, (seed, v)
             checked += 1
     assert checked > 100
+
+
+# -- matrix-unit check against the n^4 oracle -----------------------------------
+
+def _corrupted_grids(m: MatrixUnits) -> dict:
+    """Copies of the grid with one defect each.  Scaling a whole row other
+    than the first keeps u_i1 u_1j = u_ij and breaks only u_1i u_j1 =
+    delta_ij u_11; scaling the last diagonal entry breaks only the first
+    family (for n >= 2)."""
+    n, last = m.n, m.n - 1
+    zeroed, scaled, swapped, row_scaled = ([list(row) for row in m.units]
+                                           for _ in range(4))
+    zeroed[last][last] = Element.zero(m.units[0][0].graph)
+    scaled[last][last] = 2 * scaled[last][last]
+    swapped[0][last], swapped[last][last] = swapped[last][last], swapped[0][last]
+    row_scaled[last] = [2 * x for x in row_scaled[last]]
+    grids = {"zeroed": zeroed, "scaled": scaled, "transposed": zip(*m.units)}
+    if n > 1:
+        grids.update(swapped=swapped, row_scaled=row_scaled)
+    return {name: MatrixUnits(n, tuple(map(tuple, rows)), m.provenance)
+            for name, rows in grids.items()}
+
+
+def _assert_fast_check_matches_oracle(m: MatrixUnits) -> None:
+    assert m.n <= 8
+    assert verify_matrix_units(m) and verify_matrix_units_exhaustive(m)
+    for name, bad in _corrupted_grids(m).items():
+        assert verify_matrix_units(bad) == verify_matrix_units_exhaustive(bad), name
+
+
+@pytest.mark.parametrize("name", sorted(corpus.CORPUS))
+def test_fast_unit_check_matches_oracle_on_fixture_witnesses(name):
+    g = corpus.CORPUS[name]()
+    _assert_fast_check_matches_oracle(
+        witness_matrix_units(g, bounded_index_report(g)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_fast_unit_check_matches_oracle_on_exit_units(n):
+    f = corpus.graph_f()
+    _assert_fast_check_matches_oracle(
+        matrix_units_exit(f, cycles(f)[0], EdgeRef("f"), n))
