@@ -200,6 +200,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_ideals(args) -> int:
+    if args.cap < 0:
+        raise LeavittError("--cap must be at least 0")
     g = graphio.load_graph(args.graph)
     try:
         spectrum = structure.graded_spectrum(g, cap=args.cap)
@@ -302,6 +304,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.trials < 0:
+        raise LeavittError("--trials must be at least 0")
     g = graphio.load_graph(args.graph)
     mismatches = []
     checked = 0
@@ -364,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("decompose", _cmd_decompose, "matrix-ring decomposition")
     p = add("ideals", _cmd_ideals, "graded quotient classifications")
     p.add_argument("--cap", type=int, default=15,
-                   help="max vertices for subset enumeration")
+                   help="max vertices")
     p = add("eval", _cmd_eval, "evaluate an element expression")
     p.add_argument("expr", help="element expression")
     p.add_argument("--nilpotence-max", type=int, default=8,

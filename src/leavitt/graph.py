@@ -670,18 +670,6 @@ def reachable(g: Graph, u: str, v: str) -> bool:
     return False
 
 
-def descendants(g: Graph, v: str) -> frozenset:
-    g.check_vertex(v)
-    seen = {v}
-    queue = deque([v])
-    while queue:
-        for w in g._succ[queue.popleft()]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return frozenset(seen)
-
-
 def downward_directed(g: Graph) -> bool:
     """True iff every pair of vertices has a common descendant: every
     vertex reaches a sink component, so this holds iff there is at most
@@ -729,20 +717,28 @@ def count_paths_ending_at(g: Graph, v: str) -> Count:
 def hereditary_saturated_closure(g: Graph, X: Iterable[str]) -> frozenset:
     """Least superset of X closed downward under reachability and under
     saturation at regular vertices (sinks and infinite emitters are never
-    forced in)."""
-    H = set()
+    forced in).
+
+    One worklist pass, O(V + E): each regular vertex keeps the number of
+    its bundles whose range is not yet in H, and enters H when that number
+    reaches 0."""
+    pending = {v: len(g._out[v]) for v in g.vertices if g.is_regular(v)}
+    work = []
     for v in X:
-        if v not in H:
-            H |= descendants(g, v)
-    changed = True
-    while changed:
-        changed = False
-        for v in g.vertices:
-            if v in H or not g.is_regular(v):
-                continue
-            if all(b.dst in H for b in g._out[v]):
-                H |= descendants(g, v)
-                changed = True
+        g.check_vertex(v)
+        work.append(v)
+    H = set()
+    while work:
+        v = work.pop()
+        if v in H:
+            continue
+        H.add(v)
+        work.extend(g._succ[v])
+        for b in g._into[v]:
+            if b.src in pending:
+                pending[b.src] -= 1
+                if pending[b.src] == 0:
+                    work.append(b.src)
     return frozenset(H)
 
 

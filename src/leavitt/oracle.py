@@ -4,8 +4,10 @@ The enumerators here deliberately share no traversal logic with the
 component pass, path counter or rewriting engine they validate: path
 enumeration walks reversed edges breadth-first, cycle detection is a fresh
 depth-first search, closed simple paths are counted level by level,
-basis enumeration lists paths forward, and matrix units are checked
-through all n^4 products.
+basis enumeration lists paths forward, matrix units are checked
+through all n^4 products, hereditary saturated closures are intersections
+of supersets, and the graded spectrum classifies the quotient of every
+admissible pair.
 Random generation is fully determined by its seed.
 """
 
@@ -18,11 +20,16 @@ from fractions import Fraction
 from . import algebra, structure
 from .graph import (
     OMEGA,
+    AdmissiblePair,
     Bundle,
     EdgeRef,
     Graph,
     LeavittError,
     Path,
+    all_hereditary_saturated,
+    breaking_vertices,
+    is_hereditary_saturated,
+    quotient_graph,
 )
 
 
@@ -270,6 +277,42 @@ def verify_matrix_units_exhaustive(m: algebra.MatrixUnits) -> bool:
                     if u[i][j] * u[k][l] != expected:
                         return False
     return True
+
+
+# -- hereditary saturated sets and the graded spectrum -----------------------------
+
+def hereditary_saturated_closure_exhaustive(g: Graph, X) -> frozenset:
+    """The intersection of every hereditary saturated superset of X, found
+    by listing all subsets of the remaining vertices; the reference for
+    ``graph.hereditary_saturated_closure`` on small graphs."""
+    X = frozenset(X)
+    rest = [v for v in g.vertices if v not in X]
+    H = frozenset(g.vertices)
+    for k in range(1 << len(rest)):
+        Y = X | {rest[i] for i in range(len(rest)) if k >> i & 1}
+        if is_hereditary_saturated(g, Y):
+            H &= Y
+    return H
+
+
+def graded_spectrum_exhaustive(g: Graph, cap: int = 15) -> list:
+    """Classify every admissible pair whose quotient is downward directed,
+    in deterministic (H, S) order, by listing every hereditary saturated
+    set and every subset of its breaking vertices and classifying each
+    quotient graph; the reference for ``structure.graded_spectrum``."""
+    report = structure.bounded_index_report(g)
+    if not isinstance(report, structure.Bounded):
+        raise structure.PreconditionUnbounded(f"graph is unbounded: {report.reason!r}")
+    out = []
+    for H in all_hereditary_saturated(g, cap):
+        B = sorted(breaking_vertices(g, H))
+        for k in range(1 << len(B)):
+            S = frozenset(B[i] for i in range(len(B)) if k >> i & 1)
+            pair = AdmissiblePair(H, S)
+            cls = structure._classify_quotient(quotient_graph(g, pair))
+            if not isinstance(cls, structure.NotDownwardDirected):
+                out.append((pair, cls))
+    return out
 
 
 # -- cross-checking --------------------------------------------------------------

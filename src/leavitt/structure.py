@@ -11,7 +11,10 @@ graphs.
 
 The graph facts come from its cached component pass (:mod:`leavitt.graph`):
 with no exit the cycles are exactly the single-cycle components, so no
-decision here enumerates cycles.
+decision here enumerates cycles.  The graded spectrum is read off the
+bounded-index report too: one quotient per sink or cycle, found by one
+backward search each, so nothing here enumerates hereditary saturated sets
+(the subset enumeration is kept as ``oracle.graded_spectrum_exhaustive``).
 """
 
 from __future__ import annotations
@@ -22,13 +25,12 @@ from . import algebra
 from .graph import (
     OMEGA,
     AdmissiblePair,
+    CapExceeded,
     Cycle,
     EdgeRef,
     Graph,
     LeavittError,
     Path,
-    all_hereditary_saturated,
-    breaking_vertices,
     component_cycles,
     count_paths_ending_at,
     cycle_exit_witness,
@@ -274,19 +276,58 @@ def _classify_quotient(q: Graph):
 
 def graded_spectrum(g: Graph, cap: int = 15) -> list:
     """Classify every admissible pair whose quotient is downward directed,
-    in deterministic (H, S) order."""
+    in (H, S) order: by the size of H, then its sorted contents.
+
+    Each pair is read off the bounded-index report, one per sink or cycle
+    target T, as (V minus the ancestors of T, empty S) classified by the
+    count at T.  This is the whole spectrum:
+
+    1. S is empty.  A bounded graph has no omega bundle: the range of one
+       reaches a sink or a terminal component, and the count there would
+       be omega (or that component has a cycle with an exit).  So no vertex
+       is an infinite emitter, and none is a breaking vertex.
+    2. H = V minus ancestors(T).  The complement of a hereditary H is
+       closed under predecessors, so the components of the quotient are
+       components of the graph.  A downward-directed quotient has exactly
+       one sink component T.  A vertex of T with all its edges into H
+       would be regular (no emitter is infinite), so saturation would put
+       it in H; hence T is a sink of the graph, or a cycle, which has no
+       exit because the graph is bounded.  Every vertex of the quotient
+       reaches T, and no vertex of H does (H is hereditary and T is not in
+       it), so the quotient's vertices are exactly the ancestors of T.
+    3. That H is hereditary saturated for every target T: a successor of a
+       vertex that cannot reach T cannot reach T either, and a regular
+       vertex outside H has an edge into the ancestors of T (its cycle
+       edge if it lies on T, an edge on its path to T otherwise).  The
+       quotient is nonempty and downward directed, since T is its only
+       sink component.
+    4. Every path ending at T runs through ancestors of T only, so T's
+       count in the quotient is its count in the graph.
+
+    The graph must be bounded (PreconditionUnbounded otherwise), and a
+    graph with more than `cap` vertices raises CapExceeded; the cap is a
+    compatibility bound, since nothing here is enumerated."""
     report = bounded_index_report(g)
     if not isinstance(report, Bounded):
         raise PreconditionUnbounded(f"graph is unbounded: {report.reason!r}")
+    if len(g.vertices) > cap:
+        raise CapExceeded(
+            f"{len(g.vertices)} vertices exceeds enumeration cap {cap}")
     out = []
-    for H in all_hereditary_saturated(g, cap):
-        B = sorted(breaking_vertices(g, H))
-        for k in range(1 << len(B)):
-            S = frozenset(B[i] for i in range(len(B)) if k >> i & 1)
-            pair = AdmissiblePair(H, S)
-            cls = _classify_quotient(quotient_graph(g, pair))
-            if not isinstance(cls, NotDownwardDirected):
-                out.append((pair, cls))
+    for target, cnt in report.per_target:
+        if isinstance(target, SinkTarget):
+            start, cls = target.vertex, MatK(cnt)
+        else:
+            start, cls = g.src(target.cycle.edges[0]), MatLaurent(cnt)
+        ancestors, stack = {start}, [start]
+        while stack:
+            for b in g._into[stack.pop()]:
+                if b.src not in ancestors:
+                    ancestors.add(b.src)
+                    stack.append(b.src)
+        H = frozenset(v for v in g.vertices if v not in ancestors)
+        out.append((AdmissiblePair(H), cls))
+    out.sort(key=lambda item: (len(item[0].H), tuple(sorted(item[0].H))))
     return out
 
 

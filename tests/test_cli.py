@@ -192,6 +192,28 @@ def test_witness_verifies_units_once(capsys, monkeypatch):
         assert code == 0 and len(calls) == 1, args
 
 
+def test_ideals_rejects_negative_cap(capsys):
+    code, out, err = run(capsys, "ideals", fixture_path("clock3"), "--cap", "-1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--cap" in err and "Traceback" not in err
+    # checked before the graph is read
+    code, _, err = run(capsys, "ideals", "/no/such/file.graph", "--cap", "-1")
+    assert code == 1 and "--cap" in err
+    # a cap of 0 still bounds the vertex count
+    code, _, err = run(capsys, "ideals", fixture_path("clock3"), "--cap", "0")
+    assert code == 2 and "resource limit" in err
+
+
+def test_check_rejects_negative_trials(capsys):
+    code, out, err = run(capsys, "check", fixture_path("line2"), "--trials", "-1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--trials" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "check", fixture_path("line2"), "--trials", "0",
+                       "--format", "json")
+    doc = json.loads(out)
+    assert code == 0 and doc["sampling"]["trials"] == 0 and doc["ok"]
+
+
 def test_check(capsys):
     code, out, _ = run(capsys, "check", fixture_path("loop_with_tail"),
                        "--trials", "50")

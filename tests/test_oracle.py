@@ -12,6 +12,7 @@ from leavitt.oracle import (
     basis_monomials,
     cross_check_index,
     enumerate_paths_ending_at,
+    graded_spectrum_exhaustive,
     random_element,
     random_graph,
     verify_matrix_units_exhaustive,
@@ -21,6 +22,7 @@ from leavitt.structure import (
     acyclic_dimension,
     bounded_index_report,
     decompose,
+    graded_spectrum,
     witness_matrix_units,
 )
 
@@ -169,3 +171,42 @@ def test_fast_unit_check_matches_oracle_on_exit_units(n):
     f = corpus.graph_f()
     _assert_fast_check_matches_oracle(
         matrix_units_exit(f, cycles(f)[0], EdgeRef("f"), n))
+
+
+# -- graded spectrum against the exhaustive enumeration ----------------------------
+
+def _spectrum_rows(spectrum) -> list:
+    return [(sorted(p.H), sorted(p.S), cls) for p, cls in spectrum]
+
+
+def _assert_spectrum_matches_oracle(g) -> bool:
+    """True when g is bounded and both spectra agree; both must raise
+    PreconditionUnbounded otherwise."""
+    try:
+        want = _spectrum_rows(graded_spectrum_exhaustive(g))
+    except PreconditionUnbounded:
+        with pytest.raises(PreconditionUnbounded):
+            graded_spectrum(g)
+        return False
+    assert _spectrum_rows(graded_spectrum(g)) == want
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(corpus.CORPUS))
+def test_spectrum_matches_oracle_on_fixtures(name):
+    _assert_spectrum_matches_oracle(corpus.CORPUS[name]())
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_spectrum_matches_oracle_on_lines_and_clocks(k):
+    assert _assert_spectrum_matches_oracle(corpus.line(k))
+    assert _assert_spectrum_matches_oracle(corpus.clock(k))
+
+
+@pytest.mark.parametrize("omega", [Fraction(0), Fraction(1, 4)])
+def test_spectrum_matches_oracle_on_random_graphs(omega):
+    bounded = sum(
+        _assert_spectrum_matches_oracle(
+            random_graph(RandomSpec(seed=seed, omega_probability=omega)))
+        for seed in range(1000))
+    assert bounded > 100

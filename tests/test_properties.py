@@ -27,6 +27,7 @@ from leavitt.graph import (
 from leavitt.oracle import (
     RandomSpec,
     closed_simple_path_counts,
+    hereditary_saturated_closure_exhaustive,
     random_element,
     random_graph,
     random_raw_terms,
@@ -48,6 +49,16 @@ def test_closure_idempotent_and_monotone(seed, data):
     assert hereditary_saturated_closure(g, cX) == cX
     assert cX <= hereditary_saturated_closure(g, Y)
     assert is_hereditary_saturated(g, cX)
+
+
+@pytest.mark.parametrize("omega", [Fraction(0), Fraction(1, 4)])
+@settings(max_examples=80, deadline=None)
+@given(seed=seeds, data=st.data())
+def test_closure_matches_intersection_of_supersets(omega, seed, data):
+    g = random_graph(RandomSpec(seed=seed, omega_probability=omega))
+    X = data.draw(st.sets(st.sampled_from(g.vertices)))
+    assert hereditary_saturated_closure(g, X) == \
+        hereditary_saturated_closure_exhaustive(g, X)
 
 
 @settings(max_examples=60, deadline=None)

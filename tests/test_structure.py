@@ -132,6 +132,13 @@ def test_spectrum_single_vertex():
     assert spec == [(AdmissiblePair(frozenset()), MatK(1))]
 
 
+def test_spectrum_on_deep_graphs():
+    spec = graded_spectrum(corpus.line(1500), cap=10 ** 4)
+    assert spec == [(AdmissiblePair(frozenset()), MatK(1500))]
+    spec = graded_spectrum(tailed_cycle(1200, 3), cap=10 ** 4)
+    assert spec == [(AdmissiblePair(frozenset()), MatLaurent(1203))]
+
+
 def test_decompose_clock5():
     d = decompose(corpus.clock(5))
     assert d.factors == (Factor(2, BASE_K),) * 5
