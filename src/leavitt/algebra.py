@@ -16,19 +16,32 @@ literal equality of term maps.
 
 Ghost edges never appear inside a single monomial; products contract the
 inner ghost/real block by path prefix comparison.
+
+Inside an Element a monomial is the plain tuple
+``(p_base, p_edge_ids, q_base, q_edge_ids)``, with edges numbered by a
+per-graph table built on first use (:class:`_Kernel`): finite edges are
+0..nfin-1 in EdgeRef order, and edge k of the j-th of the W omega bundles
+is nfin + k*W + j, so equal graphs give equal keys.  Coefficients are ints
+while they are integral; a Fraction appears only once a non-integer scalar
+comes in.  :class:`Monomial`, :meth:`Element.terms`,
+:meth:`Element.coefficient`, :func:`normal_form` and the printed text
+convert at that boundary and see EdgeRefs and Fractions, as before.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .graph import (
+    OMEGA,
     Cycle,
     EdgeRef,
     Graph,
+    InvalidPath,
     LeavittError,
     Path,
     check_cycle,
@@ -68,20 +81,76 @@ class BadMatrixUnitPaths(LeavittError):
     pass
 
 
+class TooLarge(LeavittError):
+    """A power or a coefficient outgrew a fixed size limit; the CLI reports
+    it as a resource limit."""
+
+
+class _Kernel:
+    """Edge numbering and rewriting data of one graph, kept in its
+    ``_kernel`` slot.  ``rewrite`` maps the id of each regular vertex's
+    special edge to the ids of the other edges out of that vertex, so a
+    monomial is reducible exactly when both its paths end in a key of
+    ``rewrite``."""
+
+    __slots__ = ("ids", "refs", "omega", "omega_pos", "rewrite", "special")
+
+    def __init__(self, g: Graph):
+        self.ids = {}       # finite EdgeRef -> id
+        self.refs = []      # id -> EdgeRef, finite edges in EdgeRef order
+        self.omega = []     # the omega bundles, in bundle-id order
+        out = {v: [] for v in g.vertices}
+        emitters = set()
+        for b in g.bundles:  # sorted by id, so ids follow EdgeRef order
+            if b.mult is OMEGA:
+                emitters.add(b.src)
+                self.omega.append(b)
+                continue
+            for i in range(b.mult):
+                e = EdgeRef(b.id, i)
+                self.ids[e] = len(self.refs)
+                out[b.src].append(len(self.refs))
+                self.refs.append(e)
+        self.omega_pos = {b.id: j for j, b in enumerate(self.omega)}
+        self.rewrite = {}   # special edge id -> ids of its siblings
+        self.special = dict.fromkeys(g.vertices)  # vertex -> EdgeRef | None
+        for v, es in out.items():
+            if es and v not in emitters:
+                self.rewrite[es[0]] = tuple(es[1:])
+                self.special[v] = self.refs[es[0]]
+
+    def edge_id(self, g: Graph, e: EdgeRef) -> int:
+        i = self.ids.get(e)
+        if i is not None:
+            return i
+        g.bundle(e.bundle)  # raises UnknownBundle
+        j = self.omega_pos.get(e.bundle)
+        if j is None or e.index < 0:
+            raise InvalidPath(f"not an edge of this graph: {e!r}")
+        return len(self.refs) + e.index * len(self.omega) + j
+
+    def edge_ref(self, i: int) -> EdgeRef:
+        if i < len(self.refs):
+            return self.refs[i]
+        k, j = divmod(i - len(self.refs), len(self.omega))
+        return EdgeRef(self.omega[j].id, k)
+
+
+def _kernel(g: Graph) -> _Kernel:
+    table = g._kernel
+    if table is None:
+        table = g._kernel = _Kernel(g)
+    return table
+
+
 def special_edge(g: Graph, v: str) -> EdgeRef | None:
     """The rewriting basis edge at v: least outgoing EdgeRef of a regular
     vertex, None at sinks and infinite emitters.
 
-    Every rewrite step asks for it, so the answers for all vertices are
-    computed on the first call and kept in the graph's ``_special`` slot.
+    Read from the graph's kernel table, built on the first call.
     Raises UnknownVertex for a vertex not in g."""
-    table = g._special
-    if table is None:
-        table = g._special = {
-            u: g.edges_out(u)[0] if g.is_regular(u) else None
-            for u in g.vertices}
     try:
-        return table[v]
+        return _kernel(g).special[v]
     except KeyError:
         g.check_vertex(v)
         raise
@@ -104,27 +173,34 @@ def _mono_key(m: Monomial):
             len(m.q.edges), m.q.edges, m.q.base)
 
 
-def _is_reducible(g: Graph, m: Monomial) -> bool:
-    if not m.p.edges or not m.q.edges:
-        return False
-    last = m.p.edges[-1]
-    if m.q.edges[-1] != last:
-        return False
-    return special_edge(g, g.src(last)) == last
+def _key(g: Graph, m: Monomial) -> tuple:
+    """The term-map key of a monomial."""
+    table = _kernel(g)
+    return (m.p.base, tuple(table.edge_id(g, e) for e in m.p.edges),
+            m.q.base, tuple(table.edge_id(g, e) for e in m.q.edges))
 
 
-def _reduce_once(g: Graph, m: Monomial) -> list:
-    """Expansion of one reducible monomial as (monomial, sign) pairs."""
-    last = m.p.edges[-1]
-    v = g.src(last)
-    p0 = Path(m.p.base, m.p.edges[:-1])
-    q0 = Path(m.q.base, m.q.edges[:-1])
-    out = [(Monomial(p0, q0), 1)]
-    for e in g.edges_out(v):
-        if e != last:
-            out.append((Monomial(Path(p0.base, p0.edges + (e,)),
-                                 Path(q0.base, q0.edges + (e,))), -1))
-    return out
+def _monomial(table: _Kernel, key: tuple) -> Monomial:
+    pb, pe, qb, qe = key
+    return Monomial(Path(pb, tuple(map(table.edge_ref, pe))),
+                    Path(qb, tuple(map(table.edge_ref, qe))))
+
+
+def _scalar(k):
+    """k as an int when it is integral, else as a Fraction."""
+    if type(k) is int:
+        return k
+    k = Fraction(k)
+    return k.numerator if k.denominator == 1 else k
+
+
+def coefficient_text(k) -> str:
+    """str(k), or TooLarge when k has too many digits to print."""
+    try:
+        return str(k)
+    except ValueError:  # the interpreter's integer string conversion limit
+        raise TooLarge("coefficient has more than "
+                       f"{sys.get_int_max_str_digits()} digits") from None
 
 
 class Element:
@@ -138,18 +214,26 @@ class Element:
 
     def __init__(self, graph: Graph, terms: dict):
         self.graph = graph
-        self._terms = terms
+        self._terms = terms  # (p_base, p_ids, q_base, q_ids) -> int | Fraction
 
     @classmethod
     def zero(cls, graph: Graph) -> "Element":
         return cls(graph, {})
 
     def terms(self) -> list:
-        """Term list sorted in the canonical monomial order."""
-        return sorted(self._terms.items(), key=lambda kv: _mono_key(kv[0]))
+        """(Monomial, Fraction) pairs sorted in the canonical monomial
+        order."""
+        table = _kernel(self.graph)
+        return sorted(((_monomial(table, key), Fraction(k))
+                       for key, k in self._terms.items()),
+                      key=lambda kv: _mono_key(kv[0]))
 
     def coefficient(self, m: Monomial) -> Fraction:
-        return self._terms.get(m, Fraction(0))
+        try:
+            key = _key(self.graph, m)
+        except LeavittError:  # an edge not in the graph: not a term either
+            return Fraction(0)
+        return Fraction(self._terms.get(key, 0))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -157,24 +241,27 @@ class Element:
     def support_size(self) -> int:
         return len(self._terms)
 
+    def _same_graph(self, other: "Element") -> bool:
+        return self.graph is other.graph or self.graph == other.graph
+
     def _require_same_graph(self, other: "Element") -> None:
-        if self.graph != other.graph:
+        if not self._same_graph(other):
             raise GraphMismatch("elements live over different graphs")
 
     def __eq__(self, other):
         return (isinstance(other, Element)
-                and self.graph == other.graph
+                and self._same_graph(other)
                 and self._terms == other._terms)
 
     def __add__(self, other: "Element") -> "Element":
         self._require_same_graph(other)
         terms = dict(self._terms)
         for m, k in other._terms.items():
-            c = terms.get(m, Fraction(0)) + k
+            c = terms.get(m, 0) + k
             if c:
                 terms[m] = c
             else:
-                terms.pop(m, None)
+                del terms[m]
         return Element(self.graph, terms)
 
     def __neg__(self) -> "Element":
@@ -184,7 +271,7 @@ class Element:
         return self + (-other)
 
     def scale(self, k) -> "Element":
-        k = Fraction(k)
+        k = _scalar(k)
         if k == 0:
             return Element.zero(self.graph)
         return Element(self.graph, {m: k * c for m, c in self._terms.items()})
@@ -195,57 +282,79 @@ class Element:
         return NotImplemented
 
     def __mul__(self, other):
+        """Contract every pair of terms, (p q*)(r s*): to (p t) s* when
+        r = q t, to p (s u)* when q = r u, else to zero; then normalize."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, Element):
             return NotImplemented
         self._require_same_graph(other)
-        g = self.graph
         raw = {}
-        for m1, k1 in self._terms.items():
-            for m2, k2 in other._terms.items():
-                m = _mono_product(g, m1, m2)
-                if m is not None:
-                    c = raw.get(m, Fraction(0)) + k1 * k2
-                    if c:
-                        raw[m] = c
-                    else:
-                        del raw[m]
-        return normal_form(g, raw.items())
+        right = other._terms.items()
+        for (pb, pe, qb, qe), k1 in self._terms.items():
+            lq = len(qe)
+            for (rb, re, sb, se), k2 in right:
+                if qb != rb:
+                    continue
+                if lq <= len(re):
+                    if re[:lq] != qe:
+                        continue
+                    key = (pb, pe + re[lq:], sb, se)
+                else:
+                    if qe[:len(re)] != re:
+                        continue
+                    key = (pb, pe, sb, se + qe[len(re):])
+                c = raw.get(key, 0) + k1 * k2
+                if c:
+                    raw[key] = c
+                else:
+                    del raw[key]
+        return Element(self.graph,
+                       _normalize(_kernel(self.graph), raw.items(), None))
 
     def involution(self) -> "Element":
         """Reverse every monomial: sum k p q*  ->  sum k q p*."""
-        return Element(self.graph,
-                       {Monomial(m.q, m.p): k for m, k in self._terms.items()})
+        return Element(self.graph, {(qb, qe, pb, pe): k for (pb, pe, qb, qe), k
+                                    in self._terms.items()})
 
     def degree_components(self) -> dict:
         """Split into homogeneous pieces keyed by degree |p| - |q|."""
         parts: dict = {}
         for m, k in self._terms.items():
-            parts.setdefault(m.degree, {})[m] = k
+            parts.setdefault(len(m[1]) - len(m[3]), {})[m] = k
         return {d: Element(self.graph, t) for d, t in sorted(parts.items())}
 
     def __repr__(self):
         return f"Element({element_text(self)})"
 
 
-def _mono_product(g: Graph, a: Monomial, b: Monomial) -> Monomial | None:
-    """Product of two normal-form monomials before renormalization:
-    (p q*)(r s*) contracts to (p t) s* when r = q t, to p (s u)* when
-    q = r u, and to None (zero) otherwise."""
-    q, r = a.q, b.p
-    if q.base != r.base:
-        return None
-    lq, lr = len(q.edges), len(r.edges)
-    if lq <= lr:
-        if r.edges[:lq] != q.edges:
-            return None
-        t = Path(path_range(g, q), r.edges[lq:])
-        return Monomial(concat_paths(g, a.p, t), b.q)
-    if q.edges[:lr] != r.edges:
-        return None
-    u = Path(path_range(g, r), q.edges[lr:])
-    return Monomial(a.p, concat_paths(g, b.q, u))
+def _normalize(table: _Kernel, raw: Iterable, rng) -> dict:
+    """Normal-form term map of (key, nonzero coefficient) pairs.
+
+    The worklist is a stack; ``rng`` picks the next entry at random
+    instead (None: the top one)."""
+    rewrite = table.rewrite
+    result: dict = {}
+    pending = list(raw)
+    while pending:
+        if rng is not None:
+            i = rng.randrange(len(pending))
+            pending[i], pending[-1] = pending[-1], pending[i]
+        key, k = pending.pop()
+        pb, pe, qb, qe = key
+        if pe and qe and pe[-1] == qe[-1] and pe[-1] in rewrite:
+            # (p g)(q g)*  ->  p q*  -  sum over e != g of (p e)(q e)*
+            siblings = rewrite[pe[-1]]
+            pe, qe = pe[:-1], qe[:-1]
+            pending.append(((pb, pe, qb, qe), k))
+            pending.extend(((pb, pe + (e,), qb, qe + (e,)), -k) for e in siblings)
+            continue
+        c = result.get(key, 0) + k
+        if c:
+            result[key] = c
+        else:
+            del result[key]
+    return result
 
 
 def normal_form(g: Graph, raw: Iterable, strategy: str = "leftmost",
@@ -253,41 +362,27 @@ def normal_form(g: Graph, raw: Iterable, strategy: str = "leftmost",
     """Normalize a formal combination of (Monomial, coefficient) pairs.
 
     ``strategy`` picks which pending reducible monomial to expand next:
-    "leftmost" (insertion order) or "random" (seeded).  Both reach the same
-    normal form; the choice exists so tests can cross-check confluence.
+    "leftmost" (a stack) or "random" (seeded).  Both reach the same normal
+    form; the choice exists so tests can cross-check confluence.
     """
     rng = random.Random(seed) if strategy == "random" else None
-    pending = []
+    keyed = []
     for m, k in raw:
-        k = Fraction(k)
+        k = _scalar(k)
         if k == 0:
             continue
         if path_range(g, m.p) != path_range(g, m.q):
             raise RangeMismatch(
                 f"monomial paths end at different vertices: {m}")
-        pending.append((m, k))
-    result: dict = {}
-    while pending:
-        i = rng.randrange(len(pending)) if rng is not None else 0
-        m, k = pending.pop(i)
-        if _is_reducible(g, m):
-            for m2, sign in _reduce_once(g, m):
-                pending.append((m2, sign * k))
-        else:
-            c = result.get(m, Fraction(0)) + k
-            if c:
-                result[m] = c
-            else:
-                del result[m]
-    return Element(g, result)
+        keyed.append((_key(g, m), k))
+    return Element(g, _normalize(_kernel(g), keyed, rng))
 
 
 # -- generators --------------------------------------------------------------
 
 def vertex_element(g: Graph, v: str) -> Element:
     g.check_vertex(v)
-    p = Path(v)
-    return Element(g, {Monomial(p, p): Fraction(1)})
+    return Element(g, {(v, (), v, ()): 1})
 
 
 def edge_element(g: Graph, e: EdgeRef) -> Element:
@@ -343,7 +438,8 @@ def element_text(a: Element) -> str:
         return "0"
     bits = []
     for m, k in a.terms():
-        bits.append(f"{k} * {path_text(a.graph, m.p)} . {path_text(a.graph, m.q)}^*")
+        bits.append(f"{coefficient_text(k)} * {path_text(a.graph, m.p)} . "
+                    f"{path_text(a.graph, m.q)}^*")
     return " + ".join(bits)
 
 
@@ -381,6 +477,39 @@ def nilpotence_index(a: Element, k_max: int, term_limit: int = 10 ** 6):
         if power.support_size() > term_limit:
             return ResourceLimit(k, power.support_size())
     return NotNilpotentWithin(k_max)
+
+
+POWER_EDGE_LIMIT = 10 ** 6
+
+
+def power(a: Element, k: int) -> Element:
+    """a^k for k >= 1, by repeated squaring.  Stops at the first square
+    that vanishes, since a^k is then zero too.  Raises TooLarge when an
+    intermediate power holds more than POWER_EDGE_LIMIT edges over all its
+    monomials (squaring doubles path lengths, so memory would run out
+    long before time does)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    out = None
+    while True:
+        if k & 1:
+            out = a if out is None else _bounded(out * a)
+            if out.is_zero():
+                return out
+        k >>= 1
+        if not k:
+            return out
+        a = _bounded(a * a)
+        if a.is_zero():
+            return a
+
+
+def _bounded(a: Element) -> Element:
+    edges = sum(len(key[1]) + len(key[3]) for key in a._terms)
+    if edges > POWER_EDGE_LIMIT:
+        raise TooLarge(f"a power holds {edges} edges, over the limit of "
+                       f"{POWER_EDGE_LIMIT}")
+    return a
 
 
 # -- distinguished idempotents --------------------------------------------------

@@ -248,7 +248,8 @@ def _cmd_eval(args) -> int:
         "command": "eval",
         "element": algebra.element_text(elem),
         "terms": [
-            {"coeff": str(k), "p": _path_json(m.p), "q": _path_json(m.q)}
+            {"coeff": algebra.coefficient_text(k), "p": _path_json(m.p),
+             "q": _path_json(m.q)}
             for m, k in elem.terms()
         ],
         "degrees": {str(d): algebra.element_text(x)
@@ -387,8 +388,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CapExceeded, oracle.ExplosionGuard) as err:
+    except (CapExceeded, oracle.ExplosionGuard, algebra.TooLarge) as err:
         print(f"resource limit: {err}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("resource limit: input nested too deeply (recursion limit)",
+              file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
         return 2
     except (OSError, LeavittError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -260,10 +260,7 @@ def _eval(node, g: Graph):
             return Fraction(1), algebra.identity_element(g)
         if elem is None:
             return coeff ** node.exponent, None
-        out = elem
-        for _ in range(node.exponent - 1):
-            out = out * elem
-        return coeff ** node.exponent, out
+        return coeff ** node.exponent, algebra.power(elem, node.exponent)
     if isinstance(node, Product):
         coeff = Fraction(1)
         elem = None

@@ -214,7 +214,7 @@ class Graph:
     """
 
     __slots__ = ("vertices", "bundles", "_by_id", "_out", "_into", "_succ", "_scc",
-                 "_special")
+                 "_kernel")
 
     def __init__(self, vertices: Iterable[str], bundles: Iterable[Bundle] = ()):
         self.vertices = tuple(sorted(vertices))
@@ -230,7 +230,7 @@ class Graph:
         self._succ = {v: sorted({b.dst for b in self._out[v] if b.dst in self._out})
                       for v in self.vertices}
         self._scc = None  # _Components, filled in on first use
-        self._special = None  # algebra.special_edge table, filled in on first use
+        self._kernel = None  # algebra._Kernel, filled in on first use
 
     def __eq__(self, other):
         return (isinstance(other, Graph)

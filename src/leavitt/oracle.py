@@ -4,10 +4,11 @@ The enumerators here deliberately share no traversal logic with the
 component pass, path counter or rewriting engine they validate: path
 enumeration walks reversed edges breadth-first, cycle detection is a fresh
 depth-first search, closed simple paths are counted level by level,
-basis enumeration lists paths forward, matrix units are checked
-through all n^4 products, hereditary saturated closures are intersections
-of supersets, and the graded spectrum classifies the quotient of every
-admissible pair.
+basis enumeration lists paths forward, normal forms and products are
+rewritten on Monomial/Fraction values with the special edge taken from
+its definition, matrix units are checked through all n^4 products,
+hereditary saturated closures are intersections of supersets, and the
+graded spectrum classifies the quotient of every admissible pair.
 Random generation is fully determined by its seed.
 """
 
@@ -27,6 +28,8 @@ from .graph import (
     LeavittError,
     Path,
     all_hereditary_saturated,
+    concat_paths,
+    path_range,
     breaking_vertices,
     is_hereditary_saturated,
     quotient_graph,
@@ -248,6 +251,104 @@ def random_element(g: Graph, spec: RandomSpec, max_terms: int = 4,
     """Reproducible random element in normal form."""
     return algebra.normal_form(g, random_raw_terms(g, spec, max_terms,
                                                    max_path_len))
+
+
+# -- the rewriting kernel, on Monomial and Fraction values -----------------------
+
+def _special_edge_reference(g: Graph, v: str):
+    return g.edges_out(v)[0] if g.is_regular(v) else None
+
+
+def _is_reducible(g: Graph, m: algebra.Monomial) -> bool:
+    if not m.p.edges or not m.q.edges:
+        return False
+    last = m.p.edges[-1]
+    if m.q.edges[-1] != last:
+        return False
+    return _special_edge_reference(g, g.src(last)) == last
+
+
+def _reduce_once(g: Graph, m: algebra.Monomial) -> list:
+    """Expansion of one reducible monomial as (monomial, sign) pairs."""
+    last = m.p.edges[-1]
+    v = g.src(last)
+    p0 = Path(m.p.base, m.p.edges[:-1])
+    q0 = Path(m.q.base, m.q.edges[:-1])
+    out = [(algebra.Monomial(p0, q0), 1)]
+    for e in g.edges_out(v):
+        if e != last:
+            out.append((algebra.Monomial(Path(p0.base, p0.edges + (e,)),
+                                 Path(q0.base, q0.edges + (e,))), -1))
+    return out
+
+
+def _mono_product(g: Graph, a: algebra.Monomial,
+                  b: algebra.Monomial) -> algebra.Monomial | None:
+    """Product of two normal-form monomials before renormalization:
+    (p q*)(r s*) contracts to (p t) s* when r = q t, to p (s u)* when
+    q = r u, and to None (zero) otherwise."""
+    q, r = a.q, b.p
+    if q.base != r.base:
+        return None
+    lq, lr = len(q.edges), len(r.edges)
+    if lq <= lr:
+        if r.edges[:lq] != q.edges:
+            return None
+        t = Path(path_range(g, q), r.edges[lq:])
+        return algebra.Monomial(concat_paths(g, a.p, t), b.q)
+    if q.edges[:lr] != r.edges:
+        return None
+    u = Path(path_range(g, r), q.edges[lr:])
+    return algebra.Monomial(a.p, concat_paths(g, b.q, u))
+
+
+def normal_form_reference(g: Graph, raw, strategy: str = "leftmost",
+                          seed: int = 0) -> list:
+    """The normal form of (Monomial, coefficient) pairs, rewritten on
+    Monomial values with Fraction coefficients and a FIFO worklist; the
+    reference for ``algebra.normal_form``.  Returns the sorted term list,
+    as ``Element.terms()`` gives it."""
+    rng = random.Random(seed) if strategy == "random" else None
+    pending = []
+    for m, k in raw:
+        k = Fraction(k)
+        if k == 0:
+            continue
+        if path_range(g, m.p) != path_range(g, m.q):
+            raise algebra.RangeMismatch(
+                f"monomial paths end at different vertices: {m}")
+        pending.append((m, k))
+    result: dict = {}
+    while pending:
+        i = rng.randrange(len(pending)) if rng is not None else 0
+        m, k = pending.pop(i)
+        if _is_reducible(g, m):
+            for m2, sign in _reduce_once(g, m):
+                pending.append((m2, sign * k))
+        else:
+            c = result.get(m, Fraction(0)) + k
+            if c:
+                result[m] = c
+            else:
+                del result[m]
+    return sorted(result.items(), key=lambda kv: algebra._mono_key(kv[0]))
+
+
+def product_reference(g: Graph, a, b) -> list:
+    """The product of two term lists of (Monomial, coefficient) pairs, by
+    contracting every pair and renormalizing with
+    :func:`normal_form_reference`; the reference for ``Element.__mul__``."""
+    raw = {}
+    for m1, k1 in a:
+        for m2, k2 in b:
+            m = _mono_product(g, m1, m2)
+            if m is not None:
+                c = raw.get(m, Fraction(0)) + k1 * k2
+                if c:
+                    raw[m] = c
+                else:
+                    del raw[m]
+    return normal_form_reference(g, raw.items())
 
 
 # -- matrix units ----------------------------------------------------------------

@@ -15,8 +15,10 @@ from leavitt.algebra import (
     NotABreakingVertex,
     NotAnExit,
     NotNilpotentWithin,
+    POWER_EDGE_LIMIT,
     RangeMismatch,
     ResourceLimit,
+    TooLarge,
     UnverifiedUnits,
     breaking_vertex_element,
     edge_element,
@@ -30,12 +32,15 @@ from leavitt.algebra import (
     monomial,
     nilpotence_index,
     normal_form,
+    power,
     special_edge,
     verify_matrix_units,
     vertex_element,
 )
+from conftest import fixture_path
 from leavitt.graph import EdgeRef, Path, Regular, UnknownVertex, cycles
-from leavitt.oracle import RandomSpec, random_graph
+from leavitt.graphio import load_graph
+from leavitt.oracle import RandomSpec, random_element, random_graph
 
 
 def line_paths(n):
@@ -316,3 +321,69 @@ def test_elements_over_omega_graphs():
     proj = e5 * e5.involution()
     assert proj != vertex_element(og, "v")
     assert proj * proj == proj
+
+
+def test_equal_graphs_give_equal_elements():
+    """Two equal Graph objects number their edges alike, whatever order
+    their elements are built in, so elements over them mix freely."""
+    g1 = load_graph(fixture_path("omega_gadget"))
+    g2 = load_graph(fixture_path("omega_gadget"))
+    assert g1 == g2 and g1 is not g2
+
+    def build(g, order):
+        a = {i: edge_element(g, EdgeRef("a", i)) for i in order}
+        e = edge_element(g, EdgeRef("e"))
+        return a[3] + 2 * a[1].involution() + e - a[0] * a[2].involution(), a[0]
+
+    x1, y1 = build(g1, range(4))
+    x2, y2 = build(g2, reversed(range(4)))
+    assert x1 == x2 and x1.terms() == x2.terms()
+    assert (x1 * x2.involution()).terms() == (x1 * x1.involution()).terms()
+    assert (y2.involution() * x1) == (y1.involution() * x1) == \
+        -edge_element(g1, EdgeRef("a", 2)).involution()
+    assert (x2 + x1).terms() == x1.scale(2).terms()
+    with pytest.raises(GraphMismatch):
+        x1 * vertex_element(corpus.clock(3), "v")
+
+
+def test_coefficient_of_absent_monomials_is_zero():
+    og = corpus.omega_gadget()
+    x = edge_element(og, EdgeRef("a", 3)).scale(Fraction(5, 2))
+    a3 = Monomial(Path("v", (EdgeRef("a", 3),)), Path("h"))
+    assert x.coefficient(a3) == Fraction(5, 2)
+    for m in (Monomial(Path("v", (EdgeRef("a", 9),)), Path("h")),  # index never used
+              Monomial(Path("h"), Path("h")),
+              Monomial(Path("v", (EdgeRef("nope"),)), Path("h"))):
+        assert x.coefficient(m) == 0 and type(x.coefficient(m)) is Fraction
+
+
+def test_integral_coefficients_stay_int():
+    g = corpus.clock(3)
+    a = edge_element(g, EdgeRef("e1")) * 3 - vertex_element(g, "v")
+    assert all(type(k) is int for k in (a * a.involution())._terms.values())
+    half = a.scale(Fraction(1, 2))
+    assert half.scale(2) == a and element_text(half.scale(2)) == element_text(a)
+
+
+@pytest.mark.parametrize("omega", [Fraction(0), Fraction(1, 4)])
+def test_power_matches_repeated_products(omega):
+    for seed in range(60):
+        g = random_graph(RandomSpec(seed=seed, omega_probability=omega))
+        a = random_element(g, RandomSpec(seed=5_000 + seed))
+        a = a + a.involution()
+        expected = a
+        for k in range(1, 8):
+            assert power(a, k) == expected, (seed, k)
+            expected = expected * a
+
+
+def test_power_stops_at_zero_and_bounds_size():
+    g = corpus.line(3)
+    e1 = edge_element(g, EdgeRef("e1"))
+    assert power(e1, 10 ** 8).is_zero()
+    u1 = vertex_element(g, "u1")
+    assert power(u1, 200_000) == u1
+    loop = edge_element(corpus.single_loop(), EdgeRef("e"))
+    assert power(loop, 5).terms()[0][0].p.edges == (EdgeRef("e"),) * 5
+    with pytest.raises(TooLarge):
+        power(loop, 2 * POWER_EDGE_LIMIT)

@@ -253,3 +253,36 @@ def test_deep_tailed_cycle_runs(command, capsys, tmp_path):
     assert code == 0 and "Traceback" not in err
     if command == "decompose":
         assert out == "M_1203(K[x,x^-1])\n"
+
+
+@pytest.mark.parametrize("big,small", [("e1^100000000", "e1^2"),
+                                       ("u1^200000", "u1^2")])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_eval_large_exponent(big, small, fmt, capsys, monkeypatch):
+    """Powers take O(log k) products and stop at the first zero square:
+    e1^2 = 0 and u1 is idempotent, so both print what the small powers do."""
+    products = []
+    mul = algebra.Element.__mul__
+
+    def counting(a, b):
+        products.append(1)
+        assert len(products) <= 100, "a power took more than 100 products"
+        return mul(a, b)
+
+    monkeypatch.setattr(algebra.Element, "__mul__", counting)
+    _, expected, _ = run(capsys, "eval", fixture_path("line3"), small, "--format", fmt)
+    code, out, err = run(capsys, "eval", fixture_path("line3"), big, "--format", fmt)
+    assert code == 0 and out == expected and err == ""
+
+
+@pytest.mark.parametrize("expr", [
+    "(" * 1200 + "e1" + ")" * 1200,  # deeper than the interpreter's recursion limit
+    "(2)^20000 u1",  # a coefficient of 6021 digits
+    "e^2000000",  # a path of 2 million edges
+], ids=["nested-parens", "long-coefficient", "long-path"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_eval_resource_limits(expr, fmt, capsys):
+    graph = "single_loop" if expr.startswith("e^") else "line3"
+    code, out, err = run(capsys, "eval", fixture_path(graph), expr, "--format", fmt)
+    assert code == 2 and out == ""
+    assert err.startswith("resource limit: ") and "Traceback" not in err

@@ -3,7 +3,14 @@ from fractions import Fraction
 import pytest
 
 from leavitt import corpus
-from leavitt.algebra import Element, MatrixUnits, matrix_units_exit, verify_matrix_units
+from leavitt.algebra import (
+    Element,
+    MatrixUnits,
+    Monomial,
+    matrix_units_exit,
+    normal_form,
+    verify_matrix_units,
+)
 from leavitt.graph import EdgeRef, Path, count_paths_ending_at, cycles
 from leavitt.oracle import (
     CrossCheckReport,
@@ -13,8 +20,11 @@ from leavitt.oracle import (
     cross_check_index,
     enumerate_paths_ending_at,
     graded_spectrum_exhaustive,
+    normal_form_reference,
+    product_reference,
     random_element,
     random_graph,
+    random_raw_terms,
     verify_matrix_units_exhaustive,
 )
 from leavitt.structure import (
@@ -210,3 +220,57 @@ def test_spectrum_matches_oracle_on_random_graphs(omega):
             random_graph(RandomSpec(seed=seed, omega_probability=omega)))
         for seed in range(1000))
     assert bounded > 100
+
+
+def _kernel_graphs(omega):
+    if omega is None:
+        return [(name, build()) for name, build in corpus.CORPUS.items()]
+    return [(f"random omega={omega} seed={seed}",
+              random_graph(RandomSpec(seed=seed, omega_probability=omega)))
+             for seed in range(150)]
+
+
+@pytest.mark.parametrize("omega", [None, Fraction(0), Fraction(1, 4)])
+def test_kernel_matches_reference(omega):
+    """The interned kernel against the Monomial/Fraction one it replaced:
+    normal forms (both strategies), products, sums, scaling, involution,
+    grading and coefficients, compared as term lists on the
+    14 fixtures (omega None) or 150 seeded random graphs."""
+    for name, g in _kernel_graphs(omega):
+        raws = [random_raw_terms(g, RandomSpec(seed=77_000 + i)) for i in range(3)]
+        refs = [normal_form_reference(g, raw) for raw in raws]
+        elems = [normal_form(g, raw) for raw in raws]
+        for i, (raw, ref, a) in enumerate(zip(raws, refs, elems)):
+            assert a.terms() == ref, name
+            assert all(type(k) is Fraction for _, k in a.terms()), name
+            assert normal_form(g, raw, strategy="random", seed=i + 1).terms() == ref
+            assert normal_form_reference(g, raw, strategy="random", seed=i + 1) == ref
+            assert a.scale(3).terms() == [(m, 3 * k) for m, k in ref], name
+            assert a.scale(Fraction(1, 2)).terms() == \
+                [(m, k / 2) for m, k in ref], name
+            assert a.involution().terms() == normal_form_reference(
+                g, [(Monomial(m.q, m.p), k) for m, k in ref]), name
+            parts = {}
+            for m, k in ref:
+                parts.setdefault(m.degree, []).append((m, k))
+            assert {d: x.terms() for d, x in a.degree_components().items()} == \
+                dict(sorted(parts.items())), name
+            for m, k in ref:
+                assert a.coefficient(m) == k and type(a.coefficient(m)) is Fraction
+            present = {m for m, _ in ref}
+            for v in g.vertices:
+                idem = Monomial(Path(v), Path(v))
+                if idem not in present:
+                    assert a.coefficient(idem) == Fraction(0)
+        a, b, c = elems
+        ab = product_reference(g, refs[0], refs[1])
+        assert (a * b).terms() == ab, name
+        star = [(Monomial(m.q, m.p), k) for m, k in refs[0]]
+        assert (a.involution() * a).terms() == product_reference(g, star, refs[0])
+        assert (a * a.involution()).terms() == product_reference(g, refs[0], star)
+        assert (a * b * c).terms() == product_reference(g, ab, refs[2]), name
+        assert (b * a.scale(Fraction(1, 2))).terms() == product_reference(
+            g, refs[1], [(m, k / 2) for m, k in refs[0]]), name
+        assert (a + b).terms() == normal_form_reference(g, refs[0] + refs[1]), name
+        assert (a - a).is_zero() and (a + b.scale(-1)).terms() == \
+            normal_form_reference(g, refs[0] + [(m, -k) for m, k in refs[1]]), name
