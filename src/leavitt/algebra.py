@@ -416,10 +416,6 @@ def monomial(g: Graph, p: Path, q: Path) -> Element:
     return normal_form(g, [(Monomial(p, q), 1)])
 
 
-def path_element(g: Graph, p: Path) -> Element:
-    return monomial(g, p, Path(path_range(g, p)))
-
-
 # -- serialization -----------------------------------------------------------
 
 def path_text(g: Graph, p: Path) -> str:

@@ -21,12 +21,12 @@ import sys
 
 from . import algebra, exprparse, graphio, oracle, structure
 from .graph import (
-    OMEGA,
     CapExceeded,
     Cycle,
     CycleThroughOmegaBundle,
     EdgeRef,
     Graph,
+    InfiniteEmitter,
     LeavittError,
     Path,
     condition_K,
@@ -89,7 +89,7 @@ def _cmd_analyze(args) -> int:
         "bundles": len(g.bundles),
         "sinks": g.sinks(),
         "infinite_emitters": [v for v in g.vertices
-                              if g.out_multiplicity(v).value is OMEGA],
+                              if isinstance(g.vertex_class(v), InfiniteEmitter)],
     }
     lines = [f"vertices: {len(g.vertices)}  bundles: {len(g.bundles)}",
              f"sinks: {', '.join(payload['sinks']) or '(none)'}"]
@@ -128,6 +128,14 @@ def _target_json(g: Graph, target, cnt: int) -> dict:
     return {"kind": "cycle", "cycle": _cycle_json(target.cycle), "count": cnt}
 
 
+def _family_json(cycle: Cycle | None, paths) -> dict:
+    """Paths into a sink (cycle None) or into a no-exit cycle."""
+    if cycle is None:
+        return {"kind": "acyclic_paths", "paths": [_path_json(p) for p in paths]}
+    return {"kind": "no_exit_cycle_paths", "cycle": _cycle_json(cycle),
+            "paths": [_path_json(p) for p in paths]}
+
+
 def _cmd_index(args) -> int:
     g = graphio.load_graph(args.graph)
     report = structure.bounded_index_report(g)
@@ -137,6 +145,7 @@ def _cmd_index(args) -> int:
             "verdict": "bounded",
             "n": report.n,
             "per_target": [_target_json(g, t, c) for t, c in report.per_target],
+            "witness": None,
         }
         lines = [f"Bounded n={report.n}"]
         for t, c in report.per_target:
@@ -144,16 +153,11 @@ def _cmd_index(args) -> int:
                 lines.append(f"  sink {t.vertex}: {c}")
             else:
                 lines.append(f"  cycle {_cycle_text(g, t.cycle)}: {c}")
-        recipe = report.witness_recipe
-        if isinstance(recipe, algebra.Acyclic):
-            payload["witness"] = {"kind": "acyclic_paths",
-                                  "paths": [_path_json(p) for p in recipe.paths]}
-        elif isinstance(recipe, algebra.NoExitCycle):
-            payload["witness"] = {"kind": "no_exit_cycle_paths",
-                                  "cycle": _cycle_json(recipe.cycle),
-                                  "paths": [_path_json(p) for p in recipe.paths]}
-        else:
-            payload["witness"] = None
+        target = report.witness_target
+        if args.format == "json" and target is not None:  # text lists no paths
+            payload["witness"] = _family_json(
+                getattr(target, "cycle", None),
+                structure.witness_paths(g, target, report.n))
         _emit(args, payload, lines)
     else:
         reason = report.reason
@@ -278,18 +282,16 @@ def _cmd_witness(args) -> int:
         jordan_index = verdict.index if isinstance(
             verdict, algebra.NilpotentOfIndex) else None
     prov = units.provenance
-    if isinstance(prov, algebra.Acyclic):
-        pj = {"kind": "acyclic_paths", "paths": [_path_json(p) for p in prov.paths]}
-        pt = "acyclic paths"
-    elif isinstance(prov, algebra.NoExitCycle):
-        pj = {"kind": "no_exit_cycle_paths", "cycle": _cycle_json(prov.cycle),
-              "paths": [_path_json(p) for p in prov.paths]}
-        pt = f"paths into no-exit cycle {_cycle_text(g, prov.cycle)}"
-    else:
+    if isinstance(prov, algebra.CycleExit):
         pj = {"kind": "cycle_exit_powers", "cycle": _cycle_json(prov.cycle),
               "exit": _edge_json(prov.exit), "n": prov.n}
         pt = (f"powers of cycle {_cycle_text(g, prov.cycle)} around exit "
               f"{_edge_text(g, prov.exit)}")
+    else:
+        cycle = getattr(prov, "cycle", None)
+        pj = _family_json(cycle, prov.paths)
+        pt = ("acyclic paths" if cycle is None
+              else f"paths into no-exit cycle {_cycle_text(g, cycle)}")
     payload = {
         "command": "witness",
         "n": units.n,

@@ -25,6 +25,9 @@ from . import algebra
 from .graph import OMEGA, EdgeRef, Graph, LeavittError
 
 
+SCALAR_POWER_BIT_LIMIT = 10 ** 6  # a larger scalar power is refused unevaluated
+
+
 class ExprSyntaxError(LeavittError):
     def __init__(self, message, pos):
         super().__init__(f"at position {pos}: {message}")
@@ -258,6 +261,13 @@ def _eval(node, g: Graph):
         coeff, elem = _eval(node.inner, g)
         if node.exponent == 0:
             return Fraction(1), algebra.identity_element(g)
+        # exponent * (bit length - 1) is a lower bound on the result's bits,
+        # so 0, 1 and -1 are never refused
+        bits = node.exponent * (max(abs(coeff.numerator).bit_length(),
+                                    coeff.denominator.bit_length()) - 1)
+        if bits > SCALAR_POWER_BIT_LIMIT:
+            raise algebra.TooLarge(f"a scalar power holds at least {bits} bits, "
+                                   f"over the limit of {SCALAR_POWER_BIT_LIMIT}")
         if elem is None:
             return coeff ** node.exponent, None
         return coeff ** node.exponent, algebra.power(elem, node.exponent)

@@ -275,12 +275,6 @@ class Graph:
         self.check_vertex(v)
         return list(self._into[v])
 
-    def out_multiplicity(self, v: str) -> Count:
-        total = Count(0)
-        for b in self.out_bundles(v):
-            total = total + Count(b.mult)
-        return total
-
     def vertex_class(self, v: str):
         """Sink, Regular(out-degree), or InfiniteEmitter."""
         self.check_vertex(v)
@@ -605,8 +599,7 @@ def cycle_exit_witness(g: Graph):
     multiplicity exceeds 1 yields a witness.
     """
     for v in sorted(vertices_on_cycles(g)):
-        total = g.out_multiplicity(v)
-        if total == Count(1):
+        if g.vertex_class(v) == Regular(1):
             continue
         walk = _shortest_closed_vertex_walk(g, v)
         edges = []
@@ -684,7 +677,7 @@ def condition_L(g: Graph) -> bool:
     component in which every vertex emits exactly one edge."""
     s = _components(g)
     return not any(
-        s.inner[i] != 0 and all(g.out_multiplicity(v) == Count(1) for v in members)
+        s.inner[i] != 0 and all(g.vertex_class(v) == Regular(1) for v in members)
         for i, members in enumerate(s.members))
 
 

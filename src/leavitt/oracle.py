@@ -28,10 +28,13 @@ from .graph import (
     LeavittError,
     Path,
     all_hereditary_saturated,
-    concat_paths,
-    path_range,
     breaking_vertices,
+    component_cycles,
+    concat_paths,
+    count_paths_ending_at,
+    downward_directed,
     is_hereditary_saturated,
+    path_range,
     quotient_graph,
 )
 
@@ -396,6 +399,23 @@ def hereditary_saturated_closure_exhaustive(g: Graph, X) -> frozenset:
     return H
 
 
+def classify_quotient(q: Graph):
+    """Classify a quotient graph q of a bounded graph: NotDownwardDirected
+    when q is empty or not downward directed, else MatK(t) or MatLaurent(t)
+    for its one sink or no-exit cycle, t the path count there."""
+    if not q.vertices or not downward_directed(q):
+        return structure.NotDownwardDirected()
+    sinks = q.sinks()
+    qcycles = component_cycles(q)
+    assert len(sinks) + len(qcycles) == 1, "downward-directed bounded quotient must have one target"
+    if sinks:
+        t = count_paths_ending_at(q, sinks[0])
+        return structure.MatK(t.value)
+    base = q.src(qcycles[0].edges[0])
+    t = count_paths_ending_at(q, base)
+    return structure.MatLaurent(t.value)
+
+
 def graded_spectrum_exhaustive(g: Graph, cap: int = 15) -> list:
     """Classify every admissible pair whose quotient is downward directed,
     in deterministic (H, S) order, by listing every hereditary saturated
@@ -410,7 +430,7 @@ def graded_spectrum_exhaustive(g: Graph, cap: int = 15) -> list:
         for k in range(1 << len(B)):
             S = frozenset(B[i] for i in range(len(B)) if k >> i & 1)
             pair = AdmissiblePair(H, S)
-            cls = structure._classify_quotient(quotient_graph(g, pair))
+            cls = classify_quotient(quotient_graph(g, pair))
             if not isinstance(cls, structure.NotDownwardDirected):
                 out.append((pair, cls))
     return out
@@ -461,7 +481,7 @@ def cross_check_index(g: Graph, trials: int = 500,
                     f"{verdict.index} > {n}")
         elif isinstance(verdict, algebra.ResourceLimit):
             limited += 1
-    if report.witness_recipe is None:
+    if report.witness_target is None:
         witness_index = 1
     else:
         units = structure.witness_matrix_units(g, report)

@@ -2,12 +2,14 @@
 
 The central decision: the algebra has bounded index of nilpotence exactly
 when no cycle has an exit and the number of paths ending at every sink or
-cycle stays finite; the bound n is the maximum such count, and a family of
-n x n matrix units inside the algebra witnesses that it is attained.  An
-exit or an omega path family witnesses unboundedness.  On top of that sit
-the polynomial-identity and direct-finiteness predicates, graded-quotient
-classification, and the matrix-ring decomposition available for row-finite
-graphs.
+cycle stays finite; the bound n is the maximum such count.  The verdict
+holds these counts only.  A family of n x n matrix units built from the
+first n paths into a target with count n (:func:`witness_paths`) witnesses
+that the bound is attained; those paths are listed only by the code that
+prints or multiplies them.  An exit or an omega path family witnesses
+unboundedness.  On top of that sit the polynomial-identity and
+direct-finiteness predicates, the graded spectrum, and the matrix-ring
+decomposition available for row-finite graphs.
 
 The graph facts come from its cached component pass (:mod:`leavitt.graph`):
 with no exit the cycles are exactly the single-cycle components, so no
@@ -19,6 +21,7 @@ backward search each, so nothing here enumerates hereditary saturated sets
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from . import algebra
@@ -35,12 +38,7 @@ from .graph import (
     count_paths_ending_at,
     cycle_exit_witness,
     cycle_vertices,
-    downward_directed,
     hereditary_saturated_closure,
-    path_contains_cycle,
-    quotient_graph,
-    reachable,
-    vertices_on_cycles,
 )
 
 
@@ -81,13 +79,14 @@ class OmegaPathFamily:
 
 @dataclass(frozen=True)
 class Bounded:
-    """Bounded-index verdict: n, the per-target path counts attaining it,
-    and a matrix-unit recipe for a target achieving n (None only for the
-    empty graph, whose algebra is the zero ring)."""
+    """Bounded-index verdict: n, the path count at every sink and cycle
+    target, and the first target whose count is n (None only for the empty
+    graph, whose algebra is the zero ring).  The verdict holds no paths;
+    :func:`witness_paths` lists a target's paths where they are used."""
 
     n: int
     per_target: tuple  # pairs (SinkTarget | CycleTarget, int)
-    witness_recipe: object
+    witness_target: object  # SinkTarget | CycleTarget | None
 
 
 @dataclass(frozen=True)
@@ -95,43 +94,45 @@ class Unbounded:
     reason: object  # CycleWithExit | OmegaPathFamily
 
 
-def _paths_into(g: Graph, v: str, exclude_cycle: Cycle | None,
-                limit: int) -> list:
-    """Up to `limit` distinct paths ending at v, skipping paths that run
-    through `exclude_cycle` in full.  Backward depth-first collection;
-    only called when the count at v is known finite."""
+def witness_paths(g: Graph, target, size: int) -> list:
+    """The first `size` paths ending at a sink or exitless-cycle target, in
+    the order (length, edges, base), leaving out paths that contain the
+    cycle in full; the count at the target must be finite.  Searches
+    backwards one length at a time, sorts each level and stops at `size`.
+    A left-out path is not extended (every extension contains the cycle
+    too), so a kept e.p can contain it only in its first window."""
+    if isinstance(target, SinkTarget):
+        level, m, rotations = [Path(target.vertex)], 0, frozenset()
+    else:
+        c = target.cycle
+        level, m = [Path(g.src(c.edges[0]))], len(c.edges)
+        rotations = {c.edges[k:] + c.edges[:k] for k in range(m)}
     found = []
-    stack = [Path(v)]
-    while stack and len(found) < limit:
-        p = stack.pop()
-        if exclude_cycle is not None and path_contains_cycle(g, p, exclude_cycle):
-            continue
-        found.append(p)
-        for b in sorted(g.in_bundles(p.base), key=lambda b: b.id, reverse=True):
-            for i in range(b.mult - 1, -1, -1):
-                stack.append(Path(b.src, (EdgeRef(b.id, i),) + p.edges))
-    found.sort(key=lambda p: (len(p.edges), p.edges, p.base))
+    while level:
+        level.sort(key=lambda p: p.edges)  # one length; equal edges, equal base
+        found += level[:size - len(found)]
+        if len(found) >= size:
+            break
+        nxt = []
+        for p in level:
+            for b in g._into[p.base]:
+                for i in range(b.mult):
+                    edges = (EdgeRef(b.id, i),) + p.edges
+                    if edges[:m] not in rotations:
+                        nxt.append(Path(b.src, edges))
+        level = nxt
     return found
 
 
-def _witness_recipe(g: Graph, target, n: int):
-    if isinstance(target, SinkTarget):
-        paths = _paths_into(g, target.vertex, None, n)
-        return algebra.Acyclic(tuple(paths))
-    c = target.cycle
-    base = g.src(c.edges[0])
-    paths = _paths_into(g, base, c, n)
-    return algebra.NoExitCycle(tuple(paths), c)
-
-
 def bounded_index_report(g: Graph):
-    """Decide bounded index of nilpotence with constructive witnesses.
+    """Decide bounded index of nilpotence from graph facts alone.
 
     A cycle with an exit, or an infinite path family into a sink or cycle,
     yields Unbounded; otherwise n is the maximum path count over sinks and
     cycles (paths into interior vertices always extend to a target, so the
     maximum is attained there).  With no exit every cycle is a whole
-    component, so the cycle targets are the component cycles."""
+    component, so the cycle targets are the component cycles.  No path is
+    listed here; the witness paths come from :func:`witness_paths`."""
     w = cycle_exit_witness(g)
     if w is not None:
         return Unbounded(CycleWithExit(w.cycle, w.edge))
@@ -151,7 +152,7 @@ def bounded_index_report(g: Graph):
         return Bounded(1, (), None)
     n = max(cnt for _, cnt in per_target)
     best = next(t for t, cnt in per_target if cnt == n)
-    return Bounded(n, tuple(per_target), _witness_recipe(g, best, n))
+    return Bounded(n, tuple(per_target), best)
 
 
 def is_PI(g: Graph) -> bool:
@@ -171,24 +172,22 @@ def is_directly_finite(g: Graph) -> bool:
 def witness_matrix_units(g: Graph, report, size: int | None = None):
     """Instantiate matrix units from an index report.
 
-    Bounded reports build their recipe (size defaults to n and may not
-    exceed it).  A CycleWithExit reason builds exit units of any requested
-    size; an OmegaPathFamily reason builds units of any requested size from
-    paths through the omega bundle.  A size below 1 is rejected."""
+    Bounded reports build units from the witness target's first `size`
+    paths (size defaults to n and may not exceed it).  A CycleWithExit
+    reason builds exit units of any requested size; an OmegaPathFamily
+    reason builds units of any requested size from paths through the omega
+    bundle.  A size below 1 is rejected."""
     if size is not None and size < 1:
         raise LeavittError(f"unit size must be at least 1, got {size}")
     if isinstance(report, Bounded):
-        recipe = report.witness_recipe
-        if recipe is None:
+        target = report.witness_target
+        if target is None:
             raise LeavittError("the empty graph has no matrix-unit witness")
         n = size if size is not None else report.n
         if n > report.n:
             raise LeavittError(
                 f"graph admits at most {report.n} x {report.n} units")
-        if isinstance(recipe, algebra.Acyclic):
-            return algebra.matrix_units_acyclic(g, recipe.paths[:n])
-        return algebra.matrix_units_no_exit_cycle(
-            g, recipe.cycle, recipe.paths[:n])
+        return _target_units(g, target, witness_paths(g, target, n))
     reason = report.reason
     n = size if size is not None else 3
     if isinstance(reason, CycleWithExit):
@@ -198,35 +197,40 @@ def witness_matrix_units(g: Graph, report, size: int | None = None):
     raise LeavittError(f"no witness construction for {reason!r}")
 
 
+def _target_units(g: Graph, target, paths):
+    if isinstance(target, SinkTarget):
+        return algebra.matrix_units_acyclic(g, paths)
+    return algebra.matrix_units_no_exit_cycle(g, target.cycle, paths)
+
+
 def _omega_family_units(g: Graph, v: str, n: int):
+    """n parallel edges of the first omega bundle whose range reaches v,
+    each followed by one shortest path to v."""
     for b in g.bundles:
-        if b.mult is OMEGA and reachable(g, b.dst, v):
+        if b.mult is OMEGA:
             tail = _shortest_path(g, b.dst, v)
-            paths = tuple(
-                Path(b.src, (EdgeRef(b.id, i),) + tail.edges) for i in range(n))
-            on_cycles = vertices_on_cycles(g)
-            if v not in on_cycles:
-                return algebra.matrix_units_acyclic(g, paths)
-            c = next(c for c in component_cycles(g) if v in cycle_vertices(g, c))
-            return algebra.matrix_units_no_exit_cycle(g, c, paths)
-    raise LeavittError(f"no omega bundle reaches {v!r}")
+            if tail is not None:
+                break
+    else:
+        raise LeavittError(f"no omega bundle reaches {v!r}")
+    paths = [Path(b.src, (EdgeRef(b.id, i),) + tail.edges) for i in range(n)]
+    cycle = next((c for c in component_cycles(g) if v in cycle_vertices(g, c)),
+                 None)
+    target = SinkTarget(v) if cycle is None else CycleTarget(cycle)
+    return _target_units(g, target, paths)
 
 
-def _shortest_path(g: Graph, u: str, v: str) -> Path:
-    from collections import deque
-    if u == v:
-        return Path(u)
+def _shortest_path(g: Graph, u: str, v: str) -> Path | None:
+    """A shortest path u -> v by breadth-first search, or None."""
     best = {u: Path(u)}
     queue = deque([u])
-    while queue:
+    while queue and v not in best:
         at = queue.popleft()
-        for b in sorted(g.out_bundles(at), key=lambda b: b.id):
+        for b in g._out[at]:
             if b.dst not in best:
                 best[b.dst] = Path(u, best[at].edges + (EdgeRef(b.id, 0),))
-                if b.dst == v:
-                    return best[v]
                 queue.append(b.dst)
-    raise LeavittError(f"no path {u!r} -> {v!r}")
+    return best.get(v)
 
 
 # -- graded quotient classification -------------------------------------------
@@ -244,34 +248,6 @@ class MatLaurent:
 @dataclass(frozen=True)
 class NotDownwardDirected:
     pass
-
-
-def classify_graded_quotient(g: Graph, pair: AdmissiblePair):
-    """Classify the quotient by the graded ideal of an admissible pair,
-    assuming the ambient graph has bounded index.
-
-    A quotient whose vertex set is empty or not downward directed reports
-    NotDownwardDirected; otherwise it has exactly one sink or one no-exit
-    cycle and classifies as t x t matrices over the field or over Laurent
-    polynomials, t the path count at that target inside the quotient."""
-    report = bounded_index_report(g)
-    if not isinstance(report, Bounded):
-        raise PreconditionUnbounded(f"ambient graph is unbounded: {report.reason!r}")
-    return _classify_quotient(quotient_graph(g, pair))
-
-
-def _classify_quotient(q: Graph):
-    if not q.vertices or not downward_directed(q):
-        return NotDownwardDirected()
-    sinks = q.sinks()
-    qcycles = component_cycles(q)
-    assert len(sinks) + len(qcycles) == 1, "downward-directed bounded quotient must have one target"
-    if sinks:
-        t = count_paths_ending_at(q, sinks[0])
-        return MatK(t.value)
-    base = q.src(qcycles[0].edges[0])
-    t = count_paths_ending_at(q, base)
-    return MatLaurent(t.value)
 
 
 def graded_spectrum(g: Graph, cap: int = 15) -> list:

@@ -28,6 +28,7 @@ from leavitt.oracle import (
     ExplosionGuard,
     RandomSpec,
     basis_monomials,
+    classify_quotient,
     cross_check_index,
     enumerate_paths_ending_at,
     random_graph,
@@ -45,7 +46,6 @@ from leavitt.structure import (
     Unbounded,
     acyclic_dimension,
     bounded_index_report,
-    classify_graded_quotient,
     decompose,
     is_PI,
     is_directly_finite,
@@ -143,7 +143,7 @@ def test_criterion_06_omega_gadget(capsys):
     q = quotient_graph(g, AdmissiblePair(frozenset({"h"}), frozenset({"v"})))
     # the ambient graph is unbounded, so the quotient is classified as a
     # graph in its own right: one sink w with two paths ending there
-    assert classify_graded_quotient(q, AdmissiblePair(frozenset())) == MatK(2)
+    assert classify_quotient(quotient_graph(q, AdmissiblePair(frozenset()))) == MatK(2)
     assert count_paths_ending_at(q, "w").value == 2
     with capsys.disabled():
         _passed(6, "omega gadget: directly finite yet unbounded; quotients as derived")

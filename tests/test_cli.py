@@ -3,9 +3,9 @@ import json
 import pytest
 
 from conftest import fixture_path, tailed_cycle
-from leavitt import algebra, corpus
+from leavitt import algebra, corpus, structure
 from leavitt.cli import main
-from leavitt.graph import OMEGA
+from leavitt.graph import OMEGA, Bundle, Graph
 from leavitt.graphio import (
     GraphFormatError,
     GraphSyntaxError,
@@ -192,6 +192,38 @@ def test_witness_verifies_units_once(capsys, monkeypatch):
         assert code == 0 and len(calls) == 1, args
 
 
+def test_witness_paths_listed_only_where_used(capsys, monkeypatch, tmp_path):
+    """Verdict-only commands list no witness path; JSON index lists n of
+    them, and witness --size 2 lists two, even when n = 4095."""
+    calls = []
+    listing = structure.witness_paths
+
+    def counting(g, target, size):
+        calls.append(size)
+        return listing(g, target, size)
+
+    monkeypatch.setattr(structure, "witness_paths", counting)
+    for name in ("clock5", "line4", "loop_with_tail", "inverse_clock3"):
+        for args in (["decompose"], ["ideals"], ["index"],
+                     ["decompose", "--format", "json"],
+                     ["ideals", "--format", "json"]):
+            calls.clear()
+            code, _, _ = run(capsys, args[0], fixture_path(name), *args[1:])
+            assert code == 0 and calls == [], (name, args)
+        calls.clear()
+        code, out, _ = run(capsys, "index", fixture_path(name), "--format", "json")
+        n = json.loads(out)["n"]
+        assert code == 0 and calls == [n], name
+    doubled = tmp_path / "doubled.graph"
+    vs = [f"u{i:02d}" for i in range(1, 13)]
+    doubled.write_text(canonical_document(Graph(
+        vs, [Bundle(f"e{i:02d}", vs[i - 1], vs[i], 2) for i in range(1, 12)])))
+    calls.clear()
+    code, out, _ = run(capsys, "witness", str(doubled), "--size", "2")
+    assert code == 0 and calls == [2]
+    assert out.startswith("matrix units 2x2") and "verified: True" in out
+
+
 def test_ideals_rejects_negative_cap(capsys):
     code, out, err = run(capsys, "ideals", fixture_path("clock3"), "--cap", "-1")
     assert code == 1 and out == ""
@@ -286,3 +318,20 @@ def test_eval_resource_limits(expr, fmt, capsys):
     code, out, err = run(capsys, "eval", fixture_path(graph), expr, "--format", fmt)
     assert code == 2 and out == ""
     assert err.startswith("resource limit: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("expr", ["(2)^30000000 u1", "(2)^10000000000 u1"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_eval_refuses_scalar_power_before_computing(expr, fmt, capsys):
+    code, out, err = run(capsys, "eval", fixture_path("line3"), expr, "--format", fmt)
+    assert code == 2 and out == ""
+    assert err.startswith("resource limit: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("expr,plain", [("(1)^3000000 u1", "u1"),
+                                        ("(-1)^3000001 u1", "(-1) u1"),
+                                        ("(0)^3000000 u1", "(0) u1")])
+def test_eval_unit_scalar_powers_are_not_refused(expr, plain, capsys):
+    _, expected, _ = run(capsys, "eval", fixture_path("line3"), plain)
+    code, out, _ = run(capsys, "eval", fixture_path("line3"), expr)
+    assert code == 0 and out == expected

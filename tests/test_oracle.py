@@ -28,12 +28,15 @@ from leavitt.oracle import (
     verify_matrix_units_exhaustive,
 )
 from leavitt.structure import (
+    Bounded,
     PreconditionUnbounded,
+    SinkTarget,
     acyclic_dimension,
     bounded_index_report,
     decompose,
     graded_spectrum,
     witness_matrix_units,
+    witness_paths,
 )
 
 
@@ -181,6 +184,47 @@ def test_fast_unit_check_matches_oracle_on_exit_units(n):
     f = corpus.graph_f()
     _assert_fast_check_matches_oracle(
         matrix_units_exit(f, cycles(f)[0], EdgeRef("f"), n))
+
+
+# -- witness paths against the breadth-first enumeration -------------------------
+
+def _assert_witness_paths_match_oracle(g) -> int:
+    """Every prefix of every target's witness paths equals the sorted
+    enumeration; returns the number of targets checked."""
+    report = bounded_index_report(g)
+    if not isinstance(report, Bounded):
+        return 0
+    for target, cnt in report.per_target:
+        v = target.vertex if isinstance(target, SinkTarget) \
+            else g.src(target.cycle.edges[0])
+        listed = enumerate_paths_ending_at(g, v, len(g.vertices) * (cnt + 1))
+        assert len(listed) == cnt, target
+        for size in range(1, cnt + 1):
+            assert witness_paths(g, target, size) == listed[:size], (target, size)
+    return len(report.per_target)
+
+
+@pytest.mark.parametrize("name", sorted(corpus.CORPUS))
+def test_witness_paths_match_oracle_on_fixtures(name):
+    _assert_witness_paths_match_oracle(corpus.CORPUS[name]())
+
+
+@pytest.mark.parametrize("omega", [Fraction(0), Fraction(1, 4)])
+def test_witness_paths_match_oracle_on_random_graphs(omega):
+    targets = sum(
+        _assert_witness_paths_match_oracle(
+            random_graph(RandomSpec(seed=seed, omega_probability=omega)))
+        for seed in range(300))
+    assert targets > 100
+
+
+def test_witness_target_is_first_with_count_n():
+    for seed in range(300):
+        report = bounded_index_report(random_graph(RandomSpec(seed=seed)))
+        if isinstance(report, Bounded) and report.per_target:
+            firsts = [t for t, cnt in report.per_target if cnt == report.n]
+            assert report.witness_target == firsts[0], seed
+    assert bounded_index_report(corpus.clock(5)).witness_target == SinkTarget("w1")
 
 
 # -- graded spectrum against the exhaustive enumeration ----------------------------

@@ -14,7 +14,9 @@ from leavitt.graph import (
     EdgeRef,
     Graph,
     hereditary_saturated_closure,
+    quotient_graph,
 )
+from leavitt.oracle import classify_quotient
 from leavitt.structure import (
     BASE_K,
     BASE_LAURENT,
@@ -34,7 +36,6 @@ from leavitt.structure import (
     Unbounded,
     acyclic_dimension,
     bounded_index_report,
-    classify_graded_quotient,
     decompose,
     graded_spectrum,
     is_PI,
@@ -76,7 +77,7 @@ def test_omega_gadget_unbounded():
 def test_empty_graph_bounded_one():
     report = bounded_index_report(Graph([]))
     assert isinstance(report, Bounded)
-    assert report.n == 1 and report.per_target == () and report.witness_recipe is None
+    assert report.n == 1 and report.per_target == () and report.witness_target is None
 
 
 def test_is_PI():
@@ -95,23 +96,18 @@ def test_directly_finite():
 def test_classify_clock3():
     g = corpus.clock(3)
     H = hereditary_saturated_closure(g, ["w2", "w3"])
-    assert classify_graded_quotient(g, AdmissiblePair(H)) == MatK(2)
+    assert classify_quotient(quotient_graph(g, AdmissiblePair(H))) == MatK(2)
 
 
 def test_classify_empty_quotient():
     g = corpus.clock(3)
     pair = AdmissiblePair(frozenset(g.vertices))
-    assert classify_graded_quotient(g, pair) == NotDownwardDirected()
+    assert classify_quotient(quotient_graph(g, pair)) == NotDownwardDirected()
 
 
 def test_classify_loop_with_tail():
     lt = corpus.loop_with_tail()
-    assert classify_graded_quotient(lt, AdmissiblePair(frozenset())) == MatLaurent(2)
-
-
-def test_classify_requires_bounded():
-    with pytest.raises(PreconditionUnbounded):
-        classify_graded_quotient(corpus.graph_f(), AdmissiblePair(frozenset()))
+    assert classify_quotient(quotient_graph(lt, AdmissiblePair(frozenset()))) == MatLaurent(2)
 
 
 def test_spectrum_clock3():
