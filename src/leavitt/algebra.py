@@ -39,6 +39,7 @@ from typing import Iterable
 from .graph import (
     OMEGA,
     Cycle,
+    CycleWithExit,
     EdgeRef,
     Graph,
     InvalidPath,
@@ -531,30 +532,34 @@ def breaking_vertex_element(g: Graph, H, v: str) -> Element:
 
 @dataclass(frozen=True)
 class Acyclic:
-    """n distinct paths into a vertex off all closed paths."""
-    paths: tuple
-
-
-@dataclass(frozen=True)
-class CycleExit:
-    """Powers of a cycle around an exit projection."""
-    cycle: Cycle
-    exit: EdgeRef
-    n: int
+    """The legs end at a vertex off all closed paths."""
 
 
 @dataclass(frozen=True)
 class NoExitCycle:
-    """n distinct paths into a no-exit cycle, none through the full cycle."""
-    paths: tuple
+    """The legs end on a no-exit cycle, none through the full cycle."""
     cycle: Cycle
 
 
 @dataclass(frozen=True)
 class MatrixUnits:
-    n: int
-    units: tuple  # n x n grid of Elements
+    """The n x n matrix units u_ij = p_i p_j* of n legs p_1..p_n, paths
+    ending at one vertex.  The legs are the whole family: each unit is
+    built only when :meth:`unit` asks for it.  ``provenance`` holds what
+    the legs do not say: :class:`Acyclic`, :class:`NoExitCycle` with its
+    cycle, or, for the legs c^i f, the CycleWithExit (c, f)."""
+
+    graph: Graph
+    legs: tuple
     provenance: object
+
+    @property
+    def n(self) -> int:
+        return len(self.legs)
+
+    def unit(self, i: int, j: int) -> Element:
+        """u_ij = p_i p_j*, counting from 0."""
+        return monomial(self.graph, self.legs[i], self.legs[j])
 
 
 def _check_unit_paths(g: Graph, paths) -> str:
@@ -578,8 +583,7 @@ def matrix_units_acyclic(g: Graph, paths: Iterable[Path]) -> MatrixUnits:
     v = _check_unit_paths(g, paths)
     if v in vertices_on_cycles(g):
         raise BadMatrixUnitPaths(f"target vertex {v!r} lies on a closed path")
-    grid = tuple(tuple(monomial(g, pi, pj) for pj in paths) for pi in paths)
-    return MatrixUnits(len(paths), grid, Acyclic(paths))
+    return MatrixUnits(g, paths, Acyclic())
 
 
 def matrix_units_exit(g: Graph, c: Cycle, f: EdgeRef, n: int) -> MatrixUnits:
@@ -596,10 +600,9 @@ def matrix_units_exit(g: Graph, c: Cycle, f: EdgeRef, n: int) -> MatrixUnits:
         raise NotAnExit(f"{f!r} is not an exit of the cycle")
     loop = rotate_cycle_to(g, c, v)
     f_path = Path(v, (f,))
-    legs = [concat_paths(g, repeat_closed_path(g, loop, i), f_path)
-            for i in range(1, n + 1)]
-    grid = tuple(tuple(monomial(g, pi, pj) for pj in legs) for pi in legs)
-    return MatrixUnits(n, grid, CycleExit(c, f, n))
+    legs = tuple(concat_paths(g, repeat_closed_path(g, loop, i), f_path)
+                 for i in range(1, n + 1))
+    return MatrixUnits(g, legs, CycleWithExit(c, f))
 
 
 def matrix_units_no_exit_cycle(g: Graph, c: Cycle,
@@ -616,48 +619,40 @@ def matrix_units_no_exit_cycle(g: Graph, c: Cycle,
     for p in paths:
         if path_contains_cycle(g, p, c):
             raise BadMatrixUnitPaths("a path runs through the entire cycle")
-    grid = tuple(tuple(monomial(g, pi, pj) for pj in paths) for pi in paths)
-    return MatrixUnits(len(paths), grid, NoExitCycle(paths, c))
+    return MatrixUnits(g, paths, NoExitCycle(c))
 
 
 def verify_matrix_units(m: MatrixUnits) -> bool:
-    """Decide by exact arithmetic whether the grid is an n x n family of
+    """Decide by exact arithmetic whether the legs give an n x n family of
     matrix units: every u_ij is nonzero and u_ij u_kl = delta_jk u_il.
 
-    Only 2n^2 products are formed:
-
-        u_i1 u_1j = u_ij   and   u_1i u_j1 = delta_ij u_11   for all i, j.
-
-    These imply every identity, by associativity: the first family
-    contains u_i1 u_11 = u_i1 and u_11 u_1l = u_1l, so
-    u_ij u_kl = u_i1 (u_1j u_k1) u_1l = delta_jk u_i1 u_11 u_1l
-    = delta_jk u_il.  Both families are among the n^4 identities, so the
-    answer is that of the exhaustive check
+    One product is formed: P* P = n w, where P = p_1 + ... + p_n and w is
+    the legs' common range (legs with several ranges give False).  Each
+    p_j* p_k is w (j = k), 0, a nontrivial path or a nontrivial ghost
+    path, a normal-form monomial with coefficient +1, so nothing cancels:
+    the equation holds exactly when the legs are distinct and none is a
+    prefix of another, that is, when p_j* p_k = delta_jk w.  Then
+    u_ij u_kl = p_i (p_j* p_k) p_l* = delta_jk u_il, and each u_ij, a
+    monomial, is nonzero.  Conversely, matrix units have
+    u_jj u_kk = p_j (p_j* p_k) p_k* = 0 for j != k, so p_j* p_k = 0.
+    The answer is that of the exhaustive check
     (``oracle.verify_matrix_units_exhaustive``)."""
-    n = m.n
-    u = m.units
-    if len(u) != n or any(len(row) != n for row in u):
+    g = m.graph
+    ranges = {path_range(g, p) for p in m.legs}
+    if len(ranges) != 1:
         return False
-    if any(x.is_zero() for row in u for x in row):
-        return False
-    zero = Element.zero(u[0][0].graph)
-    for i in range(n):
-        for j in range(n):
-            if u[i][0] * u[0][j] != u[i][j]:
-                return False
-            if u[0][i] * u[j][0] != (u[0][0] if i == j else zero):
-                return False
-    return True
+    w = Path(ranges.pop())
+    P = normal_form(g, [(Monomial(p, w), 1) for p in m.legs])
+    return P.involution() * P == m.n * vertex_element(g, w.base)
 
 
 def jordan_element(m: MatrixUnits) -> Element:
-    """The superdiagonal sum of a family of matrix units; its nilpotence
-    index is exactly n.  Raises UnverifiedUnits unless
+    """The superdiagonal sum u_12 + ... + u_(n-1)n; its nilpotence index
+    is exactly n.  Raises UnverifiedUnits unless
     :func:`verify_matrix_units` accepts the family."""
     if not verify_matrix_units(m):
         raise UnverifiedUnits("matrix unit identities fail")
-    g = m.units[0][0].graph
-    out = Element.zero(g)
+    out = Element.zero(m.graph)
     for i in range(m.n - 1):
-        out = out + m.units[i][i + 1]
+        out = out + m.unit(i, i + 1)
     return out

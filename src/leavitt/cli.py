@@ -282,14 +282,14 @@ def _cmd_witness(args) -> int:
         jordan_index = verdict.index if isinstance(
             verdict, algebra.NilpotentOfIndex) else None
     prov = units.provenance
-    if isinstance(prov, algebra.CycleExit):
+    if isinstance(prov, structure.CycleWithExit):
         pj = {"kind": "cycle_exit_powers", "cycle": _cycle_json(prov.cycle),
-              "exit": _edge_json(prov.exit), "n": prov.n}
+              "exit": _edge_json(prov.edge), "n": units.n}
         pt = (f"powers of cycle {_cycle_text(g, prov.cycle)} around exit "
-              f"{_edge_text(g, prov.exit)}")
+              f"{_edge_text(g, prov.edge)}")
     else:
         cycle = getattr(prov, "cycle", None)
-        pj = _family_json(cycle, prov.paths)
+        pj = _family_json(cycle, units.legs)
         pt = ("acyclic paths" if cycle is None
               else f"paths into no-exit cycle {_cycle_text(g, cycle)}")
     payload = {

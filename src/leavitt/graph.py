@@ -189,7 +189,7 @@ class InfiniteEmitter:
 
 
 @dataclass(frozen=True)
-class ExitWitness:
+class CycleWithExit:
     """A cycle together with one of its exit edges."""
 
     cycle: Cycle
@@ -593,7 +593,7 @@ def vertices_on_cycles(g: Graph) -> frozenset:
 
 
 def cycle_exit_witness(g: Graph):
-    """Find some (cycle, exit edge) pair, or None when no cycle has an exit.
+    """Find some CycleWithExit, or None when no cycle has an exit.
 
     Uses the out-degree test: a cycle vertex whose total outgoing
     multiplicity exceeds 1 yields a witness.
@@ -613,7 +613,7 @@ def cycle_exit_witness(g: Graph):
             for i in range(limit):
                 e = EdgeRef(b.id, i)
                 if e != cyc_edge:
-                    return ExitWitness(cyc, e)
+                    return CycleWithExit(cyc, e)
     return None
 
 

@@ -30,6 +30,7 @@ from .graph import (
     AdmissiblePair,
     CapExceeded,
     Cycle,
+    CycleWithExit,
     EdgeRef,
     Graph,
     LeavittError,
@@ -64,12 +65,6 @@ class SinkTarget:
 @dataclass(frozen=True)
 class CycleTarget:
     cycle: Cycle
-
-
-@dataclass(frozen=True)
-class CycleWithExit:
-    cycle: Cycle
-    edge: EdgeRef
 
 
 @dataclass(frozen=True)
@@ -135,7 +130,7 @@ def bounded_index_report(g: Graph):
     listed here; the witness paths come from :func:`witness_paths`."""
     w = cycle_exit_witness(g)
     if w is not None:
-        return Unbounded(CycleWithExit(w.cycle, w.edge))
+        return Unbounded(w)
     per_target = []
     for v in g.sinks():
         cnt = count_paths_ending_at(g, v)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,9 @@ from leavitt import corpus
 from leavitt.algebra import (
     Acyclic,
     BadMatrixUnitPaths,
-    CycleExit,
     Element,
     GraphMismatch,
+    MatrixUnits,
     Monomial,
     NilpotentOfIndex,
     NoExitCycle,
@@ -38,9 +39,22 @@ from leavitt.algebra import (
     vertex_element,
 )
 from conftest import fixture_path
-from leavitt.graph import EdgeRef, Path, Regular, UnknownVertex, cycles
+from leavitt.graph import (
+    CycleWithExit,
+    EdgeRef,
+    Path,
+    Regular,
+    UnknownVertex,
+    cycles,
+)
 from leavitt.graphio import load_graph
-from leavitt.oracle import RandomSpec, random_element, random_graph
+from leavitt.oracle import (
+    RandomSpec,
+    random_element,
+    random_graph,
+    verify_matrix_units_exhaustive,
+)
+from leavitt.structure import bounded_index_report, witness_matrix_units
 
 
 def line_paths(n):
@@ -217,7 +231,7 @@ def test_matrix_units_acyclic():
     assert isinstance(units.provenance, Acyclic)
 
     one = matrix_units_acyclic(g, (Path("w2"),))
-    assert one.units[0][0] == vertex_element(g, "w2")
+    assert one.unit(0, 0) == vertex_element(g, "w2")
     assert verify_matrix_units(one)
 
     with pytest.raises(BadMatrixUnitPaths):
@@ -235,7 +249,7 @@ def test_matrix_units_exit(n):
     a_cycle = cycles(f)[0]
     units = matrix_units_exit(f, a_cycle, EdgeRef("f"), n)
     assert verify_matrix_units(units)
-    assert isinstance(units.provenance, CycleExit)
+    assert units.provenance == CycleWithExit(a_cycle, EdgeRef("f"))
 
 
 def test_matrix_units_exit_rejects_non_exit():
@@ -262,19 +276,43 @@ def test_matrix_units_no_exit_cycle():
         matrix_units_no_exit_cycle(f, cycles(f)[0], (Path("g1"),))
 
 
-def test_verify_rejects_zeroed_entry():
+def test_verify_rejects_duplicated_leg():
     g = corpus.clock(3)
     units = matrix_units_acyclic(g, (Path("w1"), Path("v", (EdgeRef("e1"),))))
-    broken = type(units)(units.n,
-                         (units.units[0][:1] + (Element.zero(g),),
-                          units.units[1]),
-                         units.provenance)
+    broken = replace(units, legs=units.legs + units.legs[:1])
     assert not verify_matrix_units(broken)
+
+
+def test_verify_forms_one_product(monkeypatch):
+    """P* P = n w decides a family with one product, whatever its size or
+    provenance; legs with two ranges give False, not an error."""
+    f = corpus.graph_f()
+    families = [witness_matrix_units(g, bounded_index_report(g))
+                for g in (corpus.line(6), corpus.loop_with_tail())]
+    families.append(matrix_units_exit(f, cycles(f)[0], EdgeRef("f"), 6))
+    calls = []
+    mul = Element.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Element, "__mul__", counting)
+    for units in families:
+        calls.clear()
+        assert verify_matrix_units(units)
+        assert len(calls) == 1, units.provenance
+    g = corpus.clock(3)
+    two_ranges = MatrixUnits(g, (Path("w1"), Path("w2")), Acyclic())
+    assert verify_matrix_units(two_ranges) is False
+    assert verify_matrix_units_exhaustive(two_ranges) is False
 
 
 def test_jordan_element():
     g = corpus.clock(3)
-    units = matrix_units_acyclic(g, (Path("w1"), Path("v", (EdgeRef("e1"),))))
+    legs = (Path("w1"), Path("v", (EdgeRef("e1"),)))
+    units = matrix_units_acyclic(g, legs)
+    assert jordan_element(units) == monomial(g, legs[0], legs[1])
     assert nilpotence_index(jordan_element(units), 4) == NilpotentOfIndex(2)
 
     one = matrix_units_acyclic(g, (Path("w1"),))
@@ -288,10 +326,7 @@ def test_jordan_element():
 def test_jordan_requires_verified_units():
     g = corpus.clock(3)
     units = matrix_units_acyclic(g, (Path("w1"), Path("v", (EdgeRef("e1"),))))
-    broken = type(units)(units.n,
-                         (units.units[0][:1] + (Element.zero(g),),
-                          units.units[1]),
-                         units.provenance)
+    broken = replace(units, legs=units.legs + units.legs[:1])
     with pytest.raises(UnverifiedUnits):
         jordan_element(broken)
 

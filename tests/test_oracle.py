@@ -1,17 +1,24 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from leavitt import corpus
 from leavitt.algebra import (
-    Element,
     MatrixUnits,
     Monomial,
     matrix_units_exit,
     normal_form,
     verify_matrix_units,
 )
-from leavitt.graph import EdgeRef, Path, count_paths_ending_at, cycles
+from leavitt.graph import (
+    EdgeRef,
+    Path,
+    concat_paths,
+    count_paths_ending_at,
+    cycles,
+    path_range,
+)
 from leavitt.oracle import (
     CrossCheckReport,
     ExplosionGuard,
@@ -146,37 +153,50 @@ def test_dp_agreement_on_random_graphs():
 
 # -- matrix-unit check against the n^4 oracle -----------------------------------
 
-def _corrupted_grids(m: MatrixUnits) -> dict:
-    """Copies of the grid with one defect each.  Scaling a whole row other
-    than the first keeps u_i1 u_1j = u_ij and breaks only u_1i u_j1 =
-    delta_ij u_11; scaling the last diagonal entry breaks only the first
-    family (for n >= 2)."""
-    n, last = m.n, m.n - 1
-    zeroed, scaled, swapped, row_scaled = ([list(row) for row in m.units]
-                                           for _ in range(4))
-    zeroed[last][last] = Element.zero(m.units[0][0].graph)
-    scaled[last][last] = 2 * scaled[last][last]
-    swapped[0][last], swapped[last][last] = swapped[last][last], swapped[0][last]
-    row_scaled[last] = [2 * x for x in row_scaled[last]]
-    grids = {"zeroed": zeroed, "scaled": scaled, "transposed": zip(*m.units)}
-    if n > 1:
-        grids.update(swapped=swapped, row_scaled=row_scaled)
-    return {name: MatrixUnits(n, tuple(map(tuple, rows)), m.provenance)
-            for name, rows in grids.items()}
+def _closed_path_at(g, w):
+    """A shortest closed path at w, or None when w lies on no cycle."""
+    level, seen = [Path(w)], set()
+    while level:
+        nxt = []
+        for p in level:
+            for b in g.out_bundles(path_range(g, p)):
+                q = Path(w, p.edges + (EdgeRef(b.id, 0),))
+                if b.dst == w:
+                    return q
+                if b.dst not in seen:
+                    seen.add(b.dst)
+                    nxt.append(q)
+        level = nxt
+    return None
+
+
+def _corrupted_legs(m: MatrixUnits) -> dict:
+    """Copies of the family with one extra leg each: a duplicate of the
+    last leg, and, where the legs end on a cycle, the first leg followed
+    by that full cycle, which it is then a prefix of."""
+    g, legs = m.graph, m.legs
+    families = {"duplicated": legs + legs[-1:]}
+    loop = _closed_path_at(g, path_range(g, legs[0]))
+    if loop is not None:
+        families["extended"] = legs + (concat_paths(g, legs[0], loop),)
+    return {name: replace(m, legs=bad) for name, bad in families.items()}
 
 
 def _assert_fast_check_matches_oracle(m: MatrixUnits) -> None:
     assert m.n <= 8
     assert verify_matrix_units(m) and verify_matrix_units_exhaustive(m)
-    for name, bad in _corrupted_grids(m).items():
-        assert verify_matrix_units(bad) == verify_matrix_units_exhaustive(bad), name
+    for name, bad in _corrupted_legs(m).items():
+        assert not verify_matrix_units(bad), name
+        assert not verify_matrix_units_exhaustive(bad), name
 
 
 @pytest.mark.parametrize("name", sorted(corpus.CORPUS))
 def test_fast_unit_check_matches_oracle_on_fixture_witnesses(name):
     g = corpus.CORPUS[name]()
-    _assert_fast_check_matches_oracle(
-        witness_matrix_units(g, bounded_index_report(g)))
+    report = bounded_index_report(g)
+    n = report.n if isinstance(report, Bounded) else 6
+    for size in range(1, min(n, 6) + 1):
+        _assert_fast_check_matches_oracle(witness_matrix_units(g, report, size))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -184,6 +204,24 @@ def test_fast_unit_check_matches_oracle_on_exit_units(n):
     f = corpus.graph_f()
     _assert_fast_check_matches_oracle(
         matrix_units_exit(f, cycles(f)[0], EdgeRef("f"), n))
+
+
+@pytest.mark.parametrize("omega", [Fraction(0), Fraction(1, 4)])
+def test_fast_unit_check_matches_oracle_on_random_graphs(omega):
+    kinds = set()
+    for seed in range(300):
+        g = random_graph(RandomSpec(seed=seed, omega_probability=omega))
+        report = bounded_index_report(g)
+        if isinstance(report, Bounded):
+            if report.witness_target is None:
+                continue
+            size = min(report.n, 6)
+        else:
+            size = 3
+        units = witness_matrix_units(g, report, size)
+        _assert_fast_check_matches_oracle(units)
+        kinds.add(type(units.provenance).__name__)
+    assert len(kinds) == 3, kinds
 
 
 # -- witness paths against the breadth-first enumeration -------------------------
