@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import algebra, exprparse, graphio, oracle, structure
 from .graph import (
@@ -38,30 +39,96 @@ from .graph import (
 )
 
 
-def _edge_json(e: EdgeRef) -> dict:
-    return {"bundle": e.bundle, "index": e.index}
-
-
 def _edge_text(g: Graph, e: EdgeRef) -> str:
     b = g.bundle(e.bundle)
     return e.bundle if b.mult == 1 else f"{e.bundle}[{e.index}]"
 
 
 def _path_json(p: Path) -> dict:
-    return {"base": p.base, "edges": [_edge_json(e) for e in p.edges]}
+    return {"base": p.base, "edges": p.edges}
 
 
 def _cycle_json(c: Cycle) -> dict:
-    return {"edges": [_edge_json(e) for e in c.edges]}
+    return {"edges": c.edges}
 
 
 def _cycle_text(g: Graph, c: Cycle) -> str:
     return ".".join(_edge_text(g, e) for e in c.edges)
 
 
+class _EdgeTexts(dict):
+    """(bundle, index, indent) -> the JSON object text of that edge at that
+    indentation, built on first lookup."""
+
+    def __missing__(self, key):
+        bundle, index, indent = key
+        inner = indent + "  "
+        text = self[key] = (f'{{{inner}"bundle": {_quote(bundle)},'
+                            f'{inner}"index": {index}{indent}}}')
+        return text
+
+
+def _dumps(obj) -> str:
+    """The bytes of the stdlib's sorted-key dump at indent 2, in time
+    linear in its size.  The stdlib's C encoder runs only without an
+    indent; with one, it walks several Python generator frames per value,
+    and a listing of n witness paths has Theta(n L) edges.
+
+    Dicts (text keys, sorted), lists and tuples nest; strings, ints, bools
+    and None print inline; an EdgeRef prints as the object
+    ``{"bundle": ..., "index": ...}``, its text built once per edge and
+    indentation; anything else falls back to ``json.dumps``."""
+    out = []
+    edges = _EdgeTexts()
+
+    def write(o, indent: str) -> None:  # indent: newline plus this level's spaces
+        if isinstance(o, str):
+            out.append(_quote(o))
+        elif o is None:
+            out.append("null")
+        elif o is True:
+            out.append("true")
+        elif o is False:
+            out.append("false")
+        elif isinstance(o, int):
+            out.append(int.__repr__(o))
+        elif isinstance(o, EdgeRef):
+            out.append(edges[o.bundle, o.index, indent])
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                out.append("[]")
+                return
+            inner = indent + "  "
+            sep, comma = "[" + inner, "," + inner
+            for x in o:
+                out.append(sep)
+                if type(x) is EdgeRef:  # the bulk of a path listing
+                    out.append(edges[x.bundle, x.index, inner])
+                else:
+                    write(x, inner)
+                sep = comma
+            out.append(indent + "]")
+        elif isinstance(o, dict):
+            if not o:
+                out.append("{}")
+                return
+            inner = indent + "  "
+            sep, comma = "{" + inner, "," + inner
+            for k, x in sorted(o.items()):
+                out.append(f"{sep}{_quote(k)}: ")
+                write(x, inner)
+                sep = comma
+            out.append(indent + "}")
+        else:
+            out.append(json.dumps(o))
+
+    write(obj, "\n")
+    return "".join(out)
+
+
 def _emit(args, payload: dict, text_lines: list) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dumps(payload))
     else:
         for line in text_lines:
             print(line)
@@ -108,7 +175,7 @@ def _cmd_analyze(args) -> int:
     payload["no_exit_cycles"] = w is None
     if w is not None:
         payload["exit_witness"] = {"cycle": _cycle_json(w.cycle),
-                                   "exit": _edge_json(w.edge)}
+                                   "exit": w.edge}
         lines.append(f"no_exit_cycles: false  (cycle {_cycle_text(g, w.cycle)}"
                      f" has exit {_edge_text(g, w.edge)})")
     else:
@@ -163,7 +230,7 @@ def _cmd_index(args) -> int:
         reason = report.reason
         if isinstance(reason, structure.CycleWithExit):
             rj = {"kind": "cycle_with_exit", "cycle": _cycle_json(reason.cycle),
-                  "exit": _edge_json(reason.edge)}
+                  "exit": reason.edge}
             rt = (f"cycle {_cycle_text(g, reason.cycle)} has exit "
                   f"{_edge_text(g, reason.edge)}")
         else:
@@ -284,7 +351,7 @@ def _cmd_witness(args) -> int:
     prov = units.provenance
     if isinstance(prov, structure.CycleWithExit):
         pj = {"kind": "cycle_exit_powers", "cycle": _cycle_json(prov.cycle),
-              "exit": _edge_json(prov.edge), "n": units.n}
+              "exit": prov.edge, "n": units.n}
         pt = (f"powers of cycle {_cycle_text(g, prov.cycle)} around exit "
               f"{_edge_text(g, prov.edge)}")
     else:

@@ -21,8 +21,11 @@ backward search each, so nothing here enumerates hereditary saturated sets
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 
 from . import algebra
 from .graph import (
@@ -92,30 +95,39 @@ class Unbounded:
 def witness_paths(g: Graph, target, size: int) -> list:
     """The first `size` paths ending at a sink or exitless-cycle target, in
     the order (length, edges, base), leaving out paths that contain the
-    cycle in full; the count at the target must be finite.  Searches
-    backwards one length at a time, sorts each level and stops at `size`.
-    A left-out path is not extended (every extension contains the cycle
-    too), so a kept e.p can contain it only in its first window."""
+    cycle in full; the count at the target must be finite.
+
+    Searches backwards one length at a time and stops at `size`, sorting
+    nothing.  If a level is in order, so is the next one built thus: walk
+    the bundles into the level's bases in bundle-id order (one merge of the
+    id-sorted in-lists), each bundle's edges by index, and for each edge e
+    append e.p for every p at e's range, in level order.  The paths compare
+    by their first edge, then by the rest, and paths with equal edges have
+    equal bases.  A left-out path is not extended (every extension contains
+    the cycle too), so a kept e.p can contain it only in its first window."""
     if isinstance(target, SinkTarget):
         level, m, rotations = [Path(target.vertex)], 0, frozenset()
     else:
         c = target.cycle
         level, m = [Path(g.src(c.edges[0]))], len(c.edges)
         rotations = {c.edges[k:] + c.edges[:k] for k in range(m)}
-    found = []
-    while level:
-        level.sort(key=lambda p: p.edges)  # one length; equal edges, equal base
-        found += level[:size - len(found)]
-        if len(found) >= size:
-            break
-        nxt = []
+
+    def extensions(level):
+        at = {}
         for p in level:
-            for b in g._into[p.base]:
-                for i in range(b.mult):
-                    edges = (EdgeRef(b.id, i),) + p.edges
+            at.setdefault(p.base, []).append(p)
+        for b in heapq.merge(*(g._into[v] for v in at), key=attrgetter("id")):
+            for i in range(b.mult):
+                e = EdgeRef(b.id, i)
+                for p in at[b.dst]:
+                    edges = (e,) + p.edges
                     if edges[:m] not in rotations:
-                        nxt.append(Path(b.src, edges))
-        level = nxt
+                        yield Path(b.src, edges)
+
+    found = level[:size]
+    while level and len(found) < size:
+        level = list(itertools.islice(extensions(level), size - len(found)))
+        found += level
     return found
 
 

@@ -1,11 +1,13 @@
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_path, tailed_cycle
 from leavitt import algebra, corpus, structure
-from leavitt.cli import main
-from leavitt.graph import OMEGA, Bundle, Graph
+from leavitt.cli import _dumps, main
+from leavitt.graph import OMEGA, Bundle, EdgeRef, Graph
 from leavitt.graphio import (
     GraphFormatError,
     GraphSyntaxError,
@@ -335,3 +337,94 @@ def test_eval_unit_scalar_powers_are_not_refused(expr, plain, capsys):
     _, expected, _ = run(capsys, "eval", fixture_path("line3"), plain)
     code, out, _ = run(capsys, "eval", fixture_path("line3"), expr)
     assert code == 0 and out == expected
+
+
+# -- the JSON writer -------------------------------------------------------------
+
+def _reference_dump(obj) -> str:
+    """The stdlib dump the CLI's writer must reproduce byte for byte."""
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def _line_document(tmp_path, k: int, mult: int = 1) -> str:
+    """corpus.line(k) with every bundle of multiplicity `mult`."""
+    g = corpus.line(k)
+    doc = tmp_path / f"line{k}x{mult}.graph"
+    doc.write_text(canonical_document(
+        Graph(g.vertices, [replace(b, mult=mult) for b in g.bundles])))
+    return str(doc)
+
+
+def _json_commands(name: str) -> list:
+    g = corpus.CORPUS[name]()
+    v = g.vertices[0]
+    expr = f"{g.bundles[0].id}[0] {g.bundles[0].id}[0]* + (-3/2) {v}" \
+        if g.bundles else v
+    path = fixture_path(name)
+    return [["analyze", path], ["index", path], ["decompose", path],
+            ["ideals", path], ["witness", path], ["witness", path, "--size", "2"],
+            ["check", path, "--trials", "5"], ["eval", path, expr]]
+
+
+def test_json_output_matches_stdlib_dump(capsys, tmp_path):
+    """Every JSON document the CLI prints is the stdlib's indent-2,
+    sorted-key dump of itself: the fixtures under every command, and the
+    long witness listings of line(200) and the doubled line with k=11."""
+    commands = [argv for name in sorted(corpus.CORPUS)
+                for argv in _json_commands(name)]
+    commands += [["index", _line_document(tmp_path, 200)],
+                 ["index", _line_document(tmp_path, 11, mult=2)]]
+    refused = []
+    for argv in commands:
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        if code != 0:  # an input error prints nothing on stdout
+            assert code == 1 and out == "", argv
+            refused.append(argv)
+            continue
+        assert out == _reference_dump(json.loads(out)) + "\n", argv
+    # only witness --size 2 on the two fixtures with n = 1
+    assert refused == [["witness", fixture_path(name), "--size", "2"]
+                       for name in ("line1", "single_loop")]
+    assert json.loads(out)["n"] == 2 ** 11 - 1  # the doubled line lists n paths
+
+
+_texts = st.text(st.one_of(
+    st.characters(exclude_categories=()),  # lone surrogates included
+    st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9",
+                     "\u2028", "\ud800", "\udfff", "\U0001f600"])))
+_edges = st.builds(EdgeRef, _texts, st.integers(min_value=0, max_value=10 ** 6))
+_leaves = st.one_of(st.none(), st.booleans(), st.integers(),
+                    st.integers(min_value=-2 ** 200, max_value=2 ** 200),
+                    st.floats(), _texts, _edges)
+_values = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_texts, inner, max_size=4)),
+    max_leaves=25)
+
+
+def _plain(obj):
+    """obj with every EdgeRef replaced by the dict the CLI prints for it."""
+    if isinstance(obj, EdgeRef):
+        return {"bundle": obj.bundle, "index": obj.index}
+    if isinstance(obj, dict):
+        return {k: _plain(x) for k, x in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(x) for x in obj]
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values)
+def test_dumps_matches_stdlib(value):
+    assert _dumps(value) == _reference_dump(_plain(value))
+    assert _dumps(_plain(value)) == _reference_dump(_plain(value))
+
+
+def test_dumps_edge_at_two_depths():
+    """One EdgeRef printed at two indentations in one payload."""
+    e, f = EdgeRef("a", 0), EdgeRef("b\u00e9", 12)
+    payload = {"exit": e, "cycle": {"edges": (e, f)},
+               "paths": [{"base": "v", "edges": [f, e]}, []], "w": {}}
+    assert _dumps(payload) == _reference_dump(_plain(payload))

@@ -11,8 +11,11 @@ from leavitt.algebra import (
     normal_form,
     verify_matrix_units,
 )
+from leavitt import structure
 from leavitt.graph import (
+    Bundle,
     EdgeRef,
+    Graph,
     Path,
     concat_paths,
     count_paths_ending_at,
@@ -254,6 +257,47 @@ def test_witness_paths_match_oracle_on_random_graphs(omega):
             random_graph(RandomSpec(seed=seed, omega_probability=omega)))
         for seed in range(300))
     assert targets > 100
+
+
+def _interleaved_graph(loop: bool) -> Graph:
+    """Bundle-id order differs from vertex order at every level: into c come
+    a9 (from a), m (from b, mult 3) and x1 (from z, mult 2); into b and z
+    come q (from a) and d (from a, mult 2), so the next level starts with
+    d.x1 although b < z.  With `loop`, c carries the exitless loop k."""
+    bundles = [Bundle("x1", "z", "c", 2), Bundle("a9", "a", "c"),
+               Bundle("m", "b", "c", 3), Bundle("q", "a", "b"),
+               Bundle("d", "a", "z", 2)]
+    if loop:
+        bundles.append(Bundle("k", "c", "c"))
+    return Graph(["a", "b", "c", "z"], bundles)
+
+
+@pytest.mark.parametrize("loop", [False, True], ids=["sink", "cycle"])
+def test_witness_paths_follow_bundle_ids_not_vertices(loop):
+    g = _interleaved_graph(loop)
+    assert _assert_witness_paths_match_oracle(g) == 1
+    target = bounded_index_report(g).witness_target
+    second_level = [p.edges[0] for p in witness_paths(g, target, 14)
+                    if len(p) == 2]
+    assert second_level == [EdgeRef("d", 0)] * 2 + [EdgeRef("d", 1)] * 2 \
+        + [EdgeRef("q")] * 3
+
+
+def test_witness_paths_stop_inside_a_level(monkeypatch):
+    """A bundle of multiplicity 10^6: three paths are built, not a level
+    of a million."""
+    g = Graph(["u", "v"], [Bundle("a", "u", "v", 10 ** 6)])
+    built = []
+    path = structure.Path
+
+    def counting(*args):
+        built.append(args)
+        return path(*args)
+
+    monkeypatch.setattr(structure, "Path", counting)
+    assert witness_paths(g, SinkTarget("v"), 3) == [
+        Path("v"), Path("u", (EdgeRef("a", 0),)), Path("u", (EdgeRef("a", 1),))]
+    assert len(built) <= 4
 
 
 def test_witness_target_is_first_with_count_n():
