@@ -20,8 +20,9 @@ inner ghost/real block by path prefix comparison.
 Inside an Element a monomial is the plain tuple
 ``(p_base, p_edge_ids, q_base, q_edge_ids)``, with edges numbered by a
 per-graph table built on first use (:class:`_Kernel`): finite edges are
-0..nfin-1 in EdgeRef order, and edge k of the j-th of the W omega bundles
-is nfin + k*W + j, so equal graphs give equal keys.  Coefficients are ints
+0..nfin-1 in EdgeRef order, edge i of a finite bundle being its bundle's
+offset plus i, and edge k of the j-th of the W omega bundles is
+nfin + k*W + j, so equal graphs give equal keys.  Coefficients are ints
 while they are integral; a Fraction appears only once a non-integer scalar
 comes in.  :class:`Monomial`, :meth:`Element.terms`,
 :meth:`Element.coefficient`, :func:`normal_form` and the printed text
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import random
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -89,52 +91,61 @@ class TooLarge(LeavittError):
 
 class _Kernel:
     """Edge numbering and rewriting data of one graph, kept in its
-    ``_kernel`` slot.  ``rewrite`` maps the id of each regular vertex's
-    special edge to the ids of the other edges out of that vertex, so a
-    monomial is reducible exactly when both its paths end in a key of
-    ``rewrite``."""
+    ``_kernel`` slot, in O(bundles) space whatever the multiplicities.
 
-    __slots__ = ("ids", "refs", "omega", "omega_pos", "rewrite", "special")
+    ``first`` maps each bundle id to ``(first, step, mult)``: edge i of
+    the bundle has id ``first + i*step``, with step 1 for a finite bundle
+    (first is the running total of the finite multiplicities before it)
+    and step W, the number of omega bundles, for an omega bundle (mult is
+    None then).  ``rewrite`` maps the id of each regular vertex's special
+    edge to the ids of the other edges out of that vertex, one ``range``
+    per out-bundle, so a monomial is reducible exactly when both its paths
+    end in a key of ``rewrite``."""
+
+    __slots__ = ("first", "offsets", "finite", "nfin", "omega", "rewrite",
+                 "special")
 
     def __init__(self, g: Graph):
-        self.ids = {}       # finite EdgeRef -> id
-        self.refs = []      # id -> EdgeRef, finite edges in EdgeRef order
-        self.omega = []     # the omega bundles, in bundle-id order
-        out = {v: [] for v in g.vertices}
-        emitters = set()
-        for b in g.bundles:  # sorted by id, so ids follow EdgeRef order
-            if b.mult is OMEGA:
-                emitters.add(b.src)
-                self.omega.append(b)
-                continue
-            for i in range(b.mult):
-                e = EdgeRef(b.id, i)
-                self.ids[e] = len(self.refs)
-                out[b.src].append(len(self.refs))
-                self.refs.append(e)
-        self.omega_pos = {b.id: j for j, b in enumerate(self.omega)}
-        self.rewrite = {}   # special edge id -> ids of its siblings
+        # bundles are sorted by id, so the ids follow EdgeRef order
+        finite = [b for b in g.bundles if b.mult is not OMEGA]
+        self.finite = [b.id for b in finite]
+        self.omega = [b.id for b in g.bundles if b.mult is OMEGA]
+        self.offsets = []   # first id of each finite bundle, ascending
+        self.nfin = 0
+        for b in finite:
+            self.offsets.append(self.nfin)
+            self.nfin += b.mult
+        self.first = {b.id: (off, 1, b.mult)
+                      for b, off in zip(finite, self.offsets)}
+        self.first.update((bid, (self.nfin + j, len(self.omega), None))
+                          for j, bid in enumerate(self.omega))
+        self.rewrite = {}   # special edge id -> ranges of its siblings' ids
         self.special = dict.fromkeys(g.vertices)  # vertex -> EdgeRef | None
-        for v, es in out.items():
-            if es and v not in emitters:
-                self.rewrite[es[0]] = tuple(es[1:])
-                self.special[v] = self.refs[es[0]]
+        for v, out in g._out.items():
+            if not out or any(b.mult is OMEGA for b in out):
+                continue
+            spans = [range(self.first[b.id][0], self.first[b.id][0] + b.mult)
+                     for b in out]
+            special = spans[0][0]
+            spans[0] = spans[0][1:]
+            self.rewrite[special] = tuple(r for r in spans if r)
+            self.special[v] = EdgeRef(out[0].id, 0)
 
     def edge_id(self, g: Graph, e: EdgeRef) -> int:
-        i = self.ids.get(e)
-        if i is not None:
-            return i
-        g.bundle(e.bundle)  # raises UnknownBundle
-        j = self.omega_pos.get(e.bundle)
-        if j is None or e.index < 0:
+        slot = self.first.get(e.bundle)
+        if slot is None:
+            g.bundle(e.bundle)  # raises UnknownBundle
+        first, step, mult = slot
+        if e.index < 0 or (mult is not None and e.index >= mult):
             raise InvalidPath(f"not an edge of this graph: {e!r}")
-        return len(self.refs) + e.index * len(self.omega) + j
+        return first + e.index * step
 
     def edge_ref(self, i: int) -> EdgeRef:
-        if i < len(self.refs):
-            return self.refs[i]
-        k, j = divmod(i - len(self.refs), len(self.omega))
-        return EdgeRef(self.omega[j].id, k)
+        if i < self.nfin:
+            j = bisect_right(self.offsets, i) - 1
+            return EdgeRef(self.finite[j], i - self.offsets[j])
+        k, j = divmod(i - self.nfin, len(self.omega))
+        return EdgeRef(self.omega[j], k)
 
 
 def _kernel(g: Graph) -> _Kernel:
@@ -348,7 +359,8 @@ def _normalize(table: _Kernel, raw: Iterable, rng) -> dict:
             siblings = rewrite[pe[-1]]
             pe, qe = pe[:-1], qe[:-1]
             pending.append(((pb, pe, qb, qe), k))
-            pending.extend(((pb, pe + (e,), qb, qe + (e,)), -k) for e in siblings)
+            for span in siblings:
+                pending.extend(((pb, pe + (e,), qb, qe + (e,)), -k) for e in span)
             continue
         c = result.get(key, 0) + k
         if c:
@@ -459,21 +471,69 @@ class ResourceLimit:
     terms: int
 
 
+class _OverTermLimit(Exception):
+    pass
+
+
 def nilpotence_index(a: Element, k_max: int, term_limit: int = 10 ** 6):
     """Least k <= k_max with a^k = 0 (and a^(k-1) != 0), else
-    NotNilpotentWithin(k_max); the zero element has index 1."""
+    NotNilpotentWithin(k_max); the zero element has index 1.
+
+    By repeated squaring: a, a^2, a^4, ... while the exponent is at most
+    k_max, up to the first square that is zero.  When none is, a^k_max is
+    built from the squares, highest first, up to the first product that is
+    zero; when none is, a is not nilpotent within k_max.  Otherwise a^lo is
+    known to be nonzero and a^hi zero with hi - lo a power of two, and a
+    binary search over the smaller squares finds the index.  So every
+    nonzero power formed has exponent at most min(k_max, index - 1): the
+    sequential probe (``oracle.nilpotence_index_sequential``) forms it too,
+    and the verdict is the same wherever that probe gives one.
+
+    ResourceLimit names the first power formed that has more than
+    term_limit terms.  Raises TooLarge, as :func:`power` does, when a
+    power formed holds more than POWER_EDGE_LIMIT edges."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if a.is_zero():
         return NilpotentOfIndex(1)
-    power = a
-    for k in range(2, k_max + 1):
-        power = power * a
-        if power.is_zero():
-            return NilpotentOfIndex(k)
-        if power.support_size() > term_limit:
-            return ResourceLimit(k, power.support_size())
-    return NotNilpotentWithin(k_max)
+
+    def times(x: Element, y: Element, k: int) -> Element:
+        """x y, which is a^k."""
+        z = x * y
+        if z.support_size() > term_limit:
+            raise _OverTermLimit(ResourceLimit(k, z.support_size()))
+        return _bounded(z)
+
+    squares = [a]        # squares[i] = a^(2^i), all nonzero
+    lo, low = 1, a       # low = a^lo, nonzero
+    try:
+        while 2 * lo <= k_max:
+            sq = times(low, low, 2 * lo)
+            if sq.is_zero():
+                hi = 2 * lo
+                break
+            squares.append(sq)
+            lo, low = 2 * lo, sq
+        else:
+            for i in reversed(range(len(squares) - 1)):
+                if k_max >> i & 1:
+                    p = times(low, squares[i], lo + (1 << i))
+                    if p.is_zero():
+                        hi = lo + (1 << i)
+                        break
+                    lo, low = lo + (1 << i), p
+            else:
+                return NotNilpotentWithin(k_max)
+        while lo + 1 < hi:
+            mid = (lo + hi) // 2
+            p = times(low, squares[(mid - lo).bit_length() - 1], mid)
+            if p.is_zero():
+                hi = mid
+            else:
+                lo, low = mid, p
+    except _OverTermLimit as over:
+        return over.args[0]
+    return NilpotentOfIndex(hi)
 
 
 POWER_EDGE_LIMIT = 10 ** 6

@@ -201,59 +201,91 @@ def random_graph(spec: RandomSpec) -> Graph:
     return Graph(vertices, bundles)
 
 
-def _random_walk_forward(g: Graph, rng: random.Random, max_len: int) -> Path:
-    at = rng.choice(g.vertices)
-    edges = []
-    for _ in range(rng.randint(0, max_len)):
-        out = g.out_bundles(at)
-        if not out:
-            break
-        b = rng.choice(out)
-        idx = rng.randint(0, 3) if b.mult is OMEGA else rng.randrange(b.mult)
-        edges.append(EdgeRef(b.id, idx))
-        at = b.dst
-    base = g.src(edges[0]) if edges else at
-    return Path(base, tuple(edges))
+def walk_tables(g: Graph) -> tuple:
+    """The tables :func:`random_element` walks: for each vertex, its
+    out-bundles and its in-bundles, in ``g._out``/``g._into`` order, each
+    as ``(other end, first, step, mult)`` with ``(first, step, mult)``
+    read from the graph's kernel, so edge i of the bundle has the id
+    ``first + i*step`` (mult is None for an omega bundle)."""
+    slots = algebra._kernel(g).first
+    out = {v: tuple((b.dst,) + slots[b.id] for b in bs) for v, bs in g._out.items()}
+    into = {v: tuple((b.src,) + slots[b.id] for b in bs) for v, bs in g._into.items()}
+    return out, into
 
 
-def _random_walk_into(g: Graph, rng: random.Random, v: str,
-                      max_len: int) -> Path:
-    edges = []
-    at = v
-    for _ in range(rng.randint(0, max_len)):
-        into = g.in_bundles(at)
-        if not into:
-            break
-        b = rng.choice(into)
-        idx = rng.randint(0, 3) if b.mult is OMEGA else rng.randrange(b.mult)
-        edges.insert(0, EdgeRef(b.id, idx))
-        at = b.src
-    return Path(at, tuple(edges))
+_COEFFICIENTS = (-3, -2, -1, 1, 2, 3)
 
 
-def random_raw_terms(g: Graph, spec: RandomSpec, max_terms: int = 4,
-                     max_path_len: int = 3) -> list:
-    """Reproducible raw (Monomial, coefficient) pairs, not normalized: each
-    monomial joins a forward walk and a backward walk meeting at the same
-    vertex."""
+def _random_keys(g: Graph, tables: tuple, spec: RandomSpec, max_terms: int,
+                 max_path_len: int) -> list:
+    """Reproducible raw (kernel key, coefficient) pairs: each monomial
+    joins a forward walk and a backward walk meeting at the same vertex.
+    A walk is a path by construction, so the keys need no check.  Each
+    step chooses among a vertex's bundles, then an edge of the bundle: one
+    of the first four of an omega bundle."""
+    out, into = tables
     rng = random.Random(spec.seed)
     raw = []
     if not g.vertices:
         return raw
     for _ in range(rng.randint(1, max_terms)):
-        p = _random_walk_forward(g, rng, max_path_len)
-        at = g.dst(p.edges[-1]) if p.edges else p.base
-        q = _random_walk_into(g, rng, at, max_path_len)
-        coeff = rng.choice([-3, -2, -1, 1, 2, 3])
-        raw.append((algebra.Monomial(p, q), coeff))
+        base = at = rng.choice(g.vertices)
+        p = []
+        for _ in range(rng.randint(0, max_path_len)):
+            if not out[at]:
+                break
+            at, first, step, mult = rng.choice(out[at])
+            p.append(first + step * (rng.randint(0, 3) if mult is None
+                                     else rng.randrange(mult)))
+        q = []
+        for _ in range(rng.randint(0, max_path_len)):
+            if not into[at]:
+                break
+            at, first, step, mult = rng.choice(into[at])
+            q.append(first + step * (rng.randint(0, 3) if mult is None
+                                     else rng.randrange(mult)))
+        q.reverse()
+        raw.append(((base, tuple(p), at, tuple(q)), rng.choice(_COEFFICIENTS)))
     return raw
 
 
+def random_raw_terms(g: Graph, spec: RandomSpec, max_terms: int = 4,
+                     max_path_len: int = 3) -> list:
+    """The raw terms of :func:`random_element` as (Monomial, coefficient)
+    pairs, not normalized."""
+    table = algebra._kernel(g)
+    return [(algebra._monomial(table, key), k) for key, k in
+            _random_keys(g, walk_tables(g), spec, max_terms, max_path_len)]
+
+
 def random_element(g: Graph, spec: RandomSpec, max_terms: int = 4,
-                   max_path_len: int = 3) -> algebra.Element:
-    """Reproducible random element in normal form."""
-    return algebra.normal_form(g, random_raw_terms(g, spec, max_terms,
-                                                   max_path_len))
+                   max_path_len: int = 3, tables: tuple | None = None
+                   ) -> algebra.Element:
+    """Reproducible random element in normal form.  ``tables`` are the
+    graph's :func:`walk_tables`, for a caller that draws many elements."""
+    if tables is None:
+        tables = walk_tables(g)
+    raw = _random_keys(g, tables, spec, max_terms, max_path_len)
+    return algebra.Element(g, algebra._normalize(algebra._kernel(g), raw, None))
+
+
+def nilpotence_index_sequential(a: algebra.Element, k_max: int,
+                                term_limit: int = 10 ** 6):
+    """The nilpotence probe one power at a time: a^2, a^3, ... up to the
+    first that is zero, to k_max, or to the first with more than
+    term_limit terms; the reference for ``algebra.nilpotence_index``."""
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    if a.is_zero():
+        return algebra.NilpotentOfIndex(1)
+    power = a
+    for k in range(2, k_max + 1):
+        power = power * a
+        if power.is_zero():
+            return algebra.NilpotentOfIndex(k)
+        if power.support_size() > term_limit:
+            return algebra.ResourceLimit(k, power.support_size())
+    return algebra.NotNilpotentWithin(k_max)
 
 
 # -- the rewriting kernel, on Monomial and Fraction values -----------------------
@@ -464,9 +496,10 @@ def cross_check_index(g: Graph, trials: int = 500,
     limited = 0
     empirical = 0
     master = random.Random(seed)
+    tables = walk_tables(g)
     for t in range(trials):
         sub = RandomSpec(seed=master.randrange(2 ** 63))
-        a = random_element(g, sub)
+        a = random_element(g, sub, tables=tables)
         verdict = algebra.nilpotence_index(a, bound)
         if isinstance(verdict, algebra.NilpotentOfIndex):
             found += 1

@@ -213,6 +213,16 @@ def test_nilpotence_resource_limit():
     assert isinstance(verdict, ResourceLimit)
 
 
+def test_nilpotence_resource_limit_names_the_first_power_formed():
+    """(a + b)^k has 2^k terms.  The probe forms a^2 and a^4 only, so with
+    a budget of 5 terms it reports a^4, where one power at a time would
+    report a^3."""
+    g = corpus.two_loops()
+    a = edge_element(g, EdgeRef("a")) + edge_element(g, EdgeRef("b"))
+    assert nilpotence_index(a, 30, term_limit=5) == ResourceLimit(4, 16)
+    assert nilpotence_index(a, 3, term_limit=5) == ResourceLimit(3, 8)
+
+
 def test_breaking_vertex_element():
     og = corpus.omega_gadget()
     b = breaking_vertex_element(og, frozenset({"h"}), "v")

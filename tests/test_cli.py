@@ -322,6 +322,43 @@ def test_eval_resource_limits(expr, fmt, capsys):
     assert err.startswith("resource limit: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_eval_probe_refuses_a_power_over_the_edge_limit(fmt, capsys, monkeypatch):
+    """The loop e is never nilpotent: the probe squares it up to the first
+    power over 10^6 edges, e^(2^20), and stops there, instead of forming
+    10^8 powers."""
+    products = []
+    mul = algebra.Element.__mul__
+
+    def counting(a, b):
+        products.append(1)
+        assert len(products) <= 100, "the probe took more than 100 products"
+        return mul(a, b)
+
+    monkeypatch.setattr(algebra.Element, "__mul__", counting)
+    code, out, err = run(capsys, "eval", fixture_path("single_loop"), "e",
+                         "--nilpotence-max", "100000000", "--format", fmt)
+    assert code == 2 and out == ""
+    assert err.startswith("resource limit: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["witness", "--size", "2"], "matrix units 2x2 (acyclic paths)\nverified: True\n"
+                                 "jordan element nilpotence index: 2\n"),
+    (["eval", "v"], "1 * v . v^*\n  degree 0: 1 * v . v^*\n"
+                    "  not nilpotent within 8 powers\n"),
+    (["eval", "a[99999999]* a[99999999]"], "1 * v . v^*\n  degree 0: 1 * v . v^*\n"
+                                           "  not nilpotent within 8 powers\n"),
+], ids=["witness", "eval-vertex", "eval-edge"])
+def test_large_multiplicity_is_not_enumerated(argv, expected, capsys, tmp_path):
+    """A bundle of 10^8 edges: the algebra kernel numbers them by offset,
+    so nothing lists them."""
+    doc = tmp_path / "wide.graph"
+    doc.write_text(canonical_document(Graph(["u", "v"], [Bundle("a", "u", "v", 10 ** 8)])))
+    code, out, err = run(capsys, argv[0], str(doc), *argv[1:])
+    assert (code, out, err) == (0, expected, "")
+
+
 @pytest.mark.parametrize("expr", ["(2)^30000000 u1", "(2)^10000000000 u1"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_eval_refuses_scalar_power_before_computing(expr, fmt, capsys):

@@ -1,21 +1,27 @@
 from dataclasses import replace
 from fractions import Fraction
 
+import hashlib
+
 import pytest
 
-from leavitt import corpus
+from leavitt import algebra, corpus
 from leavitt.algebra import (
     MatrixUnits,
     Monomial,
+    jordan_element,
     matrix_units_exit,
+    nilpotence_index,
     normal_form,
     verify_matrix_units,
 )
 from leavitt import structure
 from leavitt.graph import (
+    OMEGA,
     Bundle,
     EdgeRef,
     Graph,
+    InvalidPath,
     Path,
     concat_paths,
     count_paths_ending_at,
@@ -30,6 +36,7 @@ from leavitt.oracle import (
     cross_check_index,
     enumerate_paths_ending_at,
     graded_spectrum_exhaustive,
+    nilpotence_index_sequential,
     normal_form_reference,
     product_reference,
     random_element,
@@ -400,3 +407,189 @@ def test_kernel_matches_reference(omega):
         assert (a + b).terms() == normal_form_reference(g, refs[0] + refs[1]), name
         assert (a - a).is_zero() and (a + b.scale(-1)).terms() == \
             normal_form_reference(g, refs[0] + [(m, -k) for m, k in refs[1]]), name
+
+
+def _enumerated_edge_ids(g: Graph) -> dict:
+    """The edge numbering by listing every edge: finite edges 0..nfin-1 in
+    EdgeRef order, and edge k of the j-th of W omega bundles at
+    nfin + k*W + j (k < 5 here)."""
+    refs = [EdgeRef(b.id, i) for b in g.bundles if b.mult is not OMEGA
+            for i in range(b.mult)]
+    ids = {e: i for i, e in enumerate(refs)}
+    omega = [b.id for b in g.bundles if b.mult is OMEGA]
+    for j, bid in enumerate(omega):
+        for k in range(5):
+            ids[EdgeRef(bid, k)] = len(refs) + k * len(omega) + j
+    return ids
+
+
+@pytest.mark.parametrize("omega", [None, Fraction(0), Fraction(1, 4)])
+def test_kernel_numbering_matches_enumeration(omega):
+    """edge_id/edge_ref, the special edges and the rewrite siblings of the
+    bundle-offset kernel equal those read off the list of every edge."""
+    graphs = _kernel_graphs(omega)
+    if omega is not None:
+        graphs += [(f"mult 3 seed={seed}", random_graph(RandomSpec(
+            seed=seed, max_mult=3, omega_probability=omega))) for seed in range(150)]
+    for name, g in graphs:
+        table = algebra._Kernel(g)
+        ids = _enumerated_edge_ids(g)
+        for e, i in ids.items():
+            assert table.edge_id(g, e) == i and table.edge_ref(i) == e, name
+        for b in g.bundles:
+            for bad in ([-1] if b.mult is OMEGA else [-1, b.mult]):
+                with pytest.raises(InvalidPath):
+                    table.edge_id(g, EdgeRef(b.id, bad))
+        for v in g.vertices:
+            out = [e for e in ids if g.src(e) == v]
+            if not out or any(g.bundle(e.bundle).mult is OMEGA for e in out):
+                assert table.special[v] is None, name
+                continue
+            out.sort()
+            assert table.special[v] == out[0], name
+            siblings = [i for span in table.rewrite[ids[out[0]]] for i in span]
+            assert siblings == [ids[e] for e in out[1:]], name
+        assert len(table.rewrite) == sum(x is not None for x in table.special.values())
+
+
+def test_kernel_does_not_list_the_edges_of_a_bundle():
+    g = Graph(["u", "v", "w"], [Bundle("a", "u", "v", 10 ** 8),
+                                Bundle("b", "u", "w", 10 ** 8),
+                                Bundle("c", "v", "w", 2)])
+    table = algebra._Kernel(g)
+    assert table.rewrite == {0: (range(1, 10 ** 8), range(10 ** 8, 2 * 10 ** 8)),
+                             2 * 10 ** 8: (range(2 * 10 ** 8 + 1, 2 * 10 ** 8 + 2),)}
+    for e, i in [(EdgeRef("a", 10 ** 8 - 1), 10 ** 8 - 1),
+                 (EdgeRef("b", 7), 10 ** 8 + 7), (EdgeRef("c", 1), 2 * 10 ** 8 + 1)]:
+        assert table.edge_id(g, e) == i and table.edge_ref(i) == e
+
+
+# -- the nilpotence probe against the sequential one -----------------------------
+
+def _first_sequential_power_too_large(a, k_max):
+    """The least k <= k_max, if any, such that the sequential probe forms
+    a^k and a^k holds more than POWER_EDGE_LIMIT edges."""
+    p = a
+    for k in range(2, k_max + 1):
+        p = p * a
+        if p.is_zero():
+            return None
+        if sum(len(pe) + len(qe) for _, pe, _, qe in p._terms) > algebra.POWER_EDGE_LIMIT:
+            return k
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(corpus.CORPUS))
+def test_nilpotence_index_matches_sequential_on_random_elements(name):
+    """Equal verdicts; where the squaring probe refuses a power over the
+    edge limit, the sequential probe forms such a power too."""
+    g = corpus.CORPUS[name]()
+    for seed in range(25):
+        a = random_element(g, RandomSpec(seed=seed))
+        too_large = None
+        for k_max in range(1, 13):
+            try:
+                verdict = nilpotence_index(a, k_max)
+            except algebra.TooLarge:
+                if too_large is None:
+                    too_large = _first_sequential_power_too_large(a, 12)
+                assert too_large is not None and too_large <= k_max, (seed, k_max)
+                continue
+            assert verdict == nilpotence_index_sequential(a, k_max), (seed, k_max)
+
+
+def test_nilpotence_index_matches_sequential_on_jordan_elements():
+    for k in range(1, 31):
+        g = corpus.line(k)
+        report = structure.bounded_index_report(g)
+        j = jordan_element(structure.witness_matrix_units(g, report))
+        for k_max in range(1, k + 3):
+            assert nilpotence_index(j, k_max) == \
+                nilpotence_index_sequential(j, k_max), (k, k_max)
+
+
+def test_nilpotence_index_forms_logarithmically_many_products(monkeypatch):
+    """On the loop e, never nilpotent: a^k_max from the squares of a, at
+    most 2 log2(k_max) products where the sequential probe forms k_max - 1."""
+    g = corpus.single_loop()
+    a = algebra.edge_element(g, EdgeRef("e"))
+    products = []
+    mul = algebra.Element.__mul__
+
+    def counting(x, y):
+        products.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(algebra.Element, "__mul__", counting)
+    for k_max in [1, 2, 3, 7, 8, 1000, 1023, 1024]:
+        products.clear()
+        assert nilpotence_index(a, k_max) == algebra.NotNilpotentWithin(k_max)
+        assert len(products) <= 2 * (k_max.bit_length() - 1), k_max
+
+
+# -- the random stream, pinned -------------------------------------------------
+
+RAW_TERM_SHA256 = {
+    "clock3": "7643510234e2ae8697e1de0337b683215a96d468da7e4e914d07a8bdd0b66fef",
+    "clock5": "e1510aab9ed272b145dde6f97df5ffc4b7559079adcc062a518a3d989a46c500",
+    "graph_f": "8ffb9363fedc93f7537cdaf992aaf30012d7852eb6cd27358f625addc8d85347",
+    "inverse_clock3": "621f320d6067f6856632be784a4f335086e49e860c8bd0f92ba582eb6465bc8a",
+    "line1": "47e3ae88c0614648a63d50d3dc16737f8605213d4d06bca089a115df5ae4dd81",
+    "line2": "0e76a6d70b94267646ad3203291b261118b8041f637f3ddf4438871460fb6b79",
+    "line3": "d0f2ddfb6b905b74ba16bff51160c89b6bb6656a3bc867268e3f7d19e49a67df",
+    "line4": "bdd6d6fe387f69cf83fc896ceafd17f26dbe06d481344d10fc246ecc9d43cf8c",
+    "line5": "eb0187e1d4360f66a818d746eaa6b57adbd051f7a99cffcd047794e32e625b7e",
+    "line6": "73f3c756e76b53630914833f30fbecdb73c3fd2686996344ad8dff8027bbf46e",
+    "loop_with_tail": "3d117e371f3caf0efa722e08ad386a657bc11dbe30d9c1cb0d287d8c0072b352",
+    "omega_gadget": "7e1b44537989a9f228ac1769b0f3529d3e641b3d796df929f663b8926062f199",
+    "single_loop": "dca490c8e37da39294a31dde0ccb7f2533947fbc3191bf8fd0075032ca9c6b30",
+    "two_loops": "a0917be19767a953244366362183e12e25f27819874355ec143617253f7186ff",
+}
+
+
+def _sha256_lines(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(corpus.CORPUS))
+def test_random_raw_terms_stream_is_pinned(name):
+    """The raw terms for seeds 0..49, as the Path/Monomial walker drew
+    them before random elements were drawn as kernel keys."""
+    g = corpus.CORPUS[name]()
+    assert _sha256_lines(repr(random_raw_terms(g, RandomSpec(seed=s)))
+                         for s in range(50)) == RAW_TERM_SHA256[name]
+
+
+def test_random_raw_terms_stream_is_pinned_on_random_graphs():
+    """As above on 200 seeded graphs with multiplicities up to 3 and omega
+    bundles."""
+    assert _sha256_lines(
+        repr(random_raw_terms(random_graph(RandomSpec(
+            seed=s, max_mult=3, omega_probability=Fraction(1, 4))), RandomSpec(seed=s)))
+        for s in range(200)) == \
+        "f050e76df5b71508eb851e26cee505d78bb0d27e9a46e81a7f9a82e6ad55b31c"
+
+
+# (n, nilpotent_found, empirical_max_index, witness_index) of
+# `check --trials 300 --seed 12345` on each bounded fixture
+SAMPLING_SEED_12345 = {
+    "clock3": (2, 103, 2, 2), "clock5": (2, 115, 2, 2),
+    "inverse_clock3": (4, 98, 4, 4), "line1": (1, 29, 1, 1),
+    "line2": (2, 65, 2, 2), "line3": (3, 81, 3, 3), "line4": (4, 108, 4, 4),
+    "line5": (5, 110, 5, 5), "line6": (6, 120, 4, 6),
+    "loop_with_tail": (2, 43, 2, 2), "single_loop": (1, 2, 1, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLING_SEED_12345))
+def test_sampling_is_pinned(name):
+    rep = cross_check_index(corpus.CORPUS[name](), trials=300, seed=12345)
+    assert (rep.n, rep.nilpotent_found, rep.empirical_max_index,
+            rep.witness_index) == SAMPLING_SEED_12345[name]
+    assert rep.violations == () and rep.resource_limited == 0
+
+
+def test_sampling_pins_cover_every_bounded_fixture():
+    bounded = {name for name, build in corpus.CORPUS.items()
+               if isinstance(bounded_index_report(build()), Bounded)}
+    assert bounded == set(SAMPLING_SEED_12345)
