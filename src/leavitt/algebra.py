@@ -51,8 +51,6 @@ from .graph import (
     check_path,
     concat_paths,
     cycle_vertices,
-    exits,
-    path_contains_cycle,
     path_range,
     repeat_closed_path,
     rotate_cycle_to,
@@ -668,16 +666,22 @@ def matrix_units_exit(g: Graph, c: Cycle, f: EdgeRef, n: int) -> MatrixUnits:
 def matrix_units_no_exit_cycle(g: Graph, c: Cycle,
                                paths: Iterable[Path]) -> MatrixUnits:
     """Matrix units p_i p_j* from distinct paths ending on a no-exit cycle,
-    none of which runs through the entire cycle."""
+    none of which runs through the entire cycle.
+
+    The cycle has no exit when each of its vertices has out-degree 1; then
+    a path that reaches it stays on it, so a path runs through all m of
+    its edges exactly when its last m edges are cycle edges."""
     check_cycle(g, c)
-    if exits(g, c):
+    verts = cycle_vertices(g, c)
+    if any(g.out_degree(v) != 1 for v in verts):
         raise BadMatrixUnitPaths("the cycle has an exit")
     paths = tuple(paths)
     v = _check_unit_paths(g, paths)
-    if v not in cycle_vertices(g, c):
+    if v not in verts:
         raise BadMatrixUnitPaths(f"target vertex {v!r} is not on the cycle")
+    m, on_cycle = len(c.edges), set(c.edges)
     for p in paths:
-        if path_contains_cycle(g, p, c):
+        if len(p.edges) >= m and on_cycle.issuperset(p.edges[-m:]):
             raise BadMatrixUnitPaths("a path runs through the entire cycle")
     return MatrixUnits(g, paths, NoExitCycle(c))
 

@@ -22,12 +22,11 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from . import algebra, exprparse, graphio, oracle, structure
 from .graph import (
-    CapExceeded,
+    OMEGA,
     Cycle,
     CycleThroughOmegaBundle,
     EdgeRef,
     Graph,
-    InfiniteEmitter,
     LeavittError,
     Path,
     condition_K,
@@ -155,8 +154,7 @@ def _cmd_analyze(args) -> int:
         "vertices": list(g.vertices),
         "bundles": len(g.bundles),
         "sinks": g.sinks(),
-        "infinite_emitters": [v for v in g.vertices
-                              if isinstance(g.vertex_class(v), InfiniteEmitter)],
+        "infinite_emitters": [v for v in g.vertices if g.out_degree(v) is OMEGA],
     }
     lines = [f"vertices: {len(g.vertices)}  bundles: {len(g.bundles)}",
              f"sinks: {', '.join(payload['sinks']) or '(none)'}"]
@@ -271,11 +269,9 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_ideals(args) -> int:
-    if args.cap < 0:
-        raise LeavittError("--cap must be at least 0")
     g = graphio.load_graph(args.graph)
     try:
-        spectrum = structure.graded_spectrum(g, cap=args.cap)
+        spectrum = structure.graded_spectrum(g)
     except structure.PreconditionUnbounded as err:
         _emit(args, {"command": "ideals", "verdict": "unbounded",
                      "detail": str(err)},
@@ -436,9 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("analyze", _cmd_analyze, "structural report")
     add("index", _cmd_index, "bounded-index verdict with witnesses")
     add("decompose", _cmd_decompose, "matrix-ring decomposition")
-    p = add("ideals", _cmd_ideals, "graded quotient classifications")
-    p.add_argument("--cap", type=int, default=15,
-                   help="max vertices")
+    add("ideals", _cmd_ideals, "graded quotient classifications")
     p = add("eval", _cmd_eval, "evaluate an element expression")
     p.add_argument("expr", help="element expression")
     p.add_argument("--nilpotence-max", type=int, default=8,
@@ -457,7 +451,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CapExceeded, oracle.ExplosionGuard, algebra.TooLarge) as err:
+    except (oracle.ExplosionGuard, algebra.TooLarge) as err:
         print(f"resource limit: {err}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -12,6 +12,16 @@ directedness, path counts) read one cached pass per graph: Tarjan's strongly
 connected components without recursion, then one dynamic program over the
 condensation in topological order.
 
+A vertex is read through its total out-multiplicity,
+:meth:`Graph.out_degree`: 0 at a sink, OMEGA at an infinite emitter, a
+positive int at a regular vertex.  A cycle has no exit exactly when every
+vertex on it has out-degree 1.  Then a path that reaches the cycle stays on
+it, so the cycle edges of a path into the cycle form its trailing run, and
+the path contains the whole cycle exactly when that run has length at least
+the cycle's length: callers test this with one set of the cycle's edges and
+build no rotations (the window test over all rotations is kept in
+:mod:`leavitt.oracle`).
+
 Everything is immutable and iterates in lexicographic vertex/bundle order,
 so all results are reproducible.
 """
@@ -79,43 +89,13 @@ OMEGA = _Omega()
 
 @dataclass(frozen=True)
 class Count:
-    """A natural-number count that saturates at omega.
-
-    Addition and multiplication absorb omega: omega + x = omega and
-    k * omega = omega for k >= 1 (0 * omega = 0).
-    """
+    """A natural-number count, or omega."""
 
     value: object  # int >= 0, or OMEGA
 
     @property
     def finite(self) -> bool:
         return self.value is not OMEGA
-
-    def __add__(self, other: "Count") -> "Count":
-        if not isinstance(other, Count):
-            return NotImplemented
-        if self.value is OMEGA or other.value is OMEGA:
-            return COUNT_OMEGA
-        return Count(self.value + other.value)
-
-    def __mul__(self, other: "Count") -> "Count":
-        if not isinstance(other, Count):
-            return NotImplemented
-        if self.value == 0 or other.value == 0:
-            return Count(0)
-        if self.value is OMEGA or other.value is OMEGA:
-            return COUNT_OMEGA
-        return Count(self.value * other.value)
-
-    def __lt__(self, other: "Count") -> bool:
-        if self.value is OMEGA:
-            return False
-        if other.value is OMEGA:
-            return True
-        return self.value < other.value
-
-    def __le__(self, other: "Count") -> bool:
-        return self == other or self < other
 
     def __repr__(self):
         return f"Count({self.value!r})"
@@ -174,35 +154,11 @@ class AdmissiblePair:
 
 
 @dataclass(frozen=True)
-class Sink:
-    pass
-
-
-@dataclass(frozen=True)
-class Regular:
-    out_degree: int
-
-
-@dataclass(frozen=True)
-class InfiniteEmitter:
-    pass
-
-
-@dataclass(frozen=True)
 class CycleWithExit:
     """A cycle together with one of its exit edges."""
 
     cycle: Cycle
     edge: EdgeRef
-
-
-@dataclass(frozen=True)
-class Exit:
-    """An exit edge of a cycle.  When the edge comes from an omega bundle,
-    ``omega`` is set and the EdgeRef is a representative index."""
-
-    edge: EdgeRef
-    omega: bool = False
 
 
 class Graph:
@@ -275,21 +231,22 @@ class Graph:
         self.check_vertex(v)
         return list(self._into[v])
 
-    def vertex_class(self, v: str):
-        """Sink, Regular(out-degree), or InfiniteEmitter."""
+    def out_degree(self, v: str):
+        """Total multiplicity of the bundles leaving v: an int, or OMEGA
+        when one of them is an omega bundle."""
         self.check_vertex(v)
         total = 0
         for b in self._out[v]:
             if b.mult is OMEGA:
-                return InfiniteEmitter()
+                return OMEGA
             total += b.mult
-        return Sink() if total == 0 else Regular(total)
+        return total
 
     def is_sink(self, v: str) -> bool:
-        return isinstance(self.vertex_class(v), Sink)
+        return self.out_degree(v) == 0
 
     def is_regular(self, v: str) -> bool:
-        return isinstance(self.vertex_class(v), Regular)
+        return self.out_degree(v) not in (0, OMEGA)
 
     def edges_out(self, v: str) -> list:
         """All EdgeRefs leaving v.  Only valid at vertices with finite
@@ -404,15 +361,6 @@ def rotate_cycle_to(g: Graph, c: Cycle, v: str) -> Path:
         raise InvalidCycle(f"vertex {v!r} is not on the cycle")
     k = verts.index(v)
     return Path(v, c.edges[k:] + c.edges[:k])
-
-
-def path_contains_cycle(g: Graph, p: Path, c: Cycle) -> bool:
-    """True when some contiguous window of p's edges is a rotation of c."""
-    m = len(c.edges)
-    if len(p.edges) < m:
-        return False
-    rotations = {c.edges[k:] + c.edges[:k] for k in range(m)}
-    return any(p.edges[i:i + m] in rotations for i in range(len(p.edges) - m + 1))
 
 
 # -- strongly connected components ----------------------------------------
@@ -563,28 +511,6 @@ def component_cycles(g: Graph) -> list:
     return out
 
 
-def exits(g: Graph, c: Cycle) -> list:
-    """Every edge leaving a cycle vertex other than the cycle's own edge
-    there, as Exit records.  Omega bundles contribute one representative
-    Exit flagged omega=True."""
-    result = []
-    verts = cycle_vertices(g, c)
-    around = {g.src(e): e for e in c.edges}
-    for v in verts:
-        cyc_edge = around[v]
-        for b in g._out[v]:
-            if b.mult is OMEGA:
-                rep = 0 if not (b.id == cyc_edge.bundle and cyc_edge.index == 0) else 1
-                result.append(Exit(EdgeRef(b.id, rep), omega=True))
-                continue
-            for i in range(b.mult):
-                e = EdgeRef(b.id, i)
-                if e != cyc_edge:
-                    result.append(Exit(e))
-    result.sort(key=lambda x: x.edge)
-    return result
-
-
 def vertices_on_cycles(g: Graph) -> frozenset:
     """Vertices lying on some elementary cycle (equivalently, on any closed
     walk): those whose component has a bundle inside it."""
@@ -595,11 +521,11 @@ def vertices_on_cycles(g: Graph) -> frozenset:
 def cycle_exit_witness(g: Graph):
     """Find some CycleWithExit, or None when no cycle has an exit.
 
-    Uses the out-degree test: a cycle vertex whose total outgoing
-    multiplicity exceeds 1 yields a witness.
+    Uses the out-degree test: a cycle vertex whose out-degree is not 1
+    yields a witness.
     """
     for v in sorted(vertices_on_cycles(g)):
-        if g.vertex_class(v) == Regular(1):
+        if g.out_degree(v) == 1:
             continue
         walk = _shortest_closed_vertex_walk(g, v)
         edges = []
@@ -677,7 +603,7 @@ def condition_L(g: Graph) -> bool:
     component in which every vertex emits exactly one edge."""
     s = _components(g)
     return not any(
-        s.inner[i] != 0 and all(g.vertex_class(v) == Regular(1) for v in members)
+        s.inner[i] != 0 and all(g.out_degree(v) == 1 for v in members)
         for i, members in enumerate(s.members))
 
 
@@ -769,7 +695,7 @@ def breaking_vertices(g: Graph, H: Iterable[str]) -> frozenset:
         raise NotHereditarySaturated(f"not hereditary saturated: {sorted(H)}")
     result = set()
     for w in g.vertices:
-        if w in H or not isinstance(g.vertex_class(w), InfiniteEmitter):
+        if w in H or g.out_degree(w) is not OMEGA:
             continue
         outside = [b for b in g._out[w] if b.dst not in H]
         if outside and all(b.mult is not OMEGA for b in outside):

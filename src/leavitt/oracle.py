@@ -3,7 +3,9 @@
 The enumerators here deliberately share no traversal logic with the
 component pass, path counter or rewriting engine they validate: path
 enumeration walks reversed edges breadth-first, cycle detection is a fresh
-depth-first search, closed simple paths are counted level by level,
+depth-first search, a path contains a cycle when one of its windows is a
+rotation of it, exits are listed edge by edge rather than read off
+out-degrees, closed simple paths are counted level by level,
 basis enumeration lists paths forward, normal forms and products are
 rewritten on Monomial/Fraction values with the special edge taken from
 its definition, matrix units are checked through all n^4 products,
@@ -17,12 +19,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import algebra, structure
 from .graph import (
     OMEGA,
     AdmissiblePair,
     Bundle,
+    Cycle,
     EdgeRef,
     Graph,
     LeavittError,
@@ -32,6 +36,7 @@ from .graph import (
     component_cycles,
     concat_paths,
     count_paths_ending_at,
+    cycle_vertices,
     downward_directed,
     is_hereditary_saturated,
     path_range,
@@ -43,25 +48,82 @@ class ExplosionGuard(LeavittError):
     pass
 
 
-def _rotations(edges: tuple) -> set:
-    return {edges[k:] + edges[:k] for k in range(len(edges))}
+@dataclass(frozen=True)
+class Exit:
+    """An exit edge of a cycle.  When the edge comes from an omega bundle,
+    ``omega`` is set and the EdgeRef is a representative index."""
+
+    edge: EdgeRef
+    omega: bool = False
+
+
+def exits(g: Graph, c: Cycle) -> list:
+    """Every edge leaving a cycle vertex other than the cycle's own edge
+    there, as Exit records.  Omega bundles contribute one representative
+    Exit flagged omega=True.  The reference for the out-degree test of
+    ``graph.condition_L`` and ``graph.cycle_exit_witness``."""
+    result = []
+    around = {g.src(e): e for e in c.edges}
+    for v in cycle_vertices(g, c):
+        cyc_edge = around[v]
+        for b in g.out_bundles(v):
+            if b.mult is OMEGA:
+                rep = 0 if not (b.id == cyc_edge.bundle and cyc_edge.index == 0) else 1
+                result.append(Exit(EdgeRef(b.id, rep), omega=True))
+                continue
+            for i in range(b.mult):
+                e = EdgeRef(b.id, i)
+                if e != cyc_edge:
+                    result.append(Exit(e))
+    result.sort(key=lambda x: x.edge)
+    return result
+
+
+@lru_cache(maxsize=16)
+def _rotations(cycle: tuple) -> frozenset:
+    """All rotations of a cycle's edges.  Cached, and
+    :func:`enumerate_paths_ending_at` passes each cycle in the rotation
+    that starts at its least edge, so each cycle builds them once."""
+    return frozenset(cycle[k:] + cycle[:k] for k in range(len(cycle)))
+
+
+def contains_cycle(edges: tuple, cycle: tuple) -> bool:
+    """Whether some contiguous window of `edges` is a rotation of the
+    cycle edges `cycle`: the window test of
+    :func:`enumerate_paths_ending_at`, and the reference for the
+    trailing-run test of ``structure.witness_paths`` and
+    ``algebra.matrix_units_no_exit_cycle``."""
+    m = len(cycle)
+    if len(edges) < m:
+        return False
+    rotations = _rotations(cycle)
+    return any(edges[i:i + m] in rotations for i in range(len(edges) - m + 1))
+
+
+def _out_edges(g: Graph, at: str):
+    """(range, edge) for the edges leaving `at`, an omega bundle giving two."""
+    return iter([(b.dst, EdgeRef(b.id, i)) for b in g.out_bundles(at)
+                 for i in range(2 if b.mult is OMEGA else b.mult)])
 
 
 def _cycles_through(g: Graph, v: str) -> list:
-    """Elementary edge cycles through v, by direct DFS from v."""
-    found = []
-
-    def dfs(at, edges, visited):
-        for b in g.out_bundles(at):
-            mult = 2 if b.mult is OMEGA else b.mult
-            for i in range(mult):
-                e = EdgeRef(b.id, i)
-                if b.dst == v:
-                    found.append(edges + (e,))
-                elif b.dst not in visited:
-                    dfs(b.dst, edges + (e,), visited | {b.dst})
-
-    dfs(v, (), {v})
+    """Elementary edge cycles through v, by a depth-first search from v
+    with an explicit stack, in the order a recursive search finds them."""
+    found, trail, on_trail = [], [], {v}
+    work = [_out_edges(g, v)]
+    while work:
+        for dst, e in work[-1]:
+            if dst == v:
+                found.append(tuple(trail) + (e,))
+            elif dst not in on_trail:
+                trail.append(e)
+                on_trail.add(dst)
+                work.append(_out_edges(g, dst))
+                break
+        else:
+            work.pop()
+            if trail:
+                on_trail.discard(g.dst(trail.pop()))
     return found
 
 
@@ -72,13 +134,10 @@ def enumerate_paths_ending_at(g: Graph, v: str, length_cap: int,
     cycle).  Walks reversed edges breadth-first."""
     g.check_vertex(v)
     through = _cycles_through(g, v)
-    exclude = _rotations(through[0]) if len(through) == 1 else None
-    m = len(through[0]) if exclude else 0
-
-    def excluded(edges):
-        if not exclude or len(edges) < m:
-            return False
-        return any(edges[i:i + m] in exclude for i in range(len(edges) - m + 1))
+    exclude = ()
+    if len(through) == 1:
+        k = through[0].index(min(through[0]))
+        exclude = through[0][k:] + through[0][:k]
 
     collected = []
     frontier = [Path(v)]
@@ -96,7 +155,7 @@ def enumerate_paths_ending_at(g: Graph, v: str, length_cap: int,
                         f"omega bundle {b.id!r} feeds paths into {v!r}")
                 for i in range(b.mult):
                     cand = Path(b.src, (EdgeRef(b.id, i),) + p.edges)
-                    if not excluded(cand.edges):
+                    if not (exclude and contains_cycle(cand.edges, exclude)):
                         nxt.append(cand)
         frontier = nxt
     collected.sort(key=lambda p: (len(p.edges), p.edges, p.base))

@@ -31,7 +31,6 @@ from . import algebra
 from .graph import (
     OMEGA,
     AdmissiblePair,
-    CapExceeded,
     Cycle,
     CycleWithExit,
     EdgeRef,
@@ -103,26 +102,32 @@ def witness_paths(g: Graph, target, size: int) -> list:
     id-sorted in-lists), each bundle's edges by index, and for each edge e
     append e.p for every p at e's range, in level order.  The paths compare
     by their first edge, then by the rest, and paths with equal edges have
-    equal bases.  A left-out path is not extended (every extension contains
-    the cycle too), so a kept e.p can contain it only in its first window."""
+    equal bases.
+
+    A left-out path is not extended (every extension contains the cycle
+    too).  The cycle has no exit, so a path that reaches it stays on it:
+    an edge e from off the cycle keeps e.p's trailing run of cycle edges
+    that of p, shorter than the cycle's length m, and an edge e from a
+    cycle vertex is a cycle edge, as is every edge of p.  So e.p is left
+    out exactly when src(e) is on the cycle and |e.p| >= m."""
     if isinstance(target, SinkTarget):
-        level, m, rotations = [Path(target.vertex)], 0, frozenset()
+        level, m, on_cycle = [Path(target.vertex)], 0, ()
     else:
         c = target.cycle
         level, m = [Path(g.src(c.edges[0]))], len(c.edges)
-        rotations = {c.edges[k:] + c.edges[:k] for k in range(m)}
+        on_cycle = set(cycle_vertices(g, c))
 
     def extensions(level):
         at = {}
         for p in level:
             at.setdefault(p.base, []).append(p)
         for b in heapq.merge(*(g._into[v] for v in at), key=attrgetter("id")):
+            keep_all = b.src not in on_cycle
             for i in range(b.mult):
                 e = EdgeRef(b.id, i)
                 for p in at[b.dst]:
-                    edges = (e,) + p.edges
-                    if edges[:m] not in rotations:
-                        yield Path(b.src, edges)
+                    if keep_all or len(p.edges) + 1 < m:
+                        yield Path(b.src, (e,) + p.edges)
 
     found = level[:size]
     while level and len(found) < size:
@@ -257,7 +262,7 @@ class NotDownwardDirected:
     pass
 
 
-def graded_spectrum(g: Graph, cap: int = 15) -> list:
+def graded_spectrum(g: Graph) -> list:
     """Classify every admissible pair whose quotient is downward directed,
     in (H, S) order: by the size of H, then its sorted contents.
 
@@ -287,15 +292,11 @@ def graded_spectrum(g: Graph, cap: int = 15) -> list:
     4. Every path ending at T runs through ancestors of T only, so T's
        count in the quotient is its count in the graph.
 
-    The graph must be bounded (PreconditionUnbounded otherwise), and a
-    graph with more than `cap` vertices raises CapExceeded; the cap is a
-    compatibility bound, since nothing here is enumerated."""
+    The graph must be bounded (PreconditionUnbounded otherwise).  Nothing
+    is enumerated, so no size bound applies."""
     report = bounded_index_report(g)
     if not isinstance(report, Bounded):
         raise PreconditionUnbounded(f"graph is unbounded: {report.reason!r}")
-    if len(g.vertices) > cap:
-        raise CapExceeded(
-            f"{len(g.vertices)} vertices exceeds enumeration cap {cap}")
     out = []
     for target, cnt in report.per_target:
         if isinstance(target, SinkTarget):

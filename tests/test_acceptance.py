@@ -21,7 +21,6 @@ from leavitt.graph import (
     breaking_vertices,
     count_paths_ending_at,
     cycles,
-    exits,
     quotient_graph,
 )
 from leavitt.oracle import (
@@ -31,6 +30,7 @@ from leavitt.oracle import (
     classify_quotient,
     cross_check_index,
     enumerate_paths_ending_at,
+    exits,
     random_graph,
     random_raw_terms,
 )

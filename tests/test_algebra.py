@@ -43,7 +43,6 @@ from leavitt.graph import (
     CycleWithExit,
     EdgeRef,
     Path,
-    Regular,
     UnknownVertex,
     cycles,
 )
@@ -124,7 +123,7 @@ def test_special_edge_table_matches_definition(omega):
                for seed in range(300)]
     for g in graphs:
         for v in g.vertices:
-            if isinstance(g.vertex_class(v), Regular):
+            if g.is_regular(v):
                 assert special_edge(g, v) == min(g.edges_out(v)), (g, v)
             else:
                 assert special_edge(g, v) is None, (g, v)

@@ -226,18 +226,6 @@ def test_witness_paths_listed_only_where_used(capsys, monkeypatch, tmp_path):
     assert out.startswith("matrix units 2x2") and "verified: True" in out
 
 
-def test_ideals_rejects_negative_cap(capsys):
-    code, out, err = run(capsys, "ideals", fixture_path("clock3"), "--cap", "-1")
-    assert code == 1 and out == ""
-    assert err.startswith("error:") and "--cap" in err and "Traceback" not in err
-    # checked before the graph is read
-    code, _, err = run(capsys, "ideals", "/no/such/file.graph", "--cap", "-1")
-    assert code == 1 and "--cap" in err
-    # a cap of 0 still bounds the vertex count
-    code, _, err = run(capsys, "ideals", fixture_path("clock3"), "--cap", "0")
-    assert code == 2 and "resource limit" in err
-
-
 def test_check_rejects_negative_trials(capsys):
     code, out, err = run(capsys, "check", fixture_path("line2"), "--trials", "-1")
     assert code == 1 and out == ""
@@ -259,9 +247,13 @@ def test_missing_file_exit_code(capsys):
     assert code == 1 and "error" in err
 
 
-def test_cap_exceeded_exit_code(capsys):
-    code, _, err = run(capsys, "ideals", fixture_path("clock5"), "--cap", "3")
-    assert code == 2 and "resource limit" in err
+def test_ideals_has_no_vertex_cap(capsys, tmp_path):
+    """The spectrum enumerates nothing, so no vertex count is refused."""
+    code, out, err = run(capsys, "ideals", _line_document(tmp_path, 1000),
+                         "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["quotients"] == [
+        {"H": [], "S": [], "classification": {"base": "K", "size": 1000}}]
 
 
 def test_json_outputs_are_byte_stable(capsys):

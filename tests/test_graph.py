@@ -11,12 +11,9 @@ from leavitt.graph import (
     CycleThroughOmegaBundle,
     EdgeRef,
     Graph,
-    InfiniteEmitter,
     InvalidAdmissiblePair,
     NotHereditarySaturated,
     Path,
-    Regular,
-    Sink,
     UnknownVertex,
     all_hereditary_saturated,
     breaking_vertices,
@@ -27,13 +24,13 @@ from leavitt.graph import (
     cycle_vertices,
     cycles,
     downward_directed,
-    exits,
     hereditary_saturated_closure,
     is_hereditary_saturated,
     quotient_graph,
     reachable,
     validate,
 )
+from leavitt.oracle import exits
 from leavitt.structure import is_directly_finite
 
 
@@ -57,14 +54,16 @@ def test_validate_names_offenders():
     assert any("'e'" in x for x in violations)
 
 
-def test_vertex_class():
+def test_out_degree():
     g = corpus.clock(3)
-    assert g.vertex_class("v") == Regular(3)
-    assert g.vertex_class("w1") == Sink()
+    assert g.out_degree("v") == 3 and g.is_regular("v")
+    assert g.out_degree("w1") == 0 and g.is_sink("w1")
     og = corpus.omega_gadget()
-    assert og.vertex_class("v") == InfiniteEmitter()
+    assert og.out_degree("v") is OMEGA
+    assert not og.is_regular("v") and not og.is_sink("v")
+    assert Graph(["u"], [Bundle("d", "u", "u", 2)]).out_degree("u") == 2
     with pytest.raises(UnknownVertex):
-        g.vertex_class("zz")
+        g.out_degree("zz")
 
 
 def test_reachable():
@@ -284,11 +283,3 @@ def test_quotient_rejects_bad_pair():
     with pytest.raises(InvalidAdmissiblePair):
         quotient_graph(og, AdmissiblePair(frozenset(), frozenset({"v"})))
 
-
-def test_count_arithmetic():
-    assert Count(2) + Count(3) == Count(5)
-    assert COUNT_OMEGA + Count(1) == COUNT_OMEGA
-    assert Count(3) * COUNT_OMEGA == COUNT_OMEGA
-    assert Count(0) * COUNT_OMEGA == Count(0)
-    assert Count(2) < COUNT_OMEGA
-    assert not COUNT_OMEGA < COUNT_OMEGA

@@ -5,12 +5,15 @@ import hashlib
 
 import pytest
 
+from conftest import tailed_cycle
 from leavitt import algebra, corpus
 from leavitt.algebra import (
+    BadMatrixUnitPaths,
     MatrixUnits,
     Monomial,
     jordan_element,
     matrix_units_exit,
+    matrix_units_no_exit_cycle,
     nilpotence_index,
     normal_form,
     verify_matrix_units,
@@ -23,8 +26,10 @@ from leavitt.graph import (
     Graph,
     InvalidPath,
     Path,
+    component_cycles,
     concat_paths,
     count_paths_ending_at,
+    cycle_vertices,
     cycles,
     path_range,
 )
@@ -32,7 +37,11 @@ from leavitt.oracle import (
     CrossCheckReport,
     ExplosionGuard,
     RandomSpec,
+    _all_paths,
+    _cycles_through,
+    _rotations,
     basis_monomials,
+    contains_cycle,
     cross_check_index,
     enumerate_paths_ending_at,
     graded_spectrum_exhaustive,
@@ -46,6 +55,7 @@ from leavitt.oracle import (
 )
 from leavitt.structure import (
     Bounded,
+    CycleTarget,
     PreconditionUnbounded,
     SinkTarget,
     acyclic_dimension,
@@ -85,6 +95,43 @@ def test_enumerate_guards():
     with pytest.raises(ExplosionGuard):
         # two loops at v: unboundedly many paths, tiny budget
         enumerate_paths_ending_at(corpus.two_loops(), "v", 50, max_paths=20)
+
+
+def test_enumerate_on_deep_graphs():
+    """The cycle search from u1 runs 3000 vertices deep without recursion."""
+    assert enumerate_paths_ending_at(corpus.line(3000), "u1", 1) == [Path("u1")]
+
+
+def _cycles_through_recursive(g, v) -> list:
+    found = []
+
+    def dfs(at, edges, visited):
+        for b in g.out_bundles(at):
+            for i in range(2 if b.mult is OMEGA else b.mult):
+                e = EdgeRef(b.id, i)
+                if b.dst == v:
+                    found.append(edges + (e,))
+                elif b.dst not in visited:
+                    dfs(b.dst, edges + (e,), visited | {b.dst})
+
+    dfs(v, (), {v})
+    return found
+
+
+@pytest.mark.parametrize("omega", [Fraction(0), Fraction(1, 4)])
+def test_cycle_search_keeps_the_recursive_order(omega):
+    for seed in range(200):
+        g = random_graph(RandomSpec(seed=seed, omega_probability=omega))
+        for v in g.vertices:
+            assert _cycles_through(g, v) == _cycles_through_recursive(g, v), (seed, v)
+
+
+def test_rotations_built_once_per_cycle():
+    g = tailed_cycle(40, 3)
+    _rotations.cache_clear()
+    for v in g.vertices:
+        enumerate_paths_ending_at(g, v, 2 * len(g.vertices))
+    assert _rotations.cache_info().misses == 1
 
 
 def test_basis_counts():
@@ -314,6 +361,72 @@ def test_witness_target_is_first_with_count_n():
             firsts = [t for t, cnt in report.per_target if cnt == report.n]
             assert report.witness_target == firsts[0], seed
     assert bounded_index_report(corpus.clock(5)).witness_target == SinkTarget("w1")
+
+
+# -- the trailing-run rule against the window test ---------------------------------
+
+def _assert_leg_rule_matches_window_test(g, c, length_cap: int) -> int:
+    """Every path of length <= length_cap ending on the exitless cycle c is
+    refused as a leg exactly when a window of it is a rotation of c;
+    returns the number refused."""
+    verts = set(cycle_vertices(g, c))
+    refused = 0
+    for p in _all_paths(g, length_cap, 100_000):
+        if path_range(g, p) not in verts:
+            continue
+        whole = contains_cycle(p.edges, c.edges)
+        try:
+            matrix_units_no_exit_cycle(g, c, [p])
+        except BadMatrixUnitPaths:
+            assert whole, p
+            refused += 1
+        else:
+            assert not whole, p
+    return refused
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+@pytest.mark.parametrize("t", [0, 1, 4])
+def test_trailing_run_rule_on_tailed_cycles(m, t):
+    g = tailed_cycle(m, t)
+    (c,) = component_cycles(g)
+    assert _assert_witness_paths_match_oracle(g) == 1
+    target = CycleTarget(c)
+    assert witness_paths(g, target, m + t + 5) == \
+        enumerate_paths_ending_at(g, g.src(c.edges[0]), 3 * (m + t))
+    assert _assert_leg_rule_matches_window_test(g, c, 2 * m + t + 1) > 0
+
+
+def test_leg_from_the_tail_round_the_cycle_is_refused():
+    g = tailed_cycle(3, 2)
+    (c,) = component_cycles(g)
+    into = (EdgeRef("s0"), EdgeRef("s1"))
+    short = Path("t1", into + c.edges[:2])  # ends at c0002, one edge short
+    full = Path("t1", into + c.edges)  # back at c0000: the whole cycle
+    assert not contains_cycle(short.edges, c.edges)
+    assert contains_cycle(full.edges, c.edges)
+    assert verify_matrix_units(matrix_units_no_exit_cycle(g, c, [short]))
+    with pytest.raises(BadMatrixUnitPaths):
+        matrix_units_no_exit_cycle(g, c, [full])
+    assert full not in witness_paths(g, CycleTarget(c), 100)
+    assert Path("t1", into) in witness_paths(g, CycleTarget(c), 100)
+
+
+def test_trailing_run_rule_on_random_graphs():
+    """Each exitless component cycle of a seeded graph, whatever the rest
+    of the graph does."""
+    checked = refused = 0
+    for seed in range(600):
+        g = random_graph(RandomSpec(seed=seed, max_vertices=6, max_bundles=8))
+        for c in component_cycles(g):
+            if all(g.out_degree(v) == 1 for v in cycle_vertices(g, c)):
+                try:
+                    refused += _assert_leg_rule_matches_window_test(
+                        g, c, len(g.vertices) + len(c.edges))
+                except ExplosionGuard:
+                    continue
+                checked += 1
+    assert checked > 50 and refused > checked
 
 
 # -- graded spectrum against the exhaustive enumeration ----------------------------

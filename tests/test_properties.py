@@ -19,7 +19,6 @@ from leavitt.graph import (
     condition_L,
     cycle_exit_witness,
     downward_directed,
-    exits,
     hereditary_saturated_closure,
     is_hereditary_saturated,
     vertices_on_cycles,
@@ -27,6 +26,7 @@ from leavitt.graph import (
 from leavitt.oracle import (
     RandomSpec,
     closed_simple_path_counts,
+    exits,
     hereditary_saturated_closure_exhaustive,
     random_element,
     random_graph,
