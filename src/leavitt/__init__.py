@@ -11,7 +11,6 @@ from .graph import (
     OMEGA,
     AdmissiblePair,
     Bundle,
-    Count,
     Cycle,
     EdgeRef,
     Graph,
@@ -34,7 +33,6 @@ __all__ = [
     "AdmissiblePair",
     "Bounded",
     "Bundle",
-    "Count",
     "Cycle",
     "EdgeRef",
     "Graph",

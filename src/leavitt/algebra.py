@@ -31,7 +31,6 @@ convert at that boundary and see EdgeRefs and Fractions, as before.
 
 from __future__ import annotations
 
-import random
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -41,12 +40,14 @@ from typing import Iterable
 from .graph import (
     OMEGA,
     Cycle,
+    CycleTarget,
     CycleWithExit,
     EdgeRef,
     Graph,
     InvalidPath,
     LeavittError,
     Path,
+    SinkTarget,
     check_cycle,
     check_path,
     concat_paths,
@@ -54,7 +55,6 @@ from .graph import (
     path_range,
     repeat_closed_path,
     rotate_cycle_to,
-    vertices_on_cycles,
 )
 
 
@@ -319,8 +319,7 @@ class Element:
                     raw[key] = c
                 else:
                     del raw[key]
-        return Element(self.graph,
-                       _normalize(_kernel(self.graph), raw.items(), None))
+        return Element(self.graph, _normalize(_kernel(self.graph), raw.items()))
 
     def involution(self) -> "Element":
         """Reverse every monomial: sum k p q*  ->  sum k q p*."""
@@ -338,18 +337,14 @@ class Element:
         return f"Element({element_text(self)})"
 
 
-def _normalize(table: _Kernel, raw: Iterable, rng) -> dict:
-    """Normal-form term map of (key, nonzero coefficient) pairs.
-
-    The worklist is a stack; ``rng`` picks the next entry at random
-    instead (None: the top one)."""
+def _normalize(table: _Kernel, raw: Iterable) -> dict:
+    """Normal-form term map of (key, nonzero coefficient) pairs, rewritten
+    from a stack.  Every rewrite order reaches the same normal form
+    (``oracle.normal_form_reference`` takes others)."""
     rewrite = table.rewrite
     result: dict = {}
     pending = list(raw)
     while pending:
-        if rng is not None:
-            i = rng.randrange(len(pending))
-            pending[i], pending[-1] = pending[-1], pending[i]
         key, k = pending.pop()
         pb, pe, qb, qe = key
         if pe and qe and pe[-1] == qe[-1] and pe[-1] in rewrite:
@@ -368,25 +363,24 @@ def _normalize(table: _Kernel, raw: Iterable, rng) -> dict:
     return result
 
 
-def normal_form(g: Graph, raw: Iterable, strategy: str = "leftmost",
-                seed: int = 0) -> Element:
+def normal_form(g: Graph, raw: Iterable) -> Element:
     """Normalize a formal combination of (Monomial, coefficient) pairs.
 
-    ``strategy`` picks which pending reducible monomial to expand next:
-    "leftmost" (a stack) or "random" (seeded).  Both reach the same normal
-    form; the choice exists so tests can cross-check confluence.
-    """
-    rng = random.Random(seed) if strategy == "random" else None
+    Raises InvalidPath when p or q of a monomial with a nonzero
+    coefficient is not a path of g, and RangeMismatch when the two end at
+    different vertices."""
     keyed = []
     for m, k in raw:
         k = _scalar(k)
         if k == 0:
             continue
+        check_path(g, m.p)
+        check_path(g, m.q)
         if path_range(g, m.p) != path_range(g, m.q):
             raise RangeMismatch(
                 f"monomial paths end at different vertices: {m}")
         keyed.append((_key(g, m), k))
-    return Element(g, _normalize(_kernel(g), keyed, rng))
+    return Element(g, _normalize(_kernel(g), keyed))
 
 
 # -- generators --------------------------------------------------------------
@@ -397,9 +391,7 @@ def vertex_element(g: Graph, v: str) -> Element:
 
 
 def edge_element(g: Graph, e: EdgeRef) -> Element:
-    p = Path(g.src(e), (e,))
-    check_path(g, p)
-    return normal_form(g, [(Monomial(p, Path(g.dst(e))), 1)])
+    return normal_form(g, [(Monomial(Path(g.src(e), (e,)), Path(g.dst(e))), 1)])
 
 
 def ghost_edge_element(g: Graph, e: EdgeRef) -> Element:
@@ -419,24 +411,20 @@ def identity_element(g: Graph) -> Element:
 
 def monomial(g: Graph, p: Path, q: Path) -> Element:
     """The element p q*, in normal form."""
-    check_path(g, p)
-    check_path(g, q)
-    if path_range(g, p) != path_range(g, q):
-        raise RangeMismatch(
-            f"paths end at {path_range(g, p)!r} and {path_range(g, q)!r}")
     return normal_form(g, [(Monomial(p, q), 1)])
 
 
 # -- serialization -----------------------------------------------------------
 
+def edge_text(g: Graph, e: EdgeRef) -> str:
+    """The bundle id alone at multiplicity 1, else ``id[index]``."""
+    return e.bundle if g.bundle(e.bundle).mult == 1 else f"{e.bundle}[{e.index}]"
+
+
 def path_text(g: Graph, p: Path) -> str:
     if not p.edges:
         return p.base
-    parts = []
-    for e in p.edges:
-        b = g.bundle(e.bundle)
-        parts.append(e.bundle if b.mult == 1 else f"{e.bundle}[{e.index}]")
-    return ".".join(parts)
+    return ".".join(edge_text(g, e) for e in p.edges)
 
 
 def element_text(a: Element) -> str:
@@ -589,23 +577,12 @@ def breaking_vertex_element(g: Graph, H, v: str) -> Element:
 # -- matrix units ----------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Acyclic:
-    """The legs end at a vertex off all closed paths."""
-
-
-@dataclass(frozen=True)
-class NoExitCycle:
-    """The legs end on a no-exit cycle, none through the full cycle."""
-    cycle: Cycle
-
-
-@dataclass(frozen=True)
 class MatrixUnits:
     """The n x n matrix units u_ij = p_i p_j* of n legs p_1..p_n, paths
     ending at one vertex.  The legs are the whole family: each unit is
     built only when :meth:`unit` asks for it.  ``provenance`` holds what
-    the legs do not say: :class:`Acyclic`, :class:`NoExitCycle` with its
-    cycle, or, for the legs c^i f, the CycleWithExit (c, f)."""
+    the legs do not say: the SinkTarget or CycleTarget where they end, or,
+    for the legs c^i f, the CycleWithExit (c, f)."""
 
     graph: Graph
     legs: tuple
@@ -635,13 +612,12 @@ def _check_unit_paths(g: Graph, paths) -> str:
 
 
 def matrix_units_acyclic(g: Graph, paths: Iterable[Path]) -> MatrixUnits:
-    """Matrix units p_i p_j* from distinct paths ending at a common vertex
-    that lies on no closed path."""
+    """Matrix units p_i p_j* from distinct paths ending at a common sink."""
     paths = tuple(paths)
     v = _check_unit_paths(g, paths)
-    if v in vertices_on_cycles(g):
-        raise BadMatrixUnitPaths(f"target vertex {v!r} lies on a closed path")
-    return MatrixUnits(g, paths, Acyclic())
+    if not g.is_sink(v):
+        raise BadMatrixUnitPaths(f"target vertex {v!r} is not a sink")
+    return MatrixUnits(g, paths, SinkTarget(v))
 
 
 def matrix_units_exit(g: Graph, c: Cycle, f: EdgeRef, n: int) -> MatrixUnits:
@@ -683,7 +659,7 @@ def matrix_units_no_exit_cycle(g: Graph, c: Cycle,
     for p in paths:
         if len(p.edges) >= m and on_cycle.issuperset(p.edges[-m:]):
             raise BadMatrixUnitPaths("a path runs through the entire cycle")
-    return MatrixUnits(g, paths, NoExitCycle(c))
+    return MatrixUnits(g, paths, CycleTarget(c))
 
 
 def verify_matrix_units(m: MatrixUnits) -> bool:
@@ -713,10 +689,15 @@ def verify_matrix_units(m: MatrixUnits) -> bool:
 def jordan_element(m: MatrixUnits) -> Element:
     """The superdiagonal sum u_12 + ... + u_(n-1)n; its nilpotence index
     is exactly n.  Raises UnverifiedUnits unless
-    :func:`verify_matrix_units` accepts the family."""
+    :func:`verify_matrix_units` accepts the family.
+
+    Verification has checked every leg, so the n-1 terms are formed as
+    kernel keys, each leg's edge ids once, and normalized together."""
     if not verify_matrix_units(m):
         raise UnverifiedUnits("matrix unit identities fail")
-    out = Element.zero(m.graph)
-    for i in range(m.n - 1):
-        out = out + m.unit(i, i + 1)
-    return out
+    g = m.graph
+    table = _kernel(g)
+    keys = [(p.base, tuple(table.edge_id(g, e) for e in p.edges))
+            for p in m.legs]
+    raw = [(keys[i] + keys[i + 1], 1) for i in range(m.n - 1)]
+    return Element(g, _normalize(table, raw))

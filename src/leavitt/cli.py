@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import algebra, exprparse, graphio, oracle, structure
@@ -25,10 +26,12 @@ from .graph import (
     OMEGA,
     Cycle,
     CycleThroughOmegaBundle,
+    CycleWithExit,
     EdgeRef,
     Graph,
     LeavittError,
     Path,
+    SinkTarget,
     condition_K,
     condition_L,
     count_paths_ending_at,
@@ -36,11 +39,6 @@ from .graph import (
     cycles,
     downward_directed,
 )
-
-
-def _edge_text(g: Graph, e: EdgeRef) -> str:
-    b = g.bundle(e.bundle)
-    return e.bundle if b.mult == 1 else f"{e.bundle}[{e.index}]"
 
 
 def _path_json(p: Path) -> dict:
@@ -52,7 +50,7 @@ def _cycle_json(c: Cycle) -> dict:
 
 
 def _cycle_text(g: Graph, c: Cycle) -> str:
-    return ".".join(_edge_text(g, e) for e in c.edges)
+    return ".".join(algebra.edge_text(g, e) for e in c.edges)
 
 
 class _EdgeTexts(dict):
@@ -133,16 +131,8 @@ def _emit(args, payload: dict, text_lines: list) -> None:
             print(line)
 
 
-def _classification_json(cls) -> dict:
-    if isinstance(cls, structure.MatK):
-        return {"base": "K", "size": cls.t}
-    return {"base": "K[x,x^-1]", "size": cls.t}
-
-
-def _classification_text(cls) -> str:
-    if isinstance(cls, structure.MatK):
-        return f"M_{cls.t}(K)"
-    return f"M_{cls.t}(K[x,x^-1])"
+def _factor_text(f: structure.Factor) -> str:
+    return f"M_{f.size}({f.base})"
 
 
 # -- commands -------------------------------------------------------------------
@@ -175,7 +165,7 @@ def _cmd_analyze(args) -> int:
         payload["exit_witness"] = {"cycle": _cycle_json(w.cycle),
                                    "exit": w.edge}
         lines.append(f"no_exit_cycles: false  (cycle {_cycle_text(g, w.cycle)}"
-                     f" has exit {_edge_text(g, w.edge)})")
+                     f" has exit {algebra.edge_text(g, w.edge)})")
     else:
         lines.append("no_exit_cycles: true")
     payload["condition_K"] = condition_K(g)
@@ -188,16 +178,16 @@ def _cmd_analyze(args) -> int:
 
 
 def _target_json(g: Graph, target, cnt: int) -> dict:
-    if isinstance(target, structure.SinkTarget):
+    if isinstance(target, SinkTarget):
         return {"kind": "sink", "vertex": target.vertex, "count": cnt}
     return {"kind": "cycle", "cycle": _cycle_json(target.cycle), "count": cnt}
 
 
-def _family_json(cycle: Cycle | None, paths) -> dict:
-    """Paths into a sink (cycle None) or into a no-exit cycle."""
-    if cycle is None:
+def _family_json(target, paths) -> dict:
+    """Paths into a SinkTarget or a CycleTarget."""
+    if isinstance(target, SinkTarget):
         return {"kind": "acyclic_paths", "paths": [_path_json(p) for p in paths]}
-    return {"kind": "no_exit_cycle_paths", "cycle": _cycle_json(cycle),
+    return {"kind": "no_exit_cycle_paths", "cycle": _cycle_json(target.cycle),
             "paths": [_path_json(p) for p in paths]}
 
 
@@ -214,23 +204,22 @@ def _cmd_index(args) -> int:
         }
         lines = [f"Bounded n={report.n}"]
         for t, c in report.per_target:
-            if isinstance(t, structure.SinkTarget):
+            if isinstance(t, SinkTarget):
                 lines.append(f"  sink {t.vertex}: {c}")
             else:
                 lines.append(f"  cycle {_cycle_text(g, t.cycle)}: {c}")
         target = report.witness_target
         if args.format == "json" and target is not None:  # text lists no paths
             payload["witness"] = _family_json(
-                getattr(target, "cycle", None),
-                structure.witness_paths(g, target, report.n))
+                target, structure.witness_paths(g, target, report.n))
         _emit(args, payload, lines)
     else:
         reason = report.reason
-        if isinstance(reason, structure.CycleWithExit):
+        if isinstance(reason, CycleWithExit):
             rj = {"kind": "cycle_with_exit", "cycle": _cycle_json(reason.cycle),
                   "exit": reason.edge}
             rt = (f"cycle {_cycle_text(g, reason.cycle)} has exit "
-                  f"{_edge_text(g, reason.edge)}")
+                  f"{algebra.edge_text(g, reason.edge)}")
         else:
             rj = {"kind": "omega_path_family", "vertex": reason.vertex}
             rt = f"infinitely many paths end at {reason.vertex}"
@@ -253,16 +242,14 @@ def _cmd_decompose(args) -> int:
                      "detail": str(err)},
               [f"Unbounded: {err}; no matrix-ring decomposition"])
         return 0
-    counted: dict = {}
-    for f in d.factors:
-        counted[f] = counted.get(f, 0) + 1
+    counted = Counter(d.factors)
     payload = {
         "command": "decompose",
         "verdict": "decomposed",
         "factors": [{"size": f.size, "base": f.base, "count": c}
                     for f, c in sorted(counted.items())],
     }
-    bits = [f"M_{f.size}({f.base})" + (f" x{c}" if c > 1 else "")
+    bits = [_factor_text(f) + (f" x{c}" if c > 1 else "")
             for f, c in sorted(counted.items())]
     _emit(args, payload, [" + ".join(bits) if bits else "0 (empty graph)"])
     return 0
@@ -282,14 +269,12 @@ def _cmd_ideals(args) -> int:
         "verdict": "classified",
         "quotients": [
             {"H": sorted(p.H), "S": sorted(p.S),
-             "classification": _classification_json(cls)}
-            for p, cls in spectrum
+             "classification": {"base": f.base, "size": f.size}}
+            for p, f in spectrum
         ],
     }
-    lines = []
-    for p, cls in spectrum:
-        lines.append(f"H={{{', '.join(sorted(p.H))}}} S={{{', '.join(sorted(p.S))}}}"
-                     f" -> {_classification_text(cls)}")
+    lines = [f"H={{{', '.join(sorted(p.H))}}} S={{{', '.join(sorted(p.S))}}}"
+             f" -> {_factor_text(f)}" for p, f in spectrum]
     _emit(args, payload, lines or ["(no downward-directed quotients)"])
     return 0
 
@@ -311,6 +296,8 @@ def _cmd_eval(args) -> int:
     else:
         nil_j = {"kind": "not_nilpotent_within", "bound": verdict.bound}
         nil_t = f"not nilpotent within {verdict.bound} powers"
+    degrees = {str(d): algebra.element_text(x)
+               for d, x in elem.degree_components().items()}
     payload = {
         "command": "eval",
         "element": algebra.element_text(elem),
@@ -319,13 +306,11 @@ def _cmd_eval(args) -> int:
              "q": _path_json(m.q)}
             for m, k in elem.terms()
         ],
-        "degrees": {str(d): algebra.element_text(x)
-                    for d, x in elem.degree_components().items()},
+        "degrees": degrees,
         "nilpotence": nil_j,
     }
-    lines = [algebra.element_text(elem)]
-    for d, x in elem.degree_components().items():
-        lines.append(f"  degree {d}: {algebra.element_text(x)}")
+    lines = [payload["element"]]
+    lines += [f"  degree {d}: {text}" for d, text in degrees.items()]
     lines.append(f"  {nil_t}")
     _emit(args, payload, lines)
     return 0
@@ -345,16 +330,15 @@ def _cmd_witness(args) -> int:
         jordan_index = verdict.index if isinstance(
             verdict, algebra.NilpotentOfIndex) else None
     prov = units.provenance
-    if isinstance(prov, structure.CycleWithExit):
+    if isinstance(prov, CycleWithExit):
         pj = {"kind": "cycle_exit_powers", "cycle": _cycle_json(prov.cycle),
               "exit": prov.edge, "n": units.n}
         pt = (f"powers of cycle {_cycle_text(g, prov.cycle)} around exit "
-              f"{_edge_text(g, prov.edge)}")
+              f"{algebra.edge_text(g, prov.edge)}")
     else:
-        cycle = getattr(prov, "cycle", None)
-        pj = _family_json(cycle, units.legs)
-        pt = ("acyclic paths" if cycle is None
-              else f"paths into no-exit cycle {_cycle_text(g, cycle)}")
+        pj = _family_json(prov, units.legs)
+        pt = ("acyclic paths" if isinstance(prov, SinkTarget)
+              else f"paths into no-exit cycle {_cycle_text(g, prov.cycle)}")
     payload = {
         "command": "witness",
         "n": units.n,
@@ -377,13 +361,13 @@ def _cmd_check(args) -> int:
     checked = 0
     for v in g.vertices:
         cnt = count_paths_ending_at(g, v)
-        if not cnt.finite:
+        if cnt is OMEGA:
             continue
-        cap = max(1, len(g.vertices)) * (cnt.value + 1)
+        cap = max(1, len(g.vertices)) * (cnt + 1)
         listed = len(oracle.enumerate_paths_ending_at(g, v, cap))
         checked += 1
-        if listed != cnt.value:
-            mismatches.append({"vertex": v, "count": cnt.value, "listed": listed})
+        if listed != cnt:
+            mismatches.append({"vertex": v, "count": cnt, "listed": listed})
     payload = {
         "command": "check",
         "dp_agreement": {"vertices_checked": checked, "mismatches": mismatches},

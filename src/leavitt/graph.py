@@ -5,7 +5,10 @@ multiplicity k stands for k parallel edges, addressed as (bundle id, index),
 and multiplicity ``omega`` stands for countably many parallel edges.  This
 module provides the structural algorithms the algebra layers are built on:
 cycle enumeration, exit detection, path counting, hereditary saturated
-subsets, breaking vertices and quotient graphs.
+subsets, breaking vertices and quotient graphs.  A path count is an int, or
+OMEGA; the paths the bounded-index criterion counts end at a SinkTarget or
+a CycleTarget (a cycle with no exit), and a CycleWithExit is a cycle with
+one of its exits.
 
 The structural predicates (cycle vertices, Conditions (K) and (L), downward
 directedness, path counts) read one cached pass per graph: Tarjan's strongly
@@ -88,23 +91,6 @@ OMEGA = _Omega()
 
 
 @dataclass(frozen=True)
-class Count:
-    """A natural-number count, or omega."""
-
-    value: object  # int >= 0, or OMEGA
-
-    @property
-    def finite(self) -> bool:
-        return self.value is not OMEGA
-
-    def __repr__(self):
-        return f"Count({self.value!r})"
-
-
-COUNT_OMEGA = Count(OMEGA)
-
-
-@dataclass(frozen=True)
 class Bundle:
     """A bundle of parallel edges from src to dst."""
 
@@ -159,6 +145,20 @@ class CycleWithExit:
 
     cycle: Cycle
     edge: EdgeRef
+
+
+@dataclass(frozen=True)
+class SinkTarget:
+    """A sink, where witness paths may end."""
+
+    vertex: str
+
+
+@dataclass(frozen=True)
+class CycleTarget:
+    """A cycle with no exit, where witness paths may end."""
+
+    cycle: Cycle
 
 
 class Graph:
@@ -296,9 +296,9 @@ def is_path(g: Graph, p: Path) -> bool:
         return False
     at = p.base
     for e in p.edges:
-        if not g.is_edge(e) or g.src(e) != at:
+        if not g.is_edge(e) or (b := g._by_id[e.bundle]).src != at:
             return False
-        at = g.dst(e)
+        at = b.dst
     return True
 
 
@@ -374,7 +374,7 @@ class _Components(NamedTuple):
     inner: list     # multiplicity of the bundles inside each component
     sinks: int      # components that no bundle leaves
     paths: dict     # vertex -> number of paths ending there
-    # multiplicities and counts are ints or OMEGA, as in Count.value
+    # multiplicities and counts are ints or OMEGA
 
 
 def _components(g: Graph) -> _Components:
@@ -618,17 +618,18 @@ def condition_K(g: Graph) -> bool:
 
 # -- path counting -------------------------------------------------------------
 
-def count_paths_ending_at(g: Graph, v: str) -> Count:
+def count_paths_ending_at(g: Graph, v: str):
     """Number of distinct paths ending at v, where a path containing v's
-    unique cycle in full (as a contiguous window) is not counted.
+    unique cycle in full (as a contiguous window) is not counted: an int,
+    or OMEGA.
 
-    Returns omega when an omega bundle lies on a path into v, when a cycle
+    It is OMEGA when an omega bundle lies on a path into v, when a cycle
     not containing v reaches v, or when v lies on two or more distinct
     cycles.  Otherwise the count is finite; all counts come from one
     dynamic program over the strongly connected components.
     """
     g.check_vertex(v)
-    return Count(_components(g).paths[v])
+    return _components(g).paths[v]
 
 
 # -- hereditary saturated machinery ---------------------------------------------

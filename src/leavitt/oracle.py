@@ -108,14 +108,24 @@ def _out_edges(g: Graph, at: str):
 
 def _cycles_through(g: Graph, v: str) -> list:
     """Elementary edge cycles through v, by a depth-first search from v
-    with an explicit stack, in the order a recursive search finds them."""
+    with an explicit stack, in the order a recursive search finds them.
+
+    A cycle through v stays among the vertices that reach v, so those are
+    collected first, by a search over reversed bundles, and the depth-first
+    search enters no other vertex."""
+    reach, stack = {v}, [v]
+    while stack:
+        for b in g.in_bundles(stack.pop()):
+            if b.src not in reach:
+                reach.add(b.src)
+                stack.append(b.src)
     found, trail, on_trail = [], [], {v}
     work = [_out_edges(g, v)]
     while work:
         for dst, e in work[-1]:
             if dst == v:
                 found.append(tuple(trail) + (e,))
-            elif dst not in on_trail:
+            elif dst in reach and dst not in on_trail:
                 trail.append(e)
                 on_trail.add(dst)
                 work.append(_out_edges(g, dst))
@@ -325,7 +335,7 @@ def random_element(g: Graph, spec: RandomSpec, max_terms: int = 4,
     if tables is None:
         tables = walk_tables(g)
     raw = _random_keys(g, tables, spec, max_terms, max_path_len)
-    return algebra.Element(g, algebra._normalize(algebra._kernel(g), raw, None))
+    return algebra.Element(g, algebra._normalize(algebra._kernel(g), raw))
 
 
 def nilpotence_index_sequential(a: algebra.Element, k_max: int,
@@ -399,9 +409,10 @@ def _mono_product(g: Graph, a: algebra.Monomial,
 def normal_form_reference(g: Graph, raw, strategy: str = "leftmost",
                           seed: int = 0) -> list:
     """The normal form of (Monomial, coefficient) pairs, rewritten on
-    Monomial values with Fraction coefficients and a FIFO worklist; the
-    reference for ``algebra.normal_form``.  Returns the sorted term list,
-    as ``Element.terms()`` gives it."""
+    Monomial values with Fraction coefficients; the reference for
+    ``algebra.normal_form``.  ``strategy`` expands the oldest pending
+    monomial ("leftmost") or a seeded random one ("random"): every order
+    gives the same sorted term list, as ``Element.terms()`` gives it."""
     rng = random.Random(seed) if strategy == "random" else None
     pending = []
     for m, k in raw:
@@ -487,20 +498,18 @@ def hereditary_saturated_closure_exhaustive(g: Graph, X) -> frozenset:
 
 
 def classify_quotient(q: Graph):
-    """Classify a quotient graph q of a bounded graph: NotDownwardDirected
-    when q is empty or not downward directed, else MatK(t) or MatLaurent(t)
-    for its one sink or no-exit cycle, t the path count there."""
+    """Classify a quotient graph q of a bounded graph: None when q is empty
+    or not downward directed, else the Factor M_t(K) or M_t(K[x,x^-1]) of
+    its one sink or no-exit cycle, t the path count there."""
     if not q.vertices or not downward_directed(q):
-        return structure.NotDownwardDirected()
+        return None
     sinks = q.sinks()
     qcycles = component_cycles(q)
     assert len(sinks) + len(qcycles) == 1, "downward-directed bounded quotient must have one target"
     if sinks:
-        t = count_paths_ending_at(q, sinks[0])
-        return structure.MatK(t.value)
+        return structure.Factor(count_paths_ending_at(q, sinks[0]), structure.BASE_K)
     base = q.src(qcycles[0].edges[0])
-    t = count_paths_ending_at(q, base)
-    return structure.MatLaurent(t.value)
+    return structure.Factor(count_paths_ending_at(q, base), structure.BASE_LAURENT)
 
 
 def graded_spectrum_exhaustive(g: Graph, cap: int = 15) -> list:
@@ -518,7 +527,7 @@ def graded_spectrum_exhaustive(g: Graph, cap: int = 15) -> list:
             S = frozenset(B[i] for i in range(len(B)) if k >> i & 1)
             pair = AdmissiblePair(H, S)
             cls = classify_quotient(quotient_graph(g, pair))
-            if not isinstance(cls, structure.NotDownwardDirected):
+            if cls is not None:
                 out.append((pair, cls))
     return out
 

@@ -31,12 +31,13 @@ from . import algebra
 from .graph import (
     OMEGA,
     AdmissiblePair,
-    Cycle,
+    CycleTarget,
     CycleWithExit,
     EdgeRef,
     Graph,
     LeavittError,
     Path,
+    SinkTarget,
     component_cycles,
     count_paths_ending_at,
     cycle_exit_witness,
@@ -58,16 +59,6 @@ class LaurentFactorPresent(LeavittError):
 
 
 # -- index report -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SinkTarget:
-    vertex: str
-
-
-@dataclass(frozen=True)
-class CycleTarget:
-    cycle: Cycle
-
 
 @dataclass(frozen=True)
 class OmegaPathFamily:
@@ -151,15 +142,15 @@ def bounded_index_report(g: Graph):
     per_target = []
     for v in g.sinks():
         cnt = count_paths_ending_at(g, v)
-        if not cnt.finite:
+        if cnt is OMEGA:
             return Unbounded(OmegaPathFamily(v))
-        per_target.append((SinkTarget(v), cnt.value))
+        per_target.append((SinkTarget(v), cnt))
     for c in component_cycles(g):
         base = g.src(c.edges[0])
         cnt = count_paths_ending_at(g, base)
-        if not cnt.finite:
+        if cnt is OMEGA:
             return Unbounded(OmegaPathFamily(base))
-        per_target.append((CycleTarget(c), cnt.value))
+        per_target.append((CycleTarget(c), cnt))
     if not per_target:
         return Bounded(1, (), None)
     n = max(cnt for _, cnt in per_target)
@@ -245,26 +236,26 @@ def _shortest_path(g: Graph, u: str, v: str) -> Path | None:
     return best.get(v)
 
 
+# -- matrix rings ---------------------------------------------------------------
+
+BASE_K = "K"
+BASE_LAURENT = "K[x,x^-1]"
+
+
+@dataclass(frozen=True, order=True)
+class Factor:
+    """The matrix ring M_size(base), base K or the Laurent ring over K."""
+
+    size: int
+    base: str
+
+
 # -- graded quotient classification -------------------------------------------
-
-@dataclass(frozen=True)
-class MatK:
-    t: int
-
-
-@dataclass(frozen=True)
-class MatLaurent:
-    t: int
-
-
-@dataclass(frozen=True)
-class NotDownwardDirected:
-    pass
-
 
 def graded_spectrum(g: Graph) -> list:
     """Classify every admissible pair whose quotient is downward directed,
-    in (H, S) order: by the size of H, then its sorted contents.
+    in (H, S) order (by the size of H, then its sorted contents), as pairs
+    (AdmissiblePair, Factor): the quotient is M_t(K) or M_t(K[x,x^-1]).
 
     Each pair is read off the bounded-index report, one per sink or cycle
     target T, as (V minus the ancestors of T, empty S) classified by the
@@ -300,9 +291,9 @@ def graded_spectrum(g: Graph) -> list:
     out = []
     for target, cnt in report.per_target:
         if isinstance(target, SinkTarget):
-            start, cls = target.vertex, MatK(cnt)
+            start, cls = target.vertex, Factor(cnt, BASE_K)
         else:
-            start, cls = g.src(target.cycle.edges[0]), MatLaurent(cnt)
+            start, cls = g.src(target.cycle.edges[0]), Factor(cnt, BASE_LAURENT)
         ancestors, stack = {start}, [start]
         while stack:
             for b in g._into[stack.pop()]:
@@ -316,16 +307,6 @@ def graded_spectrum(g: Graph) -> list:
 
 
 # -- decomposition ------------------------------------------------------------
-
-BASE_K = "K"
-BASE_LAURENT = "K[x,x^-1]"
-
-
-@dataclass(frozen=True, order=True)
-class Factor:
-    size: int
-    base: str
-
 
 @dataclass(frozen=True)
 class Decomposition:

@@ -5,14 +5,12 @@ import pytest
 
 from leavitt import corpus
 from leavitt.algebra import (
-    Acyclic,
     BadMatrixUnitPaths,
     Element,
     GraphMismatch,
     MatrixUnits,
     Monomial,
     NilpotentOfIndex,
-    NoExitCycle,
     NotABreakingVertex,
     NotAnExit,
     NotNilpotentWithin,
@@ -40,9 +38,12 @@ from leavitt.algebra import (
 )
 from conftest import fixture_path
 from leavitt.graph import (
+    CycleTarget,
     CycleWithExit,
     EdgeRef,
+    InvalidPath,
     Path,
+    SinkTarget,
     UnknownVertex,
     cycles,
 )
@@ -237,7 +238,7 @@ def test_matrix_units_acyclic():
     units = matrix_units_acyclic(g, (Path("w1"), Path("v", (EdgeRef("e1"),))))
     assert units.n == 2
     assert verify_matrix_units(units)
-    assert isinstance(units.provenance, Acyclic)
+    assert units.provenance == SinkTarget("w1")
 
     one = matrix_units_acyclic(g, (Path("w2"),))
     assert one.unit(0, 0) == vertex_element(g, "w2")
@@ -250,6 +251,8 @@ def test_matrix_units_acyclic():
     sl = corpus.single_loop()
     with pytest.raises(BadMatrixUnitPaths):
         matrix_units_acyclic(sl, (Path("v"),))
+    with pytest.raises(BadMatrixUnitPaths):  # on no cycle, but not a sink
+        matrix_units_acyclic(g, (Path("v"),))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -275,7 +278,7 @@ def test_matrix_units_no_exit_cycle():
     c = cycles(lt)[0]
     units = matrix_units_no_exit_cycle(lt, c, (Path("v"), Path("u", (EdgeRef("t"),))))
     assert verify_matrix_units(units)
-    assert isinstance(units.provenance, NoExitCycle)
+    assert units.provenance == CycleTarget(c)
 
     with pytest.raises(BadMatrixUnitPaths):
         matrix_units_no_exit_cycle(
@@ -312,9 +315,36 @@ def test_verify_forms_one_product(monkeypatch):
         assert verify_matrix_units(units)
         assert len(calls) == 1, units.provenance
     g = corpus.clock(3)
-    two_ranges = MatrixUnits(g, (Path("w1"), Path("w2")), Acyclic())
+    two_ranges = MatrixUnits(g, (Path("w1"), Path("w2")), SinkTarget("w1"))
     assert verify_matrix_units(two_ranges) is False
     assert verify_matrix_units_exhaustive(two_ranges) is False
+
+
+def test_verify_refuses_a_leg_that_is_not_a_path():
+    """e1 leaves v, not w2, so the second leg is no path of clock(3), though
+    it ends at w1 like the first: both checks raise InvalidPath."""
+    g = corpus.clock(3)
+    units = MatrixUnits(g, (Path("w1"), Path("w2", (EdgeRef("e1"),))),
+                        SinkTarget("w1"))
+    with pytest.raises(InvalidPath):
+        verify_matrix_units(units)
+    with pytest.raises(InvalidPath):
+        verify_matrix_units_exhaustive(units)
+    with pytest.raises(InvalidPath):
+        normal_form(g, [(Monomial(Path("w1"), units.legs[1]), 1)])
+
+
+def test_jordan_element_is_the_sum_of_its_units():
+    f = corpus.graph_f()
+    families = [witness_matrix_units(g, bounded_index_report(g))
+                for g in (corpus.line(6), corpus.loop_with_tail(),
+                          load_graph(fixture_path("omega_gadget")))]
+    families.append(matrix_units_exit(f, cycles(f)[0], EdgeRef("f"), 5))
+    for units in families:
+        total = Element.zero(units.graph)
+        for i in range(units.n - 1):
+            total = total + units.unit(i, i + 1)
+        assert jordan_element(units) == total, units.provenance
 
 
 def test_jordan_element():

@@ -5,8 +5,6 @@ from leavitt.graph import (
     OMEGA,
     AdmissiblePair,
     Bundle,
-    Count,
-    COUNT_OMEGA,
     CapExceeded,
     CycleThroughOmegaBundle,
     EdgeRef,
@@ -168,35 +166,35 @@ def test_condition_K_repeated_intermediate():
 def test_count_clock_sinks(m):
     g = corpus.clock(m)
     for i in range(1, m + 1):
-        assert count_paths_ending_at(g, f"w{i}") == Count(2)
+        assert count_paths_ending_at(g, f"w{i}") == 2
 
 
 def test_count_examples():
     f = corpus.graph_f()
-    assert count_paths_ending_at(f, "c1") == COUNT_OMEGA
+    assert count_paths_ending_at(f, "c1") is OMEGA
     lt = corpus.loop_with_tail()
-    assert count_paths_ending_at(lt, "v") == Count(2)
+    assert count_paths_ending_at(lt, "v") == 2
     sl = corpus.single_loop()
-    assert count_paths_ending_at(sl, "v") == Count(1)
+    assert count_paths_ending_at(sl, "v") == 1
     og = corpus.omega_gadget()
-    assert count_paths_ending_at(og, "h") == COUNT_OMEGA
-    assert count_paths_ending_at(og, "w") == Count(2)
+    assert count_paths_ending_at(og, "h") is OMEGA
+    assert count_paths_ending_at(og, "w") == 2
 
 
 def test_count_multi_cycle_vertex_is_omega():
-    assert count_paths_ending_at(corpus.two_loops(), "v") == COUNT_OMEGA
+    assert count_paths_ending_at(corpus.two_loops(), "v") is OMEGA
 
 
 def test_count_on_deep_line():
     # deeper than the interpreter's recursion limit
-    assert count_paths_ending_at(corpus.line(3000), "u3000") == Count(3000)
+    assert count_paths_ending_at(corpus.line(3000), "u3000") == 3000
 
 
 def test_count_loop_with_exit_to_sink():
     # the loop is the whole cycle, so only the trivial path counts at u
     g = Graph(["u", "s"], [Bundle("e", "u", "u"), Bundle("x", "u", "s")])
-    assert count_paths_ending_at(g, "u") == Count(1)
-    assert count_paths_ending_at(g, "s") == COUNT_OMEGA  # pump the loop
+    assert count_paths_ending_at(g, "u") == 1
+    assert count_paths_ending_at(g, "s") is OMEGA  # pump the loop
 
 
 def test_closure():

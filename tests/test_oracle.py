@@ -6,7 +6,7 @@ import hashlib
 import pytest
 
 from conftest import tailed_cycle
-from leavitt import algebra, corpus
+from leavitt import algebra, corpus, oracle
 from leavitt.algebra import (
     BadMatrixUnitPaths,
     MatrixUnits,
@@ -100,6 +100,26 @@ def test_enumerate_guards():
 def test_enumerate_on_deep_graphs():
     """The cycle search from u1 runs 3000 vertices deep without recursion."""
     assert enumerate_paths_ending_at(corpus.line(3000), "u1", 1) == [Path("u1")]
+
+
+def test_cycle_search_enters_only_vertices_that_reach_v(monkeypatch):
+    """A source s feeding the complete digraph on 8 vertices: no cycle
+    passes s, and the search expands s alone, not the 8! simple paths
+    below it."""
+    ks = [f"k{i}" for i in range(8)]
+    g = Graph(["s"] + ks,
+              [Bundle("s", "s", "k0")]
+              + [Bundle(f"{x}{y}", x, y) for x in ks for y in ks if x != y])
+    expanded = []
+    out_edges = oracle._out_edges
+
+    def recording(g, at):
+        expanded.append(at)
+        return out_edges(g, at)
+
+    monkeypatch.setattr(oracle, "_out_edges", recording)
+    assert enumerate_paths_ending_at(g, "s", 8) == [Path("s")]
+    assert expanded == ["s"]
 
 
 def _cycles_through_recursive(g, v) -> list:
@@ -200,10 +220,10 @@ def test_dp_agreement_on_random_graphs():
         g = random_graph(RandomSpec(seed=seed))
         for v in g.vertices:
             cnt = count_paths_ending_at(g, v)
-            if not cnt.finite:
+            if cnt is OMEGA:
                 continue
-            cap = len(g.vertices) * (cnt.value + 1)
-            assert len(enumerate_paths_ending_at(g, v, cap)) == cnt.value, (seed, v)
+            cap = len(g.vertices) * (cnt + 1)
+            assert len(enumerate_paths_ending_at(g, v, cap)) == cnt, (seed, v)
             checked += 1
     assert checked > 100
 
@@ -489,7 +509,6 @@ def test_kernel_matches_reference(omega):
         for i, (raw, ref, a) in enumerate(zip(raws, refs, elems)):
             assert a.terms() == ref, name
             assert all(type(k) is Fraction for _, k in a.terms()), name
-            assert normal_form(g, raw, strategy="random", seed=i + 1).terms() == ref
             assert normal_form_reference(g, raw, strategy="random", seed=i + 1) == ref
             assert a.scale(3).terms() == [(m, 3 * k) for m, k in ref], name
             assert a.scale(Fraction(1, 2)).terms() == \
