@@ -16,6 +16,7 @@ as "unbounded" are ordinary output), 1 input error, 2 resource-limit abort.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -65,9 +66,23 @@ class _EdgeTexts(dict):
         return text
 
 
+# A JSON document goes to stdout in writes of at least _BATCH characters (a
+# smaller document in one), so it is never held whole as text; the pending
+# chunks are joined and measured each time _JOIN_EVERY of them gather.
+_BATCH = 1 << 16
+_JOIN_EVERY = 1 << 12
+
+
 def _dumps(obj) -> str:
-    """The bytes of the stdlib's sorted-key dump at indent 2, in time
-    linear in its size.  The stdlib's C encoder runs only without an
+    """The bytes of the stdlib's ``json.dumps(obj, indent=2,
+    sort_keys=True)``; see :func:`_json_chunks`."""
+    return "".join(_json_chunks(obj))
+
+
+def _json_chunks(obj, end: str = ""):
+    """Yield the stdlib's sorted-key dump of obj at indent 2, then end, as
+    strings of at least _BATCH characters (the last may be shorter), in
+    time linear in its size.  The stdlib's C encoder runs only without an
     indent; with one, it walks several Python generator frames per value,
     and a listing of n witness paths has Theta(n L) edges.
 
@@ -78,54 +93,82 @@ def _dumps(obj) -> str:
     out = []
     edges = _EdgeTexts()
 
-    def write(o, indent: str) -> None:  # indent: newline plus this level's spaces
+    def atom(o, indent: str):  # indent: newline plus this level's spaces
+        """The text of o when it is not a nonempty dict, list or tuple."""
         if isinstance(o, str):
-            out.append(_quote(o))
-        elif o is None:
-            out.append("null")
-        elif o is True:
-            out.append("true")
-        elif o is False:
-            out.append("false")
-        elif isinstance(o, int):
-            out.append(int.__repr__(o))
-        elif isinstance(o, EdgeRef):
-            out.append(edges[o.bundle, o.index, indent])
-        elif isinstance(o, (list, tuple)):
-            if not o:
-                out.append("[]")
-                return
-            inner = indent + "  "
+            return _quote(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, EdgeRef):
+            return edges[o.bundle, o.index, indent]
+        if isinstance(o, (list, tuple)):
+            return None if o else "[]"
+        if isinstance(o, dict):
+            return None if o else "{}"
+        return json.dumps(o)
+
+    def batch():
+        """Join the pending chunks; their text once it reaches _BATCH."""
+        text = "".join(out)
+        out.clear()
+        if len(text) >= _BATCH:
+            return text
+        out.append(text)
+        return None
+
+    def write(o, indent: str):
+        """Append o, a nonempty dict, list or tuple, yielding full batches."""
+        inner = indent + "  "
+        if isinstance(o, dict):
+            sep, comma = "{" + inner, "," + inner
+            for k, x in sorted(o.items()):
+                out.append(f"{sep}{_quote(k)}: ")
+                text = atom(x, inner)
+                if text is None:
+                    yield from write(x, inner)
+                else:
+                    out.append(text)
+                if len(out) >= _JOIN_EVERY and (text := batch()):
+                    yield text
+                sep = comma
+            out.append(indent + "}")
+        else:
             sep, comma = "[" + inner, "," + inner
             for x in o:
                 out.append(sep)
                 if type(x) is EdgeRef:  # the bulk of a path listing
                     out.append(edges[x.bundle, x.index, inner])
                 else:
-                    write(x, inner)
+                    text = atom(x, inner)
+                    if text is None:
+                        yield from write(x, inner)
+                    else:
+                        out.append(text)
+                if len(out) >= _JOIN_EVERY and (text := batch()):
+                    yield text
                 sep = comma
             out.append(indent + "]")
-        elif isinstance(o, dict):
-            if not o:
-                out.append("{}")
-                return
-            inner = indent + "  "
-            sep, comma = "{" + inner, "," + inner
-            for k, x in sorted(o.items()):
-                out.append(f"{sep}{_quote(k)}: ")
-                write(x, inner)
-                sep = comma
-            out.append(indent + "}")
-        else:
-            out.append(json.dumps(o))
 
-    write(obj, "\n")
-    return "".join(out)
+    text = atom(obj, "\n")
+    if text is None:
+        yield from write(obj, "\n")
+    else:
+        out.append(text)
+    out.append(end)
+    yield "".join(out)
 
 
 def _emit(args, payload: dict, text_lines: list) -> None:
     if args.format == "json":
-        print(_dumps(payload))
+        write = sys.stdout.write
+        for text in _json_chunks(payload, end="\n"):
+            write(text)
     else:
         for line in text_lines:
             print(line)
@@ -387,6 +430,9 @@ def _cmd_check(args) -> int:
         lines.append(f"bounded n={rep.n}: {rep.trials} trials, "
                      f"{rep.nilpotent_found} nilpotent, empirical max "
                      f"{rep.empirical_max_index}, witness index {rep.witness_index}")
+        if rep.resource_limited:
+            payload["sampling"]["resource_limited"] = rep.resource_limited
+            lines.append(f"  resource-limited trials: {rep.resource_limited}")
         if rep.violations:
             lines.extend(f"  VIOLATION: {v}" for v in rep.violations)
     else:
@@ -400,7 +446,12 @@ def _cmd_check(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and shared by
+    every later one: parsing leaves it as it was, and usage and error text
+    are formatted when printed.  Each command's handler is bound here, so
+    a ``_cmd_*`` replaced after the first call is not dispatched to."""
     parser = argparse.ArgumentParser(
         prog="leavitt",
         description="Structure analysis of Leavitt path algebras of finite graphs.")
@@ -431,8 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (oracle.ExplosionGuard, algebra.TooLarge) as err:

@@ -552,7 +552,9 @@ def cross_check_index(g: Graph, trials: int = 500,
                       seed: int = 0) -> CrossCheckReport:
     """Sample random elements of a bounded-index algebra and confirm no
     nilpotent element exceeds the reported bound; also build the witness
-    and confirm it attains the bound exactly."""
+    and confirm it attains the bound exactly.  A trial whose probe meets a
+    resource limit (too many terms, or a power over the edge limit) counts
+    under ``resource_limited``; the witness's probe raises ``TooLarge``."""
     report = structure.bounded_index_report(g)
     if not isinstance(report, structure.Bounded):
         raise structure.PreconditionUnbounded(
@@ -568,7 +570,11 @@ def cross_check_index(g: Graph, trials: int = 500,
     for t in range(trials):
         sub = RandomSpec(seed=master.randrange(2 ** 63))
         a = random_element(g, sub, tables=tables)
-        verdict = algebra.nilpotence_index(a, bound)
+        try:
+            verdict = algebra.nilpotence_index(a, bound)
+        except algebra.TooLarge:  # a power over the edge limit
+            limited += 1
+            continue
         if isinstance(verdict, algebra.NilpotentOfIndex):
             found += 1
             empirical = max(empirical, verdict.index)

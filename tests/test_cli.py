@@ -1,11 +1,16 @@
+import argparse
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_path, tailed_cycle
-from leavitt import algebra, corpus, structure
+from leavitt import algebra, cli, corpus, structure
 from leavitt.cli import _dumps, main
 from leavitt.graph import OMEGA, Bundle, EdgeRef, Graph
 from leavitt.graphio import (
@@ -242,6 +247,28 @@ def test_check(capsys):
     assert code == 0 and out.strip().endswith("ok")
 
 
+def test_check_counts_trials_over_the_edge_limit(capsys, monkeypatch):
+    """A sampled trial whose probe forms a power over the edge limit counts
+    as resource-limited; the rest of the report still prints.  The count
+    appears only when it is positive."""
+    argv = ("check", fixture_path("loop_with_tail"), "--trials", "20", "--seed", "0")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0 and "resource_limited" not in json.loads(out)["sampling"]
+    monkeypatch.setattr(algebra, "POWER_EDGE_LIMIT", 20)
+    code, out, err = run(capsys, *argv, "--format", "json")
+    doc = json.loads(out)
+    assert code == 0 and err == ""
+    assert doc["sampling"]["resource_limited"] == 10 and doc["sampling"]["trials"] == 20
+    assert doc["dp_agreement"] == {"vertices_checked": 2, "mismatches": []}
+    assert doc["sampling"]["witness_index"] == 2 and doc["ok"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "  resource-limited trials: 10\n" in out
+    # the witness's own probe over the limit still aborts the command
+    monkeypatch.setattr(algebra, "POWER_EDGE_LIMIT", 5)
+    code, out, err = run(capsys, "check", fixture_path("line5"), "--trials", "1")
+    assert code == 2 and out == "" and err.startswith("resource limit:")
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "index", "/no/such/file.graph")
     assert code == 1 and "error" in err
@@ -457,3 +484,80 @@ def test_dumps_edge_at_two_depths():
     payload = {"exit": e, "cycle": {"edges": (e, f)},
                "paths": [{"base": "v", "edges": [f, e]}, []], "w": {}}
     assert _dumps(payload) == _reference_dump(_plain(payload))
+
+
+def test_json_is_written_in_batches(monkeypatch, tmp_path):
+    """JSON output reaches stdout in writes of at least _BATCH characters
+    (the last may be shorter), and a small document in one write."""
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(["index", _line_document(tmp_path, 200), "--format", "json"]) == 0
+    out = "".join(writes)
+    assert out == _reference_dump(json.loads(out)) + "\n"
+    assert len(writes) > 1 and min(map(len, writes[:-1])) >= cli._BATCH
+    writes.clear()
+    assert main(["index", fixture_path("line3"), "--format", "json"]) == 0
+    assert len(writes) == 1 and writes[0].endswith("}\n")
+
+
+# -- the parser -----------------------------------------------------------------
+
+def _in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's exit on a bad argument
+        code = exc.code
+    out, err = capsys.readouterr()
+    return out, err, code
+
+
+def test_reused_parser_keeps_no_state(capsys, monkeypatch):
+    """Calls sharing one parser, defaults after explicit values and after an
+    argparse error, print what a fresh process prints."""
+    g = fixture_path("line5")
+    sequence = [["check", g, "--trials", "x"],
+                ["check", g, "--trials", "5", "--seed", "7"], ["check", g],
+                ["eval", g, "e1 + e1*", "--nilpotence-max", "3"], ["eval", g, "e1 + e1*"],
+                ["witness", g, "--size", "4"], ["witness", g]]
+    monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at the terminal width
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    seen = []
+    for argv in sequence:
+        fresh = subprocess.run([sys.executable, "-m", "leavitt", *argv], env=env,
+                               capture_output=True, text=True, timeout=120)
+        got = _in_process(capsys, argv)
+        assert got == (fresh.stdout, fresh.stderr, fresh.returncode), argv
+        seen.append(got)
+    assert seen[0][2] == 2 and "invalid int value: 'x'" in seen[0][1]
+    assert seen[1] != seen[2] and seen[3] != seen[4] and seen[5] != seen[6]
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    """After the first call, cli.main builds no ArgumentParser."""
+    main(["analyze", fixture_path("line2")])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    g = fixture_path("loop_with_tail")
+    calls = [["analyze", g], ["index", g, "--format", "json"], ["decompose", g],
+             ["ideals", g], ["eval", g, "e", "--nilpotence-max", "2"],
+             ["witness", g], ["check", g, "--trials", "1"], ["index", g],
+             ["witness", g, "--size", "1", "--format", "json"], ["analyze", g]]
+    for argv in calls * 2:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert built == []
+    assert cli.build_parser() is cli.build_parser()
+    cli.build_parser.__wrapped__()  # the count sees a construction
+    assert len(built) == 8  # the main parser and one per command
