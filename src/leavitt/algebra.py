@@ -292,34 +292,14 @@ class Element:
         return NotImplemented
 
     def __mul__(self, other):
-        """Contract every pair of terms, (p q*)(r s*): to (p t) s* when
-        r = q t, to p (s u)* when q = r u, else to zero; then normalize."""
+        """The product in normal form; see :func:`_product`."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, Element):
             return NotImplemented
         self._require_same_graph(other)
-        raw = {}
-        right = other._terms.items()
-        for (pb, pe, qb, qe), k1 in self._terms.items():
-            lq = len(qe)
-            for (rb, re, sb, se), k2 in right:
-                if qb != rb:
-                    continue
-                if lq <= len(re):
-                    if re[:lq] != qe:
-                        continue
-                    key = (pb, pe + re[lq:], sb, se)
-                else:
-                    if qe[:len(re)] != re:
-                        continue
-                    key = (pb, pe, sb, se + qe[len(re):])
-                c = raw.get(key, 0) + k1 * k2
-                if c:
-                    raw[key] = c
-                else:
-                    del raw[key]
-        return Element(self.graph, _normalize(_kernel(self.graph), raw.items()))
+        return Element(self.graph,
+                       _product(_kernel(self.graph), self._terms, other._terms))
 
     def involution(self) -> "Element":
         """Reverse every monomial: sum k p q*  ->  sum k q p*."""
@@ -335,6 +315,34 @@ class Element:
 
     def __repr__(self):
         return f"Element({element_text(self)})"
+
+
+def _product(table: _Kernel, left: dict, right: dict) -> dict:
+    """The normal-form term map of the product of two normal-form term maps
+    over the graph of ``table``.  Contract every pair of terms,
+    (p q*)(r s*): to (p t) s* when r = q t, to p (s u)* when q = r u, else
+    to zero; then normalize."""
+    raw = {}
+    right = right.items()
+    for (pb, pe, qb, qe), k1 in left.items():
+        lq = len(qe)
+        for (rb, re, sb, se), k2 in right:
+            if qb != rb:
+                continue
+            if lq <= len(re):
+                if re[:lq] != qe:
+                    continue
+                key = (pb, pe + re[lq:], sb, se)
+            else:
+                if qe[:len(re)] != re:
+                    continue
+                key = (pb, pe, sb, se + qe[len(re):])
+            c = raw.get(key, 0) + k1 * k2
+            if c:
+                raw[key] = c
+            else:
+                del raw[key]
+    return _normalize(table, raw.items())
 
 
 def _normalize(table: _Kernel, raw: Iterable) -> dict:
@@ -475,36 +483,46 @@ def nilpotence_index(a: Element, k_max: int, term_limit: int = 10 ** 6):
     sequential probe (``oracle.nilpotence_index_sequential``) forms it too,
     and the verdict is the same wherever that probe gives one.
 
+    When the first square is a scalar multiple of a, a^2 = c a with c != 0,
+    the probe stops there: every power is c^(m-1) a, nonzero and with the
+    support and edge count of a^2, which have passed both limits, so a is
+    not nilpotent within k_max, as the rest of the probe would find.
+
     ResourceLimit names the first power formed that has more than
     term_limit terms.  Raises TooLarge, as :func:`power` does, when a
-    power formed holds more than POWER_EDGE_LIMIT edges."""
+    power formed holds more than POWER_EDGE_LIMIT edges.  The powers are
+    term maps multiplied by :func:`_product`; no Element is built."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if a.is_zero():
         return NilpotentOfIndex(1)
+    table = _kernel(a.graph)
+    terms = a._terms
 
-    def times(x: Element, y: Element, k: int) -> Element:
+    def times(x: dict, y: dict, k: int) -> dict:
         """x y, which is a^k."""
-        z = x * y
-        if z.support_size() > term_limit:
-            raise _OverTermLimit(ResourceLimit(k, z.support_size()))
-        return _bounded(z)
+        z = _product(table, x, y)
+        if len(z) > term_limit:
+            raise _OverTermLimit(ResourceLimit(k, len(z)))
+        return _edge_guard(z)
 
-    squares = [a]        # squares[i] = a^(2^i), all nonzero
-    lo, low = 1, a       # low = a^lo, nonzero
+    squares = [terms]    # squares[i] = a^(2^i), all nonzero
+    lo, low = 1, terms   # low = a^lo, nonzero
     try:
         while 2 * lo <= k_max:
             sq = times(low, low, 2 * lo)
-            if sq.is_zero():
+            if not sq:
                 hi = 2 * lo
                 break
+            if lo == 1 and _is_multiple(sq, terms):
+                return NotNilpotentWithin(k_max)
             squares.append(sq)
             lo, low = 2 * lo, sq
         else:
             for i in reversed(range(len(squares) - 1)):
                 if k_max >> i & 1:
                     p = times(low, squares[i], lo + (1 << i))
-                    if p.is_zero():
+                    if not p:
                         hi = lo + (1 << i)
                         break
                     lo, low = lo + (1 << i), p
@@ -513,13 +531,23 @@ def nilpotence_index(a: Element, k_max: int, term_limit: int = 10 ** 6):
         while lo + 1 < hi:
             mid = (lo + hi) // 2
             p = times(low, squares[(mid - lo).bit_length() - 1], mid)
-            if p.is_zero():
+            if not p:
                 hi = mid
             else:
                 lo, low = mid, p
     except _OverTermLimit as over:
         return over.args[0]
     return NilpotentOfIndex(hi)
+
+
+def _is_multiple(x: dict, a: dict) -> bool:
+    """Whether the term map x is c a for a scalar c; c is nonzero when a
+    and x are, as term maps hold no zero coefficients."""
+    if x.keys() != a.keys():
+        return False
+    m = next(iter(a))
+    cx, ca = x[m], a[m]
+    return all(x[key] * ca == k * cx for key, k in a.items())
 
 
 POWER_EDGE_LIMIT = 10 ** 6
@@ -533,26 +561,31 @@ def power(a: Element, k: int) -> Element:
     long before time does)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    out = None
+    table = _kernel(a.graph)
+    x, out = a._terms, None
     while True:
         if k & 1:
-            out = a if out is None else _bounded(out * a)
-            if out.is_zero():
-                return out
+            out = x if out is None else _edge_guard(_product(table, out, x))
+            if not out:
+                break
         k >>= 1
         if not k:
-            return out
-        a = _bounded(a * a)
-        if a.is_zero():
-            return a
+            break
+        x = _edge_guard(_product(table, x, x))
+        if not x:
+            out = x
+            break
+    return Element(a.graph, out)
 
 
-def _bounded(a: Element) -> Element:
-    edges = sum(len(key[1]) + len(key[3]) for key in a._terms)
+def _edge_guard(terms: dict) -> dict:
+    """The term map of a power, or TooLarge when it holds more than
+    POWER_EDGE_LIMIT edges over all its monomials."""
+    edges = sum(len(key[1]) + len(key[3]) for key in terms)
     if edges > POWER_EDGE_LIMIT:
         raise TooLarge(f"a power holds {edges} edges, over the limit of "
                        f"{POWER_EDGE_LIMIT}")
-    return a
+    return terms
 
 
 # -- distinguished idempotents --------------------------------------------------

@@ -285,36 +285,57 @@ def walk_tables(g: Graph) -> tuple:
 _COEFFICIENTS = (-3, -2, -1, 1, 2, 3)
 
 
+def _below(getrandbits, n: int) -> int:
+    """A draw from range(n), n >= 1, making the getrandbits calls that
+    ``Random.randrange(n)`` makes: k = n.bit_length() bits, drawn again
+    while they give n or more.  So ``randint(a, b)`` is
+    ``a + _below(getrandbits, b - a + 1)``, ``choice(s)`` is
+    ``s[_below(getrandbits, len(s))]``, and a seed gives the stream the
+    stdlib wrappers gave, without their Python call layers."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _random_keys(g: Graph, tables: tuple, spec: RandomSpec, max_terms: int,
                  max_path_len: int) -> list:
     """Reproducible raw (kernel key, coefficient) pairs: each monomial
     joins a forward walk and a backward walk meeting at the same vertex.
     A walk is a path by construction, so the keys need no check.  Each
     step chooses among a vertex's bundles, then an edge of the bundle: one
-    of the first four of an omega bundle."""
+    of the first four of an omega bundle.  The draws are those of
+    ``randint``, ``choice`` and ``randrange`` on ``random.Random(seed)``
+    (see :func:`_below`).  Raises ValueError when max_terms < 1 or
+    max_path_len < 0."""
+    if max_terms < 1 or max_path_len < 0:
+        raise ValueError("need max_terms >= 1 and max_path_len >= 0")
     out, into = tables
-    rng = random.Random(spec.seed)
+    vertices = g.vertices
     raw = []
-    if not g.vertices:
+    if not vertices:
         return raw
-    for _ in range(rng.randint(1, max_terms)):
-        base = at = rng.choice(g.vertices)
+    bits = random.Random(spec.seed).getrandbits
+    for _ in range(1 + _below(bits, max_terms)):
+        base = at = vertices[_below(bits, len(vertices))]
         p = []
-        for _ in range(rng.randint(0, max_path_len)):
-            if not out[at]:
+        for _ in range(_below(bits, max_path_len + 1)):
+            step_out = out[at]
+            if not step_out:
                 break
-            at, first, step, mult = rng.choice(out[at])
-            p.append(first + step * (rng.randint(0, 3) if mult is None
-                                     else rng.randrange(mult)))
+            at, first, step, mult = step_out[_below(bits, len(step_out))]
+            p.append(first + step * _below(bits, 4 if mult is None else mult))
         q = []
-        for _ in range(rng.randint(0, max_path_len)):
-            if not into[at]:
+        for _ in range(_below(bits, max_path_len + 1)):
+            step_in = into[at]
+            if not step_in:
                 break
-            at, first, step, mult = rng.choice(into[at])
-            q.append(first + step * (rng.randint(0, 3) if mult is None
-                                     else rng.randrange(mult)))
+            at, first, step, mult = step_in[_below(bits, len(step_in))]
+            q.append(first + step * _below(bits, 4 if mult is None else mult))
         q.reverse()
-        raw.append(((base, tuple(p), at, tuple(q)), rng.choice(_COEFFICIENTS)))
+        raw.append(((base, tuple(p), at, tuple(q)),
+                    _COEFFICIENTS[_below(bits, 6)]))
     return raw
 
 
@@ -554,7 +575,12 @@ def cross_check_index(g: Graph, trials: int = 500,
     nilpotent element exceeds the reported bound; also build the witness
     and confirm it attains the bound exactly.  A trial whose probe meets a
     resource limit (too many terms, or a power over the edge limit) counts
-    under ``resource_limited``; the witness's probe raises ``TooLarge``."""
+    under ``resource_limited``; the witness's probe raises ``TooLarge``.
+
+    The trial seeds are ``randrange(2**63)`` draws on ``Random(seed)``
+    (see :func:`_below`).  An element drawn again in a later trial reuses
+    its first trial's verdict, resource limits included, as the probe is
+    a function of the element; the memo holds at most ``trials`` entries."""
     report = structure.bounded_index_report(g)
     if not isinstance(report, structure.Bounded):
         raise structure.PreconditionUnbounded(
@@ -565,25 +591,30 @@ def cross_check_index(g: Graph, trials: int = 500,
     found = 0
     limited = 0
     empirical = 0
-    master = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     tables = walk_tables(g)
+    verdicts = {}  # term map of a trial's element -> verdict, None for TooLarge
     for t in range(trials):
-        sub = RandomSpec(seed=master.randrange(2 ** 63))
+        sub = RandomSpec(seed=_below(bits, 2 ** 63))
         a = random_element(g, sub, tables=tables)
-        try:
-            verdict = algebra.nilpotence_index(a, bound)
-        except algebra.TooLarge:  # a power over the edge limit
+        terms = frozenset(a._terms.items())
+        if terms in verdicts:
+            verdict = verdicts[terms]
+        else:
+            try:
+                verdict = algebra.nilpotence_index(a, bound)
+            except algebra.TooLarge:  # a power over the edge limit
+                verdict = None
+            verdicts[terms] = verdict
+        if verdict is None or isinstance(verdict, algebra.ResourceLimit):
             limited += 1
-            continue
-        if isinstance(verdict, algebra.NilpotentOfIndex):
+        elif isinstance(verdict, algebra.NilpotentOfIndex):
             found += 1
             empirical = max(empirical, verdict.index)
             if verdict.index > n:
                 violations.append(
                     f"trial {t} (seed {sub.seed}): nilpotent of index "
                     f"{verdict.index} > {n}")
-        elif isinstance(verdict, algebra.ResourceLimit):
-            limited += 1
     if report.witness_target is None:
         witness_index = 1
     else:

@@ -2,10 +2,11 @@ from dataclasses import replace
 from fractions import Fraction
 
 import hashlib
+import random
 
 import pytest
 
-from conftest import tailed_cycle
+from conftest import fixture_path, tailed_cycle
 from leavitt import algebra, corpus, oracle
 from leavitt.algebra import (
     BadMatrixUnitPaths,
@@ -33,6 +34,7 @@ from leavitt.graph import (
     cycles,
     path_range,
 )
+from leavitt.graphio import load_graph
 from leavitt.oracle import (
     CrossCheckReport,
     ExplosionGuard,
@@ -645,18 +647,137 @@ def test_nilpotence_index_forms_logarithmically_many_products(monkeypatch):
     most 2 log2(k_max) products where the sequential probe forms k_max - 1."""
     g = corpus.single_loop()
     a = algebra.edge_element(g, EdgeRef("e"))
-    products = []
-    mul = algebra.Element.__mul__
-
-    def counting(x, y):
-        products.append(1)
-        return mul(x, y)
-
-    monkeypatch.setattr(algebra.Element, "__mul__", counting)
+    products = _count_products(monkeypatch)
     for k_max in [1, 2, 3, 7, 8, 1000, 1023, 1024]:
         products.clear()
         assert nilpotence_index(a, k_max) == algebra.NotNilpotentWithin(k_max)
         assert len(products) <= 2 * (k_max.bit_length() - 1), k_max
+    assert products  # the counter sees the probe's products
+
+
+def _count_products(monkeypatch) -> list:
+    """A list that gains an entry at each ``algebra._product`` call, which
+    every product of two elements or term maps makes."""
+    products = []
+    product = algebra._product
+
+    def counting(table, left, right):
+        products.append(1)
+        return product(table, left, right)
+
+    monkeypatch.setattr(algebra, "_product", counting)
+    return products
+
+
+def _probe_without_exit(a, k_max, term_limit):
+    """The squaring probe on Elements as it was before the early exit at
+    the first square; TooLarge is returned, not raised."""
+    def times(x, y, k):
+        z = x * y
+        if z.support_size() > term_limit:
+            raise _Over(algebra.ResourceLimit(k, z.support_size()))
+        if sum(len(pe) + len(qe) for _, pe, _, qe in z._terms) > algebra.POWER_EDGE_LIMIT:
+            raise _Over(algebra.TooLarge)
+        return z
+
+    if a.is_zero():
+        return algebra.NilpotentOfIndex(1)
+    squares, lo, low, hi = [a], 1, a, None
+    try:
+        while 2 * lo <= k_max and hi is None:
+            sq = times(low, low, 2 * lo)
+            if sq.is_zero():
+                hi = 2 * lo
+            else:
+                squares.append(sq)
+                lo, low = 2 * lo, sq
+        if hi is None:
+            for i in reversed(range(len(squares) - 1)):
+                if k_max >> i & 1:
+                    p = times(low, squares[i], lo + (1 << i))
+                    if p.is_zero():
+                        hi = lo + (1 << i)
+                        break
+                    lo, low = lo + (1 << i), p
+            else:
+                return algebra.NotNilpotentWithin(k_max)
+        while lo + 1 < hi:
+            mid = (lo + hi) // 2
+            p = times(low, squares[(mid - lo).bit_length() - 1], mid)
+            if p.is_zero():
+                hi = mid
+            else:
+                lo, low = mid, p
+    except _Over as over:
+        return over.args[0]
+    return algebra.NilpotentOfIndex(hi)
+
+
+class _Over(Exception):
+    pass
+
+
+def _probe_outcome(a, k_max, term_limit):
+    try:
+        return nilpotence_index(a, k_max, term_limit)
+    except algebra.TooLarge:
+        return algebra.TooLarge
+
+
+def _exit_cases():
+    """(element, whether a^2 = c a with c != 0)."""
+    line2, clock3, loop = corpus.line(2), corpus.clock(3), corpus.single_loop()
+    v, u1, u2 = (algebra.vertex_element(g, x) for g, x in
+                 ((clock3, "v"), (line2, "u1"), (line2, "u2")))
+    e2 = algebra.edge_element(clock3, EdgeRef("e2"))
+    e3 = algebra.edge_element(clock3, EdgeRef("e3"))
+    e = algebra.edge_element(loop, EdgeRef("e"))
+    cases = [(-3 * v, True), (2 * u1, True), (5 * (e2 * e2.involution()), True),
+             (-2 * (e3 * e3.involution()), True), (u1 + u2, True),
+             (2 * v + 3 * (e2 * e2.involution()), False),
+             (e, False), (e.involution(), False), (e + e.involution(), False),
+             (algebra.vertex_element(loop, "v") + e, False)]
+    # L(single_loop) = K[x, x^-1], a domain: a^2 = c a only when a = c v
+    for s in range(20):
+        a = random_element(loop, RandomSpec(seed=s))
+        cases.append((a, set(a._terms) == {("v", (), "v", ())}))
+    return cases
+
+
+def test_near_miss_has_the_keys_of_its_square():
+    clock3 = corpus.clock(3)
+    v = algebra.vertex_element(clock3, "v")
+    e2 = algebra.edge_element(clock3, EdgeRef("e2"))
+    a = 2 * v + 3 * (e2 * e2.involution())
+    assert a * a == 4 * v + 21 * (e2 * e2.involution())
+
+
+@pytest.mark.parametrize("case", range(len(_exit_cases())))
+def test_probe_exits_at_a_square_that_is_a_multiple(case, monkeypatch):
+    """When a^2 = c a the probe forms a^2 only, and its verdict is the
+    sequential probe's for every k_max; otherwise it goes on."""
+    a, exits = _exit_cases()[case]
+    products = _count_products(monkeypatch)
+    for k_max in range(1, 9):
+        expected = nilpotence_index_sequential(a, k_max)
+        products.clear()
+        assert nilpotence_index(a, k_max) == expected
+        if k_max >= 4 and not a.is_zero():
+            assert (len(products) == 1) == exits, (k_max, len(products))
+
+
+@pytest.mark.parametrize("case", range(len(_exit_cases())))
+def test_probe_exit_keeps_resource_outcomes(case, monkeypatch):
+    """With low term and edge limits, ResourceLimit and TooLarge come out
+    as they do from the probe without the exit."""
+    a, _ = _exit_cases()[case]
+    for edge_limit in (0, 1, 2, 4, 6, 10 ** 6):
+        monkeypatch.setattr(algebra, "POWER_EDGE_LIMIT", edge_limit)
+        for term_limit in (1, 2, 3, 10 ** 6):
+            for k_max in range(1, 9):
+                assert _probe_outcome(a, k_max, term_limit) == \
+                    _probe_without_exit(a, k_max, term_limit), \
+                    (edge_limit, term_limit, k_max)
 
 
 # -- the random stream, pinned -------------------------------------------------
@@ -725,3 +846,111 @@ def test_sampling_pins_cover_every_bounded_fixture():
     bounded = {name for name, build in corpus.CORPUS.items()
                if isinstance(bounded_index_report(build()), Bounded)}
     assert bounded == set(SAMPLING_SEED_12345)
+
+
+# -- the sampled trial loop ------------------------------------------------------
+
+@pytest.mark.parametrize("draw", [random_element, random_raw_terms])
+@pytest.mark.parametrize("kwargs", [{"max_terms": 0}, {"max_terms": -2},
+                                    {"max_path_len": -1}, {"max_path_len": -5},
+                                    {"max_terms": 0, "max_path_len": -1}])
+def test_random_draws_refuse_empty_ranges(draw, kwargs, monkeypatch):
+    """As randint did.  A rejection draw from an empty range never ends
+    (getrandbits(0) is 0 forever, and any draw is at least a negative
+    bound); here one fails the test instead of hanging it."""
+    class NoEmptyDraws(random.Random):
+        calls = 0
+
+        def getrandbits(self, k):
+            self.calls += 1
+            assert k > 0 and self.calls < 10_000, "a draw from an empty range"
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(oracle.random, "Random", NoEmptyDraws)
+    for g in (corpus.line(3), corpus.single_loop(), corpus.omega_gadget()):
+        with pytest.raises(ValueError):
+            draw(g, RandomSpec(seed=3), **kwargs)
+
+
+def _cross_check_unmemoised(g, trials, seed):
+    """cross_check_index as one random_element and one probe per trial,
+    with the stdlib's randrange for the trial seeds."""
+    report = bounded_index_report(g)
+    n, bound = report.n, report.n + 3
+    master = random.Random(seed)
+    tables = oracle.walk_tables(g)
+    found = limited = empirical = 0
+    violations = []
+    for t in range(trials):
+        sub = RandomSpec(seed=master.randrange(2 ** 63))
+        try:
+            verdict = nilpotence_index(random_element(g, sub, tables=tables), bound)
+        except algebra.TooLarge:
+            limited += 1
+            continue
+        if isinstance(verdict, algebra.NilpotentOfIndex):
+            found += 1
+            empirical = max(empirical, verdict.index)
+            if verdict.index > n:
+                violations.append(f"trial {t} (seed {sub.seed}): nilpotent of "
+                                  f"index {verdict.index} > {n}")
+        elif isinstance(verdict, algebra.ResourceLimit):
+            limited += 1
+    witness_index = 1
+    if report.witness_target is not None:
+        j = jordan_element(witness_matrix_units(g, report))
+        verdict = nilpotence_index(j, n + 1)
+        witness_index = verdict.index if isinstance(
+            verdict, algebra.NilpotentOfIndex) else -1
+    if witness_index != n:
+        violations.append(
+            f"witness jordan element has index {witness_index}, expected {n}")
+    return CrossCheckReport(n, trials, bound, seed, found, limited, empirical,
+                            witness_index, tuple(violations))
+
+
+def _bounded_random_graphs(count):
+    graphs, s = [], 0
+    while len(graphs) < count:
+        g = random_graph(RandomSpec(seed=s))
+        if isinstance(bounded_index_report(g), Bounded):
+            graphs.append(g)
+        s += 1
+    return graphs
+
+
+def test_memoised_cross_check_matches_unmemoised_loop():
+    graphs = [corpus.CORPUS[name]() for name in sorted(SAMPLING_SEED_12345)]
+    graphs += _bounded_random_graphs(40)
+    for i, g in enumerate(graphs):
+        assert cross_check_index(g, trials=150, seed=i) == \
+            _cross_check_unmemoised(g, 150, i), i
+
+
+def test_memoised_cross_check_matches_unmemoised_loop_at_the_edge_limit(monkeypatch):
+    """Trials whose probe raises TooLarge are memoised as resource-limited."""
+    monkeypatch.setattr(algebra, "POWER_EDGE_LIMIT", 20)
+    limited = 0
+    for name in ["clock3", "clock5", "loop_with_tail", "single_loop", "line2"]:
+        g = corpus.CORPUS[name]()
+        rep = cross_check_index(g, trials=200, seed=5)
+        assert rep == _cross_check_unmemoised(g, 200, 5), name
+        limited += rep.resource_limited
+    assert limited > 0
+
+
+# algebra._product calls of cross_check_index on fixtures/line4.graph, 300
+# trials, seed 7: as the code stands, without the verdict memo, and without
+# the early exit at the first square
+PRODUCTS_LINE4 = 743
+PRODUCTS_LINE4_UNMEMOISED = 778
+PRODUCTS_LINE4_NO_EXIT = 872
+
+
+def test_cross_check_product_count_is_guarded(monkeypatch):
+    """The sampled trials and the witness form at most PRODUCTS_LINE4
+    products, so losing the memo or the early exit fails here."""
+    g = load_graph(fixture_path("line4"))
+    products = _count_products(monkeypatch)
+    cross_check_index(g, trials=300, seed=7)
+    assert len(products) <= PRODUCTS_LINE4 < PRODUCTS_LINE4_UNMEMOISED < PRODUCTS_LINE4_NO_EXIT
