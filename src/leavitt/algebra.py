@@ -22,17 +22,20 @@ Inside an Element a monomial is the plain tuple
 per-graph table built on first use (:class:`_Kernel`): finite edges are
 0..nfin-1 in EdgeRef order, edge i of a finite bundle being its bundle's
 offset plus i, and edge k of the j-th of the W omega bundles is
-nfin + k*W + j, so equal graphs give equal keys.  Coefficients are ints
-while they are integral; a Fraction appears only once a non-integer scalar
-comes in.  :class:`Monomial`, :meth:`Element.terms`,
-:meth:`Element.coefficient`, :func:`normal_form` and the printed text
-convert at that boundary and see EdgeRefs and Fractions, as before.
+nfin + k*W + j, so equal graphs give equal keys.  A path enters the kernel
+through :func:`_path_key`, one walk that checks it and numbers its edges.
+Coefficients are ints while they are integral; a Fraction appears only
+once a non-integer scalar comes in.  :class:`Monomial`,
+:meth:`Element.terms`, :meth:`Element.coefficient`, :func:`normal_form` and
+the printed text convert at that boundary and see EdgeRefs and Fractions.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -49,11 +52,7 @@ from .graph import (
     Path,
     SinkTarget,
     check_cycle,
-    check_path,
-    concat_paths,
     cycle_vertices,
-    path_range,
-    repeat_closed_path,
     rotate_cycle_to,
 )
 
@@ -129,15 +128,6 @@ class _Kernel:
             self.rewrite[special] = tuple(r for r in spans if r)
             self.special[v] = EdgeRef(out[0].id, 0)
 
-    def edge_id(self, g: Graph, e: EdgeRef) -> int:
-        slot = self.first.get(e.bundle)
-        if slot is None:
-            g.bundle(e.bundle)  # raises UnknownBundle
-        first, step, mult = slot
-        if e.index < 0 or (mult is not None and e.index >= mult):
-            raise InvalidPath(f"not an edge of this graph: {e!r}")
-        return first + e.index * step
-
     def edge_ref(self, i: int) -> EdgeRef:
         if i < self.nfin:
             j = bisect_right(self.offsets, i) - 1
@@ -183,11 +173,24 @@ def _mono_key(m: Monomial):
             len(m.q.edges), m.q.edges, m.q.base)
 
 
-def _key(g: Graph, m: Monomial) -> tuple:
-    """The term-map key of a monomial."""
-    table = _kernel(g)
-    return (m.p.base, tuple(table.edge_id(g, e) for e in m.p.edges),
-            m.q.base, tuple(table.edge_id(g, e) for e in m.q.edges))
+def _path_key(g: Graph, p: Path) -> tuple:
+    """(edge ids, range) of p from one walk, numbered by ``_Kernel.first``;
+    how every path enters the kernel.  Raises InvalidPath unless p is a path
+    of g."""
+    first, bundles = _kernel(g).first, g._by_id
+    at, ids = p.base, []
+    for e in p.edges:
+        b = bundles.get(e.bundle)
+        if (b is None or b.src != at or e.index < 0
+                or b.mult is not OMEGA and e.index >= b.mult):
+            break
+        start, step, _ = first[b.id]
+        ids.append(start + e.index * step)
+        at = b.dst
+    else:
+        if at in g._out:
+            return tuple(ids), at
+    raise InvalidPath(f"not a path of this graph: {p!r}")
 
 
 def _monomial(table: _Kernel, key: tuple) -> Monomial:
@@ -240,10 +243,11 @@ class Element:
 
     def coefficient(self, m: Monomial) -> Fraction:
         try:
-            key = _key(self.graph, m)
-        except LeavittError:  # an edge not in the graph: not a term either
+            p, _ = _path_key(self.graph, m.p)
+            q, _ = _path_key(self.graph, m.q)
+        except InvalidPath:  # not a path of the graph: not a term either
             return Fraction(0)
-        return Fraction(self._terms.get(key, 0))
+        return Fraction(self._terms.get((m.p.base, p, m.q.base, q), 0))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -382,12 +386,12 @@ def normal_form(g: Graph, raw: Iterable) -> Element:
         k = _scalar(k)
         if k == 0:
             continue
-        check_path(g, m.p)
-        check_path(g, m.q)
-        if path_range(g, m.p) != path_range(g, m.q):
+        p, p_range = _path_key(g, m.p)
+        q, q_range = _path_key(g, m.q)
+        if p_range != q_range:
             raise RangeMismatch(
                 f"monomial paths end at different vertices: {m}")
-        keyed.append((_key(g, m), k))
+        keyed.append(((m.p.base, p, m.q.base, q), k))
     return Element(g, _normalize(_kernel(g), keyed))
 
 
@@ -399,7 +403,9 @@ def vertex_element(g: Graph, v: str) -> Element:
 
 
 def edge_element(g: Graph, e: EdgeRef) -> Element:
-    return normal_form(g, [(Monomial(Path(g.src(e), (e,)), Path(g.dst(e))), 1)])
+    src = g.src(e)
+    ids, dst = _path_key(g, Path(src, (e,)))
+    return Element(g, {(src, ids, dst, ()): 1})
 
 
 def ghost_edge_element(g: Graph, e: EdgeRef) -> Element:
@@ -629,28 +635,35 @@ class MatrixUnits:
         """u_ij = p_i p_j*, counting from 0."""
         return monomial(self.graph, self.legs[i], self.legs[j])
 
+    @functools.cached_property
+    def _leg_keys(self) -> tuple:
+        """(the set of the legs' ranges, each leg's (base, edge ids)), from
+        one :func:`_path_key` walk per leg; InvalidPath for a non-path."""
+        walks = [_path_key(self.graph, p) for p in self.legs]
+        return (frozenset(r for _, r in walks),
+                [(p.base, ids) for p, (ids, _) in zip(self.legs, walks)])
 
-def _check_unit_paths(g: Graph, paths) -> str:
-    paths = list(paths)
-    if not paths:
+
+def _check_unit_paths(m: MatrixUnits) -> str:
+    if not m.legs:
         raise BadMatrixUnitPaths("need at least one path")
-    if len(set(paths)) != len(paths):
+    ranges, keys = m._leg_keys
+    if len(set(keys)) != len(keys):
         raise BadMatrixUnitPaths("paths are not pairwise distinct")
-    for p in paths:
-        check_path(g, p)
-    targets = {path_range(g, p) for p in paths}
-    if len(targets) != 1:
-        raise BadMatrixUnitPaths(f"paths end at several vertices: {sorted(targets)}")
-    return targets.pop()
+    if len(ranges) != 1:
+        raise BadMatrixUnitPaths(f"paths end at several vertices: {sorted(ranges)}")
+    return next(iter(ranges))
 
 
 def matrix_units_acyclic(g: Graph, paths: Iterable[Path]) -> MatrixUnits:
     """Matrix units p_i p_j* from distinct paths ending at a common sink."""
     paths = tuple(paths)
-    v = _check_unit_paths(g, paths)
+    v = _path_key(g, paths[0])[1] if paths else None
+    units = MatrixUnits(g, paths, SinkTarget(v))
+    _check_unit_paths(units)
     if not g.is_sink(v):
         raise BadMatrixUnitPaths(f"target vertex {v!r} is not a sink")
-    return MatrixUnits(g, paths, SinkTarget(v))
+    return units
 
 
 def matrix_units_exit(g: Graph, c: Cycle, f: EdgeRef, n: int) -> MatrixUnits:
@@ -665,10 +678,8 @@ def matrix_units_exit(g: Graph, c: Cycle, f: EdgeRef, n: int) -> MatrixUnits:
     verts = cycle_vertices(g, c)
     if v not in verts or f in c.edges:
         raise NotAnExit(f"{f!r} is not an exit of the cycle")
-    loop = rotate_cycle_to(g, c, v)
-    f_path = Path(v, (f,))
-    legs = tuple(concat_paths(g, repeat_closed_path(g, loop, i), f_path)
-                 for i in range(1, n + 1))
+    loop = rotate_cycle_to(g, c, v).edges
+    legs = tuple(Path(v, loop * i + (f,)) for i in range(1, n + 1))
     return MatrixUnits(g, legs, CycleWithExit(c, f))
 
 
@@ -679,20 +690,20 @@ def matrix_units_no_exit_cycle(g: Graph, c: Cycle,
 
     The cycle has no exit when each of its vertices has out-degree 1; then
     a path that reaches it stays on it, so a path runs through all m of
-    its edges exactly when its last m edges are cycle edges."""
+    its edges exactly when its last m edge ids are cycle edge ids."""
     check_cycle(g, c)
     verts = cycle_vertices(g, c)
     if any(g.out_degree(v) != 1 for v in verts):
         raise BadMatrixUnitPaths("the cycle has an exit")
-    paths = tuple(paths)
-    v = _check_unit_paths(g, paths)
+    units = MatrixUnits(g, tuple(paths), CycleTarget(c))
+    v = _check_unit_paths(units)
     if v not in verts:
         raise BadMatrixUnitPaths(f"target vertex {v!r} is not on the cycle")
-    m, on_cycle = len(c.edges), set(c.edges)
-    for p in paths:
-        if len(p.edges) >= m and on_cycle.issuperset(p.edges[-m:]):
+    m, on_cycle = len(c.edges), set(_path_key(g, Path(verts[0], c.edges))[0])
+    for _, ids in units._leg_keys[1]:
+        if len(ids) >= m and on_cycle.issuperset(ids[-m:]):
             raise BadMatrixUnitPaths("a path runs through the entire cycle")
-    return MatrixUnits(g, paths, CycleTarget(c))
+    return units
 
 
 def verify_matrix_units(m: MatrixUnits) -> bool:
@@ -709,14 +720,17 @@ def verify_matrix_units(m: MatrixUnits) -> bool:
     monomial, is nonzero.  Conversely, matrix units have
     u_jj u_kk = p_j (p_j* p_k) p_k* = 0 for j != k, so p_j* p_k = 0.
     The answer is that of the exhaustive check
-    (``oracle.verify_matrix_units_exhaustive``)."""
+    (``oracle.verify_matrix_units_exhaustive``).
+
+    P's terms p_i w* are in normal form, read off the legs' keys.  Raises
+    InvalidPath when a leg is not a path."""
     g = m.graph
-    ranges = {path_range(g, p) for p in m.legs}
+    ranges, keys = m._leg_keys
     if len(ranges) != 1:
         return False
-    w = Path(ranges.pop())
-    P = normal_form(g, [(Monomial(p, w), 1) for p in m.legs])
-    return P.involution() * P == m.n * vertex_element(g, w.base)
+    (w,) = ranges
+    P = Element(g, {key + (w, ()): k for key, k in Counter(keys).items()})
+    return P.involution() * P == m.n * vertex_element(g, w)
 
 
 def jordan_element(m: MatrixUnits) -> Element:
@@ -724,13 +738,10 @@ def jordan_element(m: MatrixUnits) -> Element:
     is exactly n.  Raises UnverifiedUnits unless
     :func:`verify_matrix_units` accepts the family.
 
-    Verification has checked every leg, so the n-1 terms are formed as
-    kernel keys, each leg's edge ids once, and normalized together."""
+    Verification has walked every leg, so the n-1 terms are formed from
+    the legs' cached keys and normalized together."""
     if not verify_matrix_units(m):
         raise UnverifiedUnits("matrix unit identities fail")
-    g = m.graph
-    table = _kernel(g)
-    keys = [(p.base, tuple(table.edge_id(g, e) for e in p.edges))
-            for p in m.legs]
+    keys = m._leg_keys[1]
     raw = [(keys[i] + keys[i + 1], 1) for i in range(m.n - 1)]
-    return Element(g, _normalize(table, raw))
+    return Element(m.graph, _normalize(_kernel(m.graph), raw))

@@ -18,6 +18,7 @@ nonempty graphs only.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -95,7 +96,15 @@ def _tokenize(text: str):
                     f"unexpected character {text[pos:].strip()[0]!r}", pos)
             break
         kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
+        val, start = m.group(kind), m.start(kind)
+        if kind == "nat":
+            try:
+                val = int(val)
+            except ValueError:  # past the interpreter's digit limit
+                raise ExprSyntaxError(
+                    f"number has more than {sys.get_int_max_str_digits()} digits",
+                    start) from None
+        tokens.append((kind, val, start))
         pos = m.end()
     return tokens
 
@@ -157,7 +166,7 @@ class _Parser:
                 k, v, p = self.take()
                 if k != "nat":
                     raise ExprSyntaxError("expected an exponent", p)
-                node = Power(node, int(v))
+                node = Power(node, v)
             else:
                 return node
 
@@ -169,7 +178,7 @@ class _Parser:
             kind, val, pos = self.take()
         if kind != "nat":
             raise ExprSyntaxError("expected a number", pos)
-        num = int(val)
+        num = val
         den = 1
         k, v, _ = self.peek()
         if k == "sym" and v == "/":
@@ -177,7 +186,7 @@ class _Parser:
             k, v, p = self.take()
             if k != "nat":
                 raise ExprSyntaxError("expected a denominator", p)
-            den = int(v)
+            den = v
         return ScalarLiteral(Fraction(sign * num, den))
 
     def parse_primary(self):
@@ -190,7 +199,7 @@ class _Parser:
                 if k != "nat":
                     raise ExprSyntaxError("expected an edge index", p)
                 self.expect_sym("]")
-                return Ident(val, int(v))
+                return Ident(val, v)
             return Ident(val)
         if kind == "sym" and val == "(":
             inner = self.parse_expr()

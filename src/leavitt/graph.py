@@ -5,10 +5,11 @@ multiplicity k stands for k parallel edges, addressed as (bundle id, index),
 and multiplicity ``omega`` stands for countably many parallel edges.  This
 module provides the structural algorithms the algebra layers are built on:
 cycle enumeration, exit detection, path counting, hereditary saturated
-subsets, breaking vertices and quotient graphs.  A path count is an int, or
-OMEGA; the paths the bounded-index criterion counts end at a SinkTarget or
-a CycleTarget (a cycle with no exit), and a CycleWithExit is a cycle with
-one of its exits.
+subsets, breaking vertices and quotient graphs; :mod:`leavitt.algebra`
+checks paths, in the walk that numbers their edges.  A path count is an
+int, or OMEGA; the paths the bounded-index criterion counts end at a
+SinkTarget or a CycleTarget (a cycle with no exit), and a CycleWithExit is
+a cycle with one of its exits.
 
 The structural predicates (cycle vertices, Conditions (K) and (L), downward
 directedness, path counts) read one cached pass per graph: Tarjan's strongly
@@ -291,37 +292,8 @@ def validate(g: Graph) -> list:
 
 # -- paths ------------------------------------------------------------------
 
-def is_path(g: Graph, p: Path) -> bool:
-    if p.base not in g._out:
-        return False
-    at = p.base
-    for e in p.edges:
-        if not g.is_edge(e) or (b := g._by_id[e.bundle]).src != at:
-            return False
-        at = b.dst
-    return True
-
-
-def check_path(g: Graph, p: Path) -> None:
-    if not is_path(g, p):
-        raise InvalidPath(f"not a path of this graph: {p!r}")
-
-
 def path_range(g: Graph, p: Path) -> str:
     return g.dst(p.edges[-1]) if p.edges else p.base
-
-
-def concat_paths(g: Graph, p: Path, q: Path) -> Path:
-    if path_range(g, p) != q.base:
-        raise InvalidPath("paths do not compose")
-    return Path(p.base, p.edges + q.edges)
-
-
-def repeat_closed_path(g: Graph, p: Path, k: int) -> Path:
-    """k-fold power of a closed path (k >= 0)."""
-    if path_range(g, p) != p.base:
-        raise InvalidPath("path is not closed")
-    return Path(p.base, p.edges * k)
 
 
 # -- cycles -----------------------------------------------------------------

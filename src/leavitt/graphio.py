@@ -16,6 +16,7 @@ lexicographically, so parse -> serialize -> parse is the identity.
 from __future__ import annotations
 
 import json
+import sys
 
 from .graph import OMEGA, Bundle, Graph, LeavittError, validate
 
@@ -40,6 +41,9 @@ def parse_graph_document(text: str) -> Graph:
     except json.JSONDecodeError as err:
         raise GraphSyntaxError(
             f"line {err.lineno}, column {err.colno}: {err.msg}") from None
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise GraphSyntaxError("an integer has more than "
+                               f"{sys.get_int_max_str_digits()} digits") from None
     if not isinstance(doc, dict):
         raise GraphFormatError("document must be an object")
     vertices = doc.get("vertices")
@@ -88,4 +92,9 @@ def canonical_document(g: Graph) -> str:
 
 def load_graph(path: str) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph_document(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise GraphSyntaxError(
+                f"byte {err.start}: not UTF-8 text ({err.reason})") from None
+    return parse_graph_document(text)

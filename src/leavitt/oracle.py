@@ -34,7 +34,6 @@ from .graph import (
     all_hereditary_saturated,
     breaking_vertices,
     component_cycles,
-    concat_paths,
     count_paths_ending_at,
     cycle_vertices,
     downward_directed,
@@ -407,7 +406,7 @@ def _reduce_once(g: Graph, m: algebra.Monomial) -> list:
     return out
 
 
-def _mono_product(g: Graph, a: algebra.Monomial,
+def _mono_product(a: algebra.Monomial,
                   b: algebra.Monomial) -> algebra.Monomial | None:
     """Product of two normal-form monomials before renormalization:
     (p q*)(r s*) contracts to (p t) s* when r = q t, to p (s u)* when
@@ -419,12 +418,10 @@ def _mono_product(g: Graph, a: algebra.Monomial,
     if lq <= lr:
         if r.edges[:lq] != q.edges:
             return None
-        t = Path(path_range(g, q), r.edges[lq:])
-        return algebra.Monomial(concat_paths(g, a.p, t), b.q)
+        return algebra.Monomial(Path(a.p.base, a.p.edges + r.edges[lq:]), b.q)
     if q.edges[:lr] != r.edges:
         return None
-    u = Path(path_range(g, r), q.edges[lr:])
-    return algebra.Monomial(a.p, concat_paths(g, b.q, u))
+    return algebra.Monomial(a.p, Path(b.q.base, b.q.edges + q.edges[lr:]))
 
 
 def normal_form_reference(g: Graph, raw, strategy: str = "leftmost",
@@ -467,7 +464,7 @@ def product_reference(g: Graph, a, b) -> list:
     raw = {}
     for m1, k1 in a:
         for m2, k2 in b:
-            m = _mono_product(g, m1, m2)
+            m = _mono_product(m1, m2)
             if m is not None:
                 c = raw.get(m, Fraction(0)) + k1 * k2
                 if c:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from leavitt import corpus
+from leavitt import algebra, corpus
 from leavitt.algebra import (
     BadMatrixUnitPaths,
     Element,
@@ -36,7 +36,7 @@ from leavitt.algebra import (
     verify_matrix_units,
     vertex_element,
 )
-from conftest import fixture_path
+from conftest import fixture_path, tailed_cycle
 from leavitt.graph import (
     CycleTarget,
     CycleWithExit,
@@ -318,6 +318,30 @@ def test_verify_forms_one_product(monkeypatch):
     two_ranges = MatrixUnits(g, (Path("w1"), Path("w2")), SinkTarget("w1"))
     assert verify_matrix_units(two_ranges) is False
     assert verify_matrix_units_exhaustive(two_ranges) is False
+
+
+@pytest.mark.parametrize("build,size", [
+    (lambda: corpus.line(40), None),
+    (lambda: tailed_cycle(30, 10), None),
+    (corpus.graph_f, 8),  # the exit family c^i f
+], ids=["line40", "tailed_cycle_30_10", "graph_f_exit"])
+def test_legs_are_walked_once_on_the_way_to_the_jordan_element(build, size, monkeypatch):
+    """From witness_matrix_units through jordan_element, the n legs enter
+    the kernel through at most 2n path walks, not four per leg."""
+    g = build()
+    walks = []
+    path_key = algebra._path_key
+
+    def counting(graph, p):
+        walks.append(p)
+        return path_key(graph, p)
+
+    monkeypatch.setattr(algebra, "_path_key", counting)
+    units = witness_matrix_units(g, bounded_index_report(g), size)
+    assert nilpotence_index(jordan_element(units), units.n + 1) == \
+        NilpotentOfIndex(units.n)
+    assert units.n == (size or bounded_index_report(g).n)
+    assert len(walks) <= 2 * units.n, (units.provenance, len(walks))
 
 
 def test_verify_refuses_a_leg_that_is_not_a_path():

@@ -183,6 +183,41 @@ def test_eval_rejects_nilpotence_max_below_one(capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+_DIGITS = "9" * 5000  # past the interpreter's 4300-digit int conversion limit
+_MALFORMED = {
+    "not-utf8": ("analyze", b"\xff\xfe{}", None),
+    "long-mult": ("analyze", ('{"vertices": ["u", "v"], "edges": [{"id": "a", '
+                              f'"src": "u", "dst": "v", "mult": {_DIGITS}}}]}}'), None),
+    "long-exponent": ("eval", None, f"u1^{_DIGITS}"),
+    "long-scalar": ("eval", None, f"{_DIGITS} u1"),
+    "long-index": ("eval", None, f"e1[{_DIGITS}]"),
+    "nested-brackets": ("analyze", "[" * 100_000, None),
+    "unknown-ident": ("eval", None, "zz"),
+    "duplicate-vertex": ("analyze", '{"vertices": ["u", "u"], "edges": []}', None),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_malformed_input_gives_one_error_line(case, fmt, capsys, tmp_path):
+    """Each malformed graph document or expression exits 1 or 2 with one
+    ``error:`` or ``resource limit:`` line on stderr and nothing on stdout.
+    Eval cases run on fixtures/line3.graph."""
+    command, document, expr = _MALFORMED[case]
+    graph = fixture_path("line3")
+    if document is not None:
+        graph = tmp_path / "g.graph"
+        if isinstance(document, bytes):
+            graph.write_bytes(document)
+        else:
+            graph.write_text(document)
+    argv = [command, str(graph)] + ([expr] if expr is not None else [])
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code in (1, 2) and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(("error: ", "resource limit: ")), err[:200]
+
+
 def test_witness_verifies_units_once(capsys, monkeypatch):
     calls = []
     verify = algebra.verify_matrix_units

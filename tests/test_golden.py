@@ -8,6 +8,8 @@ deliberate output change prints the new table with
     PYTHONPATH=src python tests/test_golden.py
 
 to paste over ``GOLDEN`` below, and records the change in CHANGES.md.
+``LONG_GOLDEN`` pins witness, index and check the same way on three built
+graphs whose witness legs are up to 60 edges long.
 """
 
 import contextlib
@@ -17,8 +19,11 @@ import pathlib
 
 import pytest
 
+from conftest import tailed_cycle
 from leavitt.cli import main
-from leavitt.graphio import load_graph
+from leavitt.corpus import line
+from leavitt.graph import Bundle, Graph
+from leavitt.graphio import canonical_document, load_graph
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 NAMES = sorted(p.stem for p in FIXTURES.glob("*.graph"))
@@ -258,6 +263,70 @@ GOLDEN = {
     ('two_loops', 'eval', 'text'): 'e91d99f9b393fbb8e7265bbfee4e4c36458e2701f148fde69569dff5e1e117b7 0',
     ('two_loops', 'eval', 'json'): '511ffa031c376bd4777a8899edfc7d6a3a5a2694ce10de7c6c97158fc65ac6e9 0',
 }
+
+
+def _doubled_line(k: int) -> Graph:
+    """u1 -> ... -> uk by bundles of multiplicity 2: n = 2^k - 1 legs."""
+    vs = [f"u{i}" for i in range(1, k + 1)]
+    return Graph(vs, [Bundle(f"e{i}", f"u{i}", f"u{i + 1}", 2) for i in range(1, k)])
+
+
+# Graphs whose witness legs run to 60 edges, beyond the fixtures' 6.
+LONG_GRAPHS = {
+    "tailed_cycle_40_20": lambda: tailed_cycle(40, 20),
+    "line60": lambda: line(60),
+    "doubled_line5": lambda: _doubled_line(5),
+}
+LONG_COMMANDS = {
+    "witness": ("witness",),
+    "index": ("index",),
+    "check": ("check", "--trials", "5", "--seed", "0"),
+}
+
+LONG_GOLDEN = {
+    ('tailed_cycle_40_20', 'witness', 'text'): '2e86a6ee969c4069466349569694dae93f19f2e1aa834592162a47f1c8418480 0',
+    ('tailed_cycle_40_20', 'witness', 'json'): '85f28c850c58383aa12a6d3bec3110940b27e53829f255df07d25b971314807a 0',
+    ('tailed_cycle_40_20', 'index', 'text'): '0175c4d77bd2af83aec6a928dd8ae1590289b0a7c6c714aaedb42c5e7f03f5c9 0',
+    ('tailed_cycle_40_20', 'index', 'json'): '9fa2649d9c3b6ff3e0595c87c349002cc826c7dd99efe4e8ceca2808b0296ae9 0',
+    ('tailed_cycle_40_20', 'check', 'text'): '341451b5ce9ddb369a22dd92ee9e3449632b69c1d63c7f79f5124b8fdf8703bf 0',
+    ('tailed_cycle_40_20', 'check', 'json'): 'd5af3417e9d2e3a191a9ce6ece3fcbeebe6cc853bc4b624ab08a24e4774220a1 0',
+    ('line60', 'witness', 'text'): '42eff73c29d1587cdc355bf375e2b601ef7cd4dc594d243c9777320437cbe276 0',
+    ('line60', 'witness', 'json'): '5948c7387b6e4d583ec16cce8f3c123eb1701a8e79f8cc66b0bb0fdd02a31c78 0',
+    ('line60', 'index', 'text'): 'fbf9c88c2e25d92fa13be47cdc9afe48073be6745eb934cc8a50696bc83e8ffe 0',
+    ('line60', 'index', 'json'): '98374f422ac6849af8a31169532f6d6a4990784986fc0575e568fa303641102f 0',
+    ('line60', 'check', 'text'): '259ac4ead161cc7a0dbb333afd924d40a0e1c0cd13ce48d654d61b655661066c 0',
+    ('line60', 'check', 'json'): 'bf6a1ec7a40f7fd6248a1950c2498174499b0da4c21667ccc0a55f0683c663f9 0',
+    ('doubled_line5', 'witness', 'text'): '201ac0b7f953de44e57426e939544664281b8c2ede59239aa1a8c9190d5a938c 0',
+    ('doubled_line5', 'witness', 'json'): 'd07be3efed4d67731abe13e1d9240f2889f4ea79eac9e042a3cb4e1707726c49 0',
+    ('doubled_line5', 'index', 'text'): 'df30a9f2e690f89efca67fcc93dcb9ffbc2ac9beeaf2339ed65bd43164746aef 0',
+    ('doubled_line5', 'index', 'json'): '0df8a56bce01de3143f02f9424c0d02db826e9c36af534a0e4e6f64cd8199298 0',
+    ('doubled_line5', 'check', 'text'): 'ba7fb0af5e006678caac1c11c54af751fbed31321a760a116b626e57db8d9d5d 0',
+    ('doubled_line5', 'check', 'json'): 'f0cf710065d69192483c2a79910e6575af84ec9519d943d796ef730a5a988ea0 0',
+}
+
+
+@pytest.fixture(scope="module")
+def long_graph_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("long")
+    paths = {}
+    for name, build in LONG_GRAPHS.items():
+        paths[name] = d / f"{name}.graph"
+        paths[name].write_text(canonical_document(build()))
+    return paths
+
+
+@pytest.mark.parametrize("name,command,fmt", list(LONG_GOLDEN), ids=str)
+def test_long_leg_output_bytes_are_golden(name, command, fmt, long_graph_files):
+    cmd, *extra = LONG_COMMANDS[command]
+    argv = [cmd, str(long_graph_files[name]), *extra, "--format", fmt]
+    assert _digest(argv) == LONG_GOLDEN[name, command, fmt], \
+        f"{command} --format {fmt} on {name}"
+
+
+def test_every_long_case_has_a_digest():
+    assert set(LONG_GOLDEN) == {(name, command, fmt) for name in LONG_GRAPHS
+                                for command in LONG_COMMANDS
+                                for fmt in ("text", "json")}
 
 
 @pytest.mark.parametrize("name,command,fmt", list(_cases()),

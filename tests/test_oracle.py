@@ -28,7 +28,6 @@ from leavitt.graph import (
     InvalidPath,
     Path,
     component_cycles,
-    concat_paths,
     count_paths_ending_at,
     cycle_vertices,
     cycles,
@@ -257,7 +256,7 @@ def _corrupted_legs(m: MatrixUnits) -> dict:
     families = {"duplicated": legs + legs[-1:]}
     loop = _closed_path_at(g, path_range(g, legs[0]))
     if loop is not None:
-        families["extended"] = legs + (concat_paths(g, legs[0], loop),)
+        families["extended"] = legs + (Path(legs[0].base, legs[0].edges + loop.edges),)
     return {name: replace(m, legs=bad) for name, bad in families.items()}
 
 
@@ -557,10 +556,16 @@ def _enumerated_edge_ids(g: Graph) -> dict:
     return ids
 
 
+def _edge_id(g: Graph, e: EdgeRef) -> int:
+    """The kernel id of e, read off the one-edge path e."""
+    return algebra._path_key(g, Path(g.src(e), (e,)))[0][0]
+
+
 @pytest.mark.parametrize("omega", [None, Fraction(0), Fraction(1, 4)])
 def test_kernel_numbering_matches_enumeration(omega):
-    """edge_id/edge_ref, the special edges and the rewrite siblings of the
-    bundle-offset kernel equal those read off the list of every edge."""
+    """The path key of one edge, edge_ref, the special edges and the
+    rewrite siblings of the bundle-offset kernel equal those read off the
+    list of every edge."""
     graphs = _kernel_graphs(omega)
     if omega is not None:
         graphs += [(f"mult 3 seed={seed}", random_graph(RandomSpec(
@@ -569,11 +574,11 @@ def test_kernel_numbering_matches_enumeration(omega):
         table = algebra._Kernel(g)
         ids = _enumerated_edge_ids(g)
         for e, i in ids.items():
-            assert table.edge_id(g, e) == i and table.edge_ref(i) == e, name
+            assert _edge_id(g, e) == i and table.edge_ref(i) == e, name
         for b in g.bundles:
             for bad in ([-1] if b.mult is OMEGA else [-1, b.mult]):
                 with pytest.raises(InvalidPath):
-                    table.edge_id(g, EdgeRef(b.id, bad))
+                    _edge_id(g, EdgeRef(b.id, bad))
         for v in g.vertices:
             out = [e for e in ids if g.src(e) == v]
             if not out or any(g.bundle(e.bundle).mult is OMEGA for e in out):
@@ -595,7 +600,86 @@ def test_kernel_does_not_list_the_edges_of_a_bundle():
                              2 * 10 ** 8: (range(2 * 10 ** 8 + 1, 2 * 10 ** 8 + 2),)}
     for e, i in [(EdgeRef("a", 10 ** 8 - 1), 10 ** 8 - 1),
                  (EdgeRef("b", 7), 10 ** 8 + 7), (EdgeRef("c", 1), 2 * 10 ** 8 + 1)]:
-        assert table.edge_id(g, e) == i and table.edge_ref(i) == e
+        assert _edge_id(g, e) == i and table.edge_ref(i) == e
+
+
+# -- the one-walk path key against the rule it replaced ---------------------------
+
+def _path_key_reference(g: Graph, p: Path):
+    """(edge ids, range) of p by the two-step rule the one-walk key
+    replaced: a walk that only checks p is a path, then each edge numbered
+    on its own from a fresh kernel table; None when p is not a path."""
+    if p.base not in g._out:
+        return None
+    at = p.base
+    for e in p.edges:
+        if not g.is_edge(e) or g.bundle(e.bundle).src != at:
+            return None
+        at = g.bundle(e.bundle).dst
+    table = algebra._Kernel(g)
+    ids = []
+    for e in p.edges:
+        first, step, _ = table.first[e.bundle]
+        ids.append(first + e.index * step)
+    return tuple(ids), g.dst(p.edges[-1]) if p.edges else p.base
+
+
+def _path_variants(g: Graph, p: Path, rng: random.Random) -> dict:
+    """p and copies of it changed in one place; most are no longer paths."""
+    variants = {"valid": p, "unknown base": Path("no such vertex", p.edges),
+                "other base": Path(rng.choice(g.vertices), p.edges)}
+    if not p.edges:
+        return variants
+    i = rng.randrange(len(p.edges))
+    e, b = p.edges[i], g.bundle(p.edges[i].bundle)
+
+    def swap(ref):
+        return Path(p.base, p.edges[:i] + (ref,) + p.edges[i + 1:])
+
+    variants.update({
+        "unknown bundle": swap(EdgeRef("no such bundle", e.index)),
+        "negative index": swap(EdgeRef(e.bundle, -1)),
+        "other edge": swap(EdgeRef(rng.choice(g.bundles).id, 0)),
+        "break": Path(p.base, p.edges[:i] + p.edges[i + 1:]),
+        "same range": Path(p.base, p.edges[1:]),  # ends where p ends
+    })
+    if b.mult is OMEGA:
+        variants["large omega index"] = swap(EdgeRef(e.bundle, 10 ** 12))
+    else:
+        variants["index at mult"] = swap(EdgeRef(e.bundle, b.mult))
+    return variants
+
+
+@pytest.mark.parametrize("omega", [None, Fraction(0), Fraction(1, 4)])
+def test_path_key_matches_the_check_then_number_rule(omega):
+    """algebra._path_key accepts and refuses the paths the separate check
+    and numbering did, with the same ids and range, on valid paths and on
+    their corruptions: the 14 fixtures (omega None) or 300 seeded random
+    graphs."""
+    graphs = _kernel_graphs(omega)
+    if omega is not None:
+        graphs = [(f"random omega={omega} seed={seed}",
+                   random_graph(RandomSpec(seed=seed, omega_probability=omega)))
+                  for seed in range(300)]
+    rng = random.Random(15)
+    seen = {True: set(), False: set()}
+    for name, g in graphs:
+        paths = {path for seed in range(3) for m, _ in random_raw_terms(
+            g, RandomSpec(seed=seed), 6, 5) for path in (m.p, m.q)}
+        for p in sorted(paths, key=repr):
+            for kind, q in _path_variants(g, p, rng).items():
+                expected = _path_key_reference(g, q)
+                seen[expected is not None].add(kind)
+                if expected is None:
+                    with pytest.raises(InvalidPath):
+                        algebra._path_key(g, q)
+                else:
+                    assert algebra._path_key(g, q) == expected, (name, kind, q)
+    assert {"unknown base", "unknown bundle", "negative index", "index at mult",
+            "break", "same range"} <= seen[False]
+    assert "valid" in seen[True]
+    if omega:
+        assert "large omega index" in seen[True]
 
 
 # -- the nilpotence probe against the sequential one -----------------------------
