@@ -54,23 +54,53 @@ def _cycle_text(g: Graph, c: Cycle) -> str:
     return ".".join(algebra.edge_text(g, e) for e in c.edges)
 
 
-class _EdgeTexts(dict):
-    """(bundle, index, indent) -> the JSON object text of that edge at that
-    indentation, built on first lookup."""
+class _Memo(dict):
+    """A dict that fills in a missing key with make(key)."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):  # a dict subclass starts empty without dict.__init__
+        self.make = make
 
     def __missing__(self, key):
-        bundle, index, indent = key
+        value = self[key] = self.make(key)
+        return value
+
+
+class _EdgeTexts(dict):
+    """The JSON object texts of edges at one indentation, each built on
+    first lookup: keyed by the bundle id for index 0, the common case, and
+    by (bundle id, index) for any other index."""
+
+    __slots__ = ("indent",)
+
+    def __init__(self, indent: str):
+        self.indent = indent
+
+    def __missing__(self, key):
+        bundle, index = key if type(key) is tuple else (key, 0)
+        indent = self.indent
         inner = indent + "  "
         text = self[key] = (f'{{{inner}"bundle": {_quote(bundle)},'
                             f'{inner}"index": {index}{indent}}}')
         return text
 
 
+def _dict_form(key: tuple) -> tuple:
+    """(key tuple, indent) -> (the keys sorted, a %-template of the dict's
+    text at indent with one %s per value, in sorted key order)."""
+    keys, indent = key
+    order = sorted(keys)
+    inner = indent + "  "
+    form = ",".join(f"{inner}{_quote(k).replace('%', '%%')}: %s" for k in order)
+    return order, "{" + form + indent + "}"
+
+
+_EDGES_ONLY, _STRS_ONLY = {EdgeRef}, {str}
+
 # A JSON document goes to stdout in writes of at least _BATCH characters (a
-# smaller document in one), so it is never held whole as text; the pending
-# chunks are joined and measured each time _JOIN_EVERY of them gather.
+# smaller document in one), so it is never held whole as text.
 _BATCH = 1 << 16
-_JOIN_EVERY = 1 << 12
 
 
 def _dumps(obj) -> str:
@@ -86,80 +116,104 @@ def _json_chunks(obj, end: str = ""):
     indent; with one, it walks several Python generator frames per value,
     and a listing of n witness paths has Theta(n L) edges.
 
+    This generator walks only the outer containers: the top value, and the
+    nonempty dicts, lists and tuples reached from it through dicts.  Each
+    element of such a list is rendered whole, as one string, by a plain
+    recursive function, and the pending text is written once it reaches
+    _BATCH characters.  JSON is built from string templates: a dict fills
+    a %-template built once per key tuple and indentation, and a list or
+    tuple is one join, in which an EdgeRef is the object ``{"bundle": ...,
+    "index": ...}`` whose text is built once per edge and indentation.
     Dicts (text keys, sorted), lists and tuples nest; strings, ints, bools
-    and None print inline; an EdgeRef prints as the object
-    ``{"bundle": ..., "index": ...}``, its text built once per edge and
-    indentation; anything else falls back to ``json.dumps``."""
-    out = []
-    edges = _EdgeTexts()
+    and None print inline; anything else falls back to ``json.dumps``."""
+    edges, forms = _Memo(_EdgeTexts), _Memo(_dict_form)
 
-    def atom(o, indent: str):  # indent: newline plus this level's spaces
-        """The text of o when it is not a nonempty dict, list or tuple."""
-        if isinstance(o, str):
+    def render(o, indent: str) -> str:  # indent: newline plus o's level's spaces
+        """The whole text of o."""
+        t = type(o)
+        if t is str:
             return _quote(o)
+        if t is dict:
+            if not o:
+                return "{}"
+            order, form = forms[tuple(o), indent]
+            inner = indent + "  "
+            return form % tuple([_quote(x) if type(x) is str else render(x, inner)
+                                 for x in map(o.__getitem__, order)])
+        if t is list or t is tuple:
+            if not o:
+                return "[]"
+            inner = indent + "  "
+            kinds = set(map(type, o))
+            if kinds == _EDGES_ONLY:  # a path's edges
+                texts = edges[inner]
+                items = [texts[x.bundle] if x.index == 0 else texts[x.bundle, x.index]
+                         for x in o]
+            elif kinds == _STRS_ONLY:
+                items = map(_quote, o)
+            else:
+                items = [render(x, inner) for x in o]
+            return f"[{inner}{(',' + inner).join(items)}{indent}]"
+        if t is EdgeRef:
+            return edges[indent][o.bundle, o.index]
+        if t is int:
+            return int.__repr__(o)
         if o is None:
             return "null"
         if o is True:
             return "true"
         if o is False:
             return "false"
+        if isinstance(o, str):
+            return _quote(o)
         if isinstance(o, int):
             return int.__repr__(o)
-        if isinstance(o, EdgeRef):
-            return edges[o.bundle, o.index, indent]
-        if isinstance(o, (list, tuple)):
-            return None if o else "[]"
         if isinstance(o, dict):
-            return None if o else "{}"
+            return render(dict(o), indent)
+        if isinstance(o, (list, tuple)):
+            return render(list(o), indent)
         return json.dumps(o)
 
-    def batch():
-        """Join the pending chunks; their text once it reaches _BATCH."""
-        text = "".join(out)
-        out.clear()
-        if len(text) >= _BATCH:
-            return text
-        out.append(text)
-        return None
+    out, size = [], 0
 
     def write(o, indent: str):
         """Append o, a nonempty dict, list or tuple, yielding full batches."""
+        nonlocal size
         inner = indent + "  "
-        if isinstance(o, dict):
+        if type(o) is dict:
             sep, comma = "{" + inner, "," + inner
             for k, x in sorted(o.items()):
                 out.append(f"{sep}{_quote(k)}: ")
-                text = atom(x, inner)
-                if text is None:
+                if type(x) in (dict, list, tuple) and x:
                     yield from write(x, inner)
                 else:
-                    out.append(text)
-                if len(out) >= _JOIN_EVERY and (text := batch()):
-                    yield text
+                    out.append(render(x, inner))
                 sep = comma
             out.append(indent + "}")
         else:
-            sep, comma = "[" + inner, "," + inner
+            sep, comma, texts = "[" + inner, "," + inner, edges[inner]
             for x in o:
-                out.append(sep)
-                if type(x) is EdgeRef:  # the bulk of a path listing
-                    out.append(edges[x.bundle, x.index, inner])
+                t = type(x)
+                if t is str:
+                    text = _quote(x)
+                elif t is EdgeRef:
+                    text = texts[x.bundle] if x.index == 0 else texts[x.bundle, x.index]
                 else:
-                    text = atom(x, inner)
-                    if text is None:
-                        yield from write(x, inner)
-                    else:
-                        out.append(text)
-                if len(out) >= _JOIN_EVERY and (text := batch()):
-                    yield text
+                    text = render(x, inner)
+                out.append(sep)
+                out.append(text)
+                size += len(text)
+                if size >= _BATCH:
+                    yield "".join(out)
+                    out.clear()
+                    size = 0
                 sep = comma
             out.append(indent + "]")
 
-    text = atom(obj, "\n")
-    if text is None:
+    if type(obj) in (dict, list, tuple) and obj:
         yield from write(obj, "\n")
     else:
-        out.append(text)
+        out.append(render(obj, "\n"))
     out.append(end)
     yield "".join(out)
 

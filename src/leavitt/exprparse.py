@@ -186,6 +186,8 @@ class _Parser:
             k, v, p = self.take()
             if k != "nat":
                 raise ExprSyntaxError("expected a denominator", p)
+            if v == 0:
+                raise ExprSyntaxError("zero denominator", p)
             den = v
         return ScalarLiteral(Fraction(sign * num, den))
 

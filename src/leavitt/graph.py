@@ -14,11 +14,15 @@ a cycle with one of its exits.
 The structural predicates (cycle vertices, Conditions (K) and (L), downward
 directedness, path counts) read one cached pass per graph: Tarjan's strongly
 connected components without recursion, then one dynamic program over the
-condensation in topological order.
+condensation in topological order.  A vertex without successors is its own
+component, emitted where the search meets it with no DFS frame, and cycle
+searches start only in components with a bundle inside.
 
 A vertex is read through its total out-multiplicity,
 :meth:`Graph.out_degree`: 0 at a sink, OMEGA at an infinite emitter, a
-positive int at a regular vertex.  A cycle has no exit exactly when every
+positive int at a regular vertex.  The out-degrees form one table, filled
+in once by the constructor; ``is_sink``, ``is_regular`` and ``sinks`` read
+it too.  A cycle has no exit exactly when every
 vertex on it has out-degree 1.  Then a path that reaches the cycle stays on
 it, so the cycle edges of a path into the cycle form its trailing run, and
 the path contains the whole cycle exactly when that run has length at least
@@ -35,6 +39,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 
@@ -91,7 +96,7 @@ class _Omega:
 OMEGA = _Omega()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # a loader builds one per edge: slots build faster
 class Bundle:
     """A bundle of parallel edges from src to dst."""
 
@@ -165,27 +170,42 @@ class CycleTarget:
 class Graph:
     """Immutable graph value; vertices and bundles are stored sorted.
 
-    Construction is permissive (no invariant is enforced) so that
+    Construction is permissive (no invariant is enforced; the out-degree
+    table only needs the multiplicities at a vertex to add up) so that
     :func:`validate` can report violations; every other operation assumes a
-    valid graph.
+    valid graph.  The loader calls :func:`validate` only when its own
+    per-edge checks have seen a fault.
     """
 
-    __slots__ = ("vertices", "bundles", "_by_id", "_out", "_into", "_succ", "_scc",
-                 "_kernel")
+    __slots__ = ("vertices", "bundles", "_by_id", "_out", "_into", "_succ", "_deg",
+                 "_scc", "_kernel")
 
     def __init__(self, vertices: Iterable[str], bundles: Iterable[Bundle] = ()):
         self.vertices = tuple(sorted(vertices))
-        self.bundles = tuple(sorted(bundles, key=lambda b: b.id))
+        self.bundles = tuple(sorted(bundles, key=attrgetter("id")))
         self._by_id = {b.id: b for b in self.bundles}
-        self._out = {v: [] for v in self.vertices}
-        self._into = {v: [] for v in self.vertices}
+        out = self._out = {v: [] for v in self.vertices}
+        into = self._into = {v: [] for v in self.vertices}
         for b in self.bundles:
-            if b.src in self._out:
-                self._out[b.src].append(b)
-            if b.dst in self._into:
-                self._into[b.dst].append(b)
-        self._succ = {v: sorted({b.dst for b in self._out[v] if b.dst in self._out})
-                      for v in self.vertices}
+            src, dst = b.src, b.dst
+            if src in out:
+                out[src].append(b)
+            if dst in into:
+                into[dst].append(b)
+        # successors and out-degrees (see out_degree), one vertex at a time;
+        # only a vertex with two or more out-bundles sorts or sums
+        succ, deg = {}, {}
+        for v, bs in out.items():
+            if len(bs) == 1:
+                b = bs[0]
+                succ[v], deg[v] = ((b.dst,) if b.dst in out else ()), b.mult
+            elif bs:
+                succ[v] = sorted({b.dst for b in bs if b.dst in out})
+                mults = [b.mult for b in bs]
+                deg[v] = OMEGA if OMEGA in mults else sum(mults)
+            else:
+                succ[v], deg[v] = (), 0
+        self._succ, self._deg = succ, deg
         self._scc = None  # _Components, filled in on first use
         self._kernel = None  # algebra._Kernel, filled in on first use
 
@@ -234,14 +254,12 @@ class Graph:
 
     def out_degree(self, v: str):
         """Total multiplicity of the bundles leaving v: an int, or OMEGA
-        when one of them is an omega bundle."""
-        self.check_vertex(v)
-        total = 0
-        for b in self._out[v]:
-            if b.mult is OMEGA:
-                return OMEGA
-            total += b.mult
-        return total
+        when one of them is an omega bundle.  Read from the table the
+        constructor fills in."""
+        d = self._deg.get(v)
+        if d is None:
+            self.check_vertex(v)
+        return d
 
     def is_sink(self, v: str) -> bool:
         return self.out_degree(v) == 0
@@ -261,7 +279,7 @@ class Graph:
         return sorted(refs)
 
     def sinks(self) -> list:
-        return [v for v in self.vertices if self.is_sink(v)]
+        return [v for v, d in self._deg.items() if d == 0]
 
 
 # -- validation ------------------------------------------------------------
@@ -351,25 +369,38 @@ class _Components(NamedTuple):
 
 def _components(g: Graph) -> _Components:
     """Tarjan's algorithm with an explicit stack, then one pass over the
-    condensation in topological order; cached on the graph."""
+    condensation in topological order; cached on the graph.
+
+    A vertex without successors is a component of its own: it is emitted
+    where the search first meets it, which is where Tarjan's algorithm
+    would emit it, and it takes neither a stack entry nor a work frame."""
     if g._scc is not None:
         return g._scc
+    succ = g._succ
     index, low, comp, found, stack = {}, {}, {}, [], []
     for root in g.vertices:
         if root in index:
             continue
         index[root] = low[root] = len(index)
+        if not succ[root]:
+            comp[root] = len(found)
+            found.append([root])
+            continue
         stack.append(root)
-        work = [(root, iter(g._succ[root]))]
+        work = [(root, iter(succ[root]))]
         while work:
             v, it = work[-1]
             for w in it:
                 if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    work.append((w, iter(g._succ[w])))
-                    break
-                if w not in comp:  # still on the stack
+                    if succ[w]:
+                        index[w] = low[w] = len(index)
+                        stack.append(w)
+                        work.append((w, iter(succ[w])))
+                        break
+                    index[w] = len(index)
+                    comp[w] = len(found)
+                    found.append([w])
+                elif w not in comp:  # still on the stack
                     low[v] = min(low[v], index[w])
             else:
                 work.pop()
@@ -392,21 +423,21 @@ def _components(g: Graph) -> _Components:
         i, j = comp[b.src], comp[b.dst]
         if i != j:
             left[i] = True
-        else:
-            inner[i] = OMEGA if OMEGA in (inner[i], b.mult) else inner[i] + b.mult
+        elif inner[i] is not OMEGA:
+            inner[i] = OMEGA if b.mult is OMEGA else inner[i] + b.mult
 
     # paths ending at v: 1 + sum of mult * paths(src) over the bundles into
     # v, omega absorbing, where a source on a cycle feeds omega many (pump
     # the cycle).  All vertices of a component that is one simple cycle
     # share the sum of their own counts; any richer component gives omega.
-    paths, feed = {}, {}
+    paths, feed, into = {}, {}, g._into
     for i, members in enumerate(found):
         cnt = len(members)  # the trivial path at each member
         for v in members:
-            for b in g._into[v]:
-                if comp[b.src] != i:
+            for b in into[v]:
+                if comp[b.src] != i and cnt is not OMEGA:
                     f = feed[b.src]
-                    cnt = OMEGA if OMEGA in (cnt, f, b.mult) else cnt + b.mult * f
+                    cnt = OMEGA if f is OMEGA or b.mult is OMEGA else cnt + b.mult * f
         cyclic = inner[i] != 0
         if cyclic and inner[i] != len(members):
             cnt = OMEGA
@@ -418,10 +449,14 @@ def _components(g: Graph) -> _Components:
 
 def _vertex_cycles(g: Graph) -> list:
     """Elementary vertex cycles, each once, minimal vertex first.  Each
-    search stays inside its start vertex's strongly connected component."""
-    comp = _components(g).comp
+    search stays inside its start vertex's strongly connected component,
+    and starts only in a component with a bundle inside it."""
+    s = _components(g)
+    comp, inner = s.comp, s.inner
     found = []
     for start in g.vertices:
+        if inner[comp[start]] == 0:
+            continue
         trail, on_trail = [start], {start}
         work = [iter(g._succ[start])]
         while work:
@@ -614,7 +649,7 @@ def hereditary_saturated_closure(g: Graph, X: Iterable[str]) -> frozenset:
     One worklist pass, O(V + E): each regular vertex keeps the number of
     its bundles whose range is not yet in H, and enters H when that number
     reaches 0."""
-    pending = {v: len(g._out[v]) for v in g.vertices if g.is_regular(v)}
+    pending = {v: len(g._out[v]) for v, d in g._deg.items() if d not in (0, OMEGA)}
     work = []
     for v in X:
         g.check_vertex(v)

@@ -11,6 +11,12 @@
 `mult` is a positive integer or the string "omega" (it may be omitted and
 defaults to 1).  Canonical serialization sorts vertices and bundle ids
 lexicographically, so parse -> serialize -> parse is the identity.
+
+Loading checks each edge once, with exact-type tests on the parsed JSON
+(which holds only exact dicts, lists, strings, ints, floats, bools and
+None), and notes an undeclared endpoint, a duplicate vertex or a duplicate
+bundle id as it goes.  :func:`leavitt.graph.validate` runs only on that
+error path, so that the error names every violation in its order.
 """
 
 from __future__ import annotations
@@ -47,34 +53,35 @@ def parse_graph_document(text: str) -> Graph:
     if not isinstance(doc, dict):
         raise GraphFormatError("document must be an object")
     vertices = doc.get("vertices")
-    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+    if type(vertices) is not list or not set(map(type, vertices)) <= {str}:
         raise GraphFormatError("'vertices' must be a list of strings")
     edges = doc.get("edges", [])
-    if not isinstance(edges, list):
+    if type(edges) is not list:
         raise GraphFormatError("'edges' must be a list")
-    bundles = []
+    declared, ids, bundles = set(vertices), set(), []
+    valid = len(declared) == len(vertices)
     for i, e in enumerate(edges):
-        if not isinstance(e, dict):
+        if type(e) is not dict:
             raise GraphFormatError(f"edges[{i}] must be an object")
         try:
             bid, src, dst = e["id"], e["src"], e["dst"]
         except KeyError as err:
             raise GraphFormatError(f"edges[{i}] is missing {err}") from None
-        if not all(isinstance(x, str) for x in (bid, src, dst)):
+        if type(bid) is not str or type(src) is not str or type(dst) is not str:
             raise GraphFormatError(f"edges[{i}]: id/src/dst must be strings")
-        raw = e.get("mult", 1)
-        if raw == "omega":
+        mult = e.get("mult", 1)
+        if type(mult) is not int or mult < 1:
+            if mult != "omega":
+                raise GraphFormatError(
+                    f"edges[{i}]: mult must be a positive integer or \"omega\"")
             mult = OMEGA
-        elif isinstance(raw, int) and not isinstance(raw, bool) and raw >= 1:
-            mult = raw
-        else:
-            raise GraphFormatError(
-                f"edges[{i}]: mult must be a positive integer or \"omega\"")
+        if valid and (src not in declared or dst not in declared or bid in ids):
+            valid = False
+        ids.add(bid)
         bundles.append(Bundle(bid, src, dst, mult))
     g = Graph(vertices, bundles)
-    violations = validate(g)
-    if violations:
-        raise GraphValidationError(violations)
+    if not valid:  # name every violation, in the order validate reports them
+        raise GraphValidationError(validate(g))
     return g
 
 

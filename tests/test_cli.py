@@ -194,6 +194,9 @@ _MALFORMED = {
     "nested-brackets": ("analyze", "[" * 100_000, None),
     "unknown-ident": ("eval", None, "zz"),
     "duplicate-vertex": ("analyze", '{"vertices": ["u", "u"], "edges": []}', None),
+    "zero-denominator": ("eval", None, "1/0"),
+    "zero-denominator-in-sum": ("eval", None, "e1 + 3/0"),
+    "zero-over-zero": ("eval", None, "0/0"),
 }
 
 
@@ -481,7 +484,7 @@ def test_json_output_matches_stdlib_dump(capsys, tmp_path):
 
 _texts = st.text(st.one_of(
     st.characters(exclude_categories=()),  # lone surrogates included
-    st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9",
+    st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9", "%",
                      "\u2028", "\ud800", "\udfff", "\U0001f600"])))
 _edges = st.builds(EdgeRef, _texts, st.integers(min_value=0, max_value=10 ** 6))
 _leaves = st.one_of(st.none(), st.booleans(), st.integers(),
@@ -506,8 +509,35 @@ def _plain(obj):
     return obj
 
 
+_keysets = st.lists(_texts, min_size=1, max_size=3, unique=True)
+_small = st.one_of(_leaves, st.lists(_leaves, max_size=3).map(tuple),
+                   st.dictionaries(_texts, _leaves, max_size=2))
+
+
+@st.composite
+def _repeating(draw):
+    """Payloads for the emitter's caches and fast paths: one key set at two
+    depths, one EdgeRef at two depths, EdgeRefs mixed with other values in
+    one tuple, and empty dicts and tuples nested in each other."""
+    keys, edge = draw(_keysets), draw(_edges)
+
+    def keyed():
+        return {k: draw(_small) for k in keys}
+
+    mixed = draw(st.permutations([edge, draw(_edges), draw(_leaves), draw(_small),
+                                  (), {}]))
+    empties = draw(st.sampled_from([{}, (), [], {"": {}}, ((),), ({}, ()),
+                                    {"a": ({}, [()])}, [[{"b": ()}]]]))
+    payload = {"outer": keyed(), "deep": [{"inner": keyed()}, (keyed(),)],
+               "edge": edge, "path": {"edges": (edge, edge)},
+               "mixed": tuple(mixed[:draw(st.integers(1, len(mixed)))]),
+               "empties": empties}
+    drop = draw(st.sets(st.sampled_from(sorted(payload)), max_size=3))
+    return {k: x for k, x in payload.items() if k not in drop}
+
+
 @settings(max_examples=300, deadline=None)
-@given(_values)
+@given(st.one_of(_values, _repeating()))
 def test_dumps_matches_stdlib(value):
     assert _dumps(value) == _reference_dump(_plain(value))
     assert _dumps(_plain(value)) == _reference_dump(_plain(value))
@@ -538,6 +568,24 @@ def test_json_is_written_in_batches(monkeypatch, tmp_path):
     writes.clear()
     assert main(["index", fixture_path("line3"), "--format", "json"]) == 0
     assert len(writes) == 1 and writes[0].endswith("}\n")
+
+
+def test_json_writes_are_bounded(monkeypatch, tmp_path):
+    """JSON index on line(300) streams its 300 witness paths: every write
+    but the last holds at least _BATCH characters, and none over 256 KB."""
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(["index", _line_document(tmp_path, 300), "--format", "json"]) == 0
+    out = "".join(writes)
+    assert out == _reference_dump(json.loads(out)) + "\n"
+    assert len(json.loads(out)["witness"]["paths"]) == 300
+    assert len(writes) > 2 and min(map(len, writes[:-1])) >= cli._BATCH
+    assert max(map(len, writes)) <= 256 * 1024
 
 
 # -- the parser -----------------------------------------------------------------

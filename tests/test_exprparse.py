@@ -44,6 +44,13 @@ def test_parse_errors():
             parse_expr(bad)
 
 
+def test_zero_denominator_names_its_position():
+    for text, pos in [("1/0", 2), ("e1 + 3/0", 7), ("0/0", 2), ("-2/00 v", 3)]:
+        with pytest.raises(ExprSyntaxError, match="zero denominator") as err:
+            parse_expr(text)
+        assert err.value.pos == pos, text
+
+
 def test_eval_ck_identities():
     g = corpus.clock(3)
     assert eval_expr(parse_expr("e1* e1"), g) == vertex_element(g, "w1")

@@ -9,7 +9,9 @@ deliberate output change prints the new table with
 
 to paste over ``GOLDEN`` below, and records the change in CHANGES.md.
 ``LONG_GOLDEN`` pins witness, index and check the same way on three built
-graphs whose witness legs are up to 60 edges long.
+graphs whose witness legs are up to 60 edges long, and ``WIDE_GOLDEN`` pins
+JSON index, analyze and decompose on clock(1200), line(200) and the doubled
+line with k = 11.
 """
 
 import contextlib
@@ -21,7 +23,7 @@ import pytest
 
 from conftest import tailed_cycle
 from leavitt.cli import main
-from leavitt.corpus import line
+from leavitt.corpus import clock, line
 from leavitt.graph import Bundle, Graph
 from leavitt.graphio import canonical_document, load_graph
 
@@ -305,14 +307,56 @@ LONG_GOLDEN = {
 }
 
 
-@pytest.fixture(scope="module")
-def long_graph_files(tmp_path_factory):
-    d = tmp_path_factory.mktemp("long")
+# JSON verdicts on the payload shapes the emitter and the component pass
+# have fast paths for: 1200 sinks, witness legs up to 199 edges, and 2047
+# legs of up to 10 parallel-edge choices.
+WIDE_GRAPHS = {
+    "clock1200": lambda: clock(1200),
+    "line200": lambda: line(200),
+    "doubled_line11": lambda: _doubled_line(11),
+}
+
+WIDE_GOLDEN = {
+    ('clock1200', 'index'): '893e46ea8f26a5fadf66a0273c425a0c88acfb1c94ed7e0af0ddb9b0bbfc0e33 0',
+    ('clock1200', 'analyze'): '8cc8400db11e69a75dab9e4c9b81291afd11f56263d145b6c7c9acb440ff1b99 0',
+    ('clock1200', 'decompose'): 'd441a4769f1b3d97dbc4b810f2b269d175ba439b649f08b81e2c819c197b34d8 0',
+    ('line200', 'index'): '2ab8c92072da18b17562753ef55197b94c3de5941820e7c3efe758099e927575 0',
+    ('line200', 'analyze'): 'ce597ab24a5708e4c31d68125236f3f3e2ded72afa7b93d84dde7a53302ab5be 0',
+    ('line200', 'decompose'): '122ccadaff3c314d454889ca94d86493ba689be77f109850b01b707f13406370 0',
+    ('doubled_line11', 'index'): '1bf4e553f8e9bbd58c90092f95ca71979af2dd4439c010e0705ff739a0da02b8 0',
+    ('doubled_line11', 'analyze'): 'e3e634c225e07c69f6fe8851b5ee90b45eac3d61c9b62fbce0b6df351398207f 0',
+    ('doubled_line11', 'decompose'): 'c0ef4775f95e3a9366df3b64fe5185839c08973f213928545dbf69cefb2b4698 0',
+}
+
+
+def _graph_files(tmp_path_factory, graphs: dict) -> dict:
+    d = tmp_path_factory.mktemp("built")
     paths = {}
-    for name, build in LONG_GRAPHS.items():
+    for name, build in graphs.items():
         paths[name] = d / f"{name}.graph"
         paths[name].write_text(canonical_document(build()))
     return paths
+
+
+@pytest.fixture(scope="module")
+def long_graph_files(tmp_path_factory):
+    return _graph_files(tmp_path_factory, LONG_GRAPHS)
+
+
+@pytest.fixture(scope="module")
+def wide_graph_files(tmp_path_factory):
+    return _graph_files(tmp_path_factory, WIDE_GRAPHS)
+
+
+@pytest.mark.parametrize("name,command", list(WIDE_GOLDEN), ids=str)
+def test_wide_json_output_bytes_are_golden(name, command, wide_graph_files):
+    argv = [command, str(wide_graph_files[name]), "--format", "json"]
+    assert _digest(argv) == WIDE_GOLDEN[name, command], f"{command} --format json on {name}"
+
+
+def test_every_wide_case_has_a_digest():
+    assert set(WIDE_GOLDEN) == {(name, command) for name in WIDE_GRAPHS
+                                for command in ("index", "analyze", "decompose")}
 
 
 @pytest.mark.parametrize("name,command,fmt", list(LONG_GOLDEN), ids=str)

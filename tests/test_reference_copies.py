@@ -1,0 +1,384 @@
+"""The loader and the component pass against copies of their earlier forms.
+
+``parse_graph_document`` now checks each edge in one loop and runs
+``validate`` only when that loop saw an undeclared endpoint or a duplicate
+id; ``_components`` emits a successor-free vertex where it meets it, and
+``_vertex_cycles`` searches only components with a bundle inside.  The
+copies below are the straightforward forms they replace: the loader that
+validated every graph, and the passes that gave every vertex a DFS frame
+and a cycle search.  Both forms must agree on every input.
+"""
+
+import itertools
+import json
+import random
+import sys
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from leavitt import corpus
+from leavitt.graph import (
+    OMEGA,
+    Bundle,
+    Cycle,
+    CycleThroughOmegaBundle,
+    EdgeRef,
+    Graph,
+    _components,
+    _vertex_cycles,
+    cycles,
+)
+from leavitt.graphio import (
+    GraphFormatError,
+    GraphSyntaxError,
+    GraphValidationError,
+    parse_graph_document,
+)
+from leavitt.oracle import RandomSpec, random_graph
+
+# -- the loader -------------------------------------------------------------------
+
+
+def _reference_validate(g: Graph) -> list:
+    violations = []
+    seen_v = set()
+    for v in g.vertices:
+        if v in seen_v:
+            violations.append(f"duplicate vertex id: {v!r}")
+        seen_v.add(v)
+    seen_b = set()
+    for b in g.bundles:
+        if b.id in seen_b:
+            violations.append(f"duplicate bundle id: {b.id!r}")
+        seen_b.add(b.id)
+        if b.src not in seen_v:
+            violations.append(f"bundle {b.id!r}: src {b.src!r} is not a declared vertex")
+        if b.dst not in seen_v:
+            violations.append(f"bundle {b.id!r}: dst {b.dst!r} is not a declared vertex")
+        if b.mult is not OMEGA and (not isinstance(b.mult, int) or b.mult < 1):
+            violations.append(f"bundle {b.id!r}: multiplicity must be a positive integer or omega")
+    return violations
+
+
+def _reference_parse(text: str) -> Graph:
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as err:
+        raise GraphSyntaxError(
+            f"line {err.lineno}, column {err.colno}: {err.msg}") from None
+    except ValueError:
+        raise GraphSyntaxError("an integer has more than "
+                               f"{sys.get_int_max_str_digits()} digits") from None
+    if not isinstance(doc, dict):
+        raise GraphFormatError("document must be an object")
+    vertices = doc.get("vertices")
+    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+        raise GraphFormatError("'vertices' must be a list of strings")
+    edges = doc.get("edges", [])
+    if not isinstance(edges, list):
+        raise GraphFormatError("'edges' must be a list")
+    bundles = []
+    for i, e in enumerate(edges):
+        if not isinstance(e, dict):
+            raise GraphFormatError(f"edges[{i}] must be an object")
+        try:
+            bid, src, dst = e["id"], e["src"], e["dst"]
+        except KeyError as err:
+            raise GraphFormatError(f"edges[{i}] is missing {err}") from None
+        if not all(isinstance(x, str) for x in (bid, src, dst)):
+            raise GraphFormatError(f"edges[{i}]: id/src/dst must be strings")
+        raw = e.get("mult", 1)
+        if raw == "omega":
+            mult = OMEGA
+        elif isinstance(raw, int) and not isinstance(raw, bool) and raw >= 1:
+            mult = raw
+        else:
+            raise GraphFormatError(
+                f"edges[{i}]: mult must be a positive integer or \"omega\"")
+        bundles.append(Bundle(bid, src, dst, mult))
+    g = Graph(vertices, bundles)
+    violations = _reference_validate(g)
+    if violations:
+        raise GraphValidationError(violations)
+    return g
+
+
+def _outcome(parse, text: str):
+    try:
+        return "graph", parse(text)
+    except (GraphSyntaxError, GraphFormatError, GraphValidationError) as err:
+        return type(err), str(err)
+
+
+_NAMES = ["u", "v", "w", "x1", "é"]
+_names = st.sampled_from(_NAMES)
+_not_strings = st.one_of(st.none(), st.booleans(), st.integers(-2, 3),
+                         st.just(1.0), st.lists(st.integers(), max_size=2))
+_ids = st.one_of(_names, st.sampled_from(["e1", "e2", "e3"]), _not_strings)
+_ends = st.one_of(_names, st.just("nowhere"), _not_strings)
+_MISSING = object()
+_mults = st.sampled_from([_MISSING, True, False, 0, -1, 1.0, "omega", "x", None,
+                          1, 2, 3, 10 ** 20])
+
+
+@st.composite
+def _edge(draw, well_formed: bool):
+    """One entry of the edges list.  A well-formed entry passes the
+    per-edge checks, but may still name an undeclared vertex or repeat an
+    id, which only the validation step reports."""
+    if well_formed:
+        e = {"id": draw(st.sampled_from(["e1", "e2", "e3", "e4", "e5"])),
+             "src": draw(_names), "dst": draw(_names)}
+        mult = draw(st.sampled_from([_MISSING, 1, 2, "omega"]))
+    else:
+        if draw(st.integers(0, 9)) == 0:
+            return draw(st.one_of(_not_strings, _names))  # not an object
+        e = {"id": draw(_ids), "src": draw(_ends), "dst": draw(_ends)}
+        for key in draw(st.sets(st.sampled_from(["id", "src", "dst"]), max_size=2)):
+            del e[key]
+        mult = draw(_mults)
+    if mult is not _MISSING:
+        e["mult"] = mult
+    return e
+
+
+@st.composite
+def _documents(draw):
+    shape = draw(st.integers(0, 19))
+    if shape == 0:  # malformed text or a non-object document
+        return draw(st.sampled_from(["", "{", "[]", "3", '"x"', "null",
+                                     '{"vertices": [1e999999]}']))
+    vertices = draw(st.lists(_names, max_size=6))  # duplicates included
+    if shape == 1:
+        vertices = draw(st.one_of(_not_strings, st.lists(st.one_of(_names, _not_strings),
+                                                         min_size=1, max_size=3)))
+    well_formed = shape >= 10
+    edges = draw(st.lists(_edge(well_formed), max_size=6))
+    doc = {"vertices": vertices, "edges": edges}
+    if shape == 2:
+        doc["edges"] = draw(_not_strings)
+    if shape == 3:
+        del doc["edges"]
+    if shape == 4:
+        del doc["vertices"]
+    return json.dumps(doc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_documents())
+def test_loader_matches_reference(text):
+    """Equal graphs, or the same exception type with the same message."""
+    assert _outcome(parse_graph_document, text) == _outcome(_reference_parse, text)
+
+
+def test_loader_reference_sees_every_fault():
+    """Documents that reach each outcome the loader has, one of them with
+    six violations at once."""
+    seen = set()
+    examples = [
+        '{"vertices": ["u", "v"], "edges": [{"id": "e", "src": "u", "dst": "v"}]}',
+        '{"vertices": ["u", "u"], "edges": []}',
+        '{"vertices": ["u"], "edges": [{"id": "e", "src": "u", "dst": "v"}]}',
+        '{"vertices": ["u"], "edges": [{"id": "e", "src": "u", "dst": "u"},'
+        ' {"id": "e", "src": "u", "dst": "u", "mult": 2}]}',
+        '{"vertices": ["v", "u", "v"], "edges": [{"id": "b", "src": "w", "dst": "x"},'
+        ' {"id": "b", "src": "v", "dst": "y"}, {"id": "a", "src": "z", "dst": "u"}]}',
+        '{"vertices": ["u"], "edges": [{"id": "e", "src": "u", "dst": "u", "mult": true}]}',
+        '{"vertices": ["u"], "edges": [{"id": "e", "src": "u", "dst": "u", "mult": 1.0}]}',
+        '{"vertices": ["u"], "edges": [7]}',
+        '{"vertices": ["u"], "edges": [{"id": 1, "src": "u", "dst": "u"}]}',
+        '{"vertices": ["u"], "edges": [{"src": "u", "dst": "u"}]}',
+        '{"vertices": [1]}', '{"edges": []}', "[", "[]", '[' + '9' * 5000 + ']',
+    ]
+    for text in examples:
+        got = _outcome(parse_graph_document, text)
+        assert got == _outcome(_reference_parse, text), text
+        seen.add(got[0])
+    assert seen == {"graph", GraphSyntaxError, GraphFormatError, GraphValidationError}
+    # several violations at once are all named, in validate's order
+    _, message = _outcome(parse_graph_document, examples[4])
+    assert message.count(";") == 5 and message.startswith("duplicate vertex id: 'v'")
+
+
+# -- the component pass -------------------------------------------------------------
+
+
+def _reference_tables(g: Graph) -> tuple:
+    """Successor lists (sorted, for every vertex) and in-bundle lists, built
+    from the bundles alone."""
+    out = {v: [] for v in g.vertices}
+    into = {v: [] for v in g.vertices}
+    for b in g.bundles:
+        out[b.src].append(b)
+        into[b.dst].append(b)
+    succ = {v: sorted({b.dst for b in out[v]}) for v in g.vertices}
+    return out, into, succ
+
+
+def _reference_out_degree(g: Graph, v: str):
+    total = 0
+    for b in _reference_tables(g)[0][v]:
+        if b.mult is OMEGA:
+            return OMEGA
+        total += b.mult
+    return total
+
+
+def _reference_components(g: Graph) -> tuple:
+    """(comp, members, inner, sinks, paths): Tarjan with a frame for every
+    vertex, then the path-count pass over the condensation."""
+    _, into_of, succ = _reference_tables(g)
+    index, low, comp, found, stack = {}, {}, {}, [], []
+    for root in g.vertices:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w not in comp:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    members = []
+                    while v not in comp:
+                        members.append(stack.pop())
+                        comp[members[-1]] = len(found)
+                    found.append(sorted(members))
+    found.reverse()
+    comp = {v: len(found) - 1 - i for v, i in comp.items()}
+
+    inner = [0] * len(found)
+    left = [False] * len(found)
+    for b in g.bundles:
+        i, j = comp[b.src], comp[b.dst]
+        if i != j:
+            left[i] = True
+        else:
+            inner[i] = OMEGA if OMEGA in (inner[i], b.mult) else inner[i] + b.mult
+
+    paths, feed = {}, {}
+    for i, members in enumerate(found):
+        cnt = len(members)
+        for v in members:
+            for b in into_of[v]:
+                if comp[b.src] != i:
+                    f = feed[b.src]
+                    cnt = OMEGA if OMEGA in (cnt, f, b.mult) else cnt + b.mult * f
+        cyclic = inner[i] != 0
+        if cyclic and inner[i] != len(members):
+            cnt = OMEGA
+        for v in members:
+            paths[v], feed[v] = cnt, (OMEGA if cyclic else cnt)
+    return comp, found, inner, left.count(False), paths
+
+
+def _reference_vertex_cycles(g: Graph) -> list:
+    """A cycle search from every vertex."""
+    comp = _reference_components(g)[0]
+    succ = _reference_tables(g)[2]
+    found = []
+    for start in g.vertices:
+        trail, on_trail = [start], {start}
+        work = [iter(succ[start])]
+        while work:
+            for nxt in work[-1]:
+                if nxt == start:
+                    found.append(trail[:])
+                elif nxt > start and nxt not in on_trail and comp[nxt] == comp[start]:
+                    trail.append(nxt)
+                    on_trail.add(nxt)
+                    work.append(iter(succ[nxt]))
+                    break
+            else:
+                work.pop()
+                on_trail.discard(trail.pop())
+    return found
+
+
+def _reference_cycles(g: Graph):
+    comp = _reference_components(g)[0]
+    if any(b.mult is OMEGA and comp[b.src] == comp[b.dst] for b in g.bundles):
+        return CycleThroughOmegaBundle
+    out_of = _reference_tables(g)[0]
+    found = []
+    for vcyc in _reference_vertex_cycles(g):
+        arcs = zip(vcyc, vcyc[1:] + vcyc[:1])
+        choices = [sorted(EdgeRef(b.id, i) for b in out_of[x] if b.dst == y
+                          for i in range(b.mult)) for x, y in arcs]
+        found.extend(Cycle(combo) for combo in itertools.product(*choices))
+    found.sort(key=lambda c: (len(c.edges), c.edges))
+    return found
+
+
+def _skewed(seed: int, sinks: bool) -> Graph:
+    """Mostly sinks (a few sources fanning out to many sinks) or mostly
+    sources (many sources feeding a few vertices that may form cycles)."""
+    rng = random.Random(seed)
+    hubs = [f"h{i}" for i in range(rng.randint(1, 3))]
+    leaves = [f"l{i:02d}" for i in range(rng.randint(5, 40))]
+    bundles = []
+    for i, leaf in enumerate(leaves):
+        hub = rng.choice(hubs)
+        src, dst = (hub, leaf) if sinks else (leaf, hub)
+        bundles.append(Bundle(f"b{i:02d}", src, dst, rng.randint(1, 2)))
+    for j in range(rng.randint(0, 3)):  # arcs among the hubs, loops included
+        bundles.append(Bundle(f"c{j}", rng.choice(hubs), rng.choice(hubs)))
+    return Graph(hubs + leaves, bundles)
+
+
+def _component_graphs() -> list:
+    graphs = [random_graph(RandomSpec(seed=seed, omega_probability=omega))
+              for seed in range(150) for omega in (Fraction(0), Fraction(1, 4))]
+    graphs += [random_graph(RandomSpec(seed=seed, max_vertices=30, max_bundles=45))
+               for seed in range(30)]
+    graphs += [corpus.clock(m) for m in (1, 2, 5, 60)]
+    graphs += [corpus.line(k) for k in (1, 2, 7, 60)]
+    graphs += [_skewed(seed, sinks) for seed in range(40) for sinks in (True, False)]
+    graphs += [build() for build in corpus.CORPUS.values()]
+    return graphs
+
+
+def test_component_pass_matches_reference():
+    for g in _component_graphs():
+        s = _components(g)
+        assert (s.comp, s.members, s.inner, s.sinks, s.paths) == \
+            _reference_components(g), g
+        assert _vertex_cycles(g) == _reference_vertex_cycles(g), g
+        try:
+            got = cycles(g)
+        except CycleThroughOmegaBundle:
+            got = CycleThroughOmegaBundle
+        assert got == _reference_cycles(g), g
+        degrees = {v: _reference_out_degree(g, v) for v in g.vertices}
+        assert {v: g.out_degree(v) for v in g.vertices} == degrees, g
+        assert g.sinks() == [v for v in g.vertices if degrees[v] == 0], g
+
+
+def test_component_graphs_cover_the_shapes():
+    """The corpus above has omega bundles on and off cycles, graphs with
+    more sinks than other vertices and with more sources than others."""
+    graphs = _component_graphs()
+    omega_cycle = omega_tail = many_sinks = many_sources = 0
+    for g in graphs:
+        s = _components(g)
+        on_cycle = [s.comp[b.src] == s.comp[b.dst] for b in g.bundles if b.mult is OMEGA]
+        omega_cycle += any(on_cycle)
+        omega_tail += not all(on_cycle)
+        sources = sum(not g.in_bundles(v) for v in g.vertices)
+        many_sinks += 2 * len(g.sinks()) > len(g.vertices) > 4
+        many_sources += 2 * sources > len(g.vertices) > 4
+    assert min(omega_cycle, omega_tail, many_sinks, many_sources) >= 10
