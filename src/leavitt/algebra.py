@@ -36,7 +36,6 @@ import functools
 import sys
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -50,6 +49,7 @@ from .graph import (
     InvalidPath,
     LeavittError,
     Path,
+    Record,
     SinkTarget,
     check_cycle,
     cycle_vertices,
@@ -156,12 +156,15 @@ def special_edge(g: Graph, v: str) -> EdgeRef | None:
         raise
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Record):
     """A spanning monomial p q* with r(p) = r(q)."""
 
     p: Path
     q: Path
+
+    def __init__(self, p: Path, q: Path):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     @property
     def degree(self) -> int:
@@ -454,21 +457,28 @@ def element_text(a: Element) -> str:
 
 # -- nilpotence ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NilpotentOfIndex:
+class NilpotentOfIndex(Record):
     index: int
 
+    def __init__(self, index: int):
+        object.__setattr__(self, "index", index)
 
-@dataclass(frozen=True)
-class NotNilpotentWithin:
+
+class NotNilpotentWithin(Record):
     bound: int
 
+    def __init__(self, bound: int):
+        object.__setattr__(self, "bound", bound)
 
-@dataclass(frozen=True)
-class ResourceLimit:
+
+class ResourceLimit(Record):
     """Power-iteration support outgrew the term budget before a verdict."""
     power: int
     terms: int
+
+    def __init__(self, power: int, terms: int):
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "terms", terms)
 
 
 class _OverTermLimit(Exception):
@@ -615,8 +625,7 @@ def breaking_vertex_element(g: Graph, H, v: str) -> Element:
 
 # -- matrix units ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MatrixUnits:
+class MatrixUnits(Record):
     """The n x n matrix units u_ij = p_i p_j* of n legs p_1..p_n, paths
     ending at one vertex.  The legs are the whole family: each unit is
     built only when :meth:`unit` asks for it.  ``provenance`` holds what
@@ -626,6 +635,11 @@ class MatrixUnits:
     graph: Graph
     legs: tuple
     provenance: object
+
+    def __init__(self, graph: Graph, legs: tuple, provenance: object):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "legs", legs)
+        object.__setattr__(self, "provenance", provenance)
 
     @property
     def n(self) -> int:

@@ -19,7 +19,7 @@ import argparse
 import functools
 import json
 import sys
-from collections import Counter
+from itertools import groupby
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import algebra, exprparse, graphio, oracle, structure
@@ -339,15 +339,13 @@ def _cmd_decompose(args) -> int:
                      "detail": str(err)},
               [f"Unbounded: {err}; no matrix-ring decomposition"])
         return 0
-    counted = Counter(d.factors)
+    counted = [(f, len(list(run))) for f, run in groupby(d.factors)]  # factors are sorted
     payload = {
         "command": "decompose",
         "verdict": "decomposed",
-        "factors": [{"size": f.size, "base": f.base, "count": c}
-                    for f, c in sorted(counted.items())],
+        "factors": [{"size": f.size, "base": f.base, "count": c} for f, c in counted],
     }
-    bits = [_factor_text(f) + (f" x{c}" if c > 1 else "")
-            for f, c in sorted(counted.items())]
+    bits = [_factor_text(f) + (f" x{c}" if c > 1 else "") for f, c in counted]
     _emit(args, payload, [" + ".join(bits) if bits else "0 (empty graph)"])
     return 0
 

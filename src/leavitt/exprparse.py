@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import algebra
-from .graph import OMEGA, EdgeRef, Graph, LeavittError
+from .graph import OMEGA, EdgeRef, Graph, LeavittError, Record
 
 
 SCALAR_POWER_BIT_LIMIT = 10 ** 6  # a larger scalar power is refused unevaluated
@@ -49,36 +48,50 @@ class OmegaBundleNeedsIndex(BundleNeedsIndex):
 
 # -- AST ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Sum:
+class Sum(Record):
     parts: tuple  # pairs (sign, node), sign in {+1, -1}
 
+    def __init__(self, parts: tuple):
+        object.__setattr__(self, "parts", parts)
 
-@dataclass(frozen=True)
-class Product:
+
+class Product(Record):
     factors: tuple
 
+    def __init__(self, factors: tuple):
+        object.__setattr__(self, "factors", factors)
 
-@dataclass(frozen=True)
-class Star:
+
+class Star(Record):
     inner: object
 
+    def __init__(self, inner: object):
+        object.__setattr__(self, "inner", inner)
 
-@dataclass(frozen=True)
-class Power:
+
+class Power(Record):
     inner: object
     exponent: int
 
+    def __init__(self, inner: object, exponent: int):
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "exponent", exponent)
 
-@dataclass(frozen=True)
-class ScalarLiteral:
+
+class ScalarLiteral(Record):
     value: Fraction
 
+    def __init__(self, value: Fraction):
+        object.__setattr__(self, "value", value)
 
-@dataclass(frozen=True)
-class Ident:
+
+class Ident(Record):
     name: str
-    index: int | None = None
+    index: int | None
+
+    def __init__(self, name: str, index: int | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "index", index)
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<nat>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9']*)"

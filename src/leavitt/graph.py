@@ -31,15 +31,17 @@ build no rotations (the window test over all rotations is kept in
 :mod:`leavitt.oracle`).
 
 Everything is immutable and iterates in lexicographic vertex/bundle order,
-so all results are reproducible.
+so all results are reproducible.  The package's value types (Bundle,
+EdgeRef, Path, the verdicts, the expression tree) are :class:`Record`
+subclasses: plain classes with written-out constructors, so importing the
+package generates no code.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, ge, gt, le, lt
 from typing import Iterable, NamedTuple
 
 
@@ -96,75 +98,165 @@ class _Omega:
 OMEGA = _Omega()
 
 
-@dataclass(frozen=True, slots=True)  # a loader builds one per edge: slots build faster
-class Bundle:
+class Record:
+    """Base of the package's immutable record types.
+
+    A subclass lists its fields as annotations in the class body and writes
+    out its own ``__init__``, storing each field with ``object.__setattr__``.
+    ``__init_subclass__`` reads the field names once and from them gives
+    what ``@dataclass(frozen=True)`` would: ``==`` between records of the
+    same type comparing the field tuples, ``hash`` of the field tuple, the
+    dataclass ``repr`` text, AttributeError on assignment and deletion,
+    pickling and copying through the constructor, and with ``order=True``
+    the four orderings of the field tuples.  Nothing is compiled: the
+    dataclass decorator execs generated source for each class, about 1 ms
+    per class on Python 3.11, paid at every start of the CLI.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, order: bool = False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        if len(names) == 1:  # attrgetter of one name gives the value, not a 1-tuple
+            one = attrgetter(names[0])
+
+            def fields(self):
+                return (one(self),)
+        else:
+            fields = attrgetter(*names)
+        form = f"{cls.__qualname__}({', '.join(n + '=%r' for n in names)})"
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return fields(self) == fields(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(fields(self))
+
+        def __repr__(self):
+            return form % fields(self)
+
+        def __reduce__(self):
+            return self.__class__, fields(self)
+
+        cls.__eq__, cls.__hash__, cls.__repr__, cls.__reduce__ = (
+            __eq__, __hash__, __repr__, __reduce__)
+        if order:
+            cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = (
+                _ordering(fields, test) for test in (lt, le, gt, ge))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _ordering(fields, test):
+    def compare(self, other):
+        if other.__class__ is self.__class__:
+            return test(fields(self), fields(other))
+        return NotImplemented
+    return compare
+
+
+class Bundle(Record):
     """A bundle of parallel edges from src to dst."""
+
+    # a loader builds one per edge: without a __dict__ it builds faster
+    __slots__ = ("id", "src", "dst", "mult")
 
     id: str
     src: str
     dst: str
-    mult: object = 1  # positive int, or OMEGA
+    mult: object  # positive int, or OMEGA
+
+    def __init__(self, id: str, src: str, dst: str, mult: object = 1):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "mult", mult)
 
 
-@dataclass(frozen=True, order=True)
-class EdgeRef:
+class EdgeRef(Record, order=True):
     """One edge of a bundle: (bundle id, index), with index < multiplicity."""
 
     bundle: str
-    index: int = 0
+    index: int
+
+    def __init__(self, bundle: str, index: int = 0):
+        object.__setattr__(self, "bundle", bundle)
+        object.__setattr__(self, "index", index)
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Record):
     """A composable edge sequence; a bare vertex is the path of length 0.
 
     For nonempty paths ``base`` equals the source of the first edge.
     """
 
     base: str
-    edges: tuple = ()
+    edges: tuple
+
+    def __init__(self, base: str, edges: tuple = ()):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "edges", edges)
 
     def __len__(self) -> int:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(Record):
     """A closed path visiting no vertex twice, stored in the rotation that
     puts the lexicographically least source vertex first."""
 
     edges: tuple
 
+    def __init__(self, edges: tuple):
+        object.__setattr__(self, "edges", edges)
 
-@dataclass(frozen=True)
-class AdmissiblePair:
+
+class AdmissiblePair(Record):
     """A hereditary saturated vertex set H plus a subset S of its breaking
     vertices; names a graded ideal of the path algebra."""
 
     H: frozenset
-    S: frozenset = frozenset()
+    S: frozenset
+
+    def __init__(self, H: frozenset, S: frozenset = frozenset()):
+        object.__setattr__(self, "H", H)
+        object.__setattr__(self, "S", S)
 
 
-@dataclass(frozen=True)
-class CycleWithExit:
+class CycleWithExit(Record):
     """A cycle together with one of its exit edges."""
 
     cycle: Cycle
     edge: EdgeRef
 
+    def __init__(self, cycle: Cycle, edge: EdgeRef):
+        object.__setattr__(self, "cycle", cycle)
+        object.__setattr__(self, "edge", edge)
 
-@dataclass(frozen=True)
-class SinkTarget:
+
+class SinkTarget(Record):
     """A sink, where witness paths may end."""
 
     vertex: str
 
+    def __init__(self, vertex: str):
+        object.__setattr__(self, "vertex", vertex)
 
-@dataclass(frozen=True)
-class CycleTarget:
+
+class CycleTarget(Record):
     """A cycle with no exit, where witness paths may end."""
 
     cycle: Cycle
+
+    def __init__(self, cycle: Cycle):
+        object.__setattr__(self, "cycle", cycle)
 
 
 class Graph:

@@ -17,7 +17,6 @@ Random generation is fully determined by its seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -31,6 +30,7 @@ from .graph import (
     Graph,
     LeavittError,
     Path,
+    Record,
     all_hereditary_saturated,
     breaking_vertices,
     component_cycles,
@@ -47,13 +47,16 @@ class ExplosionGuard(LeavittError):
     pass
 
 
-@dataclass(frozen=True)
-class Exit:
+class Exit(Record):
     """An exit edge of a cycle.  When the edge comes from an omega bundle,
     ``omega`` is set and the EdgeRef is a representative index."""
 
     edge: EdgeRef
-    omega: bool = False
+    omega: bool
+
+    def __init__(self, edge: EdgeRef, omega: bool = False):
+        object.__setattr__(self, "edge", edge)
+        object.__setattr__(self, "omega", omega)
 
 
 def exits(g: Graph, c: Cycle) -> list:
@@ -242,13 +245,20 @@ def basis_monomials(g: Graph, length_cap: int,
 
 # -- random generation ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class RandomSpec:
+class RandomSpec(Record):
     seed: int
-    max_vertices: int = 8
-    max_bundles: int = 14
-    max_mult: int = 2
-    omega_probability: Fraction = Fraction(0)
+    max_vertices: int
+    max_bundles: int
+    max_mult: int
+    omega_probability: Fraction
+
+    def __init__(self, seed: int, max_vertices: int = 8, max_bundles: int = 14,
+                 max_mult: int = 2, omega_probability: Fraction = Fraction(0)):
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "max_vertices", max_vertices)
+        object.__setattr__(self, "max_bundles", max_bundles)
+        object.__setattr__(self, "max_mult", max_mult)
+        object.__setattr__(self, "omega_probability", omega_probability)
 
 
 def random_graph(spec: RandomSpec) -> Graph:
@@ -552,8 +562,7 @@ def graded_spectrum_exhaustive(g: Graph, cap: int = 15) -> list:
 
 # -- cross-checking --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(Record):
     n: int
     trials: int
     probe_bound: int
@@ -563,6 +572,19 @@ class CrossCheckReport:
     empirical_max_index: int
     witness_index: int
     violations: tuple
+
+    def __init__(self, n: int, trials: int, probe_bound: int, seed: int,
+                 nilpotent_found: int, resource_limited: int,
+                 empirical_max_index: int, witness_index: int, violations: tuple):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "probe_bound", probe_bound)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "nilpotent_found", nilpotent_found)
+        object.__setattr__(self, "resource_limited", resource_limited)
+        object.__setattr__(self, "empirical_max_index", empirical_max_index)
+        object.__setattr__(self, "witness_index", witness_index)
+        object.__setattr__(self, "violations", violations)
 
 
 def cross_check_index(g: Graph, trials: int = 500,

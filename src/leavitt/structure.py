@@ -24,7 +24,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from operator import attrgetter
 
 from . import algebra
@@ -37,6 +36,7 @@ from .graph import (
     Graph,
     LeavittError,
     Path,
+    Record,
     SinkTarget,
     component_cycles,
     count_paths_ending_at,
@@ -60,13 +60,14 @@ class LaurentFactorPresent(LeavittError):
 
 # -- index report -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OmegaPathFamily:
+class OmegaPathFamily(Record):
     vertex: str
 
+    def __init__(self, vertex: str):
+        object.__setattr__(self, "vertex", vertex)
 
-@dataclass(frozen=True)
-class Bounded:
+
+class Bounded(Record):
     """Bounded-index verdict: n, the path count at every sink and cycle
     target, and the first target whose count is n (None only for the empty
     graph, whose algebra is the zero ring).  The verdict holds no paths;
@@ -76,10 +77,17 @@ class Bounded:
     per_target: tuple  # pairs (SinkTarget | CycleTarget, int)
     witness_target: object  # SinkTarget | CycleTarget | None
 
+    def __init__(self, n: int, per_target: tuple, witness_target: object):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "per_target", per_target)
+        object.__setattr__(self, "witness_target", witness_target)
 
-@dataclass(frozen=True)
-class Unbounded:
+
+class Unbounded(Record):
     reason: object  # CycleWithExit | OmegaPathFamily
+
+    def __init__(self, reason: object):
+        object.__setattr__(self, "reason", reason)
 
 
 def witness_paths(g: Graph, target, size: int) -> list:
@@ -242,12 +250,15 @@ BASE_K = "K"
 BASE_LAURENT = "K[x,x^-1]"
 
 
-@dataclass(frozen=True, order=True)
-class Factor:
+class Factor(Record, order=True):
     """The matrix ring M_size(base), base K or the Laurent ring over K."""
 
     size: int
     base: str
+
+    def __init__(self, size: int, base: str):
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "base", base)
 
 
 # -- graded quotient classification -------------------------------------------
@@ -308,33 +319,38 @@ def graded_spectrum(g: Graph) -> list:
 
 # -- decomposition ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Decomposition:
-    factors: tuple  # sorted Factor multiset
+class Decomposition(Record):
+    factors: tuple  # sorted Factor multiset, one object per distinct factor
+
+    def __init__(self, factors: tuple):
+        object.__setattr__(self, "factors", factors)
 
 
 def decompose(g: Graph) -> Decomposition:
     """Matrix-ring decomposition of a row-finite bounded-index algebra:
     one K factor per sink, one Laurent factor per no-exit cycle, sized by
-    their path counts."""
+    their path counts.  The (size, base) pairs are sorted as tuples and
+    each distinct pair becomes one Factor, repeated along its run."""
     if any(b.mult is OMEGA for b in g.bundles):
         raise NotRowFinite("graph has an omega bundle")
     report = bounded_index_report(g)
     if not isinstance(report, Bounded):
         raise PreconditionUnbounded(f"graph is unbounded: {report.reason!r}")
-    factors = []
+    pairs = []
     generators = set()
     for target, cnt in report.per_target:
         if isinstance(target, SinkTarget):
-            factors.append(Factor(cnt, BASE_K))
+            pairs.append((cnt, BASE_K))
             generators.add(target.vertex)
         else:
-            factors.append(Factor(cnt, BASE_LAURENT))
+            pairs.append((cnt, BASE_LAURENT))
             generators.update(cycle_vertices(g, target.cycle))
     closure = hereditary_saturated_closure(g, generators)
     assert closure == frozenset(g.vertices), \
         "sinks and cycles must generate the whole graph"
-    return Decomposition(tuple(sorted(factors)))
+    pairs.sort()
+    made = {pair: Factor(*pair) for pair in set(pairs)}
+    return Decomposition(tuple(made[pair] for pair in pairs))
 
 
 def acyclic_dimension(d: Decomposition) -> int:

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -291,7 +290,7 @@ def test_matrix_units_no_exit_cycle():
 def test_verify_rejects_duplicated_leg():
     g = corpus.clock(3)
     units = matrix_units_acyclic(g, (Path("w1"), Path("v", (EdgeRef("e1"),))))
-    broken = replace(units, legs=units.legs + units.legs[:1])
+    broken = MatrixUnits(units.graph, units.legs + units.legs[:1], units.provenance)
     assert not verify_matrix_units(broken)
 
 
@@ -389,7 +388,7 @@ def test_jordan_element():
 def test_jordan_requires_verified_units():
     g = corpus.clock(3)
     units = matrix_units_acyclic(g, (Path("w1"), Path("v", (EdgeRef("e1"),))))
-    broken = replace(units, legs=units.legs + units.legs[:1])
+    broken = MatrixUnits(units.graph, units.legs + units.legs[:1], units.provenance)
     with pytest.raises(UnverifiedUnits):
         jordan_element(broken)
 

@@ -4,7 +4,6 @@ import os
 import pathlib
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -445,7 +444,7 @@ def _line_document(tmp_path, k: int, mult: int = 1) -> str:
     g = corpus.line(k)
     doc = tmp_path / f"line{k}x{mult}.graph"
     doc.write_text(canonical_document(
-        Graph(g.vertices, [replace(b, mult=mult) for b in g.bundles])))
+        Graph(g.vertices, [Bundle(b.id, b.src, b.dst, mult) for b in g.bundles])))
     return str(doc)
 
 

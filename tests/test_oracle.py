@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import hashlib
@@ -257,7 +256,7 @@ def _corrupted_legs(m: MatrixUnits) -> dict:
     loop = _closed_path_at(g, path_range(g, legs[0]))
     if loop is not None:
         families["extended"] = legs + (Path(legs[0].base, legs[0].edges + loop.edges),)
-    return {name: replace(m, legs=bad) for name, bad in families.items()}
+    return {name: MatrixUnits(m.graph, bad, m.provenance) for name, bad in families.items()}
 
 
 def _assert_fast_check_matches_oracle(m: MatrixUnits) -> None:

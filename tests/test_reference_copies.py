@@ -7,25 +7,49 @@ id; ``_components`` emits a successor-free vertex where it meets it, and
 copies below are the straightforward forms they replace: the loader that
 validated every graph, and the passes that gave every vertex a DFS frame
 and a cycle search.  Both forms must agree on every input.
+
+The record types (``graph.Record`` subclasses) are plain classes; each has
+a frozen dataclass twin here, and a record must construct, compare, hash,
+order, print, refuse assignment and copy as its twin does.
 """
 
+import copy
+import inspect
 import itertools
 import json
+import operator
+import pickle
 import random
 import sys
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leavitt import corpus
+from leavitt import algebra, corpus
+from leavitt.algebra import (
+    MatrixUnits,
+    Monomial,
+    NilpotentOfIndex,
+    NotNilpotentWithin,
+    ResourceLimit,
+)
+from leavitt.exprparse import Ident, Power, Product, ScalarLiteral, Star, Sum
 from leavitt.graph import (
     OMEGA,
+    AdmissiblePair,
     Bundle,
     Cycle,
+    CycleTarget,
     CycleThroughOmegaBundle,
+    CycleWithExit,
     EdgeRef,
     Graph,
+    Path,
+    Record,
+    SinkTarget,
     _components,
     _vertex_cycles,
     cycles,
@@ -36,7 +60,16 @@ from leavitt.graphio import (
     GraphValidationError,
     parse_graph_document,
 )
-from leavitt.oracle import RandomSpec, random_graph
+from leavitt.oracle import CrossCheckReport, Exit, RandomSpec, random_graph
+from leavitt.structure import (
+    BASE_K,
+    BASE_LAURENT,
+    Bounded,
+    Decomposition,
+    Factor,
+    OmegaPathFamily,
+    Unbounded,
+)
 
 # -- the loader -------------------------------------------------------------------
 
@@ -382,3 +415,321 @@ def test_component_graphs_cover_the_shapes():
         many_sinks += 2 * len(g.sinks()) > len(g.vertices) > 4
         many_sources += 2 * sources > len(g.vertices) > 4
     assert min(omega_cycle, omega_tail, many_sinks, many_sources) >= 10
+
+
+# -- the record types --------------------------------------------------------------
+#
+# Each record type has a frozen dataclass twin with the same fields and
+# defaults, the form every record had before the records became plain
+# classes.  A record and its twin built from the same arguments must behave
+# alike; the twins' fields hold the same (real) nested records.
+
+
+@dataclass(frozen=True, slots=True)
+class RefBundle:
+    id: str
+    src: str
+    dst: str
+    mult: object = 1
+
+
+@dataclass(frozen=True, order=True)
+class RefEdgeRef:
+    bundle: str
+    index: int = 0
+
+
+@dataclass(frozen=True)
+class RefPath:
+    base: str
+    edges: tuple = ()
+
+
+@dataclass(frozen=True)
+class RefCycle:
+    edges: tuple
+
+
+@dataclass(frozen=True)
+class RefAdmissiblePair:
+    H: frozenset
+    S: frozenset = frozenset()
+
+
+@dataclass(frozen=True)
+class RefCycleWithExit:
+    cycle: object
+    edge: object
+
+
+@dataclass(frozen=True)
+class RefSinkTarget:
+    vertex: str
+
+
+@dataclass(frozen=True)
+class RefCycleTarget:
+    cycle: object
+
+
+@dataclass(frozen=True)
+class RefMonomial:
+    p: object
+    q: object
+
+
+@dataclass(frozen=True)
+class RefNilpotentOfIndex:
+    index: int
+
+
+@dataclass(frozen=True)
+class RefNotNilpotentWithin:
+    bound: int
+
+
+@dataclass(frozen=True)
+class RefResourceLimit:
+    power: int
+    terms: int
+
+
+@dataclass(frozen=True)
+class RefMatrixUnits:
+    graph: object
+    legs: tuple
+    provenance: object
+
+
+@dataclass(frozen=True)
+class RefOmegaPathFamily:
+    vertex: str
+
+
+@dataclass(frozen=True)
+class RefBounded:
+    n: int
+    per_target: tuple
+    witness_target: object
+
+
+@dataclass(frozen=True)
+class RefUnbounded:
+    reason: object
+
+
+@dataclass(frozen=True, order=True)
+class RefFactor:
+    size: int
+    base: str
+
+
+@dataclass(frozen=True)
+class RefDecomposition:
+    factors: tuple
+
+
+@dataclass(frozen=True)
+class RefSum:
+    parts: tuple
+
+
+@dataclass(frozen=True)
+class RefProduct:
+    factors: tuple
+
+
+@dataclass(frozen=True)
+class RefStar:
+    inner: object
+
+
+@dataclass(frozen=True)
+class RefPower:
+    inner: object
+    exponent: int
+
+
+@dataclass(frozen=True)
+class RefScalarLiteral:
+    value: Fraction
+
+
+@dataclass(frozen=True)
+class RefIdent:
+    name: str
+    index: int | None = None
+
+
+@dataclass(frozen=True)
+class RefExit:
+    edge: object
+    omega: bool = False
+
+
+@dataclass(frozen=True)
+class RefRandomSpec:
+    seed: int
+    max_vertices: int = 8
+    max_bundles: int = 14
+    max_mult: int = 2
+    omega_probability: Fraction = Fraction(0)
+
+
+@dataclass(frozen=True)
+class RefCrossCheckReport:
+    n: int
+    trials: int
+    probe_bound: int
+    seed: int
+    nilpotent_found: int
+    resource_limited: int
+    empirical_max_index: int
+    witness_index: int
+    violations: tuple
+
+
+_LOOP = Cycle((EdgeRef("a"),))
+
+# record type -> argument tuples to build it from, each with the required
+# arguments first; some share their field values with another type's
+_RECORD_ARGS = {
+    Bundle: [("b1", "u", "v"), ("b1", "u", "v", 3), ("b2", "u", "u", OMEGA)],
+    EdgeRef: [("a",), ("a", 1), ("b", 0), ("b1", 3)],
+    Path: [("v",), ("u", (EdgeRef("a"),)), ((EdgeRef("a"),),)],
+    Cycle: [((EdgeRef("a"),),), ((EdgeRef("a"), EdgeRef("b", 1)),)],
+    AdmissiblePair: [(frozenset({"u"}),), (frozenset({"u"}), frozenset({"w"}))],
+    CycleWithExit: [(_LOOP, EdgeRef("b"))],
+    SinkTarget: [("v",), ("u",)],
+    CycleTarget: [(_LOOP,)],
+    Monomial: [(Path("v"), Path("v")), (Path("u", (EdgeRef("a"),)), Path("v"))],
+    NilpotentOfIndex: [(2,), (3,)],
+    NotNilpotentWithin: [(2,)],
+    ResourceLimit: [(3, 100), (2, 3)],
+    MatrixUnits: [(corpus.clock(2), (Path("w1"),), SinkTarget("w1"))],
+    OmegaPathFamily: [("v",)],
+    Bounded: [(2, ((SinkTarget("v"), 2),), SinkTarget("v")), (1, (), None)],
+    Unbounded: [(OmegaPathFamily("v"),), (CycleWithExit(_LOOP, EdgeRef("b")),)],
+    Factor: [(2, BASE_K), (1, BASE_LAURENT), (2, BASE_LAURENT), (3, BASE_K)],
+    Decomposition: [((Factor(1, BASE_K),),), ((),)],
+    Sum: [(((1, Ident("x")), (-1, Ident("y", 0))),)],
+    Product: [((Ident("x"), Ident("y", 0)),), ((),)],
+    Star: [(Ident("x"),)],
+    Power: [(Ident("x"), 3), (Star(Ident("x")), 2)],
+    ScalarLiteral: [(Fraction(1, 2),), (2,)],
+    Ident: [("x",), ("x", 0), ("v", None)],
+    Exit: [(EdgeRef("a"),), (EdgeRef("a"), True)],
+    RandomSpec: [(7,), (7, 5, 6, 3, Fraction(1, 4))],
+    CrossCheckReport: [(2, 10, 3, 0, 1, 0, 2, 2, ()), (2, 10, 3, 0, 1, 0, 2, 2, ((1, 3),))],
+}
+_TWIN = {cls: globals()[f"Ref{cls.__name__}"] for cls in _RECORD_ARGS}
+
+
+def _samples() -> list:
+    """(record, twin) pairs, each built twice from separate calls."""
+    return [(cls(*args), _TWIN[cls](*args))
+            for cls, arg_list in _RECORD_ARGS.items() for args in arg_list for _ in range(2)]
+
+
+def _field_values(twin) -> tuple:
+    return tuple(getattr(twin, f.name) for f in fields(twin))
+
+
+def test_every_record_type_has_a_twin():
+    assert set(Record.__subclasses__()) == set(_RECORD_ARGS)
+    assert len(_RECORD_ARGS) == 27
+
+
+def _parameters(cls) -> list:
+    return [(p.name, p.kind, p.default) for p in inspect.signature(cls).parameters.values()]
+
+
+def test_records_construct_like_their_twins():
+    """Same parameters and defaults; positional, keyword and default-filled
+    calls set the same field values."""
+    for cls, arg_list in _RECORD_ARGS.items():
+        twin = _TWIN[cls]
+        assert _parameters(cls) == _parameters(twin), cls
+        names = [f.name for f in fields(twin)]
+        required = sum(default is inspect.Parameter.empty for _, _, default in _parameters(cls))
+        for args in arg_list:
+            calls = (args, {}), ((), dict(zip(names, args))), (args[:required], {})
+            for positional, keywords in calls:
+                record = cls(*positional, **keywords)
+                assert tuple(getattr(record, name) for name in names) == \
+                    _field_values(twin(*positional, **keywords)), (cls, positional, keywords)
+
+
+def test_records_compare_hash_and_print_like_their_twins():
+    samples = _samples()
+    for record, twin in samples:
+        assert hash(record) == hash(twin), record
+        assert "Ref" + repr(record) == repr(twin)
+    for (a, ref_a), (b, ref_b) in itertools.product(samples, repeat=2):
+        assert (a == b) is (ref_a == ref_b), (a, b)
+        assert (a != b) is (ref_a != ref_b), (a, b)
+    assert NilpotentOfIndex(2) != NotNilpotentWithin(2)
+    assert SinkTarget("v") != OmegaPathFamily("v")
+    assert EdgeRef("a", 0) != ("a", 0)
+
+
+def test_ordered_records_order_like_their_twins():
+    for cls in (EdgeRef, Factor):
+        samples = [pair for pair in _samples() if type(pair[0]) is cls]
+        for (a, ref_a), (b, ref_b) in itertools.product(samples, repeat=2):
+            for op in (operator.lt, operator.le, operator.gt, operator.ge):
+                assert op(a, b) is op(ref_a, ref_b), (op, a, b)
+        assert [twin for _, twin in sorted(samples, key=operator.itemgetter(0))] == \
+            sorted(twin for _, twin in samples)
+    unordered = [(EdgeRef("a"), Factor(1, BASE_K)), (EdgeRef("a"), Path("a")),
+                 (Factor(1, BASE_K), (1, BASE_K)), (Path("a"), Path("b"))]
+    for a, b in unordered:
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                op(a, b)
+    with pytest.raises(TypeError):
+        RefPath("a") < RefPath("b")
+
+
+def test_records_are_frozen_like_their_twins():
+    # A name that is not a field is refused too; the slotted dataclass twin
+    # of Bundle raises TypeError there instead, so only records try it.
+    for record, twin in _samples()[::2]:
+        names = [f.name for f in fields(twin)]
+        for obj, tried in ((record, names + ["other"]), (twin, names)):
+            for name in tried:
+                with pytest.raises(AttributeError) as assigned:
+                    setattr(obj, name, 0)
+                with pytest.raises(AttributeError) as deleted:
+                    delattr(obj, name)
+                assert str(assigned.value) == f"cannot assign to field {name!r}"
+                assert str(deleted.value) == f"cannot delete field {name!r}"
+        assert _field_values(twin) == tuple(getattr(record, name) for name in names)
+    assert not hasattr(Bundle("b", "u", "v"), "__dict__")
+    assert not hasattr(RefBundle("b", "u", "v"), "__dict__")
+
+
+def test_records_copy_and_pickle_like_their_twins():
+    for record, twin in _samples()[::2]:
+        for obj in (record, twin):
+            for made in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+                assert type(made) is type(obj) and made == obj, obj
+
+
+def test_matrix_units_walk_their_legs_once(monkeypatch):
+    g = corpus.clock(3)
+    legs = (Path("w1"), Path("v", (EdgeRef("e1"),)))
+    walks = []
+
+    def counting(graph, p):
+        walks.append(p)
+        return path_key(graph, p)
+
+    path_key = algebra._path_key
+    monkeypatch.setattr(algebra, "_path_key", counting)
+    units = MatrixUnits(g, legs, SinkTarget("w1"))
+    assert "_leg_keys" not in vars(units)
+    first = units._leg_keys
+    assert units._leg_keys is first and vars(units)["_leg_keys"] is first
+    assert walks == list(legs)
+    assert units == MatrixUnits(g, legs, SinkTarget("w1"))

@@ -157,6 +157,25 @@ def test_decompose_factor_count_is_targets():
     assert max(f.size for f in d.factors) == report.n
 
 
+def test_decompose_repeats_one_factor_per_distinct_ring():
+    """The factors are the sorted tuple of one Factor per target, with one
+    object for each distinct (size, base)."""
+    mixed = Graph(["a", "b", "c", "s1", "s2", "s3"],
+                  [Bundle("e", "a", "a"), Bundle("f", "c", "c"), Bundle("t", "b", "s1"),
+                   Bundle("u", "b", "s2"), Bundle("w", "s1", "s3")])
+    for g in (corpus.clock(1200), corpus.clock(5), corpus.line(4), mixed,
+              corpus.loop_with_tail(), tailed_cycle(3, 2)):
+        report = bounded_index_report(g)
+        expected = tuple(sorted(
+            Factor(cnt, BASE_K if isinstance(target, SinkTarget) else BASE_LAURENT)
+            for target, cnt in report.per_target))
+        d = decompose(g)
+        assert d.factors == expected
+        assert len({id(f) for f in d.factors}) == len(set(expected))
+    assert len({id(f) for f in decompose(corpus.clock(1200)).factors}) == 1
+    assert len(set(decompose(mixed).factors)) == 3
+
+
 def test_decompose_errors():
     with pytest.raises(NotRowFinite):
         decompose(corpus.omega_gadget())

@@ -1,11 +1,19 @@
 """The benchmark's tracer wraps leavitt functions by name; every name it
-lists must exist, or ``bench/run.py --trace 1`` fails at install time."""
+lists must exist, or ``bench/run.py --trace 1`` fails at install time.
+It also looks up every module it lists in ``sys.modules``, so importing the
+CLI must import each of them; and the CLI starts without ``dataclasses``
+or ``inspect``, whose import every command would pay for."""
 
 import importlib
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
-BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 def _load_tracing():
@@ -25,3 +33,16 @@ def test_traced_names_resolve():
                 assert hasattr(owner, part), f"leavitt.{mod_name}.{name}"
                 owner = getattr(owner, part)
             assert callable(owner), f"leavitt.{mod_name}.{name}"
+
+
+def test_cli_import_is_lean_and_eager():
+    tracing = _load_tracing()
+    probe = ("import json, sys, leavitt.cli; "
+             "print(json.dumps(sorted(m for m in sys.modules if m.startswith("
+             "('dataclasses', 'inspect', 'leavitt')))))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    loaded = set(json.loads(run.stdout))
+    assert not loaded & {"dataclasses", "inspect"}
+    assert {f"leavitt.{m}" for m in tracing.MODULES} <= loaded
