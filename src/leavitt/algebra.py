@@ -328,22 +328,32 @@ def _product(table: _Kernel, left: dict, right: dict) -> dict:
     """The normal-form term map of the product of two normal-form term maps
     over the graph of ``table``.  Contract every pair of terms,
     (p q*)(r s*): to (p t) s* when r = q t, to p (s u)* when q = r u, else
-    to zero; then normalize."""
+    to zero; then normalize.  The right factor's terms are listed once,
+    grouped by the base of r and each with the length of r, so a left
+    term meets only the right terms whose r starts where its q does; a
+    bare vertex q or r (no edges) contracts with no slice compared."""
     raw = {}
-    right = right.items()
+    by_base: dict = {}
+    for (rb, re, sb, se), k2 in right.items():
+        by_base.setdefault(rb, []).append((re, len(re), sb, se, k2))
     for (pb, pe, qb, qe), k1 in left.items():
+        meets = by_base.get(qb)
+        if meets is None:
+            continue
         lq = len(qe)
-        for (rb, re, sb, se), k2 in right:
-            if qb != rb:
-                continue
-            if lq <= len(re):
+        for re, lr, sb, se, k2 in meets:
+            if not lq:
+                key = (pb, pe + re, sb, se)
+            elif not lr:
+                key = (pb, pe, sb, se + qe)
+            elif lq <= lr:
                 if re[:lq] != qe:
                     continue
                 key = (pb, pe + re[lq:], sb, se)
             else:
-                if qe[:len(re)] != re:
+                if qe[:lr] != re:
                     continue
-                key = (pb, pe, sb, se + qe[len(re):])
+                key = (pb, pe, sb, se + qe[lr:])
             c = raw.get(key, 0) + k1 * k2
             if c:
                 raw[key] = c
@@ -353,22 +363,45 @@ def _product(table: _Kernel, left: dict, right: dict) -> dict:
 
 
 def _normalize(table: _Kernel, raw: Iterable) -> dict:
-    """Normal-form term map of (key, nonzero coefficient) pairs, rewritten
-    from a stack.  Every rewrite order reaches the same normal form
+    """Normal-form term map of (key, nonzero coefficient) pairs.
+
+    Each key is filed as it comes: one whose two paths end in the same
+    special edge (a key of ``table.rewrite``) goes on a pending stack, and
+    any other is in normal form, so its coefficient goes straight into the
+    result.  A pending (p g)(q g)* is rewritten to
+    p q* - sum over e != g of (p e)(q e)*: the (p e)(q e)* go straight
+    into the result, as a sibling e of g is special nowhere, and p q* is
+    filed again.  Every rewrite order reaches the same normal form
     (``oracle.normal_form_reference`` takes others)."""
     rewrite = table.rewrite
     result: dict = {}
-    pending = list(raw)
+    pending = []
+    for key, k in raw:
+        pe = key[1]
+        if pe and key[3] and pe[-1] == key[3][-1] and pe[-1] in rewrite:
+            pending.append((key, k))
+            continue
+        c = result.get(key, 0) + k
+        if c:
+            result[key] = c
+        else:
+            del result[key]
     while pending:
-        key, k = pending.pop()
-        pb, pe, qb, qe = key
+        (pb, pe, qb, qe), k = pending.pop()
+        # (p g)(q g)*  ->  p q*  -  sum over e != g of (p e)(q e)*
+        siblings = rewrite[pe[-1]]
+        pe, qe = pe[:-1], qe[:-1]
+        for span in siblings:
+            for e in span:
+                key = (pb, pe + (e,), qb, qe + (e,))
+                c = result.get(key, 0) - k
+                if c:
+                    result[key] = c
+                else:
+                    del result[key]
+        key = (pb, pe, qb, qe)
         if pe and qe and pe[-1] == qe[-1] and pe[-1] in rewrite:
-            # (p g)(q g)*  ->  p q*  -  sum over e != g of (p e)(q e)*
-            siblings = rewrite[pe[-1]]
-            pe, qe = pe[:-1], qe[:-1]
-            pending.append(((pb, pe, qb, qe), k))
-            for span in siblings:
-                pending.extend(((pb, pe + (e,), qb, qe + (e,)), -k) for e in span)
+            pending.append((key, k))
             continue
         c = result.get(key, 0) + k
         if c:

@@ -280,18 +280,37 @@ def random_graph(spec: RandomSpec) -> Graph:
 
 
 def walk_tables(g: Graph) -> tuple:
-    """The tables :func:`random_element` walks: for each vertex, its
-    out-bundles and its in-bundles, in ``g._out``/``g._into`` order, each
-    as ``(other end, first, step, mult)`` with ``(first, step, mult)``
-    read from the graph's kernel, so edge i of the bundle has the id
-    ``first + i*step`` (mult is None for an omega bundle)."""
+    """The tables :func:`random_element` walks, and the generator it
+    draws with: ``(out, into, generator)``.  ``out`` and ``into`` map each
+    vertex to ``(n, k, entries)``: its out-bundles or in-bundles, in
+    ``g._out``/``g._into`` order, their count n and n's bit width k.  An
+    entry is ``(other end, first, step, choices, width)``, with
+    ``(first, step)`` read from the graph's kernel, so edge i of the
+    bundle has the id ``first + i*step``; ``choices`` is the bundle's
+    multiplicity, or 4 for an omega bundle (a walk takes one of its first
+    four edges), and ``width`` its bit width.  The generator, a
+    ``random.Random``, is reseeded for each element drawn, so one serves
+    every element drawn from these tables."""
     slots = algebra._kernel(g).first
-    out = {v: tuple((b.dst,) + slots[b.id] for b in bs) for v, bs in g._out.items()}
-    into = {v: tuple((b.src,) + slots[b.id] for b in bs) for v, bs in g._into.items()}
-    return out, into
+
+    def entries(ends):
+        listed = []
+        for end, bid in ends:
+            first, step, mult = slots[bid]
+            choices = 4 if mult is None else mult
+            listed.append((end, first, step, choices, choices.bit_length()))
+        return len(listed), len(listed).bit_length(), tuple(listed)
+
+    out = {v: entries((b.dst, b.id) for b in bs) for v, bs in g._out.items()}
+    into = {v: entries((b.src, b.id) for b in bs) for v, bs in g._into.items()}
+    return out, into, random.Random(0)
 
 
 _COEFFICIENTS = (-3, -2, -1, 1, 2, 3)
+
+# the seed that random.Random(seed) runs for an int seed: that of the C
+# generator, _random.Random, with no Python layer before it
+_seed_int = random.Random.__base__.seed
 
 
 def _below(getrandbits, n: int) -> int:
@@ -315,36 +334,61 @@ def _random_keys(g: Graph, tables: tuple, spec: RandomSpec, max_terms: int,
     A walk is a path by construction, so the keys need no check.  Each
     step chooses among a vertex's bundles, then an edge of the bundle: one
     of the first four of an omega bundle.  The draws are those of
-    ``randint``, ``choice`` and ``randrange`` on ``random.Random(seed)``
-    (see :func:`_below`).  Raises ValueError when max_terms < 1 or
-    max_path_len < 0."""
+    ``randint``, ``choice`` and ``randrange`` on ``random.Random(seed)``:
+    the tables' generator is reseeded as ``Random(seed)`` seeds, and each
+    draw from range(n) is the rejection rule of :func:`_below` written
+    out, ``r = bits(k)`` again while ``r >= n``, with k from the tables.
+    Raises ValueError when max_terms < 1 or max_path_len < 0."""
     if max_terms < 1 or max_path_len < 0:
         raise ValueError("need max_terms >= 1 and max_path_len >= 0")
-    out, into = tables
+    out, into, rng = tables
     vertices = g.vertices
     raw = []
     if not vertices:
         return raw
-    bits = random.Random(spec.seed).getrandbits
-    for _ in range(1 + _below(bits, max_terms)):
-        base = at = vertices[_below(bits, len(vertices))]
-        p = []
-        for _ in range(_below(bits, max_path_len + 1)):
-            step_out = out[at]
-            if not step_out:
-                break
-            at, first, step, mult = step_out[_below(bits, len(step_out))]
-            p.append(first + step * _below(bits, 4 if mult is None else mult))
-        q = []
-        for _ in range(_below(bits, max_path_len + 1)):
-            step_in = into[at]
-            if not step_in:
-                break
-            at, first, step, mult = step_in[_below(bits, len(step_in))]
-            q.append(first + step * _below(bits, 4 if mult is None else mult))
+    if type(spec.seed) is int:
+        _seed_int(rng, spec.seed)
+    else:  # Random.seed hashes a str or bytes seed before the C seed
+        rng.seed(spec.seed)
+    bits = rng.getrandbits
+    n_v = len(vertices)
+    k_v = n_v.bit_length()
+    n_len = max_path_len + 1
+    k_len = n_len.bit_length()
+    k_terms = max_terms.bit_length()
+    r = bits(k_terms)
+    while r >= max_terms:
+        r = bits(k_terms)
+    for _ in range(r + 1):
+        r = bits(k_v)
+        while r >= n_v:
+            r = bits(k_v)
+        base = at = vertices[r]
+        walks = []
+        for steps in (out, into):  # p forward from base, then q back from p's end
+            ids = []
+            r = bits(k_len)
+            while r >= n_len:
+                r = bits(k_len)
+            for _ in range(r):
+                n, k, listed = steps[at]
+                if not n:
+                    break
+                r = bits(k)
+                while r >= n:
+                    r = bits(k)
+                at, first, step, n, k = listed[r]
+                r = bits(k)
+                while r >= n:
+                    r = bits(k)
+                ids.append(first + step * r)
+            walks.append(ids)
+        p, q = walks
         q.reverse()
-        raw.append(((base, tuple(p), at, tuple(q)),
-                    _COEFFICIENTS[_below(bits, 6)]))
+        r = bits(3)  # a draw from the six coefficients
+        while r >= 6:
+            r = bits(3)
+        raw.append(((base, tuple(p), at, tuple(q)), _COEFFICIENTS[r]))
     return raw
 
 
@@ -597,9 +641,11 @@ def cross_check_index(g: Graph, trials: int = 500,
     under ``resource_limited``; the witness's probe raises ``TooLarge``.
 
     The trial seeds are ``randrange(2**63)`` draws on ``Random(seed)``
-    (see :func:`_below`).  An element drawn again in a later trial reuses
-    its first trial's verdict, resource limits included, as the probe is
-    a function of the element; the memo holds at most ``trials`` entries."""
+    (see :func:`_below`), and the trials draw with the one generator of
+    the walk tables, reseeded per trial: two generators in all.  An
+    element drawn again in a later trial reuses its first trial's verdict,
+    resource limits included, as the probe is a function of the element;
+    the memo holds at most ``trials`` entries."""
     report = structure.bounded_index_report(g)
     if not isinstance(report, structure.Bounded):
         raise structure.PreconditionUnbounded(

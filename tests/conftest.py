@@ -30,3 +30,9 @@ def tailed_cycle(k: int, t: int) -> Graph:
     bundles = [Bundle(f"a{i:04d}", cyc[i], cyc[(i + 1) % k]) for i in range(k)]
     bundles += [Bundle(f"s{i}", tail[i], (tail + cyc[:1])[i + 1]) for i in range(t)]
     return Graph(cyc + tail, bundles)
+
+
+def doubled_line(k: int) -> Graph:
+    """u1 -> ... -> uk by bundles of multiplicity 2: n = 2^k - 1 legs."""
+    vs = [f"u{i}" for i in range(1, k + 1)]
+    return Graph(vs, [Bundle(f"e{i}", f"u{i}", f"u{i + 1}", 2) for i in range(1, k)])

@@ -21,10 +21,9 @@ import pathlib
 
 import pytest
 
-from conftest import tailed_cycle
+from conftest import doubled_line, tailed_cycle
 from leavitt.cli import main
 from leavitt.corpus import clock, line
-from leavitt.graph import Bundle, Graph
 from leavitt.graphio import canonical_document, load_graph
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -267,17 +266,11 @@ GOLDEN = {
 }
 
 
-def _doubled_line(k: int) -> Graph:
-    """u1 -> ... -> uk by bundles of multiplicity 2: n = 2^k - 1 legs."""
-    vs = [f"u{i}" for i in range(1, k + 1)]
-    return Graph(vs, [Bundle(f"e{i}", f"u{i}", f"u{i + 1}", 2) for i in range(1, k)])
-
-
 # Graphs whose witness legs run to 60 edges, beyond the fixtures' 6.
 LONG_GRAPHS = {
     "tailed_cycle_40_20": lambda: tailed_cycle(40, 20),
     "line60": lambda: line(60),
-    "doubled_line5": lambda: _doubled_line(5),
+    "doubled_line5": lambda: doubled_line(5),
 }
 LONG_COMMANDS = {
     "witness": ("witness",),
@@ -313,7 +306,7 @@ LONG_GOLDEN = {
 WIDE_GRAPHS = {
     "clock1200": lambda: clock(1200),
     "line200": lambda: line(200),
-    "doubled_line11": lambda: _doubled_line(11),
+    "doubled_line11": lambda: doubled_line(11),
 }
 
 WIDE_GOLDEN = {

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from conftest import fixture_path, tailed_cycle
-from leavitt import algebra, corpus, oracle
+from conftest import doubled_line, fixture_path, tailed_cycle
+from leavitt import algebra, cli, corpus, oracle
 from leavitt.algebra import (
     BadMatrixUnitPaths,
     MatrixUnits,
@@ -602,6 +602,134 @@ def test_kernel_does_not_list_the_edges_of_a_bundle():
         assert _edge_id(g, e) == i and table.edge_ref(i) == e
 
 
+# -- the kernel's fast paths against the reference kernel --------------------------
+
+def _fast_path_graphs(which):
+    if which == "fixtures":
+        return _kernel_graphs(None)
+    if which == "doubled line":
+        return [("doubled line 5", doubled_line(5))]
+    return [(f"random omega={which} seed={seed}",
+             random_graph(RandomSpec(seed=seed, omega_probability=which)))
+            for seed in range(200)]
+
+
+FAST_PATH_GRAPHS = pytest.mark.parametrize(
+    "which", ["fixtures", Fraction(0), Fraction(1, 4), "doubled line"],
+    ids=["fixtures", "random omega 0", "random omega 1/4", "doubled line"])
+
+
+def _grown(g, key):
+    """key with the special edge at its range appended to both paths, so
+    that it must be rewritten; None when the range has no special edge."""
+    table = algebra._kernel(g)
+    pb, pe, qb, qe = key
+    special = table.special[g.dst(table.edge_ref(pe[-1])) if pe else pb]
+    if special is None:
+        return None
+    e = table.first[special.bundle][0]
+    return (pb, pe + (e,), qb, qe + (e,))
+
+
+def _raw_lists(g, seed):
+    """Raw (key, nonzero coefficient) lists for ``_normalize``, by kind:
+    drawn keys, each once or twice, rewriting keys (one and two rewrites
+    deep) mixed in among them, and lists that cancel to zero."""
+    table = algebra._kernel(g)
+    rng = random.Random(seed)
+    drawn = oracle._random_keys(g, oracle.walk_tables(g), RandomSpec(seed=seed), 6, 4)
+    once = [_grown(g, key) for key, _ in drawn]
+    twice = [_grown(g, key) for key in once if key is not None]
+    rewriting = [(key, rng.choice([-2, -1, 1, 3]))
+                 for key in once + twice if key is not None]
+    mixed = drawn + rewriting
+    rng.shuffle(mixed)
+    lists = {"drawn": drawn, "duplicates": drawn + drawn[::-1], "mixed": mixed,
+             "cancelled": mixed + [(key, -k) for key, k in reversed(mixed)],
+             "fractions": [(key, Fraction(k, rng.choice([1, 2, 3]))) for key, k in mixed]}
+    # (p g)(q g)* - p q* + sum over e != g of (p e)(q e)*, which is zero
+    expansions = []
+    for key in once:
+        if key is not None:
+            pb, pe, qb, qe = key
+            expansions += [(key, 1), ((pb, pe[:-1], qb, qe[:-1]), -1)]
+            expansions += [((pb, pe[:-1] + (e,), qb, qe[:-1] + (e,)), 1)
+                           for span in table.rewrite[pe[-1]] for e in span]
+    if expansions:
+        lists["expansion"] = expansions
+        lists["expansion, fractions"] = [(key, Fraction(k, 3)) for key, k in expansions]
+    return lists, sum(key is not None for key in twice)
+
+
+@FAST_PATH_GRAPHS
+def test_normalize_files_keys_as_the_reference_rewrites_them(which):
+    """algebra._normalize against oracle.normal_form_reference on raw
+    lists with repeated keys, keys that need one or two rewrites among
+    keys that need none, lists that cancel to zero, and int and Fraction
+    coefficients."""
+    seen, two_deep = set(), 0
+    for name, g in _fast_path_graphs(which):
+        table = algebra._kernel(g)
+        for seed in range(3):
+            lists, deep = _raw_lists(g, seed)
+            two_deep += deep
+            for kind, raw in lists.items():
+                got = algebra._normalize(table, iter(raw))
+                ref = normal_form_reference(
+                    g, [(algebra._monomial(table, key), k) for key, k in raw])
+                assert algebra.Element(g, got).terms() == ref, (name, seed, kind)
+                if not any(type(k) is Fraction for _, k in raw):
+                    assert all(type(k) is int for k in got.values()), (name, kind)
+                if kind in ("cancelled", "expansion", "expansion, fractions"):
+                    assert got == {}, (name, seed, kind)
+                seen.add(kind)
+    assert {"expansion", "expansion, fractions"} <= seen and two_deep > 0
+
+
+def _contractions(left: dict, right: dict) -> set:
+    """The kinds of (p q*)(r s*) contractions that a product of the two
+    term maps meets, r starting where q does."""
+    kinds = set()
+    for _, _, qb, qe in left:
+        for rb, re, _, _ in right:
+            if qb != rb:
+                continue
+            if not qe:
+                kinds.add("q a vertex")
+            elif not re:
+                kinds.add("r a vertex")
+            elif len(qe) < len(re) and re[:len(qe)] == qe:
+                kinds.add("q a proper prefix of r")
+            elif len(re) < len(qe) and qe[:len(re)] == re:
+                kinds.add("r a proper prefix of q")
+    return kinds
+
+
+@FAST_PATH_GRAPHS
+def test_product_contracts_as_the_reference_does(which):
+    """algebra._product against oracle.product_reference, on products of
+    random elements with each other, with their involutions, with vertices
+    and with Fraction multiples: a bare vertex q or r, and q and r proper
+    prefixes of each other, all occur."""
+    kinds = set()
+    for name, g in _fast_path_graphs(which):
+        if not g.vertices:
+            continue
+        table = algebra._kernel(g)
+        elems = [random_element(g, RandomSpec(seed=61_000 + i)) for i in range(3)]
+        elems += [a.involution() for a in elems[:2]]
+        elems.append(algebra.vertex_element(g, g.vertices[0]))
+        elems.append(elems[0].scale(Fraction(1, 2)) + elems[1])
+        for a, b in [(elems[i], elems[j]) for i in range(len(elems))
+                     for j in range(len(elems)) if (i + j) % 2 or i == j]:
+            got = algebra._product(table, a._terms, b._terms)
+            assert algebra.Element(g, got).terms() == \
+                product_reference(g, a.terms(), b.terms()), name
+            kinds |= _contractions(a._terms, b._terms)
+    assert kinds == {"q a vertex", "r a vertex", "q a proper prefix of r",
+                     "r a proper prefix of q"}
+
+
 # -- the one-walk path key against the rule it replaced ---------------------------
 
 def _path_key_reference(g: Graph, p: Path):
@@ -940,9 +1068,17 @@ def test_sampling_pins_cover_every_bounded_fixture():
 def test_random_draws_refuse_empty_ranges(draw, kwargs, monkeypatch):
     """As randint did.  A rejection draw from an empty range never ends
     (getrandbits(0) is 0 forever, and any draw is at least a negative
-    bound); here one fails the test instead of hanging it."""
+    bound); here one fails the test instead of hanging it.  A draw with
+    the default ranges then shows that the draws reach the patched
+    generator."""
+    made = []
+
     class NoEmptyDraws(random.Random):
         calls = 0
+
+        def __init__(self, *args):
+            made.append(self)
+            super().__init__(*args)
 
         def getrandbits(self, k):
             self.calls += 1
@@ -953,6 +1089,18 @@ def test_random_draws_refuse_empty_ranges(draw, kwargs, monkeypatch):
     for g in (corpus.line(3), corpus.single_loop(), corpus.omega_gadget()):
         with pytest.raises(ValueError):
             draw(g, RandomSpec(seed=3), **kwargs)
+        draw(g, RandomSpec(seed=3))  # draws through the patched generator
+    assert sum(m.calls for m in made) > 0
+
+
+def test_str_seed_draws_as_random_random_seeds_it():
+    """Int seeds go straight to the C seed; a str seed still takes the
+    int that random.Random derives from it (its bytes, then their
+    SHA-512)."""
+    as_int = int.from_bytes(b"trial" + hashlib.sha512(b"trial").digest(), "big")
+    for g in (corpus.line(3), corpus.omega_gadget()):
+        assert random_raw_terms(g, RandomSpec(seed="trial")) == \
+            random_raw_terms(g, RandomSpec(seed=as_int))
 
 
 def _cross_check_unmemoised(g, trials, seed):
@@ -992,10 +1140,10 @@ def _cross_check_unmemoised(g, trials, seed):
                             witness_index, tuple(violations))
 
 
-def _bounded_random_graphs(count):
+def _bounded_random_graphs(count, max_mult=2):
     graphs, s = [], 0
     while len(graphs) < count:
-        g = random_graph(RandomSpec(seed=s))
+        g = random_graph(RandomSpec(seed=s, max_mult=max_mult))
         if isinstance(bounded_index_report(g), Bounded):
             graphs.append(g)
         s += 1
@@ -1003,11 +1151,73 @@ def _bounded_random_graphs(count):
 
 
 def test_memoised_cross_check_matches_unmemoised_loop():
+    """On the bounded fixtures, on bounded random graphs (multiplicities
+    up to 3 make the rewriting run through several sibling edges), on the
+    empty graph, where every trial's element is zero, and on a lone
+    vertex."""
     graphs = [corpus.CORPUS[name]() for name in sorted(SAMPLING_SEED_12345)]
     graphs += _bounded_random_graphs(40)
-    for i, g in enumerate(graphs):
+    triple = _bounded_random_graphs(30, max_mult=3)
+    assert any(sum(map(len, spans)) >= 2 for g in triple
+               for spans in algebra._kernel(g).rewrite.values())
+    empty, lone = Graph([], []), Graph(["v"], [])
+    for i, g in enumerate(graphs + triple + [empty, lone]):
         assert cross_check_index(g, trials=150, seed=i) == \
             _cross_check_unmemoised(g, 150, i), i
+    rep = cross_check_index(empty, trials=150, seed=3)
+    assert rep.nilpotent_found == 150 and rep.empirical_max_index == 1
+
+
+def test_trial_loop_builds_no_generator_per_trial(monkeypatch):
+    """cross_check_index builds the generator of its trial seeds and the
+    one its trials draw with, which is reseeded per trial; random_element
+    is still called once per trial, and its draws reach the generator's
+    getrandbits."""
+    made = []
+
+    class Counting(random.Random):
+        draws = 0
+
+        def __init__(self, *args):
+            made.append(self)
+            super().__init__(*args)
+
+        def getrandbits(self, k):
+            self.draws += 1
+            return super().getrandbits(k)
+
+    g = load_graph(fixture_path("line4"))
+    expected = cross_check_index(g, trials=300, seed=7)
+    draw, calls = oracle.random_element, []
+
+    def counting_draw(*args, **kwargs):
+        calls.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(oracle.random, "Random", Counting)
+    monkeypatch.setattr(oracle, "random_element", counting_draw)
+    assert cross_check_index(g, trials=300, seed=7) == expected
+    assert len(made) <= 2 and len(calls) == 300
+    assert sum(m.draws for m in made) > 300
+
+
+def test_negative_seed_draws_the_trials_of_its_absolute_value(capsys):
+    """random.Random seeds an int by its absolute value, so check --seed s
+    and --seed -s draw the same trials and print the same report."""
+    g = corpus.line(4)
+    for s in (1, 9, 12345):
+        rep = cross_check_index(g, trials=100, seed=-s)
+        assert rep.seed == -s
+        assert CrossCheckReport(rep.n, rep.trials, rep.probe_bound, s,
+                                rep.nilpotent_found, rep.resource_limited,
+                                rep.empirical_max_index, rep.witness_index,
+                                rep.violations) == cross_check_index(g, trials=100, seed=s)
+    outs = []
+    for s in ("9", "-9"):
+        assert cli.main(["check", fixture_path("line4"), "--trials", "100",
+                         "--seed", s, "--format", "json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_memoised_cross_check_matches_unmemoised_loop_at_the_edge_limit(monkeypatch):
