@@ -54,6 +54,7 @@ from .graph import (
     check_cycle,
     cycle_vertices,
     rotate_cycle_to,
+    slot_setters,
 )
 
 
@@ -159,16 +160,21 @@ def special_edge(g: Graph, v: str) -> EdgeRef | None:
 class Monomial(Record):
     """A spanning monomial p q* with r(p) = r(q)."""
 
+    __slots__ = ("p", "q")
+
     p: Path
     q: Path
 
     def __init__(self, p: Path, q: Path):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        _mono_p(self, p)
+        _mono_q(self, q)
 
     @property
     def degree(self) -> int:
         return len(self.p.edges) - len(self.q.edges)
+
+
+_mono_p, _mono_q = slot_setters(Monomial)
 
 
 def _mono_key(m: Monomial):
@@ -477,41 +483,60 @@ def path_text(g: Graph, p: Path) -> str:
     return ".".join(edge_text(g, e) for e in p.edges)
 
 
+def term_text(g: Graph, m: Monomial, coefficient: str) -> str:
+    """One term of :func:`element_text`, ``coeff * p . q^*``, with the
+    coefficient already printed."""
+    return f"{coefficient} * {path_text(g, m.p)} . {path_text(g, m.q)}^*"
+
+
 def element_text(a: Element) -> str:
     """Canonical sorted term list, `coeff * p . q^*` joined by ' + '."""
     if a.is_zero():
         return "0"
-    bits = []
-    for m, k in a.terms():
-        bits.append(f"{coefficient_text(k)} * {path_text(a.graph, m.p)} . "
-                    f"{path_text(a.graph, m.q)}^*")
-    return " + ".join(bits)
+    return " + ".join([term_text(a.graph, m, coefficient_text(k))
+                       for m, k in a.terms()])
 
 
 # -- nilpotence ----------------------------------------------------------------
 
 class NilpotentOfIndex(Record):
+    __slots__ = ("index",)
+
     index: int
 
     def __init__(self, index: int):
-        object.__setattr__(self, "index", index)
+        _nilpotent_index(self, index)
+
+
+(_nilpotent_index,) = slot_setters(NilpotentOfIndex)
 
 
 class NotNilpotentWithin(Record):
+    __slots__ = ("bound",)
+
     bound: int
 
     def __init__(self, bound: int):
-        object.__setattr__(self, "bound", bound)
+        _within_bound(self, bound)
+
+
+(_within_bound,) = slot_setters(NotNilpotentWithin)
 
 
 class ResourceLimit(Record):
     """Power-iteration support outgrew the term budget before a verdict."""
+
+    __slots__ = ("power", "terms")
+
     power: int
     terms: int
 
     def __init__(self, power: int, terms: int):
-        object.__setattr__(self, "power", power)
-        object.__setattr__(self, "terms", terms)
+        _limit_power(self, power)
+        _limit_terms(self, terms)
+
+
+_limit_power, _limit_terms = slot_setters(ResourceLimit)
 
 
 class _OverTermLimit(Exception):
@@ -547,13 +572,14 @@ def nilpotence_index(a: Element, k_max: int, term_limit: int = 10 ** 6):
         return NilpotentOfIndex(1)
     table = _kernel(a.graph)
     terms = a._terms
+    width = _width(terms)
 
     def times(x: dict, y: dict, k: int) -> dict:
         """x y, which is a^k."""
         z = _product(table, x, y)
         if len(z) > term_limit:
             raise _OverTermLimit(ResourceLimit(k, len(z)))
-        return _edge_guard(z)
+        return _edge_guard(z, k, width)
 
     squares = [terms]    # squares[i] = a^(2^i), all nonzero
     lo, low = 1, terms   # low = a^lo, nonzero
@@ -611,29 +637,47 @@ def power(a: Element, k: int) -> Element:
     if k < 1:
         raise ValueError("k must be >= 1")
     table = _kernel(a.graph)
+    width = _width(a._terms)
     x, out = a._terms, None
+    n, m = 1, 0  # x = a^n, and out = a^m once set
     while True:
         if k & 1:
-            out = x if out is None else _edge_guard(_product(table, out, x))
+            m += n
+            out = x if out is None else _edge_guard(_product(table, out, x), m, width)
             if not out:
                 break
         k >>= 1
         if not k:
             break
-        x = _edge_guard(_product(table, x, x))
+        n *= 2
+        x = _edge_guard(_product(table, x, x), n, width)
         if not x:
             out = x
             break
     return Element(a.graph, out)
 
 
-def _edge_guard(terms: dict) -> dict:
-    """The term map of a power, or TooLarge when it holds more than
-    POWER_EDGE_LIMIT edges over all its monomials."""
-    edges = sum(len(key[1]) + len(key[3]) for key in terms)
-    if edges > POWER_EDGE_LIMIT:
-        raise TooLarge(f"a power holds {edges} edges, over the limit of "
-                       f"{POWER_EDGE_LIMIT}")
+def _width(terms: dict) -> int:
+    """The most edges, |p| + |q|, that a key of the term map holds."""
+    return max((len(key[1]) + len(key[3]) for key in terms), default=0)
+
+
+def _edge_guard(terms: dict, k: int, width: int) -> dict:
+    """The term map of a power a^k, where each key of a holds at most width
+    edges, or TooLarge when it holds more than POWER_EDGE_LIMIT edges over
+    all its monomials.
+
+    A key of a^k holds at most k * width edges.  Contracting (p q*)(r s*)
+    gives (p t) s* with r = q t, or p (s u)* with q = r u: at most
+    |p| + |q| + |r| + |s| edges, so key lengths at most add up over the k
+    factors.  A rewrite of (p g)(q g)* gives p q* and the (p e)(q e)*,
+    never a longer key.  So the edges are summed only when
+    len(terms) * k * width exceeds the limit; below it they cannot."""
+    if len(terms) * k * width > POWER_EDGE_LIMIT:
+        edges = sum(len(key[1]) + len(key[3]) for key in terms)
+        if edges > POWER_EDGE_LIMIT:
+            raise TooLarge(f"a power holds {edges} edges, over the limit of "
+                           f"{POWER_EDGE_LIMIT}")
     return terms
 
 
@@ -663,16 +707,16 @@ class MatrixUnits(Record):
     ending at one vertex.  The legs are the whole family: each unit is
     built only when :meth:`unit` asks for it.  ``provenance`` holds what
     the legs do not say: the SinkTarget or CycleTarget where they end, or,
-    for the legs c^i f, the CycleWithExit (c, f)."""
+    for the legs c^i f, the CycleWithExit (c, f).  The one record type
+    with an instance dict (``_leg_keys`` is cached there), so its fields
+    are stored there too."""
 
     graph: Graph
     legs: tuple
     provenance: object
 
     def __init__(self, graph: Graph, legs: tuple, provenance: object):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "legs", legs)
-        object.__setattr__(self, "provenance", provenance)
+        self.__dict__.update(graph=graph, legs=legs, provenance=provenance)
 
     @property
     def n(self) -> int:

@@ -42,14 +42,6 @@ from .graph import (
 )
 
 
-def _path_json(p: Path) -> dict:
-    return {"base": p.base, "edges": p.edges}
-
-
-def _cycle_json(c: Cycle) -> dict:
-    return {"edges": c.edges}
-
-
 def _cycle_text(g: Graph, c: Cycle) -> str:
     return ".".join(algebra.edge_text(g, e) for e in c.edges)
 
@@ -96,8 +88,6 @@ def _dict_form(key: tuple) -> tuple:
     return order, "{" + form + indent + "}"
 
 
-_EDGES_ONLY, _STRS_ONLY = {EdgeRef}, {str}
-
 # A JSON document goes to stdout in writes of at least _BATCH characters (a
 # smaller document in one), so it is never held whole as text.
 _BATCH = 1 << 16
@@ -122,11 +112,33 @@ def _json_chunks(obj, end: str = ""):
     recursive function, and the pending text is written once it reaches
     _BATCH characters.  JSON is built from string templates: a dict fills
     a %-template built once per key tuple and indentation, and a list or
-    tuple is one join, in which an EdgeRef is the object ``{"bundle": ...,
-    "index": ...}`` whose text is built once per edge and indentation.
-    Dicts (text keys, sorted), lists and tuples nest; strings, ints, bools
-    and None print inline; anything else falls back to ``json.dumps``."""
+    tuple is one join.  The records print as leaves, each one f-string at
+    its indentation: an EdgeRef is the object ``{"bundle": ..., "index":
+    ...}``, whose text is built once per edge and indentation, a Path is
+    ``{"base": ..., "edges": [...]}`` and a Cycle ``{"edges": [...]}``,
+    their edges taken from the same texts.  Dicts (text keys, sorted),
+    lists and tuples nest; strings, ints, bools and None print inline;
+    anything else falls back to ``json.dumps``."""
     edges, forms = _Memo(_EdgeTexts), _Memo(_dict_form)
+
+    def edge_list(es: tuple, indent: str) -> str:
+        """The text of EdgeRefs es, a path's or a cycle's edges."""
+        if not es:
+            return "[]"
+        inner = indent + "  "
+        texts = edges[inner]
+        items = [texts[e.bundle] if e.index == 0 else texts[e.bundle, e.index]
+                 for e in es]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]"
+
+    def path(p: Path, indent: str) -> str:
+        inner = indent + "  "
+        return (f'{{{inner}"base": {_quote(p.base)},'
+                f'{inner}"edges": {edge_list(p.edges, inner)}{indent}}}')
+
+    def cycle(c: Cycle, indent: str) -> str:
+        inner = indent + "  "
+        return f'{{{inner}"edges": {edge_list(c.edges, inner)}{indent}}}'
 
     def render(o, indent: str) -> str:  # indent: newline plus o's level's spaces
         """The whole text of o."""
@@ -144,18 +156,14 @@ def _json_chunks(obj, end: str = ""):
             if not o:
                 return "[]"
             inner = indent + "  "
-            kinds = set(map(type, o))
-            if kinds == _EDGES_ONLY:  # a path's edges
-                texts = edges[inner]
-                items = [texts[x.bundle] if x.index == 0 else texts[x.bundle, x.index]
-                         for x in o]
-            elif kinds == _STRS_ONLY:
-                items = map(_quote, o)
-            else:
-                items = [render(x, inner) for x in o]
+            items = [_quote(x) if type(x) is str else render(x, inner) for x in o]
             return f"[{inner}{(',' + inner).join(items)}{indent}]"
         if t is EdgeRef:
             return edges[indent][o.bundle, o.index]
+        if t is Path:
+            return path(o, indent)
+        if t is Cycle:
+            return cycle(o, indent)
         if t is int:
             return int.__repr__(o)
         if o is None:
@@ -194,7 +202,9 @@ def _json_chunks(obj, end: str = ""):
             sep, comma, texts = "[" + inner, "," + inner, edges[inner]
             for x in o:
                 t = type(x)
-                if t is str:
+                if t is Path:  # a witness listing
+                    text = path(x, inner)
+                elif t is str:
                     text = _quote(x)
                 elif t is EdgeRef:
                     text = texts[x.bundle] if x.index == 0 else texts[x.bundle, x.index]
@@ -249,7 +259,7 @@ def _cmd_analyze(args) -> int:
         lines.append(f"infinite emitters: {', '.join(payload['infinite_emitters'])}")
     try:
         cs = cycles(g)
-        payload["cycles"] = [_cycle_json(c) for c in cs]
+        payload["cycles"] = cs
         payload["condition_L"] = condition_L(g)
         lines.append("cycles: " + (", ".join(_cycle_text(g, c) for c in cs) or "(none)"))
     except CycleThroughOmegaBundle as err:
@@ -259,8 +269,7 @@ def _cmd_analyze(args) -> int:
     w = cycle_exit_witness(g)
     payload["no_exit_cycles"] = w is None
     if w is not None:
-        payload["exit_witness"] = {"cycle": _cycle_json(w.cycle),
-                                   "exit": w.edge}
+        payload["exit_witness"] = {"cycle": w.cycle, "exit": w.edge}
         lines.append(f"no_exit_cycles: false  (cycle {_cycle_text(g, w.cycle)}"
                      f" has exit {algebra.edge_text(g, w.edge)})")
     else:
@@ -277,15 +286,14 @@ def _cmd_analyze(args) -> int:
 def _target_json(g: Graph, target, cnt: int) -> dict:
     if isinstance(target, SinkTarget):
         return {"kind": "sink", "vertex": target.vertex, "count": cnt}
-    return {"kind": "cycle", "cycle": _cycle_json(target.cycle), "count": cnt}
+    return {"kind": "cycle", "cycle": target.cycle, "count": cnt}
 
 
 def _family_json(target, paths) -> dict:
     """Paths into a SinkTarget or a CycleTarget."""
     if isinstance(target, SinkTarget):
-        return {"kind": "acyclic_paths", "paths": [_path_json(p) for p in paths]}
-    return {"kind": "no_exit_cycle_paths", "cycle": _cycle_json(target.cycle),
-            "paths": [_path_json(p) for p in paths]}
+        return {"kind": "acyclic_paths", "paths": paths}
+    return {"kind": "no_exit_cycle_paths", "cycle": target.cycle, "paths": paths}
 
 
 def _cmd_index(args) -> int:
@@ -313,7 +321,7 @@ def _cmd_index(args) -> int:
     else:
         reason = report.reason
         if isinstance(reason, CycleWithExit):
-            rj = {"kind": "cycle_with_exit", "cycle": _cycle_json(reason.cycle),
+            rj = {"kind": "cycle_with_exit", "cycle": reason.cycle,
                   "exit": reason.edge}
             rt = (f"cycle {_cycle_text(g, reason.cycle)} has exit "
                   f"{algebra.edge_text(g, reason.edge)}")
@@ -391,16 +399,20 @@ def _cmd_eval(args) -> int:
     else:
         nil_j = {"kind": "not_nilpotent_within", "bound": verdict.bound}
         nil_t = f"not nilpotent within {verdict.bound} powers"
-    degrees = {str(d): algebra.element_text(x)
-               for d, x in elem.degree_components().items()}
+    # one sorted term list gives the terms, the element's text and each
+    # degree's text: a homogeneous component's terms keep the same order
+    terms, texts, by_degree = [], [], {}
+    for m, k in elem.terms():
+        coeff = algebra.coefficient_text(k)
+        text = algebra.term_text(g, m, coeff)
+        terms.append({"coeff": coeff, "p": m.p, "q": m.q})
+        texts.append(text)
+        by_degree.setdefault(m.degree, []).append(text)
+    degrees = {str(d): " + ".join(by_degree[d]) for d in sorted(by_degree)}
     payload = {
         "command": "eval",
-        "element": algebra.element_text(elem),
-        "terms": [
-            {"coeff": algebra.coefficient_text(k), "p": _path_json(m.p),
-             "q": _path_json(m.q)}
-            for m, k in elem.terms()
-        ],
+        "element": " + ".join(texts) or "0",
+        "terms": terms,
         "degrees": degrees,
         "nilpotence": nil_j,
     }
@@ -426,7 +438,7 @@ def _cmd_witness(args) -> int:
             verdict, algebra.NilpotentOfIndex) else None
     prov = units.provenance
     if isinstance(prov, CycleWithExit):
-        pj = {"kind": "cycle_exit_powers", "cycle": _cycle_json(prov.cycle),
+        pj = {"kind": "cycle_exit_powers", "cycle": prov.cycle,
               "exit": prov.edge, "n": units.n}
         pt = (f"powers of cycle {_cycle_text(g, prov.cycle)} around exit "
               f"{algebra.edge_text(g, prov.edge)}")

@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import algebra
-from .graph import OMEGA, EdgeRef, Graph, LeavittError, Record
+from .graph import OMEGA, EdgeRef, Graph, LeavittError, Record, slot_setters
 
 
 SCALAR_POWER_BIT_LIMIT = 10 ** 6  # a larger scalar power is refused unevaluated
@@ -49,49 +49,79 @@ class OmegaBundleNeedsIndex(BundleNeedsIndex):
 # -- AST ----------------------------------------------------------------------
 
 class Sum(Record):
+    __slots__ = ("parts",)
+
     parts: tuple  # pairs (sign, node), sign in {+1, -1}
 
     def __init__(self, parts: tuple):
-        object.__setattr__(self, "parts", parts)
+        _sum_parts(self, parts)
+
+
+(_sum_parts,) = slot_setters(Sum)
 
 
 class Product(Record):
+    __slots__ = ("factors",)
+
     factors: tuple
 
     def __init__(self, factors: tuple):
-        object.__setattr__(self, "factors", factors)
+        _product_factors(self, factors)
+
+
+(_product_factors,) = slot_setters(Product)
 
 
 class Star(Record):
+    __slots__ = ("inner",)
+
     inner: object
 
     def __init__(self, inner: object):
-        object.__setattr__(self, "inner", inner)
+        _star_inner(self, inner)
+
+
+(_star_inner,) = slot_setters(Star)
 
 
 class Power(Record):
+    __slots__ = ("inner", "exponent")
+
     inner: object
     exponent: int
 
     def __init__(self, inner: object, exponent: int):
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "exponent", exponent)
+        _power_inner(self, inner)
+        _power_exponent(self, exponent)
+
+
+_power_inner, _power_exponent = slot_setters(Power)
 
 
 class ScalarLiteral(Record):
+    __slots__ = ("value",)
+
     value: Fraction
 
     def __init__(self, value: Fraction):
-        object.__setattr__(self, "value", value)
+        _scalar_value(self, value)
+
+
+(_scalar_value,) = slot_setters(ScalarLiteral)
 
 
 class Ident(Record):
+    __slots__ = ("name", "index")
+
     name: str
     index: int | None
 
     def __init__(self, name: str, index: int | None = None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "index", index)
+        _ident_name(self, name)
+        _ident_index(self, index)
+
+
+_ident_name, _ident_index = slot_setters(Ident)
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<nat>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9']*)"

@@ -101,16 +101,22 @@ OMEGA = _Omega()
 class Record:
     """Base of the package's immutable record types.
 
-    A subclass lists its fields as annotations in the class body and writes
-    out its own ``__init__``, storing each field with ``object.__setattr__``.
-    ``__init_subclass__`` reads the field names once and from them gives
-    what ``@dataclass(frozen=True)`` would: ``==`` between records of the
-    same type comparing the field tuples, ``hash`` of the field tuple, the
-    dataclass ``repr`` text, AttributeError on assignment and deletion,
-    pickling and copying through the constructor, and with ``order=True``
-    the four orderings of the field tuples.  Nothing is compiled: the
-    dataclass decorator execs generated source for each class, about 1 ms
-    per class on Python 3.11, paid at every start of the CLI.
+    A subclass lists its fields as annotations in the class body, names the
+    same fields, in the same order, as its ``__slots__``, and writes out its
+    own ``__init__``, which stores each field through the slot setters that
+    :func:`slot_setters` binds once per class (``object.__setattr__`` would
+    look the name up on every call, and ``__setattr__`` here refuses every
+    assignment).  ``__init_subclass__`` reads the field names once and from
+    them gives what ``@dataclass(frozen=True)`` would: ``==`` between
+    records of the same type comparing the field tuples, ``hash`` of the
+    field tuple, the dataclass ``repr`` text, AttributeError on assignment
+    and deletion, pickling and copying through the constructor, and with
+    ``order=True`` the four orderings of the field tuples.  Nothing is
+    compiled: the dataclass decorator execs generated source for each
+    class, about 1 ms per class on Python 3.11, paid at every start of the
+    CLI.  A record without ``__slots__`` (only ``algebra.MatrixUnits``,
+    whose ``cached_property`` needs an instance dict) stores its fields in
+    its ``__dict__``.
     """
 
     __slots__ = ()
@@ -118,6 +124,8 @@ class Record:
     def __init_subclass__(cls, order: bool = False, **kwargs):
         super().__init_subclass__(**kwargs)
         names = tuple(cls.__dict__.get("__annotations__", ()))
+        if tuple(cls.__dict__.get("__slots__", names)) != names:
+            raise TypeError(f"{cls.__qualname__}: __slots__ must name the fields {names}")
         if len(names) == 1:  # attrgetter of one name gives the value, not a 1-tuple
             one = attrgetter(names[0])
 
@@ -162,10 +170,16 @@ def _ordering(fields, test):
     return compare
 
 
+def slot_setters(cls) -> tuple:
+    """The ``__set__`` of the slot descriptor of each field of the slotted
+    record class cls, in field order: ``setter(record, value)`` stores a
+    field as a plain slot assignment would, past ``Record.__setattr__``."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__dict__["__annotations__"])
+
+
 class Bundle(Record):
     """A bundle of parallel edges from src to dst."""
 
-    # a loader builds one per edge: without a __dict__ it builds faster
     __slots__ = ("id", "src", "dst", "mult")
 
     id: str
@@ -174,21 +188,29 @@ class Bundle(Record):
     mult: object  # positive int, or OMEGA
 
     def __init__(self, id: str, src: str, dst: str, mult: object = 1):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "mult", mult)
+        _bundle_id(self, id)
+        _bundle_src(self, src)
+        _bundle_dst(self, dst)
+        _bundle_mult(self, mult)
+
+
+_bundle_id, _bundle_src, _bundle_dst, _bundle_mult = slot_setters(Bundle)
 
 
 class EdgeRef(Record, order=True):
     """One edge of a bundle: (bundle id, index), with index < multiplicity."""
 
+    __slots__ = ("bundle", "index")
+
     bundle: str
     index: int
 
     def __init__(self, bundle: str, index: int = 0):
-        object.__setattr__(self, "bundle", bundle)
-        object.__setattr__(self, "index", index)
+        _edge_bundle(self, bundle)
+        _edge_index(self, index)
+
+
+_edge_bundle, _edge_index = slot_setters(EdgeRef)
 
 
 class Path(Record):
@@ -197,66 +219,96 @@ class Path(Record):
     For nonempty paths ``base`` equals the source of the first edge.
     """
 
+    __slots__ = ("base", "edges")
+
     base: str
     edges: tuple
 
     def __init__(self, base: str, edges: tuple = ()):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "edges", edges)
+        _path_base(self, base)
+        _path_edges(self, edges)
 
     def __len__(self) -> int:
         return len(self.edges)
+
+
+_path_base, _path_edges = slot_setters(Path)
 
 
 class Cycle(Record):
     """A closed path visiting no vertex twice, stored in the rotation that
     puts the lexicographically least source vertex first."""
 
+    __slots__ = ("edges",)
+
     edges: tuple
 
     def __init__(self, edges: tuple):
-        object.__setattr__(self, "edges", edges)
+        _cycle_edges(self, edges)
+
+
+(_cycle_edges,) = slot_setters(Cycle)
 
 
 class AdmissiblePair(Record):
     """A hereditary saturated vertex set H plus a subset S of its breaking
     vertices; names a graded ideal of the path algebra."""
 
+    __slots__ = ("H", "S")
+
     H: frozenset
     S: frozenset
 
     def __init__(self, H: frozenset, S: frozenset = frozenset()):
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "S", S)
+        _pair_H(self, H)
+        _pair_S(self, S)
+
+
+_pair_H, _pair_S = slot_setters(AdmissiblePair)
 
 
 class CycleWithExit(Record):
     """A cycle together with one of its exit edges."""
 
+    __slots__ = ("cycle", "edge")
+
     cycle: Cycle
     edge: EdgeRef
 
     def __init__(self, cycle: Cycle, edge: EdgeRef):
-        object.__setattr__(self, "cycle", cycle)
-        object.__setattr__(self, "edge", edge)
+        _exit_cycle(self, cycle)
+        _exit_edge(self, edge)
+
+
+_exit_cycle, _exit_edge = slot_setters(CycleWithExit)
 
 
 class SinkTarget(Record):
     """A sink, where witness paths may end."""
 
+    __slots__ = ("vertex",)
+
     vertex: str
 
     def __init__(self, vertex: str):
-        object.__setattr__(self, "vertex", vertex)
+        _sink_vertex(self, vertex)
+
+
+(_sink_vertex,) = slot_setters(SinkTarget)
 
 
 class CycleTarget(Record):
     """A cycle with no exit, where witness paths may end."""
 
+    __slots__ = ("cycle",)
+
     cycle: Cycle
 
     def __init__(self, cycle: Cycle):
-        object.__setattr__(self, "cycle", cycle)
+        _target_cycle(self, cycle)
+
+
+(_target_cycle,) = slot_setters(CycleTarget)
 
 
 class Graph:
@@ -540,26 +592,38 @@ def _components(g: Graph) -> _Components:
 
 
 def _vertex_cycles(g: Graph) -> list:
-    """Elementary vertex cycles, each once, minimal vertex first.  Each
-    search stays inside its start vertex's strongly connected component,
-    and starts only in a component with a bundle inside it."""
+    """Elementary vertex cycles, each once, minimal vertex first, listed by
+    their minimal vertex.  Each search stays inside its start vertex's
+    strongly connected component, and starts only in a component with a
+    bundle inside it.  A component whose inside multiplicity equals its
+    size is one cycle: it is walked once, from its least vertex, in time
+    linear in its size (a search from each vertex would take quadratic
+    time)."""
     s = _components(g)
-    comp, inner = s.comp, s.inner
+    comp, inner, members, succ = s.comp, s.inner, s.members, g._succ
     found = []
     for start in g.vertices:
-        if inner[comp[start]] == 0:
+        i = comp[start]
+        if inner[i] == 0:
+            continue
+        if inner[i] == len(members[i]):
+            if start == members[i][0]:  # members are sorted
+                trail, v = [], start
+                while not trail or v != start:
+                    trail.append(v)
+                    v = next(w for w in succ[v] if comp[w] == i)
+                found.append(trail)
             continue
         trail, on_trail = [start], {start}
-        work = [iter(g._succ[start])]
+        work = [iter(succ[start])]
         while work:
             for nxt in work[-1]:
                 if nxt == start:
                     found.append(trail[:])
-                elif nxt > start and nxt not in on_trail \
-                        and comp[nxt] == comp[start]:
+                elif nxt > start and nxt not in on_trail and comp[nxt] == i:
                     trail.append(nxt)
                     on_trail.add(nxt)
-                    work.append(iter(g._succ[nxt]))
+                    work.append(iter(succ[nxt]))
                     break
             else:
                 work.pop()

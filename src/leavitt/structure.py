@@ -43,6 +43,7 @@ from .graph import (
     cycle_exit_witness,
     cycle_vertices,
     hereditary_saturated_closure,
+    slot_setters,
 )
 
 
@@ -61,10 +62,15 @@ class LaurentFactorPresent(LeavittError):
 # -- index report -------------------------------------------------------------
 
 class OmegaPathFamily(Record):
+    __slots__ = ("vertex",)
+
     vertex: str
 
     def __init__(self, vertex: str):
-        object.__setattr__(self, "vertex", vertex)
+        _family_vertex(self, vertex)
+
+
+(_family_vertex,) = slot_setters(OmegaPathFamily)
 
 
 class Bounded(Record):
@@ -73,21 +79,31 @@ class Bounded(Record):
     graph, whose algebra is the zero ring).  The verdict holds no paths;
     :func:`witness_paths` lists a target's paths where they are used."""
 
+    __slots__ = ("n", "per_target", "witness_target")
+
     n: int
     per_target: tuple  # pairs (SinkTarget | CycleTarget, int)
     witness_target: object  # SinkTarget | CycleTarget | None
 
     def __init__(self, n: int, per_target: tuple, witness_target: object):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "per_target", per_target)
-        object.__setattr__(self, "witness_target", witness_target)
+        _bounded_n(self, n)
+        _bounded_per_target(self, per_target)
+        _bounded_witness_target(self, witness_target)
+
+
+_bounded_n, _bounded_per_target, _bounded_witness_target = slot_setters(Bounded)
 
 
 class Unbounded(Record):
+    __slots__ = ("reason",)
+
     reason: object  # CycleWithExit | OmegaPathFamily
 
     def __init__(self, reason: object):
-        object.__setattr__(self, "reason", reason)
+        _unbounded_reason(self, reason)
+
+
+(_unbounded_reason,) = slot_setters(Unbounded)
 
 
 def witness_paths(g: Graph, target, size: int) -> list:
@@ -253,12 +269,17 @@ BASE_LAURENT = "K[x,x^-1]"
 class Factor(Record, order=True):
     """The matrix ring M_size(base), base K or the Laurent ring over K."""
 
+    __slots__ = ("size", "base")
+
     size: int
     base: str
 
     def __init__(self, size: int, base: str):
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "base", base)
+        _factor_size(self, size)
+        _factor_base(self, base)
+
+
+_factor_size, _factor_base = slot_setters(Factor)
 
 
 # -- graded quotient classification -------------------------------------------
@@ -320,10 +341,15 @@ def graded_spectrum(g: Graph) -> list:
 # -- decomposition ------------------------------------------------------------
 
 class Decomposition(Record):
+    __slots__ = ("factors",)
+
     factors: tuple  # sorted Factor multiset, one object per distinct factor
 
     def __init__(self, factors: tuple):
-        object.__setattr__(self, "factors", factors)
+        _decomposition_factors(self, factors)
+
+
+(_decomposition_factors,) = slot_setters(Decomposition)
 
 
 def decompose(g: Graph) -> Decomposition:

@@ -474,6 +474,26 @@ def test_power_matches_repeated_products(omega):
             expected = expected * a
 
 
+@pytest.mark.parametrize("omega", [Fraction(0), Fraction(1, 4)])
+def test_power_keys_hold_at_most_k_times_the_widest_key(omega):
+    """Why the edge guard may skip its sum: every key of a^k holds at most
+    k * w edges, w the most edges of a key of a, so a^k holds at most
+    len(a^k) * k * w edges."""
+    widest = 0
+    for seed in range(60):
+        g = random_graph(RandomSpec(seed=seed, omega_probability=omega))
+        a = random_element(g, RandomSpec(seed=7_000 + seed))
+        a = a * a.involution() + a
+        w = algebra._width(a._terms)
+        x = a
+        for k in range(1, 6):
+            edges = [len(pe) + len(qe) for _, pe, _, qe in x._terms]
+            assert max(edges, default=0) <= k * w, (seed, k)
+            widest = max(widest, max(edges, default=0))
+            x = x * a
+    assert widest > 6  # the sample has keys long enough to matter
+
+
 def test_power_stops_at_zero_and_bounds_size():
     g = corpus.line(3)
     e1 = edge_element(g, EdgeRef("e1"))

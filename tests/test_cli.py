@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import fixture_path, tailed_cycle
 from leavitt import algebra, cli, corpus, structure
 from leavitt.cli import _dumps, main
-from leavitt.graph import OMEGA, Bundle, EdgeRef, Graph
+from leavitt.graph import OMEGA, Bundle, Cycle, EdgeRef, Graph, Path
 from leavitt.graphio import (
     GraphFormatError,
     GraphSyntaxError,
@@ -486,9 +486,11 @@ _texts = st.text(st.one_of(
     st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "\u00e9", "%",
                      "\u2028", "\ud800", "\udfff", "\U0001f600"])))
 _edges = st.builds(EdgeRef, _texts, st.integers(min_value=0, max_value=10 ** 6))
+_edge_tuples = st.lists(_edges, max_size=4).map(tuple)
 _leaves = st.one_of(st.none(), st.booleans(), st.integers(),
                     st.integers(min_value=-2 ** 200, max_value=2 ** 200),
-                    st.floats(), _texts, _edges)
+                    st.floats(), _texts, _edges,
+                    st.builds(Path, _texts, _edge_tuples), st.builds(Cycle, _edge_tuples))
 _values = st.recursive(
     _leaves,
     lambda inner: st.one_of(st.lists(inner, max_size=4),
@@ -498,9 +500,14 @@ _values = st.recursive(
 
 
 def _plain(obj):
-    """obj with every EdgeRef replaced by the dict the CLI prints for it."""
+    """obj with every EdgeRef, Path and Cycle replaced by the dict the CLI
+    prints for it."""
     if isinstance(obj, EdgeRef):
         return {"bundle": obj.bundle, "index": obj.index}
+    if isinstance(obj, Path):
+        return {"base": obj.base, "edges": _plain(obj.edges)}
+    if isinstance(obj, Cycle):
+        return {"edges": _plain(obj.edges)}
     if isinstance(obj, dict):
         return {k: _plain(x) for k, x in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -548,6 +555,21 @@ def test_dumps_edge_at_two_depths():
     payload = {"exit": e, "cycle": {"edges": (e, f)},
                "paths": [{"base": "v", "edges": [f, e]}, []], "w": {}}
     assert _dumps(payload) == _reference_dump(_plain(payload))
+
+
+def test_dumps_paths_and_cycles_at_two_depths():
+    """Paths and Cycles print as leaves, with and without edges, with bases
+    that need escaping, at the top of a listing and nested in dicts and
+    lists, next to the same edges printed on their own."""
+    e, f = EdgeRef("a", 0), EdgeRef('b"\\', 3)
+    paths = [Path("v"), Path('u"\\\u00e9%s\n', (e, f)), Path("\ud800", (f,))]
+    cycles = [Cycle((e,)), Cycle(()), Cycle((f, e))]
+    payload = {"paths": paths, "cycles": cycles, "exit": e,
+               "witness": {"kind": "x", "paths": paths, "cycle": cycles[2]},
+               "deep": [{"p": paths[1], "q": paths[0]}, (cycles[0], [paths[2], f])]}
+    assert _dumps(payload) == _reference_dump(_plain(payload))
+    assert _dumps(paths) == _reference_dump(_plain(paths))
+    assert _dumps(cycles[2]) == _reference_dump(_plain(cycles[2]))
 
 
 def test_json_is_written_in_batches(monkeypatch, tmp_path):

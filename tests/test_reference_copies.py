@@ -401,6 +401,39 @@ def test_component_pass_matches_reference():
         assert g.sinks() == [v for v in g.vertices if degrees[v] == 0], g
 
 
+class _CountingDict(dict):
+    """A dict that counts its item lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_single_cycle_components_are_walked_once():
+    """A component that is one cycle is walked once from its least vertex,
+    not searched from each of its vertices: on a 300-cycle visiting its
+    vertices in a shuffled order, beside a 3-cycle, a loop, a component of
+    two cycles and tails into each, the cycles come out as the search from
+    every vertex lists them, with O(V) successor lookups."""
+    rng = random.Random(7)
+    ring = [f"c{i:03d}" for i in range(300)]
+    rng.shuffle(ring)
+    arcs = list(zip(ring, ring[1:] + ring[:1]))
+    arcs += [("b1", "b3"), ("b3", "b2"), ("b2", "b1"), ("z", "z"),
+             ("m", "n"), ("n", "m"), ("m", "o"), ("o", "m")]
+    arcs += [(f"t{i}", target) for i, target in enumerate(("c150", "b2", "z", "o", "t0"))]
+    bundles = [Bundle(f"e{i}", u, v) for i, (u, v) in enumerate(arcs)]
+    g = Graph({v for arc in arcs for v in arc}, bundles)
+    _components(g)
+    g._succ = counting = _CountingDict(g._succ)
+    found = _vertex_cycles(g)
+    assert found == _reference_vertex_cycles(g)
+    assert sorted(map(len, found)) == [1, 2, 2, 3, 300]
+    assert counting.lookups <= 2 * len(g.vertices)
+
+
 def test_component_graphs_cover_the_shapes():
     """The corpus above has omega bundles on and off cycles, graphs with
     more sinks than other vertices and with more sources than others."""

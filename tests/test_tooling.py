@@ -2,7 +2,8 @@
 lists must exist, or ``bench/run.py --trace 1`` fails at install time.
 It also looks up every module it lists in ``sys.modules``, so importing the
 CLI must import each of them; and the CLI starts without ``dataclasses``
-or ``inspect``, whose import every command would pay for."""
+or ``inspect``, whose import every command would pay for.  The record
+types store their fields in slots, through the slot setters."""
 
 import importlib
 import importlib.util
@@ -46,3 +47,26 @@ def test_cli_import_is_lean_and_eager():
     loaded = set(json.loads(run.stdout))
     assert not loaded & {"dataclasses", "inspect"}
     assert {f"leavitt.{m}" for m in tracing.MODULES} <= loaded
+
+
+def _record_types() -> list:
+    import leavitt.cli  # noqa: F401  (imports every module that defines records)
+    from leavitt.graph import Record
+    found, work = [], [Record]
+    while work:
+        for sub in work.pop().__subclasses__():
+            found.append(sub)
+            work.append(sub)
+    return found
+
+
+def test_records_are_slotted_and_store_through_slot_setters():
+    """Every record type but MatrixUnits, whose cached property needs an
+    instance dict, has no ``__dict__``; no record's ``__init__`` calls
+    ``object.__setattr__``."""
+    from leavitt.algebra import MatrixUnits
+    types = _record_types()
+    assert len(types) == 27
+    for cls in types:
+        assert ("__dict__" in dir(cls)) is (cls is MatrixUnits), cls
+        assert "__setattr__" not in cls.__init__.__code__.co_names, cls
