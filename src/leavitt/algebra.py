@@ -543,7 +543,10 @@ class _OverTermLimit(Exception):
     pass
 
 
-def nilpotence_index(a: Element, k_max: int, term_limit: int = 10 ** 6):
+TERM_LIMIT = 10 ** 6  # terms of a power, past which the probe gives ResourceLimit
+
+
+def nilpotence_index(a: Element, k_max: int, term_limit: int | None = None):
     """Least k <= k_max with a^k = 0 (and a^(k-1) != 0), else
     NotNilpotentWithin(k_max); the zero element has index 1.
 
@@ -563,13 +566,16 @@ def nilpotence_index(a: Element, k_max: int, term_limit: int = 10 ** 6):
     not nilpotent within k_max, as the rest of the probe would find.
 
     ResourceLimit names the first power formed that has more than
-    term_limit terms.  Raises TooLarge, as :func:`power` does, when a
-    power formed holds more than POWER_EDGE_LIMIT edges.  The powers are
-    term maps multiplied by :func:`_product`; no Element is built."""
+    term_limit terms, TERM_LIMIT (read at call time) by default.  Raises
+    TooLarge, as :func:`power` does, when a power formed holds more than
+    POWER_EDGE_LIMIT edges.  The powers are term maps multiplied by
+    :func:`_product`; no Element is built."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if a.is_zero():
         return NilpotentOfIndex(1)
+    if term_limit is None:
+        term_limit = TERM_LIMIT
     table = _kernel(a.graph)
     terms = a._terms
     width = _width(terms)

@@ -253,34 +253,43 @@ def _cmd_analyze(args) -> int:
         "sinks": g.sinks(),
         "infinite_emitters": [v for v in g.vertices if g.out_degree(v) is OMEGA],
     }
-    lines = [f"vertices: {len(g.vertices)}  bundles: {len(g.bundles)}",
-             f"sinks: {', '.join(payload['sinks']) or '(none)'}"]
-    if payload["infinite_emitters"]:
-        lines.append(f"infinite emitters: {', '.join(payload['infinite_emitters'])}")
     try:
-        cs = cycles(g)
-        payload["cycles"] = cs
+        payload["cycles"] = cycles(g)
         payload["condition_L"] = condition_L(g)
-        lines.append("cycles: " + (", ".join(_cycle_text(g, c) for c in cs) or "(none)"))
     except CycleThroughOmegaBundle as err:
         payload["cycles"] = {"error": "cycle_through_omega_bundle", "detail": str(err)}
         payload["condition_L"] = None
-        lines.append(f"cycles: unboundedly many ({err})")
     w = cycle_exit_witness(g)
     payload["no_exit_cycles"] = w is None
     if w is not None:
         payload["exit_witness"] = {"cycle": w.cycle, "exit": w.edge}
-        lines.append(f"no_exit_cycles: false  (cycle {_cycle_text(g, w.cycle)}"
-                     f" has exit {algebra.edge_text(g, w.edge)})")
-    else:
-        lines.append("no_exit_cycles: true")
     payload["condition_K"] = condition_K(g)
     payload["downward_directed"] = downward_directed(g)
+    _emit(args, payload, _analyze_lines(g, payload) if args.format == "text" else ())
+    return 0
+
+
+def _analyze_lines(g: Graph, payload: dict) -> list:
+    """The text of ``analyze``, read off its payload."""
+    lines = [f"vertices: {len(g.vertices)}  bundles: {len(g.bundles)}",
+             f"sinks: {', '.join(payload['sinks']) or '(none)'}"]
+    if payload["infinite_emitters"]:
+        lines.append(f"infinite emitters: {', '.join(payload['infinite_emitters'])}")
+    cs = payload["cycles"]
+    if isinstance(cs, dict):
+        lines.append(f"cycles: unboundedly many ({cs['detail']})")
+    else:
+        lines.append("cycles: " + (", ".join(_cycle_text(g, c) for c in cs) or "(none)"))
+    w = payload.get("exit_witness")
+    if w is not None:
+        lines.append(f"no_exit_cycles: false  (cycle {_cycle_text(g, w['cycle'])}"
+                     f" has exit {algebra.edge_text(g, w['exit'])})")
+    else:
+        lines.append("no_exit_cycles: true")
     lines.append(f"condition_L: {payload['condition_L']}")
     lines.append(f"condition_K: {payload['condition_K']}")
     lines.append(f"downward_directed: {payload['downward_directed']}")
-    _emit(args, payload, lines)
-    return 0
+    return lines
 
 
 def _target_json(g: Graph, target, cnt: int) -> dict:
@@ -307,30 +316,38 @@ def _cmd_index(args) -> int:
             "per_target": [_target_json(g, t, c) for t, c in report.per_target],
             "witness": None,
         }
-        lines = [f"Bounded n={report.n}"]
-        for t, c in report.per_target:
-            if isinstance(t, SinkTarget):
-                lines.append(f"  sink {t.vertex}: {c}")
-            else:
-                lines.append(f"  cycle {_cycle_text(g, t.cycle)}: {c}")
         target = report.witness_target
-        if args.format == "json" and target is not None:  # text lists no paths
-            payload["witness"] = _family_json(
-                target, structure.witness_paths(g, target, report.n))
+        if args.format == "text":  # text lists no paths
+            lines = [f"Bounded n={report.n}"]
+            for t, c in report.per_target:
+                if isinstance(t, SinkTarget):
+                    lines.append(f"  sink {t.vertex}: {c}")
+                else:
+                    lines.append(f"  cycle {_cycle_text(g, t.cycle)}: {c}")
+        else:
+            lines = ()
+            if target is not None:
+                payload["witness"] = _family_json(
+                    target, structure.witness_paths(g, target, report.n))
         _emit(args, payload, lines)
     else:
         reason = report.reason
         if isinstance(reason, CycleWithExit):
             rj = {"kind": "cycle_with_exit", "cycle": reason.cycle,
                   "exit": reason.edge}
-            rt = (f"cycle {_cycle_text(g, reason.cycle)} has exit "
-                  f"{algebra.edge_text(g, reason.edge)}")
         else:
             rj = {"kind": "omega_path_family", "vertex": reason.vertex}
-            rt = f"infinitely many paths end at {reason.vertex}"
         payload = {"command": "index", "verdict": "unbounded", "reason": rj}
-        _emit(args, payload, [f"Unbounded: {rt}"])
+        _emit(args, payload, [f"Unbounded: {_reason_text(g, reason)}"]
+              if args.format == "text" else ())
     return 0
+
+
+def _reason_text(g: Graph, reason) -> str:
+    if isinstance(reason, CycleWithExit):
+        return (f"cycle {_cycle_text(g, reason.cycle)} has exit "
+                f"{algebra.edge_text(g, reason.edge)}")
+    return f"infinitely many paths end at {reason.vertex}"
 
 
 def _cmd_decompose(args) -> int:

@@ -427,12 +427,15 @@ def random_element(g: Graph, spec: RandomSpec, max_terms: int = 4,
 
 
 def nilpotence_index_sequential(a: algebra.Element, k_max: int,
-                                term_limit: int = 10 ** 6):
+                                term_limit: int | None = None):
     """The nilpotence probe one power at a time: a^2, a^3, ... up to the
     first that is zero, to k_max, or to the first with more than
-    term_limit terms; the reference for ``algebra.nilpotence_index``."""
+    term_limit terms (``algebra.TERM_LIMIT`` by default); the reference
+    for ``algebra.nilpotence_index``."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    if term_limit is None:
+        term_limit = algebra.TERM_LIMIT
     if a.is_zero():
         return algebra.NilpotentOfIndex(1)
     power = a
@@ -655,6 +658,9 @@ class CrossCheckReport(Record):
 ) = slot_setters(CrossCheckReport)
 
 
+_TRIAL_PATH_LEN = 3  # the longest walk of a sampled trial's monomials
+
+
 def cross_check_index(g: Graph, trials: int = 500,
                       probe_bound: int | None = None,
                       seed: int = 0) -> CrossCheckReport:
@@ -669,7 +675,13 @@ def cross_check_index(g: Graph, trials: int = 500,
     the walk tables, reseeded per trial: two generators in all.  An
     element drawn again in a later trial reuses its first trial's verdict,
     resource limits included, as the probe is a function of the element;
-    the memo holds at most ``trials`` entries."""
+    the memo holds at most ``trials`` entries.
+
+    An element whose block trace (``structure.block_trace``) is nonzero is
+    not nilpotent, and gets ``NotNilpotentWithin(bound)`` with no probe.
+    This runs only when ``structure.trace_settles`` finds that no power
+    the probe could form can pass a limit, so the probe would give that
+    verdict too, and the report is the probe's in every case."""
     report = structure.bounded_index_report(g)
     if not isinstance(report, structure.Bounded):
         raise structure.PreconditionUnbounded(
@@ -682,13 +694,18 @@ def cross_check_index(g: Graph, trials: int = 500,
     empirical = 0
     bits = random.Random(seed).getrandbits
     tables = walk_tables(g)
+    traces = (structure.trace_tables(g) if structure.trace_settles(
+        g, bound, 2 * _TRIAL_PATH_LEN) else None)
+    settled = algebra.NotNilpotentWithin(bound)
     verdicts = {}  # term map of a trial's element -> verdict, None for TooLarge
     for t in range(trials):
         sub = RandomSpec(seed=_below(bits, 2 ** 63))
-        a = random_element(g, sub, tables=tables)
+        a = random_element(g, sub, max_path_len=_TRIAL_PATH_LEN, tables=tables)
         terms = frozenset(a._terms.items())
         if terms in verdicts:
             verdict = verdicts[terms]
+        elif traces is not None and structure.block_trace(traces, a._terms):
+            verdict = verdicts[terms] = settled
         else:
             try:
                 verdict = algebra.nilpotence_index(a, bound)

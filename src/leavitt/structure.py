@@ -38,6 +38,7 @@ from .graph import (
     Path,
     Record,
     SinkTarget,
+    _components,
     component_cycles,
     count_paths_ending_at,
     cycle_exit_witness,
@@ -180,6 +181,89 @@ def bounded_index_report(g: Graph):
     n = max(cnt for _, cnt in per_target)
     best = next(t for t, cnt in per_target if cnt == n)
     return Bounded(n, tuple(per_target), best)
+
+
+def trace_tables(g: Graph) -> tuple:
+    """The tables of :func:`block_trace` for a bounded graph:
+    ``(legs, at_range)``.  ``legs[v]`` is the number of paths from v into
+    the sinks and cycles: 1 at a sink or a cycle vertex, else the sum of
+    mult * legs[dst] over v's out-bundles, filled in one pass over the
+    components, sinks first.  ``at_range[i]`` is legs at the range of the
+    kernel's finite edge id i."""
+    s = _components(g)
+    legs = {}
+    for i in reversed(range(len(s.members))):
+        if s.inner[i]:  # an exitless cycle
+            legs.update(dict.fromkeys(s.members[i], 1))
+            continue
+        (v,) = s.members[i]
+        out = g._out[v]
+        legs[v] = sum(b.mult * legs[b.dst] for b in out) if out else 1
+    at_range = []
+    for bid in algebra._kernel(g).finite:
+        b = g._by_id[bid]
+        at_range += [legs[b.dst]] * b.mult
+    return legs, at_range
+
+
+def block_trace(tables: tuple, terms: dict) -> dict:
+    """tau(a) = sum over targets T of tr M_T(a), for the term map of an
+    element a of a bounded graph's algebra, as {exponent: coefficient}
+    with no zero coefficient; ``tables`` are the graph's
+    :func:`trace_tables`.
+
+    The algebra is the direct sum of the M_t(K) and M_t(K[x,x^-1]), one
+    block per sink or exitless cycle T, its rows the paths into T
+    (Abrams, Aranda Pino and Siles Molina, Israel J. Math. 165 (2008)).
+    A term k p q* lies on the diagonal only where p and q start at one
+    vertex.  With p = q it is k times the legs from its range.  With one
+    a proper prefix of the other the rest is a closed path on an exitless
+    cycle, a whole number of turns, and the term is k x^(|p| - |q|),
+    counting x by edges (which maps each block's trace into K[x,x^-1] by
+    an injective K-linear map).  Any other term adds nothing.
+
+    A nilpotent matrix over a commutative domain has trace 0, so an
+    element with tau(a) != 0 has a block that is not nilpotent, and is not
+    nilpotent itself."""
+    legs, at_range = tables
+    tau: dict = {}
+    for (pb, pe, qb, qe), k in terms.items():
+        if pb != qb:
+            continue
+        if pe == qe:
+            d, k = 0, k * (at_range[pe[-1]] if pe else legs[pb])
+        else:
+            lp, lq = len(pe), len(qe)
+            if (qe[:lp] != pe) if lp < lq else (pe[:lq] != qe):
+                continue
+            d = lp - lq
+        tau[d] = tau.get(d, 0) + k
+    return {d: k for d, k in tau.items() if k}
+
+
+def trace_settles(g: Graph, bound: int, width: int) -> bool:
+    """Whether, on a bounded graph, :func:`block_trace` may settle the
+    probe ``algebra.nilpotence_index(a, bound)`` of an element a whose keys
+    hold at most ``width`` edges: whether no power the probe could form
+    can pass its term limit or the edge limit, so that a non-nilpotent
+    element gets ``NotNilpotentWithin(bound)`` from the probe too.
+
+    A key of a^k, k <= bound, holds at most L = bound * width edges.  The
+    paths of length at most L ending at r number P_r = cnt_r, the path
+    count at r, off a cycle, and cnt_r * (1 + L // |C|) on a cycle C (a
+    counted path followed by whole turns).  So a power holds at most
+    B = sum of P_r^2 keys and B * L edges.  The limits are read at call
+    time."""
+    s = _components(g)
+    reach = bound * width
+    keys = 0
+    for v, cnt in s.paths.items():
+        i = s.comp[v]
+        if s.inner[i]:
+            cnt *= 1 + reach // len(s.members[i])
+        keys += cnt * cnt
+    return (keys <= algebra.TERM_LIMIT
+            and keys * reach <= algebra.POWER_EDGE_LIMIT)
 
 
 def is_PI(g: Graph) -> bool:

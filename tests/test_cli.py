@@ -94,6 +94,20 @@ def test_index_text(capsys):
     assert out.startswith("Unbounded: cycle a1.a2.a3.a4 has exit f")
 
 
+@pytest.mark.parametrize("command", ["index", "analyze"])
+def test_json_builds_no_text_lines(command, capsys, monkeypatch):
+    """index and analyze print no cycle or edge text under --format json,
+    so they format none: a cycle's text fails here if it is built."""
+    def refuse(*args):
+        raise AssertionError("text built for JSON output")
+
+    monkeypatch.setattr(cli, "_cycle_text", refuse)
+    monkeypatch.setattr(algebra, "edge_text", refuse)
+    for name in ("loop_with_tail", "graph_f", "clock5", "omega_gadget"):
+        code, out, _ = run(capsys, command, fixture_path(name), "--format", "json")
+        assert code == 0 and json.loads(out)["command"] == command, name
+
+
 def test_decompose_text(capsys):
     code, out, _ = run(capsys, "decompose", fixture_path("line4"))
     assert code == 0 and out.strip() == "M_4(K)"

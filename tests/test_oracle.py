@@ -1232,18 +1232,230 @@ def test_memoised_cross_check_matches_unmemoised_loop_at_the_edge_limit(monkeypa
     assert limited > 0
 
 
+# -- the block trace certificate -------------------------------------------------
+
+def _trace_families() -> list:
+    """The bounded fixtures, 300 bounded random graphs with multiplicities
+    up to 3, the doubled line with k <= 8 and cycles with tails."""
+    graphs = [corpus.CORPUS[name]() for name in sorted(SAMPLING_SEED_12345)]
+    graphs += _bounded_random_graphs(300, max_mult=3)
+    graphs += [doubled_line(k) for k in range(1, 9)]
+    graphs += [tailed_cycle(m, t) for m in (1, 2, 3, 5) for t in (0, 1, 3)]
+    return graphs
+
+
+def _trace_by_corners(g, a) -> dict:
+    """tau(a) by its definition: the sum over targets T, and over the
+    paths p_i into T (the rows of T's block), of p_i* a p_i, an element of
+    the corner at T's vertex w, read as a scalar (w at a sink) or as a
+    Laurent polynomial in the cycle c based at w, c^j giving exponent
+    j * |c|, as ``structure.block_trace`` counts x by edges."""
+    tau = {}
+    for target, cnt in bounded_index_report(g).per_target:
+        legs = witness_paths(g, target, cnt)
+        w = path_range(g, legs[0])
+        for p in legs:
+            leg = algebra.monomial(g, p, Path(w))
+            for (pb, pe, qb, qe), k in (leg.involution() * a * leg)._terms.items():
+                assert pb == qb == w and not (pe and qe), (target, p)
+                tau[len(pe) - len(qe)] = tau.get(len(pe) - len(qe), 0) + k
+    return {d: k for d, k in tau.items() if k}
+
+
+def test_block_trace_is_the_sum_of_the_block_traces():
+    """Against the corner products p_i* a p_i, on random elements and on
+    the identity, whose trace is the sum of the path counts."""
+    for i, g in enumerate(_trace_families()[::4]):
+        tables = structure.trace_tables(g)
+        one = algebra.identity_element(g)
+        total = sum(cnt for _, cnt in bounded_index_report(g).per_target)
+        assert structure.block_trace(tables, one._terms) == {0: total}
+        for s in range(6):
+            a = random_element(g, RandomSpec(seed=100 * i + s))
+            assert structure.block_trace(tables, a._terms) == _trace_by_corners(g, a), (i, s)
+
+
+def test_block_trace_is_a_linear_trace():
+    """tau(ab) = tau(ba) and tau(a + 2b) = tau(a) + 2 tau(b) on seeded
+    pairs."""
+    nonzero = 0
+    for i, g in enumerate(_trace_families()[::3]):
+        tables = structure.trace_tables(g)
+
+        def tau(x):
+            return structure.block_trace(tables, x._terms)
+
+        for s in range(8):
+            a = random_element(g, RandomSpec(seed=2 * (100 * i + s)))
+            b = random_element(g, RandomSpec(seed=2 * (100 * i + s) + 1))
+            assert tau(a * b) == tau(b * a), (i, s)
+            combined = dict(tau(a))
+            for d, k in tau(b).items():
+                combined[d] = combined.get(d, 0) + 2 * k
+            assert tau(a + 2 * b) == {d: k for d, k in combined.items() if k}
+            nonzero += bool(tau(a * b))
+    assert nonzero > 100
+
+
+def test_trace_certificate_agrees_with_the_sequential_probe():
+    """Every element with a nonzero block trace is not nilpotent within
+    n + 1 by the sequential probe, and every element it finds nilpotent
+    has trace 0.  Both kinds occur."""
+    settled = nilpotent = 0
+    for i, g in enumerate(_trace_families()):
+        n = bounded_index_report(g).n
+        tables = structure.trace_tables(g)
+        for s in range(12):
+            a = random_element(g, RandomSpec(seed=1000 * i + s))
+            verdict = nilpotence_index_sequential(a, n + 1)
+            if structure.block_trace(tables, a._terms):
+                settled += 1
+                assert verdict == algebra.NotNilpotentWithin(n + 1), (i, s)
+            else:
+                nilpotent += isinstance(verdict, algebra.NilpotentOfIndex)
+    assert settled > 2000 and nilpotent > 500, (settled, nilpotent)
+
+
+def _count_probes(monkeypatch) -> list:
+    """A list that gains the element at each ``algebra.nilpotence_index``
+    call."""
+    probes = []
+    probe = algebra.nilpotence_index
+
+    def counting(a, *args, **kwargs):
+        probes.append(a)
+        return probe(a, *args, **kwargs)
+
+    monkeypatch.setattr(algebra, "nilpotence_index", counting)
+    return probes
+
+
+def _distinct_trials(g, trials: int, seed: int) -> int:
+    """The number of distinct elements among a check's sampled trials."""
+    master, tables = random.Random(seed), oracle.walk_tables(g)
+    return len({frozenset(random_element(
+        g, RandomSpec(seed=master.randrange(2 ** 63)), tables=tables)._terms.items())
+        for _ in range(trials)})
+
+
+def test_certified_cross_check_matches_unmemoised_loop(monkeypatch):
+    """With the certificate on, the report is the probe's on doubled lines
+    and tailed cycles; the certificate settles trials on each graph the
+    guard admits, and on no other."""
+    graphs = [doubled_line(k) for k in range(1, 9)]
+    graphs += [tailed_cycle(m, t) for m in (1, 2, 3, 5) for t in (0, 1, 3)]
+    probes = _count_probes(monkeypatch)
+    admitted = 0
+    for i, g in enumerate(graphs):
+        expected = _cross_check_unmemoised(g, 120, i)
+        probes.clear()
+        assert cross_check_index(g, trials=120, seed=i) == expected, i
+        trial_probes = len(probes) - 1  # the witness's probe
+        distinct = _distinct_trials(g, 120, i)
+        if structure.trace_settles(g, expected.probe_bound, 6):
+            admitted += 1
+            assert trial_probes < distinct, i
+        else:
+            assert trial_probes == distinct, i
+    assert 5 <= admitted < len(graphs)
+
+
+def _exact_key_bound(g, reach: int) -> int:
+    """The sum over ranges r of the square of the number of paths of
+    length at most ``reach`` ending at r, by listing them: at most the
+    keys any power can hold whose keys hold at most ``reach`` edges."""
+    by_range = {}
+    for p in _all_paths(g, reach, 10 ** 6):
+        r = path_range(g, p)
+        by_range[r] = by_range.get(r, 0) + 1
+    return sum(c * c for c in by_range.values())
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLING_SEED_12345))
+def test_trace_guard_bounds_the_powers(name, monkeypatch):
+    """Every power a^k, k <= n + 3, of a sampled element has at most the
+    listed key bound of terms, and a term limit below that bound makes
+    the guard refuse."""
+    g = corpus.CORPUS[name]()
+    bound = bounded_index_report(g).n + 3
+    exact = _exact_key_bound(g, bound * 6)
+    for s in range(20):
+        a = power = random_element(g, RandomSpec(seed=s))
+        for _ in range(bound - 1):
+            power = power * a
+            assert power.support_size() <= exact, s
+    monkeypatch.setattr(algebra, "POWER_EDGE_LIMIT", 10 ** 12)
+    monkeypatch.setattr(algebra, "TERM_LIMIT", exact - 1)
+    assert not structure.trace_settles(g, bound, 6)
+
+
+def test_trace_guard_refuses_at_low_limits(monkeypatch):
+    """At the default limits the guard admits every bounded fixture and
+    refuses the doubled line with k=10.  With the edge limit at 20, or a
+    term limit of 3, it refuses (but on line1, whose powers hold one term
+    at most), every distinct trial runs the probe, and the report is the
+    probe's.  At the edge limit of 20 the other fixtures' witness probes
+    raise TooLarge."""
+    fixtures = [corpus.CORPUS[name]() for name in sorted(SAMPLING_SEED_12345)]
+    for g in fixtures:
+        assert structure.trace_settles(g, bounded_index_report(g).n + 3, 6)
+    assert not structure.trace_settles(doubled_line(10), 1026, 6)
+    edge_limited = [corpus.CORPUS[name]() for name in
+                    ["clock3", "clock5", "loop_with_tail", "single_loop", "line2"]]
+    probes = _count_probes(monkeypatch)
+    limited = 0
+    for limit, value, graphs in [("POWER_EDGE_LIMIT", 20, edge_limited),
+                                 ("TERM_LIMIT", 3, fixtures + [doubled_line(10)])]:
+        with monkeypatch.context() as m:
+            m.setattr(algebra, limit, value)
+            for i, g in enumerate(graphs):
+                expected = _cross_check_unmemoised(g, 40, i)
+                if structure.trace_settles(g, expected.probe_bound, 6):
+                    assert g == corpus.line(1), (limit, i)
+                    continue
+                probes.clear()
+                rep = cross_check_index(g, trials=40, seed=i)
+                assert rep == expected, (limit, i)
+                assert len(probes) - 1 == _distinct_trials(g, 40, i), (limit, i)
+                limited += rep.resource_limited
+    assert limited > 0
+
+
+def test_probe_and_trace_guard_read_one_term_limit(monkeypatch):
+    """nilpotence_index's default term limit is algebra.TERM_LIMIT, read at
+    call time, as the guard and the sequential probe read it."""
+    assert algebra.TERM_LIMIT == 10 ** 6
+    g = corpus.clock(3)
+    v = algebra.vertex_element(g, "v")
+    e2 = algebra.edge_element(g, EdgeRef("e2"))
+    a = 2 * v + 3 * (e2 * e2.involution())  # a^2 has two terms
+    assert nilpotence_index(a, 4) == algebra.NotNilpotentWithin(4)
+    assert structure.trace_settles(g, 4, 6)
+    monkeypatch.setattr(algebra, "TERM_LIMIT", 1)
+    assert nilpotence_index(a, 4) == algebra.ResourceLimit(2, 2) == \
+        nilpotence_index_sequential(a, 4)
+    assert not structure.trace_settles(g, 4, 6)
+
+
 # algebra._product calls of cross_check_index on fixtures/line4.graph, 300
-# trials, seed 7: as the code stands, without the verdict memo, and without
-# the early exit at the first square
+# trials, seed 7: as the code stands, without the trace certificate, without
+# the verdict memo, and without the early exit at the first square; and the
+# nilpotence_index calls as the code stands (the witness's included)
+PRODUCTS_LINE4_CERTIFIED = 228
 PRODUCTS_LINE4 = 743
 PRODUCTS_LINE4_UNMEMOISED = 778
 PRODUCTS_LINE4_NO_EXIT = 872
+PROBES_LINE4_CERTIFIED = 109
 
 
 def test_cross_check_product_count_is_guarded(monkeypatch):
-    """The sampled trials and the witness form at most PRODUCTS_LINE4
-    products, so losing the memo or the early exit fails here."""
+    """The sampled trials and the witness form at most
+    PRODUCTS_LINE4_CERTIFIED products in PROBES_LINE4_CERTIFIED probes, so
+    losing the trace certificate, the memo or the early exit fails here."""
     g = load_graph(fixture_path("line4"))
     products = _count_products(monkeypatch)
+    probes = _count_probes(monkeypatch)
     cross_check_index(g, trials=300, seed=7)
-    assert len(products) <= PRODUCTS_LINE4 < PRODUCTS_LINE4_UNMEMOISED < PRODUCTS_LINE4_NO_EXIT
+    assert len(probes) <= PROBES_LINE4_CERTIFIED
+    assert len(products) <= PRODUCTS_LINE4_CERTIFIED < PRODUCTS_LINE4 \
+        < PRODUCTS_LINE4_UNMEMOISED < PRODUCTS_LINE4_NO_EXIT
