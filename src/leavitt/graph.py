@@ -322,7 +322,7 @@ class Graph:
     """
 
     __slots__ = ("vertices", "bundles", "_by_id", "_out", "_into", "_succ", "_deg",
-                 "_scc", "_kernel")
+                 "_scc", "_kernel", "_blocks")
 
     def __init__(self, vertices: Iterable[str], bundles: Iterable[Bundle] = ()):
         self.vertices = tuple(sorted(vertices))
@@ -352,6 +352,7 @@ class Graph:
         self._succ, self._deg = succ, deg
         self._scc = None  # _Components, filled in on first use
         self._kernel = None  # algebra._Kernel, filled in on first use
+        self._blocks = None  # structure.Blocks, filled in on first use
 
     def __eq__(self, other):
         return (isinstance(other, Graph)

@@ -606,9 +606,7 @@ def graded_spectrum_exhaustive(g: Graph, cap: int = 15) -> list:
     in deterministic (H, S) order, by listing every hereditary saturated
     set and every subset of its breaking vertices and classifying each
     quotient graph; the reference for ``structure.graded_spectrum``."""
-    report = structure.bounded_index_report(g)
-    if not isinstance(report, structure.Bounded):
-        raise structure.PreconditionUnbounded(f"graph is unbounded: {report.reason!r}")
+    structure.bounded_blocks(g)
     out = []
     for H in all_hereditary_saturated(g, cap):
         B = sorted(breaking_vertices(g, H))
@@ -682,10 +680,7 @@ def cross_check_index(g: Graph, trials: int = 500,
     This runs only when ``structure.trace_settles`` finds that no power
     the probe could form can pass a limit, so the probe would give that
     verdict too, and the report is the probe's in every case."""
-    report = structure.bounded_index_report(g)
-    if not isinstance(report, structure.Bounded):
-        raise structure.PreconditionUnbounded(
-            f"graph is unbounded: {report.reason!r}")
+    report = structure.bounded_blocks(g).report
     n = report.n
     bound = probe_bound if probe_bound is not None else n + 3
     violations = []

@@ -13,10 +13,11 @@ decomposition available for row-finite graphs.
 
 The graph facts come from its cached component pass (:mod:`leavitt.graph`):
 with no exit the cycles are exactly the single-cycle components, so no
-decision here enumerates cycles.  The graded spectrum is read off the
-bounded-index report too: one quotient per sink or cycle, found by one
-backward search each, so nothing here enumerates hereditary saturated sets
-(the subset enumeration is kept as ``oracle.graded_spectrum_exhaustive``).
+decision here enumerates cycles.  One cached table, :func:`blocks`, is
+the one source of per-target data for the report, the spectrum, the
+decomposition and the block trace.  The spectrum takes one backward search
+per target, so nothing here enumerates hereditary saturated sets (the
+subset enumeration is kept as ``oracle.graded_spectrum_exhaustive``).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import heapq
 import itertools
 from collections import deque
 from operator import attrgetter
+from typing import NamedTuple
 
 from . import algebra
 from .graph import (
@@ -40,10 +42,8 @@ from .graph import (
     SinkTarget,
     _components,
     component_cycles,
-    count_paths_ending_at,
     cycle_exit_witness,
     cycle_vertices,
-    hereditary_saturated_closure,
     slot_setters,
 )
 
@@ -152,53 +152,72 @@ def witness_paths(g: Graph, target, size: int) -> list:
     return found
 
 
-def bounded_index_report(g: Graph):
-    """Decide bounded index of nilpotence from graph facts alone.
+class Blocks(NamedTuple):
+    """A graph's per-target table, built once by :func:`blocks`."""
 
-    A cycle with an exit, or an infinite path family into a sink or cycle,
-    yields Unbounded; otherwise n is the maximum path count over sinks and
-    cycles (paths into interior vertices always extend to a target, so the
-    maximum is attained there).  With no exit every cycle is a whole
-    component, so the cycle targets are the component cycles.  No path is
-    listed here; the witness paths come from :func:`witness_paths`."""
+    report: object  # Bounded | Unbounded
+    rows: tuple     # (target, base w_T, count t_T, ring); () if unbounded
+    legs: dict      # vertex -> paths from it into the targets; {} if unbounded
+
+
+def blocks(g: Graph) -> Blocks:
+    """The one source of per-target data, cached on the graph: the
+    bounded-index verdict; a row per sink (in vertex order), then per
+    exitless cycle (in ``component_cycles`` order), based at the sink or at
+    the source of the cycle's first edge; and the legs, filled in one pass
+    over the components, sinks first: 1 at a sink or cycle vertex, else the
+    sum of mult * legs[dst] over the out-bundles.  A cycle with an exit,
+    or an infinite path family into a target, yields Unbounded; otherwise
+    n is the largest count at a target (a path into any vertex extends to
+    one).  With no exit every cycle is a whole component, so the cycle
+    targets are the component cycles."""
+    if g._blocks is None:
+        g._blocks = _fill_blocks(g)
+    return g._blocks
+
+
+def _fill_blocks(g: Graph) -> Blocks:
     w = cycle_exit_witness(g)
     if w is not None:
-        return Unbounded(w)
-    per_target = []
-    for v in g.sinks():
-        cnt = count_paths_ending_at(g, v)
-        if cnt is OMEGA:
-            return Unbounded(OmegaPathFamily(v))
-        per_target.append((SinkTarget(v), cnt))
+        return Blocks(Unbounded(w), (), {})
+    s = _components(g)
+    rows = [(SinkTarget(v), v, s.paths[v], BASE_K) for v in g.sinks()]
     for c in component_cycles(g):
-        base = g.src(c.edges[0])
-        cnt = count_paths_ending_at(g, base)
+        v = g.src(c.edges[0])
+        rows.append((CycleTarget(c), v, s.paths[v], BASE_LAURENT))
+    for _, v, cnt, _ in rows:
         if cnt is OMEGA:
-            return Unbounded(OmegaPathFamily(base))
-        per_target.append((CycleTarget(c), cnt))
-    if not per_target:
-        return Bounded(1, (), None)
-    n = max(cnt for _, cnt in per_target)
-    best = next(t for t, cnt in per_target if cnt == n)
-    return Bounded(n, tuple(per_target), best)
+            return Blocks(Unbounded(OmegaPathFamily(v)), (), {})
+    legs, out = dict.fromkeys(g.vertices, 1), g._out
+    for members, inner in zip(reversed(s.members), reversed(s.inner)):
+        if not inner and out[members[0]]:  # neither a cycle nor a sink
+            k = 0
+            for b in out[members[0]]:
+                k += b.mult * legs[b.dst]
+            legs[members[0]] = k
+    per_target = tuple((t, cnt) for t, _, cnt, _ in rows)
+    n = max((cnt for _, cnt in per_target), default=1)
+    best = next((t for t, cnt in per_target if cnt == n), None)
+    return Blocks(Bounded(n, per_target, best), tuple(rows), legs)
+
+
+def bounded_blocks(g: Graph) -> Blocks:
+    """:func:`blocks` of a bounded graph; PreconditionUnbounded otherwise."""
+    table = blocks(g)
+    if not isinstance(table.report, Bounded):
+        raise PreconditionUnbounded(f"graph is unbounded: {table.report.reason!r}")
+    return table
+
+
+def bounded_index_report(g: Graph):
+    """The bounded-index verdict, from graph facts alone (:func:`blocks`)."""
+    return blocks(g).report
 
 
 def trace_tables(g: Graph) -> tuple:
-    """The tables of :func:`block_trace` for a bounded graph:
-    ``(legs, at_range)``.  ``legs[v]`` is the number of paths from v into
-    the sinks and cycles: 1 at a sink or a cycle vertex, else the sum of
-    mult * legs[dst] over v's out-bundles, filled in one pass over the
-    components, sinks first.  ``at_range[i]`` is legs at the range of the
-    kernel's finite edge id i."""
-    s = _components(g)
-    legs = {}
-    for i in reversed(range(len(s.members))):
-        if s.inner[i]:  # an exitless cycle
-            legs.update(dict.fromkeys(s.members[i], 1))
-            continue
-        (v,) = s.members[i]
-        out = g._out[v]
-        legs[v] = sum(b.mult * legs[b.dst] for b in out) if out else 1
+    """:func:`block_trace`'s tables for a bounded graph: the legs of
+    :func:`blocks`, and the legs at the range of each finite edge id."""
+    legs = blocks(g).legs
     at_range = []
     for bid in algebra._kernel(g).finite:
         b = g._by_id[bid]
@@ -373,9 +392,9 @@ def graded_spectrum(g: Graph) -> list:
     in (H, S) order (by the size of H, then its sorted contents), as pairs
     (AdmissiblePair, Factor): the quotient is M_t(K) or M_t(K[x,x^-1]).
 
-    Each pair is read off the bounded-index report, one per sink or cycle
+    Each pair is read off a row of :func:`blocks`, one per sink or cycle
     target T, as (V minus the ancestors of T, empty S) classified by the
-    count at T.  This is the whole spectrum:
+    count and ring of T.  This is the whole spectrum:
 
     1. S is empty.  A bounded graph has no omega bundle: the range of one
        reaches a sink or a terminal component, and the count there would
@@ -401,15 +420,8 @@ def graded_spectrum(g: Graph) -> list:
 
     The graph must be bounded (PreconditionUnbounded otherwise).  Nothing
     is enumerated, so no size bound applies."""
-    report = bounded_index_report(g)
-    if not isinstance(report, Bounded):
-        raise PreconditionUnbounded(f"graph is unbounded: {report.reason!r}")
     out = []
-    for target, cnt in report.per_target:
-        if isinstance(target, SinkTarget):
-            start, cls = target.vertex, Factor(cnt, BASE_K)
-        else:
-            start, cls = g.src(target.cycle.edges[0]), Factor(cnt, BASE_LAURENT)
+    for _, start, cnt, ring in bounded_blocks(g).rows:
         ancestors, stack = {start}, [start]
         while stack:
             for b in g._into[stack.pop()]:
@@ -417,7 +429,7 @@ def graded_spectrum(g: Graph) -> list:
                     ancestors.add(b.src)
                     stack.append(b.src)
         H = frozenset(v for v in g.vertices if v not in ancestors)
-        out.append((AdmissiblePair(H), cls))
+        out.append((AdmissiblePair(H), Factor(cnt, ring)))
     out.sort(key=lambda item: (len(item[0].H), tuple(sorted(item[0].H))))
     return out
 
@@ -439,26 +451,15 @@ class Decomposition(Record):
 def decompose(g: Graph) -> Decomposition:
     """Matrix-ring decomposition of a row-finite bounded-index algebra:
     one K factor per sink, one Laurent factor per no-exit cycle, sized by
-    their path counts.  The (size, base) pairs are sorted as tuples and
-    each distinct pair becomes one Factor, repeated along its run."""
+    their path counts, read off the rows of :func:`blocks`.  The
+    (size, base) pairs are sorted as tuples and each distinct pair becomes
+    one Factor, repeated along its run.  The targets generate the whole
+    graph exactly when every vertex has a leg into them."""
     if any(b.mult is OMEGA for b in g.bundles):
         raise NotRowFinite("graph has an omega bundle")
-    report = bounded_index_report(g)
-    if not isinstance(report, Bounded):
-        raise PreconditionUnbounded(f"graph is unbounded: {report.reason!r}")
-    pairs = []
-    generators = set()
-    for target, cnt in report.per_target:
-        if isinstance(target, SinkTarget):
-            pairs.append((cnt, BASE_K))
-            generators.add(target.vertex)
-        else:
-            pairs.append((cnt, BASE_LAURENT))
-            generators.update(cycle_vertices(g, target.cycle))
-    closure = hereditary_saturated_closure(g, generators)
-    assert closure == frozenset(g.vertices), \
-        "sinks and cycles must generate the whole graph"
-    pairs.sort()
+    table = bounded_blocks(g)
+    assert all(table.legs.values()), "sinks and cycles must generate the whole graph"
+    pairs = sorted((cnt, ring) for _, _, cnt, ring in table.rows)
     made = {pair: Factor(*pair) for pair in set(pairs)}
     return Decomposition(tuple(made[pair] for pair in pairs))
 

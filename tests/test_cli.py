@@ -17,6 +17,7 @@ from leavitt.graphio import (
     GraphSyntaxError,
     GraphValidationError,
     canonical_document,
+    load_graph,
     parse_graph_document,
 )
 
@@ -427,6 +428,26 @@ def test_large_multiplicity_is_not_enumerated(argv, expected, capsys, tmp_path):
     doc.write_text(canonical_document(Graph(["u", "v"], [Bundle("a", "u", "v", 10 ** 8)])))
     code, out, err = run(capsys, argv[0], str(doc), *argv[1:])
     assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["index"], "Bounded n=100000001\n  sink v: 100000001\n"),
+    (["decompose"], "M_100000001(K)\n"),
+    (["ideals"], "H={} S={} -> M_100000001(K)\n"),
+])
+def test_large_multiplicity_verdicts_build_no_kernel(argv, expected, capsys,
+                                                    tmp_path, monkeypatch):
+    """The block table holds no entry per edge: on a bundle of 10^8 edges
+    the verdicts never number them."""
+    def refuse(g):
+        raise AssertionError("the kernel was built")
+
+    monkeypatch.setattr(algebra, "_kernel", refuse)
+    doc = tmp_path / "wide.graph"
+    doc.write_text(canonical_document(Graph(["u", "v"], [Bundle("a", "u", "v", 10 ** 8)])))
+    code, out, err = run(capsys, argv[0], str(doc))
+    assert (code, out, err) == (0, expected, "")
+    assert structure.blocks(load_graph(str(doc))).legs == {"u": 10 ** 8, "v": 1}
 
 
 @pytest.mark.parametrize("expr", ["(2)^30000000 u1", "(2)^10000000000 u1"])

@@ -1,7 +1,7 @@
 import pytest
 
-from conftest import tailed_cycle
-from leavitt import corpus
+from conftest import fixture_path, tailed_cycle
+from leavitt import cli, corpus, structure
 from leavitt.algebra import (
     NilpotentOfIndex,
     jordan_element,
@@ -16,7 +16,7 @@ from leavitt.graph import (
     hereditary_saturated_closure,
     quotient_graph,
 )
-from leavitt.oracle import classify_quotient
+from leavitt.oracle import RandomSpec, classify_quotient, enumerate_paths_ending_at, random_graph
 from leavitt.structure import (
     BASE_K,
     BASE_LAURENT,
@@ -32,6 +32,7 @@ from leavitt.structure import (
     SinkTarget,
     Unbounded,
     acyclic_dimension,
+    blocks,
     bounded_index_report,
     decompose,
     graded_spectrum,
@@ -256,3 +257,76 @@ def test_report_on_deep_tailed_cycle():
     assert isinstance(report, Bounded) and report.n == 1203
     (target, count), = report.per_target
     assert isinstance(target, CycleTarget) and count == 1203
+
+
+# -- the block table ------------------------------------------------------------
+
+def _bounded_graphs(seeds=200):
+    """The bounded fixtures, then the first `seeds` bounded random graphs."""
+    fixtures = [build() for _, build in sorted(corpus.CORPUS.items())]
+    graphs = [g for g in fixtures if isinstance(bounded_index_report(g), Bounded)]
+    wanted, s = len(graphs) + seeds, 0
+    while len(graphs) < wanted:
+        g = random_graph(RandomSpec(seed=s, max_mult=3))
+        if isinstance(bounded_index_report(g), Bounded):
+            graphs.append(g)
+        s += 1
+    return graphs
+
+
+def test_legs_count_the_listed_paths_into_the_targets():
+    """legs[v] is the number of paths from v among those the oracle lists
+    into the targets' bases; the legs add up to the sum of the counts, and
+    the rows' (count, ring) pairs are decompose's factors."""
+    rings = set()
+    for g in _bounded_graphs():
+        table = blocks(g)
+        rings.update(ring for _, _, _, ring in table.rows)
+        listed = dict.fromkeys(g.vertices, 0)
+        for target, w, cnt, _ in table.rows:
+            paths = enumerate_paths_ending_at(g, w, len(g.vertices) * (cnt + 1))
+            assert len(paths) == cnt, target
+            for p in paths:
+                listed[p.base] += 1
+        assert table.legs == listed
+        assert sum(table.legs.values()) == sum(cnt for _, _, cnt, _ in table.rows)
+        assert (sorted((cnt, ring) for _, _, cnt, ring in table.rows)
+                == [(f.size, f.base) for f in decompose(g).factors])
+    assert rings == {BASE_K, BASE_LAURENT}
+
+
+def test_rows_follow_the_report():
+    for g in _bounded_graphs()[:60]:
+        table = blocks(g)
+        assert table.report is bounded_index_report(g)
+        assert tuple((t, cnt) for t, _, cnt, _ in table.rows) == table.report.per_target
+        for target, w, _, ring in table.rows:
+            if isinstance(target, SinkTarget):
+                assert (w, ring) == (target.vertex, BASE_K)
+            else:
+                assert (w, ring) == (g.src(target.cycle.edges[0]), BASE_LAURENT)
+
+
+def test_unbounded_table_has_no_rows():
+    for g in (corpus.graph_f(), corpus.omega_gadget()):
+        table = blocks(g)
+        assert isinstance(table.report, Unbounded)
+        assert table.rows == () and table.legs == {}
+
+
+def test_blocks_is_cached_and_check_builds_it_once(monkeypatch, capsys):
+    g = corpus.clock(5)
+    assert blocks(g) is blocks(g)
+    built = []
+    fill = structure._fill_blocks
+
+    def counting(g):
+        built.append(g)
+        return fill(g)
+
+    monkeypatch.setattr(structure, "_fill_blocks", counting)
+    for name in ("clock5", "loop_with_tail", "graph_f"):
+        built.clear()
+        assert cli.main(["check", fixture_path(name), "--trials", "20"]) == 0
+        assert len(built) == 1, name
+    capsys.readouterr()
