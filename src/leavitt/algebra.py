@@ -765,7 +765,9 @@ def matrix_units_acyclic(g: Graph, paths: Iterable[Path]) -> MatrixUnits:
 
 def matrix_units_exit(g: Graph, c: Cycle, f: EdgeRef, n: int) -> MatrixUnits:
     """Matrix units c^i f f* (c*)^j, 1 <= i,j <= n, for an exit f of the
-    cycle c; the cycle is rotated to be based at the exit's source."""
+    cycle c; the cycle is rotated to be based at the exit's source.
+    Raises TooLarge, before any leg is built, when the legs would hold
+    more than POWER_EDGE_LIMIT edges: |c| n (n + 1) / 2 + n."""
     check_cycle(g, c)
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -775,6 +777,10 @@ def matrix_units_exit(g: Graph, c: Cycle, f: EdgeRef, n: int) -> MatrixUnits:
     verts = cycle_vertices(g, c)
     if v not in verts or f in c.edges:
         raise NotAnExit(f"{f!r} is not an exit of the cycle")
+    edges = len(c.edges) * n * (n + 1) // 2 + n
+    if edges > POWER_EDGE_LIMIT:
+        raise TooLarge(f"the legs c^i f hold {edges} edges, over the limit "
+                       f"of {POWER_EDGE_LIMIT}")
     loop = rotate_cycle_to(g, c, v).edges
     legs = tuple(Path(v, loop * i + (f,)) for i in range(1, n + 1))
     return MatrixUnits(g, legs, CycleWithExit(c, f))

@@ -303,18 +303,20 @@ def eval_expr(node, g: Graph) -> algebra.Element:
 
 def _eval(node, g: Graph):
     """Returns (coefficient, Element | None); None means the scalar
-    multiple of the (implicit) identity."""
+    multiple of the (implicit) identity.  Integral coefficients stay
+    ints, as the kernel keeps its coefficients; a fractional literal
+    brings in a Fraction."""
     if isinstance(node, ScalarLiteral):
-        return node.value, None
+        return algebra._scalar(node.value), None
     if isinstance(node, Ident):
-        return Fraction(1), _resolve_ident(g, node)
+        return 1, _resolve_ident(g, node)
     if isinstance(node, Star):
         coeff, elem = _eval(node.inner, g)
         return coeff, (None if elem is None else elem.involution())
     if isinstance(node, Power):
         coeff, elem = _eval(node.inner, g)
         if node.exponent == 0:
-            return Fraction(1), algebra.identity_element(g)
+            return 1, algebra.identity_element(g)
         # exponent * (bit length - 1) is a lower bound on the result's bits,
         # so 0, 1 and -1 are never refused
         bits = node.exponent * (max(abs(coeff.numerator).bit_length(),
@@ -326,7 +328,7 @@ def _eval(node, g: Graph):
             return coeff ** node.exponent, None
         return coeff ** node.exponent, algebra.power(elem, node.exponent)
     if isinstance(node, Product):
-        coeff = Fraction(1)
+        coeff = 1
         elem = None
         for factor in node.factors:
             c, e = _eval(factor, g)
@@ -340,5 +342,5 @@ def _eval(node, g: Graph):
             c, e = _eval(part, g)
             piece = (algebra.identity_element(g) if e is None else e).scale(sign * c)
             total = piece if total is None else total + piece
-        return Fraction(1), total
+        return 1, total
     raise TypeError(f"not an expression node: {node!r}")

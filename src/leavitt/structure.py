@@ -267,20 +267,27 @@ def trace_settles(g: Graph, bound: int, width: int) -> bool:
     can pass its term limit or the edge limit, so that a non-nilpotent
     element gets ``NotNilpotentWithin(bound)`` from the probe too.
 
-    A key of a^k, k <= bound, holds at most L = bound * width edges.  The
-    paths of length at most L ending at r number P_r = cnt_r, the path
-    count at r, off a cycle, and cnt_r * (1 + L // |C|) on a cycle C (a
-    counted path followed by whole turns).  So a power holds at most
-    B = sum of P_r^2 keys and B * L edges.  The limits are read at call
-    time."""
+    A key p q* of a^k, k <= bound, holds at most L = bound * width edges,
+    and the probe's powers are in normal form: p and q do not both end in
+    the special edge of one vertex.  Off a cycle, the paths ending at r
+    number cnt_r, the path count at r, so at most cnt_r^2 keys have range
+    r.  On an exitless cycle C, a path ending at r is p0 c^i, a counted
+    path p0 (one of cnt_r) followed by i whole turns c at r, with
+    i <= L // |C|.  Every vertex of C emits one edge, so the cycle edge g
+    into r is its source's special edge and has no siblings: (p g)(q g)*
+    rewrites to p q*, and no normal-form key p0 c^i (q0 c^j)* has both
+    i >= 1 and j >= 1.  So at most cnt_r^2 * (1 + 2 * (L // |C|)) keys
+    have range r, and a power holds at most B, their sum over r, keys and
+    B * L edges.  The limits are read at call time."""
     s = _components(g)
     reach = bound * width
     keys = 0
     for v, cnt in s.paths.items():
         i = s.comp[v]
+        pairs = cnt * cnt
         if s.inner[i]:
-            cnt *= 1 + reach // len(s.members[i])
-        keys += cnt * cnt
+            pairs *= 1 + 2 * (reach // len(s.members[i]))
+        keys += pairs
     return (keys <= algebra.TERM_LIMIT
             and keys * reach <= algebra.POWER_EDGE_LIMIT)
 

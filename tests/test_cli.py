@@ -182,6 +182,27 @@ def test_witness(capsys):
     assert doc["provenance"]["kind"] == "cycle_exit_powers"
 
 
+def test_witness_refuses_exit_units_over_the_edge_limit(capsys, monkeypatch):
+    """Exit units c^i f whose legs would hold more than POWER_EDGE_LIMIT
+    edges exit 2 before any leg is built or verified.  On graph_f (a
+    4-cycle) n legs hold 2 n^2 + 3 n edges: 706 legs are built, 707 are
+    refused."""
+    reason = structure.bounded_index_report(corpus.graph_f()).reason
+    units = algebra.matrix_units_exit(corpus.graph_f(), reason.cycle, reason.edge, 706)
+    assert sum(len(p.edges) for p in units.legs) == 2 * 706 ** 2 + 3 * 706 <= 10 ** 6
+    with pytest.raises(algebra.TooLarge, match="1001819 edges"):
+        algebra.matrix_units_exit(corpus.graph_f(), reason.cycle, reason.edge, 707)
+
+    def unreachable(*args):
+        raise AssertionError("units were verified")
+
+    monkeypatch.setattr(algebra, "verify_matrix_units", unreachable)
+    for size in ("707", "2000", str(10 ** 9)):
+        code, out, err = run(capsys, "witness", fixture_path("graph_f"), "--size", size)
+        assert code == 2 and out == "", size
+        assert err.startswith("resource limit: the legs c^i f hold"), size
+
+
 @pytest.mark.parametrize("size", ["0", "-1"])
 @pytest.mark.parametrize("fixture", ["line4", "graph_f", "omega_gadget"])
 def test_witness_rejects_size_below_one(fixture, size, capsys):

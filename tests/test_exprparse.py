@@ -15,6 +15,7 @@ from leavitt.exprparse import (
     Star,
     Sum,
     UnknownIdent,
+    _eval,
     eval_expr,
     parse_expr,
 )
@@ -76,6 +77,24 @@ def test_eval_scalars_and_subtraction():
     a = eval_expr(parse_expr("2 e1 - 1/2 e1"), g)
     assert a == edge_element(g, EdgeRef("e1")).scale(Fraction(3, 2))
     assert eval_expr(parse_expr("0 - v"), g) == -vertex_element(g, "v")
+
+
+def test_eval_keeps_integral_coefficients_as_ints():
+    """Integral expressions evaluate with int coefficients, outside and
+    in the element's terms; fractional literals and scalar powers stay
+    exact Fractions."""
+    g = corpus.clock(3)
+    for text in ["e1", "3 e1 e1*", "e1 + 2 e2", "-2 (e1 - v)^2", "e1^0", "4",
+                 "(2 v)^3 e1", "4/2 e1"]:
+        coeff, _ = _eval(parse_expr(text), g)
+        assert type(coeff) is int, text
+        terms = eval_expr(parse_expr(text), g)._terms
+        assert terms and all(type(k) is int for k in terms.values()), text
+    assert _eval(parse_expr("(2 v)^3 e1"), g)[0] == 8
+    for text, value in [("1/2 e1", Fraction(1, 2)), ("(2/3)^3", Fraction(8, 27)),
+                        ("-1/2 e1 3/5", Fraction(-3, 10))]:
+        coeff, _ = _eval(parse_expr(text), g)
+        assert type(coeff) is Fraction and coeff == value, text
 
 
 def test_eval_star_reverses_products():

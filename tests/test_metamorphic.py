@@ -1,0 +1,99 @@
+"""Metamorphic checks: graph moves whose effect on every verdict is known.
+
+Renaming the vertices and the bundle ids of a graph by a bijection gives
+an isomorphic graph, so its algebra is the same.  The renaming is chosen
+to change the sort order of the names, which the code uses to order
+vertices, bundles, targets and paths; no verdict may depend on it."""
+
+import json
+import random
+from collections import Counter
+from fractions import Fraction
+
+from leavitt import cli, corpus
+from leavitt.graph import Bundle, Graph
+from leavitt.graphio import canonical_document
+from leavitt.oracle import RandomSpec, random_graph
+
+
+def _shuffled_names(names, prefix: str, rng: random.Random) -> dict:
+    """A bijection from the sorted ``names`` to new names whose sort order
+    is a seeded shuffle of theirs, reversed when the shuffle left it as it
+    was (so two or more names always change order)."""
+    order = list(range(len(names)))
+    rng.shuffle(order)
+    if order == sorted(order):
+        order.reverse()
+    return {name: f"{prefix}{k:03d}" for name, k in zip(sorted(names), order)}
+
+
+def _relabelled(g: Graph, rng: random.Random) -> tuple:
+    """(the renamed graph, the vertex map, the bundle-id map)."""
+    vmap = _shuffled_names(g.vertices, "x", rng)
+    bmap = _shuffled_names([b.id for b in g.bundles], "z", rng)
+    h = Graph([vmap[v] for v in g.vertices],
+              [Bundle(bmap[b.id], vmap[b.src], vmap[b.dst], b.mult) for b in g.bundles])
+    return h, vmap, bmap
+
+
+def _run_json(capsys, path: str, command: str) -> dict:
+    code = cli.main([command, path, "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 0, (command, err)
+    return json.loads(out)
+
+
+def _invariants(capsys, g: Graph, path, vmap: dict, bmap: dict) -> tuple:
+    """What `index`, `decompose` and `ideals` print that no renaming may
+    change, with the names in it read through the maps: the verdicts, n,
+    the reason kind, the targets with their counts, the factors, and the
+    quotients with their classifications."""
+    path.write_text(canonical_document(g))
+    index = _run_json(capsys, str(path), "index")
+    decomposed = _run_json(capsys, str(path), "decompose")
+    ideals = _run_json(capsys, str(path), "ideals")
+    targets = Counter()
+    for t in index.get("per_target", ()):
+        if t["kind"] == "sink":
+            targets[("sink", vmap[t["vertex"]], t["count"])] += 1
+        else:
+            cycle = frozenset(bmap[e["bundle"]] for e in t["cycle"]["edges"])
+            targets[("cycle", cycle, t["count"])] += 1
+    quotients = Counter(
+        (frozenset(map(vmap.get, q["H"])), frozenset(map(vmap.get, q["S"])),
+         q["classification"]["size"], q["classification"]["base"])
+        for q in ideals.get("quotients", ()))
+    return (index["verdict"], index.get("n"), index.get("reason", {}).get("kind"),
+            targets, decomposed["verdict"], decomposed.get("factors"),
+            ideals["verdict"], quotients)
+
+
+def _graphs() -> list:
+    """The fixtures, and 240 seeded random graphs with 1 to 12 bundles,
+    a third of them with omega bundles."""
+    graphs = [build() for _, build in sorted(corpus.CORPUS.items())]
+    graphs += [random_graph(RandomSpec(seed=s, max_bundles=1 + s % 12,
+                                       omega_probability=Fraction(s % 3 // 2, 3)))
+               for s in range(240)]
+    return graphs
+
+
+def test_relabelling_changes_no_verdict(capsys, tmp_path):
+    """On the fixtures and 240 seeds, `index`, `decompose` and `ideals`
+    give the same verdicts, n, per-target counts, factors and quotient
+    classifications before and after renaming vertices and bundle ids by
+    a bijection that changes their sort order."""
+    rng = random.Random(11)
+    kinds = Counter()
+    for i, g in enumerate(_graphs()):
+        h, vmap, bmap = _relabelled(g, rng)
+        assert len(g.vertices) < 2 or [vmap[v] for v in g.vertices] != list(h.vertices)
+        before = _invariants(capsys, g, tmp_path / "g.graph", vmap, bmap)
+        after = _invariants(capsys, h, tmp_path / "h.graph",
+                            dict(zip(h.vertices, h.vertices)),
+                            {b.id: b.id for b in h.bundles})
+        assert before == after, i
+        kinds[before[0], before[2]] += 1
+    assert kinds["bounded", None] >= 60, kinds
+    assert kinds["unbounded", "cycle_with_exit"] >= 60, kinds
+    assert kinds["unbounded", "omega_path_family"] >= 5, kinds

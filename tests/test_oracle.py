@@ -1361,14 +1361,18 @@ def test_certified_cross_check_matches_unmemoised_loop(monkeypatch):
 
 
 def _exact_key_bound(g, reach: int) -> int:
-    """The sum over ranges r of the square of the number of paths of
-    length at most ``reach`` ending at r, by listing them: at most the
-    keys any power can hold whose keys hold at most ``reach`` edges."""
-    by_range = {}
+    """The number of normal-form keys p q* with |p|, |q| <= ``reach``, by
+    listing the paths: the pairs of paths at one range that do not both
+    end in one special edge.  At most this many keys can a power hold
+    whose keys hold at most ``reach`` edges."""
+    by_range, by_special = {}, {}
     for p in _all_paths(g, reach, 10 ** 6):
         r = path_range(g, p)
         by_range[r] = by_range.get(r, 0) + 1
-    return sum(c * c for c in by_range.values())
+        if p.edges and p.edges[-1] == algebra.special_edge(g, g.src(p.edges[-1])):
+            by_special[p.edges[-1]] = by_special.get(p.edges[-1], 0) + 1
+    return (sum(c * c for c in by_range.values())
+            - sum(c * c for c in by_special.values()))
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLING_SEED_12345))
@@ -1387,6 +1391,47 @@ def test_trace_guard_bounds_the_powers(name, monkeypatch):
     monkeypatch.setattr(algebra, "POWER_EDGE_LIMIT", 10 ** 12)
     monkeypatch.setattr(algebra, "TERM_LIMIT", exact - 1)
     assert not structure.trace_settles(g, bound, 6)
+
+
+def test_trace_guard_counts_at_least_the_normal_form_keys(monkeypatch):
+    """On 200 bounded random graphs and on cycles with tails, at bounds 1,
+    2 and n + 3, the guard refuses when the term limit is one below the
+    exact normal-form key count, so its key bound is at least that count.
+    On the single loop the bound is the exact count."""
+    graphs = _bounded_random_graphs(200)
+    graphs += [tailed_cycle(m, t) for m in (1, 2, 3, 5) for t in (0, 1, 3)]
+    monkeypatch.setattr(algebra, "POWER_EDGE_LIMIT", 10 ** 12)
+    for i, g in enumerate(graphs):
+        for bound in sorted({1, 2, bounded_index_report(g).n + 3}):
+            exact = _exact_key_bound(g, bound * 6)
+            monkeypatch.setattr(algebra, "TERM_LIMIT", exact - 1)
+            assert not structure.trace_settles(g, bound, 6), (i, bound)
+    loop = corpus.single_loop()
+    assert _exact_key_bound(loop, 24) == 1 + 2 * 24
+    monkeypatch.setattr(algebra, "TERM_LIMIT", 1 + 2 * 24)
+    assert structure.trace_settles(loop, 4, 6)
+
+
+def test_certificate_settles_trials_on_exitless_cycles(monkeypatch):
+    """At the default limits the guard admits the loop with a 3-vertex
+    tail and bounded random graphs with an exitless cycle, the certificate
+    settles trials on each, and every report is the probe's.  The guard
+    still refuses the doubled line from k = 6 on."""
+    graphs = [tailed_cycle(1, 3)]
+    graphs += [g for g in _bounded_random_graphs(150)
+               if any(isinstance(t, CycleTarget)
+                      for t, _ in bounded_index_report(g).per_target)][:12]
+    assert len(graphs) == 13
+    probes = _count_probes(monkeypatch)
+    for i, g in enumerate(graphs):
+        expected = _cross_check_unmemoised(g, 100, i)
+        assert structure.trace_settles(g, expected.probe_bound, 6), i
+        probes.clear()
+        assert cross_check_index(g, trials=100, seed=i) == expected, i
+        assert len(probes) - 1 < _distinct_trials(g, 100, i), i
+    assert structure.trace_settles(doubled_line(5), 34, 6)
+    for k in (6, 7, 8):
+        assert not structure.trace_settles(doubled_line(k), 2 ** k + 2, 6), k
 
 
 def test_trace_guard_refuses_at_low_limits(monkeypatch):
