@@ -539,31 +539,71 @@ class ResourceLimit(Record):
 _limit_power, _limit_terms = slot_setters(ResourceLimit)
 
 
-class _OverTermLimit(Exception):
-    pass
+class _Verdict(Exception):
+    """Raised by the probe's product check to end the ladder with the
+    verdict it carries."""
 
 
 TERM_LIMIT = 10 ** 6  # terms of a power, past which the probe gives ResourceLimit
+
+
+def _ladder(a: Element, k: int, check=None) -> tuple:
+    """(j, a^j) for the largest j <= k with a^j != 0, as a term map; (1, {})
+    when a is zero.
+
+    The squares a, a^2, a^4, ... are formed while the exponent is at most
+    k, up to the first square that is zero.  Then one binary-lifting pass
+    starts from j, the exponent of the last nonzero square: for each
+    smaller square a^(2^i), highest first, a^j a^(2^i) is formed when
+    j + 2^i <= k, and kept as a^(j + 2^i) when it is nonzero.  While every
+    product is nonzero this builds a^k from the bits of k; after the first
+    zero product it tries every lower bit, a binary search for the largest
+    nonzero power.  So every nonzero power formed has exponent at most j,
+    and O(log k) products are formed in all.
+
+    Each product z = a^e is passed to ``check(z, e)``, which may raise to
+    stop the ladder.  The default check is the edge guard: TooLarge when
+    z holds more than POWER_EDGE_LIMIT edges over all its monomials
+    (squaring doubles path lengths, so memory would run out long before
+    time does); a given check applies the guard itself."""
+    table = _kernel(a.graph)
+    if check is None:
+        width = _width(a._terms)
+
+        def check(z: dict, e: int) -> None:
+            _edge_guard(z, e, width)
+
+    squares = [a._terms]  # squares[i] = a^(2^i), all nonzero
+    while 2 ** len(squares) <= k:
+        sq = _product(table, squares[-1], squares[-1])
+        check(sq, 2 ** len(squares))
+        if not sq:
+            break
+        squares.append(sq)
+    j, x = 2 ** (len(squares) - 1), squares.pop()
+    for i in reversed(range(len(squares))):
+        if j + 2 ** i <= k:
+            z = _product(table, x, squares[i])
+            check(z, j + 2 ** i)
+            if z:
+                j, x = j + 2 ** i, z
+    return j, x
 
 
 def nilpotence_index(a: Element, k_max: int, term_limit: int | None = None):
     """Least k <= k_max with a^k = 0 (and a^(k-1) != 0), else
     NotNilpotentWithin(k_max); the zero element has index 1.
 
-    By repeated squaring: a, a^2, a^4, ... while the exponent is at most
-    k_max, up to the first square that is zero.  When none is, a^k_max is
-    built from the squares, highest first, up to the first product that is
-    zero; when none is, a is not nilpotent within k_max.  Otherwise a^lo is
-    known to be nonzero and a^hi zero with hi - lo a power of two, and a
-    binary search over the smaller squares finds the index.  So every
-    nonzero power formed has exponent at most min(k_max, index - 1): the
-    sequential probe (``oracle.nilpotence_index_sequential``) forms it too,
-    and the verdict is the same wherever that probe gives one.
+    Read off :func:`_ladder`: a^j != 0 with j the largest such j <= k_max
+    gives NotNilpotentWithin(k_max) when j = k_max, else index j + 1.
+    Every nonzero power formed has exponent at most min(k_max, index - 1):
+    the sequential probe (``oracle.nilpotence_index_sequential``) forms it
+    too, and the verdict is the same wherever that probe gives one.
 
     When the first square is a scalar multiple of a, a^2 = c a with c != 0,
     the probe stops there: every power is c^(m-1) a, nonzero and with the
     support and edge count of a^2, which have passed both limits, so a is
-    not nilpotent within k_max, as the rest of the probe would find.
+    not nilpotent within k_max, as the rest of the ladder would find.
 
     ResourceLimit names the first power formed that has more than
     term_limit terms, TERM_LIMIT (read at call time) by default.  Raises
@@ -576,49 +616,21 @@ def nilpotence_index(a: Element, k_max: int, term_limit: int | None = None):
         return NilpotentOfIndex(1)
     if term_limit is None:
         term_limit = TERM_LIMIT
-    table = _kernel(a.graph)
     terms = a._terms
     width = _width(terms)
 
-    def times(x: dict, y: dict, k: int) -> dict:
-        """x y, which is a^k."""
-        z = _product(table, x, y)
+    def check(z: dict, e: int) -> None:
         if len(z) > term_limit:
-            raise _OverTermLimit(ResourceLimit(k, len(z)))
-        return _edge_guard(z, k, width)
+            raise _Verdict(ResourceLimit(e, len(z)))
+        _edge_guard(z, e, width)
+        if e == 2 and _is_multiple(z, terms):
+            raise _Verdict(NotNilpotentWithin(k_max))
 
-    squares = [terms]    # squares[i] = a^(2^i), all nonzero
-    lo, low = 1, terms   # low = a^lo, nonzero
     try:
-        while 2 * lo <= k_max:
-            sq = times(low, low, 2 * lo)
-            if not sq:
-                hi = 2 * lo
-                break
-            if lo == 1 and _is_multiple(sq, terms):
-                return NotNilpotentWithin(k_max)
-            squares.append(sq)
-            lo, low = 2 * lo, sq
-        else:
-            for i in reversed(range(len(squares) - 1)):
-                if k_max >> i & 1:
-                    p = times(low, squares[i], lo + (1 << i))
-                    if not p:
-                        hi = lo + (1 << i)
-                        break
-                    lo, low = lo + (1 << i), p
-            else:
-                return NotNilpotentWithin(k_max)
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            p = times(low, squares[(mid - lo).bit_length() - 1], mid)
-            if not p:
-                hi = mid
-            else:
-                lo, low = mid, p
-    except _OverTermLimit as over:
-        return over.args[0]
-    return NilpotentOfIndex(hi)
+        j, _ = _ladder(a, k_max, check)
+    except _Verdict as verdict:
+        return verdict.args[0]
+    return NotNilpotentWithin(k_max) if j == k_max else NilpotentOfIndex(j + 1)
 
 
 def _is_multiple(x: dict, a: dict) -> bool:
@@ -635,32 +647,14 @@ POWER_EDGE_LIMIT = 10 ** 6
 
 
 def power(a: Element, k: int) -> Element:
-    """a^k for k >= 1, by repeated squaring.  Stops at the first square
-    that vanishes, since a^k is then zero too.  Raises TooLarge when an
-    intermediate power holds more than POWER_EDGE_LIMIT edges over all its
-    monomials (squaring doubles path lengths, so memory would run out
-    long before time does)."""
+    """a^k for k >= 1, by the squaring ladder of :func:`_ladder`: a^k when
+    its largest nonzero power is a^k itself, else zero.  Raises TooLarge
+    when a power formed holds more than POWER_EDGE_LIMIT edges over all
+    its monomials."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    table = _kernel(a.graph)
-    width = _width(a._terms)
-    x, out = a._terms, None
-    n, m = 1, 0  # x = a^n, and out = a^m once set
-    while True:
-        if k & 1:
-            m += n
-            out = x if out is None else _edge_guard(_product(table, out, x), m, width)
-            if not out:
-                break
-        k >>= 1
-        if not k:
-            break
-        n *= 2
-        x = _edge_guard(_product(table, x, x), n, width)
-        if not x:
-            out = x
-            break
-    return Element(a.graph, out)
+    j, x = _ladder(a, k)
+    return Element(a.graph, x if j == k else {})
 
 
 def _width(terms: dict) -> int:
@@ -668,10 +662,10 @@ def _width(terms: dict) -> int:
     return max((len(key[1]) + len(key[3]) for key in terms), default=0)
 
 
-def _edge_guard(terms: dict, k: int, width: int) -> dict:
-    """The term map of a power a^k, where each key of a holds at most width
-    edges, or TooLarge when it holds more than POWER_EDGE_LIMIT edges over
-    all its monomials.
+def _edge_guard(terms: dict, k: int, width: int) -> None:
+    """TooLarge when terms, the term map of a power a^k, where each key of
+    a holds at most width edges, holds more than POWER_EDGE_LIMIT edges
+    over all its monomials.
 
     A key of a^k holds at most k * width edges.  Contracting (p q*)(r s*)
     gives (p t) s* with r = q t, or p (s u)* with q = r u: at most
@@ -684,7 +678,6 @@ def _edge_guard(terms: dict, k: int, width: int) -> dict:
         if edges > POWER_EDGE_LIMIT:
             raise TooLarge(f"a power holds {edges} edges, over the limit of "
                            f"{POWER_EDGE_LIMIT}")
-    return terms
 
 
 # -- distinguished idempotents --------------------------------------------------

@@ -172,14 +172,6 @@ def _json_chunks(obj, end: str = ""):
             return "true"
         if o is False:
             return "false"
-        if isinstance(o, str):
-            return _quote(o)
-        if isinstance(o, int):
-            return int.__repr__(o)
-        if isinstance(o, dict):
-            return render(dict(o), indent)
-        if isinstance(o, (list, tuple)):
-            return render(list(o), indent)
         return json.dumps(o)
 
     out, size = [], 0

@@ -660,13 +660,13 @@ _TRIAL_PATH_LEN = 3  # the longest walk of a sampled trial's monomials
 
 
 def cross_check_index(g: Graph, trials: int = 500,
-                      probe_bound: int | None = None,
                       seed: int = 0) -> CrossCheckReport:
     """Sample random elements of a bounded-index algebra and confirm no
-    nilpotent element exceeds the reported bound; also build the witness
-    and confirm it attains the bound exactly.  A trial whose probe meets a
-    resource limit (too many terms, or a power over the edge limit) counts
-    under ``resource_limited``; the witness's probe raises ``TooLarge``.
+    nilpotent element exceeds the reported bound n, probing each to
+    ``probe_bound`` = n + 3 powers; also build the witness and confirm it
+    attains the bound exactly.  A trial whose probe meets a resource limit
+    (too many terms, or a power over the edge limit) counts under
+    ``resource_limited``; the witness's probe raises ``TooLarge``.
 
     The trial seeds are ``randrange(2**63)`` draws on ``Random(seed)``
     (see :func:`_below`), and the trials draw with the one generator of
@@ -682,7 +682,7 @@ def cross_check_index(g: Graph, trials: int = 500,
     verdict too, and the report is the probe's in every case."""
     report = structure.bounded_blocks(g).report
     n = report.n
-    bound = probe_bound if probe_bound is not None else n + 3
+    bound = n + 3
     violations = []
     found = 0
     limited = 0

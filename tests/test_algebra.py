@@ -504,3 +504,54 @@ def test_power_stops_at_zero_and_bounds_size():
     assert power(loop, 5).terms()[0][0].p.edges == (EdgeRef("e"),) * 5
     with pytest.raises(TooLarge):
         power(loop, 2 * POWER_EDGE_LIMIT)
+
+
+def _power_lsb_first(a, k):
+    """power as it was before it shared the probe's squaring ladder: the
+    bits of k from the lowest, stopping at the first zero square or
+    partial product; TooLarge is returned, not raised."""
+    def guarded(z):
+        edges = sum(len(pe) + len(qe) for _, pe, _, qe in z._terms)
+        if edges > algebra.POWER_EDGE_LIMIT:
+            raise TooLarge
+        return z
+
+    x, out = a, None
+    try:
+        while True:
+            if k & 1:
+                out = x if out is None else guarded(out * x)
+                if out.is_zero():
+                    return out
+            k >>= 1
+            if not k:
+                return out
+            x = guarded(x * x)
+            if x.is_zero():
+                return x
+    except TooLarge:
+        return TooLarge
+
+
+def test_power_matches_the_lsb_first_power(monkeypatch):
+    """The ladder's power returns the element the LSB-first loop did, and
+    raises TooLarge exactly where that loop did, under edge limits from 0
+    up, on sampled elements of every fixture and of seeded random graphs."""
+    elements = [random_element(corpus.CORPUS[name](), RandomSpec(seed=seed))
+                for name in sorted(corpus.CORPUS) for seed in range(8)]
+    elements += [random_element(random_graph(RandomSpec(
+        seed=seed, omega_probability=omega)), RandomSpec(seed=11_000 + seed))
+        for omega in (Fraction(0), Fraction(1, 4)) for seed in range(100)]
+    refused = 0
+    for limit in (0, 1, 2, 3, 5, 8, 13, 20, 40, 80, 10 ** 6):
+        monkeypatch.setattr(algebra, "POWER_EDGE_LIMIT", limit)
+        for i, a in enumerate(elements):
+            for k in range(1, 13):
+                expected = _power_lsb_first(a, k)
+                if expected is TooLarge:
+                    refused += 1
+                    with pytest.raises(TooLarge):
+                        power(a, k)
+                else:
+                    assert power(a, k) == expected, (limit, i, k)
+    assert refused  # the low limits refuse some powers

@@ -401,6 +401,24 @@ def test_eval_large_exponent(big, small, fmt, capsys, monkeypatch):
     assert code == 0 and out == expected and err == ""
 
 
+def test_eval_probe_exits_at_a_square_that_is_a_multiple(capsys, monkeypatch):
+    """(2 u1)^2 = 2 (2 u1): the probe stops at that first square, so a
+    bound of 10^8 powers costs one product, not a walk down its bits."""
+    products = []
+    product = algebra._product
+
+    def counting(table, left, right):
+        products.append(1)
+        return product(table, left, right)
+
+    monkeypatch.setattr(algebra, "_product", counting)
+    code, out, err = run(capsys, "eval", fixture_path("line3"), "2 u1",
+                         "--nilpotence-max", "100000000")
+    assert code == 0 and err == ""
+    assert "not nilpotent within 100000000 powers" in out
+    assert len(products) == 1
+
+
 @pytest.mark.parametrize("expr", [
     "(" * 1200 + "e1" + ")" * 1200,  # deeper than the interpreter's recursion limit
     "(2)^20000 u1",  # a coefficient of 6021 digits

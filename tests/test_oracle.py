@@ -880,9 +880,12 @@ def _count_products(monkeypatch) -> list:
     return products
 
 
-def _probe_without_exit(a, k_max, term_limit):
+def _probe_without_exit(a, k_max, term_limit, first_square_exit=False):
     """The squaring probe on Elements as it was before the early exit at
-    the first square; TooLarge is returned, not raised."""
+    the first square; TooLarge is returned, not raised.  With
+    first_square_exit it takes that exit, a^2 = c a, as the three-phase
+    probe (squares, the bits of k_max, a binary search) did before it
+    was read off ``algebra._ladder``."""
     def times(x, y, k):
         z = x * y
         if z.support_size() > term_limit:
@@ -899,6 +902,9 @@ def _probe_without_exit(a, k_max, term_limit):
             sq = times(low, low, 2 * lo)
             if sq.is_zero():
                 hi = 2 * lo
+            elif (first_square_exit and lo == 1
+                  and algebra._is_multiple(sq._terms, a._terms)):
+                return algebra.NotNilpotentWithin(k_max)
             else:
                 squares.append(sq)
                 lo, low = 2 * lo, sq
@@ -989,6 +995,67 @@ def test_probe_exit_keeps_resource_outcomes(case, monkeypatch):
                 assert _probe_outcome(a, k_max, term_limit) == \
                     _probe_without_exit(a, k_max, term_limit), \
                     (edge_limit, term_limit, k_max)
+
+
+def _recorded_products(monkeypatch) -> list:
+    """A list that gains (left, right) at each ``algebra._product`` call."""
+    calls = []
+    product = algebra._product
+
+    def recording(table, left, right):
+        calls.append((left, right))
+        return product(table, left, right)
+
+    monkeypatch.setattr(algebra, "_product", recording)
+    return calls
+
+
+def _ladder_cases() -> list:
+    """(name, element): sampled elements of every fixture, one element on
+    each of 200 seeded random graphs for each omega probability 0 and
+    1/4, and the Jordan elements of sizes 2..14 on lines and graph_f."""
+    cases = [(f"{name} seed={seed}", random_element(corpus.CORPUS[name](),
+                                                    RandomSpec(seed=seed)))
+             for name in sorted(corpus.CORPUS) for seed in range(8)]
+    for omega in (Fraction(0), Fraction(1, 4)):
+        for seed in range(200):
+            g = random_graph(RandomSpec(seed=seed, omega_probability=omega))
+            cases.append((f"random omega={omega} seed={seed}",
+                          random_element(g, RandomSpec(seed=9_000 + seed))))
+    f = corpus.graph_f()
+    for n in range(2, 15):
+        g = corpus.line(n)
+        cases.append((f"jordan line({n})", jordan_element(
+            structure.witness_matrix_units(g, bounded_index_report(g)))))
+        cases.append((f"jordan graph_f {n}", jordan_element(
+            structure.witness_matrix_units(f, bounded_index_report(f), n))))
+    return cases
+
+
+def test_probe_forms_the_products_of_the_three_phase_probe(monkeypatch):
+    """nilpotence_index, read off the squaring ladder, makes the same
+    _product calls in the same order, and reaches the same verdict, as
+    the probe that squared, walked down the bits of k_max and then
+    searched; so every ResourceLimit and TooLarge stays as it was.  Low
+    term and edge limits keep k_max = 1024 quick on growing powers."""
+    cases = _ladder_cases()
+    calls = _recorded_products(monkeypatch)
+    outcomes = set()
+    for edge_limit in (40, 50_000):
+        monkeypatch.setattr(algebra, "POWER_EDGE_LIMIT", edge_limit)
+        for name, a in cases:
+            for k_max in [*range(1, 21), 1023, 1024]:
+                calls.clear()
+                expected = _probe_without_exit(a, k_max, 60,
+                                               first_square_exit=True)
+                expected_calls = calls[:]
+                calls.clear()
+                assert _probe_outcome(a, k_max, 60) == expected, (name, k_max)
+                assert calls == expected_calls, (name, k_max)
+                outcomes.add(expected if expected is algebra.TooLarge
+                             else type(expected))
+    assert outcomes == {algebra.NilpotentOfIndex, algebra.NotNilpotentWithin,
+                        algebra.ResourceLimit, algebra.TooLarge}
 
 
 # -- the random stream, pinned -------------------------------------------------
