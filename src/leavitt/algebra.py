@@ -54,7 +54,6 @@ from .graph import (
     check_cycle,
     cycle_vertices,
     rotate_cycle_to,
-    slot_setters,
 )
 
 
@@ -160,21 +159,12 @@ def special_edge(g: Graph, v: str) -> EdgeRef | None:
 class Monomial(Record):
     """A spanning monomial p q* with r(p) = r(q)."""
 
-    __slots__ = ("p", "q")
-
     p: Path
     q: Path
-
-    def __init__(self, p: Path, q: Path):
-        _mono_p(self, p)
-        _mono_q(self, q)
 
     @property
     def degree(self) -> int:
         return len(self.p.edges) - len(self.q.edges)
-
-
-_mono_p, _mono_q = slot_setters(Monomial)
 
 
 def _mono_key(m: Monomial):
@@ -459,10 +449,7 @@ def identity_element(g: Graph) -> Element:
     finite nonempty graph."""
     if not g.vertices:
         raise LeavittError("the empty graph's algebra has no identity")
-    out = Element.zero(g)
-    for v in g.vertices:
-        out = out + vertex_element(g, v)
-    return out
+    return Element(g, {(v, (), v, ()): 1 for v in g.vertices})
 
 
 def monomial(g: Graph, p: Path, q: Path) -> Element:
@@ -500,43 +487,18 @@ def element_text(a: Element) -> str:
 # -- nilpotence ----------------------------------------------------------------
 
 class NilpotentOfIndex(Record):
-    __slots__ = ("index",)
-
     index: int
-
-    def __init__(self, index: int):
-        _nilpotent_index(self, index)
-
-
-(_nilpotent_index,) = slot_setters(NilpotentOfIndex)
 
 
 class NotNilpotentWithin(Record):
-    __slots__ = ("bound",)
-
     bound: int
-
-    def __init__(self, bound: int):
-        _within_bound(self, bound)
-
-
-(_within_bound,) = slot_setters(NotNilpotentWithin)
 
 
 class ResourceLimit(Record):
     """Power-iteration support outgrew the term budget before a verdict."""
 
-    __slots__ = ("power", "terms")
-
     power: int
     terms: int
-
-    def __init__(self, power: int, terms: int):
-        _limit_power(self, power)
-        _limit_terms(self, terms)
-
-
-_limit_power, _limit_terms = slot_setters(ResourceLimit)
 
 
 class _Verdict(Exception):
@@ -707,15 +669,14 @@ class MatrixUnits(Record):
     built only when :meth:`unit` asks for it.  ``provenance`` holds what
     the legs do not say: the SinkTarget or CycleTarget where they end, or,
     for the legs c^i f, the CycleWithExit (c, f).  The one record type
-    with an instance dict (``_leg_keys`` is cached there), so its fields
-    are stored there too."""
+    with an instance dict, where ``_leg_keys`` is cached, so it names its
+    slots: the fields, then ``__dict__``."""
+
+    __slots__ = ("graph", "legs", "provenance", "__dict__")
 
     graph: Graph
     legs: tuple
     provenance: object
-
-    def __init__(self, graph: Graph, legs: tuple, provenance: object):
-        self.__dict__.update(graph=graph, legs=legs, provenance=provenance)
 
     @property
     def n(self) -> int:

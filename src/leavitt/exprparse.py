@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import algebra
-from .graph import OMEGA, EdgeRef, Graph, LeavittError, Record, slot_setters
+from .graph import OMEGA, EdgeRef, Graph, LeavittError, Record
 
 
 SCALAR_POWER_BIT_LIMIT = 10 ** 6  # a larger scalar power is refused unevaluated
@@ -49,79 +49,29 @@ class OmegaBundleNeedsIndex(BundleNeedsIndex):
 # -- AST ----------------------------------------------------------------------
 
 class Sum(Record):
-    __slots__ = ("parts",)
-
     parts: tuple  # pairs (sign, node), sign in {+1, -1}
-
-    def __init__(self, parts: tuple):
-        _sum_parts(self, parts)
-
-
-(_sum_parts,) = slot_setters(Sum)
 
 
 class Product(Record):
-    __slots__ = ("factors",)
-
     factors: tuple
-
-    def __init__(self, factors: tuple):
-        _product_factors(self, factors)
-
-
-(_product_factors,) = slot_setters(Product)
 
 
 class Star(Record):
-    __slots__ = ("inner",)
-
     inner: object
-
-    def __init__(self, inner: object):
-        _star_inner(self, inner)
-
-
-(_star_inner,) = slot_setters(Star)
 
 
 class Power(Record):
-    __slots__ = ("inner", "exponent")
-
     inner: object
     exponent: int
 
-    def __init__(self, inner: object, exponent: int):
-        _power_inner(self, inner)
-        _power_exponent(self, exponent)
-
-
-_power_inner, _power_exponent = slot_setters(Power)
-
 
 class ScalarLiteral(Record):
-    __slots__ = ("value",)
-
     value: Fraction
-
-    def __init__(self, value: Fraction):
-        _scalar_value(self, value)
-
-
-(_scalar_value,) = slot_setters(ScalarLiteral)
 
 
 class Ident(Record):
-    __slots__ = ("name", "index")
-
     name: str
-    index: int | None
-
-    def __init__(self, name: str, index: int | None = None):
-        _ident_name(self, name)
-        _ident_index(self, index)
-
-
-_ident_name, _ident_index = slot_setters(Ident)
+    index: int | None = None
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<nat>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9']*)"

@@ -33,8 +33,9 @@ build no rotations (the window test over all rotations is kept in
 Everything is immutable and iterates in lexicographic vertex/bundle order,
 so all results are reproducible.  The package's value types (Bundle,
 EdgeRef, Path, the verdicts, the expression tree) are :class:`Record`
-subclasses: plain classes with written-out constructors, so importing the
-package generates no code.
+subclasses: each class is its annotated fields, and its constructor is a
+renamed copy of one written out in this module, so importing the package
+compiles no code.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from operator import attrgetter, ge, gt, le, lt
+from types import FunctionType
 from typing import Iterable, NamedTuple
 
 
@@ -98,34 +100,87 @@ class _Omega:
 OMEGA = _Omega()
 
 
-class Record:
-    """Base of the package's immutable record types.
+# The written-out initializers, one per field count in use; each record
+# class's ``__init__`` is a copy of one (see :class:`_RecordType`).
 
-    A subclass lists its fields as annotations in the class body, names the
-    same fields, in the same order, as its ``__slots__``, and writes out its
-    own ``__init__``, which stores each field through the slot setters that
-    :func:`slot_setters` binds once per class (``object.__setattr__`` would
-    look the name up on every call, and ``__setattr__`` here refuses every
-    assignment).  ``__init_subclass__`` reads the field names once and from
-    them gives what ``@dataclass(frozen=True)`` would: ``==`` between
-    records of the same type comparing the field tuples, ``hash`` of the
-    field tuple, the dataclass ``repr`` text, AttributeError on assignment
-    and deletion, pickling and copying through the constructor, and with
-    ``order=True`` the four orderings of the field tuples.  Nothing is
-    compiled: the dataclass decorator execs generated source for each
-    class, about 1 ms per class on Python 3.11, paid at every start of the
-    CLI.  A record without ``__slots__`` (only ``algebra.MatrixUnits``,
-    whose ``cached_property`` needs an instance dict) stores its fields in
-    its ``__dict__``.
+def _init1(self, a):
+    s0(self, a)
+
+
+def _init2(self, a, b):
+    s0(self, a)
+    s1(self, b)
+
+
+def _init3(self, a, b, c):
+    s0(self, a)
+    s1(self, b)
+    s2(self, c)
+
+
+def _init4(self, a, b, c, d):
+    s0(self, a)
+    s1(self, b)
+    s2(self, c)
+    s3(self, d)
+
+
+def _init5(self, a, b, c, d, e):
+    s0(self, a)
+    s1(self, b)
+    s2(self, c)
+    s3(self, d)
+    s4(self, e)
+
+
+def _init9(self, a, b, c, d, e, f, g, h, i):
+    s0(self, a)
+    s1(self, b)
+    s2(self, c)
+    s3(self, d)
+    s4(self, e)
+    s5(self, f)
+    s6(self, g)
+    s7(self, h)
+    s8(self, i)
+
+
+_INITIALIZERS = {init.__code__.co_argcount - 1: init
+                 for init in (_init1, _init2, _init3, _init4, _init5, _init9)}
+
+
+class _RecordType(type):
+    """Makes each :class:`Record` subclass from its annotated fields.
+
+    Before the class exists, the defaults are popped from the class body,
+    ``__slots__`` defaults to the field names, and the comparison, hash,
+    repr and pickling functions are added; a definition that does not fit
+    raises TypeError then, so it never becomes a subclass.  Then
+    ``__init__`` is the initializer for the field count with its code's
+    parameters renamed to the fields and its globals s0, s1, ... bound to
+    the fields' slot setters: the bytecode of a hand-written ``__init__``
+    calling module-level setters (closure cells would cost a cell load per
+    field on every construction).
     """
 
-    __slots__ = ()
+    def __new__(mcls, name, bases, ns, order: bool = False, **kwargs):
+        if not any(isinstance(base, _RecordType) for base in bases):
+            return super().__new__(mcls, name, bases, ns, **kwargs)
+        qualname = ns.get("__qualname__", name)
+        names = tuple(ns.get("__annotations__", ()))
+        defaults = []
+        for field in names:
+            if field in ns:
+                defaults.append(ns.pop(field))
+            elif defaults:
+                raise TypeError(f"{qualname}: non-default field {field!r} "
+                                "follows a field with a default")
+        if len(names) not in _INITIALIZERS:
+            raise TypeError(f"{qualname}: no initializer for {len(names)} fields; "
+                            f"write out _init{len(names)} in leavitt.graph")
+        if tuple(ns.setdefault("__slots__", names))[:len(names)] != names:
+            raise TypeError(f"{qualname}: __slots__ must start with the fields {names}")
 
-    def __init_subclass__(cls, order: bool = False, **kwargs):
-        super().__init_subclass__(**kwargs)
-        names = tuple(cls.__dict__.get("__annotations__", ()))
-        if tuple(cls.__dict__.get("__slots__", names)) != names:
-            raise TypeError(f"{cls.__qualname__}: __slots__ must name the fields {names}")
         if len(names) == 1:  # attrgetter of one name gives the value, not a 1-tuple
             one = attrgetter(names[0])
 
@@ -133,7 +188,7 @@ class Record:
                 return (one(self),)
         else:
             fields = attrgetter(*names)
-        form = f"{cls.__qualname__}({', '.join(n + '=%r' for n in names)})"
+        form = f"{qualname}({', '.join(n + '=%r' for n in names)})"
 
         def __eq__(self, other):
             if other.__class__ is self.__class__:
@@ -149,17 +204,23 @@ class Record:
         def __reduce__(self):
             return self.__class__, fields(self)
 
-        cls.__eq__, cls.__hash__, cls.__repr__, cls.__reduce__ = (
-            __eq__, __hash__, __repr__, __reduce__)
+        ns.update(__eq__=__eq__, __hash__=__hash__, __repr__=__repr__,
+                  __reduce__=__reduce__)
         if order:
-            cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = (
-                _ordering(fields, test) for test in (lt, le, gt, ge))
+            ns.update(__lt__=_ordering(fields, lt), __le__=_ordering(fields, le),
+                      __gt__=_ordering(fields, gt), __ge__=_ordering(fields, ge))
+        cls = super().__new__(mcls, name, bases, ns, **kwargs)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        code = _INITIALIZERS[len(names)].__code__
+        renamed = {"co_name": "__init__", "co_varnames": ("self",) + names}
+        if hasattr(code, "co_qualname"):  # Python 3.11+
+            renamed["co_qualname"] = f"{qualname}.__init__"
+        setters = {f"s{i}": cls.__dict__[field].__set__ for i, field in enumerate(names)}
+        init = FunctionType(code.replace(**renamed), dict(setters, __name__=cls.__module__),
+                            "__init__", tuple(defaults))
+        init.__qualname__ = f"{qualname}.__init__"  # Python 3.10 takes it from here
+        cls.__init__ = init
+        return cls
 
 
 def _ordering(fields, test):
@@ -170,47 +231,47 @@ def _ordering(fields, test):
     return compare
 
 
-def slot_setters(cls) -> tuple:
-    """The ``__set__`` of the slot descriptor of each field of the slotted
-    record class cls, in field order: ``setter(record, value)`` stores a
-    field as a plain slot assignment would, past ``Record.__setattr__``."""
-    return tuple(cls.__dict__[name].__set__ for name in cls.__dict__["__annotations__"])
+class Record(metaclass=_RecordType):
+    """Base of the package's immutable record types.
+
+    A subclass is its fields, annotated in the class body as ``name: type``
+    or ``name: type = default``, and its methods.  It gets what
+    ``@dataclass(frozen=True)`` would: ``__init__`` with the fields as
+    parameters, ``==`` within one type and ``hash`` on the field tuple, the
+    dataclass ``repr`` text, AttributeError on assignment and deletion,
+    pickling and copying through the constructor, and with ``order=True``
+    the orderings of the field tuples.  The fields are slots, stored by
+    their slot descriptors (``object.__setattr__`` would look the name up
+    on every call).  Nothing is compiled: the dataclass decorator execs
+    generated source, about 1 ms per class on Python 3.11, paid at every
+    start of the CLI.  A record that needs an instance dict (only
+    ``algebra.MatrixUnits``, for a ``cached_property``) sets ``__slots__``
+    to its fields, then ``"__dict__"``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Bundle(Record):
     """A bundle of parallel edges from src to dst."""
 
-    __slots__ = ("id", "src", "dst", "mult")
-
     id: str
     src: str
     dst: str
-    mult: object  # positive int, or OMEGA
-
-    def __init__(self, id: str, src: str, dst: str, mult: object = 1):
-        _bundle_id(self, id)
-        _bundle_src(self, src)
-        _bundle_dst(self, dst)
-        _bundle_mult(self, mult)
-
-
-_bundle_id, _bundle_src, _bundle_dst, _bundle_mult = slot_setters(Bundle)
+    mult: object = 1  # positive int, or OMEGA
 
 
 class EdgeRef(Record, order=True):
     """One edge of a bundle: (bundle id, index), with index < multiplicity."""
 
-    __slots__ = ("bundle", "index")
-
     bundle: str
-    index: int
-
-    def __init__(self, bundle: str, index: int = 0):
-        _edge_bundle(self, bundle)
-        _edge_index(self, index)
-
-
-_edge_bundle, _edge_index = slot_setters(EdgeRef)
+    index: int = 0
 
 
 class Path(Record):
@@ -219,96 +280,45 @@ class Path(Record):
     For nonempty paths ``base`` equals the source of the first edge.
     """
 
-    __slots__ = ("base", "edges")
-
     base: str
-    edges: tuple
-
-    def __init__(self, base: str, edges: tuple = ()):
-        _path_base(self, base)
-        _path_edges(self, edges)
+    edges: tuple = ()
 
     def __len__(self) -> int:
         return len(self.edges)
-
-
-_path_base, _path_edges = slot_setters(Path)
 
 
 class Cycle(Record):
     """A closed path visiting no vertex twice, stored in the rotation that
     puts the lexicographically least source vertex first."""
 
-    __slots__ = ("edges",)
-
     edges: tuple
-
-    def __init__(self, edges: tuple):
-        _cycle_edges(self, edges)
-
-
-(_cycle_edges,) = slot_setters(Cycle)
 
 
 class AdmissiblePair(Record):
     """A hereditary saturated vertex set H plus a subset S of its breaking
     vertices; names a graded ideal of the path algebra."""
 
-    __slots__ = ("H", "S")
-
     H: frozenset
-    S: frozenset
-
-    def __init__(self, H: frozenset, S: frozenset = frozenset()):
-        _pair_H(self, H)
-        _pair_S(self, S)
-
-
-_pair_H, _pair_S = slot_setters(AdmissiblePair)
+    S: frozenset = frozenset()
 
 
 class CycleWithExit(Record):
     """A cycle together with one of its exit edges."""
 
-    __slots__ = ("cycle", "edge")
-
     cycle: Cycle
     edge: EdgeRef
-
-    def __init__(self, cycle: Cycle, edge: EdgeRef):
-        _exit_cycle(self, cycle)
-        _exit_edge(self, edge)
-
-
-_exit_cycle, _exit_edge = slot_setters(CycleWithExit)
 
 
 class SinkTarget(Record):
     """A sink, where witness paths may end."""
 
-    __slots__ = ("vertex",)
-
     vertex: str
-
-    def __init__(self, vertex: str):
-        _sink_vertex(self, vertex)
-
-
-(_sink_vertex,) = slot_setters(SinkTarget)
 
 
 class CycleTarget(Record):
     """A cycle with no exit, where witness paths may end."""
 
-    __slots__ = ("cycle",)
-
     cycle: Cycle
-
-    def __init__(self, cycle: Cycle):
-        _target_cycle(self, cycle)
-
-
-(_target_cycle,) = slot_setters(CycleTarget)
 
 
 class Graph:

@@ -40,7 +40,6 @@ from .graph import (
     is_hereditary_saturated,
     path_range,
     quotient_graph,
-    slot_setters,
 )
 
 
@@ -52,17 +51,8 @@ class Exit(Record):
     """An exit edge of a cycle.  When the edge comes from an omega bundle,
     ``omega`` is set and the EdgeRef is a representative index."""
 
-    __slots__ = ("edge", "omega")
-
     edge: EdgeRef
-    omega: bool
-
-    def __init__(self, edge: EdgeRef, omega: bool = False):
-        _exit_edge(self, edge)
-        _exit_omega(self, omega)
-
-
-_exit_edge, _exit_omega = slot_setters(Exit)
+    omega: bool = False
 
 
 def exits(g: Graph, c: Cycle) -> list:
@@ -252,27 +242,11 @@ def basis_monomials(g: Graph, length_cap: int,
 # -- random generation ---------------------------------------------------------
 
 class RandomSpec(Record):
-    __slots__ = ("seed", "max_vertices", "max_bundles", "max_mult", "omega_probability")
-
     seed: int
-    max_vertices: int
-    max_bundles: int
-    max_mult: int
-    omega_probability: Fraction
-
-    def __init__(self, seed: int, max_vertices: int = 8, max_bundles: int = 14,
-                 max_mult: int = 2, omega_probability: Fraction = Fraction(0)):
-        _spec_seed(self, seed)
-        _spec_max_vertices(self, max_vertices)
-        _spec_max_bundles(self, max_bundles)
-        _spec_max_mult(self, max_mult)
-        _spec_omega_probability(self, omega_probability)
-
-
-(
-    _spec_seed, _spec_max_vertices, _spec_max_bundles, _spec_max_mult,
-    _spec_omega_probability
-) = slot_setters(RandomSpec)
+    max_vertices: int = 8
+    max_bundles: int = 14
+    max_mult: int = 2
+    omega_probability: Fraction = Fraction(0)
 
 
 def random_graph(spec: RandomSpec) -> Graph:
@@ -622,9 +596,6 @@ def graded_spectrum_exhaustive(g: Graph, cap: int = 15) -> list:
 # -- cross-checking --------------------------------------------------------------
 
 class CrossCheckReport(Record):
-    __slots__ = ("n", "trials", "probe_bound", "seed", "nilpotent_found",
-                 "resource_limited", "empirical_max_index", "witness_index", "violations")
-
     n: int
     trials: int
     probe_bound: int
@@ -634,26 +605,6 @@ class CrossCheckReport(Record):
     empirical_max_index: int
     witness_index: int
     violations: tuple
-
-    def __init__(self, n: int, trials: int, probe_bound: int, seed: int,
-                 nilpotent_found: int, resource_limited: int,
-                 empirical_max_index: int, witness_index: int, violations: tuple):
-        _report_n(self, n)
-        _report_trials(self, trials)
-        _report_probe_bound(self, probe_bound)
-        _report_seed(self, seed)
-        _report_nilpotent_found(self, nilpotent_found)
-        _report_resource_limited(self, resource_limited)
-        _report_empirical_max_index(self, empirical_max_index)
-        _report_witness_index(self, witness_index)
-        _report_violations(self, violations)
-
-
-(
-    _report_n, _report_trials, _report_probe_bound, _report_seed,
-    _report_nilpotent_found, _report_resource_limited, _report_empirical_max_index,
-    _report_witness_index, _report_violations
-) = slot_setters(CrossCheckReport)
 
 
 _TRIAL_PATH_LEN = 3  # the longest walk of a sampled trial's monomials

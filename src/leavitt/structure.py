@@ -44,7 +44,6 @@ from .graph import (
     component_cycles,
     cycle_exit_witness,
     cycle_vertices,
-    slot_setters,
 )
 
 
@@ -63,15 +62,7 @@ class LaurentFactorPresent(LeavittError):
 # -- index report -------------------------------------------------------------
 
 class OmegaPathFamily(Record):
-    __slots__ = ("vertex",)
-
     vertex: str
-
-    def __init__(self, vertex: str):
-        _family_vertex(self, vertex)
-
-
-(_family_vertex,) = slot_setters(OmegaPathFamily)
 
 
 class Bounded(Record):
@@ -80,31 +71,13 @@ class Bounded(Record):
     graph, whose algebra is the zero ring).  The verdict holds no paths;
     :func:`witness_paths` lists a target's paths where they are used."""
 
-    __slots__ = ("n", "per_target", "witness_target")
-
     n: int
     per_target: tuple  # pairs (SinkTarget | CycleTarget, int)
     witness_target: object  # SinkTarget | CycleTarget | None
 
-    def __init__(self, n: int, per_target: tuple, witness_target: object):
-        _bounded_n(self, n)
-        _bounded_per_target(self, per_target)
-        _bounded_witness_target(self, witness_target)
-
-
-_bounded_n, _bounded_per_target, _bounded_witness_target = slot_setters(Bounded)
-
 
 class Unbounded(Record):
-    __slots__ = ("reason",)
-
     reason: object  # CycleWithExit | OmegaPathFamily
-
-    def __init__(self, reason: object):
-        _unbounded_reason(self, reason)
-
-
-(_unbounded_reason,) = slot_setters(Unbounded)
 
 
 def witness_paths(g: Graph, target, size: int) -> list:
@@ -379,17 +352,8 @@ BASE_LAURENT = "K[x,x^-1]"
 class Factor(Record, order=True):
     """The matrix ring M_size(base), base K or the Laurent ring over K."""
 
-    __slots__ = ("size", "base")
-
     size: int
     base: str
-
-    def __init__(self, size: int, base: str):
-        _factor_size(self, size)
-        _factor_base(self, base)
-
-
-_factor_size, _factor_base = slot_setters(Factor)
 
 
 # -- graded quotient classification -------------------------------------------
@@ -444,15 +408,7 @@ def graded_spectrum(g: Graph) -> list:
 # -- decomposition ------------------------------------------------------------
 
 class Decomposition(Record):
-    __slots__ = ("factors",)
-
     factors: tuple  # sorted Factor multiset, one object per distinct factor
-
-    def __init__(self, factors: tuple):
-        _decomposition_factors(self, factors)
-
-
-(_decomposition_factors,) = slot_setters(Decomposition)
 
 
 def decompose(g: Graph) -> Decomposition:

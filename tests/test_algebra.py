@@ -400,6 +400,29 @@ def test_identity_element():
     assert one * a == a and a * one == a
 
 
+def test_identity_element_is_one_term_map(fixture_dir, monkeypatch):
+    """On every fixture the identity is the sum of the vertex elements,
+    built as one term map: each ``+`` copies the running total's terms, so
+    adding the vertices one at a time costs quadratic time in |V|."""
+    graphs = [load_graph(str(path)) for path in sorted(fixture_dir.glob("*.graph"))]
+    sums = []
+    for g in graphs:
+        total = Element.zero(g)
+        for v in g.vertices:
+            total = total + vertex_element(g, v)
+        sums.append(total)
+    adds = []
+    add = Element.__add__
+
+    def counting(a, b):
+        adds.append(b)
+        return add(a, b)
+
+    monkeypatch.setattr(Element, "__add__", counting)
+    assert [identity_element(g) for g in graphs] == sums
+    assert adds == []
+
+
 def test_element_text():
     g = corpus.clock(3)
     assert element_text(Element.zero(g)) == "0"

@@ -3,7 +3,9 @@ lists must exist, or ``bench/run.py --trace 1`` fails at install time.
 It also looks up every module it lists in ``sys.modules``, so importing the
 CLI must import each of them; and the CLI starts without ``dataclasses``
 or ``inspect``, whose import every command would pay for.  The record
-types store their fields in slots, through the slot setters."""
+types store their fields in slots, through the slot setters, and each
+``__init__`` is a copy of an initializer written out in ``leavitt.graph``;
+a record class that does not fit one is refused before it exists."""
 
 import importlib
 import importlib.util
@@ -12,6 +14,9 @@ import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import fields
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -70,3 +75,70 @@ def test_records_are_slotted_and_store_through_slot_setters():
     for cls in types:
         assert ("__dict__" in dir(cls)) is (cls is MatrixUnits), cls
         assert "__setattr__" not in cls.__init__.__code__.co_names, cls
+
+
+def test_record_inits_are_copies_of_the_written_out_initializers():
+    """Each record's ``__init__`` runs the bytecode of the initializer for
+    its field count, and its parameter names and qualified name reach the
+    error a call without arguments raises, as the dataclass twin's do."""
+    from leavitt.graph import _INITIALIZERS
+    from test_reference_copies import _TWIN
+    types = _record_types()
+    assert set(types) == set(_TWIN)
+    for cls in types:
+        twin = _TWIN[cls]
+        template = _INITIALIZERS[len(fields(twin))]
+        assert cls.__init__.__code__.co_code == template.__code__.co_code, cls
+        with pytest.raises(TypeError) as made:
+            cls()
+        with pytest.raises(TypeError) as made_twin:
+            twin()
+        assert str(made.value) == str(made_twin.value).removeprefix("Ref"), cls
+
+
+def _assert_refused(define, message: str):
+    """define() makes a record class that must be refused before it
+    exists, so Record counts no new subclass."""
+    from leavitt.graph import Record
+    before = Record.__subclasses__()
+    with pytest.raises(TypeError, match=message):
+        define()
+    assert Record.__subclasses__() == before
+
+
+def test_record_field_without_default_after_default_is_refused():
+    from leavitt.graph import Record
+
+    def define():
+        class Late(Record):
+            a: int = 0
+            b: int
+
+    _assert_refused(define, "Late: non-default field 'b' follows a field with a default")
+
+
+def test_record_field_count_without_initializer_is_refused():
+    from leavitt.graph import Record
+
+    def define():
+        class Six(Record):
+            a: int
+            b: int
+            c: int
+            d: int
+            e: int
+            f: int
+
+    _assert_refused(define, "Six: no initializer for 6 fields; write out _init6")
+
+
+def test_record_slots_not_starting_with_the_fields_are_refused():
+    from leavitt.graph import Record
+
+    def define():
+        class Swapped(Record):
+            __slots__ = ("b", "a")
+            a: int
+            b: int
+
+    _assert_refused(define, r"Swapped: __slots__ must start with the fields \('a', 'b'\)")
