@@ -287,10 +287,13 @@ def _eval(node, g: Graph):
                 elem = e if elem is None else elem * e
         return coeff, elem
     if isinstance(node, Sum):
-        total = None
+        # the parts add into one term map and zeros go once, at the end, so
+        # a sum costs time linear in its parts' terms
+        total = {}
         for sign, part in node.parts:
             c, e = _eval(part, g)
-            piece = (algebra.identity_element(g) if e is None else e).scale(sign * c)
-            total = piece if total is None else total + piece
-        return 1, total
+            k = algebra._scalar(sign * c)
+            for m, v in (algebra.identity_element(g) if e is None else e)._terms.items():
+                total[m] = total.get(m, 0) + k * v
+        return 1, algebra.Element(g, {m: v for m, v in total.items() if v})
     raise TypeError(f"not an expression node: {node!r}")

@@ -267,18 +267,18 @@ def random_graph(spec: RandomSpec) -> Graph:
     return Graph(vertices, bundles)
 
 
-def walk_tables(g: Graph) -> tuple:
-    """The tables :func:`random_element` walks, and the generator it
-    draws with: ``(out, into, generator)``.  ``out`` and ``into`` map each
+def walk_tables(g: Graph, seed) -> tuple:
+    """The tables :func:`_random_keys` walks, and the generator it draws
+    with: ``(out, into, generator)``.  ``out`` and ``into`` map each
     vertex to ``(n, k, entries)``: its out-bundles or in-bundles, in
     ``g._out``/``g._into`` order, their count n and n's bit width k.  An
     entry is ``(other end, first, step, choices, width)``, with
     ``(first, step)`` read from the graph's kernel, so edge i of the
     bundle has the id ``first + i*step``; ``choices`` is the bundle's
     multiplicity, or 4 for an omega bundle (a walk takes one of its first
-    four edges), and ``width`` its bit width.  The generator, a
-    ``random.Random``, is reseeded for each element drawn, so one serves
-    every element drawn from these tables."""
+    four edges), and ``width`` its bit width.  The generator is
+    ``random.Random(seed)``, seeded here and nowhere else: every element
+    drawn from these tables continues its one stream."""
     slots = algebra._kernel(g).first
 
     def entries(ends):
@@ -291,42 +291,25 @@ def walk_tables(g: Graph) -> tuple:
 
     out = {v: entries((b.dst, b.id) for b in bs) for v, bs in g._out.items()}
     into = {v: entries((b.src, b.id) for b in bs) for v, bs in g._into.items()}
-    return out, into, random.Random(0)
+    return out, into, random.Random(seed)
 
 
 _COEFFICIENTS = (-3, -2, -1, 1, 2, 3)
 
-# the seed that random.Random(seed) runs for an int seed: that of the C
-# generator, _random.Random, with no Python layer before it
-_seed_int = random.Random.__base__.seed
 
-
-def _below(getrandbits, n: int) -> int:
-    """A draw from range(n), n >= 1, making the getrandbits calls that
-    ``Random.randrange(n)`` makes: k = n.bit_length() bits, drawn again
-    while they give n or more.  So ``randint(a, b)`` is
-    ``a + _below(getrandbits, b - a + 1)``, ``choice(s)`` is
-    ``s[_below(getrandbits, len(s))]``, and a seed gives the stream the
-    stdlib wrappers gave, without their Python call layers."""
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
-def _random_keys(g: Graph, tables: tuple, spec: RandomSpec, max_terms: int,
+def _random_keys(g: Graph, tables: tuple, max_terms: int,
                  max_path_len: int) -> list:
-    """Reproducible raw (kernel key, coefficient) pairs: each monomial
-    joins a forward walk and a backward walk meeting at the same vertex.
-    A walk is a path by construction, so the keys need no check.  Each
-    step chooses among a vertex's bundles, then an edge of the bundle: one
-    of the first four of an omega bundle.  The draws are those of
-    ``randint``, ``choice`` and ``randrange`` on ``random.Random(seed)``:
-    the tables' generator is reseeded as ``Random(seed)`` seeds, and each
-    draw from range(n) is the rejection rule of :func:`_below` written
-    out, ``r = bits(k)`` again while ``r >= n``, with k from the tables.
-    Raises ValueError when max_terms < 1 or max_path_len < 0."""
+    """Raw (kernel key, coefficient) pairs of one element, drawn from the
+    stream of the tables' generator where the last draw left it: each
+    monomial joins a forward walk and a backward walk meeting at the same
+    vertex.  A walk is a path by construction, so the keys need no check.
+    Each step chooses among a vertex's bundles, then an edge of the
+    bundle: one of the first four of an omega bundle.  The draws are
+    those of ``randint``, ``choice`` and ``randrange`` on the generator:
+    each draw from range(n) is the stdlib's rejection rule written out,
+    ``r = getrandbits(k)`` again while ``r >= n``, with k = n.bit_length()
+    from the tables.  Raises ValueError when max_terms < 1 or
+    max_path_len < 0."""
     if max_terms < 1 or max_path_len < 0:
         raise ValueError("need max_terms >= 1 and max_path_len >= 0")
     out, into, rng = tables
@@ -334,10 +317,6 @@ def _random_keys(g: Graph, tables: tuple, spec: RandomSpec, max_terms: int,
     raw = []
     if not vertices:
         return raw
-    if type(spec.seed) is int:
-        _seed_int(rng, spec.seed)
-    else:  # Random.seed hashes a str or bytes seed before the C seed
-        rng.seed(spec.seed)
     bits = rng.getrandbits
     n_v = len(vertices)
     k_v = n_v.bit_length()
@@ -386,17 +365,14 @@ def random_raw_terms(g: Graph, spec: RandomSpec, max_terms: int = 4,
     pairs, not normalized."""
     table = algebra._kernel(g)
     return [(algebra._monomial(table, key), k) for key, k in
-            _random_keys(g, walk_tables(g), spec, max_terms, max_path_len)]
+            _random_keys(g, walk_tables(g, spec.seed), max_terms, max_path_len)]
 
 
 def random_element(g: Graph, spec: RandomSpec, max_terms: int = 4,
-                   max_path_len: int = 3, tables: tuple | None = None
-                   ) -> algebra.Element:
-    """Reproducible random element in normal form.  ``tables`` are the
-    graph's :func:`walk_tables`, for a caller that draws many elements."""
-    if tables is None:
-        tables = walk_tables(g)
-    raw = _random_keys(g, tables, spec, max_terms, max_path_len)
+                   max_path_len: int = 3) -> algebra.Element:
+    """Reproducible random element in normal form: the first element of
+    the stream that ``spec.seed`` seeds."""
+    raw = _random_keys(g, walk_tables(g, spec.seed), max_terms, max_path_len)
     return algebra.Element(g, algebra._normalize(algebra._kernel(g), raw))
 
 
@@ -607,6 +583,7 @@ class CrossCheckReport(Record):
     violations: tuple
 
 
+_TRIAL_TERMS = 4  # the most monomials of a sampled trial's element
 _TRIAL_PATH_LEN = 3  # the longest walk of a sampled trial's monomials
 
 
@@ -619,12 +596,13 @@ def cross_check_index(g: Graph, trials: int = 500,
     (too many terms, or a power over the edge limit) counts under
     ``resource_limited``; the witness's probe raises ``TooLarge``.
 
-    The trial seeds are ``randrange(2**63)`` draws on ``Random(seed)``
-    (see :func:`_below`), and the trials draw with the one generator of
-    the walk tables, reseeded per trial: two generators in all.  An
-    element drawn again in a later trial reuses its first trial's verdict,
-    resource limits included, as the probe is a function of the element;
-    the memo holds at most ``trials`` entries.
+    The trials draw from one stream: the generator of the walk tables,
+    seeded once with ``seed``, gives trial t's element as the next
+    element of its stream, so trial 0 is ``random_element`` with that
+    seed and a check seeds no generator per trial.  An element drawn
+    again in a later trial reuses its first trial's verdict, resource
+    limits included, as the probe is a function of the element; the memo
+    holds at most ``trials`` entries.
 
     An element whose block trace (``structure.block_trace``) is nonzero is
     not nilpotent, and gets ``NotNilpotentWithin(bound)`` with no probe.
@@ -638,15 +616,15 @@ def cross_check_index(g: Graph, trials: int = 500,
     found = 0
     limited = 0
     empirical = 0
-    bits = random.Random(seed).getrandbits
-    tables = walk_tables(g)
+    table = algebra._kernel(g)
+    tables = walk_tables(g, seed)
     traces = (structure.trace_tables(g) if structure.trace_settles(
         g, bound, 2 * _TRIAL_PATH_LEN) else None)
     settled = algebra.NotNilpotentWithin(bound)
     verdicts = {}  # term map of a trial's element -> verdict, None for TooLarge
     for t in range(trials):
-        sub = RandomSpec(seed=_below(bits, 2 ** 63))
-        a = random_element(g, sub, max_path_len=_TRIAL_PATH_LEN, tables=tables)
+        a = algebra.Element(g, algebra._normalize(table, _random_keys(
+            g, tables, _TRIAL_TERMS, _TRIAL_PATH_LEN)))
         terms = frozenset(a._terms.items())
         if terms in verdicts:
             verdict = verdicts[terms]
@@ -665,8 +643,7 @@ def cross_check_index(g: Graph, trials: int = 500,
             empirical = max(empirical, verdict.index)
             if verdict.index > n:
                 violations.append(
-                    f"trial {t} (seed {sub.seed}): nilpotent of index "
-                    f"{verdict.index} > {n}")
+                    f"trial {t}: nilpotent of index {verdict.index} > {n}")
     if report.witness_target is None:
         witness_index = 1
     else:

@@ -286,7 +286,10 @@ def witness_matrix_units(g: Graph, report, size: int | None = None):
     paths (size defaults to n and may not exceed it).  A CycleWithExit
     reason builds exit units of any requested size; an OmegaPathFamily
     reason builds units of any requested size from paths through the omega
-    bundle.  A size below 1 is rejected."""
+    bundle.  A size below 1 is rejected.  Raises TooLarge, before verifying
+    anything, for a family too large to verify and probe: exit units whose
+    Jordan element's square holds more than ``algebra.POWER_EDGE_LIMIT``
+    edges, or an omega family with more than that many pairs of legs."""
     if size is not None and size < 1:
         raise LeavittError(f"unit size must be at least 1, got {size}")
     if isinstance(report, Bounded):
@@ -301,10 +304,32 @@ def witness_matrix_units(g: Graph, report, size: int | None = None):
     reason = report.reason
     n = size if size is not None else 3
     if isinstance(reason, CycleWithExit):
-        return algebra.matrix_units_exit(g, reason.cycle, reason.edge, n)
+        units = algebra.matrix_units_exit(g, reason.cycle, reason.edge, n)
+        _exit_square_guard(g, reason, n)
+        return units
     if isinstance(reason, OmegaPathFamily):
         return _omega_family_units(g, reason.vertex, n)
     raise LeavittError(f"no witness construction for {reason!r}")
+
+
+def _exit_square_guard(g: Graph, reason: CycleWithExit, n: int) -> None:
+    """TooLarge when the square of the Jordan element J of the n exit units
+    c^i f f* (c*)^j holds more than POWER_EDGE_LIMIT edges, as the
+    witness's nilpotence probe would find after verifying the units.
+
+    When f is not the special edge of its source, each u_ij is a
+    normal-form key, so J^k = u_1(k+1) + ... + u_(n-k)n holds
+    (n - k)(|c| (n + 1) + 2) edges: most at k = 2, the largest power the
+    probe forms.  When f is special the keys rewrite, their size is not
+    known beforehand, and the probe's own edge guard decides."""
+    f = reason.edge
+    if algebra.special_edge(g, g.src(f)) == f:
+        return
+    edges = (n - 2) * (len(reason.cycle.edges) * (n + 1) + 2)
+    if edges > algebra.POWER_EDGE_LIMIT:
+        raise algebra.TooLarge(
+            f"the square of the Jordan element of {n} exit units holds "
+            f"{edges} edges, over the limit of {algebra.POWER_EDGE_LIMIT}")
 
 
 def _target_units(g: Graph, target, paths):
@@ -315,7 +340,12 @@ def _target_units(g: Graph, target, paths):
 
 def _omega_family_units(g: Graph, v: str, n: int):
     """n parallel edges of the first omega bundle whose range reaches v,
-    each followed by one shortest path to v."""
+    each followed by one shortest path to v.  Raises TooLarge, before any
+    leg is built, when the n^2 pairs of legs that the product P* P of
+    ``algebra.verify_matrix_units`` contracts exceed POWER_EDGE_LIMIT."""
+    if n * n > algebra.POWER_EDGE_LIMIT:
+        raise algebra.TooLarge(f"{n} legs make {n * n} pairs, over the limit "
+                               f"of {algebra.POWER_EDGE_LIMIT}")
     for b in g.bundles:
         if b.mult is OMEGA:
             tail = _shortest_path(g, b.dst, v)

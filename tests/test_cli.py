@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import pathlib
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_path, tailed_cycle
-from leavitt import algebra, cli, corpus, structure
+from leavitt import algebra, cli, corpus, oracle, structure
 from leavitt.cli import _dumps, main
 from leavitt.graph import OMEGA, Bundle, Cycle, EdgeRef, Graph, Path
 from leavitt.graphio import (
@@ -203,6 +204,99 @@ def test_witness_refuses_exit_units_over_the_edge_limit(capsys, monkeypatch):
         assert err.startswith("resource limit: the legs c^i f hold"), size
 
 
+def _witness_bytes(capsys, graph: str, sizes, formats=("text", "json")) -> str:
+    """The sha256 of witness's exit code and stdout at each size and format."""
+    h = hashlib.sha256()
+    for n in sizes:
+        for fmt in formats:
+            code, out, _ = run(capsys, "witness", graph, "--size", str(n), "--format", fmt)
+            h.update(f"{code}\n{out}".encode())
+    return h.hexdigest()
+
+
+def test_witness_refuses_omega_families_too_large_to_verify(capsys, monkeypatch):
+    """An omega family of n legs, whose P* P contracts n^2 pairs of legs,
+    exits 2 before any leg is built when n^2 exceeds POWER_EDGE_LIMIT; the
+    bench's sizes 6-14 print the bytes they printed before the guard."""
+    def unreachable(*args):
+        raise AssertionError("a leg was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(structure, "_shortest_path", unreachable)
+        for size in ("1001", "100000"):
+            code, out, err = run(capsys, "witness", fixture_path("omega_gadget"),
+                                 "--size", size)
+            assert code == 2 and out == "", size
+            assert err.startswith(f"resource limit: {size} legs make "), size
+    assert _witness_bytes(capsys, fixture_path("omega_gadget"), range(6, 15)) == \
+        "f5e85a9fc36f83ab4384a9c8c11784ff2b90ddea93e2f2c37a11fbd7a8bc1d4b"
+    monkeypatch.setattr(algebra, "POWER_EDGE_LIMIT", 36)
+    assert run(capsys, "witness", fixture_path("omega_gadget"), "--size", "6")[0] == 0
+    assert run(capsys, "witness", fixture_path("omega_gadget"), "--size", "7")[0] == 2
+
+
+def _probe_refuses_exit_units(g, n) -> bool:
+    """Whether building, verifying and probing n exit units meets TooLarge."""
+    reason = structure.bounded_index_report(g).reason
+    try:
+        units = algebra.matrix_units_exit(g, reason.cycle, reason.edge, n)
+        algebra.nilpotence_index(algebra.jordan_element(units), n + 1)
+    except algebra.TooLarge:
+        return True
+    return False
+
+
+def test_witness_refuses_exit_units_by_their_jordan_square(capsys, monkeypatch, tmp_path):
+    """With POWER_EDGE_LIMIT at 400, witness on exit units exits 2 at the
+    sizes 1-24 where building and probing the units meets TooLarge, and
+    at no other, on graph_f and on random graphs whose exit is (seeds 1, 3
+    and 11) or is not (0 and 39) its source's special edge.  When it is
+    not, the refusal comes before verification.  Every size that exits 0
+    prints the bytes it printed before the up-front refusal."""
+    graphs = {fixture_path("graph_f"): load_graph(fixture_path("graph_f"))}
+    for s in (0, 1, 3, 11, 39):
+        g = oracle.random_graph(oracle.RandomSpec(seed=s, max_mult=3))
+        doc = tmp_path / f"random{s}.graph"
+        doc.write_text(canonical_document(g))
+        graphs[str(doc)] = g
+    monkeypatch.setattr(algebra, "POWER_EDGE_LIMIT", 400)
+    verify, verified = algebra.verify_matrix_units, []
+
+    def counting(units):
+        verified.append(units.n)
+        return verify(units)
+
+    early = 0
+    for path, g in graphs.items():
+        reason = structure.bounded_index_report(g).reason
+        special = algebra.special_edge(g, g.src(reason.edge)) == reason.edge
+        for n in range(1, 25):
+            refused = _probe_refuses_exit_units(g, n)
+            with monkeypatch.context() as m:
+                m.setattr(algebra, "verify_matrix_units", counting)
+                verified.clear()
+                code, out, err = run(capsys, "witness", path, "--size", str(n))
+            assert code == (2 if refused else 0), (path, n)
+            if refused and not special:
+                assert verified == [] and out == "", (path, n)
+                early += err.startswith("resource limit: the square of the Jordan")
+    assert early >= 10  # the rest met the legs guard first
+    assert [_witness_bytes(capsys, path, range(1, 25)) for path in graphs] == \
+        EXIT_WITNESS_SHA256
+
+
+# _witness_bytes on graph_f and on random graphs 0, 1, 3, 11 and 39 at
+# sizes 1-24 with POWER_EDGE_LIMIT at 400, before the up-front refusal
+EXIT_WITNESS_SHA256 = [
+    "16a987863c2dd1b5c1cc8dd41eaf412c78e1d363c98c24d9d326dc1d8035f424",
+    "09bea881160d4d86277783c382aa2861d6d33bab026f7a4feb9bddda28889133",
+    "5e226fb79878963af54ec5c3610483b04b0b3b24438b0dc5d9c48b5bd9a627b5",
+    "c23f08223a0b4f8bbd5835bb8ad6c3be03ac4f7327e417bac21a0db02b07863d",
+    "f556dd5a997c85af816af62947cc7be2794b60f777a7a16ee11b762785d41b77",
+    "6ad73c535177dc0ff672f6be12aaca13ffbf6db63670ff3da95a91500b73fbcb",
+]
+
+
 @pytest.mark.parametrize("size", ["0", "-1"])
 @pytest.mark.parametrize("fixture", ["line4", "graph_f", "omega_gadget"])
 def test_witness_rejects_size_below_one(fixture, size, capsys):
@@ -331,11 +425,11 @@ def test_check_counts_trials_over_the_edge_limit(capsys, monkeypatch):
     code, out, err = run(capsys, *argv, "--format", "json")
     doc = json.loads(out)
     assert code == 0 and err == ""
-    assert doc["sampling"]["resource_limited"] == 10 and doc["sampling"]["trials"] == 20
+    assert doc["sampling"]["resource_limited"] == 9 and doc["sampling"]["trials"] == 20
     assert doc["dp_agreement"] == {"vertices_checked": 2, "mismatches": []}
     assert doc["sampling"]["witness_index"] == 2 and doc["ok"]
     code, out, _ = run(capsys, *argv)
-    assert code == 0 and "  resource-limited trials: 10\n" in out
+    assert code == 0 and "  resource-limited trials: 9\n" in out
     # the witness's own probe over the limit still aborts the command
     monkeypatch.setattr(algebra, "POWER_EDGE_LIMIT", 5)
     code, out, err = run(capsys, "check", fixture_path("line5"), "--trials", "1")

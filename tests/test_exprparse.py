@@ -125,3 +125,34 @@ def test_primed_idents_parse():
     from leavitt.graph import AdmissiblePair, quotient_graph
     q = quotient_graph(og, AdmissiblePair(frozenset({"h"})))
     assert eval_expr(parse_expr("v'"), q) == vertex_element(q, "v'")
+
+
+def _pairwise_sum(node: Sum, g):
+    """A Sum as a running total of its parts, one Element ``+`` per part."""
+    total = None
+    for sign, part in node.parts:
+        piece = eval_expr(part, g).scale(sign)
+        total = piece if total is None else total + piece
+    return total
+
+
+def test_sums_equal_the_pairwise_sum():
+    """Long sums, and sums whose parts cancel in full or in part, equal the
+    running total of their parts and hold no zero coefficient."""
+    line = corpus.line(301)
+    edges = " + ".join(b.id for b in line.bundles)
+    signed = " - ".join(f"{k % 3 + 1} {b.id}" for k, b in enumerate(line.bundles))
+    cases = [(line, edges), (line, signed), (line, f"{edges} - ({edges})"),
+             (line, f"{edges} + {signed} - 2 ({edges}) + u1 e1 e1*")]
+    clock = corpus.clock(3)
+    cases += [(clock, text) for text in (
+        "e1 - e1 + 2 e1", "v - v", "e1 e1* - e1 e1*", "1/2 v + 1/2 v - v + w1",
+        "2 - 2 + v", "e1 e1* + e2 e2* + e3 e3* - v + 3", "1/3 e1 - 2/3 e1 + 1/3 e1")]
+    for g, text in cases:
+        node = parse_expr(text)
+        assert isinstance(node, Sum), text
+        value = eval_expr(node, g)
+        assert value == _pairwise_sum(node, g), text
+        assert all(value._terms.values()), text
+    assert eval_expr(parse_expr("e1 - e1 + 2 e1"), clock) == 2 * edge_element(clock, EdgeRef("e1"))
+    assert eval_expr(parse_expr(f"{edges} - ({edges})"), line).is_zero()

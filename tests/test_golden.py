@@ -7,17 +7,19 @@ deliberate output change prints the new table with
 
     PYTHONPATH=src python tests/test_golden.py
 
-to paste over ``GOLDEN`` below, and records the change in CHANGES.md.
+to paste over the tables below, and records the change in CHANGES.md.
 ``LONG_GOLDEN`` pins witness, index and check the same way on three built
 graphs whose witness legs are up to 60 edges long, and ``WIDE_GOLDEN`` pins
 JSON index, analyze and decompose on clock(1200), line(200) and the doubled
-line with k = 11.
+line with k = 11.  The script prints all three tables, writing the built
+graphs to a temporary directory.
 """
 
 import contextlib
 import hashlib
 import io
 import pathlib
+import tempfile
 
 import pytest
 
@@ -75,8 +77,8 @@ GOLDEN = {
     ('clock3', 'index', 'json'): '0a96a6680a791660efe1ce83fa8885de04b5ff4e48ed8b553838d24a5d90086d 0',
     ('clock3', 'witness', 'text'): '3b8cd32deea0032eb18e3e3c662efd7d95ae5984fde4b6be26d4916586b6ce84 0',
     ('clock3', 'witness', 'json'): '5ed9b084ef9a5a933d113dd2656fa4ebd3f67971fdd139ff46f0b86896ffc086 0',
-    ('clock3', 'check', 'text'): 'c216bbaa9258e6e85fb851f5be3978532daf0ac8146697261496e12baf517d7e 0',
-    ('clock3', 'check', 'json'): 'eda2ccfbab9b23c7a0a5f6a25beadc914862772bf84da2333bccf4de630cd6ad 0',
+    ('clock3', 'check', 'text'): '18871807e54a91d79dfa0a02b645304483532bcf60e2cf390d149982cc37a5fd 0',
+    ('clock3', 'check', 'json'): '6ea5d47c012d3d8afce95e45af486c8b1588fed12e89aa9cce22d4aa78afb43a 0',
     ('clock3', 'decompose', 'text'): 'e89fab5e191737ebe7c2f3f98679737343d21584d25e310cfcbcaf50f512cdd1 0',
     ('clock3', 'decompose', 'json'): '54ca33ab664a35d77c81155be335c8356b39689eac9416219921b340bd7b20de 0',
     ('clock3', 'ideals', 'text'): '30097b9343ae4a79fea90e1194598b074dd13fb1e1029f458534a5951a61eccb 0',
@@ -117,8 +119,8 @@ GOLDEN = {
     ('inverse_clock3', 'index', 'json'): '3fd701b11045822668e22ed6af1df55bc732f0fec43603d38993b5b1f948114c 0',
     ('inverse_clock3', 'witness', 'text'): 'bebeba8a8e5a973d415210ef19f21a82a24938f64c268972d368604c020cf75c 0',
     ('inverse_clock3', 'witness', 'json'): '36682da3e34c3456709a66b18055b4c0a06750e85f81715791b739aebf52069e 0',
-    ('inverse_clock3', 'check', 'text'): '8a8b8b8505c5da50d9750795c92649de17912220ddc1d9f3ba0f785c8e09f10f 0',
-    ('inverse_clock3', 'check', 'json'): '53a89a245296304c0f417fe4a3a52cdbd040a2d7876a8bf6781b4b6d86456ccc 0',
+    ('inverse_clock3', 'check', 'text'): 'b42b0c65ac25c86dadbc35faa8a71287c069a5348b455fdfdb294c246456dcfb 0',
+    ('inverse_clock3', 'check', 'json'): '108c1707a510b7a216bf15daf7110d8c12237eff048846d6e3fe3035688e32a0 0',
     ('inverse_clock3', 'decompose', 'text'): '63292dd564c9280ec83b7c3103aca57d596026e9af51daf69916a5a3325f2667 0',
     ('inverse_clock3', 'decompose', 'json'): '6a5004abd74aade6de3daca67d970e1adb43523e23c2878f91bfcdd6f8f56e10 0',
     ('inverse_clock3', 'ideals', 'text'): '6a0ae2717b3f5b43ba993dbf31efecfd3e3166006a5478eef56ec0d612b458a2 0',
@@ -131,8 +133,8 @@ GOLDEN = {
     ('line1', 'index', 'json'): 'ede026e8571e794f2f5b8f740ea0e864d648e014f37c865d4c0facf7b7e502f4 0',
     ('line1', 'witness', 'text'): '5ca409571452eb045674f1f7b53d28333eb5fed313473c33292b369e9e1ab858 0',
     ('line1', 'witness', 'json'): 'a77c158e241eb41328259c607b9d40cbc2ae2e8b3280ad3e4bac7cce2359167d 0',
-    ('line1', 'check', 'text'): '15acbcc1d657ab5e5fd6500d9fe28a66080fe90a9bb4079834aa451fe7211478 0',
-    ('line1', 'check', 'json'): 'b807c505dfc97212a6a920d4ba78d8523c20ebb7742dacc829f71f12bd53e17c 0',
+    ('line1', 'check', 'text'): '674a7d8042e226b7c31e9f0bd78016a2460960f576e643b76b4fb6cc5ecce557 0',
+    ('line1', 'check', 'json'): '1e0a5c8f92cadd197882d46375c90ab0e8a2bc22f7cfe7178b0cd3eeed1e94d6 0',
     ('line1', 'decompose', 'text'): '122244a554576b5347ede4b31c2ee9c0a0f5cb85c0cd1e8e5babe7c2070f55de 0',
     ('line1', 'decompose', 'json'): '8a8602b1e2ae240cdaf1b9193b1aa102aa6b52eeb4d5a0cc097b99cb10be4388 0',
     ('line1', 'ideals', 'text'): 'c26a9eae0ded5cbdf281cdb9e3cdfb9e186506c8068fda4736fe9e74215971aa 0',
@@ -143,8 +145,8 @@ GOLDEN = {
     ('line2', 'index', 'json'): 'b9882323395325985a8308c0cc3c3a367e6028c32eab24cd4e7a9e6f187d6786 0',
     ('line2', 'witness', 'text'): '3b8cd32deea0032eb18e3e3c662efd7d95ae5984fde4b6be26d4916586b6ce84 0',
     ('line2', 'witness', 'json'): 'c7ce9de15eeb93b5df0e41f7d2daa15162d1f149768c12229b83a529e3e8f426 0',
-    ('line2', 'check', 'text'): 'aa762e9d77a2256ce8373b5f0796e39b4be1adb0b058925260a9c16221f43537 0',
-    ('line2', 'check', 'json'): 'ff44c865c6794cbdaa61765322a53de4e1aa95798a24caf65cfb20ca54f22229 0',
+    ('line2', 'check', 'text'): '5ce0f2647435d882e1779c838076c2ddba9075dade03d82176dc42f46ec7f2ee 0',
+    ('line2', 'check', 'json'): '81acac157b9cf44c11c9dc50b417474806da2b7a5b7fb00c3c0b442166427477 0',
     ('line2', 'decompose', 'text'): '1857cab277237b39fc97c15b82337f22ff0f0e1fd47029abddc6fbe0c724e92f 0',
     ('line2', 'decompose', 'json'): '282febec6fdfc0f0b4bc48952feb74b3537a85f34a0c16da20f05cc88fd33002 0',
     ('line2', 'ideals', 'text'): 'e8111601429434f722fb6c06fe9e84bcf4a3af059be8b5bbcf4a7db28a2838a0 0',
@@ -157,8 +159,8 @@ GOLDEN = {
     ('line3', 'index', 'json'): 'fcd47e46aff6ab0daace0813cf4f2d387d9cf20b270cd6762b4aa1f6a147ad9d 0',
     ('line3', 'witness', 'text'): '331a1d951cb1f65af6f1ac5344c4ac4d5cfc3e341af9873052e23bd3ce7ef271 0',
     ('line3', 'witness', 'json'): 'd0631934d91a29374469712c11599607ed913bba6f514aa907df4f760399ea3d 0',
-    ('line3', 'check', 'text'): 'c1fb49400bb4a97e7f5b2de1b12995a4e2f837210e2756cc447864fa2cd498c9 0',
-    ('line3', 'check', 'json'): '7aa3848ed3d6c08d08f91a864efd6241d5c9ca368aae159a07613ef2fc128997 0',
+    ('line3', 'check', 'text'): '2259365006488db98ae7f7489c6b4fc17b5fa8c4919d56b94db35dccdb02a6c0 0',
+    ('line3', 'check', 'json'): '608193b4b22de61350bb1a2ad507f2ed97c36b850734a96d2585c09b04666b36 0',
     ('line3', 'decompose', 'text'): 'f9d7041db330e0ee43ebe7a41dcc9b64d8e0cf18b9c7d9c1984b6e056d960673 0',
     ('line3', 'decompose', 'json'): 'ab8686ff430dbeb1cd4a9f4c74ff74f9f9c332b783b05b76c87e0ca4df5650f0 0',
     ('line3', 'ideals', 'text'): '94cb09e5651b5ebc85294852c00f4fe398d76ed5df60b1d5378893383ef33510 0',
@@ -171,8 +173,8 @@ GOLDEN = {
     ('line4', 'index', 'json'): '0a1014c62e13628aaf83cce0e70731f39c971e505e4805ed7d73e1ef27ed344b 0',
     ('line4', 'witness', 'text'): 'bebeba8a8e5a973d415210ef19f21a82a24938f64c268972d368604c020cf75c 0',
     ('line4', 'witness', 'json'): '9fafc8c48477ab9c2fa179492a3738f60d22fcfeff4f6acffe23aedae670f0ac 0',
-    ('line4', 'check', 'text'): '63790d34709346a87c0a72673c72d11001b48f55f22838e920e794511e3f0397 0',
-    ('line4', 'check', 'json'): '5fd33d18fc85066011dc7f27a1689c7571332667bc163fa2075505e8da577a34 0',
+    ('line4', 'check', 'text'): '6025670c15941b16ed35b3c795dc5c32d9adb4df2c4439af126dcabd80f7c150 0',
+    ('line4', 'check', 'json'): '3945d80c487a95871f70fe901aa6a322bd50afa843d70e362cd14a3364253610 0',
     ('line4', 'decompose', 'text'): '63292dd564c9280ec83b7c3103aca57d596026e9af51daf69916a5a3325f2667 0',
     ('line4', 'decompose', 'json'): '6a5004abd74aade6de3daca67d970e1adb43523e23c2878f91bfcdd6f8f56e10 0',
     ('line4', 'ideals', 'text'): '6a0ae2717b3f5b43ba993dbf31efecfd3e3166006a5478eef56ec0d612b458a2 0',
@@ -185,8 +187,8 @@ GOLDEN = {
     ('line5', 'index', 'json'): '5710913216d9c3283fcf9f29104c0b1c8b4ec3ee04d3fc5ce0efe8ed689211f6 0',
     ('line5', 'witness', 'text'): 'fa047311dc36dd7c5f845199c37f7860f5d7d2b3a0a7b51d2dd776905218fb99 0',
     ('line5', 'witness', 'json'): '932c67f7de241520d9d7099c5a9e0b1a35cb8b0a90d4073815dd7421fcba53ed 0',
-    ('line5', 'check', 'text'): '1c63919e8ef80e283d0d706583ad5538dc8be421353741ef67b50f04c1e767f4 0',
-    ('line5', 'check', 'json'): 'd11ca62969eac9a01affcab62294972c48c48b088aa5f6ff238a980b6a124fb6 0',
+    ('line5', 'check', 'text'): '5e44d841f21db77a634efa532833aa2a1106cfccbce54bc8a47aabd88260e7e1 0',
+    ('line5', 'check', 'json'): 'eda7a3fe6901d5990e7d64c645a78ab719726f7f4dff337066ff505d2c943002 0',
     ('line5', 'decompose', 'text'): '2165bda3fa4f0b1b150ba88cc2e6d0ff2d9839f7239b67812f7e6bf769ba24a2 0',
     ('line5', 'decompose', 'json'): '39edeac6309e00da9a0fd3b31b7a0acedcbffcee23fb23619482cc9a9b39017d 0',
     ('line5', 'ideals', 'text'): 'e9fd4ab84f78f3947015ef9b190379b002fb3bae854fd93647036a230372fa4a 0',
@@ -199,8 +201,8 @@ GOLDEN = {
     ('line6', 'index', 'json'): '70be87cb0552008b2e7193dc07f02d09d3d1a64c95c7906e47eb27ce2aa2be5f 0',
     ('line6', 'witness', 'text'): 'd4b61678615ae90be9e91ab1d0d15d54680a427fe1370a4fba5dc78d8d94764f 0',
     ('line6', 'witness', 'json'): '9d7511c5dfc82f57199d5d2500ff644af0762b8b82e3ebf8b12fc4f1c887f331 0',
-    ('line6', 'check', 'text'): '140296deb4defef82d76e0480e5c031b6d82cda9aa28e38361da60d569e5b68a 0',
-    ('line6', 'check', 'json'): '2506702752a0febe87e8a5da840eebc195a586392450a35c076a8f325e5b0131 0',
+    ('line6', 'check', 'text'): 'cfb400977fd9db8876009a0fd814a15e09aef7b21e45f43ee3cf3c53703c75a8 0',
+    ('line6', 'check', 'json'): 'f4e4e3e159e0cc6e366aa7b71f81563053ff05408c1b587f50f3c4de332fb77e 0',
     ('line6', 'decompose', 'text'): '23715194442635d244d51c6bebf5e9019c80feb510d16ab7b3f50540fd3dbc9c 0',
     ('line6', 'decompose', 'json'): 'b4a681e6aaf4058d7225a6bfefc850c4d4132a19763e890b10d33a76c4b4899a 0',
     ('line6', 'ideals', 'text'): '2a3083e776a74c5ededcd32f49f838dbffa56bd6640d8becb6ebab3cfce7a341 0',
@@ -278,19 +280,31 @@ LONG_COMMANDS = {
     "check": ("check", "--trials", "5", "--seed", "0"),
 }
 
+
+def _long_cases():
+    for name in LONG_GRAPHS:
+        for command in LONG_COMMANDS:
+            for fmt in ("text", "json"):
+                yield name, command, fmt
+
+
+def _long_argv(paths: dict, name: str, command: str, fmt: str) -> list:
+    cmd, *extra = LONG_COMMANDS[command]
+    return [cmd, str(paths[name]), *extra, "--format", fmt]
+
 LONG_GOLDEN = {
     ('tailed_cycle_40_20', 'witness', 'text'): '2e86a6ee969c4069466349569694dae93f19f2e1aa834592162a47f1c8418480 0',
     ('tailed_cycle_40_20', 'witness', 'json'): '85f28c850c58383aa12a6d3bec3110940b27e53829f255df07d25b971314807a 0',
     ('tailed_cycle_40_20', 'index', 'text'): '0175c4d77bd2af83aec6a928dd8ae1590289b0a7c6c714aaedb42c5e7f03f5c9 0',
     ('tailed_cycle_40_20', 'index', 'json'): '9fa2649d9c3b6ff3e0595c87c349002cc826c7dd99efe4e8ceca2808b0296ae9 0',
-    ('tailed_cycle_40_20', 'check', 'text'): '341451b5ce9ddb369a22dd92ee9e3449632b69c1d63c7f79f5124b8fdf8703bf 0',
-    ('tailed_cycle_40_20', 'check', 'json'): 'd5af3417e9d2e3a191a9ce6ece3fcbeebe6cc853bc4b624ab08a24e4774220a1 0',
+    ('tailed_cycle_40_20', 'check', 'text'): '2fe41c15d5c205cfa59435e92d28c4bbadeb5c4c99d43aa3eb7843acde8b010b 0',
+    ('tailed_cycle_40_20', 'check', 'json'): 'df738ab0701458522a2f07464e5ea8cf942a6ecd4783947ca2afa0008a84c92d 0',
     ('line60', 'witness', 'text'): '42eff73c29d1587cdc355bf375e2b601ef7cd4dc594d243c9777320437cbe276 0',
     ('line60', 'witness', 'json'): '5948c7387b6e4d583ec16cce8f3c123eb1701a8e79f8cc66b0bb0fdd02a31c78 0',
     ('line60', 'index', 'text'): 'fbf9c88c2e25d92fa13be47cdc9afe48073be6745eb934cc8a50696bc83e8ffe 0',
     ('line60', 'index', 'json'): '98374f422ac6849af8a31169532f6d6a4990784986fc0575e568fa303641102f 0',
-    ('line60', 'check', 'text'): '259ac4ead161cc7a0dbb333afd924d40a0e1c0cd13ce48d654d61b655661066c 0',
-    ('line60', 'check', 'json'): 'bf6a1ec7a40f7fd6248a1950c2498174499b0da4c21667ccc0a55f0683c663f9 0',
+    ('line60', 'check', 'text'): '341451b5ce9ddb369a22dd92ee9e3449632b69c1d63c7f79f5124b8fdf8703bf 0',
+    ('line60', 'check', 'json'): 'd5af3417e9d2e3a191a9ce6ece3fcbeebe6cc853bc4b624ab08a24e4774220a1 0',
     ('doubled_line5', 'witness', 'text'): '201ac0b7f953de44e57426e939544664281b8c2ede59239aa1a8c9190d5a938c 0',
     ('doubled_line5', 'witness', 'json'): 'd07be3efed4d67731abe13e1d9240f2889f4ea79eac9e042a3cb4e1707726c49 0',
     ('doubled_line5', 'index', 'text'): 'df30a9f2e690f89efca67fcc93dcb9ffbc2ac9beeaf2339ed65bd43164746aef 0',
@@ -309,6 +323,19 @@ WIDE_GRAPHS = {
     "doubled_line11": lambda: doubled_line(11),
 }
 
+WIDE_COMMANDS = ("index", "analyze", "decompose")
+
+
+def _wide_cases():
+    for name in WIDE_GRAPHS:
+        for command in WIDE_COMMANDS:
+            yield name, command
+
+
+def _wide_argv(paths: dict, name: str, command: str) -> list:
+    return [command, str(paths[name]), "--format", "json"]
+
+
 WIDE_GOLDEN = {
     ('clock1200', 'index'): '893e46ea8f26a5fadf66a0273c425a0c88acfb1c94ed7e0af0ddb9b0bbfc0e33 0',
     ('clock1200', 'analyze'): '8cc8400db11e69a75dab9e4c9b81291afd11f56263d145b6c7c9acb440ff1b99 0',
@@ -322,48 +349,43 @@ WIDE_GOLDEN = {
 }
 
 
-def _graph_files(tmp_path_factory, graphs: dict) -> dict:
-    d = tmp_path_factory.mktemp("built")
+def _graph_files(directory: pathlib.Path, graphs: dict) -> dict:
+    """Write each built graph to ``directory``; the path of each by name."""
     paths = {}
     for name, build in graphs.items():
-        paths[name] = d / f"{name}.graph"
+        paths[name] = directory / f"{name}.graph"
         paths[name].write_text(canonical_document(build()))
     return paths
 
 
 @pytest.fixture(scope="module")
 def long_graph_files(tmp_path_factory):
-    return _graph_files(tmp_path_factory, LONG_GRAPHS)
+    return _graph_files(tmp_path_factory.mktemp("built"), LONG_GRAPHS)
 
 
 @pytest.fixture(scope="module")
 def wide_graph_files(tmp_path_factory):
-    return _graph_files(tmp_path_factory, WIDE_GRAPHS)
+    return _graph_files(tmp_path_factory.mktemp("built"), WIDE_GRAPHS)
 
 
 @pytest.mark.parametrize("name,command", list(WIDE_GOLDEN), ids=str)
 def test_wide_json_output_bytes_are_golden(name, command, wide_graph_files):
-    argv = [command, str(wide_graph_files[name]), "--format", "json"]
-    assert _digest(argv) == WIDE_GOLDEN[name, command], f"{command} --format json on {name}"
+    assert _digest(_wide_argv(wide_graph_files, name, command)) == \
+        WIDE_GOLDEN[name, command], f"{command} --format json on {name}"
 
 
 def test_every_wide_case_has_a_digest():
-    assert set(WIDE_GOLDEN) == {(name, command) for name in WIDE_GRAPHS
-                                for command in ("index", "analyze", "decompose")}
+    assert set(WIDE_GOLDEN) == set(_wide_cases())
 
 
 @pytest.mark.parametrize("name,command,fmt", list(LONG_GOLDEN), ids=str)
 def test_long_leg_output_bytes_are_golden(name, command, fmt, long_graph_files):
-    cmd, *extra = LONG_COMMANDS[command]
-    argv = [cmd, str(long_graph_files[name]), *extra, "--format", fmt]
-    assert _digest(argv) == LONG_GOLDEN[name, command, fmt], \
-        f"{command} --format {fmt} on {name}"
+    assert _digest(_long_argv(long_graph_files, name, command, fmt)) == \
+        LONG_GOLDEN[name, command, fmt], f"{command} --format {fmt} on {name}"
 
 
 def test_every_long_case_has_a_digest():
-    assert set(LONG_GOLDEN) == {(name, command, fmt) for name in LONG_GRAPHS
-                                for command in LONG_COMMANDS
-                                for fmt in ("text", "json")}
+    assert set(LONG_GOLDEN) == set(_long_cases())
 
 
 @pytest.mark.parametrize("name,command,fmt", list(_cases()),
@@ -377,6 +399,19 @@ def test_every_case_has_a_digest():
     assert set(GOLDEN) == set(_cases())
 
 
+def _print_table(title: str, digests) -> None:
+    print(f"{title} = {{")
+    for case, digest in digests:
+        print(f"    {case!r}: {digest!r},")
+    print("}\n")
+
+
 if __name__ == "__main__":
-    for case in _cases():
-        print(f"    {case!r}: {_digest(_argv(*case))!r},")
+    _print_table("GOLDEN", ((case, _digest(_argv(*case))) for case in _cases()))
+    with tempfile.TemporaryDirectory() as built:
+        long_paths = _graph_files(pathlib.Path(built), LONG_GRAPHS)
+        _print_table("LONG_GOLDEN", ((case, _digest(_long_argv(long_paths, *case)))
+                                     for case in _long_cases()))
+        wide_paths = _graph_files(pathlib.Path(built), WIDE_GRAPHS)
+        _print_table("WIDE_GOLDEN", ((case, _digest(_wide_argv(wide_paths, *case)))
+                                     for case in _wide_cases()))

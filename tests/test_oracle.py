@@ -637,7 +637,7 @@ def _raw_lists(g, seed):
     deep) mixed in among them, and lists that cancel to zero."""
     table = algebra._kernel(g)
     rng = random.Random(seed)
-    drawn = oracle._random_keys(g, oracle.walk_tables(g), RandomSpec(seed=seed), 6, 4)
+    drawn = oracle._random_keys(g, oracle.walk_tables(g, seed), 6, 4)
     once = [_grown(g, key) for key, _ in drawn]
     twice = [_grown(g, key) for key in once if key is not None]
     rewriting = [(key, rng.choice([-2, -1, 1, 3]))
@@ -1104,11 +1104,11 @@ def test_random_raw_terms_stream_is_pinned_on_random_graphs():
 # (n, nilpotent_found, empirical_max_index, witness_index) of
 # `check --trials 300 --seed 12345` on each bounded fixture
 SAMPLING_SEED_12345 = {
-    "clock3": (2, 103, 2, 2), "clock5": (2, 115, 2, 2),
-    "inverse_clock3": (4, 98, 4, 4), "line1": (1, 29, 1, 1),
-    "line2": (2, 65, 2, 2), "line3": (3, 81, 3, 3), "line4": (4, 108, 4, 4),
-    "line5": (5, 110, 5, 5), "line6": (6, 120, 4, 6),
-    "loop_with_tail": (2, 43, 2, 2), "single_loop": (1, 2, 1, 1),
+    "clock3": (2, 88, 2, 2), "clock5": (2, 101, 2, 2),
+    "inverse_clock3": (4, 108, 4, 4), "line1": (1, 16, 1, 1),
+    "line2": (2, 58, 2, 2), "line3": (3, 90, 3, 3), "line4": (4, 105, 4, 4),
+    "line5": (5, 114, 4, 5), "line6": (6, 116, 4, 6),
+    "loop_with_tail": (2, 24, 2, 2), "single_loop": (1, 3, 1, 1),
 }
 
 
@@ -1170,19 +1170,26 @@ def test_str_seed_draws_as_random_random_seeds_it():
             random_raw_terms(g, RandomSpec(seed=as_int))
 
 
+def _stream_elements(g, trials, seed):
+    """The elements of a check's trials: each the next element drawn from
+    the one stream of ``random.Random(seed)``, built as Monomials and
+    normalized by the public ``normal_form``."""
+    tables, table = oracle.walk_tables(g, seed), algebra._kernel(g)
+    for _ in range(trials):
+        yield normal_form(g, [(algebra._monomial(table, key), k) for key, k
+                              in oracle._random_keys(g, tables, 4, 3)])
+
+
 def _cross_check_unmemoised(g, trials, seed):
-    """cross_check_index as one random_element and one probe per trial,
-    with the stdlib's randrange for the trial seeds."""
+    """cross_check_index as one draw and one probe per trial, with no memo
+    and no trace certificate."""
     report = bounded_index_report(g)
     n, bound = report.n, report.n + 3
-    master = random.Random(seed)
-    tables = oracle.walk_tables(g)
     found = limited = empirical = 0
     violations = []
-    for t in range(trials):
-        sub = RandomSpec(seed=master.randrange(2 ** 63))
+    for t, a in enumerate(_stream_elements(g, trials, seed)):
         try:
-            verdict = nilpotence_index(random_element(g, sub, tables=tables), bound)
+            verdict = nilpotence_index(a, bound)
         except algebra.TooLarge:
             limited += 1
             continue
@@ -1190,8 +1197,8 @@ def _cross_check_unmemoised(g, trials, seed):
             found += 1
             empirical = max(empirical, verdict.index)
             if verdict.index > n:
-                violations.append(f"trial {t} (seed {sub.seed}): nilpotent of "
-                                  f"index {verdict.index} > {n}")
+                violations.append(f"trial {t}: nilpotent of index "
+                                  f"{verdict.index} > {n}")
         elif isinstance(verdict, algebra.ResourceLimit):
             limited += 1
     witness_index = 1
@@ -1235,37 +1242,51 @@ def test_memoised_cross_check_matches_unmemoised_loop():
     assert rep.nilpotent_found == 150 and rep.empirical_max_index == 1
 
 
-def test_trial_loop_builds_no_generator_per_trial(monkeypatch):
-    """cross_check_index builds the generator of its trial seeds and the
-    one its trials draw with, which is reseeded per trial; random_element
-    is still called once per trial, and its draws reach the generator's
-    getrandbits."""
+def test_check_seeds_one_generator_once(monkeypatch):
+    """cross_check_index builds one generator and seeds it once, with the
+    check's seed: every getrandbits call of its 300 trials, replayed on a
+    fresh random.Random(7), gives the same bits, so no trial reseeds it,
+    and no trial goes through random_element."""
     made = []
 
     class Counting(random.Random):
-        draws = 0
+        seeds = 0
 
         def __init__(self, *args):
+            self.draws = []
             made.append(self)
             super().__init__(*args)
 
+        def seed(self, *args, **kwargs):
+            self.seeds += 1
+            super().seed(*args, **kwargs)
+
         def getrandbits(self, k):
-            self.draws += 1
-            return super().getrandbits(k)
+            r = super().getrandbits(k)
+            self.draws.append((k, r))
+            return r
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a trial called random_element")
 
     g = load_graph(fixture_path("line4"))
     expected = cross_check_index(g, trials=300, seed=7)
-    draw, calls = oracle.random_element, []
-
-    def counting_draw(*args, **kwargs):
-        calls.append(args)
-        return draw(*args, **kwargs)
-
     monkeypatch.setattr(oracle.random, "Random", Counting)
-    monkeypatch.setattr(oracle, "random_element", counting_draw)
+    monkeypatch.setattr(oracle, "random_element", no_draw)
     assert cross_check_index(g, trials=300, seed=7) == expected
-    assert len(made) <= 2 and len(calls) == 300
-    assert sum(m.draws for m in made) > 300
+    assert len(made) == 1 and made[0].seeds == 1
+    replay = random.Random(7)
+    assert len(made[0].draws) > 300 * 6
+    assert all(replay.getrandbits(k) == r for k, r in made[0].draws)
+
+
+def test_first_trial_is_the_seeds_random_element():
+    """Trial 0 of a check is random_element with the check's seed."""
+    for name in ("line4", "clock3", "omega_gadget"):
+        g = corpus.CORPUS[name]()
+        for seed in (0, 7, 12345):
+            assert next(_stream_elements(g, 1, seed)) == \
+                random_element(g, RandomSpec(seed=seed))
 
 
 def test_negative_seed_draws_the_trials_of_its_absolute_value(capsys):
@@ -1399,10 +1420,8 @@ def _count_probes(monkeypatch) -> list:
 
 def _distinct_trials(g, trials: int, seed: int) -> int:
     """The number of distinct elements among a check's sampled trials."""
-    master, tables = random.Random(seed), oracle.walk_tables(g)
-    return len({frozenset(random_element(
-        g, RandomSpec(seed=master.randrange(2 ** 63)), tables=tables)._terms.items())
-        for _ in range(trials)})
+    return len({frozenset(a._terms.items())
+                for a in _stream_elements(g, trials, seed)})
 
 
 def test_certified_cross_check_matches_unmemoised_loop(monkeypatch):
