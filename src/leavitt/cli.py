@@ -71,11 +71,14 @@ class _EdgeTexts(dict):
 
     def __missing__(self, key):
         bundle, index = key if type(key) is tuple else (key, 0)
-        indent = self.indent
-        inner = indent + "  "
-        text = self[key] = (f'{{{inner}"bundle": {_quote(bundle)},'
-                            f'{inner}"index": {index}{indent}}}')
+        text = self[key] = _edge_text(bundle, index, self.indent)
         return text
+
+
+def _edge_text(bundle: str, index: int, indent: str) -> str:
+    """The JSON object text of the edge (bundle, index) at indent."""
+    inner = indent + "  "
+    return f'{{{inner}"bundle": {_quote(bundle)},{inner}"index": {index}{indent}}}'
 
 
 def _dict_form(key: tuple) -> tuple:
@@ -92,6 +95,9 @@ def _dict_form(key: tuple) -> tuple:
 # smaller document in one), so it is never held whole as text.
 _BATCH = 1 << 16
 
+# The containers that _json_chunks writes piece by piece when nonempty.
+_STREAMED = (dict, list, tuple, structure.PathTree)
+
 
 def _dumps(obj) -> str:
     """The bytes of the stdlib's ``json.dumps(obj, indent=2,
@@ -107,18 +113,21 @@ def _json_chunks(obj, end: str = ""):
     and a listing of n witness paths has Theta(n L) edges.
 
     This generator walks only the outer containers: the top value, and the
-    nonempty dicts, lists and tuples reached from it through dicts.  Each
-    element of such a list is rendered whole, as one string, by a plain
-    recursive function, and the pending text is written once it reaches
-    _BATCH characters.  JSON is built from string templates: a dict fills
-    a %-template built once per key tuple and indentation, and a list or
-    tuple is one join.  The records print as leaves, each one f-string at
-    its indentation: an EdgeRef is the object ``{"bundle": ..., "index":
-    ...}``, whose text is built once per edge and indentation, a Path is
-    ``{"base": ..., "edges": [...]}`` and a Cycle ``{"edges": [...]}``,
-    their edges taken from the same texts.  Dicts (text keys, sorted),
-    lists and tuples nest; strings, ints, bools and None print inline;
-    anything else falls back to ``json.dumps``."""
+    nonempty dicts, lists, tuples and path trees reached from it through
+    dicts.  Each element of such a list is rendered whole, as one string,
+    by a plain recursive function, and the pending text is written once it
+    reaches _BATCH characters.  JSON is built from string templates: a dict
+    fills a %-template built once per key tuple and indentation, and a list
+    or tuple is one join.  The records print as leaves, each one f-string
+    at its indentation: an EdgeRef is the object ``{"bundle": ...,
+    "index": ...}``, whose text is built once per edge and indentation, a
+    Path is ``{"base": ..., "edges": [...]}``, a Cycle ``{"edges": [...]}``
+    and a TargetCount ``{"count": ..., "kind": "sink", "vertex": ...}`` or
+    ``{"count": ..., "cycle": ..., "kind": "cycle"}``.  A PathTree prints
+    as the list of its paths, each path's edge-list text built from its
+    first edge's text and its parent's (see :func:`_tree_pieces`).  Dicts
+    (text keys, sorted), lists and tuples nest; strings, ints, bools and
+    None print inline; anything else falls back to ``json.dumps``."""
     edges, forms = _Memo(_EdgeTexts), _Memo(_dict_form)
 
     def edge_list(es: tuple, indent: str) -> str:
@@ -140,6 +149,14 @@ def _json_chunks(obj, end: str = ""):
         inner = indent + "  "
         return f'{{{inner}"edges": {edge_list(c.edges, inner)}{indent}}}'
 
+    def target_count(r: structure.TargetCount, indent: str) -> str:
+        inner = indent + "  "
+        head = f'{{{inner}"count": {int.__repr__(r.count)},{inner}'
+        t = r.target
+        if type(t) is SinkTarget:
+            return f'{head}"kind": "sink",{inner}"vertex": {_quote(t.vertex)}{indent}}}'
+        return f'{head}"cycle": {cycle(t.cycle, inner)},{inner}"kind": "cycle"{indent}}}'
+
     def render(o, indent: str) -> str:  # indent: newline plus o's level's spaces
         """The whole text of o."""
         t = type(o)
@@ -158,12 +175,16 @@ def _json_chunks(obj, end: str = ""):
             inner = indent + "  "
             items = [_quote(x) if type(x) is str else render(x, inner) for x in o]
             return f"[{inner}{(',' + inner).join(items)}{indent}]"
+        if t is structure.PathTree:
+            return "".join(_tree_pieces(o, indent))
         if t is EdgeRef:
             return edges[indent][o.bundle, o.index]
         if t is Path:
             return path(o, indent)
         if t is Cycle:
             return cycle(o, indent)
+        if t is structure.TargetCount:
+            return target_count(o, indent)
         if t is int:
             return int.__repr__(o)
         if o is None:
@@ -174,50 +195,102 @@ def _json_chunks(obj, end: str = ""):
             return "false"
         return json.dumps(o)
 
+    def pieces(o, indent: str):
+        """The text of o, a nonempty list or tuple, in pieces: the brackets,
+        the separators and the whole text of each element."""
+        inner = indent + "  "
+        known, sep, comma = edges[inner], "[" + inner, "," + inner
+        for x in o:
+            yield sep
+            sep = comma
+            t = type(x)
+            if t is Path:  # a witness listing
+                yield path(x, inner)
+            elif t is str:
+                yield _quote(x)
+            elif t is EdgeRef:
+                yield known[x.bundle] if x.index == 0 else known[x.bundle, x.index]
+            elif t is structure.TargetCount:
+                yield target_count(x, inner)
+            else:
+                yield render(x, inner)
+        yield indent + "]"
+
     out, size = [], 0
 
     def write(o, indent: str):
-        """Append o, a nonempty dict, list or tuple, yielding full batches."""
+        """Append o, a nonempty dict, list, tuple or PathTree, yielding full
+        batches."""
         nonlocal size
         inner = indent + "  "
         if type(o) is dict:
             sep, comma = "{" + inner, "," + inner
             for k, x in sorted(o.items()):
                 out.append(f"{sep}{_quote(k)}: ")
-                if type(x) in (dict, list, tuple) and x:
+                if type(x) in _STREAMED and x:
                     yield from write(x, inner)
                 else:
                     out.append(render(x, inner))
                 sep = comma
             out.append(indent + "}")
         else:
-            sep, comma, texts = "[" + inner, "," + inner, edges[inner]
-            for x in o:
-                t = type(x)
-                if t is Path:  # a witness listing
-                    text = path(x, inner)
-                elif t is str:
-                    text = _quote(x)
-                elif t is EdgeRef:
-                    text = texts[x.bundle] if x.index == 0 else texts[x.bundle, x.index]
-                else:
-                    text = render(x, inner)
-                out.append(sep)
+            split = _tree_pieces if type(o) is structure.PathTree else pieces
+            for text in split(o, indent):
                 out.append(text)
                 size += len(text)
                 if size >= _BATCH:
                     yield "".join(out)
                     out.clear()
                     size = 0
-                sep = comma
-            out.append(indent + "]")
 
-    if type(obj) in (dict, list, tuple) and obj:
+    if type(obj) in _STREAMED and obj:
         yield from write(obj, "\n")
     else:
         out.append(render(obj, "\n"))
     out.append(end)
     yield "".join(out)
+
+
+def _tree_pieces(tree: structure.PathTree, indent: str):
+    """The text of tree's list of paths at indent, in pieces.
+
+    A path's edge list is its first edge's text, a separator, then its
+    parent's edge list, so each is one concatenation of two strings (the
+    trivial path's list and those of length 1 are built directly) and is
+    yielded as a piece of its own, not copied into its path's text.  The
+    edge lists of one level are kept until the next level is done, and
+    those of the last level are not kept."""
+    bases, firsts, parents, ends = tree.bases, tree.firsts, tree.parents, tree.ends
+    if not bases:
+        yield "[]"
+        return
+    inner = indent + "  "  # a path's
+    field = inner + "  "   # its fields'
+    deep = field + "  "    # its edges'
+    sep, close = "," + deep, field + "]" + inner + "}"
+    head = f',{inner}{{{field}"base": '
+    mid = f',{field}"edges": [{deep}'
+    yield f'[{inner}{{{field}"base": {_quote(bases[0])},{field}"edges": []{inner}}}'
+    above, start, last = None, 1, len(ends) - 1  # above: the level above's lists
+    for k in range(1, len(ends)):
+        stop = ends[k]
+        level = [] if k < last else None
+        edge = text = None
+        for i in range(start, stop):
+            e = firsts[i]
+            if e is not edge:  # a level lists each edge's paths together
+                edge = e
+                text = _edge_text(e.bundle, e.index, deep)
+                if above is not None:
+                    text += sep
+            edges = text if above is None else text + above[parents[i] - ends[k - 2]]
+            if level is not None:
+                level.append(edges)
+            yield f"{head}{_quote(bases[i])}{mid}"
+            yield edges
+            yield close
+        above, start = level, stop
+    yield indent + "]"
 
 
 def _emit(args, payload: dict, text_lines: list) -> None:
@@ -284,12 +357,6 @@ def _analyze_lines(g: Graph, payload: dict) -> list:
     return lines
 
 
-def _target_json(g: Graph, target, cnt: int) -> dict:
-    if isinstance(target, SinkTarget):
-        return {"kind": "sink", "vertex": target.vertex, "count": cnt}
-    return {"kind": "cycle", "cycle": target.cycle, "count": cnt}
-
-
 def _family_json(target, paths) -> dict:
     """Paths into a SinkTarget or a CycleTarget."""
     if isinstance(target, SinkTarget):
@@ -305,7 +372,7 @@ def _cmd_index(args) -> int:
             "command": "index",
             "verdict": "bounded",
             "n": report.n,
-            "per_target": [_target_json(g, t, c) for t, c in report.per_target],
+            "per_target": report.per_target,
             "witness": None,
         }
         target = report.witness_target
@@ -320,7 +387,7 @@ def _cmd_index(args) -> int:
             lines = ()
             if target is not None:
                 payload["witness"] = _family_json(
-                    target, structure.witness_paths(g, target, report.n))
+                    target, structure.witness_tree(g, target, report.n))
         _emit(args, payload, lines)
     else:
         reason = report.reason

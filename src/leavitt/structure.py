@@ -4,9 +4,13 @@ The central decision: the algebra has bounded index of nilpotence exactly
 when no cycle has an exit and the number of paths ending at every sink or
 cycle stays finite; the bound n is the maximum such count.  The verdict
 holds these counts only.  A family of n x n matrix units built from the
-first n paths into a target with count n (:func:`witness_paths`) witnesses
-that the bound is attained; those paths are listed only by the code that
-prints or multiplies them.  An exit or an omega path family witnesses
+first n paths into a target with count n witnesses that the bound is
+attained; those paths are listed only by the code that prints or
+multiplies them, by one backward search (:func:`witness_tree`).  The
+search lists them as a tree: dropping a path's first edge gives a path
+one level up, its parent, so the printer builds each path's text from its
+first edge and its parent's, and the matrix units build each Path record
+from its parent's.  An exit or an omega path family witnesses
 unboundedness.  On top of that sit the polynomial-identity and
 direct-finiteness predicates, the graded spectrum, and the matrix-ring
 decomposition available for row-finite graphs.
@@ -23,7 +27,6 @@ subset enumeration is kept as ``oracle.graded_spectrum_exhaustive``).
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import deque
 from operator import attrgetter
 from typing import NamedTuple
@@ -69,10 +72,10 @@ class Bounded(Record):
     """Bounded-index verdict: n, the path count at every sink and cycle
     target, and the first target whose count is n (None only for the empty
     graph, whose algebra is the zero ring).  The verdict holds no paths;
-    :func:`witness_paths` lists a target's paths where they are used."""
+    :func:`witness_tree` lists a target's paths where they are used."""
 
     n: int
-    per_target: tuple  # pairs (SinkTarget | CycleTarget, int)
+    per_target: tuple  # TargetCount rows
     witness_target: object  # SinkTarget | CycleTarget | None
 
 
@@ -80,16 +83,53 @@ class Unbounded(Record):
     reason: object  # CycleWithExit | OmegaPathFamily
 
 
-def witness_paths(g: Graph, target, size: int) -> list:
+class TargetCount(NamedTuple):
+    """The number of paths ending at a sink or exitless-cycle target."""
+
+    target: object  # SinkTarget | CycleTarget
+    count: int
+
+
+class PathTree:
+    """The first paths into a target, listed in (length, edges, base) order
+    as a tree.  Path 0 is the trivial path at the target's base (its first
+    edge None, its parent -1); path i > 0
+    is the edge ``firsts[i]`` followed by path ``parents[i]``, which lies
+    one level up, and starts at ``bases[i]``.  Level 0 is ``range(0,
+    ends[0])`` and level k > 0, the paths of length k, is
+    ``range(ends[k - 1], ends[k])``; no level is empty.  The length of the
+    tree is the number of paths listed."""
+
+    __slots__ = ("bases", "firsts", "parents", "ends")
+
+    def __init__(self, bases: list, firsts: list, parents: list, ends: list):
+        self.bases, self.firsts, self.parents, self.ends = bases, firsts, parents, ends
+
+    def __len__(self) -> int:
+        return len(self.bases)
+
+    def paths(self) -> list:
+        """The listed paths as Path records, each built from its parent's."""
+        if not self.bases:
+            return []
+        out = [Path(self.bases[0])]
+        for i in range(1, len(self.bases)):
+            out.append(Path(self.bases[i], (self.firsts[i],) + out[self.parents[i]].edges))
+        return out
+
+
+def witness_tree(g: Graph, target, size: int) -> PathTree:
     """The first `size` paths ending at a sink or exitless-cycle target, in
     the order (length, edges, base), leaving out paths that contain the
-    cycle in full; the count at the target must be finite.
+    cycle in full; the count at the target must be finite.  This backward
+    search is the one listing of witness paths: :func:`witness_paths` reads
+    its Path records off the tree, and JSON ``index`` prints the tree.
 
     Searches backwards one length at a time and stops at `size`, sorting
     nothing.  If a level is in order, so is the next one built thus: walk
     the bundles into the level's bases in bundle-id order (one merge of the
     id-sorted in-lists), each bundle's edges by index, and for each edge e
-    append e.p for every p at e's range, in level order.  The paths compare
+    list e.p for every p at e's range, in level order.  The paths compare
     by their first edge, then by the rest, and paths with equal edges have
     equal bases.
 
@@ -97,32 +137,50 @@ def witness_paths(g: Graph, target, size: int) -> list:
     too).  The cycle has no exit, so a path that reaches it stays on it:
     an edge e from off the cycle keeps e.p's trailing run of cycle edges
     that of p, shorter than the cycle's length m, and an edge e from a
-    cycle vertex is a cycle edge, as is every edge of p.  So e.p is left
-    out exactly when src(e) is on the cycle and |e.p| >= m."""
+    cycle vertex is a cycle edge, as is every edge of p.  So e.p, of
+    length k, is left out exactly when src(e) is on the cycle and k >= m."""
     if isinstance(target, SinkTarget):
-        level, m, on_cycle = [Path(target.vertex)], 0, ()
+        base, m, on_cycle = target.vertex, 0, ()
     else:
         c = target.cycle
-        level, m = [Path(g.src(c.edges[0]))], len(c.edges)
+        base, m = g.src(c.edges[0]), len(c.edges)
         on_cycle = set(cycle_vertices(g, c))
+    if size < 1:
+        return PathTree([], [], [], [])
+    tree = PathTree([base], [None], [-1], [1])
+    bases, ends = tree.bases, tree.ends
+    while len(bases) < size:
+        _grow(g, tree, on_cycle if len(ends) >= m else (), size)
+        if len(bases) == ends[-1]:  # no path of this length
+            break
+        ends.append(len(bases))
+    return tree
 
-    def extensions(level):
-        at = {}
-        for p in level:
-            at.setdefault(p.base, []).append(p)
-        for b in heapq.merge(*(g._into[v] for v in at), key=attrgetter("id")):
-            keep_all = b.src not in on_cycle
-            for i in range(b.mult):
-                e = EdgeRef(b.id, i)
-                for p in at[b.dst]:
-                    if keep_all or len(p.edges) + 1 < m:
-                        yield Path(b.src, (e,) + p.edges)
 
-    found = level[:size]
-    while level and len(found) < size:
-        level = list(itertools.islice(extensions(level), size - len(found)))
-        found += level
-    return found
+def _grow(g: Graph, tree: PathTree, skip, size: int) -> None:
+    """List the paths e.p, p in the tree's last level and src(e) not in
+    `skip`, in order, until the tree holds `size` paths."""
+    bases, firsts, parents = tree.bases, tree.firsts, tree.parents
+    at = {}
+    for i in range(tree.ends[-2] if len(tree.ends) > 1 else 0, len(bases)):
+        at.setdefault(bases[i], []).append(i)
+    into = [g._into[v] for v in at]  # one in-list needs no merge
+    for b in into[0] if len(into) == 1 else heapq.merge(*into, key=attrgetter("id")):
+        if b.src in skip:
+            continue
+        below = at[b.dst]
+        for i in range(b.mult):
+            below = below[:size - len(bases)]
+            bases += [b.src] * len(below)
+            firsts += [EdgeRef(b.id, i)] * len(below)
+            parents += below
+            if len(bases) == size:
+                return
+
+
+def witness_paths(g: Graph, target, size: int) -> list:
+    """The paths of :func:`witness_tree` as Path records, in its order."""
+    return witness_tree(g, target, size).paths()
 
 
 class Blocks(NamedTuple):
@@ -168,7 +226,7 @@ def _fill_blocks(g: Graph) -> Blocks:
             for b in out[members[0]]:
                 k += b.mult * legs[b.dst]
             legs[members[0]] = k
-    per_target = tuple((t, cnt) for t, _, cnt, _ in rows)
+    per_target = tuple(TargetCount(t, cnt) for t, _, cnt, _ in rows)
     n = max((cnt for _, cnt in per_target), default=1)
     best = next((t for t, cnt in per_target if cnt == n), None)
     return Blocks(Bounded(n, per_target, best), tuple(rows), legs)

@@ -5,14 +5,15 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import fixture_path, tailed_cycle
 from leavitt import algebra, cli, corpus, oracle, structure
 from leavitt.cli import _dumps, main
-from leavitt.graph import OMEGA, Bundle, Cycle, EdgeRef, Graph, Path
+from leavitt.graph import OMEGA, Bundle, Cycle, CycleTarget, EdgeRef, Graph, Path, SinkTarget
 from leavitt.graphio import (
     GraphFormatError,
     GraphSyntaxError,
@@ -21,6 +22,7 @@ from leavitt.graphio import (
     load_graph,
     parse_graph_document,
 )
+from leavitt.structure import PathTree, TargetCount
 
 
 def run(capsys, *argv):
@@ -350,6 +352,99 @@ def test_malformed_input_gives_one_error_line(case, fmt, capsys, tmp_path):
     assert err.startswith(("error: ", "resource limit: ")), err[:200]
 
 
+# -- fuzzing every command ---------------------------------------------------------
+
+_NAMES = ["u", "v", "w", "x", "a", "e1"]  # vertex names and bundle ids overlap
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 4), st.floats(), st.text(max_size=3),
+              st.sampled_from(_NAMES + ["omega"])),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+
+
+def _expressions(names: list):
+    """Element expressions over the given identifiers, by the grammar of
+    ``exprparse`` with scalars, indices and exponents kept small, or any
+    short text over its symbols."""
+    atoms = st.one_of(
+        st.sampled_from(names),
+        st.builds("{}[{}]".format, st.sampled_from(names), st.integers(0, 3)),
+        st.sampled_from(["0", "1", "2", "1/2", "-3/2", "0/1", "2/0"]))
+    grammar = st.recursive(atoms, lambda e: st.one_of(
+        st.builds("({})".format, e), st.builds("{}*".format, e),
+        st.builds("{}^{}".format, e, st.integers(0, 9)), st.builds("{} {}".format, e, e),
+        st.builds("{} + {}".format, e, e), st.builds("{} - {}".format, e, e)), max_leaves=6)
+    text = st.text(alphabet="".join(sorted(set("".join(names)))) + "[]()*^+-/ 0123",
+                   max_size=12)
+    return st.one_of(grammar, grammar, grammar, text)
+
+
+@st.composite
+def _fuzz_inputs(draw):
+    """(graph document bytes, expression).  The document is a valid graph
+    of at most 4 vertices and 5 bundles of multiplicity 1-3 or omega, or
+    that graph with one field replaced by any JSON value or removed, or
+    any JSON value, or the graph's text cut short or with one byte
+    changed.  The expression mostly names the graph's vertices and
+    bundles.  Multiplicities stay small because `witness` and JSON
+    `index` do work that grows with the path count n, which one bundle
+    of multiplicity m already makes m + 1."""
+    vertices = draw(st.lists(st.sampled_from(_NAMES[:4]), min_size=1, max_size=4, unique=True))
+    edges = []
+    for i in range(draw(st.integers(min_value=0, max_value=5))):
+        edge = {"id": draw(st.sampled_from([f"b{i}"] * 4 + ["a", "e1"])),
+                "src": draw(st.sampled_from(vertices)), "dst": draw(st.sampled_from(vertices))}
+        mult = draw(st.one_of(st.integers(min_value=1, max_value=3), st.just("omega"), st.none()))
+        if mult is not None:
+            edge["mult"] = mult
+        edges.append(edge)
+    expr = draw(_expressions(vertices + [e["id"] for e in edges] + ["x"]))
+    doc = {"vertices": vertices, "edges": edges}
+    kind = draw(st.sampled_from(["valid"] * 4 + ["field", "value", "text"]))
+    if kind == "field":
+        holder = draw(st.sampled_from([doc] + edges))
+        key = draw(st.sampled_from(sorted(holder)))
+        if draw(st.booleans()):
+            del holder[key]
+        else:
+            holder[key] = draw(_json_values)
+    elif kind == "value":
+        doc = draw(_json_values)
+    data = json.dumps(doc).encode()
+    if kind == "text":
+        at = draw(st.integers(min_value=0, max_value=len(data) - 1))
+        if draw(st.booleans()):
+            data = data[:at]
+        else:
+            data = data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
+    return data, expr
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(inputs=_fuzz_inputs(), fmt=st.sampled_from(["text", "json"]),
+       size=st.sampled_from([None, 2, 1, 4, 0, -1]), bound=st.sampled_from([3, 1, 2, 4, 0]),
+       trials=st.sampled_from([2, 0, 1, 3, -1]), seed=st.integers(0, 3))
+def test_cli_fuzz(inputs, fmt, size, bound, trials, seed, capsys, tmp_path):
+    """Every command, on generated graph documents (valid and malformed)
+    and expressions, exits 0, 1 or 2 without raising, and prints the same
+    bytes when run twice."""
+    document, expr = inputs
+    graph = tmp_path / "fuzz.graph"
+    graph.write_bytes(document)
+    path = str(graph)
+    commands = [["analyze", path], ["index", path], ["decompose", path], ["ideals", path],
+                ["eval", path, "--nilpotence-max", str(bound), "--", expr],
+                ["witness", path] + ([] if size is None else ["--size", str(size)]),
+                ["check", path, "--trials", str(trials), "--seed", str(seed)]]
+    for argv in commands:
+        argv = argv[:2] + ["--format", fmt] + argv[2:]
+        runs = [run(capsys, *argv) for _ in range(2)]
+        assert runs[0][0] in (0, 1, 2), argv
+        assert runs[0][:2] == runs[1][:2], argv
+
+
 def test_witness_verifies_units_once(capsys, monkeypatch):
     calls = []
     verify = algebra.verify_matrix_units
@@ -370,13 +465,13 @@ def test_witness_paths_listed_only_where_used(capsys, monkeypatch, tmp_path):
     """Verdict-only commands list no witness path; JSON index lists n of
     them, and witness --size 2 lists two, even when n = 4095."""
     calls = []
-    listing = structure.witness_paths
+    listing = structure.witness_tree
 
     def counting(g, target, size):
         calls.append(size)
         return listing(g, target, size)
 
-    monkeypatch.setattr(structure, "witness_paths", counting)
+    monkeypatch.setattr(structure, "witness_tree", counting)
     for name in ("clock5", "line4", "loop_with_tail", "inverse_clock3"):
         for args in (["decompose"], ["ideals"], ["index"],
                      ["decompose", "--format", "json"],
@@ -655,10 +750,37 @@ _texts = st.text(st.one_of(
                      "\u2028", "\ud800", "\udfff", "\U0001f600"])))
 _edges = st.builds(EdgeRef, _texts, st.integers(min_value=0, max_value=10 ** 6))
 _edge_tuples = st.lists(_edges, max_size=4).map(tuple)
+
+
+@st.composite
+def _trees(draw):
+    """PathTrees: the empty listing, the lone trivial path, and small trees
+    whose every path hangs off one in the level above, the paths of a level
+    drawing their first edges from a few shared ones."""
+    levels = draw(st.integers(min_value=0, max_value=4))
+    if not levels:
+        return PathTree([], [], [], [])
+    bases, firsts, parents, ends = [draw(_texts)], [None], [-1], [1]
+    for _ in range(levels - 1):
+        lo, hi = ends[-2] if len(ends) > 1 else 0, ends[-1]
+        shared = draw(st.lists(_edges, min_size=1, max_size=3))
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            bases.append(draw(_texts))
+            firsts.append(draw(st.sampled_from(shared)))
+            parents.append(draw(st.integers(min_value=lo, max_value=hi - 1)))
+        ends.append(len(bases))
+    return PathTree(bases, firsts, parents, ends)
+
+
+_target_counts = st.builds(
+    TargetCount,
+    st.one_of(st.builds(SinkTarget, _texts), st.builds(CycleTarget, st.builds(Cycle, _edge_tuples))),
+    st.integers(min_value=0, max_value=2 ** 70))
 _leaves = st.one_of(st.none(), st.booleans(), st.integers(),
                     st.integers(min_value=-2 ** 200, max_value=2 ** 200),
                     st.floats(), _texts, _edges,
-                    st.builds(Path, _texts, _edge_tuples), st.builds(Cycle, _edge_tuples))
+                    st.builds(Path, _texts, _edge_tuples), st.builds(Cycle, _edge_tuples),
+                    _trees(), _target_counts)
 _values = st.recursive(
     _leaves,
     lambda inner: st.one_of(st.lists(inner, max_size=4),
@@ -668,14 +790,24 @@ _values = st.recursive(
 
 
 def _plain(obj):
-    """obj with every EdgeRef, Path and Cycle replaced by the dict the CLI
-    prints for it."""
+    """obj with every EdgeRef, Path, Cycle and TargetCount replaced by the
+    dict the CLI prints for it, and every PathTree by its list of paths."""
     if isinstance(obj, EdgeRef):
         return {"bundle": obj.bundle, "index": obj.index}
     if isinstance(obj, Path):
         return {"base": obj.base, "edges": _plain(obj.edges)}
     if isinstance(obj, Cycle):
         return {"edges": _plain(obj.edges)}
+    if isinstance(obj, PathTree):
+        paths = []
+        for base, first, parent in zip(obj.bases, obj.firsts, obj.parents):
+            edges = [] if first is None else [_plain(first)] + paths[parent]["edges"]
+            paths.append({"base": base, "edges": edges})
+        return paths
+    if isinstance(obj, TargetCount):
+        if isinstance(obj.target, SinkTarget):
+            return {"kind": "sink", "vertex": obj.target.vertex, "count": obj.count}
+        return {"kind": "cycle", "cycle": _plain(obj.target.cycle), "count": obj.count}
     if isinstance(obj, dict):
         return {k: _plain(x) for k, x in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -692,8 +824,11 @@ _small = st.one_of(_leaves, st.lists(_leaves, max_size=3).map(tuple),
 def _repeating(draw):
     """Payloads for the emitter's caches and fast paths: one key set at two
     depths, one EdgeRef at two depths, EdgeRefs mixed with other values in
-    one tuple, and empty dicts and tuples nested in each other."""
-    keys, edge = draw(_keysets), draw(_edges)
+    one tuple, empty dicts and tuples nested in each other, and one path
+    tree and target rows, each streamed from a dict and rendered whole in
+    a list."""
+    keys, edge, tree = draw(_keysets), draw(_edges), draw(_trees())
+    rows = draw(st.lists(_target_counts, min_size=1, max_size=3))
 
     def keyed():
         return {k: draw(_small) for k in keys}
@@ -705,7 +840,9 @@ def _repeating(draw):
     payload = {"outer": keyed(), "deep": [{"inner": keyed()}, (keyed(),)],
                "edge": edge, "path": {"edges": (edge, edge)},
                "mixed": tuple(mixed[:draw(st.integers(1, len(mixed)))]),
-               "empties": empties}
+               "empties": empties,
+               "witness": {"paths": tree, "per_target": rows},
+               "nested": [tree, (rows[0], tree), {"paths": tree}]}
     drop = draw(st.sets(st.sampled_from(sorted(payload)), max_size=3))
     return {k: x for k, x in payload.items() if k not in drop}
 
@@ -775,6 +912,30 @@ def test_json_writes_are_bounded(monkeypatch, tmp_path):
     assert len(json.loads(out)["witness"]["paths"]) == 300
     assert len(writes) > 2 and min(map(len, writes[:-1])) >= cli._BATCH
     assert max(map(len, writes)) <= 256 * 1024
+
+
+def test_json_index_memory_is_bounded(monkeypatch, tmp_path):
+    """JSON index on line(1500) prints 1500 paths, 88 MB, holding the edge
+    lists of two levels of the path tree at most: its allocation peak,
+    loading and search included, stays under 5 MB."""
+    doc = _line_document(tmp_path, 1500)
+    written, tail = [0, 0], []
+
+    class Counter:
+        def write(self, text):
+            written[0] += len(text)
+            written[1] += 1
+            tail[:] = [text[-2:]]
+
+    monkeypatch.setattr(sys, "stdout", Counter())
+    tracemalloc.start()
+    try:
+        assert main(["index", doc, "--format", "json"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert written[0] > 80 * 10 ** 6 and written[1] > 500 and tail == ["}\n"]
+    assert peak < 5 * 10 ** 6, peak
 
 
 # -- the parser -----------------------------------------------------------------

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import hashlib
+import itertools
+import json
 import random
 
 import pytest
@@ -32,7 +34,7 @@ from leavitt.graph import (
     cycles,
     path_range,
 )
-from leavitt.graphio import load_graph
+from leavitt.graphio import canonical_document, load_graph
 from leavitt.oracle import (
     CrossCheckReport,
     ExplosionGuard,
@@ -64,6 +66,7 @@ from leavitt.structure import (
     graded_spectrum,
     witness_matrix_units,
     witness_paths,
+    witness_tree,
 )
 
 
@@ -381,6 +384,89 @@ def test_witness_target_is_first_with_count_n():
             firsts = [t for t, cnt in report.per_target if cnt == report.n]
             assert report.witness_target == firsts[0], seed
     assert bounded_index_report(corpus.clock(5)).witness_target == SinkTarget("w1")
+
+
+# -- the path tree and JSON index against the enumeration --------------------------
+
+def _path_json(p: Path) -> dict:
+    return {"base": p.base,
+            "edges": [{"bundle": e.bundle, "index": e.index} for e in p.edges]}
+
+
+def _assert_index_listing_matches_oracle(g, tmp_path, capsys) -> int:
+    """JSON index lists, path for path, the first n paths the enumeration
+    gives into the witness target; and at every target the tree holds the
+    enumeration's first paths, level by level, each path's parent being
+    that path minus its first edge.  Returns the number of paths listed."""
+    report = bounded_index_report(g)
+    if not isinstance(report, Bounded) or report.witness_target is None:
+        return 0
+    listed = {}
+    for target, cnt in report.per_target:
+        v = target.vertex if isinstance(target, SinkTarget) \
+            else g.src(target.cycle.edges[0])
+        paths = enumerate_paths_ending_at(g, v, len(g.vertices) * (cnt + 1))[:cnt]
+        tree = witness_tree(g, target, cnt)
+        assert len(tree) == cnt and tree.ends[-1] == cnt, target
+        assert tree.bases == [p.base for p in paths], target
+        assert tree.firsts[0] is None and tree.parents[0] == -1 and paths[0].edges == ()
+        starts = [0] + tree.ends[:-1]
+        for k, (lo, hi) in enumerate(zip(starts, tree.ends)):
+            assert lo < hi and all(len(paths[i]) == k for i in range(lo, hi)), target
+            for i in range(max(lo, 1), hi):
+                p, j = paths[i], tree.parents[i]
+                assert starts[k - 1] <= j < lo, (target, i)
+                assert tree.firsts[i] == p.edges[0], (target, i)
+                assert paths[j] == Path(g.dst(p.edges[0]), p.edges[1:]), (target, i)
+        listed[target] = paths
+    doc = tmp_path / "g.graph"
+    doc.write_text(canonical_document(g))
+    assert cli.main(["index", str(doc), "--format", "json"]) == 0
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert witness["paths"] == [_path_json(p) for p in listed[report.witness_target]]
+    return report.n
+
+
+@pytest.mark.parametrize("name", sorted(corpus.CORPUS))
+def test_index_listing_matches_oracle_on_fixtures(name, tmp_path, capsys):
+    _assert_index_listing_matches_oracle(corpus.CORPUS[name](), tmp_path, capsys)
+
+
+def test_index_listing_matches_oracle_on_random_graphs(tmp_path, capsys):
+    """200 bounded graphs with bundles of multiplicity up to 3, so that
+    some listed edges have index > 0."""
+    bounded, indexed = 0, 0
+    for seed in itertools.count():
+        g = random_graph(RandomSpec(seed=seed, max_mult=3))
+        report = bounded_index_report(g)
+        if not isinstance(report, Bounded):
+            continue
+        n = _assert_index_listing_matches_oracle(g, tmp_path, capsys)
+        if n:
+            firsts = witness_tree(g, report.witness_target, n).firsts[1:]
+            indexed += any(e.index > 0 for e in firsts)
+        bounded += 1
+        if bounded == 200:
+            break
+    assert indexed > 50
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_index_listing_matches_oracle_on_doubled_lines(k, tmp_path, capsys):
+    assert _assert_index_listing_matches_oracle(doubled_line(k), tmp_path, capsys) \
+        == 2 ** k - 1
+
+
+@pytest.mark.parametrize("m, t", [(1, 0), (1, 3), (2, 2), (3, 1), (4, 4), (6, 2)])
+def test_index_listing_matches_oracle_on_tailed_cycles(m, t, tmp_path, capsys):
+    """The listing stops short of a whole turn: the paths on the cycle end
+    one edge short of it, so the longest path has max(m - 1, t) edges."""
+    g = tailed_cycle(m, t)
+    assert _assert_index_listing_matches_oracle(g, tmp_path, capsys) == m + t
+    (c,) = component_cycles(g)
+    tree = witness_tree(g, CycleTarget(c), m + t)
+    assert len(tree.ends) == max(m, t + 1)
+    assert not any(contains_cycle(p.edges, c.edges) for p in tree.paths())
 
 
 # -- the trailing-run rule against the window test ---------------------------------
