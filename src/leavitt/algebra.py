@@ -367,8 +367,11 @@ def _normalize(table: _Kernel, raw: Iterable) -> dict:
     result.  A pending (p g)(q g)* is rewritten to
     p q* - sum over e != g of (p e)(q e)*: the (p e)(q e)* go straight
     into the result, as a sibling e of g is special nowhere, and p q* is
-    filed again.  Every rewrite order reaches the same normal form
-    (``oracle.normal_form_reference`` takes others)."""
+    filed again.  A special edge with no siblings (the one edge out of its
+    source, as on lines and exitless cycles) rewrites (p g)(q g)* to
+    p q* alone, so the whole run of such edges that p and q share at
+    their ends is stripped in one slice.  Every rewrite order reaches the
+    same normal form (``oracle.normal_form_reference`` takes others)."""
     rewrite = table.rewrite
     result: dict = {}
     pending = []
@@ -386,15 +389,22 @@ def _normalize(table: _Kernel, raw: Iterable) -> dict:
         (pb, pe, qb, qe), k = pending.pop()
         # (p g)(q g)*  ->  p q*  -  sum over e != g of (p e)(q e)*
         siblings = rewrite[pe[-1]]
-        pe, qe = pe[:-1], qe[:-1]
-        for span in siblings:
-            for e in span:
-                key = (pb, pe + (e,), qb, qe + (e,))
-                c = result.get(key, 0) - k
-                if c:
-                    result[key] = c
-                else:
-                    del result[key]
+        if siblings:
+            pe, qe = pe[:-1], qe[:-1]
+            for span in siblings:
+                for e in span:
+                    key = (pb, pe + (e,), qb, qe + (e,))
+                    c = result.get(key, 0) - k
+                    if c:
+                        result[key] = c
+                    else:
+                        del result[key]
+        else:  # strip the shared run of sibling-free special edges at once
+            j, most = 1, min(len(pe), len(qe))
+            while j < most and pe[-j - 1] == qe[-j - 1] \
+                    and rewrite.get(pe[-j - 1]) == ():
+                j += 1
+            pe, qe = pe[:-j], qe[:-j]
         key = (pb, pe, qb, qe)
         if pe and qe and pe[-1] == qe[-1] and pe[-1] in rewrite:
             pending.append((key, k))

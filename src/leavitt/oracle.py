@@ -599,16 +599,21 @@ def cross_check_index(g: Graph, trials: int = 500,
     The trials draw from one stream: the generator of the walk tables,
     seeded once with ``seed``, gives trial t's element as the next
     element of its stream, so trial 0 is ``random_element`` with that
-    seed and a check seeds no generator per trial.  An element drawn
-    again in a later trial reuses its first trial's verdict, resource
-    limits included, as the probe is a function of the element; the memo
-    holds at most ``trials`` entries.
+    seed and a check seeds no generator per trial.
 
     An element whose block trace (``structure.block_trace``) is nonzero is
     not nilpotent, and gets ``NotNilpotentWithin(bound)`` with no probe.
     This runs only when ``structure.trace_settles`` finds that no power
     the probe could form can pass a limit, so the probe would give that
-    verdict too, and the report is the probe's in every case."""
+    verdict too, and the report is the probe's in every case.  The trace
+    is read off the trial's raw draw, before it is normalized (tau is
+    linear, and its rule for a key needs no normal form), so a settled
+    trial builds no term map and no Element.
+
+    Every other trial is normalized and probed.  An element probed again
+    in a later trial reuses its first trial's verdict, resource limits
+    included, as the probe is a function of the element; the memo holds
+    at most ``trials`` entries, all of them probed elements."""
     report = structure.bounded_blocks(g).report
     n = report.n
     bound = n + 3
@@ -620,22 +625,22 @@ def cross_check_index(g: Graph, trials: int = 500,
     tables = walk_tables(g, seed)
     traces = (structure.trace_tables(g) if structure.trace_settles(
         g, bound, 2 * _TRIAL_PATH_LEN) else None)
-    settled = algebra.NotNilpotentWithin(bound)
-    verdicts = {}  # term map of a trial's element -> verdict, None for TooLarge
+    verdicts = {}  # term map of a probed element -> verdict, None for TooLarge
     for t in range(trials):
-        a = algebra.Element(g, algebra._normalize(table, _random_keys(
-            g, tables, _TRIAL_TERMS, _TRIAL_PATH_LEN)))
-        terms = frozenset(a._terms.items())
-        if terms in verdicts:
-            verdict = verdicts[terms]
-        elif traces is not None and structure.block_trace(traces, a._terms):
-            verdict = verdicts[terms] = settled
+        raw = _random_keys(g, tables, _TRIAL_TERMS, _TRIAL_PATH_LEN)
+        if traces is not None and structure.block_trace(traces, raw):
+            continue  # NotNilpotentWithin(bound), which counts nothing
+        terms = algebra._normalize(table, raw)
+        key = frozenset(terms.items())
+        if key in verdicts:
+            verdict = verdicts[key]
         else:
             try:
-                verdict = algebra.nilpotence_index(a, bound)
+                verdict = algebra.nilpotence_index(
+                    algebra.Element(g, terms), bound)
             except algebra.TooLarge:  # a power over the edge limit
                 verdict = None
-            verdicts[terms] = verdict
+            verdicts[key] = verdict
         if verdict is None or isinstance(verdict, algebra.ResourceLimit):
             limited += 1
         elif isinstance(verdict, algebra.NilpotentOfIndex):

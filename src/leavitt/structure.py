@@ -256,11 +256,15 @@ def trace_tables(g: Graph) -> tuple:
     return legs, at_range
 
 
-def block_trace(tables: tuple, terms: dict) -> dict:
-    """tau(a) = sum over targets T of tr M_T(a), for the term map of an
-    element a of a bounded graph's algebra, as {exponent: coefficient}
-    with no zero coefficient; ``tables`` are the graph's
-    :func:`trace_tables`.
+def block_trace(tables: tuple, pairs) -> dict:
+    """tau(a) = sum over targets T of tr M_T(a), for an element a of a
+    bounded graph's algebra given as (kernel key, coefficient) pairs, as
+    {exponent: coefficient} with no zero coefficient; ``tables`` are the
+    graph's :func:`trace_tables`.  The pairs may be a term map's
+    ``.items()`` or raw pairs, not normalized, with keys repeated or
+    cancelling: each key p q* with r(p) = r(q) gets the trace of its block
+    matrices, which the rule below reads with no use of normal form, and
+    tau is linear.
 
     The algebra is the direct sum of the M_t(K) and M_t(K[x,x^-1]), one
     block per sink or exitless cycle T, its rows the paths into T
@@ -277,7 +281,7 @@ def block_trace(tables: tuple, terms: dict) -> dict:
     nilpotent itself."""
     legs, at_range = tables
     tau: dict = {}
-    for (pb, pe, qb, qe), k in terms.items():
+    for (pb, pe, qb, qe), k in pairs:
         if pb != qb:
             continue
         if pe == qe:

@@ -97,3 +97,44 @@ def test_relabelling_changes_no_verdict(capsys, tmp_path):
     assert kinds["bounded", None] >= 60, kinds
     assert kinds["unbounded", "cycle_with_exit"] >= 60, kinds
     assert kinds["unbounded", "omega_path_family"] >= 5, kinds
+
+
+def _run(capsys, path: str, *args) -> tuple:
+    """(exit code, the JSON printed or None) of one command."""
+    code = cli.main([args[0], path, "--format", "json", *args[1:]])
+    out = capsys.readouterr().out
+    return code, json.loads(out) if out else None
+
+
+def _witness_and_check(capsys, g: Graph, path) -> tuple:
+    """What `witness` and `check --trials 20` print that no renaming may
+    change: witness's exit code, n, verified, Jordan index and provenance
+    kind; check's ok, n, witness index, vertices checked and mismatches.
+    The sampled counts depend on the order of the labels, and are left
+    out."""
+    path.write_text(canonical_document(g))
+    code, witness = _run(capsys, str(path), "witness")
+    if witness is not None:
+        witness = (witness["n"], witness["verified"], witness["jordan_index"],
+                   witness["provenance"]["kind"])
+    _, check = _run(capsys, str(path), "check", "--trials", "20")
+    sampling = check["sampling"] or {}
+    return (code, witness, check["ok"], sampling.get("n"),
+            sampling.get("witness_index"), check["dp_agreement"]["vertices_checked"],
+            check["dp_agreement"]["mismatches"])
+
+
+def test_relabelling_keeps_witness_and_check(capsys, tmp_path):
+    """On the fixtures and 240 seeds, `witness` and `check` agree before
+    and after renaming, and every check is ok."""
+    rng = random.Random(11)
+    kinds = Counter()
+    for i, g in enumerate(_graphs()):
+        h, _, _ = _relabelled(g, rng)
+        before = _witness_and_check(capsys, g, tmp_path / "g.graph")
+        assert before == _witness_and_check(capsys, h, tmp_path / "h.graph"), i
+        assert before[2] and before[6] == [], i
+        kinds[before[0], before[1] and before[1][3]] += 1
+    assert kinds[0, "acyclic_paths"] >= 100, kinds
+    assert kinds[0, "cycle_exit_powers"] >= 100, kinds
+    assert kinds[0, "no_exit_cycle_paths"] >= 5, kinds

@@ -772,6 +772,84 @@ def test_normalize_files_keys_as_the_reference_rewrites_them(which):
     assert {"expansion", "expansion, fractions"} <= seen and two_deep > 0
 
 
+def _back_walk(g, v, steps: int, rng) -> Path:
+    """A path of at most ``steps`` edges ending at v, walked back from v
+    by seeded choices of in-edge; shorter where it reaches a source."""
+    base, edges = v, []
+    for _ in range(steps):
+        ins = g.in_bundles(base)
+        if not ins:
+            break
+        b = rng.choice(ins)
+        edges.append(EdgeRef(b.id, rng.randrange(b.mult)))
+        base = b.src
+    return Path(base, tuple(reversed(edges)))
+
+
+def _long_run_graphs() -> list:
+    """line(60); exitless cycles with tails, where walks back wind round
+    the cycle; a line whose runs of lone edges are broken by bundles of
+    multiplicity 2, whose special edge has a sibling; and the doubled
+    line with k = 6, where every special edge has one."""
+    broken = Graph([f"u{i}" for i in range(1, 41)],
+                   [Bundle(f"e{i}", f"u{i}", f"u{i + 1}", 2 if i in (10, 25) else 1)
+                    for i in range(1, 40)])
+    return ([("line 60", corpus.line(60))]
+            + [(f"tailed cycle {m} {t}", tailed_cycle(m, t))
+               for m, t in ((1, 3), (3, 2), (4, 0), (5, 5))]
+            + [("broken line", broken), ("doubled line 6", doubled_line(6))])
+
+
+def _assert_normalizes_as_reference(g, raw, where) -> None:
+    """_normalize on the keys of the (Monomial, coefficient) pairs ``raw``
+    gives the reference's normal form, and zero with their negations."""
+    table = algebra._kernel(g)
+    keyed = [((m.p.base, algebra._path_key(g, m.p)[0],
+               m.q.base, algebra._path_key(g, m.q)[0]), k) for m, k in raw]
+    got = algebra._normalize(table, keyed)
+    assert algebra.Element(g, got).terms() == normal_form_reference(g, raw), where
+    assert algebra._normalize(
+        table, keyed + [(key, -k) for key, k in keyed]) == {}, where
+
+
+def test_normalize_strips_long_shared_runs_as_the_reference_does():
+    """algebra._normalize against oracle.normal_form_reference on keys p
+    q* whose paths share a long suffix, in lists of up to four keys and
+    in lists that cancel: suffixes of line(60), walks back round exitless
+    cycles, runs broken by an edge with a sibling, and tail c^k against
+    tail c^j on exitless cycles with tails."""
+    rng = random.Random(3)
+    long_runs = broken = 0
+    for name, g in _long_run_graphs():
+        for trial in range(40):
+            raw = []
+            for _ in range(rng.randint(1, 4)):
+                shared = _back_walk(g, rng.choice(g.vertices), rng.randint(0, 59), rng)
+                long_runs += len(shared.edges) >= 20
+                # a special edge with a sibling inside the shared run
+                broken += any(g.bundle(e.bundle).mult == 2 and e.index == 0
+                              for e in shared.edges[1:-1])
+                p0, q0 = (_back_walk(g, shared.base, rng.randint(0, 12), rng)
+                          for _ in range(2))
+                m = Monomial(Path(p0.base, p0.edges + shared.edges),
+                             Path(q0.base, q0.edges + shared.edges))
+                raw.append((m, rng.choice([-2, -1, 1, 3])))
+            _assert_normalizes_as_reference(g, raw, (name, trial))
+    assert long_runs > 100 and broken > 20, (long_runs, broken)
+    for m, t in ((1, 3), (3, 2), (4, 0), (5, 5)):
+        g = tailed_cycle(m, t)
+        c = tuple(EdgeRef(f"a{i:04d}") for i in range(m))
+        tails = [Path("c0000")] + [
+            Path(f"t{a}", tuple(EdgeRef(f"s{i}") for i in range(a - 1, t)))
+            for a in range(1, t + 1)]
+        for k in range(0, 40, 3):
+            for j in range(0, 40, 7):
+                p, q = rng.choice(tails), rng.choice(tails)
+                raw = [(Monomial(Path(p.base, p.edges + c * k),
+                                 Path(q.base, q.edges + c * j)), 1)]
+                _assert_normalizes_as_reference(g, raw, (m, t, k, j))
+
+
 def _contractions(left: dict, right: dict) -> set:
     """The kinds of (p q*)(r s*) contractions that a product of the two
     term maps meets, r starting where q does."""
@@ -1443,10 +1521,10 @@ def test_block_trace_is_the_sum_of_the_block_traces():
         tables = structure.trace_tables(g)
         one = algebra.identity_element(g)
         total = sum(cnt for _, cnt in bounded_index_report(g).per_target)
-        assert structure.block_trace(tables, one._terms) == {0: total}
+        assert structure.block_trace(tables, one._terms.items()) == {0: total}
         for s in range(6):
             a = random_element(g, RandomSpec(seed=100 * i + s))
-            assert structure.block_trace(tables, a._terms) == _trace_by_corners(g, a), (i, s)
+            assert structure.block_trace(tables, a._terms.items()) == _trace_by_corners(g, a), (i, s)
 
 
 def test_block_trace_is_a_linear_trace():
@@ -1457,7 +1535,7 @@ def test_block_trace_is_a_linear_trace():
         tables = structure.trace_tables(g)
 
         def tau(x):
-            return structure.block_trace(tables, x._terms)
+            return structure.block_trace(tables, x._terms.items())
 
         for s in range(8):
             a = random_element(g, RandomSpec(seed=2 * (100 * i + s)))
@@ -1482,12 +1560,43 @@ def test_trace_certificate_agrees_with_the_sequential_probe():
         for s in range(12):
             a = random_element(g, RandomSpec(seed=1000 * i + s))
             verdict = nilpotence_index_sequential(a, n + 1)
-            if structure.block_trace(tables, a._terms):
+            if structure.block_trace(tables, a._terms.items()):
                 settled += 1
                 assert verdict == algebra.NotNilpotentWithin(n + 1), (i, s)
             else:
                 nilpotent += isinstance(verdict, algebra.NilpotentOfIndex)
     assert settled > 2000 and nilpotent > 500, (settled, nilpotent)
+
+
+def test_block_trace_reads_raw_draws():
+    """tau of a trial's raw draw, not normalized, equals tau of its normal
+    form, and (on every 20th draw) tau by the corner products: 200 draws
+    on each bounded fixture, 300 bounded random graphs with multiplicities
+    up to 3, the doubled line with k <= 5 and cycles with tails.  A draw
+    with its keys repeated has twice its tau, and a draw followed by its
+    negation has tau 0."""
+    graphs = [corpus.CORPUS[name]() for name in sorted(SAMPLING_SEED_12345)]
+    graphs += _bounded_random_graphs(300, max_mult=3)
+    graphs += [doubled_line(k) for k in range(1, 6)]
+    graphs += [tailed_cycle(m, t) for m in (1, 2, 3, 5) for t in (0, 1, 3)]
+    settled = rewritten = 0
+    for i, g in enumerate(graphs):
+        table, traces = algebra._kernel(g), structure.trace_tables(g)
+        tables = oracle.walk_tables(g, i)
+        for s in range(200):
+            raw = oracle._random_keys(g, tables, 4, 3)
+            terms = algebra._normalize(table, raw)
+            tau = structure.block_trace(traces, raw)
+            assert tau == structure.block_trace(traces, terms.items()), (i, s)
+            if s % 20 == 0:
+                assert tau == _trace_by_corners(g, algebra.Element(g, terms)), (i, s)
+            assert structure.block_trace(traces, raw + raw) == \
+                {d: 2 * k for d, k in tau.items()}, (i, s)
+            assert structure.block_trace(
+                traces, raw + [(key, -k) for key, k in raw]) == {}, (i, s)
+            settled += bool(tau)
+            rewritten += any(key not in terms for key, _ in raw)
+    assert settled > 40_000 and rewritten > 10_000, (settled, rewritten)
 
 
 def _count_probes(monkeypatch) -> list:
@@ -1676,3 +1785,54 @@ def test_cross_check_product_count_is_guarded(monkeypatch):
     assert len(probes) <= PROBES_LINE4_CERTIFIED
     assert len(products) <= PRODUCTS_LINE4_CERTIFIED < PRODUCTS_LINE4 \
         < PRODUCTS_LINE4_UNMEMOISED < PRODUCTS_LINE4_NO_EXIT
+
+
+# algebra._normalize calls of the same check: as the code stands, with the
+# trace read off each trial's raw draw, and with every trial normalized
+# before its trace is read
+NORMALIZE_LINE4_RAW_TRACE = 326
+NORMALIZE_LINE4 = 505
+
+
+def test_settled_trials_are_not_normalized(monkeypatch):
+    """The check of line4 (300 trials, seed 7) calls _normalize at most
+    NORMALIZE_LINE4_RAW_TRACE times.  Its trials normalize exactly the
+    raw draws whose block trace is 0, by identity and in order, and build
+    one Element per distinct normal form among them, each of trace 0; a
+    draw with a nonzero trace builds none."""
+    g = load_graph(fixture_path("line4"))
+    draws, normalized, built = [], [], []
+    draw, normalize, init = oracle._random_keys, algebra._normalize, algebra.Element.__init__
+
+    def recording(*args):
+        draws.append(draw(*args))
+        return draws[-1]
+
+    def counting(table, raw):
+        normalized.append(raw)
+        return normalize(table, raw)
+
+    def building(self, graph, terms):
+        built.append(terms)
+        init(self, graph, terms)
+
+    monkeypatch.setattr(oracle, "_random_keys", recording)
+    monkeypatch.setattr(algebra, "_normalize", counting)
+    monkeypatch.setattr(algebra.Element, "__init__", building)
+    cross_check_index(g, trials=0, seed=7)
+    witness_built = len(built)
+    normalized.clear()
+    built.clear()
+    cross_check_index(g, trials=300, seed=7)
+    assert len(normalized) <= NORMALIZE_LINE4_RAW_TRACE < NORMALIZE_LINE4
+    traces = structure.trace_tables(g)
+    open_draws = [raw for raw in draws if not structure.block_trace(traces, raw)]
+    assert len(draws) == 300 and 0 < len(open_draws) < 200
+    drawn = {id(raw) for raw in draws}
+    trial_raw = [raw for raw in normalized if id(raw) in drawn]
+    assert len(trial_raw) == len(open_draws)
+    assert all(x is y for x, y in zip(trial_raw, open_draws))
+    trial_built = built[:len(built) - witness_built]
+    assert len(trial_built) == len({frozenset(normalize(algebra._kernel(g), raw).items())
+                                    for raw in open_draws})
+    assert not any(structure.block_trace(traces, terms.items()) for terms in trial_built)
