@@ -211,7 +211,7 @@ def coefficient_text(k) -> str:
     try:
         return str(k)
     except ValueError:  # the interpreter's integer string conversion limit
-        raise TooLarge("coefficient has more than "
+        raise TooLarge("number has more than "
                        f"{sys.get_int_max_str_digits()} digits") from None
 
 

@@ -59,22 +59,6 @@ class _Memo(dict):
         return value
 
 
-class _EdgeTexts(dict):
-    """The JSON object texts of edges at one indentation, each built on
-    first lookup: keyed by the bundle id for index 0, the common case, and
-    by (bundle id, index) for any other index."""
-
-    __slots__ = ("indent",)
-
-    def __init__(self, indent: str):
-        self.indent = indent
-
-    def __missing__(self, key):
-        bundle, index = key if type(key) is tuple else (key, 0)
-        text = self[key] = _edge_text(bundle, index, self.indent)
-        return text
-
-
 def _edge_text(bundle: str, index: int, indent: str) -> str:
     """The JSON object text of the edge (bundle, index) at indent."""
     inner = indent + "  "
@@ -95,9 +79,6 @@ def _dict_form(key: tuple) -> tuple:
 # smaller document in one), so it is never held whole as text.
 _BATCH = 1 << 16
 
-# The containers that _json_chunks writes piece by piece when nonempty.
-_STREAMED = (dict, list, tuple, structure.PathTree)
-
 
 def _dumps(obj) -> str:
     """The bytes of the stdlib's ``json.dumps(obj, indent=2,
@@ -112,23 +93,26 @@ def _json_chunks(obj, end: str = ""):
     indent; with one, it walks several Python generator frames per value,
     and a listing of n witness paths has Theta(n L) edges.
 
-    This generator walks only the outer containers: the top value, and the
+    One table, keyed by exact type, maps each value to its whole text at
+    an indentation.  Strings print through ``_quote``, ints through
+    ``algebra.coefficient_text`` (a count past the digit limit is
+    TooLarge), bools and None as their words.  A dict fills a %-template
+    built once per key tuple and indentation, and a list or tuple is one
+    join.  The records print as leaves, each one f-string: an EdgeRef is
+    ``{"bundle": ..., "index": ...}``, built once per edge and
+    indentation, a Path ``{"base": ..., "edges": [...]}``, a Cycle
+    ``{"edges": [...]}`` and a TargetCount ``{"count": ..., "kind":
+    "sink", "vertex": ...}`` or ``{"count": ..., "cycle": ..., "kind":
+    "cycle"}``.  A PathTree prints as its list of paths (see
+    :func:`_tree_pieces`).  Any other type falls back to ``json.dumps``.
+
+    The generator walks only the outer containers: the top value, and the
     nonempty dicts, lists, tuples and path trees reached from it through
-    dicts.  Each element of such a list is rendered whole, as one string,
-    by a plain recursive function, and the pending text is written once it
-    reaches _BATCH characters.  JSON is built from string templates: a dict
-    fills a %-template built once per key tuple and indentation, and a list
-    or tuple is one join.  The records print as leaves, each one f-string
-    at its indentation: an EdgeRef is the object ``{"bundle": ...,
-    "index": ...}``, whose text is built once per edge and indentation, a
-    Path is ``{"base": ..., "edges": [...]}``, a Cycle ``{"edges": [...]}``
-    and a TargetCount ``{"count": ..., "kind": "sink", "vertex": ...}`` or
-    ``{"count": ..., "cycle": ..., "kind": "cycle"}``.  A PathTree prints
-    as the list of its paths, each path's edge-list text built from its
-    first edge's text and its parent's (see :func:`_tree_pieces`).  Dicts
-    (text keys, sorted), lists and tuples nest; strings, ints, bools and
-    None print inline; anything else falls back to ``json.dumps``."""
-    edges, forms = _Memo(_EdgeTexts), _Memo(_dict_form)
+    dicts, written key by key and element by element, each element
+    rendered whole through the table.  The pending text is written once
+    it reaches _BATCH characters."""
+    edges = _Memo(lambda indent: _Memo(lambda e: _edge_text(*e, indent)))
+    forms = _Memo(_dict_form)
 
     def edge_list(es: tuple, indent: str) -> str:
         """The text of EdgeRefs es, a path's or a cycle's edges."""
@@ -136,8 +120,7 @@ def _json_chunks(obj, end: str = ""):
             return "[]"
         inner = indent + "  "
         texts = edges[inner]
-        items = [texts[e.bundle] if e.index == 0 else texts[e.bundle, e.index]
-                 for e in es]
+        items = [texts[e.bundle, e.index] for e in es]
         return f"[{inner}{(',' + inner).join(items)}{indent}]"
 
     def path(p: Path, indent: str) -> str:
@@ -151,71 +134,44 @@ def _json_chunks(obj, end: str = ""):
 
     def target_count(r: structure.TargetCount, indent: str) -> str:
         inner = indent + "  "
-        head = f'{{{inner}"count": {int.__repr__(r.count)},{inner}'
+        head = f'{{{inner}"count": {algebra.coefficient_text(r.count)},{inner}'
         t = r.target
         if type(t) is SinkTarget:
             return f'{head}"kind": "sink",{inner}"vertex": {_quote(t.vertex)}{indent}}}'
         return f'{head}"cycle": {cycle(t.cycle, inner)},{inner}"kind": "cycle"{indent}}}'
 
-    def render(o, indent: str) -> str:  # indent: newline plus o's level's spaces
-        """The whole text of o."""
-        t = type(o)
-        if t is str:
-            return _quote(o)
-        if t is dict:
-            if not o:
-                return "{}"
-            order, form = forms[tuple(o), indent]
-            inner = indent + "  "
-            return form % tuple([_quote(x) if type(x) is str else render(x, inner)
-                                 for x in map(o.__getitem__, order)])
-        if t is list or t is tuple:
-            if not o:
-                return "[]"
-            inner = indent + "  "
-            items = [_quote(x) if type(x) is str else render(x, inner) for x in o]
-            return f"[{inner}{(',' + inner).join(items)}{indent}]"
-        if t is structure.PathTree:
-            return "".join(_tree_pieces(o, indent))
-        if t is EdgeRef:
-            return edges[indent][o.bundle, o.index]
-        if t is Path:
-            return path(o, indent)
-        if t is Cycle:
-            return cycle(o, indent)
-        if t is structure.TargetCount:
-            return target_count(o, indent)
-        if t is int:
-            return int.__repr__(o)
-        if o is None:
-            return "null"
-        if o is True:
-            return "true"
-        if o is False:
-            return "false"
-        return json.dumps(o)
-
-    def pieces(o, indent: str):
-        """The text of o, a nonempty list or tuple, in pieces: the brackets,
-        the separators and the whole text of each element."""
+    def mapping(o: dict, indent: str) -> str:
+        if not o:
+            return "{}"
+        order, form = forms[tuple(o), indent]
         inner = indent + "  "
-        known, sep, comma = edges[inner], "[" + inner, "," + inner
-        for x in o:
-            yield sep
-            sep = comma
-            t = type(x)
-            if t is Path:  # a witness listing
-                yield path(x, inner)
-            elif t is str:
-                yield _quote(x)
-            elif t is EdgeRef:
-                yield known[x.bundle] if x.index == 0 else known[x.bundle, x.index]
-            elif t is structure.TargetCount:
-                yield target_count(x, inner)
-            else:
-                yield render(x, inner)
-        yield indent + "]"
+        return form % tuple([_quote(x) if type(x) is str else kinds[type(x)](x, inner)
+                             for x in map(o.__getitem__, order)])
 
+    def sequence(o, indent: str) -> str:
+        if not o:
+            return "[]"
+        inner = indent + "  "
+        items = [_quote(x) if type(x) is str else kinds[type(x)](x, inner) for x in o]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]"
+
+    # type -> f(value, indent: a newline and spaces) -> the value's text
+    kinds = _Memo(lambda t: lambda o, indent: json.dumps(o))  # any other type
+    kinds.update({
+        str: lambda o, indent: _quote(o),
+        int: lambda o, indent: algebra.coefficient_text(o),
+        bool: lambda o, indent: "true" if o else "false",
+        type(None): lambda o, indent: "null",
+        dict: mapping,
+        list: sequence,
+        tuple: sequence,
+        structure.PathTree: lambda o, indent: "".join(_tree_pieces(o, indent)),
+        EdgeRef: lambda o, indent: edges[indent][o.bundle, o.index],
+        Path: path,
+        Cycle: cycle,
+        structure.TargetCount: target_count,
+    })
+    streamed = (dict, list, tuple, structure.PathTree)
     out, size = [], 0
 
     def write(o, indent: str):
@@ -227,26 +183,33 @@ def _json_chunks(obj, end: str = ""):
             sep, comma = "{" + inner, "," + inner
             for k, x in sorted(o.items()):
                 out.append(f"{sep}{_quote(k)}: ")
-                if type(x) in _STREAMED and x:
+                if type(x) in streamed and x:
                     yield from write(x, inner)
                 else:
-                    out.append(render(x, inner))
+                    out.append(_quote(x) if type(x) is str else kinds[type(x)](x, inner))
                 sep = comma
             out.append(indent + "}")
+            return
+        if type(o) is structure.PathTree:
+            texts, close = _tree_pieces(o, indent), ""
         else:
-            split = _tree_pieces if type(o) is structure.PathTree else pieces
-            for text in split(o, indent):
-                out.append(text)
-                size += len(text)
-                if size >= _BATCH:
-                    yield "".join(out)
-                    out.clear()
-                    size = 0
+            texts = (f"{',' if i else '['}{inner}"
+                     f"{_quote(x) if type(x) is str else kinds[type(x)](x, inner)}"
+                     for i, x in enumerate(o))
+            close = indent + "]"
+        for text in texts:
+            out.append(text)
+            size += len(text)
+            if size >= _BATCH:
+                yield "".join(out)
+                out.clear()
+                size = 0
+        out.append(close)
 
-    if type(obj) in _STREAMED and obj:
+    if type(obj) in streamed and obj:
         yield from write(obj, "\n")
     else:
-        out.append(render(obj, "\n"))
+        out.append(kinds[type(obj)](obj, "\n"))
     out.append(end)
     yield "".join(out)
 
@@ -304,7 +267,7 @@ def _emit(args, payload: dict, text_lines: list) -> None:
 
 
 def _factor_text(f: structure.Factor) -> str:
-    return f"M_{f.size}({f.base})"
+    return f"M_{algebra.coefficient_text(f.size)}({f.base})"
 
 
 # -- commands -------------------------------------------------------------------
@@ -377,8 +340,9 @@ def _cmd_index(args) -> int:
         }
         target = report.witness_target
         if args.format == "text":  # text lists no paths
-            lines = [f"Bounded n={report.n}"]
+            lines = [f"Bounded n={algebra.coefficient_text(report.n)}"]
             for t, c in report.per_target:
+                c = algebra.coefficient_text(c)
                 if isinstance(t, SinkTarget):
                     lines.append(f"  sink {t.vertex}: {c}")
                 else:

@@ -603,27 +603,18 @@ def _components(g: Graph) -> _Components:
 
 
 def _vertex_cycles(g: Graph) -> list:
-    """Elementary vertex cycles, each once, minimal vertex first, listed by
-    their minimal vertex.  Each search stays inside its start vertex's
-    strongly connected component, and starts only in a component with a
-    bundle inside it.  A component whose inside multiplicity equals its
-    size is one cycle: it is walked once, from its least vertex, in time
-    linear in its size (a search from each vertex would take quadratic
-    time)."""
+    """Elementary vertex cycles of the components holding more than one
+    cycle, each once, minimal vertex first, listed by their minimal
+    vertex.  Each search stays inside its start vertex's strongly
+    connected component, and starts only in a component whose inside
+    multiplicity exceeds its size (one that equals its size is a single
+    cycle, which :func:`component_cycles` walks)."""
     s = _components(g)
     comp, inner, members, succ = s.comp, s.inner, s.members, g._succ
     found = []
     for start in g.vertices:
         i = comp[start]
-        if inner[i] == 0:
-            continue
-        if inner[i] == len(members[i]):
-            if start == members[i][0]:  # members are sorted
-                trail, v = [], start
-                while not trail or v != start:
-                    trail.append(v)
-                    v = next(w for w in succ[v] if comp[w] == i)
-                found.append(trail)
+        if inner[i] == 0 or inner[i] == len(members[i]):
             continue
         trail, on_trail = [start], {start}
         work = [iter(succ[start])]
@@ -654,7 +645,7 @@ def cycles(g: Graph) -> list:
         if b.mult is OMEGA and comp[b.src] == comp[b.dst]:
             raise CycleThroughOmegaBundle(
                 f"omega bundle {b.id!r} lies on a closed walk")
-    out = []
+    out = component_cycles(g)  # each single-cycle component walked once
     for vcyc in _vertex_cycles(g):
         # one cycle per choice of parallel edge along each arc
         arcs = zip(vcyc, vcyc[1:] + vcyc[:1])

@@ -621,6 +621,25 @@ def test_eval_resource_limits(expr, fmt, capsys):
     assert err.startswith("resource limit: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["index", "text"], ["decompose", "text"],
+                                  ["decompose", "json"], ["ideals", "text"],
+                                  ["ideals", "json"]])
+def test_counts_past_the_digit_limit_are_resource_limits(argv, capsys, tmp_path):
+    """The doubled line of 2300 vertices has n = 2^2300 - 1 paths into its
+    end, 693 digits: over a digit limit of 640, each command that prints
+    that count exits 2 before it prints anything.  (JSON index and witness
+    list all n paths first; they are not run here.)"""
+    doc = _line_document(tmp_path, 2300, mult=2)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, argv[0], doc, "--format", argv[1])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2 and out == ""
+    assert err.startswith("resource limit: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_eval_probe_refuses_a_power_over_the_edge_limit(fmt, capsys, monkeypatch):
     """The loop e is never nilpotent: the probe squares it up to the first
@@ -912,6 +931,39 @@ def test_json_writes_are_bounded(monkeypatch, tmp_path):
     assert len(json.loads(out)["witness"]["paths"]) == 300
     assert len(writes) > 2 and min(map(len, writes[:-1])) >= cli._BATCH
     assert max(map(len, writes)) <= 256 * 1024
+
+
+def test_json_witness_legs_stream(monkeypatch, tmp_path):
+    """JSON witness on the doubled line with k=9 streams its list of 511
+    legs, each a Path rendered through the writer's table: every write but
+    the last holds at least _BATCH characters."""
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(["witness", _line_document(tmp_path, 9, mult=2), "--format", "json"]) == 0
+    out = "".join(writes)
+    assert out == _reference_dump(json.loads(out)) + "\n"
+    assert len(json.loads(out)["provenance"]["paths"]) == 511
+    assert len(writes) > 1 and min(map(len, writes[:-1])) >= cli._BATCH
+
+
+def test_no_payload_reaches_the_fallback(capsys, monkeypatch):
+    """The writer's table covers every value the CLI prints: with its
+    ``json.dumps`` fallback made to raise, every command prints on every
+    fixture exactly what it printed before."""
+    commands = [argv + ["--format", "json"] for name in sorted(corpus.CORPUS)
+                for argv in _json_commands(name)]
+    before = [run(capsys, *argv) for argv in commands]
+
+    def fallback(obj, *args, **kwargs):
+        raise AssertionError(f"the writer fell back on {obj!r}")
+
+    monkeypatch.setattr(cli, "json", type("Json", (), {"dumps": staticmethod(fallback)}))
+    assert [run(capsys, *argv) for argv in commands] == before
 
 
 def test_json_index_memory_is_bounded(monkeypatch, tmp_path):

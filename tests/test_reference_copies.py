@@ -3,7 +3,8 @@
 ``parse_graph_document`` now checks each edge in one loop and runs
 ``validate`` only when that loop saw an undeclared endpoint or a duplicate
 id; ``_components`` emits a successor-free vertex where it meets it, and
-``_vertex_cycles`` searches only components with a bundle inside.  The
+``cycles`` walks each single-cycle component once and searches only the
+components holding more than one cycle.  The
 copies below are the straightforward forms they replace: the loader that
 validated every graph, and the passes that gave every vertex a DFS frame
 and a cycle search.  Both forms must agree on every input.
@@ -51,7 +52,6 @@ from leavitt.graph import (
     Record,
     SinkTarget,
     _components,
-    _vertex_cycles,
     cycles,
 )
 from leavitt.graphio import (
@@ -390,7 +390,6 @@ def test_component_pass_matches_reference():
         s = _components(g)
         assert (s.comp, s.members, s.inner, s.sinks, s.paths) == \
             _reference_components(g), g
-        assert _vertex_cycles(g) == _reference_vertex_cycles(g), g
         try:
             got = cycles(g)
         except CycleThroughOmegaBundle:
@@ -416,7 +415,7 @@ def test_single_cycle_components_are_walked_once():
     not searched from each of its vertices: on a 300-cycle visiting its
     vertices in a shuffled order, beside a 3-cycle, a loop, a component of
     two cycles and tails into each, the cycles come out as the search from
-    every vertex lists them, with O(V) successor lookups."""
+    every vertex lists them, with O(V) successor and out-bundle lookups."""
     rng = random.Random(7)
     ring = [f"c{i:03d}" for i in range(300)]
     rng.shuffle(ring)
@@ -427,11 +426,11 @@ def test_single_cycle_components_are_walked_once():
     bundles = [Bundle(f"e{i}", u, v) for i, (u, v) in enumerate(arcs)]
     g = Graph({v for arc in arcs for v in arc}, bundles)
     _components(g)
-    g._succ = counting = _CountingDict(g._succ)
-    found = _vertex_cycles(g)
-    assert found == _reference_vertex_cycles(g)
-    assert sorted(map(len, found)) == [1, 2, 2, 3, 300]
-    assert counting.lookups <= 2 * len(g.vertices)
+    g._succ, g._out = succ, out = _CountingDict(g._succ), _CountingDict(g._out)
+    found = cycles(g)
+    assert found == _reference_cycles(g)
+    assert sorted(len(c.edges) for c in found) == [1, 2, 2, 3, 300]
+    assert succ.lookups + out.lookups <= 2 * len(g.vertices)
 
 
 def test_component_graphs_cover_the_shapes():
