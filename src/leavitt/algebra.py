@@ -96,11 +96,11 @@ class _Kernel:
     and step W, the number of omega bundles, for an omega bundle (mult is
     None then).  ``rewrite`` maps the id of each regular vertex's special
     edge to the ids of the other edges out of that vertex, one ``range``
-    per out-bundle, so a monomial is reducible exactly when both its paths
-    end in a key of ``rewrite``."""
+    per out-bundle, and ``fanout`` maps it to their number; a monomial is
+    reducible exactly when both its paths end in a key of ``rewrite``."""
 
     __slots__ = ("first", "offsets", "finite", "nfin", "omega", "rewrite",
-                 "special")
+                 "fanout", "special")
 
     def __init__(self, g: Graph):
         # bundles are sorted by id, so the ids follow EdgeRef order
@@ -117,6 +117,7 @@ class _Kernel:
         self.first.update((bid, (self.nfin + j, len(self.omega), None))
                           for j, bid in enumerate(self.omega))
         self.rewrite = {}   # special edge id -> ranges of its siblings' ids
+        self.fanout = {}    # special edge id -> number of its siblings
         self.special = dict.fromkeys(g.vertices)  # vertex -> EdgeRef | None
         for v, out in g._out.items():
             if not out or any(b.mult is OMEGA for b in out):
@@ -126,6 +127,7 @@ class _Kernel:
             special = spans[0][0]
             spans[0] = spans[0][1:]
             self.rewrite[special] = tuple(r for r in spans if r)
+            self.fanout[special] = sum(map(len, spans))
             self.special[v] = EdgeRef(out[0].id, 0)
 
     def edge_ref(self, i: int) -> EdgeRef:
@@ -371,8 +373,11 @@ def _normalize(table: _Kernel, raw: Iterable) -> dict:
     source, as on lines and exitless cycles) rewrites (p g)(q g)* to
     p q* alone, so the whole run of such edges that p and q share at
     their ends is stripped in one slice.  Every rewrite order reaches the
-    same normal form (``oracle.normal_form_reference`` takes others)."""
-    rewrite = table.rewrite
+    same normal form (``oracle.normal_form_reference`` takes others).
+
+    Raises TooLarge before a rewrite whose siblings alone would add more
+    than TERM_LIMIT (read at call time) terms."""
+    rewrite, fanout, limit = table.rewrite, table.fanout, TERM_LIMIT
     result: dict = {}
     pending = []
     for key, k in raw:
@@ -390,6 +395,9 @@ def _normalize(table: _Kernel, raw: Iterable) -> dict:
         # (p g)(q g)*  ->  p q*  -  sum over e != g of (p e)(q e)*
         siblings = rewrite[pe[-1]]
         if siblings:
+            if fanout[pe[-1]] > limit:
+                raise TooLarge(f"a rewrite at bundle {table.edge_ref(pe[-1]).bundle!r} "
+                               f"adds {fanout[pe[-1]]} terms, over the limit of {limit}")
             pe, qe = pe[:-1], qe[:-1]
             for span in siblings:
                 for e in span:
@@ -516,7 +524,7 @@ class _Verdict(Exception):
     verdict it carries."""
 
 
-TERM_LIMIT = 10 ** 6  # terms of a power, past which the probe gives ResourceLimit
+TERM_LIMIT = 10 ** 6  # terms of a probed power, and of the siblings a rewrite adds
 
 
 def _ladder(a: Element, k: int, check=None) -> tuple:

@@ -14,9 +14,10 @@ a cycle with one of its exits.
 The structural predicates (cycle vertices, Conditions (K) and (L), downward
 directedness, path counts) read one cached pass per graph: Tarjan's strongly
 connected components without recursion, then one dynamic program over the
-condensation in topological order.  A vertex without successors is its own
-component, emitted where the search meets it with no DFS frame, and cycle
-searches start only in components with a bundle inside.
+condensation, which lists the *loops* (components that are one cycle) and
+the *tangles* (more cycles, or an omega bundle).  A vertex without
+successors is its own component, emitted where the search meets it with
+no DFS frame, and cycle searches start only in tangles.
 
 A vertex is read through its total out-multiplicity,
 :meth:`Graph.out_degree`: 0 at a sink, OMEGA at an infinite emitter, a
@@ -331,7 +332,7 @@ class Graph:
     per-edge checks have seen a fault.
     """
 
-    __slots__ = ("vertices", "bundles", "_by_id", "_out", "_into", "_succ", "_deg",
+    __slots__ = ("vertices", "bundles", "_by_id", "_out", "_into", "_deg",
                  "_scc", "_kernel", "_blocks")
 
     def __init__(self, vertices: Iterable[str], bundles: Iterable[Bundle] = ()):
@@ -346,20 +347,16 @@ class Graph:
                 out[src].append(b)
             if dst in into:
                 into[dst].append(b)
-        # successors and out-degrees (see out_degree), one vertex at a time;
-        # only a vertex with two or more out-bundles sorts or sums
-        succ, deg = {}, {}
+        # out-degrees (see out_degree); only two or more out-bundles sum
+        deg = self._deg = {}
         for v, bs in out.items():
             if len(bs) == 1:
-                b = bs[0]
-                succ[v], deg[v] = ((b.dst,) if b.dst in out else ()), b.mult
+                deg[v] = bs[0].mult
             elif bs:
-                succ[v] = sorted({b.dst for b in bs if b.dst in out})
                 mults = [b.mult for b in bs]
                 deg[v] = OMEGA if OMEGA in mults else sum(mults)
             else:
-                succ[v], deg[v] = (), 0
-        self._succ, self._deg = succ, deg
+                deg[v] = 0
         self._scc = None  # _Components, filled in on first use
         self._kernel = None  # algebra._Kernel, filled in on first use
         self._blocks = None  # structure.Blocks, filled in on first use
@@ -515,42 +512,48 @@ class _Components(NamedTuple):
     them; built once per graph by :func:`_components`."""
 
     comp: dict      # vertex -> index into members
-    members: list   # vertex lists, in topological order (sources first)
-    inner: list     # multiplicity of the bundles inside each component
+    members: list   # sorted vertex lists, in Tarjan's order (sinks first)
+    loops: list     # indices of the components that are one cycle
+    tangles: list   # indices of those with more cycles, or an omega bundle
     sinks: int      # components that no bundle leaves
-    paths: dict     # vertex -> number of paths ending there
-    # multiplicities and counts are ints or OMEGA
+    paths: dict     # vertex -> number of paths ending there, an int or OMEGA
 
 
 def _components(g: Graph) -> _Components:
     """Tarjan's algorithm with an explicit stack, then one pass over the
-    condensation in topological order; cached on the graph.
+    condensation; cached on the graph, and the one place that decides
+    which components are cycles.
 
     A vertex without successors is a component of its own: it is emitted
     where the search first meets it, which is where Tarjan's algorithm
-    would emit it, and it takes neither a stack entry nor a work frame."""
+    would emit it, and it takes neither a stack entry nor a work frame.
+    Tarjan emits a component after every component it reaches, so every
+    bundle between two components goes from the later index to the
+    earlier.  A component with k vertices and a bundle inside holds at
+    least k edges: it is a loop with exactly k, a tangle with more."""
     if g._scc is not None:
         return g._scc
-    succ = g._succ
+    out = g._out
     index, low, comp, found, stack = {}, {}, {}, [], []
     for root in g.vertices:
         if root in index:
             continue
         index[root] = low[root] = len(index)
-        if not succ[root]:
+        if not out[root]:
             comp[root] = len(found)
             found.append([root])
             continue
         stack.append(root)
-        work = [(root, iter(succ[root]))]
+        work = [(root, iter(out[root]))]
         while work:
             v, it = work[-1]
-            for w in it:
+            for b in it:
+                w = b.dst
                 if w not in index:
-                    if succ[w]:
+                    if out[w]:
                         index[w] = low[w] = len(index)
                         stack.append(w)
-                        work.append((w, iter(succ[w])))
+                        work.append((w, iter(out[w])))
                         break
                     index[w] = len(index)
                     comp[w] = len(found)
@@ -568,9 +571,6 @@ def _components(g: Graph) -> _Components:
                         members.append(stack.pop())
                         comp[members[-1]] = len(found)
                     found.append(sorted(members))
-    # Tarjan emits a component after every component it reaches
-    found.reverse()
-    comp = {v: len(found) - 1 - i for v, i in comp.items()}
 
     inner = [0] * len(found)
     left = [False] * len(found)
@@ -580,49 +580,46 @@ def _components(g: Graph) -> _Components:
             left[i] = True
         elif inner[i] is not OMEGA:
             inner[i] = OMEGA if b.mult is OMEGA else inner[i] + b.mult
+    loops = [i for i, k in enumerate(inner) if k == len(found[i])]
+    tangles = [i for i, k in enumerate(inner) if k and k != len(found[i])]
 
     # paths ending at v: 1 + sum of mult * paths(src) over the bundles into
     # v, omega absorbing, where a source on a cycle feeds omega many (pump
-    # the cycle).  All vertices of a component that is one simple cycle
-    # share the sum of their own counts; any richer component gives omega.
+    # the cycle), sources first.  All vertices of a loop share the sum of
+    # their own counts; a tangle gives omega.
     paths, feed, into = {}, {}, g._into
-    for i, members in enumerate(found):
+    for i, members in reversed(list(enumerate(found))):
         cnt = len(members)  # the trivial path at each member
         for v in members:
             for b in into[v]:
                 if comp[b.src] != i and cnt is not OMEGA:
                     f = feed[b.src]
                     cnt = OMEGA if f is OMEGA or b.mult is OMEGA else cnt + b.mult * f
-        cyclic = inner[i] != 0
-        if cyclic and inner[i] != len(members):
+        if inner[i] and inner[i] != len(members):
             cnt = OMEGA
         for v in members:
-            paths[v], feed[v] = cnt, (OMEGA if cyclic else cnt)
-    g._scc = _Components(comp, found, inner, left.count(False), paths)
+            paths[v], feed[v] = cnt, (OMEGA if inner[i] else cnt)
+    g._scc = _Components(comp, found, loops, tangles, left.count(False), paths)
     return g._scc
 
 
 def _vertex_cycles(g: Graph) -> list:
-    """Elementary vertex cycles of the components holding more than one
-    cycle, each once, minimal vertex first, listed by their minimal
-    vertex.  Each search stays inside its start vertex's strongly
-    connected component, and starts only in a component whose inside
-    multiplicity exceeds its size (one that equals its size is a single
-    cycle, which :func:`component_cycles` walks)."""
+    """Elementary vertex cycles of the tangles, each once, minimal vertex
+    first, listed by their minimal vertex.  The searches read one map of
+    each tangle vertex's distinct successors in its own component (a
+    loop is one cycle, which :func:`component_cycles` walks)."""
     s = _components(g)
-    comp, inner, members, succ = s.comp, s.inner, s.members, g._succ
+    succ = {v: list(dict.fromkeys(b.dst for b in g._out[v] if s.comp[b.dst] == i))
+            for i in s.tangles for v in s.members[i]}
     found = []
-    for start in g.vertices:
-        i = comp[start]
-        if inner[i] == 0 or inner[i] == len(members[i]):
-            continue
+    for start in sorted(succ):
         trail, on_trail = [start], {start}
         work = [iter(succ[start])]
         while work:
             for nxt in work[-1]:
                 if nxt == start:
                     found.append(trail[:])
-                elif nxt > start and nxt not in on_trail and comp[nxt] == i:
+                elif nxt > start and nxt not in on_trail:
                     trail.append(nxt)
                     on_trail.add(nxt)
                     work.append(iter(succ[nxt]))
@@ -645,7 +642,7 @@ def cycles(g: Graph) -> list:
         if b.mult is OMEGA and comp[b.src] == comp[b.dst]:
             raise CycleThroughOmegaBundle(
                 f"omega bundle {b.id!r} lies on a closed walk")
-    out = component_cycles(g)  # each single-cycle component walked once
+    out = component_cycles(g)  # each loop walked once
     for vcyc in _vertex_cycles(g):
         # one cycle per choice of parallel edge along each arc
         arcs = zip(vcyc, vcyc[1:] + vcyc[:1])
@@ -657,15 +654,14 @@ def cycles(g: Graph) -> list:
 
 
 def component_cycles(g: Graph) -> list:
-    """The cycles that form a whole strongly connected component (one per
-    component whose inside multiplicity equals its vertex count), in
-    canonical rotation and sorted as :func:`cycles` sorts.  When no cycle
-    has an exit these are all the cycles of the graph."""
+    """The cycles that form a whole strongly connected component, one per
+    loop of the component table, in canonical rotation and sorted as
+    :func:`cycles` sorts.  When no cycle has an exit these are all the
+    cycles of the graph."""
     s = _components(g)
     out = []
-    for i, members in enumerate(s.members):
-        if s.inner[i] != len(members):
-            continue
+    for i in s.loops:
+        members = s.members[i]
         edges, v = [], members[0]
         while not edges or v != members[0]:
             b = next(b for b in g._out[v] if s.comp[b.dst] == i)
@@ -678,54 +674,48 @@ def component_cycles(g: Graph) -> list:
 
 def vertices_on_cycles(g: Graph) -> frozenset:
     """Vertices lying on some elementary cycle (equivalently, on any closed
-    walk): those whose component has a bundle inside it."""
+    walk): the members of the loops and the tangles."""
     s = _components(g)
-    return frozenset(v for v, i in s.comp.items() if s.inner[i] != 0)
+    return frozenset(v for i in s.loops + s.tangles for v in s.members[i])
 
 
 def cycle_exit_witness(g: Graph):
     """Find some CycleWithExit, or None when no cycle has an exit.
 
-    Uses the out-degree test: a cycle vertex whose out-degree is not 1
-    yields a witness.
+    Uses the out-degree test: the least cycle vertex whose out-degree is
+    not 1 yields a witness.
     """
-    for v in sorted(vertices_on_cycles(g)):
-        if g.out_degree(v) == 1:
-            continue
-        walk = _shortest_closed_vertex_walk(g, v)
-        edges = []
-        for x, y in zip(walk, walk[1:] + walk[:1]):
-            b = min((b for b in g._out[x] if b.dst == y), key=lambda b: b.id)
-            edges.append(EdgeRef(b.id, 0))
-        cyc = make_cycle(g, edges)
-        cyc_edge = edges[0]
-        for b in g._out[v]:
-            limit = 2 if b.mult is OMEGA else b.mult
-            for i in range(limit):
-                e = EdgeRef(b.id, i)
-                if e != cyc_edge:
-                    return CycleWithExit(cyc, e)
-    return None
+    s, deg = _components(g), g._deg
+    v = min((v for i in s.loops + s.tangles for v in s.members[i] if deg[v] != 1),
+            default=None)
+    if v is None:
+        return None
+    walk = _shortest_closed_vertex_walk(g, v)
+    edges = []
+    for x, y in zip(walk, walk[1:] + walk[:1]):
+        b = min((b for b in g._out[x] if b.dst == y), key=lambda b: b.id)
+        edges.append(EdgeRef(b.id, 0))
+    cyc = make_cycle(g, edges)
+    cyc_edge = edges[0]
+    for b in g._out[v]:  # v emits two edges or more
+        limit = 2 if b.mult is OMEGA else b.mult
+        for i in range(limit):
+            e = EdgeRef(b.id, i)
+            if e != cyc_edge:
+                return CycleWithExit(cyc, e)
 
 
 def _shortest_closed_vertex_walk(g: Graph, v: str) -> list:
-    """Vertex sequence of a shortest closed walk through v (elementary)."""
-    parent = {}
-    queue = deque()
-    for w in g._succ[v]:
-        if w == v:
-            return [v]
-        if w not in parent:
-            parent[w] = None
-            queue.append(w)
+    """Vertex sequence of a shortest closed walk through v (elementary),
+    visiting each vertex's successors in sorted order."""
+    parent, queue = {}, deque([v])
     while queue:
         at = queue.popleft()
-        for w in g._succ[at]:
+        for w in sorted({b.dst for b in g._out[at]}):
             if w == v:
                 walk = [at]
-                while parent[walk[-1]] is not None:
+                while walk[-1] != v:
                     walk.append(parent[walk[-1]])
-                walk.append(v)
                 walk.reverse()
                 return walk
             if w not in parent:
@@ -745,7 +735,8 @@ def reachable(g: Graph, u: str, v: str) -> bool:
     seen = {u}
     queue = deque([u])
     while queue:
-        for w in g._succ[queue.popleft()]:
+        for b in g._out[queue.popleft()]:
+            w = b.dst
             if w == v:
                 return True
             if w not in seen:
@@ -764,21 +755,17 @@ def downward_directed(g: Graph) -> bool:
 # -- conditions (L) and (K) ---------------------------------------------------
 
 def condition_L(g: Graph) -> bool:
-    """Every cycle has at least one exit.  A cycle without one is a whole
-    component in which every vertex emits exactly one edge."""
-    s = _components(g)
-    return not any(
-        s.inner[i] != 0 and all(g.out_degree(v) == 1 for v in members)
-        for i, members in enumerate(s.members))
+    """Every cycle has at least one exit.  A cycle without one is a loop
+    of the component table in which every vertex emits exactly one edge."""
+    s, deg = _components(g), g._deg
+    return not any(all(deg[v] == 1 for v in s.members[i]) for i in s.loops)
 
 
 def condition_K(g: Graph) -> bool:
     """Every vertex on a closed path is the base of at least two distinct
     closed simple paths.  A vertex bases only one exactly when its
-    component is a single cycle: inside multiplicity equal to its size."""
-    s = _components(g)
-    return not any(s.inner[i] == len(members)
-                   for i, members in enumerate(s.members))
+    component is a loop."""
+    return not _components(g).loops
 
 
 # -- path counting -------------------------------------------------------------
@@ -818,7 +805,7 @@ def hereditary_saturated_closure(g: Graph, X: Iterable[str]) -> frozenset:
         if v in H:
             continue
         H.add(v)
-        work.extend(g._succ[v])
+        work.extend(b.dst for b in g._out[v])
         for b in g._into[v]:
             if b.src in pending:
                 pending[b.src] -= 1

@@ -592,9 +592,10 @@ def cross_check_index(g: Graph, trials: int = 500,
     """Sample random elements of a bounded-index algebra and confirm no
     nilpotent element exceeds the reported bound n, probing each to
     ``probe_bound`` = n + 3 powers; also build the witness and confirm it
-    attains the bound exactly.  A trial whose probe meets a resource limit
-    (too many terms, or a power over the edge limit) counts under
-    ``resource_limited``; the witness's probe raises ``TooLarge``.
+    attains the bound exactly.  A trial whose normalization or probe meets
+    a resource limit (too many terms, or a power over the edge limit)
+    counts under ``resource_limited``; the witness's probe raises
+    ``TooLarge``.
 
     The trials draw from one stream: the generator of the walk tables,
     seeded once with ``seed``, gives trial t's element as the next
@@ -630,7 +631,11 @@ def cross_check_index(g: Graph, trials: int = 500,
         raw = _random_keys(g, tables, _TRIAL_TERMS, _TRIAL_PATH_LEN)
         if traces is not None and structure.block_trace(traces, raw):
             continue  # NotNilpotentWithin(bound), which counts nothing
-        terms = algebra._normalize(table, raw)
+        try:
+            terms = algebra._normalize(table, raw)
+        except algebra.TooLarge:  # a rewrite past the term limit
+            limited += 1
+            continue
         key = frozenset(terms.items())
         if key in verdicts:
             verdict = verdicts[key]

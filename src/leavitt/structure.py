@@ -219,9 +219,9 @@ def _fill_blocks(g: Graph) -> Blocks:
     for _, v, cnt, _ in rows:
         if cnt is OMEGA:
             return Blocks(Unbounded(OmegaPathFamily(v)), (), {})
-    legs, out = dict.fromkeys(g.vertices, 1), g._out
-    for members, inner in zip(reversed(s.members), reversed(s.inner)):
-        if not inner and out[members[0]]:  # neither a cycle nor a sink
+    legs, out, loops = dict.fromkeys(g.vertices, 1), g._out, set(s.loops)
+    for i, members in enumerate(s.members):  # no exit, so no tangle
+        if i not in loops and out[members[0]]:  # neither a cycle nor a sink
             k = 0
             for b in out[members[0]]:
                 k += b.mult * legs[b.dst]
@@ -316,13 +316,10 @@ def trace_settles(g: Graph, bound: int, width: int) -> bool:
     B * L edges.  The limits are read at call time."""
     s = _components(g)
     reach = bound * width
-    keys = 0
-    for v, cnt in s.paths.items():
-        i = s.comp[v]
-        pairs = cnt * cnt
-        if s.inner[i]:
-            pairs *= 1 + 2 * (reach // len(s.members[i]))
-        keys += pairs
+    keys = sum(cnt * cnt for cnt in s.paths.values())
+    for i in s.loops:  # a bounded graph's cycles are its loops
+        members = s.members[i]
+        keys += 2 * (reach // len(members)) * sum(s.paths[v] ** 2 for v in members)
     return (keys <= algebra.TERM_LIMIT
             and keys * reach <= algebra.POWER_EDGE_LIMIT)
 

@@ -660,6 +660,53 @@ def test_eval_probe_refuses_a_power_over_the_edge_limit(fmt, capsys, monkeypatch
     assert err.startswith("resource limit: ") and err.count("\n") == 1
 
 
+def _bundle_document(tmp_path, mult) -> str:
+    """Two vertices u and v joined by one bundle a of multiplicity mult."""
+    doc = tmp_path / "bundle.graph"
+    doc.write_text(canonical_document(Graph(["u", "v"], [Bundle("a", "u", "v", mult)])))
+    return str(doc)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_eval_refuses_a_rewrite_over_the_term_limit(fmt, capsys, tmp_path):
+    """a[0] a[0]* rewrites to u minus the other TERM_LIMIT + 1 edges of
+    the bundle: normalization refuses before it writes a term."""
+    doc = _bundle_document(tmp_path, algebra.TERM_LIMIT + 2)
+    code, out, err = run(capsys, "eval", doc, "a[0] a[0]*", "--nilpotence-max", "1",
+                         "--format", fmt)
+    assert code == 2 and out == ""
+    limit = algebra.TERM_LIMIT
+    assert err == (f"resource limit: a rewrite at bundle 'a' adds {limit + 1} terms, "
+                   f"over the limit of {limit}\n")
+
+
+def test_check_counts_trials_over_the_term_limit(capsys, monkeypatch, tmp_path):
+    """With a term limit of 3, a sampled trial whose normalization rewrites
+    a[0] (four siblings) counts as resource-limited, and check exits 0.
+    The witness's probe meets the same limit (J^2 has 4 terms), which the
+    report names as a violation."""
+    doc = _bundle_document(tmp_path, 5)
+    refused = []
+    normalize = algebra._normalize
+
+    def counting(table, raw):
+        try:
+            return normalize(table, raw)
+        except algebra.TooLarge:
+            refused.append(1)
+            raise
+
+    monkeypatch.setattr(algebra, "_normalize", counting)
+    monkeypatch.setattr(algebra, "TERM_LIMIT", 3)
+    code, out, err = run(capsys, "eval", doc, "a[0] a[0]*")
+    assert code == 2 and out == "" and err.startswith("resource limit: ")
+    code, out, err = run(capsys, "check", doc, "--trials", "30", "--format", "json")
+    sampling = json.loads(out)["sampling"]
+    assert code == 0 and err == ""
+    assert sampling["resource_limited"] > 0 and len(refused) > 1
+    assert sampling["violations"] == ["witness jordan element has index -1, expected 6"]
+
+
 @pytest.mark.parametrize("argv,expected", [
     (["witness", "--size", "2"], "matrix units 2x2 (acyclic paths)\nverified: True\n"
                                  "jordan element nilpotence index: 2\n"),

@@ -3,8 +3,13 @@
 Renaming the vertices and the bundle ids of a graph by a bijection gives
 an isomorphic graph, so its algebra is the same.  The renaming is chosen
 to change the sort order of the names, which the code uses to order
-vertices, bundles, targets and paths; no verdict may depend on it."""
+vertices, bundles, targets and paths; no verdict may depend on it.
 
+The algebra of a disjoint union is the direct product of the parts'
+algebras, so its index is bounded exactly when both are, its bound is the
+larger one, and its targets, factors and cycles are the parts' together."""
+
+import itertools
 import json
 import random
 from collections import Counter
@@ -138,3 +143,80 @@ def test_relabelling_keeps_witness_and_check(capsys, tmp_path):
     assert kinds[0, "acyclic_paths"] >= 100, kinds
     assert kinds[0, "cycle_exit_powers"] >= 100, kinds
     assert kinds[0, "no_exit_cycle_paths"] >= 5, kinds
+
+
+def _prefixed(g: Graph, prefix: str) -> tuple:
+    """g's vertices and bundles with every name prefixed."""
+    return ([prefix + v for v in g.vertices],
+            [Bundle(prefix + b.id, prefix + b.src, prefix + b.dst, b.mult)
+             for b in g.bundles])
+
+
+def _union_facts(capsys, g: Graph, path, prefix: str) -> tuple:
+    """What `index`, `decompose` and `analyze` print about g, with every
+    name prefixed: bounded, n, the per-target rows and the factors as
+    multisets, the cycles as a set (or the omega-cycle error) and
+    Conditions (L) and (K)."""
+    path.write_text(canonical_document(g))
+    index = _run_json(capsys, str(path), "index")
+    decomposed = _run_json(capsys, str(path), "decompose")
+    analyzed = _run_json(capsys, str(path), "analyze")
+    rows = Counter()
+    for t in index.get("per_target", ()):
+        where = (prefix + t["vertex"] if t["kind"] == "sink" else
+                 tuple((prefix + e["bundle"], e["index"]) for e in t["cycle"]["edges"]))
+        rows[t["kind"], where, t["count"]] += 1
+    factors = Counter()
+    for f in decomposed.get("factors", ()):
+        factors[f["size"], f["base"]] += f["count"]
+    cycles = analyzed["cycles"]
+    if isinstance(cycles, dict):
+        cycles = cycles["error"]
+    else:
+        cycles = {tuple((prefix + e["bundle"], e["index"]) for e in c["edges"])
+                  for c in cycles}
+    return (index["verdict"] == "bounded", index.get("n"), rows,
+            decomposed["verdict"], factors, cycles,
+            analyzed["condition_L"], analyzed["condition_K"])
+
+
+def _union_pairs() -> list:
+    """Every pair of fixtures, a fixture with itself included, and 120
+    pairs of the seeded graphs of :func:`_graphs`."""
+    fixtures = [build() for _, build in sorted(corpus.CORPUS.items())]
+    seeded = _graphs()[len(fixtures):]
+    return (list(itertools.combinations_with_replacement(fixtures, 2))
+            + list(zip(seeded[::2], seeded[1::2])))
+
+
+def test_disjoint_union_combines_the_parts(capsys, tmp_path):
+    """On every pair of fixtures and 120 seeded pairs, the disjoint union
+    of G and H (names prefixed apart) is bounded exactly when both are,
+    with the larger n; then its targets and factors are the multiset
+    unions of theirs.  Its cycles are the union of theirs, and Conditions (L) and (K) hold
+    exactly when they hold on both."""
+    verdicts = Counter()
+    for i, (g, h) in enumerate(_union_pairs()):
+        vg, bg = _prefixed(g, "g:")
+        vh, bh = _prefixed(h, "h:")
+        u = _union_facts(capsys, Graph(vg + vh, bg + bh), tmp_path / "u.graph", "")
+        a = _union_facts(capsys, g, tmp_path / "g.graph", "g:")
+        b = _union_facts(capsys, h, tmp_path / "h.graph", "h:")
+        bounded = a[0] and b[0]
+        assert u[0] == bounded, i
+        assert u[1] == (max(a[1], b[1]) if bounded else None), i
+        assert u[2] == (a[2] + b[2] if bounded else Counter()), i
+        if "not_row_finite" in (a[3], b[3]):
+            assert u[3] == "not_row_finite", i
+        else:
+            assert u[3] == ("decomposed" if bounded else "unbounded"), i
+        assert u[4] == (a[4] + b[4] if u[3] == "decomposed" else Counter()), i
+        if "cycle_through_omega_bundle" in (a[5], b[5]):
+            assert u[5] == "cycle_through_omega_bundle", i
+        else:
+            assert u[5] == a[5] | b[5], i
+        undecided = a[6] is None or b[6] is None  # an omega bundle on a cycle
+        assert u[6] == (None if undecided else a[6] and b[6]), i
+        assert u[7] == (a[7] and b[7]), i
+        verdicts[a[0], b[0]] += 1
+    assert min(verdicts[True, True], verdicts[True, False], verdicts[False, False]) >= 15, verdicts

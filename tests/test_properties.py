@@ -13,6 +13,7 @@ from leavitt.algebra import Element, normal_form, special_edge
 from leavitt.graph import (
     CycleThroughOmegaBundle,
     Graph,
+    _components,
     breaking_vertices,
     cycles,
     condition_K,
@@ -126,6 +127,19 @@ def test_cycle_predicates_match_closed_path_counts(omega, seed):
     counts = closed_simple_path_counts(g)
     assert vertices_on_cycles(g) == {v for v, n in counts.items() if n >= 1}
     assert condition_K(g) == (1 not in counts.values())
+
+
+@omega_rates
+@settings(max_examples=80, deadline=None)
+@given(seed=seeds)
+def test_loops_and_tangles_match_closed_path_counts(omega, seed):
+    """Each vertex of a loop of the component table bases one closed
+    simple path, and each vertex of a tangle more than one."""
+    g = random_graph(RandomSpec(seed=seed, omega_probability=omega))
+    counts = closed_simple_path_counts(g)
+    s = _components(g)
+    assert all(counts[v] == 1 for i in s.loops for v in s.members[i])
+    assert all(counts[v] > 1 for i in s.tangles for v in s.members[i])
 
 
 @omega_rates
