@@ -393,8 +393,11 @@ def _cmd_decompose(args) -> int:
         "verdict": "decomposed",
         "factors": [{"size": f.size, "base": f.base, "count": c} for f, c in counted],
     }
-    bits = [_factor_text(f) + (f" x{c}" if c > 1 else "") for f, c in counted]
-    _emit(args, payload, [" + ".join(bits) if bits else "0 (empty graph)"])
+    lines = ()
+    if args.format == "text":
+        bits = [_factor_text(f) + (f" x{c}" if c > 1 else "") for f, c in counted]
+        lines = [" + ".join(bits) if bits else "0 (empty graph)"]
+    _emit(args, payload, lines)
     return 0
 
 
@@ -416,9 +419,12 @@ def _cmd_ideals(args) -> int:
             for p, f in spectrum
         ],
     }
-    lines = [f"H={{{', '.join(sorted(p.H))}}} S={{{', '.join(sorted(p.S))}}}"
-             f" -> {_factor_text(f)}" for p, f in spectrum]
-    _emit(args, payload, lines or ["(no downward-directed quotients)"])
+    lines = ()
+    if args.format == "text":
+        lines = [f"H={{{', '.join(sorted(p.H))}}} S={{{', '.join(sorted(p.S))}}}"
+                 f" -> {_factor_text(f)}" for p, f in spectrum
+                 ] or ["(no downward-directed quotients)"]
+    _emit(args, payload, lines)
     return 0
 
 
@@ -550,43 +556,112 @@ def _cmd_check(args) -> int:
     return 0
 
 
+# name -> (handler, help, arguments after the graph and --format).  An
+# argument is (name, help, type, default, choices); a name that starts with
+# "--" is an option, and a type of None keeps the string.  The parser and
+# the argv reader are both built from this table.
+_GRAPH = ("graph", "graph document file", None, None, None)
+_FORMAT = ("--format", None, None, "text", ("text", "json"))
+COMMANDS = {
+    "analyze": (_cmd_analyze, "structural report", ()),
+    "index": (_cmd_index, "bounded-index verdict with witnesses", ()),
+    "decompose": (_cmd_decompose, "matrix-ring decomposition", ()),
+    "ideals": (_cmd_ideals, "graded quotient classifications", ()),
+    "eval": (_cmd_eval, "evaluate an element expression", (
+        ("expr", "element expression", None, None, None),
+        ("--nilpotence-max", "nilpotence probe bound", int, 8, None))),
+    "witness": (_cmd_witness, "build and verify matrix units", (
+        ("--size", "requested unit size (defaults to n when bounded, 3 otherwise)",
+         int, None, None),)),
+    "check": (_cmd_check, "oracle agreement and sampling suites", (
+        ("--trials", None, int, 500, None),
+        ("--seed", None, int, 0, None))),
+}
+
+
+def _reader(func, extra: tuple) -> tuple:
+    """(positional dests, option name -> (dest, type, choices), the
+    Namespace's defaults) of one command's arguments."""
+    positionals, options, defaults = [], {}, {"func": func}
+    for name, _, kind, default, choices in (_GRAPH, _FORMAT) + extra:
+        if name.startswith("--"):
+            dest = name[2:].replace("-", "_")
+            options[name] = (dest, kind, choices)
+            defaults[dest] = default
+        else:
+            positionals.append(name)
+    return tuple(positionals), options, defaults
+
+
+_READERS = {name: _reader(func, extra) for name, (func, _, extra) in COMMANDS.items()}
+
+
+def _read_argv(argv) -> argparse.Namespace | None:
+    """The Namespace ``build_parser().parse_args(argv)`` gives, when argv
+    is a command of the table followed by exactly its positionals and
+    ``--option value`` pairs, in any order, each option spelt in full and
+    each value not starting with "-", converting by the option's type and
+    within its choices; None for any other argv, which is left to
+    argparse: help, usage errors, abbreviations, ``--opt=value``, ``--``,
+    and values or positionals that start with "-".  A repeated option
+    keeps its last value, as in argparse."""
+    if not argv or argv[0] not in _READERS:
+        return None
+    positionals, options, defaults = _READERS[argv[0]]
+    values = dict(defaults, command=argv[0])
+    given = []
+    i, end = 1, len(argv)
+    while i < end:
+        token = argv[i]
+        if not token.startswith("-"):
+            given.append(token)
+            i += 1
+            continue
+        option = options.get(token)
+        if option is None or i + 1 == end or argv[i + 1].startswith("-"):
+            return None
+        dest, kind, choices = option
+        value = argv[i + 1]
+        if kind is not None:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+        i += 2
+    if len(given) != len(positionals):
+        return None
+    values.update(zip(positionals, given))
+    return argparse.Namespace(**values)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, built on the first call and shared by
-    every later one: parsing leaves it as it was, and usage and error text
-    are formatted when printed.  Each command's handler is bound here, so
-    a ``_cmd_*`` replaced after the first call is not dispatched to."""
+    """The parser of every command, from the table ``COMMANDS``, built on
+    the first call and shared by every later one: parsing leaves it as it
+    was, and usage and error text are formatted when printed.  ``main``
+    builds it only for argv that :func:`_read_argv` refuses."""
     parser = argparse.ArgumentParser(
         prog="leavitt",
         description="Structure analysis of Leavitt path algebras of finite graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("graph", help="graph document file")
-        p.add_argument("--format", choices=["text", "json"], default="text")
+    for command, (func, help_text, extra) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, arg_help, kind, default, choices in (_GRAPH, _FORMAT) + extra:
+            p.add_argument(name, help=arg_help, type=kind, default=default,
+                           choices=choices)
         p.set_defaults(func=func)
-        return p
-
-    add("analyze", _cmd_analyze, "structural report")
-    add("index", _cmd_index, "bounded-index verdict with witnesses")
-    add("decompose", _cmd_decompose, "matrix-ring decomposition")
-    add("ideals", _cmd_ideals, "graded quotient classifications")
-    p = add("eval", _cmd_eval, "evaluate an element expression")
-    p.add_argument("expr", help="element expression")
-    p.add_argument("--nilpotence-max", type=int, default=8,
-                   help="nilpotence probe bound")
-    p = add("witness", _cmd_witness, "build and verify matrix units")
-    p.add_argument("--size", type=int, default=None,
-                   help="requested unit size (defaults to n when bounded, 3 otherwise)")
-    p = add("check", _cmd_check, "oracle agreement and sampling suites")
-    p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (oracle.ExplosionGuard, algebra.TooLarge) as err:

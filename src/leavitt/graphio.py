@@ -98,10 +98,16 @@ def canonical_document(g: Graph) -> str:
 
 
 def load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as err:
-            raise GraphSyntaxError(
-                f"byte {err.start}: not UTF-8 text ({err.reason})") from None
+    """The graph in the file at path, read as bytes and decoded as UTF-8,
+    each CR LF and each lone CR read as LF, which is the text a text-mode
+    read gives, so that syntax errors name the same line and column."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise GraphSyntaxError(
+            f"byte {err.start}: not UTF-8 text ({err.reason})") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return parse_graph_document(text)

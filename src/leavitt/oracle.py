@@ -595,7 +595,7 @@ def cross_check_index(g: Graph, trials: int = 500,
     attains the bound exactly.  A trial whose normalization or probe meets
     a resource limit (too many terms, or a power over the edge limit)
     counts under ``resource_limited``; the witness's probe raises
-    ``TooLarge``.
+    ``TooLarge`` at either limit.
 
     The trials draw from one stream: the generator of the walk tables,
     seeded once with ``seed``, gives trial t's element as the next
@@ -660,6 +660,10 @@ def cross_check_index(g: Graph, trials: int = 500,
         units = structure.witness_matrix_units(g, report)
         j = algebra.jordan_element(units)
         verdict = algebra.nilpotence_index(j, n + 1)
+        if isinstance(verdict, algebra.ResourceLimit):
+            raise algebra.TooLarge(
+                f"power {verdict.power} of the witness's Jordan element holds "
+                f"{verdict.terms} terms, over the limit of {algebra.TERM_LIMIT}")
         witness_index = verdict.index if isinstance(
             verdict, algebra.NilpotentOfIndex) else -1
     if witness_index != n:

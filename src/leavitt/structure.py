@@ -138,7 +138,15 @@ def witness_tree(g: Graph, target, size: int) -> PathTree:
     an edge e from off the cycle keeps e.p's trailing run of cycle edges
     that of p, shorter than the cycle's length m, and an edge e from a
     cycle vertex is a cycle edge, as is every edge of p.  So e.p, of
-    length k, is left out exactly when src(e) is on the cycle and k >= m."""
+    length k, is left out exactly when src(e) is on the cycle and k >= m.
+
+    Raises TooLarge, before listing anything, when size - 1 exceeds
+    ``algebra.POWER_EDGE_LIMIT``: every listed path but the trivial one
+    holds an edge."""
+    if size - 1 > algebra.POWER_EDGE_LIMIT:
+        raise algebra.TooLarge(
+            f"the witness has more than {algebra.POWER_EDGE_LIMIT + 1} paths to list, "
+            f"holding more edges than the limit of {algebra.POWER_EDGE_LIMIT}")
     if isinstance(target, SinkTarget):
         base, m, on_cycle = target.vertex, 0, ()
     else:
@@ -348,7 +356,9 @@ def witness_matrix_units(g: Graph, report, size: int | None = None):
     bundle.  A size below 1 is rejected.  Raises TooLarge, before verifying
     anything, for a family too large to verify and probe: exit units whose
     Jordan element's square holds more than ``algebra.POWER_EDGE_LIMIT``
-    edges, or an omega family with more than that many pairs of legs."""
+    edges, an omega family with more than that many pairs of legs, or a
+    bounded family of more than that many paths plus one (see
+    :func:`witness_tree`)."""
     if size is not None and size < 1:
         raise LeavittError(f"unit size must be at least 1, got {size}")
     if isinstance(report, Bounded):

@@ -1,8 +1,11 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -98,14 +101,15 @@ def test_index_text(capsys):
     assert out.startswith("Unbounded: cycle a1.a2.a3.a4 has exit f")
 
 
-@pytest.mark.parametrize("command", ["index", "analyze"])
+@pytest.mark.parametrize("command", ["index", "analyze", "decompose", "ideals"])
 def test_json_builds_no_text_lines(command, capsys, monkeypatch):
-    """index and analyze print no cycle or edge text under --format json,
-    so they format none: a cycle's text fails here if it is built."""
+    """These commands print no cycle, edge or factor text under --format
+    json, so they format none: such a text fails here if it is built."""
     def refuse(*args):
         raise AssertionError("text built for JSON output")
 
     monkeypatch.setattr(cli, "_cycle_text", refuse)
+    monkeypatch.setattr(cli, "_factor_text", refuse)
     monkeypatch.setattr(algebra, "edge_text", refuse)
     for name in ("loop_with_tail", "graph_f", "clock5", "omega_gadget"):
         code, out, _ = run(capsys, command, fixture_path(name), "--format", "json")
@@ -628,7 +632,7 @@ def test_counts_past_the_digit_limit_are_resource_limits(argv, capsys, tmp_path)
     """The doubled line of 2300 vertices has n = 2^2300 - 1 paths into its
     end, 693 digits: over a digit limit of 640, each command that prints
     that count exits 2 before it prints anything.  (JSON index and witness
-    list all n paths first; they are not run here.)"""
+    would list all n paths first; the next test covers them.)"""
     doc = _line_document(tmp_path, 2300, mult=2)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
@@ -638,6 +642,35 @@ def test_counts_past_the_digit_limit_are_resource_limits(argv, capsys, tmp_path)
         sys.set_int_max_str_digits(limit)
     assert code == 2 and out == ""
     assert err.startswith("resource limit: ") and "Traceback" not in err
+
+
+def test_witness_listing_past_the_edge_limit_is_refused(capsys, tmp_path):
+    """On the doubled line of 2300 vertices, listing the n = 2^2300 - 1
+    witness paths would not end: JSON index and witness exit 2 before
+    listing any, as all but one of those paths hold an edge.  The
+    commands that list no paths, and witness at size 3, still answer."""
+    doc = _line_document(tmp_path, 2300, mult=2)
+    limit = algebra.POWER_EDGE_LIMIT
+    for argv in (["index", "--format", "json"], ["witness"], ["witness", "--format", "json"]):
+        code, out, err = run(capsys, argv[0], doc, *argv[1:])
+        assert code == 2 and out == "", argv
+        assert err == (f"resource limit: the witness has more than {limit + 1} paths "
+                       f"to list, holding more edges than the limit of {limit}\n"), argv
+    for argv in (["index"], ["decompose", "--format", "json"], ["ideals", "--format", "json"],
+                 ["witness", "--size", "3"]):
+        code, out, err = run(capsys, argv[0], doc, *argv[1:])
+        assert code == 0 and out and err == "", argv
+
+
+def test_witness_listing_limit_boundary(capsys, monkeypatch):
+    """line6 has n = 6 witness paths, five of them holding an edge: JSON
+    index lists them under an edge limit of 5 and refuses under 4."""
+    monkeypatch.setattr(algebra, "POWER_EDGE_LIMIT", 5)
+    code, out, err = run(capsys, "index", fixture_path("line6"), "--format", "json")
+    assert code == 0 and err == "" and len(json.loads(out)["witness"]["paths"]) == 6
+    monkeypatch.setattr(algebra, "POWER_EDGE_LIMIT", 4)
+    code, out, err = run(capsys, "index", fixture_path("line6"), "--format", "json")
+    assert code == 2 and out == "" and err.startswith("resource limit: the witness has more")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -682,10 +715,13 @@ def test_eval_refuses_a_rewrite_over_the_term_limit(fmt, capsys, tmp_path):
 
 def test_check_counts_trials_over_the_term_limit(capsys, monkeypatch, tmp_path):
     """With a term limit of 3, a sampled trial whose normalization rewrites
-    a[0] (four siblings) counts as resource-limited, and check exits 0.
-    The witness's probe meets the same limit (J^2 has 4 terms), which the
-    report names as a violation."""
-    doc = _bundle_document(tmp_path, 5)
+    the special edge a[0] (four siblings, the bundle b to another sink)
+    counts as resource-limited, and check exits 0.  The witness, the five
+    paths into w, stays under the limit: its largest power, J^2, has 3
+    terms."""
+    doc = tmp_path / "two_sinks.graph"
+    doc.write_text(canonical_document(Graph(
+        ["u", "v", "w"], [Bundle("a", "u", "v"), Bundle("b", "u", "w", 4)])))
     refused = []
     normalize = algebra._normalize
 
@@ -698,13 +734,29 @@ def test_check_counts_trials_over_the_term_limit(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(algebra, "_normalize", counting)
     monkeypatch.setattr(algebra, "TERM_LIMIT", 3)
-    code, out, err = run(capsys, "eval", doc, "a[0] a[0]*")
+    code, out, err = run(capsys, "eval", str(doc), "a[0] a[0]*")
     assert code == 2 and out == "" and err.startswith("resource limit: ")
-    code, out, err = run(capsys, "check", doc, "--trials", "30", "--format", "json")
+    code, out, err = run(capsys, "check", str(doc), "--trials", "30", "--format", "json")
     sampling = json.loads(out)["sampling"]
     assert code == 0 and err == ""
     assert sampling["resource_limited"] > 0 and len(refused) > 1
-    assert sampling["violations"] == ["witness jordan element has index -1, expected 6"]
+    assert sampling["n"] == sampling["witness_index"] == 5
+    assert sampling["violations"] == []
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_witness_probe_over_the_term_limit_is_a_resource_limit(fmt, capsys,
+                                                                     monkeypatch, tmp_path):
+    """The witness of u => v by a bundle of 5 edges is the 6 paths into v,
+    and its J^2 has 4 terms: with a term limit of 3 the witness's own
+    probe stops short of a verdict, and check exits 2, as it does when
+    that probe passes the edge limit."""
+    doc = _bundle_document(tmp_path, 5)
+    monkeypatch.setattr(algebra, "TERM_LIMIT", 3)
+    code, out, err = run(capsys, "check", doc, "--trials", "0", "--format", fmt)
+    assert code == 2 and out == ""
+    assert err == ("resource limit: power 2 of the witness's Jordan element holds 4 terms, "
+                   "over the limit of 3\n")
 
 
 @pytest.mark.parametrize("argv,expected", [
@@ -1071,8 +1123,9 @@ def test_reused_parser_keeps_no_state(capsys, monkeypatch):
 
 
 def test_parser_is_built_once(capsys, monkeypatch):
-    """After the first call, cli.main builds no ArgumentParser."""
-    main(["analyze", fixture_path("line2")])
+    """Well-formed argv is read off the command table and builds no
+    parser; the first argv the table refuses builds the 8 parsers (the
+    main one and one per command), and later calls build none."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -1081,15 +1134,201 @@ def test_parser_is_built_once(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
     g = fixture_path("loop_with_tail")
     calls = [["analyze", g], ["index", g, "--format", "json"], ["decompose", g],
              ["ideals", g], ["eval", g, "e", "--nilpotence-max", "2"],
              ["witness", g], ["check", g, "--trials", "1"], ["index", g],
              ["witness", g, "--size", "1", "--format", "json"], ["analyze", g]]
-    for argv in calls * 2:
+    for argv in calls:
+        assert main(argv) == 0, argv
+    assert cli.build_parser.cache_info().misses == 0 and built == []
+    assert main(["index", g, "--format=json"]) == 0  # an = form goes to argparse
+    assert cli.build_parser.cache_info().misses == 1 and len(built) == 8
+    assert main(["index", g, "--form", "json"]) == 0
+    for argv in calls:
         assert main(argv) == 0, argv
     capsys.readouterr()
-    assert built == []
-    assert cli.build_parser() is cli.build_parser()
-    cli.build_parser.__wrapped__()  # the count sees a construction
-    assert len(built) == 8  # the main parser and one per command
+    assert len(built) == 8
+
+
+_SIMPLE_HELP = """usage: leavitt {command} [-h] [--format {{text,json}}] graph
+
+positional arguments:
+  graph                 graph document file
+
+options:
+  -h, --help            show this help message and exit
+  --format {{text,json}}
+"""
+_HELP = {
+    "": """usage: leavitt [-h] {analyze,index,decompose,ideals,eval,witness,check} ...
+
+Structure analysis of Leavitt path algebras of finite graphs.
+
+positional arguments:
+  {analyze,index,decompose,ideals,eval,witness,check}
+    analyze             structural report
+    index               bounded-index verdict with witnesses
+    decompose           matrix-ring decomposition
+    ideals              graded quotient classifications
+    eval                evaluate an element expression
+    witness             build and verify matrix units
+    check               oracle agreement and sampling suites
+
+options:
+  -h, --help            show this help message and exit
+""",
+    **{command: _SIMPLE_HELP.format(command=command)
+       for command in ("analyze", "index", "decompose", "ideals")},
+    "eval": """usage: leavitt eval [-h] [--format {text,json}]
+                    [--nilpotence-max NILPOTENCE_MAX]
+                    graph expr
+
+positional arguments:
+  graph                 graph document file
+  expr                  element expression
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --nilpotence-max NILPOTENCE_MAX
+                        nilpotence probe bound
+""",
+    "witness": """usage: leavitt witness [-h] [--format {text,json}] [--size SIZE] graph
+
+positional arguments:
+  graph                 graph document file
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --size SIZE           requested unit size (defaults to n when bounded, 3
+                        otherwise)
+""",
+    "check": """usage: leavitt check [-h] [--format {text,json}] [--trials TRIALS]
+                     [--seed SEED]
+                     graph
+
+positional arguments:
+  graph                 graph document file
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+  --trials TRIALS
+  --seed SEED
+""",
+}
+
+
+@pytest.mark.parametrize("command", list(_HELP))
+def test_help_text_is_pinned(command, capsys, monkeypatch):
+    """The parsers built from the command table print the help that the
+    hand-written parsers printed, at a terminal width of 80."""
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [command, "--help"] if command else ["--help"]
+    assert _in_process(capsys, argv) == (_HELP[command], "", 0)
+
+
+_ARGV_WORDS = ["g", "", "-", "-g", "--", "-h", "--help", "--format", "--size", "--trials",
+               "--seed", "--nilpotence-max", "--form", "--s", "--si", "--tr", "--nil",
+               "--format=json", "--size=3", "text", "json", "xml", "3", "-3", "0", "x",
+               "\u0663", "\uff13", "1_0", " 5", "+4", "1e3", "-1.5", "9" * 5000,
+               "e1 + e1*", "-e1 + e1*", "index", "eval"]
+_INT_VALUES = ["0", "1", "7", "12", "\u0663", "+4", " 5", "1_0"]
+
+
+@st.composite
+def _argvs(draw):
+    """(argv, well_formed).  A command of the table (or a near miss), its
+    positionals and some of its options with valid values, the positionals
+    in order and each option as one unit, in any order; then, unless the
+    draw is well formed, up to three tokens inserted, deleted or replaced
+    from words that near-miss the table's shape, or any short text."""
+    command = draw(st.sampled_from(list(cli.COMMANDS) + ["ind", "Index", "-h", ""]))
+    extra = cli.COMMANDS[command][2] if command in cli.COMMANDS else ()
+    units, positionals = [], []
+    for name, _, kind, _, choices in (cli._GRAPH, cli._FORMAT) + extra:
+        if not name.startswith("-"):
+            positionals.append([draw(st.sampled_from(["g", "x y", "e1 e1*", "\u0663", ""]))])
+        elif draw(st.booleans()):
+            value = draw(st.sampled_from(choices if choices else _INT_VALUES))
+            units.append([name, value])
+    order = draw(st.permutations(range(len(units) + len(positionals))))
+    kept = iter(positionals)
+    tokens = [command]
+    for i in order:
+        tokens += units[i] if i < len(units) else next(kept)
+    edits = draw(st.integers(0, 3))
+    words = st.one_of(st.sampled_from(_ARGV_WORDS), st.text(max_size=4))
+    for _ in range(edits):
+        at = draw(st.integers(0, len(tokens)))
+        how = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if how == "insert" or at == len(tokens):
+            tokens.insert(at, draw(words))
+        elif how == "delete":
+            del tokens[at]
+        else:
+            tokens[at] = draw(words)
+    return tokens, edits == 0 and command in cli.COMMANDS
+
+
+def _parsed(argv):
+    """vars() of argparse's Namespace for argv, or None where it exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_argvs())
+def test_read_argv_matches_argparse(draw):
+    """The table reader gives argparse's Namespace or refuses; it reads
+    every well-formed draw."""
+    argv, well_formed = draw
+    got = cli._read_argv(argv)
+    if got is not None:
+        assert vars(got) == _parsed(argv), argv
+    assert got is not None or not well_formed, argv
+
+
+def test_read_argv_refuses_each_near_miss():
+    """Each of these is refused, and left to argparse, which reads the
+    first four as the table would read ``index g --format json``."""
+    g = "g"
+    want = vars(cli._read_argv(["index", g, "--format", "json"]))
+    for argv in (["index", g, "--format=json"], ["index", g, "--form", "json"],
+                 ["index", "--format", "json", "--", g], ["index", "--fo=json", g]):
+        assert cli._read_argv(argv) is None and _parsed(argv) == want, argv
+    for argv in (["index"], ["index", g, g], ["index", g, "--format"],
+                 ["index", g, "--format", "xml"], ["index", "-g"], ["witness", g, "--size", "-3"],
+                 ["witness", g, "--size", "x"], ["index", g, "--size", "3"], ["-h"], [],
+                 ["ind", g], ["index", g, "-h"], ["eval", g, "-e1"]):
+        assert cli._read_argv(argv) is None, argv
+
+
+def test_bench_argv_takes_the_table_path():
+    """Every argv the benchmark's workloads build is read off the table,
+    to argparse's Namespace."""
+    bench = str(pathlib.Path(__file__).resolve().parent.parent / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import run as bench_run
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    from leavitt import graphio
+    ctx = bench_run.Context(bench_run.ROOT, graphio, oracle)
+    shapes = 0
+    for name, build in workloads.WORKLOADS.items():
+        jobs, probe = build(random.Random(1), ctx)
+        for job in jobs + probe:
+            argv = job.argv(f"{name}.graph")
+            got = cli._read_argv(argv)
+            assert got is not None and vars(got) == _parsed(argv), argv
+            shapes += 1
+    assert shapes > 100

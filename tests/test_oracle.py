@@ -1369,6 +1369,8 @@ def _cross_check_unmemoised(g, trials, seed):
     if report.witness_target is not None:
         j = jordan_element(witness_matrix_units(g, report))
         verdict = nilpotence_index(j, n + 1)
+        if isinstance(verdict, algebra.ResourceLimit):
+            raise algebra.TooLarge("the witness's probe passed the term limit")
         witness_index = verdict.index if isinstance(
             verdict, algebra.NilpotentOfIndex) else -1
     if witness_index != n:
@@ -1721,7 +1723,8 @@ def test_trace_guard_refuses_at_low_limits(monkeypatch):
     term limit of 3, it refuses (but on line1, whose powers hold one term
     at most), every distinct trial runs the probe, and the report is the
     probe's.  At the edge limit of 20 the other fixtures' witness probes
-    raise TooLarge."""
+    raise TooLarge; at the term limit of 3, those of line6 and of the
+    doubled line do, after the same trials."""
     fixtures = [corpus.CORPUS[name]() for name in sorted(SAMPLING_SEED_12345)]
     for g in fixtures:
         assert structure.trace_settles(g, bounded_index_report(g).n + 3, 6)
@@ -1729,22 +1732,32 @@ def test_trace_guard_refuses_at_low_limits(monkeypatch):
     edge_limited = [corpus.CORPUS[name]() for name in
                     ["clock3", "clock5", "loop_with_tail", "single_loop", "line2"]]
     probes = _count_probes(monkeypatch)
-    limited = 0
+    limited, refused = 0, []
     for limit, value, graphs in [("POWER_EDGE_LIMIT", 20, edge_limited),
                                  ("TERM_LIMIT", 3, fixtures + [doubled_line(10)])]:
         with monkeypatch.context() as m:
             m.setattr(algebra, limit, value)
             for i, g in enumerate(graphs):
-                expected = _cross_check_unmemoised(g, 40, i)
-                if structure.trace_settles(g, expected.probe_bound, 6):
+                if structure.trace_settles(g, bounded_index_report(g).n + 3, 6):
                     assert g == corpus.line(1), (limit, i)
                     continue
+                expected = _report_or_too_large(_cross_check_unmemoised, g, 40, i)
                 probes.clear()
-                rep = cross_check_index(g, trials=40, seed=i)
+                rep = _report_or_too_large(cross_check_index, g, 40, i)
                 assert rep == expected, (limit, i)
                 assert len(probes) - 1 == _distinct_trials(g, 40, i), (limit, i)
-                limited += rep.resource_limited
-    assert limited > 0
+                if rep == "TooLarge":
+                    refused.append(i)
+                else:
+                    limited += rep.resource_limited
+    assert limited > 0 and refused == [8, 11]
+
+
+def _report_or_too_large(check, g, trials, seed):
+    try:
+        return check(g, trials, seed)
+    except algebra.TooLarge:
+        return "TooLarge"
 
 
 def test_probe_and_trace_guard_read_one_term_limit(monkeypatch):

@@ -7,7 +7,9 @@ id; ``_components`` emits a successor-free vertex where it meets it, and
 components holding more than one cycle.  The
 copies below are the straightforward forms they replace: the loader that
 validated every graph, and the passes that gave every vertex a DFS frame
-and a cycle search.  Both forms must agree on every input.
+and a cycle search.  Both forms must agree on every input.  So must
+``load_graph``, which reads a file as bytes and decodes it itself, and the
+text-mode read it replaces.
 
 The record types (``graph.Record`` subclasses) are plain classes; each has
 a frozen dataclass twin here, and a record must construct, compare, hash,
@@ -26,7 +28,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from leavitt import algebra, corpus
@@ -58,6 +60,7 @@ from leavitt.graphio import (
     GraphFormatError,
     GraphSyntaxError,
     GraphValidationError,
+    load_graph,
     parse_graph_document,
 )
 from leavitt.oracle import CrossCheckReport, Exit, RandomSpec, random_graph
@@ -233,6 +236,71 @@ def test_loader_reference_sees_every_fault():
     # several violations at once are all named, in validate's order
     _, message = _outcome(parse_graph_document, examples[4])
     assert message.count(";") == 5 and message.startswith("duplicate vertex id: 'v'")
+
+
+def _reference_load(path: str) -> Graph:
+    """The file loader as a text-mode read."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as err:
+            raise GraphSyntaxError(
+                f"byte {err.start}: not UTF-8 text ({err.reason})") from None
+    return parse_graph_document(text)
+
+
+def _load_outcome(load, path: str):
+    try:
+        return "graph", load(path)
+    except (OSError, GraphSyntaxError, GraphFormatError, GraphValidationError) as err:
+        return type(err), str(err)
+
+
+_PIECES = [b"\r", b"\n", b"\r\n", b"\r\r\n", b"\n\r", b" ", b"\xef\xbb\xbf", b"\xff",
+           b"\xc3", b"\xe2\x82", b"\xc3\xa9", b"{", b",", b"]"]
+
+
+@st.composite
+def _document_bytes(draw):
+    """A document of ``_documents``, indented or not, with up to four
+    pieces inserted (line ends of each kind, a BOM, invalid or truncated
+    UTF-8, stray JSON syntax), then possibly cut short, then possibly
+    after a leading BOM."""
+    text = draw(_documents())
+    if draw(st.booleans()):
+        try:
+            text = json.dumps(json.loads(text), indent=draw(st.sampled_from([1, 2])))
+        except ValueError:
+            pass
+    data = text.encode()
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(_PIECES)) + data[at:]
+    if draw(st.integers(0, 4)) == 0:
+        data = data[:draw(st.integers(0, len(data)))]
+    if draw(st.integers(0, 4)) == 0:
+        data = b"\xef\xbb\xbf" + data
+    return data
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_document_bytes())
+def test_file_loader_matches_text_mode_reference(tmp_path, data):
+    """``load_graph`` reads bytes and translates line ends itself: the
+    same graph as a text-mode read, or the same exception and message,
+    line and column included."""
+    path = str(tmp_path / "g.graph")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    assert _load_outcome(load_graph, path) == _load_outcome(_reference_load, path)
+
+
+def test_file_loader_matches_text_mode_reference_without_a_file(tmp_path):
+    """A missing path and a directory fail as the text-mode read fails."""
+    for path in (str(tmp_path / "missing.graph"), str(tmp_path)):
+        got = _load_outcome(load_graph, path)
+        assert got == _load_outcome(_reference_load, path) and got[0] != "graph"
 
 
 # -- the component pass -------------------------------------------------------------
