@@ -88,47 +88,50 @@ class TooLarge(LeavittError):
 
 class _Kernel:
     """Edge numbering and rewriting data of one graph, kept in its
-    ``_kernel`` slot, in O(bundles) space whatever the multiplicities.
+    ``_kernel`` slot, in O(bundles) space whatever the multiplicities,
+    read off the graph's int columns.
 
-    ``first`` maps each bundle id to ``(first, step, mult)``: edge i of
+    ``first`` holds, per bundle int, ``(first, step, mult)``: edge i of
     the bundle has id ``first + i*step``, with step 1 for a finite bundle
     (first is the running total of the finite multiplicities before it)
     and step W, the number of omega bundles, for an omega bundle (mult is
     None then).  ``rewrite`` maps the id of each regular vertex's special
     edge to the ids of the other edges out of that vertex, one ``range``
     per out-bundle, and ``fanout`` maps it to their number; a monomial is
-    reducible exactly when both its paths end in a key of ``rewrite``."""
+    reducible exactly when both its paths end in a key of ``rewrite``.
+    ``special`` holds, per vertex int, its special EdgeRef or None."""
 
     __slots__ = ("first", "offsets", "finite", "nfin", "omega", "rewrite",
                  "fanout", "special")
 
     def __init__(self, g: Graph):
-        # bundles are sorted by id, so the ids follow EdgeRef order
-        finite = [b for b in g.bundles if b.mult is not OMEGA]
-        self.finite = [b.id for b in finite]
-        self.omega = [b.id for b in g.bundles if b.mult is OMEGA]
+        # bundle ints ascend with the ids, so the ids follow EdgeRef order
+        mults, ids = g.mults, g.ids
+        finite = [j for j, m in enumerate(mults) if m is not OMEGA]
+        omega = [j for j, m in enumerate(mults) if m is OMEGA]
+        self.finite = [ids[j] for j in finite]
+        self.omega = [ids[j] for j in omega]
         self.offsets = []   # first id of each finite bundle, ascending
         self.nfin = 0
-        for b in finite:
+        first = self.first = [None] * len(mults)
+        for j in finite:
             self.offsets.append(self.nfin)
-            self.nfin += b.mult
-        self.first = {b.id: (off, 1, b.mult)
-                      for b, off in zip(finite, self.offsets)}
-        self.first.update((bid, (self.nfin + j, len(self.omega), None))
-                          for j, bid in enumerate(self.omega))
+            first[j] = (self.nfin, 1, mults[j])
+            self.nfin += mults[j]
+        for k, j in enumerate(omega):
+            first[j] = (self.nfin + k, len(omega), None)
         self.rewrite = {}   # special edge id -> ranges of its siblings' ids
         self.fanout = {}    # special edge id -> number of its siblings
-        self.special = dict.fromkeys(g.vertices)  # vertex -> EdgeRef | None
-        for v, out in g._out.items():
-            if not out or any(b.mult is OMEGA for b in out):
+        self.special = [None] * len(g.out)
+        for v, (js, d) in enumerate(zip(g.out, g.deg)):
+            if d == 0 or d is OMEGA:
                 continue
-            spans = [range(self.first[b.id][0], self.first[b.id][0] + b.mult)
-                     for b in out]
+            spans = [range(first[j][0], first[j][0] + mults[j]) for j in js]
             special = spans[0][0]
             spans[0] = spans[0][1:]
             self.rewrite[special] = tuple(r for r in spans if r)
             self.fanout[special] = sum(map(len, spans))
-            self.special[v] = EdgeRef(out[0].id, 0)
+            self.special[v] = EdgeRef(ids[js[0]], 0)
 
     def edge_ref(self, i: int) -> EdgeRef:
         if i < self.nfin:
@@ -151,11 +154,7 @@ def special_edge(g: Graph, v: str) -> EdgeRef | None:
 
     Read from the graph's kernel table, built on the first call.
     Raises UnknownVertex for a vertex not in g."""
-    try:
-        return _kernel(g).special[v]
-    except KeyError:
-        g.check_vertex(v)
-        raise
+    return _kernel(g).special[g.vertex_index(v)]
 
 
 class Monomial(Record):
@@ -175,22 +174,22 @@ def _mono_key(m: Monomial):
 
 
 def _path_key(g: Graph, p: Path) -> tuple:
-    """(edge ids, range) of p from one walk, numbered by ``_Kernel.first``;
-    how every path enters the kernel.  Raises InvalidPath unless p is a path
-    of g."""
-    first, bundles = _kernel(g).first, g._by_id
-    at, ids = p.base, []
+    """(edge ids, range) of p from one walk over the graph's columns,
+    numbered by ``_Kernel.first``; how every path enters the kernel.
+    Raises InvalidPath unless p is a path of g."""
+    first, bindex, srcs, dsts, mults = _kernel(g).first, g.bindex, g.srcs, g.dsts, g.mults
+    at, ids = g.vindex.get(p.base), []
     for e in p.edges:
-        b = bundles.get(e.bundle)
-        if (b is None or b.src != at or e.index < 0
-                or b.mult is not OMEGA and e.index >= b.mult):
+        j = bindex.get(e.bundle)
+        if (j is None or srcs[j] != at or e.index < 0
+                or mults[j] is not OMEGA and e.index >= mults[j]):
             break
-        start, step, _ = first[b.id]
+        start, step, _ = first[j]
         ids.append(start + e.index * step)
-        at = b.dst
+        at = dsts[j]
     else:
-        if at in g._out:
-            return tuple(ids), at
+        if at is not None:
+            return tuple(ids), g.vertices[at]
     raise InvalidPath(f"not a path of this graph: {p!r}")
 
 
@@ -448,7 +447,7 @@ def normal_form(g: Graph, raw: Iterable) -> Element:
 # -- generators --------------------------------------------------------------
 
 def vertex_element(g: Graph, v: str) -> Element:
-    g.check_vertex(v)
+    g.vertex_index(v)
     return Element(g, {(v, (), v, ()): 1})
 
 
@@ -479,7 +478,7 @@ def monomial(g: Graph, p: Path, q: Path) -> Element:
 
 def edge_text(g: Graph, e: EdgeRef) -> str:
     """The bundle id alone at multiplicity 1, else ``id[index]``."""
-    return e.bundle if g.bundle(e.bundle).mult == 1 else f"{e.bundle}[{e.index}]"
+    return e.bundle if g.mults[g.bundle_index(e.bundle)] == 1 else f"{e.bundle}[{e.index}]"
 
 
 def path_text(g: Graph, p: Path) -> str:
@@ -669,12 +668,11 @@ def breaking_vertex_element(g: Graph, H, v: str) -> Element:
     if v not in breaking_vertices(g, H):
         raise NotABreakingVertex(f"{v!r} is not a breaking vertex of H")
     out = vertex_element(g, v)
-    for b in g.out_bundles(v):
-        if b.dst in H:
+    for j in g.out[g.vindex[v]]:
+        if g.vertices[g.dsts[j]] in H:
             continue
-        for i in range(b.mult):
-            e = EdgeRef(b.id, i)
-            p = Path(v, (e,))
+        for i in range(g.mults[j]):
+            p = Path(v, (EdgeRef(g.ids[j], i),))
             out = out - monomial(g, p, p)
     return out
 

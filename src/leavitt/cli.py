@@ -15,12 +15,12 @@ as "unbounded" are ordinary output), 1 input error, 2 resource-limit abort.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
 from itertools import groupby
 from json.encoder import encode_basestring_ascii as _quote
+from types import SimpleNamespace
 
 from . import algebra, exprparse, graphio, oracle, structure
 from .graph import (
@@ -277,7 +277,7 @@ def _cmd_analyze(args) -> int:
     payload: dict = {
         "command": "analyze",
         "vertices": list(g.vertices),
-        "bundles": len(g.bundles),
+        "bundles": len(g.ids),
         "sinks": g.sinks(),
         "infinite_emitters": [v for v in g.vertices if g.out_degree(v) is OMEGA],
     }
@@ -299,7 +299,7 @@ def _cmd_analyze(args) -> int:
 
 def _analyze_lines(g: Graph, payload: dict) -> list:
     """The text of ``analyze``, read off its payload."""
-    lines = [f"vertices: {len(g.vertices)}  bundles: {len(g.bundles)}",
+    lines = [f"vertices: {len(g.vertices)}  bundles: {len(g.ids)}",
              f"sinks: {', '.join(payload['sinks']) or '(none)'}"]
     if payload["infinite_emitters"]:
         lines.append(f"infinite emitters: {', '.join(payload['infinite_emitters'])}")
@@ -596,8 +596,9 @@ def _reader(func, extra: tuple) -> tuple:
 _READERS = {name: _reader(func, extra) for name, (func, _, extra) in COMMANDS.items()}
 
 
-def _read_argv(argv) -> argparse.Namespace | None:
-    """The Namespace ``build_parser().parse_args(argv)`` gives, when argv
+def _read_argv(argv) -> SimpleNamespace | None:
+    """The attributes of the Namespace ``build_parser().parse_args(argv)``
+    gives, as a plain namespace (argparse is not imported), when argv
     is a command of the table followed by exactly its positionals and
     ``--option value`` pairs, in any order, each option spelt in full and
     each value not starting with "-", converting by the option's type and
@@ -634,15 +635,17 @@ def _read_argv(argv) -> argparse.Namespace | None:
     if len(given) != len(positionals):
         return None
     values.update(zip(positionals, given))
-    return argparse.Namespace(**values)
+    return SimpleNamespace(**values)
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     """The parser of every command, from the table ``COMMANDS``, built on
     the first call and shared by every later one: parsing leaves it as it
     was, and usage and error text are formatted when printed.  ``main``
-    builds it only for argv that :func:`_read_argv` refuses."""
+    builds it only for argv that :func:`_read_argv` refuses, and imports
+    argparse only here."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="leavitt",
         description="Structure analysis of Leavitt path algebras of finite graphs.")

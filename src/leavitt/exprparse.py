@@ -218,26 +218,27 @@ def parse_expr(text: str) -> object:
 # -- evaluation ----------------------------------------------------------------
 
 def _resolve_ident(g: Graph, node: Ident) -> algebra.Element:
+    name = node.name
     if node.index is None:
-        if node.name in g._out:
-            return algebra.vertex_element(g, node.name)
-        b = g._by_id.get(node.name)
-        if b is None:
-            raise UnknownIdent(f"{node.name!r} names no vertex or bundle")
-        if b.mult is OMEGA:
+        if name in g.vindex:
+            return algebra.vertex_element(g, name)
+        j = g.bindex.get(name)
+        if j is None:
+            raise UnknownIdent(f"{name!r} names no vertex or bundle")
+        mult = g.mults[j]
+        if mult is OMEGA:
             raise OmegaBundleNeedsIndex(
-                f"omega bundle {b.id!r} needs an index: {b.id}[k]")
-        if b.mult != 1:
+                f"omega bundle {name!r} needs an index: {name}[k]")
+        if mult != 1:
             raise BundleNeedsIndex(
-                f"bundle {b.id!r} has multiplicity {b.mult}; write {b.id}[k]")
-        return algebra.edge_element(g, EdgeRef(b.id, 0))
-    b = g._by_id.get(node.name)
-    if b is None:
-        raise UnknownIdent(f"{node.name!r} names no bundle")
-    e = EdgeRef(b.id, node.index)
+                f"bundle {name!r} has multiplicity {mult}; write {name}[k]")
+        return algebra.edge_element(g, EdgeRef(name, 0))
+    if name not in g.bindex:
+        raise UnknownIdent(f"{name!r} names no bundle")
+    e = EdgeRef(name, node.index)
     if not g.is_edge(e):
         raise UnknownIdent(
-            f"index {node.index} out of range for bundle {b.id!r}")
+            f"index {node.index} out of range for bundle {name!r}")
     return algebra.edge_element(g, e)
 
 

@@ -1,49 +1,42 @@
-"""Finite directed graphs with edge-multiplicity bundles.
+"""Finite directed graphs with edge-multiplicity bundles, held as int columns.
 
-A graph here is a finite vertex set plus a list of *bundles*: a bundle with
+A graph is a finite vertex set plus a list of *bundles*: a bundle with
 multiplicity k stands for k parallel edges, addressed as (bundle id, index),
-and multiplicity ``omega`` stands for countably many parallel edges.  This
-module provides the structural algorithms the algebra layers are built on:
-cycle enumeration, exit detection, path counting, hereditary saturated
-subsets, breaking vertices and quotient graphs; :mod:`leavitt.algebra`
-checks paths, in the walk that numbers their edges.  A path count is an
-int, or OMEGA; the paths the bounded-index criterion counts end at a
-SinkTarget or a CycleTarget (a cycle with no exit), and a CycleWithExit is
-a cycle with one of its exits.
+and multiplicity ``omega`` stands for countably many parallel edges.
+:class:`Graph` numbers the vertices 0..V-1 in sorted name order and the
+bundles 0..B-1 in sorted id order, so int order is name order, and a
+vertex's bundle ints ascend in EdgeRef order.  It holds the sorted names
+``vertices`` and ``ids``; ``srcs``, ``dsts`` and ``mults`` per bundle; the
+maps ``vindex`` and ``bindex`` from names to ints; per vertex the ascending
+bundle ints ``out`` and ``into``, and ``deg``, the total out-multiplicity
+(0 at a sink, OMEGA at an infinite emitter, a positive int at a regular
+vertex).  Names enter at load and leave at output; the algorithms here and
+in the layers above read the ints.  The Bundle records (``bundles``,
+``bundle``, ``out_bundles``, ``in_bundles``) are views built on first use.
 
 The structural predicates (cycle vertices, Conditions (K) and (L), downward
-directedness, path counts) read one cached pass per graph: Tarjan's strongly
-connected components without recursion, then one dynamic program over the
-condensation, which lists the *loops* (components that are one cycle) and
-the *tangles* (more cycles, or an omega bundle).  A vertex without
-successors is its own component, emitted where the search meets it with
-no DFS frame, and cycle searches start only in tangles.
+directedness, path counts, each an int or OMEGA) read one cached pass per
+graph: Tarjan's strongly connected components without recursion, then one
+dynamic program over the condensation, which lists the *loops* (components
+that are one cycle) and the *tangles* (more cycles, or an omega bundle);
+cycle searches start only in tangles.  A cycle has no exit exactly when
+every vertex on it has out-degree 1; a path that reaches it then stays on
+it, and holds the whole cycle exactly when its trailing run of cycle edges
+is at least the cycle's length (:mod:`leavitt.oracle` keeps the window test).
 
-A vertex is read through its total out-multiplicity,
-:meth:`Graph.out_degree`: 0 at a sink, OMEGA at an infinite emitter, a
-positive int at a regular vertex.  The out-degrees form one table, filled
-in once by the constructor; ``is_sink``, ``is_regular`` and ``sinks`` read
-it too.  A cycle has no exit exactly when every
-vertex on it has out-degree 1.  Then a path that reaches the cycle stays on
-it, so the cycle edges of a path into the cycle form its trailing run, and
-the path contains the whole cycle exactly when that run has length at least
-the cycle's length: callers test this with one set of the cycle's edges and
-build no rotations (the window test over all rotations is kept in
-:mod:`leavitt.oracle`).
-
-Everything is immutable and iterates in lexicographic vertex/bundle order,
-so all results are reproducible.  The package's value types (Bundle,
-EdgeRef, Path, the verdicts, the expression tree) are :class:`Record`
-subclasses: each class is its annotated fields, and its constructor is a
-renamed copy of one written out in this module, so importing the package
-compiles no code.
+Everything is immutable and iterates in name order.  The package's value
+types (Bundle, EdgeRef, Path, the verdicts, the expression tree) are
+:class:`Record` subclasses: each class is its annotated fields, and its
+constructor is a renamed copy of one written out in this module, so
+importing the package compiles no code.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 from collections import deque
-from operator import attrgetter, ge, gt, le, lt
+from operator import attrgetter, ge, gt, itemgetter, le, lt
 from types import FunctionType
 from typing import Iterable, NamedTuple
 
@@ -322,96 +315,134 @@ class CycleTarget(Record):
     cycle: Cycle
 
 
+def _without_gc(build):
+    """build, run with the cyclic garbage collector paused.  The graph
+    builder and the component pass make lists per vertex that live as long
+    as the graph and form no cycle; a running collector would rescan them
+    all at each full collection (a third of the time on line(100000))."""
+    def paused(*args):
+        if not gc.isenabled():
+            return build(*args)
+        gc.disable()
+        try:
+            return build(*args)
+        finally:
+            gc.enable()
+    return paused
+
+
 class Graph:
-    """Immutable graph value; vertices and bundles are stored sorted.
+    """Immutable graph value: sorted names and int columns.  Construction
+    is permissive (the out-degree table only needs the multiplicities at a
+    vertex to add up) so that :func:`validate` can report violations; every
+    other operation assumes a valid graph.  An undeclared endpoint is
+    numbered after the vertices, in name order, and is in no out-list."""
 
-    Construction is permissive (no invariant is enforced; the out-degree
-    table only needs the multiplicities at a vertex to add up) so that
-    :func:`validate` can report violations; every other operation assumes a
-    valid graph.  The loader calls :func:`validate` only when its own
-    per-edge checks have seen a fault.
-    """
-
-    __slots__ = ("vertices", "bundles", "_by_id", "_out", "_into", "_deg",
-                 "_scc", "_kernel", "_blocks")
+    __slots__ = ("vertices", "ids", "srcs", "dsts", "mults", "vindex", "bindex",
+                 "out", "into", "deg", "_names", "_views", "_scc", "_kernel", "_blocks")
 
     def __init__(self, vertices: Iterable[str], bundles: Iterable[Bundle] = ()):
-        self.vertices = tuple(sorted(vertices))
-        self.bundles = tuple(sorted(bundles, key=attrgetter("id")))
-        self._by_id = {b.id: b for b in self.bundles}
-        out = self._out = {v: [] for v in self.vertices}
-        into = self._into = {v: [] for v in self.vertices}
-        for b in self.bundles:
-            src, dst = b.src, b.dst
-            if src in out:
-                out[src].append(b)
-            if dst in into:
-                into[dst].append(b)
-        # out-degrees (see out_degree); only two or more out-bundles sum
-        deg = self._deg = {}
-        for v, bs in out.items():
-            if len(bs) == 1:
-                deg[v] = bs[0].mult
-            elif bs:
-                mults = [b.mult for b in bs]
-                deg[v] = OMEGA if OMEGA in mults else sum(mults)
-            else:
-                deg[v] = 0
-        self._scc = None  # _Components, filled in on first use
-        self._kernel = None  # algebra._Kernel, filled in on first use
-        self._blocks = None  # structure.Blocks, filled in on first use
+        bundles = list(bundles)
+        self._fill(vertices, [b.id for b in bundles], [b.src for b in bundles],
+                   [b.dst for b in bundles], [b.mult for b in bundles])
+
+    @classmethod
+    def from_columns(cls, vertices, ids, srcs, dsts, mults) -> "Graph":
+        """The graph of the bundles (ids[j], srcs[j], dsts[j], mults[j]), in
+        any order: what the constructor builds, with no Bundle made."""
+        g = cls.__new__(cls)
+        g._fill(vertices, ids, srcs, dsts, mults)
+        return g
+
+    @_without_gc
+    def _fill(self, vertices, ids, srcs, dsts, mults) -> None:
+        names = self.vertices = tuple(sorted(vertices))
+        self.vindex = dict(zip(names, range(len(names))))
+        extra = sorted(set(srcs).union(dsts).difference(self.vindex))  # undeclared
+        self._names = names + tuple(extra)
+        number = dict(zip(self._names, range(len(self._names)))) if extra else self.vindex
+        order = sorted(range(len(ids)), key=ids.__getitem__)  # stable: repeated ids
+        pick = itemgetter(*order) if len(order) > 1 else tuple
+        self.ids, self.mults = pick(ids), pick(mults)
+        self.srcs, self.dsts = pick(list(map(number.__getitem__, srcs))), \
+            pick(list(map(number.__getitem__, dsts)))
+        self.bindex = dict(zip(self.ids, range(len(order))))
+        out, into = [[] for _ in self._names], [[] for _ in self._names]
+        for j, (u, w) in enumerate(zip(self.srcs, self.dsts)):
+            out[u].append(j)
+            into[w].append(j)
+        self.out, self.into = out[:len(names)], into[:len(names)]
+        m = self.mults  # out-degrees (see out_degree); only two or more out-bundles sum
+        self.deg = [m[js[0]] if len(js) == 1 else 0 if not js else
+                    OMEGA if OMEGA in (ms := [m[j] for j in js]) else sum(ms) for js in self.out]
+        self._views = self._scc = self._kernel = self._blocks = None  # built on first use
+
+    def _key(self) -> tuple:
+        return self._names, self.ids, self.srcs, self.dsts, self.mults
 
     def __eq__(self, other):
-        return (isinstance(other, Graph)
-                and self.vertices == other.vertices
-                and self.bundles == other.bundles)
+        return isinstance(other, Graph) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.vertices, self.bundles))
+        return hash(self._key())
 
     def __repr__(self):
-        return f"Graph(|V|={len(self.vertices)}, |B|={len(self.bundles)})"
+        return f"Graph(|V|={len(self.vertices)}, |B|={len(self.ids)})"
 
     # -- lookups ----------------------------------------------------------
 
-    def check_vertex(self, v: str) -> None:
-        if v not in self._out:
-            raise UnknownVertex(f"unknown vertex id: {v!r}")
+    def _bundle_views(self) -> tuple:
+        """(bundles, out-lists, in-lists) as Bundle records, built once."""
+        if self._views is None:
+            names = self._names
+            bs = tuple(map(Bundle, self.ids, [names[v] for v in self.srcs],
+                           [names[v] for v in self.dsts], self.mults))
+            self._views = (bs, [[bs[j] for j in js] for js in self.out],
+                           [[bs[j] for j in js] for js in self.into])
+        return self._views
 
-    def bundle(self, bundle_id: str) -> Bundle:
+    @property
+    def bundles(self) -> tuple:
+        """The Bundle records, sorted by id."""
+        return self._bundle_views()[0]
+
+    def vertex_index(self, v: str) -> int:
         try:
-            return self._by_id[bundle_id]
+            return self.vindex[v]
+        except KeyError:
+            raise UnknownVertex(f"unknown vertex id: {v!r}") from None
+
+    def bundle_index(self, bundle_id: str) -> int:
+        try:
+            return self.bindex[bundle_id]
         except KeyError:
             raise UnknownBundle(f"unknown bundle id: {bundle_id!r}") from None
 
+    def bundle(self, bundle_id: str) -> Bundle:
+        return self.bundles[self.bundle_index(bundle_id)]
+
     def src(self, e: EdgeRef) -> str:
-        return self.bundle(e.bundle).src
+        return self._names[self.srcs[self.bundle_index(e.bundle)]]
 
     def dst(self, e: EdgeRef) -> str:
-        return self.bundle(e.bundle).dst
+        return self._names[self.dsts[self.bundle_index(e.bundle)]]
 
     def is_edge(self, e: EdgeRef) -> bool:
-        b = self._by_id.get(e.bundle)
-        if b is None or e.index < 0:
+        j = self.bindex.get(e.bundle)
+        if j is None or e.index < 0:
             return False
-        return b.mult is OMEGA or e.index < b.mult
+        return self.mults[j] is OMEGA or e.index < self.mults[j]
 
     def out_bundles(self, v: str) -> list:
-        self.check_vertex(v)
-        return list(self._out[v])
+        return list((self._views or self._bundle_views())[1][self.vertex_index(v)])
 
     def in_bundles(self, v: str) -> list:
-        self.check_vertex(v)
-        return list(self._into[v])
+        return list((self._views or self._bundle_views())[2][self.vertex_index(v)])
 
     def out_degree(self, v: str):
         """Total multiplicity of the bundles leaving v: an int, or OMEGA
-        when one of them is an omega bundle.  Read from the table the
-        constructor fills in."""
-        d = self._deg.get(v)
-        if d is None:
-            self.check_vertex(v)
-        return d
+        when one of them is an omega bundle."""
+        return self.deg[self.vertex_index(v)]
 
     def is_sink(self, v: str) -> bool:
         return self.out_degree(v) == 0
@@ -420,18 +451,18 @@ class Graph:
         return self.out_degree(v) not in (0, OMEGA)
 
     def edges_out(self, v: str) -> list:
-        """All EdgeRefs leaving v.  Only valid at vertices with finite
-        out-multiplicity."""
+        """All EdgeRefs leaving v, in order (bundle ints ascend with ids).
+        Only valid at vertices with finite out-multiplicity."""
         refs = []
-        for b in self.out_bundles(v):
-            if b.mult is OMEGA:
+        for j in self.out[self.vertex_index(v)]:
+            if self.mults[j] is OMEGA:
                 raise LeavittError(
-                    f"cannot enumerate edges of omega bundle {b.id!r}")
-            refs.extend(EdgeRef(b.id, i) for i in range(b.mult))
-        return sorted(refs)
+                    f"cannot enumerate edges of omega bundle {self.ids[j]!r}")
+            refs.extend(EdgeRef(self.ids[j], i) for i in range(self.mults[j]))
+        return refs
 
     def sinks(self) -> list:
-        return [v for v, d in self._deg.items() if d == 0]
+        return [self.vertices[v] for v, d in enumerate(self.deg) if d == 0]
 
 
 # -- validation ------------------------------------------------------------
@@ -439,24 +470,19 @@ class Graph:
 def validate(g: Graph) -> list:
     """Check all structural invariants; returns a list of violation strings,
     empty when the graph is well formed.  Each violation names the offending
-    vertex or bundle id."""
-    violations = []
-    seen_v = set()
-    for v in g.vertices:
-        if v in seen_v:
-            violations.append(f"duplicate vertex id: {v!r}")
-        seen_v.add(v)
-    seen_b = set()
-    for b in g.bundles:
-        if b.id in seen_b:
-            violations.append(f"duplicate bundle id: {b.id!r}")
-        seen_b.add(b.id)
-        if b.src not in seen_v:
-            violations.append(f"bundle {b.id!r}: src {b.src!r} is not a declared vertex")
-        if b.dst not in seen_v:
-            violations.append(f"bundle {b.id!r}: dst {b.dst!r} is not a declared vertex")
-        if b.mult is not OMEGA and (not isinstance(b.mult, int) or b.mult < 1):
-            violations.append(f"bundle {b.id!r}: multiplicity must be a positive integer or omega")
+    vertex or bundle id.  Repeated names are neighbours in the sorted
+    columns, and an undeclared endpoint is numbered past the vertices."""
+    names, ids, declared = g._names, g.ids, len(g.vertices)
+    violations = [f"duplicate vertex id: {v!r}"
+                  for u, v in zip(g.vertices, g.vertices[1:]) if u == v]
+    for j, (bid, m) in enumerate(zip(ids, g.mults)):
+        if j and ids[j - 1] == bid:
+            violations.append(f"duplicate bundle id: {bid!r}")
+        for end, v in (("src", g.srcs[j]), ("dst", g.dsts[j])):
+            if v >= declared:
+                violations.append(f"bundle {bid!r}: {end} {names[v]!r} is not a declared vertex")
+        if m is not OMEGA and (not isinstance(m, int) or m < 1):
+            violations.append(f"bundle {bid!r}: multiplicity must be a positive integer or omega")
     return violations
 
 
@@ -509,23 +535,24 @@ def rotate_cycle_to(g: Graph, c: Cycle, v: str) -> Path:
 
 class _Components(NamedTuple):
     """The strongly connected components of a graph and what is read off
-    them; built once per graph by :func:`_components`."""
+    them, all by vertex int; built once per graph by :func:`_components`."""
 
-    comp: dict      # vertex -> index into members
-    members: list   # sorted vertex lists, in Tarjan's order (sinks first)
+    comp: list      # vertex -> index into members
+    members: list   # ascending vertex lists, in Tarjan's order (sinks first)
     loops: list     # indices of the components that are one cycle
     tangles: list   # indices of those with more cycles, or an omega bundle
     sinks: int      # components that no bundle leaves
-    paths: dict     # vertex -> number of paths ending there, an int or OMEGA
+    paths: list     # vertex -> number of paths ending there, an int or OMEGA
 
 
+@_without_gc
 def _components(g: Graph) -> _Components:
     """Tarjan's algorithm with an explicit stack, then one pass over the
     condensation; cached on the graph, and the one place that decides
     which components are cycles.
 
-    A vertex without successors is a component of its own: it is emitted
-    where the search first meets it, which is where Tarjan's algorithm
+    A vertex without successors is a component of its own: met as a
+    successor, it is emitted there, which is where Tarjan's algorithm
     would emit it, and it takes neither a stack entry nor a work frame.
     Tarjan emits a component after every component it reaches, so every
     bundle between two components goes from the later index to the
@@ -533,72 +560,74 @@ def _components(g: Graph) -> _Components:
     least k edges: it is a loop with exactly k, a tangle with more."""
     if g._scc is not None:
         return g._scc
-    out = g._out
-    index, low, comp, found, stack = {}, {}, {}, [], []
-    for root in g.vertices:
-        if root in index:
+    out, srcs, dsts, mults = g.out, g.srcs, g.dsts, g.mults
+    n = len(out)
+    index, low, comp, found, stack = [-1] * n, [0] * n, [-1] * n, [], []
+    seen, work, resume = 0, [], [0] * n  # resume: v's next out-bundle position
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        index[root] = low[root] = len(index)
-        if not out[root]:
-            comp[root] = len(found)
-            found.append([root])
-            continue
+        index[root] = low[root] = seen
+        seen += 1
         stack.append(root)
-        work = [(root, iter(out[root]))]
+        work.append(root)
         while work:
-            v, it = work[-1]
-            for b in it:
-                w = b.dst
-                if w not in index:
+            v = work[-1]
+            js = out[v]
+            for k in range(resume[v], len(js)):
+                w = dsts[js[k]]
+                if index[w] < 0:
+                    index[w] = seen
+                    seen += 1
                     if out[w]:
-                        index[w] = low[w] = len(index)
+                        resume[v] = k + 1
+                        low[w] = index[w]
                         stack.append(w)
-                        work.append((w, iter(out[w])))
+                        work.append(w)
                         break
-                    index[w] = len(index)
                     comp[w] = len(found)
                     found.append([w])
-                elif w not in comp:  # still on the stack
-                    low[v] = min(low[v], index[w])
+                elif comp[w] < 0 and index[w] < low[v]:  # w is still on the stack
+                    low[v] = index[w]
             else:
                 work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
+                if work and low[v] < low[work[-1]]:
+                    low[work[-1]] = low[v]
                 if low[v] == index[v]:
                     members = []
-                    while v not in comp:
+                    while comp[v] < 0:
                         members.append(stack.pop())
                         comp[members[-1]] = len(found)
-                    found.append(sorted(members))
+                    members.sort()
+                    found.append(members)
 
-    inner = [0] * len(found)
-    left = [False] * len(found)
-    for b in g.bundles:
-        i, j = comp[b.src], comp[b.dst]
-        if i != j:
-            left[i] = True
-        elif inner[i] is not OMEGA:
-            inner[i] = OMEGA if b.mult is OMEGA else inner[i] + b.mult
-    loops = [i for i, k in enumerate(inner) if k == len(found[i])]
-    tangles = [i for i, k in enumerate(inner) if k and k != len(found[i])]
-
-    # paths ending at v: 1 + sum of mult * paths(src) over the bundles into
-    # v, omega absorbing, where a source on a cycle feeds omega many (pump
-    # the cycle), sources first.  All vertices of a loop share the sum of
-    # their own counts; a tangle gives omega.
-    paths, feed, into = {}, {}, g._into
-    for i, members in reversed(list(enumerate(found))):
-        cnt = len(members)  # the trivial path at each member
+    # one pass over the in-lists, sources first: the multiplicity inside
+    # each component (omega absorbing), and the paths ending at v, 1 + sum
+    # of mult * paths(src) over the bundles into v from other components,
+    # where a source on a cycle feeds omega many (pump the cycle).  All
+    # vertices of a loop share the sum of their own counts; a tangle gives
+    # omega.
+    inner, left = [0] * len(found), [False] * len(found)
+    paths, feed, into = [0] * n, [0] * n, g.into
+    for i in range(len(found) - 1, -1, -1):
+        members = found[i]
+        cnt = k = len(members)  # the trivial path at each member
         for v in members:
-            for b in into[v]:
-                if comp[b.src] != i and cnt is not OMEGA:
-                    f = feed[b.src]
-                    cnt = OMEGA if f is OMEGA or b.mult is OMEGA else cnt + b.mult * f
-        if inner[i] and inner[i] != len(members):
+            for j in into[v]:
+                c, m = comp[srcs[j]], mults[j]
+                if c == i:
+                    inner[i] = OMEGA if inner[i] is OMEGA or m is OMEGA else inner[i] + m
+                    continue
+                left[c] = True
+                if cnt is not OMEGA:
+                    f = feed[srcs[j]]
+                    cnt = OMEGA if f is OMEGA or m is OMEGA else cnt + m * f
+        if inner[i] and inner[i] != k:
             cnt = OMEGA
         for v in members:
             paths[v], feed[v] = cnt, (OMEGA if inner[i] else cnt)
+    loops = [i for i, k in enumerate(inner) if k == len(found[i])]
+    tangles = [i for i, k in enumerate(inner) if k and k != len(found[i])]
     g._scc = _Components(comp, found, loops, tangles, left.count(False), paths)
     return g._scc
 
@@ -608,8 +637,8 @@ def _vertex_cycles(g: Graph) -> list:
     first, listed by their minimal vertex.  The searches read one map of
     each tangle vertex's distinct successors in its own component (a
     loop is one cycle, which :func:`component_cycles` walks)."""
-    s = _components(g)
-    succ = {v: list(dict.fromkeys(b.dst for b in g._out[v] if s.comp[b.dst] == i))
+    s, dsts = _components(g), g.dsts
+    succ = {v: list(dict.fromkeys(dsts[j] for j in g.out[v] if s.comp[dsts[j]] == i))
             for i in s.tangles for v in s.members[i]}
     found = []
     for start in sorted(succ):
@@ -637,17 +666,17 @@ def cycles(g: Graph) -> list:
     Raises CycleThroughOmegaBundle when an omega bundle lies on a closed
     walk, in which case there are unboundedly many cycles.
     """
-    comp = _components(g).comp
-    for b in g.bundles:
-        if b.mult is OMEGA and comp[b.src] == comp[b.dst]:
+    comp, ids, dsts = _components(g).comp, g.ids, g.dsts
+    for j, m in enumerate(g.mults):
+        if m is OMEGA and comp[g.srcs[j]] == comp[dsts[j]]:
             raise CycleThroughOmegaBundle(
-                f"omega bundle {b.id!r} lies on a closed walk")
+                f"omega bundle {ids[j]!r} lies on a closed walk")
     out = component_cycles(g)  # each loop walked once
     for vcyc in _vertex_cycles(g):
-        # one cycle per choice of parallel edge along each arc
+        # one cycle per choice of parallel edge along each arc, in EdgeRef order
         arcs = zip(vcyc, vcyc[1:] + vcyc[:1])
-        choices = [sorted(EdgeRef(b.id, i) for b in g._out[x] if b.dst == y
-                          for i in range(b.mult)) for x, y in arcs]
+        choices = [[EdgeRef(ids[j], i) for j in g.out[x] if dsts[j] == y
+                    for i in range(g.mults[j])] for x, y in arcs]
         out.extend(Cycle(combo) for combo in itertools.product(*choices))
     out.sort(key=lambda c: (len(c.edges), c.edges))
     return out
@@ -658,15 +687,15 @@ def component_cycles(g: Graph) -> list:
     loop of the component table, in canonical rotation and sorted as
     :func:`cycles` sorts.  When no cycle has an exit these are all the
     cycles of the graph."""
-    s = _components(g)
+    s, dsts = _components(g), g.dsts
     out = []
     for i in s.loops:
         members = s.members[i]
         edges, v = [], members[0]
         while not edges or v != members[0]:
-            b = next(b for b in g._out[v] if s.comp[b.dst] == i)
-            edges.append(EdgeRef(b.id, 0))
-            v = b.dst
+            j = next(j for j in g.out[v] if s.comp[dsts[j]] == i)
+            edges.append(EdgeRef(g.ids[j], 0))
+            v = dsts[j]
         out.append(Cycle(tuple(edges)))
     out.sort(key=lambda c: (len(c.edges), c.edges))
     return out
@@ -676,73 +705,54 @@ def vertices_on_cycles(g: Graph) -> frozenset:
     """Vertices lying on some elementary cycle (equivalently, on any closed
     walk): the members of the loops and the tangles."""
     s = _components(g)
-    return frozenset(v for i in s.loops + s.tangles for v in s.members[i])
+    return frozenset(g.vertices[v] for i in s.loops + s.tangles for v in s.members[i])
 
 
 def cycle_exit_witness(g: Graph):
     """Find some CycleWithExit, or None when no cycle has an exit.
 
-    Uses the out-degree test: the least cycle vertex whose out-degree is
-    not 1 yields a witness.
+    Uses the out-degree test: the least cycle vertex v whose out-degree is
+    not 1 yields a witness, on a shortest closed walk through v, found by
+    a breadth-first search that visits each vertex's successors in order.
     """
-    s, deg = _components(g), g._deg
+    s, deg, ids = _components(g), g.deg, g.ids
     v = min((v for i in s.loops + s.tangles for v in s.members[i] if deg[v] != 1),
             default=None)
     if v is None:
         return None
-    walk = _shortest_closed_vertex_walk(g, v)
-    edges = []
-    for x, y in zip(walk, walk[1:] + walk[:1]):
-        b = min((b for b in g._out[x] if b.dst == y), key=lambda b: b.id)
-        edges.append(EdgeRef(b.id, 0))
-    cyc = make_cycle(g, edges)
-    cyc_edge = edges[0]
-    for b in g._out[v]:  # v emits two edges or more
-        limit = 2 if b.mult is OMEGA else b.mult
-        for i in range(limit):
-            e = EdgeRef(b.id, i)
-            if e != cyc_edge:
-                return CycleWithExit(cyc, e)
-
-
-def _shortest_closed_vertex_walk(g: Graph, v: str) -> list:
-    """Vertex sequence of a shortest closed walk through v (elementary),
-    visiting each vertex's successors in sorted order."""
     parent, queue = {}, deque([v])
-    while queue:
+    while v not in parent:
         at = queue.popleft()
-        for w in sorted({b.dst for b in g._out[at]}):
-            if w == v:
-                walk = [at]
-                while walk[-1] != v:
-                    walk.append(parent[walk[-1]])
-                walk.reverse()
-                return walk
+        for w in sorted({g.dsts[j] for j in g.out[at]}):
             if w not in parent:
                 parent[w] = at
                 queue.append(w)
-    raise InvalidCycle(f"no closed walk through {v!r}")
+    walk = [parent[v]]
+    while walk[-1] != v:
+        walk.append(parent[walk[-1]])
+    walk.reverse()
+    edges = [EdgeRef(ids[next(j for j in g.out[x] if g.dsts[j] == y)], 0)
+             for x, y in zip(walk, walk[1:] + walk[:1])]  # least id on each arc
+    cyc = make_cycle(g, edges)
+    for j in g.out[v]:  # v emits two edges or more
+        for i in range(2 if g.mults[j] is OMEGA else g.mults[j]):
+            e = EdgeRef(ids[j], i)
+            if e != edges[0]:
+                return CycleWithExit(cyc, e)
 
 
 # -- reachability -----------------------------------------------------------
 
 def reachable(g: Graph, u: str, v: str) -> bool:
     """True iff a (possibly trivial) path u -> v exists."""
-    g.check_vertex(u)
-    g.check_vertex(v)
-    if u == v:
-        return True
-    seen = {u}
-    queue = deque([u])
-    while queue:
-        for b in g._out[queue.popleft()]:
-            w = b.dst
-            if w == v:
-                return True
+    u, v = g.vertex_index(u), g.vertex_index(v)
+    seen, queue = {u}, deque([u])
+    while queue and v not in seen:
+        for w in map(g.dsts.__getitem__, g.out[queue.popleft()]):
             if w not in seen:
                 seen.add(w)
                 queue.append(w)
-    return False
+    return v in seen
 
 
 def downward_directed(g: Graph) -> bool:
@@ -757,7 +767,7 @@ def downward_directed(g: Graph) -> bool:
 def condition_L(g: Graph) -> bool:
     """Every cycle has at least one exit.  A cycle without one is a loop
     of the component table in which every vertex emits exactly one edge."""
-    s, deg = _components(g), g._deg
+    s, deg = _components(g), g.deg
     return not any(all(deg[v] == 1 for v in s.members[i]) for i in s.loops)
 
 
@@ -780,8 +790,7 @@ def count_paths_ending_at(g: Graph, v: str):
     cycles.  Otherwise the count is finite; all counts come from one
     dynamic program over the strongly connected components.
     """
-    g.check_vertex(v)
-    return _components(g).paths[v]
+    return _components(g).paths[g.vertex_index(v)]
 
 
 # -- hereditary saturated machinery ---------------------------------------------
@@ -789,40 +798,32 @@ def count_paths_ending_at(g: Graph, v: str):
 def hereditary_saturated_closure(g: Graph, X: Iterable[str]) -> frozenset:
     """Least superset of X closed downward under reachability and under
     saturation at regular vertices (sinks and infinite emitters are never
-    forced in).
-
-    One worklist pass, O(V + E): each regular vertex keeps the number of
-    its bundles whose range is not yet in H, and enters H when that number
-    reaches 0."""
-    pending = {v: len(g._out[v]) for v, d in g._deg.items() if d not in (0, OMEGA)}
-    work = []
-    for v in X:
-        g.check_vertex(v)
-        work.append(v)
-    H = set()
+    forced in).  One worklist pass, O(V + E): each regular vertex counts
+    its bundles whose range is not yet in H, and enters H when the count
+    reaches 0 (other vertices start at -1, which never does)."""
+    srcs, dsts = g.srcs, g.dsts
+    pending = [len(js) if d != 0 and d is not OMEGA else -1 for js, d in zip(g.out, g.deg)]
+    work, H = [g.vertex_index(v) for v in X], set()
     while work:
         v = work.pop()
         if v in H:
             continue
         H.add(v)
-        work.extend(b.dst for b in g._out[v])
-        for b in g._into[v]:
-            if b.src in pending:
-                pending[b.src] -= 1
-                if pending[b.src] == 0:
-                    work.append(b.src)
-    return frozenset(H)
+        work.extend(map(dsts.__getitem__, g.out[v]))
+        for u in map(srcs.__getitem__, g.into[v]):
+            pending[u] -= 1
+            if pending[u] == 0:
+                work.append(u)
+    return frozenset(map(g.vertices.__getitem__, H))
 
 
 def is_hereditary_saturated(g: Graph, X: Iterable[str]) -> bool:
-    X = set(X)
+    X, names = set(X), g.vertices
     for v in X:
-        g.check_vertex(v)
-        if any(b.dst not in X for b in g._out[v]):
+        if any(names[g.dsts[j]] not in X for j in g.out[g.vertex_index(v)]):
             return False
-    for v in g.vertices:
-        if v not in X and g.is_regular(v) \
-                and all(b.dst in X for b in g._out[v]):
+    for v, js in zip(names, g.out):
+        if v not in X and g.is_regular(v) and all(names[g.dsts[j]] in X for j in js):
             return False
     return True
 
@@ -847,11 +848,10 @@ def breaking_vertices(g: Graph, H: Iterable[str]) -> frozenset:
     if not is_hereditary_saturated(g, H):
         raise NotHereditarySaturated(f"not hereditary saturated: {sorted(H)}")
     result = set()
-    for w in g.vertices:
-        if w in H or g.out_degree(w) is not OMEGA:
-            continue
-        outside = [b for b in g._out[w] if b.dst not in H]
-        if outside and all(b.mult is not OMEGA for b in outside):
+    for w, js, d in zip(g.vertices, g.out, g.deg):
+        outside = [j for j in js if g.vertices[g.dsts[j]] not in H]
+        if d is OMEGA and w not in H and outside \
+                and all(g.mults[j] is not OMEGA for j in outside):
             result.add(w)
     return frozenset(result)
 
@@ -875,20 +875,18 @@ def quotient_graph(g: Graph, p: AdmissiblePair) -> Graph:
     keep = [v for v in g.vertices if v not in p.H]
     to_prime = sorted(breaking_vertices(g, p.H) - p.S)
     used = set(keep)
-    prime_of = {}
-    for v in to_prime:
-        name = v + "'"
-        while name in used:
-            name += "'"
-        prime_of[v] = name
-        used.add(name)
+    prime_of = {v: _primed(v, used) for v in to_prime}
     bundles = [b for b in g.bundles if b.dst not in p.H]
     used_ids = {b.id for b in bundles}
-    for b in g.bundles:
-        if b.dst in prime_of:
-            name = b.id + "'"
-            while name in used_ids:
-                name += "'"
-            used_ids.add(name)
-            bundles.append(Bundle(name, b.src, prime_of[b.dst], b.mult))
+    bundles += [Bundle(_primed(b.id, used_ids), b.src, prime_of[b.dst], b.mult)
+                for b in g.bundles if b.dst in prime_of]
     return Graph(keep + list(prime_of.values()), bundles)
+
+
+def _primed(name: str, used: set) -> str:
+    """name with primes appended until it is not in used, which it joins."""
+    name += "'"
+    while name in used:
+        name += "'"
+    used.add(name)
+    return name

@@ -14,9 +14,12 @@ lexicographically, so parse -> serialize -> parse is the identity.
 
 Loading checks each edge once, with exact-type tests on the parsed JSON
 (which holds only exact dicts, lists, strings, ints, floats, bools and
-None), and notes an undeclared endpoint, a duplicate vertex or a duplicate
-bundle id as it goes.  :func:`leavitt.graph.validate` runs only on that
-error path, so that the error names every violation in its order.
+None), and collects the edges as four columns (ids, endpoint names,
+multiplicities) that :meth:`leavitt.graph.Graph.from_columns` numbers;
+no Bundle record is made.  A duplicate vertex, a duplicate bundle id or
+an undeclared endpoint shows in the graph's name maps, and only then does
+:func:`leavitt.graph.validate` run, so that the error names every
+violation in its order.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import json
 import sys
 
-from .graph import OMEGA, Bundle, Graph, LeavittError, validate
+from .graph import OMEGA, Graph, LeavittError, validate
 
 
 class GraphSyntaxError(LeavittError):
@@ -58,8 +61,7 @@ def parse_graph_document(text: str) -> Graph:
     edges = doc.get("edges", [])
     if type(edges) is not list:
         raise GraphFormatError("'edges' must be a list")
-    declared, ids, bundles = set(vertices), set(), []
-    valid = len(declared) == len(vertices)
+    ids, srcs, dsts, mults = [], [], [], []
     for i, e in enumerate(edges):
         if type(e) is not dict:
             raise GraphFormatError(f"edges[{i}] must be an object")
@@ -75,13 +77,15 @@ def parse_graph_document(text: str) -> Graph:
                 raise GraphFormatError(
                     f"edges[{i}]: mult must be a positive integer or \"omega\"")
             mult = OMEGA
-        if valid and (src not in declared or dst not in declared or bid in ids):
-            valid = False
-        ids.add(bid)
-        bundles.append(Bundle(bid, src, dst, mult))
-    g = Graph(vertices, bundles)
-    if not valid:  # name every violation, in the order validate reports them
-        raise GraphValidationError(validate(g))
+        ids.append(bid)
+        srcs.append(src)
+        dsts.append(dst)
+        mults.append(mult)
+    g = Graph.from_columns(vertices, ids, srcs, dsts, mults)
+    # a repeated vertex or bundle id, or an undeclared endpoint (numbered
+    # after the vertices), leaves a name map shorter than the names it numbers
+    if len(g.vindex) < len(g._names) or len(g.bindex) < len(g.ids):
+        raise GraphValidationError(validate(g))  # every violation, in its order
     return g
 
 
@@ -89,9 +93,9 @@ def canonical_document(g: Graph) -> str:
     doc = {
         "vertices": list(g.vertices),
         "edges": [
-            {"id": b.id, "src": b.src, "dst": b.dst,
-             "mult": "omega" if b.mult is OMEGA else b.mult}
-            for b in g.bundles
+            {"id": bid, "src": g.vertices[u], "dst": g.vertices[w],
+             "mult": "omega" if m is OMEGA else m}
+            for bid, u, w, m in zip(g.ids, g.srcs, g.dsts, g.mults)
         ],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

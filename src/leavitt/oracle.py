@@ -140,7 +140,7 @@ def enumerate_paths_ending_at(g: Graph, v: str, length_cap: int,
     """All paths of length <= length_cap ending at v, excluding those that
     run through v's unique cycle in full (when v lies on exactly one
     cycle).  Walks reversed edges breadth-first."""
-    g.check_vertex(v)
+    g.vertex_index(v)
     through = _cycles_through(g, v)
     exclude = ()
     if len(through) == 1:
@@ -270,9 +270,10 @@ def random_graph(spec: RandomSpec) -> Graph:
 def walk_tables(g: Graph, seed) -> tuple:
     """The tables :func:`_random_keys` walks, and the generator it draws
     with: ``(out, into, generator)``.  ``out`` and ``into`` map each
-    vertex to ``(n, k, entries)``: its out-bundles or in-bundles, in
-    ``g._out``/``g._into`` order, their count n and n's bit width k.  An
-    entry is ``(other end, first, step, choices, width)``, with
+    vertex int to ``(n, k, entries)``: its out-bundles or in-bundles, in
+    the order of ``g.out``/``g.into`` (ascending bundle ints, which is id
+    order), their count n and n's bit width k.  An entry is ``(other end,
+    first, step, choices, width)``, the other end a vertex int and
     ``(first, step)`` read from the graph's kernel, so edge i of the
     bundle has the id ``first + i*step``; ``choices`` is the bundle's
     multiplicity, or 4 for an omega bundle (a walk takes one of its first
@@ -281,16 +282,16 @@ def walk_tables(g: Graph, seed) -> tuple:
     drawn from these tables continues its one stream."""
     slots = algebra._kernel(g).first
 
-    def entries(ends):
+    def entries(js, ends):
         listed = []
-        for end, bid in ends:
-            first, step, mult = slots[bid]
+        for j in js:
+            first, step, mult = slots[j]
             choices = 4 if mult is None else mult
-            listed.append((end, first, step, choices, choices.bit_length()))
+            listed.append((ends[j], first, step, choices, choices.bit_length()))
         return len(listed), len(listed).bit_length(), tuple(listed)
 
-    out = {v: entries((b.dst, b.id) for b in bs) for v, bs in g._out.items()}
-    into = {v: entries((b.src, b.id) for b in bs) for v, bs in g._into.items()}
+    out = [entries(js, g.dsts) for js in g.out]
+    into = [entries(js, g.srcs) for js in g.into]
     return out, into, random.Random(seed)
 
 
@@ -330,7 +331,7 @@ def _random_keys(g: Graph, tables: tuple, max_terms: int,
         r = bits(k_v)
         while r >= n_v:
             r = bits(k_v)
-        base = at = vertices[r]
+        base = at = r
         walks = []
         for steps in (out, into):  # p forward from base, then q back from p's end
             ids = []
@@ -355,7 +356,8 @@ def _random_keys(g: Graph, tables: tuple, max_terms: int,
         r = bits(3)  # a draw from the six coefficients
         while r >= 6:
             r = bits(3)
-        raw.append(((base, tuple(p), at, tuple(q)), _COEFFICIENTS[r]))
+        raw.append(((vertices[base], tuple(p), vertices[at], tuple(q)),
+                    _COEFFICIENTS[r]))
     return raw
 
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from operator import attrgetter
 from typing import NamedTuple
 
 from . import algebra
@@ -152,7 +151,7 @@ def witness_tree(g: Graph, target, size: int) -> PathTree:
     else:
         c = target.cycle
         base, m = g.src(c.edges[0]), len(c.edges)
-        on_cycle = set(cycle_vertices(g, c))
+        on_cycle = {g.srcs[g.bindex[e.bundle]] for e in c.edges}
     if size < 1:
         return PathTree([], [], [], [])
     tree = PathTree([base], [None], [-1], [1])
@@ -167,20 +166,23 @@ def witness_tree(g: Graph, target, size: int) -> PathTree:
 
 def _grow(g: Graph, tree: PathTree, skip, size: int) -> None:
     """List the paths e.p, p in the tree's last level and src(e) not in
-    `skip`, in order, until the tree holds `size` paths."""
+    `skip` (vertex ints), in order, until the tree holds `size` paths:
+    the in-lists of the level's bases merge by bundle int, which is id
+    order."""
     bases, firsts, parents = tree.bases, tree.firsts, tree.parents
-    at = {}
+    names, ids, srcs, dsts, mults = g.vertices, g.ids, g.srcs, g.dsts, g.mults
+    at = {}  # vertex int -> the last level's paths based there
     for i in range(tree.ends[-2] if len(tree.ends) > 1 else 0, len(bases)):
-        at.setdefault(bases[i], []).append(i)
-    into = [g._into[v] for v in at]  # one in-list needs no merge
-    for b in into[0] if len(into) == 1 else heapq.merge(*into, key=attrgetter("id")):
-        if b.src in skip:
+        at.setdefault(g.vindex[bases[i]], []).append(i)
+    into = [g.into[v] for v in at]  # one in-list needs no merge
+    for j in into[0] if len(into) == 1 else heapq.merge(*into):
+        if srcs[j] in skip:
             continue
-        below = at[b.dst]
-        for i in range(b.mult):
+        below = at[dsts[j]]
+        for i in range(mults[j]):
             below = below[:size - len(bases)]
-            bases += [b.src] * len(below)
-            firsts += [EdgeRef(b.id, i)] * len(below)
+            bases += [names[srcs[j]]] * len(below)
+            firsts += [EdgeRef(ids[j], i)] * len(below)
             parents += below
             if len(bases) == size:
                 return
@@ -219,21 +221,23 @@ def _fill_blocks(g: Graph) -> Blocks:
     w = cycle_exit_witness(g)
     if w is not None:
         return Blocks(Unbounded(w), (), {})
-    s = _components(g)
-    rows = [(SinkTarget(v), v, s.paths[v], BASE_K) for v in g.sinks()]
+    s, names = _components(g), g.vertices
+    rows = [(SinkTarget(names[v]), names[v], s.paths[v], BASE_K)
+            for v, d in enumerate(g.deg) if d == 0]
     for c in component_cycles(g):
-        v = g.src(c.edges[0])
-        rows.append((CycleTarget(c), v, s.paths[v], BASE_LAURENT))
+        v = g.srcs[g.bindex[c.edges[0].bundle]]
+        rows.append((CycleTarget(c), names[v], s.paths[v], BASE_LAURENT))
     for _, v, cnt, _ in rows:
         if cnt is OMEGA:
             return Blocks(Unbounded(OmegaPathFamily(v)), (), {})
-    legs, out, loops = dict.fromkeys(g.vertices, 1), g._out, set(s.loops)
+    legs, out, dsts, mults, loops = [1] * len(names), g.out, g.dsts, g.mults, set(s.loops)
     for i, members in enumerate(s.members):  # no exit, so no tangle
         if i not in loops and out[members[0]]:  # neither a cycle nor a sink
             k = 0
-            for b in out[members[0]]:
-                k += b.mult * legs[b.dst]
+            for j in out[members[0]]:
+                k += mults[j] * legs[dsts[j]]
             legs[members[0]] = k
+    legs = dict(zip(names, legs))
     per_target = tuple(TargetCount(t, cnt) for t, _, cnt, _ in rows)
     n = max((cnt for _, cnt in per_target), default=1)
     best = next((t for t, cnt in per_target if cnt == n), None)
@@ -258,9 +262,9 @@ def trace_tables(g: Graph) -> tuple:
     :func:`blocks`, and the legs at the range of each finite edge id."""
     legs = blocks(g).legs
     at_range = []
-    for bid in algebra._kernel(g).finite:
-        b = g._by_id[bid]
-        at_range += [legs[b.dst]] * b.mult
+    for d, m in zip(g.dsts, g.mults):  # bundle ints ascend with the ids
+        if m is not OMEGA:
+            at_range += [legs[g.vertices[d]]] * m
     return legs, at_range
 
 
@@ -324,7 +328,7 @@ def trace_settles(g: Graph, bound: int, width: int) -> bool:
     B * L edges.  The limits are read at call time."""
     s = _components(g)
     reach = bound * width
-    keys = sum(cnt * cnt for cnt in s.paths.values())
+    keys = sum(cnt * cnt for cnt in s.paths)
     for i in s.loops:  # a bounded graph's cycles are its loops
         members = s.members[i]
         keys += 2 * (reach // len(members)) * sum(s.paths[v] ** 2 for v in members)
@@ -415,14 +419,15 @@ def _omega_family_units(g: Graph, v: str, n: int):
     if n * n > algebra.POWER_EDGE_LIMIT:
         raise algebra.TooLarge(f"{n} legs make {n * n} pairs, over the limit "
                                f"of {algebra.POWER_EDGE_LIMIT}")
-    for b in g.bundles:
-        if b.mult is OMEGA:
-            tail = _shortest_path(g, b.dst, v)
+    for j, m in enumerate(g.mults):
+        if m is OMEGA:
+            tail = _shortest_path(g, g.vertices[g.dsts[j]], v)
             if tail is not None:
                 break
     else:
         raise LeavittError(f"no omega bundle reaches {v!r}")
-    paths = [Path(b.src, (EdgeRef(b.id, i),) + tail.edges) for i in range(n)]
+    paths = [Path(g.vertices[g.srcs[j]], (EdgeRef(g.ids[j], i),) + tail.edges)
+             for i in range(n)]
     cycle = next((c for c in component_cycles(g) if v in cycle_vertices(g, c)),
                  None)
     target = SinkTarget(v) if cycle is None else CycleTarget(cycle)
@@ -431,15 +436,16 @@ def _omega_family_units(g: Graph, v: str, n: int):
 
 def _shortest_path(g: Graph, u: str, v: str) -> Path | None:
     """A shortest path u -> v by breadth-first search, or None."""
-    best = {u: Path(u)}
-    queue = deque([u])
-    while queue and v not in best:
+    start = g.vindex[u]
+    best = {start: Path(u)}
+    queue = deque([start])
+    while queue and g.vindex[v] not in best:
         at = queue.popleft()
-        for b in g._out[at]:
-            if b.dst not in best:
-                best[b.dst] = Path(u, best[at].edges + (EdgeRef(b.id, 0),))
-                queue.append(b.dst)
-    return best.get(v)
+        for j in g.out[at]:
+            if g.dsts[j] not in best:
+                best[g.dsts[j]] = Path(u, best[at].edges + (EdgeRef(g.ids[j], 0),))
+                queue.append(g.dsts[j])
+    return best.get(g.vindex[v])
 
 
 # -- matrix rings ---------------------------------------------------------------
@@ -490,15 +496,16 @@ def graded_spectrum(g: Graph) -> list:
 
     The graph must be bounded (PreconditionUnbounded otherwise).  Nothing
     is enumerated, so no size bound applies."""
-    out = []
+    out, srcs = [], g.srcs
     for _, start, cnt, ring in bounded_blocks(g).rows:
-        ancestors, stack = {start}, [start]
+        ancestors = {g.vindex[start]}
+        stack = list(ancestors)
         while stack:
-            for b in g._into[stack.pop()]:
-                if b.src not in ancestors:
-                    ancestors.add(b.src)
-                    stack.append(b.src)
-        H = frozenset(v for v in g.vertices if v not in ancestors)
+            for j in g.into[stack.pop()]:
+                if srcs[j] not in ancestors:
+                    ancestors.add(srcs[j])
+                    stack.append(srcs[j])
+        H = frozenset([v for i, v in enumerate(g.vertices) if i not in ancestors])
         out.append((AdmissiblePair(H), Factor(cnt, ring)))
     out.sort(key=lambda item: (len(item[0].H), tuple(sorted(item[0].H))))
     return out
@@ -517,7 +524,7 @@ def decompose(g: Graph) -> Decomposition:
     (size, base) pairs are sorted as tuples and each distinct pair becomes
     one Factor, repeated along its run.  The targets generate the whole
     graph exactly when every vertex has a leg into them."""
-    if any(b.mult is OMEGA for b in g.bundles):
+    if OMEGA in g.mults:
         raise NotRowFinite("graph has an omega bundle")
     table = bounded_blocks(g)
     assert all(table.legs.values()), "sinks and cycles must generate the whole graph"

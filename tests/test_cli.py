@@ -574,6 +574,51 @@ def test_deep_tailed_cycle_runs(command, capsys, tmp_path):
         assert out == "M_1203(K[x,x^-1])\n"
 
 
+DEEP_VERDICTS = {  # (graph, command) -> a line the text output holds
+    ("line", "analyze"): "no_exit_cycles: true", ("line", "index"): "Bounded n=20000",
+    ("line", "decompose"): "M_20000(K)", ("line", "ideals"): "H={} S={} -> M_20000(K)",
+    ("cycle", "analyze"): "condition_L: False", ("cycle", "index"): "Bounded n=20005",
+    ("cycle", "decompose"): "M_20005(K[x,x^-1])",
+    ("cycle", "ideals"): "H={} S={} -> M_20005(K[x,x^-1])",
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "index", "decompose", "ideals"])
+def test_deep_graphs_stay_iterative(command, capsys, tmp_path):
+    """line(20000) and an exitless 20000-cycle with a tail, far deeper than
+    the recursion limit, get their verdicts in-process with no
+    RecursionError (which main would report as a resource limit)."""
+    for name, g in (("line", corpus.line(20000)), ("cycle", tailed_cycle(20000, 5))):
+        doc = tmp_path / f"{name}.graph"
+        doc.write_text(canonical_document(g))
+        code, out, err = run(capsys, command, str(doc))
+        assert (code, err) == (0, ""), (name, err)
+        assert DEEP_VERDICTS[name, command] in out.splitlines(), name
+
+
+def test_verdicts_build_no_bundle(capsys, monkeypatch, tmp_path, fixture_dir):
+    """index, analyze, decompose and ideals, text and JSON, read the int
+    columns only: no Bundle record is made on any fixture or on clock(50)."""
+    clock = tmp_path / "clock50.graph"
+    clock.write_text(canonical_document(corpus.clock(50)))
+    made = []
+    init = Bundle.__init__
+
+    def counting(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Bundle, "__init__", counting)
+    paths = sorted(map(str, fixture_dir.glob("*.graph"))) + [str(clock)]
+    for path in paths:
+        for command in ("index", "analyze", "decompose", "ideals"):
+            for fmt in ("text", "json"):
+                assert run(capsys, command, path, "--format", fmt)[0] == 0, (command, path)
+    assert made == [] and len(paths) == 15
+    Graph(["v"], [Bundle("e", "v", "v")])
+    assert len(made) == 1  # the count sees a construction
+
+
 @pytest.mark.parametrize("big,small", [("e1^100000000", "e1^2"),
                                        ("u1^200000", "u1^2")])
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -1120,6 +1165,19 @@ def test_reused_parser_keeps_no_state(capsys, monkeypatch):
         seen.append(got)
     assert seen[0][2] == 2 and "invalid int value: 'x'" in seen[0][1]
     assert seen[1] != seen[2] and seen[3] != seen[4] and seen[5] != seen[6]
+
+
+def test_table_path_does_not_import_argparse():
+    """``leavitt index`` on well-formed argv, in a fresh process, runs off
+    the command table and never imports argparse."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    probe = ("import sys\nfrom leavitt import cli\n"
+             "code = cli.main(['index', sys.argv[1]])\n"
+             "print(code, 'argparse' in sys.modules)")
+    fresh = subprocess.run([sys.executable, "-c", probe, fixture_path("line3")],
+                           env=dict(os.environ, PYTHONPATH=src),
+                           capture_output=True, text=True, timeout=120)
+    assert fresh.stdout.splitlines()[-1] == "0 False", fresh
 
 
 def test_parser_is_built_once(capsys, monkeypatch):

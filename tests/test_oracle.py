@@ -667,13 +667,13 @@ def test_kernel_numbering_matches_enumeration(omega):
         for v in g.vertices:
             out = [e for e in ids if g.src(e) == v]
             if not out or any(g.bundle(e.bundle).mult is OMEGA for e in out):
-                assert table.special[v] is None, name
+                assert table.special[g.vindex[v]] is None, name
                 continue
             out.sort()
-            assert table.special[v] == out[0], name
+            assert table.special[g.vindex[v]] == out[0], name
             siblings = [i for span in table.rewrite[ids[out[0]]] for i in span]
             assert siblings == [ids[e] for e in out[1:]], name
-        assert len(table.rewrite) == sum(x is not None for x in table.special.values())
+        assert len(table.rewrite) == sum(x is not None for x in table.special)
 
 
 def test_kernel_does_not_list_the_edges_of_a_bundle():
@@ -710,10 +710,10 @@ def _grown(g, key):
     that it must be rewritten; None when the range has no special edge."""
     table = algebra._kernel(g)
     pb, pe, qb, qe = key
-    special = table.special[g.dst(table.edge_ref(pe[-1])) if pe else pb]
+    special = table.special[g.vindex[g.dst(table.edge_ref(pe[-1])) if pe else pb]]
     if special is None:
         return None
-    e = table.first[special.bundle][0]
+    e = table.first[g.bindex[special.bundle]][0]
     return (pb, pe + (e,), qb, qe + (e,))
 
 
@@ -900,7 +900,7 @@ def _path_key_reference(g: Graph, p: Path):
     """(edge ids, range) of p by the two-step rule the one-walk key
     replaced: a walk that only checks p is a path, then each edge numbered
     on its own from a fresh kernel table; None when p is not a path."""
-    if p.base not in g._out:
+    if p.base not in g.vindex:
         return None
     at = p.base
     for e in p.edges:
@@ -910,7 +910,7 @@ def _path_key_reference(g: Graph, p: Path):
     table = algebra._Kernel(g)
     ids = []
     for e in p.edges:
-        first, step, _ = table.first[e.bundle]
+        first, step, _ = table.first[g.bindex[e.bundle]]
         ids.append(first + e.index * step)
     return tuple(ids), g.dst(p.edges[-1]) if p.edges else p.base
 

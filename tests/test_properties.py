@@ -133,13 +133,14 @@ def test_cycle_predicates_match_closed_path_counts(omega, seed):
 @settings(max_examples=80, deadline=None)
 @given(seed=seeds)
 def test_loops_and_tangles_match_closed_path_counts(omega, seed):
-    """Each vertex of a loop of the component table bases one closed
-    simple path, and each vertex of a tangle more than one."""
+    """Each vertex of a loop of the component table (members are vertex
+    ints) bases one closed simple path, and each vertex of a tangle more
+    than one."""
     g = random_graph(RandomSpec(seed=seed, omega_probability=omega))
     counts = closed_simple_path_counts(g)
     s = _components(g)
-    assert all(counts[v] == 1 for i in s.loops for v in s.members[i])
-    assert all(counts[v] > 1 for i in s.tangles for v in s.members[i])
+    assert all(counts[g.vertices[v]] == 1 for i in s.loops for v in s.members[i])
+    assert all(counts[g.vertices[v]] > 1 for i in s.tangles for v in s.members[i])
 
 
 @omega_rates

@@ -1,13 +1,15 @@
 """The loader and the component pass against copies of their earlier forms.
 
-``parse_graph_document`` now checks each edge in one loop and runs
-``validate`` only when that loop saw an undeclared endpoint or a duplicate
-id; ``_components`` emits a successor-free vertex where it meets it, and
+``parse_graph_document`` now checks each edge in one loop, loads the edges
+as int columns and runs ``validate`` only when the numbering shows an
+undeclared endpoint or a duplicate id; ``_components`` runs over those
+int columns, emits a successor-free vertex where it meets it, and
 ``cycles`` walks each single-cycle component once and searches only the
-components holding more than one cycle.  The
-copies below are the straightforward forms they replace: the loader that
-validated every graph, and the passes that gave every vertex a DFS frame
-and a cycle search.  Both forms must agree on every input.  So must
+components holding more than one cycle.  The copies below are the
+straightforward forms they replace: the loader that validated every
+graph, and the passes over name-keyed dicts of Bundle lists that gave
+every vertex a DFS frame and a cycle search.  Both forms must agree on
+every input, read back through the vertex names.  So must
 ``load_graph``, which reads a file as bytes and decodes it itself, and the
 text-mode read it replaces.
 
@@ -30,6 +32,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+
+from conftest import FIXTURES
 
 from leavitt import algebra, corpus
 from leavitt.algebra import (
@@ -60,6 +64,7 @@ from leavitt.graphio import (
     GraphFormatError,
     GraphSyntaxError,
     GraphValidationError,
+    canonical_document,
     load_graph,
     parse_graph_document,
 )
@@ -453,25 +458,40 @@ def _component_graphs() -> list:
     return graphs
 
 
+def _int_core_graphs() -> list:
+    """The shapes above, the fixtures, and 1000 seeded random graphs with
+    and without omega bundles and multiplicities up to 3."""
+    graphs = _component_graphs()
+    graphs += [load_graph(str(path)) for path in sorted(FIXTURES.glob("*.graph"))]
+    graphs += [random_graph(RandomSpec(seed=seed, max_mult=1 + seed % 3,
+                                       omega_probability=omega))
+               for seed in range(1000, 1500) for omega in (Fraction(0), Fraction(1, 5))]
+    return graphs
+
+
 def test_component_pass_matches_reference():
-    """The component table against the reference pass: the same vertex
-    partition; loops and tangles are the reference components whose inside
-    multiplicity equals, or exceeds, their size; members in reverse
-    topological order; the same sinks and path counts."""
-    for g in _component_graphs():
-        s = _components(g)
+    """The int component table, read back through the vertex names,
+    against the reference pass: the same vertex partition, each member
+    list ascending; loops and tangles are the reference components whose
+    inside multiplicity equals, or exceeds, their size; members in reverse
+    topological order; the same sinks and path counts.  The Bundle views
+    are the reference tables' lists."""
+    for g in _int_core_graphs():
+        s, name = _components(g), g.vertices.__getitem__
         _, members, inner, sinks, paths = _reference_components(g)
-        assert sorted(s.members) == sorted(members), g
-        assert all(v in s.members[i] for v, i in s.comp.items()), g
+        named = [list(map(name, m)) for m in s.members]
+        assert sorted(named) == sorted(members), g
+        assert all(m == sorted(m) for m in s.members), g
+        assert all(v in s.members[i] for v, i in enumerate(s.comp)), g
         assert len(s.comp) == len(g.vertices), g
         size = {tuple(m): k for m, k in zip(members, inner)}
-        assert sorted(s.members[i] for i in s.loops) == \
+        assert sorted(named[i] for i in s.loops) == \
             sorted(m for m in members if size[tuple(m)] == len(m)), g
-        assert sorted(s.members[i] for i in s.tangles) == \
+        assert sorted(named[i] for i in s.tangles) == \
             sorted(m for m in members if size[tuple(m)] is OMEGA
                    or size[tuple(m)] > len(m)), g
-        assert all(s.comp[b.src] >= s.comp[b.dst] for b in g.bundles), g
-        assert (s.sinks, s.paths) == (sinks, paths), g
+        assert all(s.comp[u] >= s.comp[w] for u, w in zip(g.srcs, g.dsts)), g
+        assert (s.sinks, dict(zip(g.vertices, s.paths))) == (sinks, paths), g
         try:
             got = cycles(g)
         except CycleThroughOmegaBundle:
@@ -480,10 +500,54 @@ def test_component_pass_matches_reference():
         degrees = {v: _reference_out_degree(g, v) for v in g.vertices}
         assert {v: g.out_degree(v) for v in g.vertices} == degrees, g
         assert g.sinks() == [v for v in g.vertices if degrees[v] == 0], g
+        out, into, _ = _reference_tables(g)
+        assert all(g.out_bundles(v) == out[v] and g.in_bundles(v) == into[v]
+                   for v in g.vertices), g
+        assert [g.bundle(b.id) for b in g.bundles] == list(g.bundles), g
 
 
-class _CountingDict(dict):
-    """A dict that counts its item lookups."""
+def _bundles_of(text: str) -> tuple:
+    """(vertices, Bundles) of a well-formed graph document."""
+    doc = json.loads(text)
+    return doc["vertices"], [Bundle(e["id"], e["src"], e["dst"], OMEGA if e.get("mult") == "omega"
+                                    else e.get("mult", 1)) for e in doc.get("edges", [])]
+
+
+def _assert_same_columns(g: Graph, h: Graph) -> None:
+    assert (g.vertices, g.ids, g.srcs, g.dsts, g.mults) == \
+        (h.vertices, h.ids, h.srcs, h.dsts, h.mults)
+    assert (g.out, g.into, g.deg) == (h.out, h.into, h.deg)
+    assert g == h and hash(g) == hash(h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents())
+def test_loader_and_constructor_build_the_same_columns(text):
+    """parse_graph_document and Graph(vertices, bundles) on the same
+    document give the same columns, ==, hash and Bundle views, for valid
+    documents and, through the views, for those only validate refuses."""
+    try:
+        g = parse_graph_document(text)
+    except GraphValidationError:
+        vertices, bundles = _bundles_of(text)
+        assert _reference_validate(Graph(vertices, bundles))
+        return
+    except (GraphSyntaxError, GraphFormatError):
+        return
+    vertices, bundles = _bundles_of(text)
+    h = Graph(vertices, bundles)
+    _assert_same_columns(g, h)
+    assert g.bundles == tuple(sorted(bundles, key=operator.attrgetter("id")))
+
+
+def test_loader_and_constructor_agree_on_the_int_core_graphs():
+    for g in _int_core_graphs():
+        _assert_same_columns(g, parse_graph_document(canonical_document(g)))
+        _assert_same_columns(g, Graph(reversed(g.vertices), reversed(g.bundles)))
+
+
+class _CountingList(list):
+    """A list that counts its item lookups."""
 
     lookups = 0
 
@@ -497,7 +561,7 @@ def test_single_cycle_components_are_walked_once():
     not searched from each of its vertices: on a 300-cycle visiting its
     vertices in a shuffled order, beside a 3-cycle, a loop, a component of
     two cycles and tails into each, the cycles come out as the search from
-    every vertex lists them, with O(V) out-bundle lookups."""
+    every vertex lists them, with O(V) out-list lookups."""
     rng = random.Random(7)
     ring = [f"c{i:03d}" for i in range(300)]
     rng.shuffle(ring)
@@ -508,7 +572,7 @@ def test_single_cycle_components_are_walked_once():
     bundles = [Bundle(f"e{i}", u, v) for i, (u, v) in enumerate(arcs)]
     g = Graph({v for arc in arcs for v in arc}, bundles)
     _components(g)
-    g._out = out = _CountingDict(g._out)
+    g.out = out = _CountingList(g.out)
     found = cycles(g)
     assert found == _reference_cycles(g)
     assert sorted(len(c.edges) for c in found) == [1, 2, 2, 3, 300]
@@ -522,7 +586,8 @@ def test_component_graphs_cover_the_shapes():
     omega_cycle = omega_tail = many_sinks = many_sources = 0
     for g in graphs:
         s = _components(g)
-        on_cycle = [s.comp[b.src] == s.comp[b.dst] for b in g.bundles if b.mult is OMEGA]
+        on_cycle = [s.comp[u] == s.comp[w]
+                    for u, w, m in zip(g.srcs, g.dsts, g.mults) if m is OMEGA]
         omega_cycle += any(on_cycle)
         omega_tail += not all(on_cycle)
         sources = sum(not g.in_bundles(v) for v in g.vertices)
