@@ -16,6 +16,7 @@ as "unbounded" are ordinary output), 1 input error, 2 resource-limit abort.
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import sys
 from itertools import groupby
@@ -660,11 +661,16 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    """Run the command argv names; return its exit code.  It runs with the
+    cyclic garbage collector paused, enabled again only if it was on at
+    the start: a graph's lists per vertex form no cycle to collect."""
     if argv is None:
         argv = sys.argv[1:]
     args = _read_argv(argv)
     if args is None:
         args = build_parser().parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (oracle.ExplosionGuard, algebra.TooLarge) as err:
@@ -680,6 +686,9 @@ def main(argv=None) -> int:
     except (OSError, LeavittError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

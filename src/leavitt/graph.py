@@ -10,9 +10,9 @@ vertex's bundle ints ascend in EdgeRef order.  It holds the sorted names
 maps ``vindex`` and ``bindex`` from names to ints; per vertex the ascending
 bundle ints ``out`` and ``into``, and ``deg``, the total out-multiplicity
 (0 at a sink, OMEGA at an infinite emitter, a positive int at a regular
-vertex).  Names enter at load and leave at output; the algorithms here and
-in the layers above read the ints.  The Bundle records (``bundles``,
-``bundle``, ``out_bundles``, ``in_bundles``) are views built on first use.
+vertex).  Names enter at load and leave at output; the algorithms here, in
+the layers above and in :mod:`leavitt.oracle` read the ints.  ``bundles``
+and ``bundle(id)`` build Bundle records from the columns on each call.
 
 The structural predicates (cycle vertices, Conditions (K) and (L), downward
 directedness, path counts, each an int or OMEGA) read one cached pass per
@@ -33,7 +33,6 @@ importing the package compiles no code.
 
 from __future__ import annotations
 
-import gc
 import itertools
 from collections import deque
 from operator import attrgetter, ge, gt, itemgetter, le, lt
@@ -315,22 +314,6 @@ class CycleTarget(Record):
     cycle: Cycle
 
 
-def _without_gc(build):
-    """build, run with the cyclic garbage collector paused.  The graph
-    builder and the component pass make lists per vertex that live as long
-    as the graph and form no cycle; a running collector would rescan them
-    all at each full collection (a third of the time on line(100000))."""
-    def paused(*args):
-        if not gc.isenabled():
-            return build(*args)
-        gc.disable()
-        try:
-            return build(*args)
-        finally:
-            gc.enable()
-    return paused
-
-
 class Graph:
     """Immutable graph value: sorted names and int columns.  Construction
     is permissive (the out-degree table only needs the multiplicities at a
@@ -339,7 +322,7 @@ class Graph:
     numbered after the vertices, in name order, and is in no out-list."""
 
     __slots__ = ("vertices", "ids", "srcs", "dsts", "mults", "vindex", "bindex",
-                 "out", "into", "deg", "_names", "_views", "_scc", "_kernel", "_blocks")
+                 "out", "into", "deg", "_names", "_scc", "_kernel", "_blocks")
 
     def __init__(self, vertices: Iterable[str], bundles: Iterable[Bundle] = ()):
         bundles = list(bundles)
@@ -354,7 +337,6 @@ class Graph:
         g._fill(vertices, ids, srcs, dsts, mults)
         return g
 
-    @_without_gc
     def _fill(self, vertices, ids, srcs, dsts, mults) -> None:
         names = self.vertices = tuple(sorted(vertices))
         self.vindex = dict(zip(names, range(len(names))))
@@ -375,7 +357,7 @@ class Graph:
         m = self.mults  # out-degrees (see out_degree); only two or more out-bundles sum
         self.deg = [m[js[0]] if len(js) == 1 else 0 if not js else
                     OMEGA if OMEGA in (ms := [m[j] for j in js]) else sum(ms) for js in self.out]
-        self._views = self._scc = self._kernel = self._blocks = None  # built on first use
+        self._scc = self._kernel = self._blocks = None  # built on first use
 
     def _key(self) -> tuple:
         return self._names, self.ids, self.srcs, self.dsts, self.mults
@@ -391,20 +373,12 @@ class Graph:
 
     # -- lookups ----------------------------------------------------------
 
-    def _bundle_views(self) -> tuple:
-        """(bundles, out-lists, in-lists) as Bundle records, built once."""
-        if self._views is None:
-            names = self._names
-            bs = tuple(map(Bundle, self.ids, [names[v] for v in self.srcs],
-                           [names[v] for v in self.dsts], self.mults))
-            self._views = (bs, [[bs[j] for j in js] for js in self.out],
-                           [[bs[j] for j in js] for js in self.into])
-        return self._views
-
     @property
     def bundles(self) -> tuple:
-        """The Bundle records, sorted by id."""
-        return self._bundle_views()[0]
+        """The Bundle records, sorted by id, built on each call."""
+        names = self._names
+        return tuple(map(Bundle, self.ids, [names[v] for v in self.srcs],
+                         [names[v] for v in self.dsts], self.mults))
 
     def vertex_index(self, v: str) -> int:
         try:
@@ -419,7 +393,9 @@ class Graph:
             raise UnknownBundle(f"unknown bundle id: {bundle_id!r}") from None
 
     def bundle(self, bundle_id: str) -> Bundle:
-        return self.bundles[self.bundle_index(bundle_id)]
+        j = self.bundle_index(bundle_id)
+        return Bundle(bundle_id, self._names[self.srcs[j]], self._names[self.dsts[j]],
+                      self.mults[j])
 
     def src(self, e: EdgeRef) -> str:
         return self._names[self.srcs[self.bundle_index(e.bundle)]]
@@ -432,12 +408,6 @@ class Graph:
         if j is None or e.index < 0:
             return False
         return self.mults[j] is OMEGA or e.index < self.mults[j]
-
-    def out_bundles(self, v: str) -> list:
-        return list((self._views or self._bundle_views())[1][self.vertex_index(v)])
-
-    def in_bundles(self, v: str) -> list:
-        return list((self._views or self._bundle_views())[2][self.vertex_index(v)])
 
     def out_degree(self, v: str):
         """Total multiplicity of the bundles leaving v: an int, or OMEGA
@@ -545,7 +515,6 @@ class _Components(NamedTuple):
     paths: list     # vertex -> number of paths ending there, an int or OMEGA
 
 
-@_without_gc
 def _components(g: Graph) -> _Components:
     """Tarjan's algorithm with an explicit stack, then one pass over the
     condensation; cached on the graph, and the one place that decides
@@ -876,10 +845,10 @@ def quotient_graph(g: Graph, p: AdmissiblePair) -> Graph:
     to_prime = sorted(breaking_vertices(g, p.H) - p.S)
     used = set(keep)
     prime_of = {v: _primed(v, used) for v in to_prime}
-    bundles = [b for b in g.bundles if b.dst not in p.H]
+    bundles = [b for b in g.bundles if b.dst not in p.H]  # breaking vertices lie outside H
     used_ids = {b.id for b in bundles}
     bundles += [Bundle(_primed(b.id, used_ids), b.src, prime_of[b.dst], b.mult)
-                for b in g.bundles if b.dst in prime_of]
+                for b in bundles if b.dst in prime_of]
     return Graph(keep + list(prime_of.values()), bundles)
 
 

@@ -64,13 +64,14 @@ def exits(g: Graph, c: Cycle) -> list:
     around = {g.src(e): e for e in c.edges}
     for v in cycle_vertices(g, c):
         cyc_edge = around[v]
-        for b in g.out_bundles(v):
-            if b.mult is OMEGA:
-                rep = 0 if not (b.id == cyc_edge.bundle and cyc_edge.index == 0) else 1
-                result.append(Exit(EdgeRef(b.id, rep), omega=True))
+        for j in g.out[g.vindex[v]]:
+            bid, mult = g.ids[j], g.mults[j]
+            if mult is OMEGA:
+                rep = 0 if not (bid == cyc_edge.bundle and cyc_edge.index == 0) else 1
+                result.append(Exit(EdgeRef(bid, rep), omega=True))
                 continue
-            for i in range(b.mult):
-                e = EdgeRef(b.id, i)
+            for i in range(mult):
+                e = EdgeRef(bid, i)
                 if e != cyc_edge:
                     result.append(Exit(e))
     result.sort(key=lambda x: x.edge)
@@ -100,8 +101,9 @@ def contains_cycle(edges: tuple, cycle: tuple) -> bool:
 
 def _out_edges(g: Graph, at: str):
     """(range, edge) for the edges leaving `at`, an omega bundle giving two."""
-    return iter([(b.dst, EdgeRef(b.id, i)) for b in g.out_bundles(at)
-                 for i in range(2 if b.mult is OMEGA else b.mult)])
+    return iter([(g.vertices[g.dsts[j]], EdgeRef(g.ids[j], i))
+                 for j in g.out[g.vindex[at]]
+                 for i in range(2 if g.mults[j] is OMEGA else g.mults[j])])
 
 
 def _cycles_through(g: Graph, v: str) -> list:
@@ -113,10 +115,10 @@ def _cycles_through(g: Graph, v: str) -> list:
     search enters no other vertex."""
     reach, stack = {v}, [v]
     while stack:
-        for b in g.in_bundles(stack.pop()):
-            if b.src not in reach:
-                reach.add(b.src)
-                stack.append(b.src)
+        for u in [g.vertices[g.srcs[j]] for j in g.into[g.vindex[stack.pop()]]]:
+            if u not in reach:
+                reach.add(u)
+                stack.append(u)
     found, trail, on_trail = [], [], {v}
     work = [_out_edges(g, v)]
     while work:
@@ -157,12 +159,12 @@ def enumerate_paths_ending_at(g: Graph, v: str, length_cap: int,
                 raise ExplosionGuard(f"more than {max_paths} paths into {v!r}")
             if len(p.edges) >= length_cap:
                 continue
-            for b in g.in_bundles(p.base):
-                if b.mult is OMEGA:
+            for j in g.into[g.vindex[p.base]]:
+                if g.mults[j] is OMEGA:
                     raise ExplosionGuard(
-                        f"omega bundle {b.id!r} feeds paths into {v!r}")
-                for i in range(b.mult):
-                    cand = Path(b.src, (EdgeRef(b.id, i),) + p.edges)
+                        f"omega bundle {g.ids[j]!r} feeds paths into {v!r}")
+                for i in range(g.mults[j]):
+                    cand = Path(g.vertices[g.srcs[j]], (EdgeRef(g.ids[j], i),) + p.edges)
                     if not (exclude and contains_cycle(cand.edges, exclude)):
                         nxt.append(cand)
         frontier = nxt
@@ -176,19 +178,19 @@ def closed_simple_path_counts(g: Graph) -> dict:
     omega bundle as two edges.  Counts walks out of v level by level."""
     limit = 2 * len(g.vertices)
     counts = {}
-    for v in g.vertices:
+    for v, name in enumerate(g.vertices):
         total, frontier = 0, {v: 1}
         for _ in range(limit):
             nxt = {}
             for at, k in frontier.items():
-                for b in g.out_bundles(at):
-                    k_b = k * (2 if b.mult is OMEGA else b.mult)
-                    if b.dst == v:
+                for j in g.out[at]:
+                    k_b = k * (2 if g.mults[j] is OMEGA else g.mults[j])
+                    if g.dsts[j] == v:
                         total += k_b
                     else:
-                        nxt[b.dst] = nxt.get(b.dst, 0) + k_b
+                        nxt[g.dsts[j]] = nxt.get(g.dsts[j], 0) + k_b
             frontier = nxt
-        counts[v] = total
+        counts[name] = total
     return counts
 
 
@@ -201,11 +203,11 @@ def _all_paths(g: Graph, length_cap: int, max_paths: int) -> list:
             at = p.edges and g.dst(p.edges[-1]) or p.base
             if len(p.edges) >= length_cap:
                 continue
-            for b in g.out_bundles(at):
-                if b.mult is OMEGA:
-                    raise ExplosionGuard(f"omega bundle {b.id!r} on a path")
-                for i in range(b.mult):
-                    nxt.append(Path(p.base, p.edges + (EdgeRef(b.id, i),)))
+            for j in g.out[g.vindex[at]]:
+                if g.mults[j] is OMEGA:
+                    raise ExplosionGuard(f"omega bundle {g.ids[j]!r} on a path")
+                for i in range(g.mults[j]):
+                    nxt.append(Path(p.base, p.edges + (EdgeRef(g.ids[j], i),)))
         paths.extend(nxt)
         if len(paths) > max_paths:
             raise ExplosionGuard(f"more than {max_paths} paths")

@@ -18,10 +18,11 @@ decomposition available for row-finite graphs.
 The graph facts come from its cached component pass (:mod:`leavitt.graph`):
 with no exit the cycles are exactly the single-cycle components, so no
 decision here enumerates cycles.  One cached table, :func:`blocks`, is
-the one source of per-target data for the report, the spectrum, the
-decomposition and the block trace.  The spectrum takes one backward search
-per target, so nothing here enumerates hereditary saturated sets (the
-subset enumeration is kept as ``oracle.graded_spectrum_exhaustive``).
+the one source of per-target data for the report, the spectrum and the
+decomposition; the block trace's tables are built apart, and only for
+``check``.  The spectrum takes one backward search per target, so nothing
+here enumerates hereditary saturated sets (the subset enumeration is kept
+as ``oracle.graded_spectrum_exhaustive``).
 """
 
 from __future__ import annotations
@@ -198,20 +199,17 @@ class Blocks(NamedTuple):
 
     report: object  # Bounded | Unbounded
     rows: tuple     # (target, base w_T, count t_T, ring); () if unbounded
-    legs: dict      # vertex -> paths from it into the targets; {} if unbounded
 
 
 def blocks(g: Graph) -> Blocks:
     """The one source of per-target data, cached on the graph: the
-    bounded-index verdict; a row per sink (in vertex order), then per
+    bounded-index verdict, and a row per sink (in vertex order), then per
     exitless cycle (in ``component_cycles`` order), based at the sink or at
-    the source of the cycle's first edge; and the legs, filled in one pass
-    over the components, sinks first: 1 at a sink or cycle vertex, else the
-    sum of mult * legs[dst] over the out-bundles.  A cycle with an exit,
-    or an infinite path family into a target, yields Unbounded; otherwise
-    n is the largest count at a target (a path into any vertex extends to
-    one).  With no exit every cycle is a whole component, so the cycle
-    targets are the component cycles."""
+    the source of the cycle's first edge.  A cycle with an exit, or an
+    infinite path family into a target, yields Unbounded; otherwise n is
+    the largest count at a target (a path into any vertex extends to one).
+    With no exit every cycle is a whole component, so the cycle targets are
+    the component cycles."""
     if g._blocks is None:
         g._blocks = _fill_blocks(g)
     return g._blocks
@@ -220,7 +218,7 @@ def blocks(g: Graph) -> Blocks:
 def _fill_blocks(g: Graph) -> Blocks:
     w = cycle_exit_witness(g)
     if w is not None:
-        return Blocks(Unbounded(w), (), {})
+        return Blocks(Unbounded(w), ())
     s, names = _components(g), g.vertices
     rows = [(SinkTarget(names[v]), names[v], s.paths[v], BASE_K)
             for v, d in enumerate(g.deg) if d == 0]
@@ -229,19 +227,11 @@ def _fill_blocks(g: Graph) -> Blocks:
         rows.append((CycleTarget(c), names[v], s.paths[v], BASE_LAURENT))
     for _, v, cnt, _ in rows:
         if cnt is OMEGA:
-            return Blocks(Unbounded(OmegaPathFamily(v)), (), {})
-    legs, out, dsts, mults, loops = [1] * len(names), g.out, g.dsts, g.mults, set(s.loops)
-    for i, members in enumerate(s.members):  # no exit, so no tangle
-        if i not in loops and out[members[0]]:  # neither a cycle nor a sink
-            k = 0
-            for j in out[members[0]]:
-                k += mults[j] * legs[dsts[j]]
-            legs[members[0]] = k
-    legs = dict(zip(names, legs))
+            return Blocks(Unbounded(OmegaPathFamily(v)), ())
     per_target = tuple(TargetCount(t, cnt) for t, _, cnt, _ in rows)
     n = max((cnt for _, cnt in per_target), default=1)
     best = next((t for t, cnt in per_target if cnt == n), None)
-    return Blocks(Bounded(n, per_target, best), tuple(rows), legs)
+    return Blocks(Bounded(n, per_target, best), tuple(rows))
 
 
 def bounded_blocks(g: Graph) -> Blocks:
@@ -258,14 +248,24 @@ def bounded_index_report(g: Graph):
 
 
 def trace_tables(g: Graph) -> tuple:
-    """:func:`block_trace`'s tables for a bounded graph: the legs of
-    :func:`blocks`, and the legs at the range of each finite edge id."""
-    legs = blocks(g).legs
+    """:func:`block_trace`'s tables for a bounded graph: the legs, the
+    number of paths from each vertex into the targets, keyed by name, and
+    the legs at the range of each finite edge id.  The legs fill in one
+    pass over the component table, sinks first: 1 at a sink or cycle
+    vertex, else the sum of mult * legs[dst] over the out-bundles."""
+    s, out, dsts, mults = _components(g), g.out, g.dsts, g.mults
+    legs, loops = [1] * len(g.vertices), set(s.loops)
+    for i, members in enumerate(s.members):  # bounded, so no tangle
+        if i not in loops and out[members[0]]:  # neither a cycle nor a sink
+            k = 0
+            for j in out[members[0]]:
+                k += mults[j] * legs[dsts[j]]
+            legs[members[0]] = k
     at_range = []
-    for d, m in zip(g.dsts, g.mults):  # bundle ints ascend with the ids
+    for d, m in zip(dsts, mults):  # bundle ints ascend with the ids
         if m is not OMEGA:
-            at_range += [legs[g.vertices[d]]] * m
-    return legs, at_range
+            at_range += [legs[d]] * m
+    return dict(zip(g.vertices, legs)), at_range
 
 
 def block_trace(tables: tuple, pairs) -> dict:
@@ -522,13 +522,13 @@ def decompose(g: Graph) -> Decomposition:
     one K factor per sink, one Laurent factor per no-exit cycle, sized by
     their path counts, read off the rows of :func:`blocks`.  The
     (size, base) pairs are sorted as tuples and each distinct pair becomes
-    one Factor, repeated along its run.  The targets generate the whole
-    graph exactly when every vertex has a leg into them."""
+    one Factor, repeated along its run.  Every vertex reaches a component
+    that no bundle leaves, which is a row's sink or exitless cycle."""
     if OMEGA in g.mults:
         raise NotRowFinite("graph has an omega bundle")
-    table = bounded_blocks(g)
-    assert all(table.legs.values()), "sinks and cycles must generate the whole graph"
-    pairs = sorted((cnt, ring) for _, _, cnt, ring in table.rows)
+    rows = bounded_blocks(g).rows
+    assert len(rows) == _components(g).sinks, "sinks and cycles must generate the whole graph"
+    pairs = sorted((cnt, ring) for _, _, cnt, ring in rows)
     made = {pair: Factor(*pair) for pair in set(pairs)}
     return Decomposition(tuple(made[pair] for pair in pairs))
 

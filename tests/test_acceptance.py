@@ -139,7 +139,7 @@ def test_criterion_06_omega_gadget(capsys):
 
     q_keep = quotient_graph(g, AdmissiblePair(frozenset({"h"})))
     assert "v'" in q_keep.vertices and q_keep.is_sink("v'")
-    assert not q_keep.in_bundles("v'")
+    assert not q_keep.into[q_keep.vindex["v'"]]
 
     q = quotient_graph(g, AdmissiblePair(frozenset({"h"}), frozenset({"v"})))
     # the ambient graph is unbounded, so the quotient is classified as a

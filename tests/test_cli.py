@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -598,9 +599,13 @@ def test_deep_graphs_stay_iterative(command, capsys, tmp_path):
 
 def test_verdicts_build_no_bundle(capsys, monkeypatch, tmp_path, fixture_dir):
     """index, analyze, decompose and ideals, text and JSON, read the int
-    columns only: no Bundle record is made on any fixture or on clock(50)."""
+    columns only: no Bundle record is made on any fixture or on clock(50).
+    Nor do ``check --trials 20`` (the oracle's walks included), ``witness``
+    and ``eval`` of the first vertex, on every fixture."""
     clock = tmp_path / "clock50.graph"
     clock.write_text(canonical_document(corpus.clock(50)))
+    fixtures = sorted(map(str, fixture_dir.glob("*.graph")))
+    first = {path: load_graph(path).vertices[0] for path in fixtures}
     made = []
     init = Bundle.__init__
 
@@ -609,14 +614,46 @@ def test_verdicts_build_no_bundle(capsys, monkeypatch, tmp_path, fixture_dir):
         init(self, *args)
 
     monkeypatch.setattr(Bundle, "__init__", counting)
-    paths = sorted(map(str, fixture_dir.glob("*.graph"))) + [str(clock)]
+    paths = fixtures + [str(clock)]
     for path in paths:
         for command in ("index", "analyze", "decompose", "ideals"):
             for fmt in ("text", "json"):
                 assert run(capsys, command, path, "--format", fmt)[0] == 0, (command, path)
+    for path in fixtures:
+        for argv in (["check", path, "--trials", "20"], ["witness", path],
+                     ["eval", path, first[path]]):
+            for fmt in ("text", "json"):
+                assert run(capsys, *argv, "--format", fmt)[0] == 0, argv
     assert made == [] and len(paths) == 15
     Graph(["v"], [Bundle("e", "v", "v")])
     assert len(made) == 1  # the count sees a construction
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(enabled, capsys, monkeypatch, tmp_path):
+    """main pauses the cyclic garbage collector while a command runs, and
+    after exit 0, 1 or 2 leaves it on or off as it was before; a handler
+    put into the command table runs with it paused."""
+    seen = []
+
+    def probe(args):
+        seen.append(gc.isenabled())
+        return 0
+
+    monkeypatch.setitem(cli.COMMANDS, "probe", (probe, "probe", ()))
+    monkeypatch.setitem(cli._READERS, "probe", cli._reader(probe, ()))
+    line3 = fixture_path("line3")
+    cases = [(["index", line3], 0), (["index", str(tmp_path / "missing.graph")], 1),
+             (["eval", line3, "(2)^30000000 u1"], 2), (["probe", line3], 0)]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, code in cases:
+            assert run(capsys, *argv)[0] == code, argv
+            assert gc.isenabled() is enabled, argv
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]
 
 
 @pytest.mark.parametrize("big,small", [("e1^100000000", "e1^2"),
@@ -829,7 +866,9 @@ def test_large_multiplicity_is_not_enumerated(argv, expected, capsys, tmp_path):
 def test_large_multiplicity_verdicts_build_no_kernel(argv, expected, capsys,
                                                     tmp_path, monkeypatch):
     """The block table holds no entry per edge: on a bundle of 10^8 edges
-    the verdicts never number them."""
+    the verdicts never number them.  The legs are built apart, by
+    ``trace_tables``, whose second table has one entry per edge, so they
+    are read on the same shape with 10^5 edges."""
     def refuse(g):
         raise AssertionError("the kernel was built")
 
@@ -838,7 +877,10 @@ def test_large_multiplicity_verdicts_build_no_kernel(argv, expected, capsys,
     doc.write_text(canonical_document(Graph(["u", "v"], [Bundle("a", "u", "v", 10 ** 8)])))
     code, out, err = run(capsys, argv[0], str(doc))
     assert (code, out, err) == (0, expected, "")
-    assert structure.blocks(load_graph(str(doc))).legs == {"u": 10 ** 8, "v": 1}
+    table = structure.blocks(load_graph(str(doc)))
+    assert table.rows == ((SinkTarget("v"), "v", 10 ** 8 + 1, structure.BASE_K),)
+    legs, at_range = structure.trace_tables(Graph(["u", "v"], [Bundle("a", "u", "v", 10 ** 5)]))
+    assert legs == {"u": 10 ** 5, "v": 1} and at_range == [1] * 10 ** 5
 
 
 @pytest.mark.parametrize("expr", ["(2)^30000000 u1", "(2)^10000000000 u1"])

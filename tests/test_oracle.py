@@ -129,13 +129,14 @@ def _cycles_through_recursive(g, v) -> list:
     found = []
 
     def dfs(at, edges, visited):
-        for b in g.out_bundles(at):
-            for i in range(2 if b.mult is OMEGA else b.mult):
-                e = EdgeRef(b.id, i)
-                if b.dst == v:
+        for j in g.out[g.vindex[at]]:
+            dst = g.vertices[g.dsts[j]]
+            for i in range(2 if g.mults[j] is OMEGA else g.mults[j]):
+                e = EdgeRef(g.ids[j], i)
+                if dst == v:
                     found.append(edges + (e,))
-                elif b.dst not in visited:
-                    dfs(b.dst, edges + (e,), visited | {b.dst})
+                elif dst not in visited:
+                    dfs(dst, edges + (e,), visited | {dst})
 
     dfs(v, (), {v})
     return found
@@ -239,12 +240,12 @@ def _closed_path_at(g, w):
     while level:
         nxt = []
         for p in level:
-            for b in g.out_bundles(path_range(g, p)):
-                q = Path(w, p.edges + (EdgeRef(b.id, 0),))
-                if b.dst == w:
+            for j in g.out[g.vindex[path_range(g, p)]]:
+                q, dst = Path(w, p.edges + (EdgeRef(g.ids[j], 0),)), g.vertices[g.dsts[j]]
+                if dst == w:
                     return q
-                if b.dst not in seen:
-                    seen.add(b.dst)
+                if dst not in seen:
+                    seen.add(dst)
                     nxt.append(q)
         level = nxt
     return None
@@ -777,12 +778,12 @@ def _back_walk(g, v, steps: int, rng) -> Path:
     by seeded choices of in-edge; shorter where it reaches a source."""
     base, edges = v, []
     for _ in range(steps):
-        ins = g.in_bundles(base)
+        ins = g.into[g.vindex[base]]
         if not ins:
             break
-        b = rng.choice(ins)
-        edges.append(EdgeRef(b.id, rng.randrange(b.mult)))
-        base = b.src
+        j = rng.choice(ins)
+        edges.append(EdgeRef(g.ids[j], rng.randrange(g.mults[j])))
+        base = g.vertices[g.srcs[j]]
     return Path(base, tuple(reversed(edges)))
 
 

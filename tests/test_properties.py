@@ -158,10 +158,10 @@ def test_condition_L_matches_cycle_exits(omega, seed):
 def _reach(g, v):
     seen, todo = {v}, [v]
     while todo:
-        for b in g.out_bundles(todo.pop()):
-            if b.dst not in seen:
-                seen.add(b.dst)
-                todo.append(b.dst)
+        for w in [g.vertices[g.dsts[j]] for j in g.out[g.vindex[todo.pop()]]]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
     return seen
 
 

@@ -474,8 +474,9 @@ def test_component_pass_matches_reference():
     against the reference pass: the same vertex partition, each member
     list ascending; loops and tangles are the reference components whose
     inside multiplicity equals, or exceeds, their size; members in reverse
-    topological order; the same sinks and path counts.  The Bundle views
-    are the reference tables' lists."""
+    topological order; the same sinks and path counts.  The Bundle records
+    of each vertex's out and in bundle ints are the reference tables'
+    lists."""
     for g in _int_core_graphs():
         s, name = _components(g), g.vertices.__getitem__
         _, members, inner, sinks, paths = _reference_components(g)
@@ -501,9 +502,11 @@ def test_component_pass_matches_reference():
         assert {v: g.out_degree(v) for v in g.vertices} == degrees, g
         assert g.sinks() == [v for v in g.vertices if degrees[v] == 0], g
         out, into, _ = _reference_tables(g)
-        assert all(g.out_bundles(v) == out[v] and g.in_bundles(v) == into[v]
-                   for v in g.vertices), g
-        assert [g.bundle(b.id) for b in g.bundles] == list(g.bundles), g
+        bundles = g.bundles
+        assert all([bundles[j] for j in g.out[i]] == out[v]
+                   and [bundles[j] for j in g.into[i]] == into[v]
+                   for i, v in enumerate(g.vertices)), g
+        assert [g.bundle(b.id) for b in bundles] == list(bundles), g
 
 
 def _bundles_of(text: str) -> tuple:
@@ -590,7 +593,7 @@ def test_component_graphs_cover_the_shapes():
                     for u, w, m in zip(g.srcs, g.dsts, g.mults) if m is OMEGA]
         omega_cycle += any(on_cycle)
         omega_tail += not all(on_cycle)
-        sources = sum(not g.in_bundles(v) for v in g.vertices)
+        sources = sum(not js for js in g.into)
         many_sinks += 2 * len(g.sinks()) > len(g.vertices) > 4
         many_sources += 2 * sources > len(g.vertices) > 4
     assert min(omega_cycle, omega_tail, many_sinks, many_sources) >= 10

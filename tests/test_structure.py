@@ -275,9 +275,10 @@ def _bounded_graphs(seeds=200):
 
 
 def test_legs_count_the_listed_paths_into_the_targets():
-    """legs[v] is the number of paths from v among those the oracle lists
-    into the targets' bases; the legs add up to the sum of the counts, and
-    the rows' (count, ring) pairs are decompose's factors."""
+    """legs[v], from trace_tables, is the number of paths from v among
+    those the oracle lists into the targets' bases; the legs add up to the
+    sum of the counts, and the rows' (count, ring) pairs are decompose's
+    factors."""
     rings = set()
     for g in _bounded_graphs():
         table = blocks(g)
@@ -288,8 +289,9 @@ def test_legs_count_the_listed_paths_into_the_targets():
             assert len(paths) == cnt, target
             for p in paths:
                 listed[p.base] += 1
-        assert table.legs == listed
-        assert sum(table.legs.values()) == sum(cnt for _, _, cnt, _ in table.rows)
+        legs = structure.trace_tables(g)[0]
+        assert legs == listed
+        assert sum(legs.values()) == sum(cnt for _, _, cnt, _ in table.rows)
         assert (sorted((cnt, ring) for _, _, cnt, ring in table.rows)
                 == [(f.size, f.base) for f in decompose(g).factors])
     assert rings == {BASE_K, BASE_LAURENT}
@@ -311,7 +313,7 @@ def test_unbounded_table_has_no_rows():
     for g in (corpus.graph_f(), corpus.omega_gadget()):
         table = blocks(g)
         assert isinstance(table.report, Unbounded)
-        assert table.rows == () and table.legs == {}
+        assert table == (table.report, ())
 
 
 def test_blocks_is_cached_and_check_builds_it_once(monkeypatch, capsys):
