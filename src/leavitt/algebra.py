@@ -519,14 +519,15 @@ class ResourceLimit(Record):
 
 
 class _Verdict(Exception):
-    """Raised by the probe's product check to end the ladder with the
-    verdict it carries."""
+    """Raised by :func:`_ladder`'s product checks to end the ladder with
+    the verdict it carries."""
 
 
 TERM_LIMIT = 10 ** 6  # terms of a probed power, and of the siblings a rewrite adds
 
 
-def _ladder(a: Element, k: int, check=None) -> tuple:
+def _ladder(a: Element, k: int, term_limit: int = sys.maxsize,
+            multiple: bool = False) -> tuple:
     """(j, a^j) for the largest j <= k with a^j != 0, as a term map; (1, {})
     when a is zero.
 
@@ -540,32 +541,36 @@ def _ladder(a: Element, k: int, check=None) -> tuple:
     nonzero power.  So every nonzero power formed has exponent at most j,
     and O(log k) products are formed in all.
 
-    Each product z = a^e is passed to ``check(z, e)``, which may raise to
-    stop the ladder.  The default check is the edge guard: TooLarge when
-    z holds more than POWER_EDGE_LIMIT edges over all its monomials
-    (squaring doubles path lengths, so memory would run out long before
-    time does); a given check applies the guard itself."""
-    table = _kernel(a.graph)
-    if check is None:
-        width = _width(a._terms)
-
-        def check(z: dict, e: int) -> None:
-            _edge_guard(z, e, width)
-
-    squares = [a._terms]  # squares[i] = a^(2^i), all nonzero
-    while 2 ** len(squares) <= k:
-        sq = _product(table, squares[-1], squares[-1])
-        check(sq, 2 ** len(squares))
-        if not sq:
+    Each product z = a^e is checked as it is formed: _Verdict(ResourceLimit)
+    when z has more than term_limit terms, then TooLarge when it holds more
+    than POWER_EDGE_LIMIT edges (squaring doubles path lengths, so memory
+    would run out long before time does), then, with ``multiple``,
+    _Verdict(NotNilpotentWithin(k)) when a^2 is a scalar multiple of a."""
+    table, terms = _kernel(a.graph), a._terms
+    width = _width(terms)
+    squares = [terms]  # squares[i] = a^(2^i), all nonzero
+    j = 1
+    while 2 * j <= k:
+        z = _product(table, squares[-1], squares[-1])
+        if len(z) > term_limit:
+            raise _Verdict(ResourceLimit(2 * j, len(z)))
+        _edge_guard(z, 2 * j, width)
+        if multiple and j == 1 and _is_multiple(z, terms):
+            raise _Verdict(NotNilpotentWithin(k))
+        if not z:
             break
-        squares.append(sq)
-    j, x = 2 ** (len(squares) - 1), squares.pop()
+        squares.append(z)
+        j *= 2
+    x = squares.pop()
     for i in reversed(range(len(squares))):
-        if j + 2 ** i <= k:
+        e = j + 2 ** i
+        if e <= k:
             z = _product(table, x, squares[i])
-            check(z, j + 2 ** i)
+            if len(z) > term_limit:
+                raise _Verdict(ResourceLimit(e, len(z)))
+            _edge_guard(z, e, width)
             if z:
-                j, x = j + 2 ** i, z
+                j, x = e, z
     return j, x
 
 
@@ -593,20 +598,9 @@ def nilpotence_index(a: Element, k_max: int, term_limit: int | None = None):
         raise ValueError("k_max must be >= 1")
     if a.is_zero():
         return NilpotentOfIndex(1)
-    if term_limit is None:
-        term_limit = TERM_LIMIT
-    terms = a._terms
-    width = _width(terms)
-
-    def check(z: dict, e: int) -> None:
-        if len(z) > term_limit:
-            raise _Verdict(ResourceLimit(e, len(z)))
-        _edge_guard(z, e, width)
-        if e == 2 and _is_multiple(z, terms):
-            raise _Verdict(NotNilpotentWithin(k_max))
-
     try:
-        j, _ = _ladder(a, k_max, check)
+        j, _ = _ladder(a, k_max, TERM_LIMIT if term_limit is None else term_limit,
+                       multiple=True)
     except _Verdict as verdict:
         return verdict.args[0]
     return NotNilpotentWithin(k_max) if j == k_max else NilpotentOfIndex(j + 1)

@@ -560,7 +560,8 @@ def _cmd_check(args) -> int:
 # name -> (handler, help, arguments after the graph and --format).  An
 # argument is (name, help, type, default, choices); a name that starts with
 # "--" is an option, and a type of None keeps the string.  The parser and
-# the argv reader are both built from this table.
+# the argv reader are both built from this table, and main calls the
+# handler it names when the command runs.
 _GRAPH = ("graph", "graph document file", None, None, None)
 _FORMAT = ("--format", None, None, "text", ("text", "json"))
 COMMANDS = {
@@ -580,10 +581,12 @@ COMMANDS = {
 }
 
 
-def _reader(func, extra: tuple) -> tuple:
+@functools.cache
+def _reader(extra: tuple) -> tuple:
     """(positional dests, option name -> (dest, type, choices), the
-    Namespace's defaults) of one command's arguments."""
-    positionals, options, defaults = [], {}, {"func": func}
+    Namespace's defaults) of the arguments of a command of ``COMMANDS``
+    whose arguments after the graph and --format are ``extra``."""
+    positionals, options, defaults = [], {}, {}
     for name, _, kind, default, choices in (_GRAPH, _FORMAT) + extra:
         if name.startswith("--"):
             dest = name[2:].replace("-", "_")
@@ -592,9 +595,6 @@ def _reader(func, extra: tuple) -> tuple:
         else:
             positionals.append(name)
     return tuple(positionals), options, defaults
-
-
-_READERS = {name: _reader(func, extra) for name, (func, _, extra) in COMMANDS.items()}
 
 
 def _read_argv(argv) -> SimpleNamespace | None:
@@ -607,9 +607,9 @@ def _read_argv(argv) -> SimpleNamespace | None:
     argparse: help, usage errors, abbreviations, ``--opt=value``, ``--``,
     and values or positionals that start with "-".  A repeated option
     keeps its last value, as in argparse."""
-    if not argv or argv[0] not in _READERS:
+    if not argv or argv[0] not in COMMANDS:
         return None
-    positionals, options, defaults = _READERS[argv[0]]
+    positionals, options, defaults = _reader(COMMANDS[argv[0]][2])
     values = dict(defaults, command=argv[0])
     given = []
     i, end = 1, len(argv)
@@ -651,12 +651,11 @@ def build_parser():
         prog="leavitt",
         description="Structure analysis of Leavitt path algebras of finite graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (func, help_text, extra) in COMMANDS.items():
+    for command, (_, help_text, extra) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for name, arg_help, kind, default, choices in (_GRAPH, _FORMAT) + extra:
             p.add_argument(name, help=arg_help, type=kind, default=default,
                            choices=choices)
-        p.set_defaults(func=func)
     return parser
 
 
@@ -672,7 +671,7 @@ def main(argv=None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        return COMMANDS[args.command][0](args)
     except (oracle.ExplosionGuard, algebra.TooLarge) as err:
         print(f"resource limit: {err}", file=sys.stderr)
         return 2

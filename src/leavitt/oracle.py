@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from . import algebra, structure
 from .graph import (
@@ -270,7 +271,7 @@ def random_graph(spec: RandomSpec) -> Graph:
 
 
 def walk_tables(g: Graph, seed) -> tuple:
-    """The tables :func:`_random_keys` walks, and the generator it draws
+    """The tables :func:`_walk_stream` walks, and the generator it draws
     with: ``(out, into, generator)``.  ``out`` and ``into`` map each
     vertex int to ``(n, k, entries)``: its out-bundles or in-bundles, in
     the order of ``g.out``/``g.into`` (ascending bundle ints, which is id
@@ -300,48 +301,46 @@ def walk_tables(g: Graph, seed) -> tuple:
 _COEFFICIENTS = (-3, -2, -1, 1, 2, 3)
 
 
-def _random_keys(g: Graph, tables: tuple, max_terms: int,
-                 max_path_len: int) -> list:
-    """Raw (kernel key, coefficient) pairs of one element, drawn from the
-    stream of the tables' generator where the last draw left it: each
-    monomial joins a forward walk and a backward walk meeting at the same
-    vertex.  A walk is a path by construction, so the keys need no check.
-    Each step chooses among a vertex's bundles, then an edge of the
-    bundle: one of the first four of an omega bundle.  The draws are
-    those of ``randint``, ``choice`` and ``randrange`` on the generator:
-    each draw from range(n) is the stdlib's rejection rule written out,
-    ``r = getrandbits(k)`` again while ``r >= n``, with k = n.bit_length()
-    from the tables.  Raises ValueError when max_terms < 1 or
-    max_path_len < 0."""
+def _walk_stream(g: Graph, tables: tuple, max_terms: int, max_path_len: int):
+    """The endless stream of random elements of the tables' generator, each
+    a list of (walk, coefficient) pairs: a walk (base, p ids, q base,
+    q ids), vertex ints and lists of kernel ids, joins a forward walk p
+    from base and a backward walk q to p's end, a path by construction.
+    A step chooses a bundle, then one of its edges (of the first four of
+    an omega bundle).  Each draw from range(n) is the stdlib's rejection
+    rule of ``randint``, ``choice`` and ``randrange`` written out:
+    ``r = getrandbits(k)`` again while ``r >= n``, k = n.bit_length().
+    Raises ValueError at the call when max_terms < 1 or max_path_len < 0."""
     if max_terms < 1 or max_path_len < 0:
         raise ValueError("need max_terms >= 1 and max_path_len >= 0")
+    return _walks(len(g.vertices), tables, max_terms, max_path_len)
+
+
+def _walks(n_v: int, tables: tuple, max_terms: int, max_path_len: int):
     out, into, rng = tables
-    vertices = g.vertices
-    raw = []
-    if not vertices:
-        return raw
     bits = rng.getrandbits
-    n_v = len(vertices)
     k_v = n_v.bit_length()
     n_len = max_path_len + 1
     k_len = n_len.bit_length()
     k_terms = max_terms.bit_length()
-    r = bits(k_terms)
-    while r >= max_terms:
-        r = bits(k_terms)
-    for _ in range(r + 1):
-        r = bits(k_v)
-        while r >= n_v:
-            r = bits(k_v)
-        base = at = r
+    while not n_v:
+        yield []
+    while True:
         walks = []
-        for steps in (out, into):  # p forward from base, then q back from p's end
-            ids = []
+        r = bits(k_terms)
+        while r >= max_terms:
+            r = bits(k_terms)
+        for _ in range(r + 1):
+            r = bits(k_v)
+            while r >= n_v:
+                r = bits(k_v)
+            base = at = r
+            p, q = [], []
             r = bits(k_len)
             while r >= n_len:
                 r = bits(k_len)
-            for _ in range(r):
-                n, k, listed = steps[at]
+            for _ in range(r):  # p forward from base
+                n, k, listed = out[at]
                 if not n:
                     break
                 r = bits(k)
@@ -351,16 +350,39 @@ def _random_keys(g: Graph, tables: tuple, max_terms: int,
                 r = bits(k)
                 while r >= n:
                     r = bits(k)
-                ids.append(first + step * r)
-            walks.append(ids)
-        p, q = walks
-        q.reverse()
-        r = bits(3)  # a draw from the six coefficients
-        while r >= 6:
-            r = bits(3)
-        raw.append(((vertices[base], tuple(p), vertices[at], tuple(q)),
-                    _COEFFICIENTS[r]))
-    return raw
+                p.append(first + step * r)
+            r = bits(k_len)
+            while r >= n_len:
+                r = bits(k_len)
+            for _ in range(r):  # q back from p's end, written out apart from p:
+                n, k, listed = into[at]  # a loop over both walks took 10% longer
+                if not n:
+                    break
+                r = bits(k)
+                while r >= n:
+                    r = bits(k)
+                at, first, step, n, k = listed[r]
+                r = bits(k)
+                while r >= n:
+                    r = bits(k)
+                q.append(first + step * r)
+            q.reverse()
+            r = bits(3)  # a draw from the six coefficients
+            while r >= 6:
+                r = bits(3)
+            walks.append(((base, p, at, q), _COEFFICIENTS[r]))
+        yield walks
+
+
+def _keys(vertices: list, walks: list) -> list:
+    """Raw (kernel key, coefficient) pairs of an element's walks."""
+    return [((vertices[b], tuple(p), vertices[a], tuple(q)), k)
+            for (b, p, a, q), k in walks]
+
+
+def _random_keys(g: Graph, tables: tuple, max_terms: int, max_path_len: int) -> list:
+    """Raw (kernel key, coefficient) pairs of the next :func:`_walk_stream` element."""
+    return _keys(g.vertices, next(_walk_stream(g, tables, max_terms, max_path_len)))
 
 
 def random_raw_terms(g: Graph, spec: RandomSpec, max_terms: int = 4,
@@ -591,6 +613,18 @@ _TRIAL_TERMS = 4  # the most monomials of a sampled trial's element
 _TRIAL_PATH_LEN = 3  # the longest walk of a sampled trial's monomials
 
 
+def _scalar_class(terms: dict) -> frozenset:
+    """An int term map up to a nonzero scalar: its items with the
+    coefficients divided by their gcd, and signed so that the least key's
+    is positive."""
+    if not terms:
+        return frozenset()
+    d = gcd(*terms.values())
+    if terms[min(terms)] < 0:
+        d = -d
+    return frozenset(terms.items() if d == 1 else [(key, k // d) for key, k in terms.items()])
+
+
 def cross_check_index(g: Graph, trials: int = 500,
                       seed: int = 0) -> CrossCheckReport:
     """Sample random elements of a bounded-index algebra and confirm no
@@ -611,14 +645,14 @@ def cross_check_index(g: Graph, trials: int = 500,
     This runs only when ``structure.trace_settles`` finds that no power
     the probe could form can pass a limit, so the probe would give that
     verdict too, and the report is the probe's in every case.  The trace
-    is read off the trial's raw draw, before it is normalized (tau is
-    linear, and its rule for a key needs no normal form), so a settled
-    trial builds no term map and no Element.
+    is read off the trial's walks (:func:`_walk_stream`), before any
+    kernel key is built (tau is linear, and its rule for a walk needs no
+    normal form), so a settled trial builds no key, term map or Element.
 
-    Every other trial is normalized and probed.  An element probed again
-    in a later trial reuses its first trial's verdict, resource limits
-    included, as the probe is a function of the element; the memo holds
-    at most ``trials`` entries, all of them probed elements."""
+    Every other trial is normalized and probed, once per scalar class: c a
+    reuses the verdict of a, resource limits included, as (c a)^k = c^k a^k
+    has the support and edge count of a^k.  The memo holds at most
+    ``trials`` entries, all of them probed elements."""
     report = structure.bounded_blocks(g).report
     n = report.n
     bound = n + 3
@@ -626,21 +660,22 @@ def cross_check_index(g: Graph, trials: int = 500,
     found = 0
     limited = 0
     empirical = 0
-    table = algebra._kernel(g)
-    tables = walk_tables(g, seed)
-    traces = (structure.trace_tables(g) if structure.trace_settles(
-        g, bound, 2 * _TRIAL_PATH_LEN) else None)
-    verdicts = {}  # term map of a probed element -> verdict, None for TooLarge
-    for t in range(trials):
-        raw = _random_keys(g, tables, _TRIAL_TERMS, _TRIAL_PATH_LEN)
-        if traces is not None and structure.block_trace(traces, raw):
+    table, vertices = algebra._kernel(g), g.vertices
+    stream = _walk_stream(g, walk_tables(g, seed), _TRIAL_TERMS, _TRIAL_PATH_LEN)
+    traces = None
+    if structure.trace_settles(g, bound, 2 * _TRIAL_PATH_LEN):
+        legs, at_range = structure.trace_tables(g)
+        traces = list(legs.values()), at_range  # legs by vertex int
+    verdicts = {}  # scalar class of a probed term map -> verdict, None for TooLarge
+    for t, walks in zip(range(trials), stream):
+        if traces is not None and structure.block_trace(traces, walks):
             continue  # NotNilpotentWithin(bound), which counts nothing
         try:
-            terms = algebra._normalize(table, raw)
+            terms = algebra._normalize(table, _keys(vertices, walks))
         except algebra.TooLarge:  # a rewrite past the term limit
             limited += 1
             continue
-        key = frozenset(terms.items())
+        key = _scalar_class(terms)
         if key in verdicts:
             verdict = verdicts[key]
         else:

@@ -249,10 +249,10 @@ def bounded_index_report(g: Graph):
 
 def trace_tables(g: Graph) -> tuple:
     """:func:`block_trace`'s tables for a bounded graph: the legs, the
-    number of paths from each vertex into the targets, keyed by name, and
-    the legs at the range of each finite edge id.  The legs fill in one
-    pass over the component table, sinks first: 1 at a sink or cycle
-    vertex, else the sum of mult * legs[dst] over the out-bundles."""
+    number of paths from each vertex into the targets, keyed by name in
+    vertex order, and the legs at the range of each finite edge id.  The
+    legs fill in one pass over the component table, sinks first: 1 at a
+    sink or cycle vertex, else the sum of mult * legs[dst] over out-bundles."""
     s, out, dsts, mults = _components(g), g.out, g.dsts, g.mults
     legs, loops = [1] * len(g.vertices), set(s.loops)
     for i, members in enumerate(s.members):  # bounded, so no tangle
@@ -276,7 +276,9 @@ def block_trace(tables: tuple, pairs) -> dict:
     ``.items()`` or raw pairs, not normalized, with keys repeated or
     cancelling: each key p q* with r(p) = r(q) gets the trace of its block
     matrices, which the rule below reads with no use of normal form, and
-    tau is linear.
+    tau is linear.  They may also be the walks of ``oracle._walk_stream``,
+    keys with vertex ints for bases and id lists for paths, when the
+    legs are a list by vertex int.
 
     The algebra is the direct sum of the M_t(K) and M_t(K[x,x^-1]), one
     block per sink or exitless cycle T, its rows the paths into T
@@ -304,7 +306,7 @@ def block_trace(tables: tuple, pairs) -> dict:
                 continue
             d = lp - lq
         tau[d] = tau.get(d, 0) + k
-    return {d: k for d, k in tau.items() if k}
+    return {d: k for d, k in tau.items() if k} if tau else tau
 
 
 def trace_settles(g: Graph, bound: int, width: int) -> bool:

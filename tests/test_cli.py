@@ -641,7 +641,6 @@ def test_main_leaves_the_collector_as_it_found_it(enabled, capsys, monkeypatch, 
         return 0
 
     monkeypatch.setitem(cli.COMMANDS, "probe", (probe, "probe", ()))
-    monkeypatch.setitem(cli._READERS, "probe", cli._reader(probe, ()))
     line3 = fixture_path("line3")
     cases = [(["index", line3], 0), (["index", str(tmp_path / "missing.graph")], 1),
              (["eval", line3, "(2)^30000000 u1"], 2), (["probe", line3], 0)]

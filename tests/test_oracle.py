@@ -1018,6 +1018,47 @@ def test_nilpotence_index_matches_sequential_on_jordan_elements():
                 nilpotence_index_sequential(j, k_max), (k, k_max)
 
 
+_SCALARS = (1, -1, 2, -2, 3, -3, Fraction(1, 2), Fraction(-3, 7))
+
+
+def _probe_or_too_large(a, k_max):
+    try:
+        return nilpotence_index(a, k_max)
+    except algebra.TooLarge:
+        return "TooLarge"
+
+
+def test_probe_verdict_is_invariant_under_nonzero_scalars(monkeypatch):
+    """nilpotence_index(c a, k) = nilpotence_index(a, k) for every c != 0
+    tried, on random elements of every fixture and of 40 random graphs:
+    the sequential probe's verdict at the default limits, the same
+    ResourceLimit (power and term count) at a term limit of 3, and at an
+    edge limit of 20 both refuse with TooLarge or neither does.  For an
+    int c the check's memo files c a and a under one scalar class."""
+    cases = [(random_element(corpus.CORPUS[name](), RandomSpec(seed=s)), 8)
+             for name in sorted(corpus.CORPUS) for s in range(8)]
+    cases += [(random_element(random_graph(RandomSpec(seed=s, max_mult=3)),
+                              RandomSpec(seed=500 + s)), 6) for s in range(40)]
+    seen = set()
+    for limit, value in [(None, None), ("TERM_LIMIT", 3), ("POWER_EDGE_LIMIT", 20)]:
+        with monkeypatch.context() as m:
+            if limit is not None:
+                m.setattr(algebra, limit, value)
+            for i, (a, k) in enumerate(cases):
+                expected = _probe_or_too_large(a, k)
+                if limit is None:
+                    assert expected == nilpotence_index_sequential(a, k), i
+                seen.add((limit, type(expected).__name__))
+                for c in _SCALARS:
+                    assert _probe_or_too_large(c * a, k) == expected, (limit, i, c)
+                    if limit is None and type(c) is int:
+                        assert oracle._scalar_class((c * a)._terms) == \
+                            oracle._scalar_class(a._terms), (i, c)
+    assert {("TERM_LIMIT", "ResourceLimit"), ("POWER_EDGE_LIMIT", "str"),
+            ("POWER_EDGE_LIMIT", "NotNilpotentWithin"),
+            (None, "NilpotentOfIndex"), (None, "NotNilpotentWithin")} <= seen, seen
+
+
 def test_nilpotence_index_forms_logarithmically_many_products(monkeypatch):
     """On the loop e, never nilpotent: a^k_max from the squares of a, at
     most 2 log2(k_max) products where the sequential probe forms k_max - 1."""
@@ -1622,10 +1663,23 @@ def _distinct_trials(g, trials: int, seed: int) -> int:
                 for a in _stream_elements(g, trials, seed)})
 
 
+def _scalar_class(terms: dict) -> frozenset:
+    """A term map up to a nonzero scalar: its items divided by the
+    coefficient of the least key."""
+    return frozenset((key, Fraction(k, terms[min(terms)])) for key, k in terms.items())
+
+
+def _distinct_classes(g, trials: int, seed: int) -> int:
+    """The number of distinct elements up to a nonzero scalar among a
+    check's sampled trials."""
+    return len({_scalar_class(a._terms) for a in _stream_elements(g, trials, seed)})
+
+
 def test_certified_cross_check_matches_unmemoised_loop(monkeypatch):
     """With the certificate on, the report is the probe's on doubled lines
     and tailed cycles; the certificate settles trials on each graph the
-    guard admits, and on no other."""
+    guard admits, and on no other, where each element up to a scalar is
+    probed once."""
     graphs = [doubled_line(k) for k in range(1, 9)]
     graphs += [tailed_cycle(m, t) for m in (1, 2, 3, 5) for t in (0, 1, 3)]
     probes = _count_probes(monkeypatch)
@@ -1635,7 +1689,7 @@ def test_certified_cross_check_matches_unmemoised_loop(monkeypatch):
         probes.clear()
         assert cross_check_index(g, trials=120, seed=i) == expected, i
         trial_probes = len(probes) - 1  # the witness's probe
-        distinct = _distinct_trials(g, 120, i)
+        distinct = _distinct_classes(g, 120, i)
         if structure.trace_settles(g, expected.probe_bound, 6):
             admitted += 1
             assert trial_probes < distinct, i
@@ -1722,8 +1776,8 @@ def test_trace_guard_refuses_at_low_limits(monkeypatch):
     """At the default limits the guard admits every bounded fixture and
     refuses the doubled line with k=10.  With the edge limit at 20, or a
     term limit of 3, it refuses (but on line1, whose powers hold one term
-    at most), every distinct trial runs the probe, and the report is the
-    probe's.  At the edge limit of 20 the other fixtures' witness probes
+    at most), every trial distinct up to a scalar runs the probe, and the
+    report is the probe's.  At the edge limit of 20 the other fixtures' witness probes
     raise TooLarge; at the term limit of 3, those of line6 and of the
     doubled line do, after the same trials."""
     fixtures = [corpus.CORPUS[name]() for name in sorted(SAMPLING_SEED_12345)]
@@ -1746,7 +1800,7 @@ def test_trace_guard_refuses_at_low_limits(monkeypatch):
                 probes.clear()
                 rep = _report_or_too_large(cross_check_index, g, 40, i)
                 assert rep == expected, (limit, i)
-                assert len(probes) - 1 == _distinct_trials(g, 40, i), (limit, i)
+                assert len(probes) - 1 == _distinct_classes(g, 40, i), (limit, i)
                 if rep == "TooLarge":
                     refused.append(i)
                 else:
@@ -1810,17 +1864,24 @@ NORMALIZE_LINE4 = 505
 
 def test_settled_trials_are_not_normalized(monkeypatch):
     """The check of line4 (300 trials, seed 7) calls _normalize at most
-    NORMALIZE_LINE4_RAW_TRACE times.  Its trials normalize exactly the
-    raw draws whose block trace is 0, by identity and in order, and build
-    one Element per distinct normal form among them, each of trace 0; a
-    draw with a nonzero trace builds none."""
+    NORMALIZE_LINE4_RAW_TRACE times.  It builds kernel keys only for the
+    trials of its walk stream whose block trace is 0, in order, and
+    normalizes exactly those keys, by identity and in order.  It builds
+    one Element per distinct normal form up to a scalar among them, each
+    of trace 0; a trial with a nonzero trace builds none."""
     g = load_graph(fixture_path("line4"))
-    draws, normalized, built = [], [], []
-    draw, normalize, init = oracle._random_keys, algebra._normalize, algebra.Element.__init__
+    trials, keyed, normalized, built = [], [], [], []
+    stream, keys = oracle._walk_stream, oracle._keys
+    normalize, init = algebra._normalize, algebra.Element.__init__
 
     def recording(*args):
-        draws.append(draw(*args))
-        return draws[-1]
+        for walks in stream(*args):
+            trials.append(walks)
+            yield walks
+
+    def keying(vertices, walks):
+        keyed.append((walks, keys(vertices, walks)))
+        return keyed[-1][1]
 
     def counting(table, raw):
         normalized.append(raw)
@@ -1830,7 +1891,8 @@ def test_settled_trials_are_not_normalized(monkeypatch):
         built.append(terms)
         init(self, graph, terms)
 
-    monkeypatch.setattr(oracle, "_random_keys", recording)
+    monkeypatch.setattr(oracle, "_walk_stream", recording)
+    monkeypatch.setattr(oracle, "_keys", keying)
     monkeypatch.setattr(algebra, "_normalize", counting)
     monkeypatch.setattr(algebra.Element, "__init__", building)
     cross_check_index(g, trials=0, seed=7)
@@ -1840,13 +1902,16 @@ def test_settled_trials_are_not_normalized(monkeypatch):
     cross_check_index(g, trials=300, seed=7)
     assert len(normalized) <= NORMALIZE_LINE4_RAW_TRACE < NORMALIZE_LINE4
     traces = structure.trace_tables(g)
-    open_draws = [raw for raw in draws if not structure.block_trace(traces, raw)]
-    assert len(draws) == 300 and 0 < len(open_draws) < 200
-    drawn = {id(raw) for raw in draws}
-    trial_raw = [raw for raw in normalized if id(raw) in drawn]
-    assert len(trial_raw) == len(open_draws)
-    assert all(x is y for x, y in zip(trial_raw, open_draws))
+    open_trials = [walks for walks in trials
+                   if not structure.block_trace(traces, keys(g.vertices, walks))]
+    assert len(trials) == 300 and 0 < len(open_trials) < 200
+    assert len(keyed) == len(open_trials)
+    assert all(x is y for (x, _), y in zip(keyed, open_trials))
+    made = {id(raw) for _, raw in keyed}
+    trial_raw = [raw for raw in normalized if id(raw) in made]
+    assert len(trial_raw) == len(keyed)
+    assert all(x is y for x, (_, y) in zip(trial_raw, keyed))
     trial_built = built[:len(built) - witness_built]
-    assert len(trial_built) == len({frozenset(normalize(algebra._kernel(g), raw).items())
-                                    for raw in open_draws})
+    assert len(trial_built) == len({_scalar_class(normalize(algebra._kernel(g), raw))
+                                    for raw in trial_raw})
     assert not any(structure.block_trace(traces, terms.items()) for terms in trial_built)

@@ -13,6 +13,10 @@ every input, read back through the vertex names.  So must
 ``load_graph``, which reads a file as bytes and decodes it itself, and the
 text-mode read it replaces.
 
+``oracle._walk_stream`` yields each sampled element as int walks and
+builds no kernel key; the copy here is the draw that built the keys as it
+walked.  Both must give the same keys from the same ``getrandbits`` calls.
+
 The record types (``graph.Record`` subclasses) are plain classes; each has
 a frozen dataclass twin here, and a record must construct, compare, hash,
 order, print, refuse assignment and copy as its twin does.
@@ -35,7 +39,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES
 
-from leavitt import algebra, corpus
+from leavitt import algebra, corpus, oracle
 from leavitt.algebra import (
     MatrixUnits,
     Monomial,
@@ -915,3 +919,120 @@ def test_matrix_units_walk_their_legs_once(monkeypatch):
     assert units._leg_keys is first and vars(units)["_leg_keys"] is first
     assert walks == list(legs)
     assert units == MatrixUnits(g, legs, SinkTarget("w1"))
+
+
+# -- the draw ------------------------------------------------------------------------
+
+_COEFFICIENTS = (-3, -2, -1, 1, 2, 3)
+
+
+def _reference_random_keys(g: Graph, tables: tuple, max_terms: int,
+                           max_path_len: int) -> list:
+    """The draw of one element as raw (kernel key, coefficient) pairs, as
+    one function that built the keys as it walked."""
+    if max_terms < 1 or max_path_len < 0:
+        raise ValueError("need max_terms >= 1 and max_path_len >= 0")
+    out, into, rng = tables
+    vertices = g.vertices
+    raw = []
+    if not vertices:
+        return raw
+    bits = rng.getrandbits
+    n_v = len(vertices)
+    k_v = n_v.bit_length()
+    n_len = max_path_len + 1
+    k_len = n_len.bit_length()
+    k_terms = max_terms.bit_length()
+    r = bits(k_terms)
+    while r >= max_terms:
+        r = bits(k_terms)
+    for _ in range(r + 1):
+        r = bits(k_v)
+        while r >= n_v:
+            r = bits(k_v)
+        base = at = r
+        walks = []
+        for steps in (out, into):  # p forward from base, then q back from p's end
+            ids = []
+            r = bits(k_len)
+            while r >= n_len:
+                r = bits(k_len)
+            for _ in range(r):
+                n, k, listed = steps[at]
+                if not n:
+                    break
+                r = bits(k)
+                while r >= n:
+                    r = bits(k)
+                at, first, step, n, k = listed[r]
+                r = bits(k)
+                while r >= n:
+                    r = bits(k)
+                ids.append(first + step * r)
+            walks.append(ids)
+        p, q = walks
+        q.reverse()
+        r = bits(3)  # a draw from the six coefficients
+        while r >= 6:
+            r = bits(3)
+        raw.append(((vertices[base], tuple(p), vertices[at], tuple(q)),
+                    _COEFFICIENTS[r]))
+    return raw
+
+
+class _RecordingRandom(random.Random):
+    """random.Random that lists its getrandbits calls as (k, r)."""
+
+    def __init__(self, seed):
+        self.draws = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        r = super().getrandbits(k)
+        self.draws.append((k, r))
+        return r
+
+
+def _draw_graphs() -> list:
+    graphs = [load_graph(str(path)) for path in sorted(FIXTURES.glob("*.graph"))]
+    assert len(graphs) == 14
+    for omega in (Fraction(0), Fraction(1, 4)):
+        graphs += [random_graph(RandomSpec(seed=s, max_mult=3, omega_probability=omega))
+                   for s in range(200)]
+    return graphs + [Graph([], [])]
+
+
+@pytest.mark.parametrize("max_terms,max_path_len", [(4, 3), (6, 4), (1, 0)])
+def test_walk_stream_draws_as_the_reference(max_terms, max_path_len):
+    """Trial for trial, the walk stream gives the reference's (key,
+    coefficient) pairs from the same getrandbits calls, (k, r) in the
+    same order: 30 trials of one stream on each fixture, and on 200
+    random graphs with multiplicities up to 3, without and with omega
+    bundles, and on the empty graph."""
+    omega = 0
+    for i, g in enumerate(_draw_graphs()):
+        out, into, _ = oracle.walk_tables(g, i)
+        ours, theirs = _RecordingRandom(i), _RecordingRandom(i)
+        stream = oracle._walk_stream(g, (out, into, ours), max_terms, max_path_len)
+        reference = (out, into, theirs)
+        for t in range(30):
+            walks = next(stream)
+            assert oracle._keys(g.vertices, walks) == \
+                _reference_random_keys(g, reference, max_terms, max_path_len), (i, t)
+            assert ours.draws == theirs.draws, (i, t)
+        omega += any(m is OMEGA for m in g.mults)
+    assert omega > 50
+
+
+def test_walk_stream_refuses_empty_ranges_at_the_call():
+    """ValueError from the call itself, before any element is drawn, as
+    the reference raises it."""
+    g = corpus.line(3)
+    for max_terms, max_path_len in [(0, 3), (-2, 3), (4, -1), (0, -1)]:
+        rng = _RecordingRandom(1)
+        tables = oracle.walk_tables(g, 1)[:2] + (rng,)
+        with pytest.raises(ValueError):
+            oracle._walk_stream(g, tables, max_terms, max_path_len)
+        with pytest.raises(ValueError):
+            _reference_random_keys(g, tables, max_terms, max_path_len)
+        assert rng.draws == []
