@@ -17,17 +17,18 @@ literal equality of term maps.
 Ghost edges never appear inside a single monomial; products contract the
 inner ghost/real block by path prefix comparison.
 
-Inside an Element a monomial is the plain tuple
-``(p_base, p_edge_ids, q_base, q_edge_ids)``, with edges numbered by a
-per-graph table built on first use (:class:`_Kernel`): finite edges are
-0..nfin-1 in EdgeRef order, edge i of a finite bundle being its bundle's
-offset plus i, and edge k of the j-th of the W omega bundles is
-nfin + k*W + j, so equal graphs give equal keys.  A path enters the kernel
-through :func:`_path_key`, one walk that checks it and numbers its edges.
-Coefficients are ints while they are integral; a Fraction appears only
-once a non-integer scalar comes in.  :class:`Monomial`,
-:meth:`Element.terms`, :meth:`Element.coefficient`, :func:`normal_form` and
-the printed text convert at that boundary and see EdgeRefs and Fractions.
+Inside an Element a monomial is the plain tuple of ints
+``(p_base, p_edge_ids, q_base, q_edge_ids)``: vertices numbered as the
+graph numbers them, in name order, and edges by a per-graph table built
+on first use (:class:`_Kernel`): finite edges are 0..nfin-1 in EdgeRef
+order, edge i of a finite bundle being its bundle's offset plus i, and
+edge k of the j-th of the W omega bundles is nfin + k*W + j, so equal
+graphs give equal keys.  A path enters the kernel through
+:func:`_path_key`, one walk that checks it and numbers it.  Coefficients
+are ints while they are integral; a Fraction appears only once a
+non-integer scalar comes in.  :class:`Monomial`, :meth:`Element.terms`,
+:meth:`Element.coefficient`, :func:`normal_form` and the printed text
+convert at that boundary and see names, EdgeRefs and Fractions.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ class _Kernel:
     and step W, the number of omega bundles, for an omega bundle (mult is
     None then).  ``rewrite`` maps the id of each regular vertex's special
     edge to the ids of the other edges out of that vertex, one ``range``
-    per out-bundle, and ``fanout`` maps it to their number; a monomial is
+    per out-bundle, and ``fanout`` maps it to their number, the out-degree
+    minus one (a range past sys.maxsize has no len); a monomial is
     reducible exactly when both its paths end in a key of ``rewrite``.
     ``special`` holds, per vertex int, its special EdgeRef or None."""
 
@@ -130,7 +132,7 @@ class _Kernel:
             special = spans[0][0]
             spans[0] = spans[0][1:]
             self.rewrite[special] = tuple(r for r in spans if r)
-            self.fanout[special] = sum(map(len, spans))
+            self.fanout[special] = d - 1
             self.special[v] = EdgeRef(ids[js[0]], 0)
 
     def edge_ref(self, i: int) -> EdgeRef:
@@ -174,9 +176,9 @@ def _mono_key(m: Monomial):
 
 
 def _path_key(g: Graph, p: Path) -> tuple:
-    """(edge ids, range) of p from one walk over the graph's columns,
-    numbered by ``_Kernel.first``; how every path enters the kernel.
-    Raises InvalidPath unless p is a path of g."""
+    """(base, edge ids, range) of p, vertex ints and ids numbered by
+    ``_Kernel.first``, from one walk over the graph's columns; how every
+    path enters the kernel.  Raises InvalidPath unless p is a path of g."""
     first, bindex, srcs, dsts, mults = _kernel(g).first, g.bindex, g.srcs, g.dsts, g.mults
     at, ids = g.vindex.get(p.base), []
     for e in p.edges:
@@ -189,14 +191,14 @@ def _path_key(g: Graph, p: Path) -> tuple:
         at = dsts[j]
     else:
         if at is not None:
-            return tuple(ids), g.vertices[at]
+            return g.vindex[p.base], tuple(ids), at
     raise InvalidPath(f"not a path of this graph: {p!r}")
 
 
-def _monomial(table: _Kernel, key: tuple) -> Monomial:
+def _monomial(names: tuple, table: _Kernel, key: tuple) -> Monomial:
     pb, pe, qb, qe = key
-    return Monomial(Path(pb, tuple(map(table.edge_ref, pe))),
-                    Path(qb, tuple(map(table.edge_ref, qe))))
+    return Monomial(Path(names[pb], tuple(map(table.edge_ref, pe))),
+                    Path(names[qb], tuple(map(table.edge_ref, qe))))
 
 
 def _scalar(k):
@@ -227,7 +229,7 @@ class Element:
 
     def __init__(self, graph: Graph, terms: dict):
         self.graph = graph
-        self._terms = terms  # (p_base, p_ids, q_base, q_ids) -> int | Fraction
+        self._terms = terms  # (p_base, p_ids, q_base, q_ids), ints -> int | Fraction
 
     @classmethod
     def zero(cls, graph: Graph) -> "Element":
@@ -236,18 +238,18 @@ class Element:
     def terms(self) -> list:
         """(Monomial, Fraction) pairs sorted in the canonical monomial
         order."""
-        table = _kernel(self.graph)
-        return sorted(((_monomial(table, key), Fraction(k))
+        table, names = _kernel(self.graph), self.graph.vertices
+        return sorted(((_monomial(names, table, key), Fraction(k))
                        for key, k in self._terms.items()),
                       key=lambda kv: _mono_key(kv[0]))
 
     def coefficient(self, m: Monomial) -> Fraction:
         try:
-            p, _ = _path_key(self.graph, m.p)
-            q, _ = _path_key(self.graph, m.q)
+            pb, p, _ = _path_key(self.graph, m.p)
+            qb, q, _ = _path_key(self.graph, m.q)
         except InvalidPath:  # not a path of the graph: not a term either
             return Fraction(0)
-        return Fraction(self._terms.get((m.p.base, p, m.q.base, q), 0))
+        return Fraction(self._terms.get((pb, p, qb, q), 0))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -435,25 +437,24 @@ def normal_form(g: Graph, raw: Iterable) -> Element:
         k = _scalar(k)
         if k == 0:
             continue
-        p, p_range = _path_key(g, m.p)
-        q, q_range = _path_key(g, m.q)
+        pb, p, p_range = _path_key(g, m.p)
+        qb, q, q_range = _path_key(g, m.q)
         if p_range != q_range:
             raise RangeMismatch(
                 f"monomial paths end at different vertices: {m}")
-        keyed.append(((m.p.base, p, m.q.base, q), k))
+        keyed.append(((pb, p, qb, q), k))
     return Element(g, _normalize(_kernel(g), keyed))
 
 
 # -- generators --------------------------------------------------------------
 
 def vertex_element(g: Graph, v: str) -> Element:
-    g.vertex_index(v)
+    v = g.vertex_index(v)
     return Element(g, {(v, (), v, ()): 1})
 
 
 def edge_element(g: Graph, e: EdgeRef) -> Element:
-    src = g.src(e)
-    ids, dst = _path_key(g, Path(src, (e,)))
+    src, ids, dst = _path_key(g, Path(g.src(e), (e,)))
     return Element(g, {(src, ids, dst, ()): 1})
 
 
@@ -466,7 +467,7 @@ def identity_element(g: Graph) -> Element:
     finite nonempty graph."""
     if not g.vertices:
         raise LeavittError("the empty graph's algebra has no identity")
-    return Element(g, {(v, (), v, ()): 1 for v in g.vertices})
+    return Element(g, {(v, (), v, ()): 1 for v in range(len(g.vertices))})
 
 
 def monomial(g: Graph, p: Path, q: Path) -> Element:
@@ -698,11 +699,10 @@ class MatrixUnits(Record):
 
     @functools.cached_property
     def _leg_keys(self) -> tuple:
-        """(the set of the legs' ranges, each leg's (base, edge ids)), from
+        """(the legs' ranges, each leg's (base, edge ids)), vertex ints, from
         one :func:`_path_key` walk per leg; InvalidPath for a non-path."""
         walks = [_path_key(self.graph, p) for p in self.legs]
-        return (frozenset(r for _, r in walks),
-                [(p.base, ids) for p, (ids, _) in zip(self.legs, walks)])
+        return frozenset(r for *_, r in walks), [(b, ids) for b, ids, _ in walks]
 
 
 def _check_unit_paths(m: MatrixUnits) -> str:
@@ -711,15 +711,17 @@ def _check_unit_paths(m: MatrixUnits) -> str:
     ranges, keys = m._leg_keys
     if len(set(keys)) != len(keys):
         raise BadMatrixUnitPaths("paths are not pairwise distinct")
+    names = m.graph.vertices
     if len(ranges) != 1:
-        raise BadMatrixUnitPaths(f"paths end at several vertices: {sorted(ranges)}")
-    return next(iter(ranges))
+        raise BadMatrixUnitPaths(
+            f"paths end at several vertices: {[names[r] for r in sorted(ranges)]}")
+    return names[next(iter(ranges))]
 
 
 def matrix_units_acyclic(g: Graph, paths: Iterable[Path]) -> MatrixUnits:
     """Matrix units p_i p_j* from distinct paths ending at a common sink."""
     paths = tuple(paths)
-    v = _path_key(g, paths[0])[1] if paths else None
+    v = g.vertices[_path_key(g, paths[0])[2]] if paths else None
     units = MatrixUnits(g, paths, SinkTarget(v))
     _check_unit_paths(units)
     if not g.is_sink(v):
@@ -766,7 +768,7 @@ def matrix_units_no_exit_cycle(g: Graph, c: Cycle,
     v = _check_unit_paths(units)
     if v not in verts:
         raise BadMatrixUnitPaths(f"target vertex {v!r} is not on the cycle")
-    m, on_cycle = len(c.edges), set(_path_key(g, Path(verts[0], c.edges))[0])
+    m, on_cycle = len(c.edges), set(_path_key(g, Path(verts[0], c.edges))[1])
     for _, ids in units._leg_keys[1]:
         if len(ids) >= m and on_cycle.issuperset(ids[-m:]):
             raise BadMatrixUnitPaths("a path runs through the entire cycle")
@@ -797,7 +799,7 @@ def verify_matrix_units(m: MatrixUnits) -> bool:
         return False
     (w,) = ranges
     P = Element(g, {key + (w, ()): k for key, k in Counter(keys).items()})
-    return P.involution() * P == m.n * vertex_element(g, w)
+    return P.involution() * P == Element(g, {(w, (), w, ()): m.n})
 
 
 def jordan_element(m: MatrixUnits) -> Element:

@@ -224,7 +224,8 @@ def _tree_pieces(tree: structure.PathTree, indent: str):
     yielded as a piece of its own, not copied into its path's text.  The
     edge lists of one level are kept until the next level is done, and
     those of the last level are not kept."""
-    bases, firsts, parents, ends = tree.bases, tree.firsts, tree.parents, tree.ends
+    names, bases, firsts, parents, ends = \
+        tree.names, tree.bases, tree.firsts, tree.parents, tree.ends
     if not bases:
         yield "[]"
         return
@@ -234,7 +235,7 @@ def _tree_pieces(tree: structure.PathTree, indent: str):
     sep, close = "," + deep, field + "]" + inner + "}"
     head = f',{inner}{{{field}"base": '
     mid = f',{field}"edges": [{deep}'
-    yield f'[{inner}{{{field}"base": {_quote(bases[0])},{field}"edges": []{inner}}}'
+    yield f'[{inner}{{{field}"base": {_quote(names[bases[0]])},{field}"edges": []{inner}}}'
     above, start, last = None, 1, len(ends) - 1  # above: the level above's lists
     for k in range(1, len(ends)):
         stop = ends[k]
@@ -250,7 +251,7 @@ def _tree_pieces(tree: structure.PathTree, indent: str):
             edges = text if above is None else text + above[parents[i] - ends[k - 2]]
             if level is not None:
                 level.append(edges)
-            yield f"{head}{_quote(bases[i])}{mid}"
+            yield f"{head}{_quote(names[bases[i]])}{mid}"
             yield edges
             yield close
         above, start = level, stop

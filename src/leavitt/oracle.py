@@ -100,10 +100,10 @@ def contains_cycle(edges: tuple, cycle: tuple) -> bool:
     return any(edges[i:i + m] in rotations for i in range(len(edges) - m + 1))
 
 
-def _out_edges(g: Graph, at: str):
-    """(range, edge) for the edges leaving `at`, an omega bundle giving two."""
+def _out_edges(g: Graph, at: str, reach: set):
+    """(range, edge) for the edges from `at` into `reach`, an omega bundle giving two."""
     return iter([(g.vertices[g.dsts[j]], EdgeRef(g.ids[j], i))
-                 for j in g.out[g.vindex[at]]
+                 for j in g.out[g.vindex[at]] if g.vertices[g.dsts[j]] in reach
                  for i in range(2 if g.mults[j] is OMEGA else g.mults[j])])
 
 
@@ -121,15 +121,15 @@ def _cycles_through(g: Graph, v: str) -> list:
                 reach.add(u)
                 stack.append(u)
     found, trail, on_trail = [], [], {v}
-    work = [_out_edges(g, v)]
+    work = [_out_edges(g, v, reach)]
     while work:
         for dst, e in work[-1]:
             if dst == v:
                 found.append(tuple(trail) + (e,))
-            elif dst in reach and dst not in on_trail:
+            elif dst not in on_trail:
                 trail.append(e)
                 on_trail.add(dst)
-                work.append(_out_edges(g, dst))
+                work.append(_out_edges(g, dst, reach))
                 break
         else:
             work.pop()
@@ -142,7 +142,8 @@ def enumerate_paths_ending_at(g: Graph, v: str, length_cap: int,
                               max_paths: int = 100_000) -> list:
     """All paths of length <= length_cap ending at v, excluding those that
     run through v's unique cycle in full (when v lies on exactly one
-    cycle).  Walks reversed edges breadth-first."""
+    cycle).  Walks reversed edges breadth-first; ExplosionGuard as soon as
+    the paths listed and pending pass max_paths."""
     g.vertex_index(v)
     through = _cycles_through(g, v)
     exclude = ()
@@ -168,6 +169,8 @@ def enumerate_paths_ending_at(g: Graph, v: str, length_cap: int,
                     cand = Path(g.vertices[g.srcs[j]], (EdgeRef(g.ids[j], i),) + p.edges)
                     if not (exclude and contains_cycle(cand.edges, exclude)):
                         nxt.append(cand)
+                        if len(collected) + len(nxt) > max_paths:
+                            raise ExplosionGuard(f"more than {max_paths} paths into {v!r}")
         frontier = nxt
     collected.sort(key=lambda p: (len(p.edges), p.edges, p.base))
     return collected
@@ -209,6 +212,8 @@ def _all_paths(g: Graph, length_cap: int, max_paths: int) -> list:
                     raise ExplosionGuard(f"omega bundle {g.ids[j]!r} on a path")
                 for i in range(g.mults[j]):
                     nxt.append(Path(p.base, p.edges + (EdgeRef(g.ids[j], i),)))
+                    if len(paths) + len(nxt) > max_paths:
+                        raise ExplosionGuard(f"more than {max_paths} paths")
         paths.extend(nxt)
         if len(paths) > max_paths:
             raise ExplosionGuard(f"more than {max_paths} paths")
@@ -303,9 +308,9 @@ _COEFFICIENTS = (-3, -2, -1, 1, 2, 3)
 
 def _walk_stream(g: Graph, tables: tuple, max_terms: int, max_path_len: int):
     """The endless stream of random elements of the tables' generator, each
-    a list of (walk, coefficient) pairs: a walk (base, p ids, q base,
-    q ids), vertex ints and lists of kernel ids, joins a forward walk p
-    from base and a backward walk q to p's end, a path by construction.
+    a list of raw (kernel key, coefficient) pairs, not normalized: a key
+    (base, p ids, q base, q ids) joins a forward walk p from base and a
+    backward walk q to p's end, a path by construction.
     A step chooses a bundle, then one of its edges (of the first four of
     an omega bundle).  Each draw from range(n) is the stdlib's rejection
     rule of ``randint``, ``choice`` and ``randrange`` written out:
@@ -366,23 +371,17 @@ def _walks(n_v: int, tables: tuple, max_terms: int, max_path_len: int):
                 while r >= n:
                     r = bits(k)
                 q.append(first + step * r)
-            q.reverse()
+            q.reverse()  # in place: tuple(reversed(q)) made a draw 15% slower
             r = bits(3)  # a draw from the six coefficients
             while r >= 6:
                 r = bits(3)
-            walks.append(((base, p, at, q), _COEFFICIENTS[r]))
+            walks.append(((base, tuple(p), at, tuple(q)), _COEFFICIENTS[r]))
         yield walks
-
-
-def _keys(vertices: list, walks: list) -> list:
-    """Raw (kernel key, coefficient) pairs of an element's walks."""
-    return [((vertices[b], tuple(p), vertices[a], tuple(q)), k)
-            for (b, p, a, q), k in walks]
 
 
 def _random_keys(g: Graph, tables: tuple, max_terms: int, max_path_len: int) -> list:
     """Raw (kernel key, coefficient) pairs of the next :func:`_walk_stream` element."""
-    return _keys(g.vertices, next(_walk_stream(g, tables, max_terms, max_path_len)))
+    return next(_walk_stream(g, tables, max_terms, max_path_len))
 
 
 def random_raw_terms(g: Graph, spec: RandomSpec, max_terms: int = 4,
@@ -390,7 +389,7 @@ def random_raw_terms(g: Graph, spec: RandomSpec, max_terms: int = 4,
     """The raw terms of :func:`random_element` as (Monomial, coefficient)
     pairs, not normalized."""
     table = algebra._kernel(g)
-    return [(algebra._monomial(table, key), k) for key, k in
+    return [(algebra._monomial(g.vertices, table, key), k) for key, k in
             _random_keys(g, walk_tables(g, spec.seed), max_terms, max_path_len)]
 
 
@@ -645,9 +644,9 @@ def cross_check_index(g: Graph, trials: int = 500,
     This runs only when ``structure.trace_settles`` finds that no power
     the probe could form can pass a limit, so the probe would give that
     verdict too, and the report is the probe's in every case.  The trace
-    is read off the trial's walks (:func:`_walk_stream`), before any
-    kernel key is built (tau is linear, and its rule for a walk needs no
-    normal form), so a settled trial builds no key, term map or Element.
+    is read off the trial's raw keys (:func:`_walk_stream`), before any
+    normalization (tau is linear, and its rule for a key needs no normal
+    form), so a settled trial builds no term map or Element.
 
     Every other trial is normalized and probed, once per scalar class: c a
     reuses the verdict of a, resource limits included, as (c a)^k = c^k a^k
@@ -660,18 +659,17 @@ def cross_check_index(g: Graph, trials: int = 500,
     found = 0
     limited = 0
     empirical = 0
-    table, vertices = algebra._kernel(g), g.vertices
+    table = algebra._kernel(g)
     stream = _walk_stream(g, walk_tables(g, seed), _TRIAL_TERMS, _TRIAL_PATH_LEN)
     traces = None
     if structure.trace_settles(g, bound, 2 * _TRIAL_PATH_LEN):
-        legs, at_range = structure.trace_tables(g)
-        traces = list(legs.values()), at_range  # legs by vertex int
+        traces = structure.trace_tables(g)
     verdicts = {}  # scalar class of a probed term map -> verdict, None for TooLarge
-    for t, walks in zip(range(trials), stream):
-        if traces is not None and structure.block_trace(traces, walks):
+    for t, raw in zip(range(trials), stream):
+        if traces is not None and structure.block_trace(traces, raw):
             continue  # NotNilpotentWithin(bound), which counts nothing
         try:
-            terms = algebra._normalize(table, _keys(vertices, walks))
+            terms = algebra._normalize(table, raw)
         except algebra.TooLarge:  # a rewrite past the term limit
             limited += 1
             continue

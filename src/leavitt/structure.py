@@ -93,28 +93,28 @@ class TargetCount(NamedTuple):
 class PathTree:
     """The first paths into a target, listed in (length, edges, base) order
     as a tree.  Path 0 is the trivial path at the target's base (its first
-    edge None, its parent -1); path i > 0
-    is the edge ``firsts[i]`` followed by path ``parents[i]``, which lies
-    one level up, and starts at ``bases[i]``.  Level 0 is ``range(0,
-    ends[0])`` and level k > 0, the paths of length k, is
-    ``range(ends[k - 1], ends[k])``; no level is empty.  The length of the
-    tree is the number of paths listed."""
+    edge None, its parent -1); path i > 0 is the edge ``firsts[i]``
+    followed by path ``parents[i]``, which lies one level up, and starts
+    at the vertex ``names[bases[i]]``.  Level 0 is ``range(0, ends[0])``
+    and level k > 0, the paths of length k, is ``range(ends[k - 1],
+    ends[k])``; no level is empty.  The length of the tree is the number
+    of paths listed."""
 
-    __slots__ = ("bases", "firsts", "parents", "ends")
+    __slots__ = ("names", "bases", "firsts", "parents", "ends")
 
-    def __init__(self, bases: list, firsts: list, parents: list, ends: list):
-        self.bases, self.firsts, self.parents, self.ends = bases, firsts, parents, ends
+    def __init__(self, names: tuple, bases: list, firsts: list, parents: list, ends: list):
+        self.names, self.bases, self.firsts, self.parents, self.ends = \
+            names, bases, firsts, parents, ends
 
     def __len__(self) -> int:
         return len(self.bases)
 
     def paths(self) -> list:
         """The listed paths as Path records, each built from its parent's."""
-        if not self.bases:
-            return []
-        out = [Path(self.bases[0])]
-        for i in range(1, len(self.bases)):
-            out.append(Path(self.bases[i], (self.firsts[i],) + out[self.parents[i]].edges))
+        names, bases = self.names, self.bases
+        out = [Path(names[b]) for b in bases[:1]]
+        for i in range(1, len(bases)):
+            out.append(Path(names[bases[i]], (self.firsts[i],) + out[self.parents[i]].edges))
         return out
 
 
@@ -148,14 +148,14 @@ def witness_tree(g: Graph, target, size: int) -> PathTree:
             f"the witness has more than {algebra.POWER_EDGE_LIMIT + 1} paths to list, "
             f"holding more edges than the limit of {algebra.POWER_EDGE_LIMIT}")
     if isinstance(target, SinkTarget):
-        base, m, on_cycle = target.vertex, 0, ()
+        base, m, on_cycle = g.vertex_index(target.vertex), 0, ()
     else:
         c = target.cycle
-        base, m = g.src(c.edges[0]), len(c.edges)
+        base, m = g.srcs[g.bundle_index(c.edges[0].bundle)], len(c.edges)
         on_cycle = {g.srcs[g.bindex[e.bundle]] for e in c.edges}
     if size < 1:
-        return PathTree([], [], [], [])
-    tree = PathTree([base], [None], [-1], [1])
+        return PathTree(g.vertices, [], [], [], [])
+    tree = PathTree(g.vertices, [base], [None], [-1], [1])
     bases, ends = tree.bases, tree.ends
     while len(bases) < size:
         _grow(g, tree, on_cycle if len(ends) >= m else (), size)
@@ -171,10 +171,10 @@ def _grow(g: Graph, tree: PathTree, skip, size: int) -> None:
     the in-lists of the level's bases merge by bundle int, which is id
     order."""
     bases, firsts, parents = tree.bases, tree.firsts, tree.parents
-    names, ids, srcs, dsts, mults = g.vertices, g.ids, g.srcs, g.dsts, g.mults
+    ids, srcs, dsts, mults = g.ids, g.srcs, g.dsts, g.mults
     at = {}  # vertex int -> the last level's paths based there
     for i in range(tree.ends[-2] if len(tree.ends) > 1 else 0, len(bases)):
-        at.setdefault(g.vindex[bases[i]], []).append(i)
+        at.setdefault(bases[i], []).append(i)
     into = [g.into[v] for v in at]  # one in-list needs no merge
     for j in into[0] if len(into) == 1 else heapq.merge(*into):
         if srcs[j] in skip:
@@ -182,7 +182,7 @@ def _grow(g: Graph, tree: PathTree, skip, size: int) -> None:
         below = at[dsts[j]]
         for i in range(mults[j]):
             below = below[:size - len(bases)]
-            bases += [names[srcs[j]]] * len(below)
+            bases += [srcs[j]] * len(below)
             firsts += [EdgeRef(ids[j], i)] * len(below)
             parents += below
             if len(bases) == size:
@@ -198,7 +198,7 @@ class Blocks(NamedTuple):
     """A graph's per-target table, built once by :func:`blocks`."""
 
     report: object  # Bounded | Unbounded
-    rows: tuple     # (target, base w_T, count t_T, ring); () if unbounded
+    rows: tuple     # (target, base w_T as a vertex int, count t_T, ring); () if unbounded
 
 
 def blocks(g: Graph) -> Blocks:
@@ -220,14 +220,14 @@ def _fill_blocks(g: Graph) -> Blocks:
     if w is not None:
         return Blocks(Unbounded(w), ())
     s, names = _components(g), g.vertices
-    rows = [(SinkTarget(names[v]), names[v], s.paths[v], BASE_K)
+    rows = [(SinkTarget(names[v]), v, s.paths[v], BASE_K)
             for v, d in enumerate(g.deg) if d == 0]
     for c in component_cycles(g):
         v = g.srcs[g.bindex[c.edges[0].bundle]]
-        rows.append((CycleTarget(c), names[v], s.paths[v], BASE_LAURENT))
+        rows.append((CycleTarget(c), v, s.paths[v], BASE_LAURENT))
     for _, v, cnt, _ in rows:
         if cnt is OMEGA:
-            return Blocks(Unbounded(OmegaPathFamily(v)), ())
+            return Blocks(Unbounded(OmegaPathFamily(names[v])), ())
     per_target = tuple(TargetCount(t, cnt) for t, _, cnt, _ in rows)
     n = max((cnt for _, cnt in per_target), default=1)
     best = next((t for t, cnt in per_target if cnt == n), None)
@@ -248,9 +248,9 @@ def bounded_index_report(g: Graph):
 
 
 def trace_tables(g: Graph) -> tuple:
-    """:func:`block_trace`'s tables for a bounded graph: the legs, the
-    number of paths from each vertex into the targets, keyed by name in
-    vertex order, and the legs at the range of each finite edge id.  The
+    """:func:`block_trace`'s tables for a bounded graph, two lists: the
+    legs, the number of paths from each vertex into the targets, by vertex
+    int, and the legs at the range of each finite edge id.  The
     legs fill in one pass over the component table, sinks first: 1 at a
     sink or cycle vertex, else the sum of mult * legs[dst] over out-bundles."""
     s, out, dsts, mults = _components(g), g.out, g.dsts, g.mults
@@ -265,7 +265,7 @@ def trace_tables(g: Graph) -> tuple:
     for d, m in zip(dsts, mults):  # bundle ints ascend with the ids
         if m is not OMEGA:
             at_range += [legs[d]] * m
-    return dict(zip(g.vertices, legs)), at_range
+    return legs, at_range
 
 
 def block_trace(tables: tuple, pairs) -> dict:
@@ -273,12 +273,10 @@ def block_trace(tables: tuple, pairs) -> dict:
     bounded graph's algebra given as (kernel key, coefficient) pairs, as
     {exponent: coefficient} with no zero coefficient; ``tables`` are the
     graph's :func:`trace_tables`.  The pairs may be a term map's
-    ``.items()`` or raw pairs, not normalized, with keys repeated or
-    cancelling: each key p q* with r(p) = r(q) gets the trace of its block
-    matrices, which the rule below reads with no use of normal form, and
-    tau is linear.  They may also be the walks of ``oracle._walk_stream``,
-    keys with vertex ints for bases and id lists for paths, when the
-    legs are a list by vertex int.
+    ``.items()`` or raw pairs, such as a draw of ``oracle._walk_stream``,
+    not normalized, with keys repeated or cancelling: each key p q* with
+    r(p) = r(q) gets the trace of its block matrices, which the rule below
+    reads with no use of normal form, and tau is linear.
 
     The algebra is the direct sum of the M_t(K) and M_t(K[x,x^-1]), one
     block per sink or exitless cycle T, its rows the paths into T
@@ -423,12 +421,12 @@ def _omega_family_units(g: Graph, v: str, n: int):
                                f"of {algebra.POWER_EDGE_LIMIT}")
     for j, m in enumerate(g.mults):
         if m is OMEGA:
-            tail = _shortest_path(g, g.vertices[g.dsts[j]], v)
+            tail = _shortest_path(g, g.dsts[j], g.vindex[v])
             if tail is not None:
                 break
     else:
         raise LeavittError(f"no omega bundle reaches {v!r}")
-    paths = [Path(g.vertices[g.srcs[j]], (EdgeRef(g.ids[j], i),) + tail.edges)
+    paths = [Path(g.vertices[g.srcs[j]], (EdgeRef(g.ids[j], i),) + tail)
              for i in range(n)]
     cycle = next((c for c in component_cycles(g) if v in cycle_vertices(g, c)),
                  None)
@@ -436,18 +434,17 @@ def _omega_family_units(g: Graph, v: str, n: int):
     return _target_units(g, target, paths)
 
 
-def _shortest_path(g: Graph, u: str, v: str) -> Path | None:
-    """A shortest path u -> v by breadth-first search, or None."""
-    start = g.vindex[u]
-    best = {start: Path(u)}
-    queue = deque([start])
-    while queue and g.vindex[v] not in best:
+def _shortest_path(g: Graph, u: int, v: int) -> tuple | None:
+    """The edges of a shortest path u -> v, vertex ints, by breadth-first search, or None."""
+    best = {u: ()}
+    queue = deque([u])
+    while queue and v not in best:
         at = queue.popleft()
         for j in g.out[at]:
             if g.dsts[j] not in best:
-                best[g.dsts[j]] = Path(u, best[at].edges + (EdgeRef(g.ids[j], 0),))
+                best[g.dsts[j]] = best[at] + (EdgeRef(g.ids[j], 0),)
                 queue.append(g.dsts[j])
-    return best.get(g.vindex[v])
+    return best.get(v)
 
 
 # -- matrix rings ---------------------------------------------------------------
@@ -500,7 +497,7 @@ def graded_spectrum(g: Graph) -> list:
     is enumerated, so no size bound applies."""
     out, srcs = [], g.srcs
     for _, start, cnt, ring in bounded_blocks(g).rows:
-        ancestors = {g.vindex[start]}
+        ancestors = {start}
         stack = list(ancestors)
         while stack:
             for j in g.into[stack.pop()]:

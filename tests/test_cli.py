@@ -877,9 +877,29 @@ def test_large_multiplicity_verdicts_build_no_kernel(argv, expected, capsys,
     code, out, err = run(capsys, argv[0], str(doc))
     assert (code, out, err) == (0, expected, "")
     table = structure.blocks(load_graph(str(doc)))
-    assert table.rows == ((SinkTarget("v"), "v", 10 ** 8 + 1, structure.BASE_K),)
+    assert table.rows == ((SinkTarget("v"), 1, 10 ** 8 + 1, structure.BASE_K),)
     legs, at_range = structure.trace_tables(Graph(["u", "v"], [Bundle("a", "u", "v", 10 ** 5)]))
-    assert legs == {"u": 10 ** 5, "v": 1} and at_range == [1] * 10 ** 5
+    assert legs == [10 ** 5, 1] and at_range == [1] * 10 ** 5
+
+
+def test_huge_multiplicity_commands_end(capsys, tmp_path):
+    """On a bundle of 10^30 edges, more than a range's length can hold:
+    eval and witness number no sibling one by one, a rewrite through the
+    bundle is refused as a resource limit, and check's listing into v
+    stops at its path budget.  check comes last: without that budget its
+    listing would not end."""
+    doc = tmp_path / "huge.graph"
+    doc.write_text(canonical_document(Graph(["u", "v"], [Bundle("a", "u", "v", 10 ** 30)])))
+    code, out, err = run(capsys, "eval", str(doc), "u")
+    assert code == 0 and out.endswith("\n  not nilpotent within 8 powers\n") and err == ""
+    code, out, err = run(capsys, "eval", str(doc), "a[0] a[0]*")
+    assert (code, out) == (2, "") and err == (
+        f"resource limit: a rewrite at bundle 'a' adds {10 ** 30 - 1} terms, "
+        f"over the limit of {algebra.TERM_LIMIT}\n")
+    code, out, err = run(capsys, "witness", str(doc), "--size", "2")
+    assert code == 0 and "\nverified: True\n" in out and err == ""
+    assert run(capsys, "check", str(doc)) == \
+        (2, "", "resource limit: more than 100000 paths into 'v'\n")
 
 
 @pytest.mark.parametrize("expr", ["(2)^30000000 u1", "(2)^10000000000 u1"])
@@ -960,20 +980,23 @@ _edge_tuples = st.lists(_edges, max_size=4).map(tuple)
 def _trees(draw):
     """PathTrees: the empty listing, the lone trivial path, and small trees
     whose every path hangs off one in the level above, the paths of a level
-    drawing their first edges from a few shared ones."""
+    drawing their first edges from a few shared ones, and their bases from
+    a few names."""
+    names = tuple(draw(st.lists(_texts, min_size=1, max_size=4)))
+    _bases = st.integers(min_value=0, max_value=len(names) - 1)
     levels = draw(st.integers(min_value=0, max_value=4))
     if not levels:
-        return PathTree([], [], [], [])
-    bases, firsts, parents, ends = [draw(_texts)], [None], [-1], [1]
+        return PathTree(names, [], [], [], [])
+    bases, firsts, parents, ends = [draw(_bases)], [None], [-1], [1]
     for _ in range(levels - 1):
         lo, hi = ends[-2] if len(ends) > 1 else 0, ends[-1]
         shared = draw(st.lists(_edges, min_size=1, max_size=3))
         for _ in range(draw(st.integers(min_value=1, max_value=3))):
-            bases.append(draw(_texts))
+            bases.append(draw(_bases))
             firsts.append(draw(st.sampled_from(shared)))
             parents.append(draw(st.integers(min_value=lo, max_value=hi - 1)))
         ends.append(len(bases))
-    return PathTree(bases, firsts, parents, ends)
+    return PathTree(names, bases, firsts, parents, ends)
 
 
 _target_counts = st.builds(
@@ -1006,7 +1029,7 @@ def _plain(obj):
         paths = []
         for base, first, parent in zip(obj.bases, obj.firsts, obj.parents):
             edges = [] if first is None else [_plain(first)] + paths[parent]["edges"]
-            paths.append({"base": base, "edges": edges})
+            paths.append({"base": obj.names[base], "edges": edges})
         return paths
     if isinstance(obj, TargetCount):
         if isinstance(obj.target, SinkTarget):

@@ -13,9 +13,10 @@ every input, read back through the vertex names.  So must
 ``load_graph``, which reads a file as bytes and decodes it itself, and the
 text-mode read it replaces.
 
-``oracle._walk_stream`` yields each sampled element as int walks and
-builds no kernel key; the copy here is the draw that built the keys as it
-walked.  Both must give the same keys from the same ``getrandbits`` calls.
+``oracle._walk_stream`` yields each sampled element as raw kernel keys
+from an endless generator that walks p and q in two loops written out;
+the copy here is one call per element that walks both in one loop.  Both
+must give the same keys from the same ``getrandbits`` calls.
 
 The record types (``graph.Record`` subclasses) are plain classes; each has
 a frozen dataclass twin here, and a record must construct, compare, hash,
@@ -928,17 +929,16 @@ _COEFFICIENTS = (-3, -2, -1, 1, 2, 3)
 
 def _reference_random_keys(g: Graph, tables: tuple, max_terms: int,
                            max_path_len: int) -> list:
-    """The draw of one element as raw (kernel key, coefficient) pairs, as
-    one function that built the keys as it walked."""
+    """The draw of one element as raw (kernel key, coefficient) pairs, vertex
+    ints for bases, as one function that built the keys as it walked."""
     if max_terms < 1 or max_path_len < 0:
         raise ValueError("need max_terms >= 1 and max_path_len >= 0")
     out, into, rng = tables
-    vertices = g.vertices
     raw = []
-    if not vertices:
+    if not g.vertices:
         return raw
     bits = rng.getrandbits
-    n_v = len(vertices)
+    n_v = len(g.vertices)
     k_v = n_v.bit_length()
     n_len = max_path_len + 1
     k_len = n_len.bit_length()
@@ -975,8 +975,7 @@ def _reference_random_keys(g: Graph, tables: tuple, max_terms: int,
         r = bits(3)  # a draw from the six coefficients
         while r >= 6:
             r = bits(3)
-        raw.append(((vertices[base], tuple(p), vertices[at], tuple(q)),
-                    _COEFFICIENTS[r]))
+        raw.append(((base, tuple(p), at, tuple(q)), _COEFFICIENTS[r]))
     return raw
 
 
@@ -1016,8 +1015,7 @@ def test_walk_stream_draws_as_the_reference(max_terms, max_path_len):
         stream = oracle._walk_stream(g, (out, into, ours), max_terms, max_path_len)
         reference = (out, into, theirs)
         for t in range(30):
-            walks = next(stream)
-            assert oracle._keys(g.vertices, walks) == \
+            assert next(stream) == \
                 _reference_random_keys(g, reference, max_terms, max_path_len), (i, t)
             assert ours.draws == theirs.draws, (i, t)
         omega += any(m is OMEGA for m in g.mults)
