@@ -52,6 +52,7 @@ from .graph import (
     Path,
     Record,
     SinkTarget,
+    TooLarge,
     check_cycle,
     cycle_vertices,
     rotate_cycle_to,
@@ -82,11 +83,6 @@ class BadMatrixUnitPaths(LeavittError):
     pass
 
 
-class TooLarge(LeavittError):
-    """A power or a coefficient outgrew a fixed size limit; the CLI reports
-    it as a resource limit."""
-
-
 class _Kernel:
     """Edge numbering and rewriting data of one graph, kept in its
     ``_kernel`` slot, in O(bundles) space whatever the multiplicities,
@@ -101,10 +97,11 @@ class _Kernel:
     per out-bundle, and ``fanout`` maps it to their number, the out-degree
     minus one (a range past sys.maxsize has no len); a monomial is
     reducible exactly when both its paths end in a key of ``rewrite``.
-    ``special`` holds, per vertex int, its special EdgeRef or None."""
+    The special edge is edge 0 of the first bundle of the vertex's
+    out-list, as :func:`special_edge` reads it."""
 
     __slots__ = ("first", "offsets", "finite", "nfin", "omega", "rewrite",
-                 "fanout", "special")
+                 "fanout")
 
     def __init__(self, g: Graph):
         # bundle ints ascend with the ids, so the ids follow EdgeRef order
@@ -124,8 +121,7 @@ class _Kernel:
             first[j] = (self.nfin + k, len(omega), None)
         self.rewrite = {}   # special edge id -> ranges of its siblings' ids
         self.fanout = {}    # special edge id -> number of its siblings
-        self.special = [None] * len(g.out)
-        for v, (js, d) in enumerate(zip(g.out, g.deg)):
+        for js, d in zip(g.out, g.deg):
             if d == 0 or d is OMEGA:
                 continue
             spans = [range(first[j][0], first[j][0] + mults[j]) for j in js]
@@ -133,7 +129,6 @@ class _Kernel:
             spans[0] = spans[0][1:]
             self.rewrite[special] = tuple(r for r in spans if r)
             self.fanout[special] = d - 1
-            self.special[v] = EdgeRef(ids[js[0]], 0)
 
     def edge_ref(self, i: int) -> EdgeRef:
         if i < self.nfin:
@@ -154,9 +149,12 @@ def special_edge(g: Graph, v: str) -> EdgeRef | None:
     """The rewriting basis edge at v: least outgoing EdgeRef of a regular
     vertex, None at sinks and infinite emitters.
 
-    Read from the graph's kernel table, built on the first call.
-    Raises UnknownVertex for a vertex not in g."""
-    return _kernel(g).special[g.vertex_index(v)]
+    Edge 0 of the first bundle of v's out-list, the edge whose id keys
+    ``_Kernel.rewrite``; builds no kernel.  Raises UnknownVertex for a
+    vertex not in g."""
+    i = g.vertex_index(v)
+    d = g.deg[i]
+    return None if d == 0 or d is OMEGA else EdgeRef(g.ids[g.out[i][0]], 0)
 
 
 class Monomial(Record):

@@ -34,6 +34,7 @@ from .graph import (
     LeavittError,
     Path,
     SinkTarget,
+    TooLarge,
     condition_K,
     condition_L,
     count_paths_ending_at,
@@ -473,8 +474,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_witness(args) -> int:
     g = graphio.load_graph(args.graph)
-    report = structure.bounded_index_report(g)
-    units = structure.witness_matrix_units(g, report, args.size)
+    units = structure.witness_matrix_units(g, args.size)
     try:
         j = algebra.jordan_element(units)  # verifies the units first
     except algebra.UnverifiedUnits:
@@ -640,13 +640,11 @@ def _read_argv(argv) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
-@functools.cache
 def build_parser():
-    """The parser of every command, from the table ``COMMANDS``, built on
-    the first call and shared by every later one: parsing leaves it as it
-    was, and usage and error text are formatted when printed.  ``main``
-    builds it only for argv that :func:`_read_argv` refuses, and imports
-    argparse only here."""
+    """The parser of every command, built from the table ``COMMANDS``.
+    ``main`` builds one, on each call, only for argv that
+    :func:`_read_argv` refuses: help, usage errors and the spellings only
+    argparse reads.  argparse is imported only here."""
     import argparse
     parser = argparse.ArgumentParser(
         prog="leavitt",
@@ -661,9 +659,11 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    """Run the command argv names; return its exit code.  It runs with the
-    cyclic garbage collector paused, enabled again only if it was on at
-    the start: a graph's lists per vertex form no cycle to collect."""
+    """Run the command argv names; return its exit code: 2 for TooLarge,
+    RecursionError and MemoryError (a resource limit), 1 for OSError and
+    every other LeavittError.  It runs with the cyclic garbage collector
+    paused, enabled again only if it was on at the start: a graph's lists
+    per vertex form no cycle to collect."""
     if argv is None:
         argv = sys.argv[1:]
     args = _read_argv(argv)
@@ -673,7 +673,7 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         return COMMANDS[args.command][0](args)
-    except (oracle.ExplosionGuard, algebra.TooLarge) as err:
+    except TooLarge as err:
         print(f"resource limit: {err}", file=sys.stderr)
         return 2
     except RecursionError:

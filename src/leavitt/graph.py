@@ -44,6 +44,13 @@ class LeavittError(Exception):
     """Base class for errors raised by this package."""
 
 
+class TooLarge(LeavittError):
+    """Work that would outgrow a fixed size limit.  Every resource limit
+    in the package raises this one type, which the CLI reports with exit
+    2; :mod:`leavitt.algebra` imports it from here, as this module raises
+    it too."""
+
+
 class UnknownVertex(LeavittError):
     pass
 
@@ -69,10 +76,6 @@ class NotHereditarySaturated(LeavittError):
 
 
 class InvalidAdmissiblePair(LeavittError):
-    pass
-
-
-class CapExceeded(LeavittError):
     pass
 
 
@@ -799,9 +802,10 @@ def is_hereditary_saturated(g: Graph, X: Iterable[str]) -> bool:
 
 def all_hereditary_saturated(g: Graph, cap: int = 15) -> list:
     """Every hereditary saturated subset, as closures over the subset
-    lattice; sorted by size then contents."""
+    lattice; sorted by size then contents.  TooLarge for more than `cap`
+    vertices."""
     if len(g.vertices) > cap:
-        raise CapExceeded(
+        raise TooLarge(
             f"{len(g.vertices)} vertices exceeds enumeration cap {cap}")
     seen = set()
     for r in range(len(g.vertices) + 1):

@@ -29,9 +29,9 @@ from .graph import (
     Cycle,
     EdgeRef,
     Graph,
-    LeavittError,
     Path,
     Record,
+    TooLarge,
     all_hereditary_saturated,
     breaking_vertices,
     component_cycles,
@@ -42,10 +42,6 @@ from .graph import (
     path_range,
     quotient_graph,
 )
-
-
-class ExplosionGuard(LeavittError):
-    pass
 
 
 class Exit(Record):
@@ -142,7 +138,7 @@ def enumerate_paths_ending_at(g: Graph, v: str, length_cap: int,
                               max_paths: int = 100_000) -> list:
     """All paths of length <= length_cap ending at v, excluding those that
     run through v's unique cycle in full (when v lies on exactly one
-    cycle).  Walks reversed edges breadth-first; ExplosionGuard as soon as
+    cycle).  Walks reversed edges breadth-first; TooLarge as soon as
     the paths listed and pending pass max_paths."""
     g.vertex_index(v)
     through = _cycles_through(g, v)
@@ -158,19 +154,19 @@ def enumerate_paths_ending_at(g: Graph, v: str, length_cap: int,
         for p in frontier:
             collected.append(p)
             if len(collected) > max_paths:
-                raise ExplosionGuard(f"more than {max_paths} paths into {v!r}")
+                raise TooLarge(f"more than {max_paths} paths into {v!r}")
             if len(p.edges) >= length_cap:
                 continue
             for j in g.into[g.vindex[p.base]]:
                 if g.mults[j] is OMEGA:
-                    raise ExplosionGuard(
+                    raise TooLarge(
                         f"omega bundle {g.ids[j]!r} feeds paths into {v!r}")
                 for i in range(g.mults[j]):
                     cand = Path(g.vertices[g.srcs[j]], (EdgeRef(g.ids[j], i),) + p.edges)
                     if not (exclude and contains_cycle(cand.edges, exclude)):
                         nxt.append(cand)
                         if len(collected) + len(nxt) > max_paths:
-                            raise ExplosionGuard(f"more than {max_paths} paths into {v!r}")
+                            raise TooLarge(f"more than {max_paths} paths into {v!r}")
         frontier = nxt
     collected.sort(key=lambda p: (len(p.edges), p.edges, p.base))
     return collected
@@ -209,14 +205,14 @@ def _all_paths(g: Graph, length_cap: int, max_paths: int) -> list:
                 continue
             for j in g.out[g.vindex[at]]:
                 if g.mults[j] is OMEGA:
-                    raise ExplosionGuard(f"omega bundle {g.ids[j]!r} on a path")
+                    raise TooLarge(f"omega bundle {g.ids[j]!r} on a path")
                 for i in range(g.mults[j]):
                     nxt.append(Path(p.base, p.edges + (EdgeRef(g.ids[j], i),)))
                     if len(paths) + len(nxt) > max_paths:
-                        raise ExplosionGuard(f"more than {max_paths} paths")
+                        raise TooLarge(f"more than {max_paths} paths")
         paths.extend(nxt)
         if len(paths) > max_paths:
-            raise ExplosionGuard(f"more than {max_paths} paths")
+            raise TooLarge(f"more than {max_paths} paths")
         frontier = nxt
     return paths
 
@@ -242,7 +238,7 @@ def basis_monomials(g: Graph, length_cap: int,
                     continue
                 out.append(m)
                 if len(out) > max_size:
-                    raise ExplosionGuard(f"more than {max_size} monomials")
+                    raise TooLarge(f"more than {max_size} monomials")
     out.sort(key=algebra._mono_key)
     return out
 
@@ -670,7 +666,7 @@ def cross_check_index(g: Graph, trials: int = 500,
             continue  # NotNilpotentWithin(bound), which counts nothing
         try:
             terms = algebra._normalize(table, raw)
-        except algebra.TooLarge:  # a rewrite past the term limit
+        except TooLarge:  # a rewrite past the term limit
             limited += 1
             continue
         key = _scalar_class(terms)
@@ -680,7 +676,7 @@ def cross_check_index(g: Graph, trials: int = 500,
             try:
                 verdict = algebra.nilpotence_index(
                     algebra.Element(g, terms), bound)
-            except algebra.TooLarge:  # a power over the edge limit
+            except TooLarge:  # a power over the edge limit
                 verdict = None
             verdicts[key] = verdict
         if verdict is None or isinstance(verdict, algebra.ResourceLimit):
@@ -694,11 +690,11 @@ def cross_check_index(g: Graph, trials: int = 500,
     if report.witness_target is None:
         witness_index = 1
     else:
-        units = structure.witness_matrix_units(g, report)
+        units = structure.witness_matrix_units(g)
         j = algebra.jordan_element(units)
         verdict = algebra.nilpotence_index(j, n + 1)
         if isinstance(verdict, algebra.ResourceLimit):
-            raise algebra.TooLarge(
+            raise TooLarge(
                 f"power {verdict.power} of the witness's Jordan element holds "
                 f"{verdict.terms} terms, over the limit of {algebra.TERM_LIMIT}")
         witness_index = verdict.index if isinstance(

@@ -350,10 +350,11 @@ def is_directly_finite(g: Graph) -> bool:
 
 # -- witness construction ----------------------------------------------------
 
-def witness_matrix_units(g: Graph, report, size: int | None = None):
-    """Instantiate matrix units from an index report.
+def witness_matrix_units(g: Graph, size: int | None = None):
+    """Instantiate matrix units from the graph's own index report,
+    :func:`bounded_index_report` (cached on the graph).
 
-    Bounded reports build units from the witness target's first `size`
+    A bounded graph builds units from the witness target's first `size`
     paths (size defaults to n and may not exceed it).  A CycleWithExit
     reason builds exit units of any requested size; an OmegaPathFamily
     reason builds units of any requested size from paths through the omega
@@ -365,6 +366,7 @@ def witness_matrix_units(g: Graph, report, size: int | None = None):
     :func:`witness_tree`)."""
     if size is not None and size < 1:
         raise LeavittError(f"unit size must be at least 1, got {size}")
+    report = bounded_index_report(g)
     if isinstance(report, Bounded):
         target = report.witness_target
         if target is None:
@@ -380,9 +382,7 @@ def witness_matrix_units(g: Graph, report, size: int | None = None):
         units = algebra.matrix_units_exit(g, reason.cycle, reason.edge, n)
         _exit_square_guard(g, reason, n)
         return units
-    if isinstance(reason, OmegaPathFamily):
-        return _omega_family_units(g, reason.vertex, n)
-    raise LeavittError(f"no witness construction for {reason!r}")
+    return _omega_family_units(g, reason.vertex, n)
 
 
 def _exit_square_guard(g: Graph, reason: CycleWithExit, n: int) -> None:

@@ -18,6 +18,7 @@ from leavitt.graph import (
     OMEGA,
     AdmissiblePair,
     EdgeRef,
+    TooLarge,
     all_hereditary_saturated,
     breaking_vertices,
     count_paths_ending_at,
@@ -25,7 +26,6 @@ from leavitt.graph import (
     quotient_graph,
 )
 from leavitt.oracle import (
-    ExplosionGuard,
     RandomSpec,
     basis_monomials,
     classify_quotient,
@@ -73,7 +73,7 @@ def test_criterion_01_clock5(capsys):
     dim = acyclic_dimension(d)
     assert dim == 20
     assert len(basis_monomials(g, 2 * len(g.vertices))) == dim
-    units = witness_matrix_units(g, report)
+    units = witness_matrix_units(g)
     assert verify_matrix_units(units)
     assert nilpotence_index(jordan_element(units), 3) == NilpotentOfIndex(2)
     with capsys.disabled():
@@ -101,8 +101,7 @@ def test_criterion_03_lines(n, capsys):
     g = corpus.line(n)
     d = decompose(g)
     assert d.factors == (Factor(n, BASE_K),)
-    report = bounded_index_report(g)
-    units = witness_matrix_units(g, report)
+    units = witness_matrix_units(g)
     assert nilpotence_index(jordan_element(units), n + 1) == NilpotentOfIndex(n)
     assert len(basis_monomials(g, 2 * n)) == n * n == acyclic_dimension(d)
     with capsys.disabled():
@@ -194,7 +193,7 @@ def test_criterion_08_oracle_agreement(random_suite, capsys):
             try:
                 paths = enumerate_paths_ending_at(g, v, len(g.vertices) + 1,
                                                   max_paths=500)
-            except ExplosionGuard:
+            except TooLarge:
                 continue
             assert len(paths[-1].edges) == len(g.vertices) + 1, (i, v)
             unbounded += 1

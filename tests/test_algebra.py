@@ -298,7 +298,7 @@ def test_verify_forms_one_product(monkeypatch):
     """P* P = n w decides a family with one product, whatever its size or
     provenance; legs with two ranges give False, not an error."""
     f = corpus.graph_f()
-    families = [witness_matrix_units(g, bounded_index_report(g))
+    families = [witness_matrix_units(g)
                 for g in (corpus.line(6), corpus.loop_with_tail())]
     families.append(matrix_units_exit(f, cycles(f)[0], EdgeRef("f"), 6))
     calls = []
@@ -336,7 +336,7 @@ def test_legs_are_walked_once_on_the_way_to_the_jordan_element(build, size, monk
         return path_key(graph, p)
 
     monkeypatch.setattr(algebra, "_path_key", counting)
-    units = witness_matrix_units(g, bounded_index_report(g), size)
+    units = witness_matrix_units(g, size)
     assert nilpotence_index(jordan_element(units), units.n + 1) == \
         NilpotentOfIndex(units.n)
     assert units.n == (size or bounded_index_report(g).n)
@@ -359,7 +359,7 @@ def test_verify_refuses_a_leg_that_is_not_a_path():
 
 def test_jordan_element_is_the_sum_of_its_units():
     f = corpus.graph_f()
-    families = [witness_matrix_units(g, bounded_index_report(g))
+    families = [witness_matrix_units(g)
                 for g in (corpus.line(6), corpus.loop_with_tail(),
                           load_graph(fixture_path("omega_gadget")))]
     families.append(matrix_units_exit(f, cycles(f)[0], EdgeRef("f"), 5))

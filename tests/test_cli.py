@@ -17,7 +17,17 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import fixture_path, tailed_cycle
 from leavitt import algebra, cli, corpus, oracle, structure
 from leavitt.cli import _dumps, main
-from leavitt.graph import OMEGA, Bundle, Cycle, CycleTarget, EdgeRef, Graph, Path, SinkTarget
+from leavitt.graph import (
+    OMEGA,
+    Bundle,
+    Cycle,
+    CycleTarget,
+    EdgeRef,
+    Graph,
+    LeavittError,
+    Path,
+    SinkTarget,
+)
 from leavitt.graphio import (
     GraphFormatError,
     GraphSyntaxError,
@@ -655,6 +665,28 @@ def test_main_leaves_the_collector_as_it_found_it(enabled, capsys, monkeypatch, 
     assert seen == [False]
 
 
+def test_exit_code_contract(capsys, monkeypatch):
+    """main returns 2 for TooLarge, the one error type of a resource
+    limit, and 1 for LeavittError and every other subclass of it in the
+    package, whichever module raises it."""
+    classes, todo = [], [LeavittError]
+    while todo:
+        cls = todo.pop()
+        if cls.__module__.partition(".")[0] == "leavitt":
+            classes.append(cls)
+        todo += cls.__subclasses__()
+    assert algebra.TooLarge.__module__ == "leavitt.graph"
+    assert algebra.TooLarge in classes and len(classes) > 20
+    line3 = fixture_path("line3")
+    for cls in classes:
+        def raising(args, cls=cls):
+            raise cls.__new__(cls)
+
+        monkeypatch.setitem(cli.COMMANDS, "probe", (raising, "probe", ()))
+        code = run(capsys, "probe", line3)[0]
+        assert code == (2 if cls is algebra.TooLarge else 1), cls
+
+
 @pytest.mark.parametrize("big,small", [("e1^100000000", "e1^2"),
                                        ("u1^200000", "u1^2")])
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -1246,8 +1278,8 @@ def test_table_path_does_not_import_argparse():
 
 def test_parser_is_built_once(capsys, monkeypatch):
     """Well-formed argv is read off the command table and builds no
-    parser; the first argv the table refuses builds the 8 parsers (the
-    main one and one per command), and later calls build none."""
+    parser; an argv the table refuses builds the 8 parsers (the main one
+    and one per command) once, for that call."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -1256,7 +1288,6 @@ def test_parser_is_built_once(capsys, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    cli.build_parser.cache_clear()
     g = fixture_path("loop_with_tail")
     calls = [["analyze", g], ["index", g, "--format", "json"], ["decompose", g],
              ["ideals", g], ["eval", g, "e", "--nilpotence-max", "2"],
@@ -1264,14 +1295,15 @@ def test_parser_is_built_once(capsys, monkeypatch):
              ["witness", g, "--size", "1", "--format", "json"], ["analyze", g]]
     for argv in calls:
         assert main(argv) == 0, argv
-    assert cli.build_parser.cache_info().misses == 0 and built == []
+    assert built == []
     assert main(["index", g, "--format=json"]) == 0  # an = form goes to argparse
-    assert cli.build_parser.cache_info().misses == 1 and len(built) == 8
+    assert len(built) == 8
     assert main(["index", g, "--form", "json"]) == 0
+    assert len(built) == 16
     for argv in calls:
         assert main(argv) == 0, argv
     capsys.readouterr()
-    assert len(built) == 8
+    assert len(built) == 16
 
 
 _SIMPLE_HELP = """usage: leavitt {command} [-h] [--format {{text,json}}] graph
@@ -1396,26 +1428,33 @@ def _argvs(draw):
     return tokens, edits == 0 and command in cli.COMMANDS
 
 
-def _parsed(argv):
-    """vars() of argparse's Namespace for argv, or None where it exits."""
+def _parsed(argv, parser=None):
+    """vars() of the Namespace that parser, by default a new one from
+    ``cli.build_parser``, gives for argv, or None where it exits."""
     try:
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
-            return vars(cli.build_parser().parse_args(argv))
+            return vars((parser or cli.build_parser()).parse_args(argv))
     except SystemExit:
         return None
 
 
-@settings(max_examples=1000, deadline=None)
-@given(_argvs())
-def test_read_argv_matches_argparse(draw):
+def test_read_argv_matches_argparse():
     """The table reader gives argparse's Namespace or refuses; it reads
-    every well-formed draw."""
-    argv, well_formed = draw
-    got = cli._read_argv(argv)
-    if got is not None:
-        assert vars(got) == _parsed(argv), argv
-    assert got is not None or not well_formed, argv
+    every well-formed draw.  One parser serves every draw: parsing leaves
+    it as it was."""
+    parser = cli.build_parser()
+
+    @settings(max_examples=1000, deadline=None)
+    @given(_argvs())
+    def reads_as_argparse(draw):
+        argv, well_formed = draw
+        got = cli._read_argv(argv)
+        if got is not None:
+            assert vars(got) == _parsed(argv, parser), argv
+        assert got is not None or not well_formed, argv
+
+    reads_as_argparse()
 
 
 def test_read_argv_refuses_each_near_miss():
@@ -1445,12 +1484,13 @@ def test_bench_argv_takes_the_table_path():
         sys.path.remove(bench)
     from leavitt import graphio
     ctx = bench_run.Context(bench_run.ROOT, graphio, oracle)
+    parser = cli.build_parser()
     shapes = 0
     for name, build in workloads.WORKLOADS.items():
         jobs, probe = build(random.Random(1), ctx)
         for job in jobs + probe:
             argv = job.argv(f"{name}.graph")
             got = cli._read_argv(argv)
-            assert got is not None and vars(got) == _parsed(argv), argv
+            assert got is not None and vars(got) == _parsed(argv, parser), argv
             shapes += 1
     assert shapes > 100

@@ -5,13 +5,13 @@ from leavitt.graph import (
     OMEGA,
     AdmissiblePair,
     Bundle,
-    CapExceeded,
     CycleThroughOmegaBundle,
     EdgeRef,
     Graph,
     InvalidAdmissiblePair,
     NotHereditarySaturated,
     Path,
+    TooLarge,
     UnknownVertex,
     all_hereditary_saturated,
     breaking_vertices,
@@ -223,7 +223,7 @@ def test_all_hereditary_saturated():
 
 def test_all_hereditary_saturated_cap():
     g = Graph([f"x{i}" for i in range(20)])
-    with pytest.raises(CapExceeded):
+    with pytest.raises(TooLarge):
         all_hereditary_saturated(g, cap=15)
 
 

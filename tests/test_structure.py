@@ -197,7 +197,7 @@ def test_witness_recipe_attains_bound():
                  "single_loop"]:
         g = corpus.build(name)
         report = bounded_index_report(g)
-        units = witness_matrix_units(g, report)
+        units = witness_matrix_units(g)
         assert verify_matrix_units(units), name
         j = jordan_element(units)
         assert nilpotence_index(j, report.n + 1) == NilpotentOfIndex(report.n), name
@@ -205,24 +205,21 @@ def test_witness_recipe_attains_bound():
 
 def test_witness_any_size_when_unbounded():
     f = corpus.graph_f()
-    report = bounded_index_report(f)
     for n in (2, 5):
-        units = witness_matrix_units(f, report, n)
+        units = witness_matrix_units(f, n)
         assert units.n == n and verify_matrix_units(units)
     og = corpus.omega_gadget()
-    report = bounded_index_report(og)
-    units = witness_matrix_units(og, report, 4)
+    units = witness_matrix_units(og, 4)
     assert verify_matrix_units(units)
     assert nilpotence_index(jordan_element(units), 5) == NilpotentOfIndex(4)
 
 
 def test_witness_size_capped_when_bounded():
     g = corpus.clock(5)
-    report = bounded_index_report(g)
-    units = witness_matrix_units(g, report, 1)
+    units = witness_matrix_units(g, 1)
     assert units.n == 1
     with pytest.raises(Exception):
-        witness_matrix_units(g, report, 3)  # only n=2 paths exist
+        witness_matrix_units(g, 3)  # only n=2 paths exist
 
 
 def test_bound_attained_at_targets_only():
