@@ -518,17 +518,18 @@ class ResourceLimit(Record):
 
 
 class _Verdict(Exception):
-    """Raised by :func:`_ladder`'s product checks to end the ladder with
-    the verdict it carries."""
+    """Raised by :func:`_ladder`'s term-limit check to end the ladder with
+    the ResourceLimit it carries."""
 
 
 TERM_LIMIT = 10 ** 6  # terms of a probed power, and of the siblings a rewrite adds
 
 
 def _ladder(a: Element, k: int, term_limit: int = sys.maxsize,
-            multiple: bool = False) -> tuple:
+            multiple: bool = False, settle=None) -> tuple:
     """(j, a^j) for the largest j <= k with a^j != 0, as a term map; (1, {})
-    when a is zero.
+    when a is zero.  An exit that proves a not nilpotent gives (k, None):
+    a^k != 0, not formed.
 
     The squares a, a^2, a^4, ... are formed while the exponent is at most
     k, up to the first square that is zero.  Then one binary-lifting pass
@@ -540,24 +541,28 @@ def _ladder(a: Element, k: int, term_limit: int = sys.maxsize,
     nonzero power.  So every nonzero power formed has exponent at most j,
     and O(log k) products are formed in all.
 
-    Each product z = a^e is checked as it is formed: _Verdict(ResourceLimit)
-    when z has more than term_limit terms, then TooLarge when it holds more
-    than POWER_EDGE_LIMIT edges (squaring doubles path lengths, so memory
-    would run out long before time does), then, with ``multiple``,
-    _Verdict(NotNilpotentWithin(k)) when a^2 is a scalar multiple of a."""
+    With ``multiple``, the ladder exits when a^2 is a scalar multiple of a.
+    With ``settle``, a predicate on a square's term map that holds only
+    where that square, and so a, is not nilpotent, it exits at the first
+    nonzero square that satisfies it.
+
+    Each product z = a^e is checked as it is formed, before either exit:
+    _Verdict(ResourceLimit) when z has more than term_limit terms, then
+    TooLarge when it holds more than POWER_EDGE_LIMIT edges (squaring
+    doubles path lengths, so memory would run out long before time does)."""
     table, terms = _kernel(a.graph), a._terms
     width = _width(terms)
     squares = [terms]  # squares[i] = a^(2^i), all nonzero
     j = 1
     while 2 * j <= k:
         z = _product(table, squares[-1], squares[-1])
-        if len(z) > term_limit:
-            raise _Verdict(ResourceLimit(2 * j, len(z)))
-        _edge_guard(z, 2 * j, width)
+        _limit_guard(z, 2 * j, term_limit, width)
         if multiple and j == 1 and _is_multiple(z, terms):
-            raise _Verdict(NotNilpotentWithin(k))
+            return k, None
         if not z:
             break
+        if settle is not None and settle(z):
+            return k, None
         squares.append(z)
         j *= 2
     x = squares.pop()
@@ -565,15 +570,14 @@ def _ladder(a: Element, k: int, term_limit: int = sys.maxsize,
         e = j + 2 ** i
         if e <= k:
             z = _product(table, x, squares[i])
-            if len(z) > term_limit:
-                raise _Verdict(ResourceLimit(e, len(z)))
-            _edge_guard(z, e, width)
+            _limit_guard(z, e, term_limit, width)
             if z:
                 j, x = e, z
     return j, x
 
 
-def nilpotence_index(a: Element, k_max: int, term_limit: int | None = None):
+def nilpotence_index(a: Element, k_max: int, term_limit: int | None = None,
+                     settle=None):
     """Least k <= k_max with a^k = 0 (and a^(k-1) != 0), else
     NotNilpotentWithin(k_max); the zero element has index 1.
 
@@ -588,6 +592,13 @@ def nilpotence_index(a: Element, k_max: int, term_limit: int | None = None):
     support and edge count of a^2, which have passed both limits, so a is
     not nilpotent within k_max, as the rest of the ladder would find.
 
+    ``settle``, when given, is a predicate on a square's term map that
+    holds only where the square is not nilpotent, such as a nonzero block
+    trace (``structure.block_trace``): a^(2^i) not nilpotent makes a not
+    nilpotent, so the probe stops at the first nonzero square where it
+    holds, with NotNilpotentWithin(k_max).  Every power formed is still
+    checked against both limits below.
+
     ResourceLimit names the first power formed that has more than
     term_limit terms, TERM_LIMIT (read at call time) by default.  Raises
     TooLarge, as :func:`power` does, when a power formed holds more than
@@ -599,7 +610,7 @@ def nilpotence_index(a: Element, k_max: int, term_limit: int | None = None):
         return NilpotentOfIndex(1)
     try:
         j, _ = _ladder(a, k_max, TERM_LIMIT if term_limit is None else term_limit,
-                       multiple=True)
+                       multiple=True, settle=settle)
     except _Verdict as verdict:
         return verdict.args[0]
     return NotNilpotentWithin(k_max) if j == k_max else NilpotentOfIndex(j + 1)
@@ -634,9 +645,10 @@ def _width(terms: dict) -> int:
     return max((len(key[1]) + len(key[3]) for key in terms), default=0)
 
 
-def _edge_guard(terms: dict, k: int, width: int) -> None:
-    """TooLarge when terms, the term map of a power a^k, where each key of
-    a holds at most width edges, holds more than POWER_EDGE_LIMIT edges
+def _limit_guard(terms: dict, k: int, term_limit: int, width: int) -> None:
+    """_Verdict(ResourceLimit) when terms, the term map of a power a^k,
+    has more than term_limit terms; else TooLarge when, where each key of a
+    holds at most width edges, it holds more than POWER_EDGE_LIMIT edges
     over all its monomials.
 
     A key of a^k holds at most k * width edges.  Contracting (p q*)(r s*)
@@ -645,6 +657,8 @@ def _edge_guard(terms: dict, k: int, width: int) -> None:
     factors.  A rewrite of (p g)(q g)* gives p q* and the (p e)(q e)*,
     never a longer key.  So the edges are summed only when
     len(terms) * k * width exceeds the limit; below it they cannot."""
+    if len(terms) > term_limit:
+        raise _Verdict(ResourceLimit(k, len(terms)))
     if len(terms) * k * width > POWER_EDGE_LIMIT:
         edges = sum(len(key[1]) + len(key[3]) for key in terms)
         if edges > POWER_EDGE_LIMIT:

@@ -647,7 +647,14 @@ def cross_check_index(g: Graph, trials: int = 500,
     Every other trial is normalized and probed, once per scalar class: c a
     reuses the verdict of a, resource limits included, as (c a)^k = c^k a^k
     has the support and edge count of a^k.  The memo holds at most
-    ``trials`` entries, all of them probed elements."""
+    ``trials`` entries, all of them probed elements.
+
+    Where the guard admits the graph, the probe gets the block trace as
+    its ``settle`` predicate: a square a^(2^i) of nonzero trace is not
+    nilpotent, so neither is a, and the probe stops there with
+    ``NotNilpotentWithin(bound)``, forming no further power.  The
+    witness's probe, and every probe on a graph the guard refuses, take
+    no predicate; every probe keeps every limit check."""
     report = structure.bounded_blocks(g).report
     n = report.n
     bound = n + 3
@@ -657,9 +664,12 @@ def cross_check_index(g: Graph, trials: int = 500,
     empirical = 0
     table = algebra._kernel(g)
     stream = _walk_stream(g, walk_tables(g, seed), _TRIAL_TERMS, _TRIAL_PATH_LEN)
-    traces = None
+    traces = settle = None
     if structure.trace_settles(g, bound, 2 * _TRIAL_PATH_LEN):
         traces = structure.trace_tables(g)
+
+        def settle(z):
+            return structure.block_trace(traces, z.items())
     verdicts = {}  # scalar class of a probed term map -> verdict, None for TooLarge
     for t, raw in zip(range(trials), stream):
         if traces is not None and structure.block_trace(traces, raw):
@@ -675,7 +685,7 @@ def cross_check_index(g: Graph, trials: int = 500,
         else:
             try:
                 verdict = algebra.nilpotence_index(
-                    algebra.Element(g, terms), bound)
+                    algebra.Element(g, terms), bound, settle=settle)
             except TooLarge:  # a power over the edge limit
                 verdict = None
             verdicts[key] = verdict

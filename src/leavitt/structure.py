@@ -325,7 +325,12 @@ def trace_settles(g: Graph, bound: int, width: int) -> bool:
     rewrites to p q*, and no normal-form key p0 c^i (q0 c^j)* has both
     i >= 1 and j >= 1.  So at most cnt_r^2 * (1 + 2 * (L // |C|)) keys
     have range r, and a power holds at most B, their sum over r, keys and
-    B * L edges.  The limits are read at call time."""
+    B * L edges.  The limits are read at call time.
+
+    A True answer is also what lets ``oracle.cross_check_index`` pass the
+    block trace to the probe as its ``settle`` predicate: the trace of a
+    square then decides the probe exactly as the full ladder would, since
+    no power within the bound can meet a limit first."""
     s = _components(g)
     reach = bound * width
     keys = sum(cnt * cnt for cnt in s.paths)

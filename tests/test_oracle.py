@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import hashlib
+import inspect
 import itertools
 import json
 import random
@@ -1675,14 +1676,16 @@ def test_block_trace_reads_raw_draws():
 
 
 def _count_probes(monkeypatch) -> list:
-    """A list that gains the element at each ``algebra.nilpotence_index``
-    call."""
+    """A list that gains, at each ``algebra.nilpotence_index`` call,
+    whether the call passed a ``settle`` predicate."""
     probes = []
     probe = algebra.nilpotence_index
+    signature = inspect.signature(probe)
 
-    def counting(a, *args, **kwargs):
-        probes.append(a)
-        return probe(a, *args, **kwargs)
+    def counting(*args, **kwargs):
+        settle = signature.bind(*args, **kwargs).arguments.get("settle")
+        probes.append(settle is not None)
+        return probe(*args, **kwargs)
 
     monkeypatch.setattr(algebra, "nilpotence_index", counting)
     return probes
@@ -1713,18 +1716,21 @@ def test_certified_cross_check_matches_unmemoised_loop(monkeypatch):
     """With the certificate on, the report is the probe's on doubled lines
     and tailed cycles; the certificate settles trials on each graph the
     guard admits, and on no other.  Each element up to a scalar that the
-    certificate leaves open is probed once."""
+    certificate leaves open is probed once, with ``settle`` exactly when
+    the guard admits the graph; the witness's probe never takes it."""
     graphs = [doubled_line(k) for k in range(1, 9)]
     graphs += [tailed_cycle(m, t) for m in (1, 2, 3, 5) for t in (0, 1, 3)]
     probes = _count_probes(monkeypatch)
     admitted = 0
     for i, g in enumerate(graphs):
         expected = _cross_check_unmemoised(g, 120, i)
+        settles = structure.trace_settles(g, expected.probe_bound, 6)
         probes.clear()
         assert cross_check_index(g, trials=120, seed=i) == expected, i
         trial_probes = len(probes) - 1  # the witness's probe
+        assert probes == [settles] * trial_probes + [False], i
         distinct = _distinct_classes(g, 120, i)
-        if structure.trace_settles(g, expected.probe_bound, 6):
+        if settles:
             admitted += 1
             assert trial_probes == _distinct_open_classes(g, 120, i) < distinct, i
         else:
@@ -1790,7 +1796,8 @@ def test_certificate_settles_trials_on_exitless_cycles(monkeypatch):
     report is the probe's.  The probes, the witness's aside, number the
     distinct scalar classes among the trials of trace 0, so the
     certificate settles every other trial and the memo probes each class
-    once.  The guard still refuses the doubled line from k = 6 on."""
+    once, each probe with ``settle``.  The guard still refuses the doubled
+    line from k = 6 on."""
     graphs = [tailed_cycle(1, 3)]
     graphs += [g for g in _bounded_random_graphs(150)
                if any(isinstance(t, CycleTarget)
@@ -1803,17 +1810,77 @@ def test_certificate_settles_trials_on_exitless_cycles(monkeypatch):
         probes.clear()
         assert cross_check_index(g, trials=100, seed=i) == expected, i
         assert len(probes) - 1 == _distinct_open_classes(g, 100, i), i
+        assert probes == [True] * (len(probes) - 1) + [False], i
     assert structure.trace_settles(doubled_line(5), 34, 6)
     for k in (6, 7, 8):
         assert not structure.trace_settles(doubled_line(k), 2 ** k + 2, 6), k
+
+
+def test_settled_probe_gives_the_guarded_probes_verdict():
+    """On every bounded fixture, on the first 200 bounded random graphs
+    that the guard admits at bound n + 3 and on cycles with tails, the
+    guard admits n + 3, and every trial of trace 0 in a 300-trial stream
+    gets from ``nilpotence_index(a, n + 3, settle=...)`` the verdict of
+    the guarded probe and of the sequential probe.  The random graphs
+    include ones with and without exitless cycles, and the probe settles
+    trials at a square: tau(a) = 0 but tau(a^(2^i)) != 0."""
+    graphs = [corpus.CORPUS[name]() for name in sorted(SAMPLING_SEED_12345)]
+    graphs += [g for g in _bounded_random_graphs(230) if structure.trace_settles(
+        g, bounded_index_report(g).n + 3, 6)][:200]
+    graphs += [tailed_cycle(m, t) for m in (1, 2, 3, 5) for t in (0, 1, 3)]
+    assert len(graphs) == 11 + 200 + 12
+    with_cycles = sum(any(isinstance(t, CycleTarget) for t, _ in
+                          bounded_index_report(g).per_target) for g in graphs[11:211])
+    assert 0 < with_cycles < 200, with_cycles
+    probed = settled = 0
+    for i, g in enumerate(graphs):
+        bound = bounded_index_report(g).n + 3
+        assert structure.trace_settles(g, bound, 6), i
+        traces = structure.trace_tables(g)
+        hits = []
+
+        def settle(z):
+            tau = structure.block_trace(traces, z.items())
+            hits.append(bool(tau))
+            return tau
+
+        for a in _stream_elements(g, 300, i):
+            if structure.block_trace(traces, a._terms.items()):
+                continue
+            probed += 1
+            expected = nilpotence_index(a, bound)
+            assert nilpotence_index(a, bound, settle=settle) == expected == \
+                nilpotence_index_sequential(a, bound), i
+        settled += sum(hits)
+    assert probed > 10_000 and settled > 1_000, (probed, settled)
+
+
+def test_probe_settles_at_the_first_square_of_nonzero_trace(monkeypatch):
+    """On clock3, a = e1 + e1* has tau(a) = 0 and tau(a^2) = {0: 2}: with
+    ``settle`` the probe forms a^2 alone, where the guarded probe forms 3
+    products; both give NotNilpotentWithin(n + 3)."""
+    g = corpus.clock(3)
+    bound = bounded_index_report(g).n + 3
+    traces = structure.trace_tables(g)
+    e1 = algebra.edge_element(g, EdgeRef("e1"))
+    a = e1 + e1.involution()
+    assert structure.block_trace(traces, a._terms.items()) == {}
+    assert structure.block_trace(traces, (a * a)._terms.items()) == {0: 2}
+    products = _count_products(monkeypatch)
+    assert nilpotence_index(a, bound) == algebra.NotNilpotentWithin(bound)
+    assert len(products) == 3
+    products.clear()
+    assert nilpotence_index(a, bound, settle=lambda z: structure.block_trace(
+        traces, z.items())) == algebra.NotNilpotentWithin(bound)
+    assert len(products) == 1
 
 
 def test_trace_guard_refuses_at_low_limits(monkeypatch):
     """At the default limits the guard admits every bounded fixture and
     refuses the doubled line with k=10.  With the edge limit at 20, or a
     term limit of 3, it refuses (but on line1, whose powers hold one term
-    at most), every trial distinct up to a scalar runs the probe, and the
-    report is the probe's.  At the edge limit of 20 the other fixtures' witness probes
+    at most), every trial distinct up to a scalar runs the probe, with no
+    ``settle``, and the report is the probe's.  At the edge limit of 20 the other fixtures' witness probes
     raise TooLarge; at the term limit of 3, those of line6 and of the
     doubled line do, after the same trials."""
     fixtures = [corpus.CORPUS[name]() for name in sorted(SAMPLING_SEED_12345)]
@@ -1837,6 +1904,7 @@ def test_trace_guard_refuses_at_low_limits(monkeypatch):
                 rep = _report_or_too_large(cross_check_index, g, 40, i)
                 assert rep == expected, (limit, i)
                 assert len(probes) - 1 == _distinct_classes(g, 40, i), (limit, i)
+                assert not any(probes), (limit, i)
                 if rep == "TooLarge":
                     refused.append(i)
                 else:
@@ -1868,10 +1936,12 @@ def test_probe_and_trace_guard_read_one_term_limit(monkeypatch):
 
 
 # algebra._product calls of cross_check_index on fixtures/line4.graph, 300
-# trials, seed 7: as the code stands, without the trace certificate, without
+# trials, seed 7: as the code stands, with the probe squaring on past a
+# square of nonzero block trace, without the trace certificate, without
 # the verdict memo, and without the early exit at the first square; and the
 # nilpotence_index calls as the code stands (the witness's included)
-PRODUCTS_LINE4_CERTIFIED = 228
+PRODUCTS_LINE4_CERTIFIED = 139
+PRODUCTS_LINE4_UNSETTLED = 172
 PRODUCTS_LINE4 = 743
 PRODUCTS_LINE4_UNMEMOISED = 778
 PRODUCTS_LINE4_NO_EXIT = 872
@@ -1881,20 +1951,21 @@ PROBES_LINE4_CERTIFIED = 109
 def test_cross_check_product_count_is_guarded(monkeypatch):
     """The sampled trials and the witness form at most
     PRODUCTS_LINE4_CERTIFIED products in PROBES_LINE4_CERTIFIED probes, so
-    losing the trace certificate, the memo or the early exit fails here."""
+    losing the settled squares, the trace certificate, the memo or the
+    early exit fails here."""
     g = load_graph(fixture_path("line4"))
     products = _count_products(monkeypatch)
     probes = _count_probes(monkeypatch)
     cross_check_index(g, trials=300, seed=7)
     assert len(probes) <= PROBES_LINE4_CERTIFIED
-    assert len(products) <= PRODUCTS_LINE4_CERTIFIED < PRODUCTS_LINE4 \
-        < PRODUCTS_LINE4_UNMEMOISED < PRODUCTS_LINE4_NO_EXIT
+    assert len(products) <= PRODUCTS_LINE4_CERTIFIED < PRODUCTS_LINE4_UNSETTLED \
+        < PRODUCTS_LINE4 < PRODUCTS_LINE4_UNMEMOISED < PRODUCTS_LINE4_NO_EXIT
 
 
 # algebra._normalize calls of the same check: as the code stands, with the
 # trace read off each trial's raw draw, and with every trial normalized
 # before its trace is read
-NORMALIZE_LINE4_RAW_TRACE = 326
+NORMALIZE_LINE4_RAW_TRACE = 261
 NORMALIZE_LINE4 = 505
 
 
