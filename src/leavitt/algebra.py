@@ -55,6 +55,7 @@ from .graph import (
     TooLarge,
     check_cycle,
     cycle_vertices,
+    over_limit,
     rotate_cycle_to,
 )
 
@@ -395,8 +396,8 @@ def _normalize(table: _Kernel, raw: Iterable) -> dict:
         siblings = rewrite[pe[-1]]
         if siblings:
             if fanout[pe[-1]] > limit:
-                raise TooLarge(f"a rewrite at bundle {table.edge_ref(pe[-1]).bundle!r} "
-                               f"adds {fanout[pe[-1]]} terms, over the limit of {limit}")
+                over_limit(f"a rewrite at bundle {table.edge_ref(pe[-1]).bundle!r} adds",
+                           fanout[pe[-1]], "terms", limit)
             pe, qe = pe[:-1], qe[:-1]
             for span in siblings:
                 for e in span:
@@ -518,15 +519,15 @@ class ResourceLimit(Record):
 
 
 class _Verdict(Exception):
-    """Raised by :func:`_ladder`'s term-limit check to end the ladder with
-    the ResourceLimit it carries."""
+    """Raised by :func:`_limit_guard`'s term-limit check to end the ladder
+    with the ResourceLimit it carries."""
 
 
 TERM_LIMIT = 10 ** 6  # terms of a probed power, and of the siblings a rewrite adds
+POWER_EDGE_LIMIT = 10 ** 6  # edges of a power formed, and of the legs and units built
 
 
-def _ladder(a: Element, k: int, term_limit: int = sys.maxsize,
-            multiple: bool = False, settle=None) -> tuple:
+def _ladder(a: Element, k: int, probe: bool = False, settle=None) -> tuple:
     """(j, a^j) for the largest j <= k with a^j != 0, as a term map; (1, {})
     when a is zero.  An exit that proves a not nilpotent gives (k, None):
     a^k != 0, not formed.
@@ -541,23 +542,22 @@ def _ladder(a: Element, k: int, term_limit: int = sys.maxsize,
     nonzero power.  So every nonzero power formed has exponent at most j,
     and O(log k) products are formed in all.
 
-    With ``multiple``, the ladder exits when a^2 is a scalar multiple of a.
+    With ``probe``, the ladder exits when a^2 is a scalar multiple of a.
     With ``settle``, a predicate on a square's term map that holds only
     where that square, and so a, is not nilpotent, it exits at the first
     nonzero square that satisfies it.
 
-    Each product z = a^e is checked as it is formed, before either exit:
-    _Verdict(ResourceLimit) when z has more than term_limit terms, then
-    TooLarge when it holds more than POWER_EDGE_LIMIT edges (squaring
-    doubles path lengths, so memory would run out long before time does)."""
+    Each product z = a^e is checked as it is formed, before either exit,
+    by :func:`_limit_guard` (squaring doubles path lengths, so memory would
+    run out long before time does)."""
     table, terms = _kernel(a.graph), a._terms
     width = _width(terms)
     squares = [terms]  # squares[i] = a^(2^i), all nonzero
     j = 1
     while 2 * j <= k:
         z = _product(table, squares[-1], squares[-1])
-        _limit_guard(z, 2 * j, term_limit, width)
-        if multiple and j == 1 and _is_multiple(z, terms):
+        _limit_guard(z, 2 * j, width, probe)
+        if probe and j == 1 and _is_multiple(z, terms):
             return k, None
         if not z:
             break
@@ -570,14 +570,13 @@ def _ladder(a: Element, k: int, term_limit: int = sys.maxsize,
         e = j + 2 ** i
         if e <= k:
             z = _product(table, x, squares[i])
-            _limit_guard(z, e, term_limit, width)
+            _limit_guard(z, e, width, probe)
             if z:
                 j, x = e, z
     return j, x
 
 
-def nilpotence_index(a: Element, k_max: int, term_limit: int | None = None,
-                     settle=None):
+def nilpotence_index(a: Element, k_max: int, settle=None):
     """Least k <= k_max with a^k = 0 (and a^(k-1) != 0), else
     NotNilpotentWithin(k_max); the zero element has index 1.
 
@@ -600,8 +599,8 @@ def nilpotence_index(a: Element, k_max: int, term_limit: int | None = None,
     checked against both limits below.
 
     ResourceLimit names the first power formed that has more than
-    term_limit terms, TERM_LIMIT (read at call time) by default.  Raises
-    TooLarge, as :func:`power` does, when a power formed holds more than
+    TERM_LIMIT (read at call time) terms.  Raises TooLarge, as
+    :func:`power` does, when a power formed holds more than
     POWER_EDGE_LIMIT edges.  The powers are term maps multiplied by
     :func:`_product`; no Element is built."""
     if k_max < 1:
@@ -609,8 +608,7 @@ def nilpotence_index(a: Element, k_max: int, term_limit: int | None = None,
     if a.is_zero():
         return NilpotentOfIndex(1)
     try:
-        j, _ = _ladder(a, k_max, TERM_LIMIT if term_limit is None else term_limit,
-                       multiple=True, settle=settle)
+        j, _ = _ladder(a, k_max, probe=True, settle=settle)
     except _Verdict as verdict:
         return verdict.args[0]
     return NotNilpotentWithin(k_max) if j == k_max else NilpotentOfIndex(j + 1)
@@ -624,9 +622,6 @@ def _is_multiple(x: dict, a: dict) -> bool:
     m = next(iter(a))
     cx, ca = x[m], a[m]
     return all(x[key] * ca == k * cx for key, k in a.items())
-
-
-POWER_EDGE_LIMIT = 10 ** 6
 
 
 def power(a: Element, k: int) -> Element:
@@ -645,11 +640,11 @@ def _width(terms: dict) -> int:
     return max((len(key[1]) + len(key[3]) for key in terms), default=0)
 
 
-def _limit_guard(terms: dict, k: int, term_limit: int, width: int) -> None:
-    """_Verdict(ResourceLimit) when terms, the term map of a power a^k,
-    has more than term_limit terms; else TooLarge when, where each key of a
-    holds at most width edges, it holds more than POWER_EDGE_LIMIT edges
-    over all its monomials.
+def _limit_guard(terms: dict, k: int, width: int, probe: bool) -> None:
+    """With ``probe``, _Verdict(ResourceLimit) when terms, the term map of
+    a power a^k, has more than TERM_LIMIT terms; else TooLarge when, where
+    each key of a holds at most width edges, it holds more than
+    POWER_EDGE_LIMIT edges over all its monomials.
 
     A key of a^k holds at most k * width edges.  Contracting (p q*)(r s*)
     gives (p t) s* with r = q t, or p (s u)* with q = r u: at most
@@ -657,13 +652,12 @@ def _limit_guard(terms: dict, k: int, term_limit: int, width: int) -> None:
     factors.  A rewrite of (p g)(q g)* gives p q* and the (p e)(q e)*,
     never a longer key.  So the edges are summed only when
     len(terms) * k * width exceeds the limit; below it they cannot."""
-    if len(terms) > term_limit:
+    if probe and len(terms) > TERM_LIMIT:
         raise _Verdict(ResourceLimit(k, len(terms)))
     if len(terms) * k * width > POWER_EDGE_LIMIT:
         edges = sum(len(key[1]) + len(key[3]) for key in terms)
         if edges > POWER_EDGE_LIMIT:
-            raise TooLarge(f"a power holds {edges} edges, over the limit of "
-                           f"{POWER_EDGE_LIMIT}")
+            over_limit("a power holds", edges, "edges", POWER_EDGE_LIMIT)
 
 
 # -- distinguished idempotents --------------------------------------------------
@@ -757,8 +751,7 @@ def matrix_units_exit(g: Graph, c: Cycle, f: EdgeRef, n: int) -> MatrixUnits:
         raise NotAnExit(f"{f!r} is not an exit of the cycle")
     edges = len(c.edges) * n * (n + 1) // 2 + n
     if edges > POWER_EDGE_LIMIT:
-        raise TooLarge(f"the legs c^i f hold {edges} edges, over the limit "
-                       f"of {POWER_EDGE_LIMIT}")
+        over_limit("the legs c^i f hold", edges, "edges", POWER_EDGE_LIMIT)
     loop = rotate_cycle_to(g, c, v).edges
     legs = tuple(Path(v, loop * i + (f,)) for i in range(1, n + 1))
     return MatrixUnits(g, legs, CycleWithExit(c, f))

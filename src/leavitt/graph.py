@@ -37,7 +37,7 @@ import itertools
 from collections import deque
 from operator import attrgetter, ge, gt, itemgetter, le, lt
 from types import FunctionType
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, NoReturn
 
 
 class LeavittError(Exception):
@@ -45,10 +45,14 @@ class LeavittError(Exception):
 
 
 class TooLarge(LeavittError):
-    """Work that would outgrow a fixed size limit.  Every resource limit
-    in the package raises this one type, which the CLI reports with exit
-    2; :mod:`leavitt.algebra` imports it from here, as this module raises
-    it too."""
+    """Work past a fixed size limit, a module constant read at call time.
+    Every resource limit raises this one type, which the CLI reports with
+    exit 2; :func:`over_limit` words each refusal that states an amount."""
+
+
+def over_limit(what: str, amount: int, unit: str, limit: int) -> NoReturn:
+    """Raise TooLarge: "<what> <amount> <unit>, over the limit of <limit>"."""
+    raise TooLarge(f"{what} {amount} {unit}, over the limit of {limit}")
 
 
 class UnknownVertex(LeavittError):
@@ -800,13 +804,15 @@ def is_hereditary_saturated(g: Graph, X: Iterable[str]) -> bool:
     return True
 
 
-def all_hereditary_saturated(g: Graph, cap: int = 15) -> list:
+SUBSET_CAP = 15  # vertices of a graph whose subset lattice is listed
+
+
+def all_hereditary_saturated(g: Graph) -> list:
     """Every hereditary saturated subset, as closures over the subset
-    lattice; sorted by size then contents.  TooLarge for more than `cap`
-    vertices."""
-    if len(g.vertices) > cap:
-        raise TooLarge(
-            f"{len(g.vertices)} vertices exceeds enumeration cap {cap}")
+    lattice; sorted by size then contents.  TooLarge for more than
+    SUBSET_CAP (read at call time) vertices."""
+    if len(g.vertices) > SUBSET_CAP:
+        raise TooLarge(f"{len(g.vertices)} vertices exceeds enumeration cap {SUBSET_CAP}")
     seen = set()
     for r in range(len(g.vertices) + 1):
         for combo in itertools.combinations(g.vertices, r):

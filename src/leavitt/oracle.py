@@ -39,6 +39,7 @@ from .graph import (
     cycle_vertices,
     downward_directed,
     is_hereditary_saturated,
+    over_limit,
     path_range,
     quotient_graph,
 )
@@ -134,12 +135,15 @@ def _cycles_through(g: Graph, v: str) -> list:
     return found
 
 
-def enumerate_paths_ending_at(g: Graph, v: str, length_cap: int,
-                              max_paths: int = 100_000) -> list:
+PATH_LIMIT = 100_000  # paths listed into one vertex
+BASIS_LIMIT = 200_000  # paths listed, and monomials, for a basis
+
+
+def enumerate_paths_ending_at(g: Graph, v: str, length_cap: int) -> list:
     """All paths of length <= length_cap ending at v, excluding those that
     run through v's unique cycle in full (when v lies on exactly one
     cycle).  Walks reversed edges breadth-first; TooLarge as soon as
-    the paths listed and pending pass max_paths."""
+    the paths listed and pending pass PATH_LIMIT (read at call time)."""
     g.vertex_index(v)
     through = _cycles_through(g, v)
     exclude = ()
@@ -149,12 +153,10 @@ def enumerate_paths_ending_at(g: Graph, v: str, length_cap: int,
 
     collected = []
     frontier = [Path(v)]
-    while frontier:
+    while frontier:  # len(collected) + len(frontier) <= PATH_LIMIT
         nxt = []
         for p in frontier:
             collected.append(p)
-            if len(collected) > max_paths:
-                raise TooLarge(f"more than {max_paths} paths into {v!r}")
             if len(p.edges) >= length_cap:
                 continue
             for j in g.into[g.vindex[p.base]]:
@@ -165,8 +167,8 @@ def enumerate_paths_ending_at(g: Graph, v: str, length_cap: int,
                     cand = Path(g.vertices[g.srcs[j]], (EdgeRef(g.ids[j], i),) + p.edges)
                     if not (exclude and contains_cycle(cand.edges, exclude)):
                         nxt.append(cand)
-                        if len(collected) + len(nxt) > max_paths:
-                            raise TooLarge(f"more than {max_paths} paths into {v!r}")
+                        if len(collected) + len(nxt) > PATH_LIMIT:
+                            raise TooLarge(f"more than {PATH_LIMIT} paths into {v!r}")
         frontier = nxt
     collected.sort(key=lambda p: (len(p.edges), p.edges, p.base))
     return collected
@@ -194,7 +196,7 @@ def closed_simple_path_counts(g: Graph) -> dict:
     return counts
 
 
-def _all_paths(g: Graph, length_cap: int, max_paths: int) -> list:
+def _all_paths(g: Graph, length_cap: int) -> list:
     paths = [Path(v) for v in g.vertices]
     frontier = list(paths)
     while frontier:
@@ -208,22 +210,22 @@ def _all_paths(g: Graph, length_cap: int, max_paths: int) -> list:
                     raise TooLarge(f"omega bundle {g.ids[j]!r} on a path")
                 for i in range(g.mults[j]):
                     nxt.append(Path(p.base, p.edges + (EdgeRef(g.ids[j], i),)))
-                    if len(paths) + len(nxt) > max_paths:
-                        raise TooLarge(f"more than {max_paths} paths")
+                    if len(paths) + len(nxt) > BASIS_LIMIT:
+                        raise TooLarge(f"more than {BASIS_LIMIT} paths")
         paths.extend(nxt)
-        if len(paths) > max_paths:
-            raise TooLarge(f"more than {max_paths} paths")
+        if len(paths) > BASIS_LIMIT:
+            raise TooLarge(f"more than {BASIS_LIMIT} paths")
         frontier = nxt
     return paths
 
 
-def basis_monomials(g: Graph, length_cap: int,
-                    max_size: int = 200_000) -> list:
+def basis_monomials(g: Graph, length_cap: int) -> list:
     """All normal-form monomials with |p| + |q| <= length_cap.  For a
     finite acyclic graph a cap of twice the longest path length yields the
-    complete linear basis of the algebra."""
+    complete linear basis of the algebra.  TooLarge past BASIS_LIMIT (read
+    at call time) paths or monomials."""
     by_range: dict = {}
-    for p in _all_paths(g, length_cap, max_size):
+    for p in _all_paths(g, length_cap):
         at = g.dst(p.edges[-1]) if p.edges else p.base
         by_range.setdefault(at, []).append(p)
     out = []
@@ -237,8 +239,8 @@ def basis_monomials(g: Graph, length_cap: int,
                         and algebra.special_edge(g, g.src(p.edges[-1])) == p.edges[-1]:
                     continue
                 out.append(m)
-                if len(out) > max_size:
-                    raise TooLarge(f"more than {max_size} monomials")
+                if len(out) > BASIS_LIMIT:
+                    raise TooLarge(f"more than {BASIS_LIMIT} monomials")
     out.sort(key=algebra._mono_key)
     return out
 
@@ -397,16 +399,13 @@ def random_element(g: Graph, spec: RandomSpec, max_terms: int = 4,
     return algebra.Element(g, algebra._normalize(algebra._kernel(g), raw))
 
 
-def nilpotence_index_sequential(a: algebra.Element, k_max: int,
-                                term_limit: int | None = None):
+def nilpotence_index_sequential(a: algebra.Element, k_max: int):
     """The nilpotence probe one power at a time: a^2, a^3, ... up to the
     first that is zero, to k_max, or to the first with more than
-    term_limit terms (``algebra.TERM_LIMIT`` by default); the reference
-    for ``algebra.nilpotence_index``."""
+    ``algebra.TERM_LIMIT`` (read at call time) terms; the reference for
+    ``algebra.nilpotence_index``."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if term_limit is None:
-        term_limit = algebra.TERM_LIMIT
     if a.is_zero():
         return algebra.NilpotentOfIndex(1)
     power = a
@@ -414,7 +413,7 @@ def nilpotence_index_sequential(a: algebra.Element, k_max: int,
         power = power * a
         if power.is_zero():
             return algebra.NilpotentOfIndex(k)
-        if power.support_size() > term_limit:
+        if power.support_size() > algebra.TERM_LIMIT:
             return algebra.ResourceLimit(k, power.support_size())
     return algebra.NotNilpotentWithin(k_max)
 
@@ -572,14 +571,15 @@ def classify_quotient(q: Graph):
     return structure.Factor(count_paths_ending_at(q, base), structure.BASE_LAURENT)
 
 
-def graded_spectrum_exhaustive(g: Graph, cap: int = 15) -> list:
+def graded_spectrum_exhaustive(g: Graph) -> list:
     """Classify every admissible pair whose quotient is downward directed,
     in deterministic (H, S) order, by listing every hereditary saturated
     set and every subset of its breaking vertices and classifying each
-    quotient graph; the reference for ``structure.graded_spectrum``."""
+    quotient graph; the reference for ``structure.graded_spectrum``.
+    TooLarge past ``graph.SUBSET_CAP`` vertices."""
     structure.bounded_blocks(g)
     out = []
-    for H in all_hereditary_saturated(g, cap):
+    for H in all_hereditary_saturated(g):
         B = sorted(breaking_vertices(g, H))
         for k in range(1 << len(B)):
             S = frozenset(B[i] for i in range(len(B)) if k >> i & 1)
@@ -704,9 +704,8 @@ def cross_check_index(g: Graph, trials: int = 500,
         j = algebra.jordan_element(units)
         verdict = algebra.nilpotence_index(j, n + 1)
         if isinstance(verdict, algebra.ResourceLimit):
-            raise TooLarge(
-                f"power {verdict.power} of the witness's Jordan element holds "
-                f"{verdict.terms} terms, over the limit of {algebra.TERM_LIMIT}")
+            over_limit(f"power {verdict.power} of the witness's Jordan element holds",
+                       verdict.terms, "terms", algebra.TERM_LIMIT)
         witness_index = verdict.index if isinstance(
             verdict, algebra.NilpotentOfIndex) else -1
     if witness_index != n:

@@ -43,10 +43,12 @@ from .graph import (
     Path,
     Record,
     SinkTarget,
+    TooLarge,
     _components,
     component_cycles,
     cycle_exit_witness,
     cycle_vertices,
+    over_limit,
 )
 
 
@@ -144,7 +146,7 @@ def witness_tree(g: Graph, target, size: int) -> PathTree:
     ``algebra.POWER_EDGE_LIMIT``: every listed path but the trivial one
     holds an edge."""
     if size - 1 > algebra.POWER_EDGE_LIMIT:
-        raise algebra.TooLarge(
+        raise TooLarge(
             f"the witness has more than {algebra.POWER_EDGE_LIMIT + 1} paths to list, "
             f"holding more edges than the limit of {algebra.POWER_EDGE_LIMIT}")
     if isinstance(target, SinkTarget):
@@ -405,9 +407,8 @@ def _exit_square_guard(g: Graph, reason: CycleWithExit, n: int) -> None:
         return
     edges = (n - 2) * (len(reason.cycle.edges) * (n + 1) + 2)
     if edges > algebra.POWER_EDGE_LIMIT:
-        raise algebra.TooLarge(
-            f"the square of the Jordan element of {n} exit units holds "
-            f"{edges} edges, over the limit of {algebra.POWER_EDGE_LIMIT}")
+        over_limit(f"the square of the Jordan element of {n} exit units holds",
+                   edges, "edges", algebra.POWER_EDGE_LIMIT)
 
 
 def _target_units(g: Graph, target, paths):
@@ -422,8 +423,7 @@ def _omega_family_units(g: Graph, v: str, n: int):
     leg is built, when the n^2 pairs of legs that the product P* P of
     ``algebra.verify_matrix_units`` contracts exceed POWER_EDGE_LIMIT."""
     if n * n > algebra.POWER_EDGE_LIMIT:
-        raise algebra.TooLarge(f"{n} legs make {n * n} pairs, over the limit "
-                               f"of {algebra.POWER_EDGE_LIMIT}")
+        over_limit(f"{n} legs make", n * n, "pairs", algebra.POWER_EDGE_LIMIT)
     for j, m in enumerate(g.mults):
         if m is OMEGA:
             tail = _shortest_path(g, g.dsts[j], g.vindex[v])

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from leavitt import corpus
+from leavitt import corpus, oracle
 from leavitt.algebra import (
     NilpotentOfIndex,
     jordan_element,
@@ -175,7 +175,7 @@ def test_criterion_07_equivalence_suite(random_suite, capsys):
                    f"{omega_free} omega-free graphs (corpus + 200 random)")
 
 
-def test_criterion_08_oracle_agreement(random_suite, capsys):
+def test_criterion_08_oracle_agreement(random_suite, capsys, monkeypatch):
     # a finite count is the exact number of paths; an omega count means the
     # paths do not stop short of |V| + 1 edges (no finite family reaches
     # that length without running round v's cycle in full)
@@ -191,8 +191,9 @@ def test_criterion_08_oracle_agreement(random_suite, capsys):
                 checked += 1
                 continue
             try:
-                paths = enumerate_paths_ending_at(g, v, len(g.vertices) + 1,
-                                                  max_paths=500)
+                with monkeypatch.context() as m:
+                    m.setattr(oracle, "PATH_LIMIT", 500)
+                    paths = enumerate_paths_ending_at(g, v, len(g.vertices) + 1)
             except TooLarge:
                 continue
             assert len(paths[-1].edges) == len(g.vertices) + 1, (i, v)

@@ -205,21 +205,23 @@ def test_nilpotence_index():
     assert nilpotence_index(Element.zero(g), 3) == NilpotentOfIndex(1)
 
 
-def test_nilpotence_resource_limit():
+def test_nilpotence_resource_limit(monkeypatch):
     g = corpus.two_loops()
     a = edge_element(g, EdgeRef("a")) + edge_element(g, EdgeRef("b"))
-    verdict = nilpotence_index(a, 30, term_limit=8)
+    monkeypatch.setattr(algebra, "TERM_LIMIT", 8)
+    verdict = nilpotence_index(a, 30)
     assert isinstance(verdict, ResourceLimit)
 
 
-def test_nilpotence_resource_limit_names_the_first_power_formed():
+def test_nilpotence_resource_limit_names_the_first_power_formed(monkeypatch):
     """(a + b)^k has 2^k terms.  The probe forms a^2 and a^4 only, so with
     a budget of 5 terms it reports a^4, where one power at a time would
     report a^3."""
     g = corpus.two_loops()
     a = edge_element(g, EdgeRef("a")) + edge_element(g, EdgeRef("b"))
-    assert nilpotence_index(a, 30, term_limit=5) == ResourceLimit(4, 16)
-    assert nilpotence_index(a, 3, term_limit=5) == ResourceLimit(3, 8)
+    monkeypatch.setattr(algebra, "TERM_LIMIT", 5)
+    assert nilpotence_index(a, 30) == ResourceLimit(4, 16)
+    assert nilpotence_index(a, 3) == ResourceLimit(3, 8)
 
 
 def test_breaking_vertex_element():

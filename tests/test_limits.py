@@ -7,10 +7,14 @@ of a library call elsewhere.  A limit a row lowers is a module constant
 set with ``monkeypatch``.
 """
 
+import ast
+import inspect
+import pathlib
 import sys
 
 import pytest
 
+import leavitt
 from conftest import fixture_path
 from leavitt import algebra, corpus, oracle
 from leavitt.cli import main
@@ -99,3 +103,53 @@ def test_library_refusals_are_pinned(call, message):
     with pytest.raises(TooLarge) as err:
         call()
     assert str(err.value) == message
+
+
+def _raisers_of_too_large() -> set:
+    """module.function for every function under src/leavitt with a raise
+    of TooLarge in its own body, spelled as a bare name or an attribute."""
+    found = set()
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name if scope is None else f"{scope}.{node.name}"
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if (isinstance(exc, ast.Name) and exc.id == "TooLarge"
+                    or isinstance(exc, ast.Attribute) and exc.attr == "TooLarge"):
+                found.add(f"{module}.{scope}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in pathlib.Path(leavitt.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    return found
+
+
+def test_refusals_live_in_one_function_and_the_no_amount_sites():
+    """Every refusal that states an amount goes through graph.over_limit;
+    the rest are the refusals that state none: the listing budgets and
+    omega listings of the oracle, the witness listing, the subset cap and
+    the digit limit."""
+    assert _raisers_of_too_large() == {
+        "graph.over_limit",
+        "graph.all_hereditary_saturated",
+        "algebra.coefficient_text",
+        "structure.witness_tree",
+        "oracle.enumerate_paths_ending_at",
+        "oracle._all_paths",
+        "oracle.basis_monomials",
+    }
+
+
+def test_no_function_takes_a_per_call_limit():
+    """Each limit is a module constant read at call time, so no function
+    takes one as a parameter, and the ladder's probe is one flag."""
+    functions = [algebra.nilpotence_index, algebra._ladder, algebra._limit_guard,
+                 oracle.nilpotence_index_sequential, oracle.enumerate_paths_ending_at,
+                 oracle._all_paths, oracle.basis_monomials,
+                 all_hereditary_saturated, oracle.graded_spectrum_exhaustive]
+    for f in functions:
+        params = set(inspect.signature(f).parameters)
+        assert not params & {"term_limit", "max_paths", "max_size", "cap", "multiple"}, \
+            f.__qualname__

@@ -91,19 +91,20 @@ def test_enumerate_excludes_full_cycle():
     assert paths == [Path("v"), Path("u", (EdgeRef("t"),))]
 
 
-def test_enumerate_guards():
+def test_enumerate_guards(monkeypatch):
     og = corpus.omega_gadget()
     with pytest.raises(algebra.TooLarge):
         enumerate_paths_ending_at(og, "h", 3)
+    monkeypatch.setattr(oracle, "PATH_LIMIT", 20)
     with pytest.raises(algebra.TooLarge):
         # two loops at v: unboundedly many paths, tiny budget
-        enumerate_paths_ending_at(corpus.two_loops(), "v", 50, max_paths=20)
+        enumerate_paths_ending_at(corpus.two_loops(), "v", 50)
 
 
 def test_path_listings_stop_at_the_budget(monkeypatch):
     """On one bundle of 10^5 edges from u to v, the listing into v and the
     listing of every path stop as soon as the paths listed and pending
-    pass max_paths = 20, having made 21 Paths, not one per edge; and the
+    pass a budget of 20, having made 21 Paths, not one per edge; and the
     cycle search from u makes no EdgeRef, as v does not reach u."""
     g = Graph(["u", "v"], [Bundle("a", "u", "v", 10 ** 5)])
     made, path, edge_ref = [], oracle.Path, oracle.EdgeRef
@@ -116,8 +117,10 @@ def test_path_listings_stop_at_the_budget(monkeypatch):
 
     monkeypatch.setattr(oracle, "Path", counting(path))
     monkeypatch.setattr(oracle, "EdgeRef", counting(edge_ref))
-    for listing in (lambda: enumerate_paths_ending_at(g, "v", 2, max_paths=20),
-                    lambda: _all_paths(g, 2, 20)):
+    monkeypatch.setattr(oracle, "PATH_LIMIT", 20)
+    monkeypatch.setattr(oracle, "BASIS_LIMIT", 20)
+    for listing in (lambda: enumerate_paths_ending_at(g, "v", 2),
+                    lambda: _all_paths(g, 2)):
         made.clear()
         with pytest.raises(algebra.TooLarge):
             listing()
@@ -506,7 +509,7 @@ def _assert_leg_rule_matches_window_test(g, c, length_cap: int) -> int:
     returns the number refused."""
     verts = set(cycle_vertices(g, c))
     refused = 0
-    for p in _all_paths(g, length_cap, 100_000):
+    for p in _all_paths(g, length_cap):
         if path_range(g, p) not in verts:
             continue
         whole = contains_cycle(p.edges, c.edges)
@@ -1171,9 +1174,9 @@ class _Over(Exception):
     pass
 
 
-def _probe_outcome(a, k_max, term_limit):
+def _probe_outcome(a, k_max):
     try:
-        return nilpotence_index(a, k_max, term_limit)
+        return nilpotence_index(a, k_max)
     except algebra.TooLarge:
         return algebra.TooLarge
 
@@ -1228,8 +1231,9 @@ def test_probe_exit_keeps_resource_outcomes(case, monkeypatch):
     for edge_limit in (0, 1, 2, 4, 6, 10 ** 6):
         monkeypatch.setattr(algebra, "POWER_EDGE_LIMIT", edge_limit)
         for term_limit in (1, 2, 3, 10 ** 6):
+            monkeypatch.setattr(algebra, "TERM_LIMIT", term_limit)
             for k_max in range(1, 9):
-                assert _probe_outcome(a, k_max, term_limit) == \
+                assert _probe_outcome(a, k_max) == \
                     _probe_without_exit(a, k_max, term_limit), \
                     (edge_limit, term_limit, k_max)
 
@@ -1277,6 +1281,7 @@ def test_probe_forms_the_products_of_the_three_phase_probe(monkeypatch):
     term and edge limits keep k_max = 1024 quick on growing powers."""
     cases = _ladder_cases()
     calls = _recorded_products(monkeypatch)
+    monkeypatch.setattr(algebra, "TERM_LIMIT", 60)
     outcomes = set()
     for edge_limit in (40, 50_000):
         monkeypatch.setattr(algebra, "POWER_EDGE_LIMIT", edge_limit)
@@ -1287,7 +1292,7 @@ def test_probe_forms_the_products_of_the_three_phase_probe(monkeypatch):
                                                first_square_exit=True)
                 expected_calls = calls[:]
                 calls.clear()
-                assert _probe_outcome(a, k_max, 60) == expected, (name, k_max)
+                assert _probe_outcome(a, k_max) == expected, (name, k_max)
                 assert calls == expected_calls, (name, k_max)
                 outcomes.add(expected if expected is algebra.TooLarge
                              else type(expected))
@@ -1744,7 +1749,7 @@ def _exact_key_bound(g, reach: int) -> int:
     end in one special edge.  At most this many keys can a power hold
     whose keys hold at most ``reach`` edges."""
     by_range, by_special = {}, {}
-    for p in _all_paths(g, reach, 10 ** 6):
+    for p in _all_paths(g, reach):
         r = path_range(g, p)
         by_range[r] = by_range.get(r, 0) + 1
         if p.edges and p.edges[-1] == algebra.special_edge(g, g.src(p.edges[-1])):
@@ -1920,8 +1925,8 @@ def _report_or_too_large(check, g, trials, seed):
 
 
 def test_probe_and_trace_guard_read_one_term_limit(monkeypatch):
-    """nilpotence_index's default term limit is algebra.TERM_LIMIT, read at
-    call time, as the guard and the sequential probe read it."""
+    """nilpotence_index's term limit is algebra.TERM_LIMIT, read at call
+    time, as the guard and the sequential probe read it."""
     assert algebra.TERM_LIMIT == 10 ** 6
     g = corpus.clock(3)
     v = algebra.vertex_element(g, "v")
