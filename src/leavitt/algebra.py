@@ -396,8 +396,9 @@ def _normalize(table: _Kernel, raw: Iterable) -> dict:
         siblings = rewrite[pe[-1]]
         if siblings:
             if fanout[pe[-1]] > limit:
-                over_limit(f"a rewrite at bundle {table.edge_ref(pe[-1]).bundle!r} adds",
-                           fanout[pe[-1]], "terms", limit)
+                raise TooLarge(over_limit(
+                    f"a rewrite at bundle {table.edge_ref(pe[-1]).bundle!r} adds",
+                    fanout[pe[-1]], "terms", limit))
             pe, qe = pe[:-1], qe[:-1]
             for span in siblings:
                 for e in span:
@@ -519,8 +520,7 @@ class ResourceLimit(Record):
 
 
 class _Verdict(Exception):
-    """Raised by :func:`_limit_guard`'s term-limit check to end the ladder
-    with the ResourceLimit it carries."""
+    """Raised by :func:`_limit_guard` to end the ladder with its ResourceLimit."""
 
 
 TERM_LIMIT = 10 ** 6  # terms of a probed power, and of the siblings a rewrite adds
@@ -598,11 +598,10 @@ def nilpotence_index(a: Element, k_max: int, settle=None):
     holds, with NotNilpotentWithin(k_max).  Every power formed is still
     checked against both limits below.
 
-    ResourceLimit names the first power formed that has more than
-    TERM_LIMIT (read at call time) terms.  Raises TooLarge, as
-    :func:`power` does, when a power formed holds more than
-    POWER_EDGE_LIMIT edges.  The powers are term maps multiplied by
-    :func:`_product`; no Element is built."""
+    ResourceLimit names the first power formed with more than TERM_LIMIT
+    terms (read at call time).  Raises TooLarge, as :func:`power` does,
+    when a power formed holds more than POWER_EDGE_LIMIT edges.  The
+    powers are term maps multiplied by :func:`_product`; no Element is built."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if a.is_zero():
@@ -657,7 +656,7 @@ def _limit_guard(terms: dict, k: int, width: int, probe: bool) -> None:
     if len(terms) * k * width > POWER_EDGE_LIMIT:
         edges = sum(len(key[1]) + len(key[3]) for key in terms)
         if edges > POWER_EDGE_LIMIT:
-            over_limit("a power holds", edges, "edges", POWER_EDGE_LIMIT)
+            raise TooLarge(over_limit("a power holds", edges, "edges", POWER_EDGE_LIMIT))
 
 
 # -- distinguished idempotents --------------------------------------------------
@@ -751,7 +750,7 @@ def matrix_units_exit(g: Graph, c: Cycle, f: EdgeRef, n: int) -> MatrixUnits:
         raise NotAnExit(f"{f!r} is not an exit of the cycle")
     edges = len(c.edges) * n * (n + 1) // 2 + n
     if edges > POWER_EDGE_LIMIT:
-        over_limit("the legs c^i f hold", edges, "edges", POWER_EDGE_LIMIT)
+        raise TooLarge(over_limit("the legs c^i f hold", edges, "edges", POWER_EDGE_LIMIT))
     loop = rotate_cycle_to(g, c, v).edges
     legs = tuple(Path(v, loop * i + (f,)) for i in range(1, n + 1))
     return MatrixUnits(g, legs, CycleWithExit(c, f))

@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import algebra
-from .graph import OMEGA, EdgeRef, Graph, LeavittError, Record, over_limit
+from .graph import OMEGA, EdgeRef, Graph, LeavittError, Record, TooLarge, over_limit
 
 
 SCALAR_POWER_BIT_LIMIT = 10 ** 6  # a larger scalar power is refused unevaluated
@@ -273,8 +273,8 @@ def _eval(node, g: Graph):
         bits = node.exponent * (max(abs(coeff.numerator).bit_length(),
                                     coeff.denominator.bit_length()) - 1)
         if bits > SCALAR_POWER_BIT_LIMIT:
-            over_limit("a scalar power holds at least", bits, "bits",
-                       SCALAR_POWER_BIT_LIMIT)
+            raise TooLarge(over_limit("a scalar power holds at least", bits, "bits",
+                                      SCALAR_POWER_BIT_LIMIT))
         if elem is None:
             return coeff ** node.exponent, None
         return coeff ** node.exponent, algebra.power(elem, node.exponent)

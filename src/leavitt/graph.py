@@ -37,7 +37,7 @@ import itertools
 from collections import deque
 from operator import attrgetter, ge, gt, itemgetter, le, lt
 from types import FunctionType
-from typing import Iterable, NamedTuple, NoReturn
+from typing import Iterable, NamedTuple
 
 
 class LeavittError(Exception):
@@ -50,9 +50,9 @@ class TooLarge(LeavittError):
     exit 2; :func:`over_limit` words each refusal that states an amount."""
 
 
-def over_limit(what: str, amount: int, unit: str, limit: int) -> NoReturn:
-    """Raise TooLarge: "<what> <amount> <unit>, over the limit of <limit>"."""
-    raise TooLarge(f"{what} {amount} {unit}, over the limit of {limit}")
+def over_limit(what: str, amount: int, unit: str, limit: int) -> str:
+    """The message "<what> <amount> <unit>, over the limit of <limit>"."""
+    return f"{what} {amount} {unit}, over the limit of {limit}"
 
 
 class UnknownVertex(LeavittError):

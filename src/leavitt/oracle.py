@@ -153,10 +153,12 @@ def enumerate_paths_ending_at(g: Graph, v: str, length_cap: int) -> list:
 
     collected = []
     frontier = [Path(v)]
-    while frontier:  # len(collected) + len(frontier) <= PATH_LIMIT
+    while frontier:
         nxt = []
         for p in frontier:
             collected.append(p)
+            if len(collected) > PATH_LIMIT:
+                raise TooLarge(f"more than {PATH_LIMIT} paths into {v!r}")
             if len(p.edges) >= length_cap:
                 continue
             for j in g.into[g.vindex[p.base]]:
@@ -402,8 +404,7 @@ def random_element(g: Graph, spec: RandomSpec, max_terms: int = 4,
 def nilpotence_index_sequential(a: algebra.Element, k_max: int):
     """The nilpotence probe one power at a time: a^2, a^3, ... up to the
     first that is zero, to k_max, or to the first with more than
-    ``algebra.TERM_LIMIT`` (read at call time) terms; the reference for
-    ``algebra.nilpotence_index``."""
+    ``algebra.TERM_LIMIT`` terms; the reference for ``algebra.nilpotence_index``."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if a.is_zero():
@@ -575,8 +576,7 @@ def graded_spectrum_exhaustive(g: Graph) -> list:
     """Classify every admissible pair whose quotient is downward directed,
     in deterministic (H, S) order, by listing every hereditary saturated
     set and every subset of its breaking vertices and classifying each
-    quotient graph; the reference for ``structure.graded_spectrum``.
-    TooLarge past ``graph.SUBSET_CAP`` vertices."""
+    quotient graph; the reference for ``structure.graded_spectrum``."""
     structure.bounded_blocks(g)
     out = []
     for H in all_hereditary_saturated(g):
@@ -704,8 +704,9 @@ def cross_check_index(g: Graph, trials: int = 500,
         j = algebra.jordan_element(units)
         verdict = algebra.nilpotence_index(j, n + 1)
         if isinstance(verdict, algebra.ResourceLimit):
-            over_limit(f"power {verdict.power} of the witness's Jordan element holds",
-                       verdict.terms, "terms", algebra.TERM_LIMIT)
+            raise TooLarge(over_limit(
+                f"power {verdict.power} of the witness's Jordan element holds",
+                verdict.terms, "terms", algebra.TERM_LIMIT))
         witness_index = verdict.index if isinstance(
             verdict, algebra.NilpotentOfIndex) else -1
     if witness_index != n:

@@ -407,8 +407,9 @@ def _exit_square_guard(g: Graph, reason: CycleWithExit, n: int) -> None:
         return
     edges = (n - 2) * (len(reason.cycle.edges) * (n + 1) + 2)
     if edges > algebra.POWER_EDGE_LIMIT:
-        over_limit(f"the square of the Jordan element of {n} exit units holds",
-                   edges, "edges", algebra.POWER_EDGE_LIMIT)
+        raise TooLarge(over_limit(
+            f"the square of the Jordan element of {n} exit units holds",
+            edges, "edges", algebra.POWER_EDGE_LIMIT))
 
 
 def _target_units(g: Graph, target, paths):
@@ -423,7 +424,7 @@ def _omega_family_units(g: Graph, v: str, n: int):
     leg is built, when the n^2 pairs of legs that the product P* P of
     ``algebra.verify_matrix_units`` contracts exceed POWER_EDGE_LIMIT."""
     if n * n > algebra.POWER_EDGE_LIMIT:
-        over_limit(f"{n} legs make", n * n, "pairs", algebra.POWER_EDGE_LIMIT)
+        raise TooLarge(over_limit(f"{n} legs make", n * n, "pairs", algebra.POWER_EDGE_LIMIT))
     for j, m in enumerate(g.mults):
         if m is OMEGA:
             tail = _shortest_path(g, g.dsts[j], g.vindex[v])

@@ -1,6 +1,6 @@
 import pytest
 
-from leavitt import corpus, graph
+from leavitt import corpus
 from leavitt.graph import (
     OMEGA,
     AdmissiblePair,
@@ -221,9 +221,8 @@ def test_all_hereditary_saturated():
     assert sorted(got, key=sorted) == sorted(brute, key=sorted)
 
 
-def test_all_hereditary_saturated_cap(monkeypatch):
+def test_all_hereditary_saturated_cap():
     g = Graph([f"x{i}" for i in range(20)])
-    monkeypatch.setattr(graph, "SUBSET_CAP", 15)
     with pytest.raises(TooLarge):
         all_hereditary_saturated(g)
 

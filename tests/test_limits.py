@@ -27,6 +27,16 @@ def _bundle(mult) -> Graph:
     return Graph(["u", "v"], [Bundle("a", "u", "v", mult)])
 
 
+def _three_bundles(mult) -> Graph:
+    """a: x -> v, b: y -> v of multiplicity mult, c: w -> x: 3 + mult
+    paths into v.  The b-paths join the listing after the last path of
+    their level is made, and c a one level on, so under a limit of
+    2 + mult only the check on each listed path refuses."""
+    return Graph(["v", "w", "x", "y"], [Bundle("a", "x", "v", 1),
+                                        Bundle("b", "y", "v", mult),
+                                        Bundle("c", "w", "x", 1)])
+
+
 # (row id, argv with a fixture name or a Graph in the graph's place,
 #  algebra constants lowered for the run, the stderr line after the prefix)
 CLI_REFUSALS = [
@@ -47,6 +57,8 @@ CLI_REFUSALS = [
     ("jordan-probe", ["check", _bundle(5), "--trials", "0"], {"TERM_LIMIT": 3},
      "power 2 of the witness's Jordan element holds 4 terms, over the limit of 3"),
     ("paths-into", ["check", _bundle(10 ** 30)], {},
+     "more than 100000 paths into 'v'"),
+    ("paths-into-listed", ["check", _three_bundles(99_998)], {},
      "more than 100000 paths into 'v'"),
     ("scalar-power", ["eval", "line3", "(2)^30000000 u1"], {},
      "a scalar power holds at least 30000000 bits, over the limit of 1000000"),
@@ -74,65 +86,91 @@ def test_cli_refusals_are_pinned(argv, limits, message, fmt, capsys, monkeypatch
     assert (code, out.out, out.err) == (2, "", f"resource limit: {message}\n")
 
 
-# (row id, a call no command makes, the message)
+# (row id, a call no command makes, oracle constants lowered for the call,
+#  the message)
 LIBRARY_REFUSALS = [
     ("omega-feeds",
-     lambda: oracle.enumerate_paths_ending_at(corpus.omega_gadget(), "h", 3),
+     lambda: oracle.enumerate_paths_ending_at(corpus.omega_gadget(), "h", 3), {},
      "omega bundle 'a' feeds paths into 'h'"),
+    ("paths-listed",
+     lambda: oracle.enumerate_paths_ending_at(_three_bundles(1), "v", 5),
+     {"PATH_LIMIT": 3},
+     "more than 3 paths into 'v'"),
     ("omega-on-a-path",
-     lambda: oracle.basis_monomials(corpus.omega_gadget(), 2),
+     lambda: oracle.basis_monomials(corpus.omega_gadget(), 2), {},
      "omega bundle 'a' on a path"),
     ("all-paths-pending",
-     lambda: oracle.basis_monomials(_bundle(200_001), 2),
+     lambda: oracle.basis_monomials(_bundle(200_001), 2), {},
      "more than 200000 paths"),
     ("all-paths-listed",
-     lambda: oracle.basis_monomials(Graph([f"x{i}" for i in range(200_001)]), 0),
+     lambda: oracle.basis_monomials(Graph([f"x{i}" for i in range(200_001)]), 0), {},
      "more than 200000 paths"),
     ("monomials",
-     lambda: oracle.basis_monomials(_bundle(448), 2),
+     lambda: oracle.basis_monomials(_bundle(448), 2), {},
      "more than 200000 monomials"),
     ("subset-cap",
-     lambda: all_hereditary_saturated(Graph([f"x{i}" for i in range(16)])),
+     lambda: all_hereditary_saturated(Graph([f"x{i}" for i in range(16)])), {},
      "16 vertices exceeds enumeration cap 15"),
 ]
 
 
-@pytest.mark.parametrize("call,message", [row[1:] for row in LIBRARY_REFUSALS],
+@pytest.mark.parametrize("call,limits,message", [row[1:] for row in LIBRARY_REFUSALS],
                          ids=[row[0] for row in LIBRARY_REFUSALS])
-def test_library_refusals_are_pinned(call, message):
+def test_library_refusals_are_pinned(call, limits, message, monkeypatch):
+    for name, value in limits.items():
+        monkeypatch.setattr(oracle, name, value)
     with pytest.raises(TooLarge) as err:
         call()
     assert str(err.value) == message
 
 
-def _raisers_of_too_large() -> set:
-    """module.function for every function under src/leavitt with a raise
-    of TooLarge in its own body, spelled as a bare name or an attribute."""
-    found = set()
+def _refusal_sites() -> tuple:
+    """Walk every module under src/leavitt.  Returns (worded, own, texts):
+    the module.function names with a ``raise TooLarge(over_limit(...))``,
+    those with any other raise of TooLarge (spelled as a bare name or an
+    attribute), and those whose string literals hold ", over the limit of"."""
+    worded, own, texts = set(), set(), set()
 
     def visit(node, module, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = node.name if scope is None else f"{scope}.{node.name}"
         elif isinstance(node, ast.Raise) and node.exc is not None:
-            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            call = node.exc if isinstance(node.exc, ast.Call) else None
+            exc = node.exc if call is None else call.func
             if (isinstance(exc, ast.Name) and exc.id == "TooLarge"
                     or isinstance(exc, ast.Attribute) and exc.attr == "TooLarge"):
-                found.add(f"{module}.{scope}")
+                arg = call.args[0] if call is not None and call.args else None
+                by_over_limit = (isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name)
+                                 and arg.func.id == "over_limit")
+                (worded if by_over_limit else own).add(f"{module}.{scope}")
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and ", over the limit of" in node.value):
+            texts.add(f"{module}.{scope}")
         for child in ast.iter_child_nodes(node):
             visit(child, module, scope)
 
     for path in pathlib.Path(leavitt.__file__).parent.glob("*.py"):
         visit(ast.parse(path.read_text()), path.stem, None)
-    return found
+    return worded, own, texts
 
 
 def test_refusals_live_in_one_function_and_the_no_amount_sites():
-    """Every refusal that states an amount goes through graph.over_limit;
-    the rest are the refusals that state none: the listing budgets and
-    omega listings of the oracle, the witness listing, the subset cap and
-    the digit limit."""
-    assert _raisers_of_too_large() == {
-        "graph.over_limit",
+    """Every refusal that states an amount raises TooLarge(over_limit(...)),
+    and over_limit alone holds its wording; the other raises of TooLarge
+    are the refusals that state none: the listing budgets and omega
+    listings of the oracle, the witness listing, the subset cap and the
+    digit limit."""
+    worded, own, texts = _refusal_sites()
+    assert worded == {
+        "algebra._normalize",
+        "algebra._limit_guard",
+        "algebra.matrix_units_exit",
+        "structure._exit_square_guard",
+        "structure._omega_family_units",
+        "oracle.cross_check_index",
+        "exprparse._eval",
+    }
+    assert own == {
         "graph.all_hereditary_saturated",
         "algebra.coefficient_text",
         "structure.witness_tree",
@@ -140,6 +178,7 @@ def test_refusals_live_in_one_function_and_the_no_amount_sites():
         "oracle._all_paths",
         "oracle.basis_monomials",
     }
+    assert texts == {"graph.over_limit"}
 
 
 def test_no_function_takes_a_per_call_limit():
