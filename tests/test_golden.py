@@ -8,10 +8,12 @@ deliberate output change prints the new table with
     PYTHONPATH=src python tests/test_golden.py
 
 to paste over the tables below, and records the change in CHANGES.md.
+``TRIALS_GOLDEN`` pins ``check --trials 300 --seed 7`` on every fixture,
+so a sampled stream that parts from the old one after trial 20 fails too.
 ``LONG_GOLDEN`` pins witness, index and check the same way on three built
 graphs whose witness legs are up to 60 edges long, and ``WIDE_GOLDEN`` pins
 JSON index, analyze and decompose on clock(1200), line(200) and the doubled
-line with k = 11.  The script prints all three tables, writing the built
+line with k = 11.  The script prints all four tables, writing the built
 graphs to a temporary directory.
 """
 
@@ -268,6 +270,53 @@ GOLDEN = {
 }
 
 
+# The sampled check at the trial count of the bench's sampling workload.
+TRIALS_COMMAND = ("check", "--trials", "300", "--seed", "7")
+
+
+def _trials_cases():
+    for name in NAMES:
+        for fmt in ("text", "json"):
+            yield name, fmt
+
+
+def _trials_argv(name: str, fmt: str) -> list:
+    cmd, *extra = TRIALS_COMMAND
+    return [cmd, str(FIXTURES / f"{name}.graph"), *extra, "--format", fmt]
+
+
+TRIALS_GOLDEN = {
+    ('clock3', 'text'): '6bc16af826bed912c5844aa371d2a74168b4fd1219f53ae12a3bc927a6f60a01 0',
+    ('clock3', 'json'): '74cd8fffbc6abd1e2fdd9c06e276a6b5598fcd373ea2ed2bd0f0c97832468ffc 0',
+    ('clock5', 'text'): '4ddce6ed7c4d5ddf8c46f937dd09c2d0239c95788bac861a27fdde69ae3a6a6b 0',
+    ('clock5', 'json'): 'eb650022b5830a667546abbb6faeefc8f5b04dd14ffefb60cf2d129b95371944 0',
+    ('graph_f', 'text'): '62d3814edac179fabf5718019f25adb0c2d540bf47e3a1f0f3fa310f78a2c6a3 0',
+    ('graph_f', 'json'): '8e55ab2678256160fba5ef030809527ac417bc2c4aa0c39398124ef3d1906a6c 0',
+    ('inverse_clock3', 'text'): 'dd242d1802fc06f5ee5a1757b5767c4f18085e4b33064520e08701b3e5ccd550 0',
+    ('inverse_clock3', 'json'): '8decb3aee3e11418d214d8bb14deb422c541e210ea08dec93d97668fd56bf9ff 0',
+    ('line1', 'text'): 'a450b40a72c4286334e7c0b0b2a2b7893ca3d9af23a8a7e1b8eb5561055266aa 0',
+    ('line1', 'json'): 'd43c712e1c6b36a6ce6c5b63dd59b9107303cca38199acc2dfecc22d1e36971d 0',
+    ('line2', 'text'): 'ccd692d3b1ed0024d754466dbcdc9b8c3b1fde8dba62d98dd8b087224b1013d7 0',
+    ('line2', 'json'): '5c587cb35db86de19bd8e7cfb36c747815f91fda164f952b456cda2157b65422 0',
+    ('line3', 'text'): 'a374ea4a367f3a78b264d6a0e9b9881148ca9293d73e254e209ed504c9624bde 0',
+    ('line3', 'json'): 'e156d24a561560c7718286a3a5893f8f0dc423caab40ba261d061e74bc40bc76 0',
+    ('line4', 'text'): '4c4d5e3013d899e1ce8e75cc54a5e402049cb51a0e0560ad37c4fba72a29747a 0',
+    ('line4', 'json'): 'e11324c0d096048b930a1ef20d8681ecfe2120f023f2928364d799bb04c3b320 0',
+    ('line5', 'text'): 'da89bb237dadd72387daa2c2623d8ae697a2f85b60951f71ced19249026709a7 0',
+    ('line5', 'json'): 'a7f22465c71536fcaa8092388064be5481ccf551f0ddb5a12347f748fd40ee0d 0',
+    ('line6', 'text'): '72d635c8adfdfe3ad6281fcf51e5e1e2e6ac81f4427c176987a1eb053eabbe24 0',
+    ('line6', 'json'): 'e20cd167b8744ec887d86957d1187b740823c39db08783599b1efeb1d4d1afa4 0',
+    ('loop_with_tail', 'text'): 'e83271cedbc4bf9b610be0ad21925dd283df6629c98e8810a7f7d163a11ea94e 0',
+    ('loop_with_tail', 'json'): '088ea3fe48aa69a1dc20af2d8aa9a083e426068ad9303436797a1d2aa64a1b72 0',
+    ('omega_gadget', 'text'): 'e7fefdeccba320e5410b730d6c17e81c18be3fcbc371b8527e35538b588f3a30 0',
+    ('omega_gadget', 'json'): 'f90c31c7f490420e49dcf0f348120bc7993181f08f9cc115d946f06c2fe5b3a3 0',
+    ('single_loop', 'text'): '5aa0606779ff141f6fe2c80f2cc177ad33f1b76d6adc86d1e0f05d6bd49081a2 0',
+    ('single_loop', 'json'): '29b8447a65a59b265bc61ac418dd59763fdf452405aceec60c9a474ca622c500 0',
+    ('two_loops', 'text'): '519ddf70866ba89bc374a58c33c8e0ec75d601adb0c519fb18ddac73aff577e1 0',
+    ('two_loops', 'json'): '050744f35dcd0b87719d28596e568b19aec616ffb00b0acebf28ee09fd24b35c 0',
+}
+
+
 # Graphs whose witness legs run to 60 edges, beyond the fixtures' 6.
 LONG_GRAPHS = {
     "tailed_cycle_40_20": lambda: tailed_cycle(40, 20),
@@ -388,6 +437,16 @@ def test_every_long_case_has_a_digest():
     assert set(LONG_GOLDEN) == set(_long_cases())
 
 
+@pytest.mark.parametrize("name,fmt", list(TRIALS_GOLDEN), ids=str)
+def test_long_sampled_check_bytes_are_golden(name, fmt):
+    assert _digest(_trials_argv(name, fmt)) == TRIALS_GOLDEN[name, fmt], \
+        f"{' '.join(TRIALS_COMMAND)} --format {fmt} on fixture {name}"
+
+
+def test_every_fixture_has_a_trials_digest():
+    assert set(TRIALS_GOLDEN) == set(_trials_cases())
+
+
 @pytest.mark.parametrize("name,command,fmt", list(_cases()),
                          ids=str)
 def test_output_bytes_are_golden(name, command, fmt):
@@ -408,6 +467,8 @@ def _print_table(title: str, digests) -> None:
 
 if __name__ == "__main__":
     _print_table("GOLDEN", ((case, _digest(_argv(*case))) for case in _cases()))
+    _print_table("TRIALS_GOLDEN", ((case, _digest(_trials_argv(*case)))
+                                   for case in _trials_cases()))
     with tempfile.TemporaryDirectory() as built:
         long_paths = _graph_files(pathlib.Path(built), LONG_GRAPHS)
         _print_table("LONG_GOLDEN", ((case, _digest(_long_argv(long_paths, *case)))
