@@ -275,19 +275,34 @@ def random_graph(spec: RandomSpec) -> Graph:
     return Graph(vertices, bundles)
 
 
-def walk_tables(g: Graph, seed) -> tuple:
-    """The tables :func:`_walk_stream` walks, and the generator it draws
-    with: ``(out, into, generator)``.  ``out`` and ``into`` map each
-    vertex int to ``(n, k, entries)``: its out-bundles or in-bundles, in
-    the order of ``g.out``/``g.into`` (ascending bundle ints, which is id
+_COEFFICIENTS = (-3, -2, -1, 1, 2, 3)
+
+
+def _walk_stream(g: Graph, seed, max_terms: int, max_path_len: int):
+    """The endless stream of random elements of g that
+    ``random.Random(seed)`` draws, each a list of raw (kernel key,
+    coefficient) pairs, not normalized: a key (base, p ids, q base, q ids)
+    joins a forward walk p from base and a backward walk q to p's end, a
+    path by construction.  The generator is made here and nowhere else,
+    so every element drawn continues its one stream.
+
+    The walk reads two tables, ``out`` and ``into``, that map each vertex
+    int to ``(n, k, entries)``: its out-bundles or in-bundles, in the
+    order of ``g.out``/``g.into`` (ascending bundle ints, which is id
     order), their count n and n's bit width k.  An entry is ``(other end,
     first, step, choices, width)``, the other end a vertex int and
     ``(first, step)`` read from the graph's kernel, so edge i of the
     bundle has the id ``first + i*step``; ``choices`` is the bundle's
     multiplicity, or 4 for an omega bundle (a walk takes one of its first
-    four edges), and ``width`` its bit width.  The generator is
-    ``random.Random(seed)``, seeded here and nowhere else: every element
-    drawn from these tables continues its one stream."""
+    four edges), and ``width`` its bit width.
+    A step chooses a bundle, then one of its edges.  Each draw from
+    range(n) is the stdlib's rejection rule of ``randint``, ``choice``
+    and ``randrange`` written out: ``r = getrandbits(k)`` again while
+    ``r >= n``, k = n.bit_length().
+    Raises ValueError at the call, before it builds anything, when
+    max_terms < 1 or max_path_len < 0."""
+    if max_terms < 1 or max_path_len < 0:
+        raise ValueError("need max_terms >= 1 and max_path_len >= 0")
     slots = algebra._kernel(g).first
 
     def entries(js, ends):
@@ -300,25 +315,8 @@ def walk_tables(g: Graph, seed) -> tuple:
 
     out = [entries(js, g.dsts) for js in g.out]
     into = [entries(js, g.srcs) for js in g.into]
-    return out, into, random.Random(seed)
-
-
-_COEFFICIENTS = (-3, -2, -1, 1, 2, 3)
-
-
-def _walk_stream(g: Graph, tables: tuple, max_terms: int, max_path_len: int):
-    """The endless stream of random elements of the tables' generator, each
-    a list of raw (kernel key, coefficient) pairs, not normalized: a key
-    (base, p ids, q base, q ids) joins a forward walk p from base and a
-    backward walk q to p's end, a path by construction.
-    A step chooses a bundle, then one of its edges (of the first four of
-    an omega bundle).  Each draw from range(n) is the stdlib's rejection
-    rule of ``randint``, ``choice`` and ``randrange`` written out:
-    ``r = getrandbits(k)`` again while ``r >= n``, k = n.bit_length().
-    Raises ValueError at the call when max_terms < 1 or max_path_len < 0."""
-    if max_terms < 1 or max_path_len < 0:
-        raise ValueError("need max_terms >= 1 and max_path_len >= 0")
-    return _walks(len(g.vertices), tables, max_terms, max_path_len)
+    return _walks(len(g.vertices), (out, into, random.Random(seed)),
+                  max_terms, max_path_len)
 
 
 def _walks(n_v: int, tables: tuple, max_terms: int, max_path_len: int):
@@ -379,25 +377,20 @@ def _walks(n_v: int, tables: tuple, max_terms: int, max_path_len: int):
         yield walks
 
 
-def _random_keys(g: Graph, tables: tuple, max_terms: int, max_path_len: int) -> list:
-    """Raw (kernel key, coefficient) pairs of the next :func:`_walk_stream` element."""
-    return next(_walk_stream(g, tables, max_terms, max_path_len))
-
-
 def random_raw_terms(g: Graph, spec: RandomSpec, max_terms: int = 4,
                      max_path_len: int = 3) -> list:
     """The raw terms of :func:`random_element` as (Monomial, coefficient)
     pairs, not normalized."""
     table = algebra._kernel(g)
     return [(algebra._monomial(g.vertices, table, key), k) for key, k in
-            _random_keys(g, walk_tables(g, spec.seed), max_terms, max_path_len)]
+            next(_walk_stream(g, spec.seed, max_terms, max_path_len))]
 
 
 def random_element(g: Graph, spec: RandomSpec, max_terms: int = 4,
                    max_path_len: int = 3) -> algebra.Element:
     """Reproducible random element in normal form: the first element of
     the stream that ``spec.seed`` seeds."""
-    raw = _random_keys(g, walk_tables(g, spec.seed), max_terms, max_path_len)
+    raw = next(_walk_stream(g, spec.seed, max_terms, max_path_len))
     return algebra.Element(g, algebra._normalize(algebra._kernel(g), raw))
 
 
@@ -630,10 +623,10 @@ def cross_check_index(g: Graph, trials: int = 500,
     counts under ``resource_limited``; the witness's probe raises
     ``TooLarge`` at either limit.
 
-    The trials draw from one stream: the generator of the walk tables,
-    seeded once with ``seed``, gives trial t's element as the next
-    element of its stream, so trial 0 is ``random_element`` with that
-    seed and a check seeds no generator per trial.
+    The trials draw from one stream: :func:`_walk_stream` with ``seed``
+    makes one generator, and trial t's element is the stream's next
+    element, so trial 0 is ``random_element`` with that seed and a check
+    seeds no generator per trial.
 
     An element whose block trace (``structure.block_trace``) is nonzero is
     not nilpotent, and gets ``NotNilpotentWithin(bound)`` with no probe.
@@ -663,7 +656,7 @@ def cross_check_index(g: Graph, trials: int = 500,
     limited = 0
     empirical = 0
     table = algebra._kernel(g)
-    stream = _walk_stream(g, walk_tables(g, seed), _TRIAL_TERMS, _TRIAL_PATH_LEN)
+    stream = _walk_stream(g, seed, _TRIAL_TERMS, _TRIAL_PATH_LEN)
     traces = settle = None
     if structure.trace_settles(g, bound, 2 * _TRIAL_PATH_LEN):
         traces = structure.trace_tables(g)

@@ -757,7 +757,7 @@ def _raw_lists(g, seed):
     deep) mixed in among them, and lists that cancel to zero."""
     table = algebra._kernel(g)
     rng = random.Random(seed)
-    drawn = oracle._random_keys(g, oracle.walk_tables(g, seed), 6, 4)
+    drawn = next(oracle._walk_stream(g, seed, 6, 4))
     once = [_grown(g, key) for key, _ in drawn]
     twice = [_grown(g, key) for key in once if key is not None]
     rewriting = [(key, rng.choice([-2, -1, 1, 3]))
@@ -1416,10 +1416,10 @@ def _stream_elements(g, trials, seed):
     """The elements of a check's trials: each the next element drawn from
     the one stream of ``random.Random(seed)``, built as Monomials and
     normalized by the public ``normal_form``."""
-    tables, table = oracle.walk_tables(g, seed), algebra._kernel(g)
-    for _ in range(trials):
-        yield normal_form(g, [(algebra._monomial(g.vertices, table, key), k) for key, k
-                              in oracle._random_keys(g, tables, 4, 3)])
+    table = algebra._kernel(g)
+    for _, raw in zip(range(trials), oracle._walk_stream(g, seed, 4, 3)):
+        yield normal_form(g, [(algebra._monomial(g.vertices, table, key), k)
+                              for key, k in raw])
 
 
 def _cross_check_unmemoised(g, trials, seed):
@@ -1663,9 +1663,7 @@ def test_block_trace_reads_raw_draws():
     settled = rewritten = 0
     for i, g in enumerate(graphs):
         table, traces = algebra._kernel(g), structure.trace_tables(g)
-        tables = oracle.walk_tables(g, i)
-        for s in range(200):
-            raw = oracle._random_keys(g, tables, 4, 3)
+        for s, raw in zip(range(200), oracle._walk_stream(g, i, 4, 3)):
             terms = algebra._normalize(table, raw)
             tau = structure.block_trace(traces, raw)
             assert tau == structure.block_trace(traces, terms.items()), (i, s)

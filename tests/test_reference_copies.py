@@ -14,8 +14,9 @@ every input, read back through the vertex names.  So must
 text-mode read it replaces.
 
 ``oracle._walk_stream`` yields each sampled element as raw kernel keys
-from an endless generator that walks p and q in two loops written out;
-the copy here is one call per element that walks both in one loop.  Both
+from an endless generator that walks p and q in two loops written out,
+over tables and a generator it makes itself; the copy here is one call
+per element that walks both in one loop, over tables built here.  Both
 must give the same keys from the same ``getrandbits`` calls.
 
 The record types (``graph.Record`` subclasses) are plain classes; each has
@@ -33,6 +34,7 @@ import random
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -927,6 +929,28 @@ def test_matrix_units_walk_their_legs_once(monkeypatch):
 _COEFFICIENTS = (-3, -2, -1, 1, 2, 3)
 
 
+def _reference_walk_tables(g: Graph) -> tuple:
+    """The walk tables ``(out, into)``: per vertex int, ``(n, k, entries)``
+    for its bundles in ``g.out``/``g.into`` order, with n their count and
+    k its bit width, and an entry ``(other end, first, step, choices,
+    width)`` that takes ``(first, step)`` from the kernel, ``choices`` from
+    the bundle's multiplicity (4, its first four edges, for omega) and
+    ``width`` as choices' bit width."""
+    first = algebra._kernel(g).first
+    tables = []
+    for lists, ends in ((g.out, g.dsts), (g.into, g.srcs)):
+        rows = []
+        for js in lists:
+            entries = []
+            for j in js:
+                choices = 4 if g.mults[j] is OMEGA else g.mults[j]
+                entries.append((ends[j], first[j][0], first[j][1], choices,
+                                choices.bit_length()))
+            rows.append((len(entries), len(entries).bit_length(), tuple(entries)))
+        tables.append(rows)
+    return tuple(tables)
+
+
 def _reference_random_keys(g: Graph, tables: tuple, max_terms: int,
                            max_path_len: int) -> list:
     """The draw of one element as raw (kernel key, coefficient) pairs, vertex
@@ -1001,36 +1025,53 @@ def _draw_graphs() -> list:
     return graphs + [Graph([], [])]
 
 
+def _recording_generators(monkeypatch) -> list:
+    """A list that gains each generator ``oracle`` makes through
+    ``random.Random`` from here on, each a _RecordingRandom."""
+    made = []
+
+    def making(seed):
+        made.append(_RecordingRandom(seed))
+        return made[-1]
+
+    monkeypatch.setattr(oracle, "random", SimpleNamespace(Random=making))
+    return made
+
+
 @pytest.mark.parametrize("max_terms,max_path_len", [(4, 3), (6, 4), (1, 0)])
-def test_walk_stream_draws_as_the_reference(max_terms, max_path_len):
+def test_walk_stream_draws_as_the_reference(max_terms, max_path_len, monkeypatch):
     """Trial for trial, the walk stream gives the reference's (key,
     coefficient) pairs from the same getrandbits calls, (k, r) in the
-    same order: 30 trials of one stream on each fixture, and on 200
-    random graphs with multiplicities up to 3, without and with omega
-    bundles, and on the empty graph."""
+    same order, and makes exactly one generator: 30 trials of one stream
+    on each fixture, and on 200 random graphs with multiplicities up to
+    3, without and with omega bundles, and on the empty graph."""
     omega = 0
-    for i, g in enumerate(_draw_graphs()):
-        out, into, _ = oracle.walk_tables(g, i)
-        ours, theirs = _RecordingRandom(i), _RecordingRandom(i)
-        stream = oracle._walk_stream(g, (out, into, ours), max_terms, max_path_len)
-        reference = (out, into, theirs)
+    graphs = _draw_graphs()
+    made = _recording_generators(monkeypatch)
+    for i, g in enumerate(graphs):
+        stream = oracle._walk_stream(g, i, max_terms, max_path_len)
+        assert len(made) == i + 1, i
+        ours, theirs = made[i], _RecordingRandom(i)
+        reference = _reference_walk_tables(g) + (theirs,)
         for t in range(30):
             assert next(stream) == \
                 _reference_random_keys(g, reference, max_terms, max_path_len), (i, t)
             assert ours.draws == theirs.draws, (i, t)
+        assert len(made) == i + 1, i
         omega += any(m is OMEGA for m in g.mults)
     assert omega > 50
 
 
-def test_walk_stream_refuses_empty_ranges_at_the_call():
-    """ValueError from the call itself, before any element is drawn, as
-    the reference raises it."""
+def test_walk_stream_refuses_empty_ranges_at_the_call(monkeypatch):
+    """ValueError from the call itself, before any generator is made or
+    any element drawn, as the reference raises it."""
     g = corpus.line(3)
+    made = _recording_generators(monkeypatch)
     for max_terms, max_path_len in [(0, 3), (-2, 3), (4, -1), (0, -1)]:
         rng = _RecordingRandom(1)
-        tables = oracle.walk_tables(g, 1)[:2] + (rng,)
         with pytest.raises(ValueError):
-            oracle._walk_stream(g, tables, max_terms, max_path_len)
+            oracle._walk_stream(g, 1, max_terms, max_path_len)
         with pytest.raises(ValueError):
-            _reference_random_keys(g, tables, max_terms, max_path_len)
-        assert rng.draws == []
+            _reference_random_keys(g, _reference_walk_tables(g) + (rng,),
+                                   max_terms, max_path_len)
+        assert rng.draws == [] and made == []
