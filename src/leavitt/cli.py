@@ -282,7 +282,7 @@ def _cmd_analyze(args) -> int:
         "vertices": list(g.vertices),
         "bundles": len(g.ids),
         "sinks": g.sinks(),
-        "infinite_emitters": [v for v in g.vertices if g.out_degree(v) is OMEGA],
+        "infinite_emitters": [v for v, d in zip(g.vertices, g.deg) if d is OMEGA],
     }
     try:
         payload["cycles"] = cycles(g)

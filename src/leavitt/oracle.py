@@ -278,13 +278,19 @@ def random_graph(spec: RandomSpec) -> Graph:
 _COEFFICIENTS = (-3, -2, -1, 1, 2, 3)
 
 
-def _walk_stream(g: Graph, seed, max_terms: int, max_path_len: int):
+TRIAL_TERMS = 4  # the most monomials of a sampled element
+TRIAL_PATH_LEN = 3  # the most edges of each walk of a sampled monomial
+
+
+def _walk_stream(g: Graph, seed):
     """The endless stream of random elements of g that
     ``random.Random(seed)`` draws, each a list of raw (kernel key,
     coefficient) pairs, not normalized: a key (base, p ids, q base, q ids)
     joins a forward walk p from base and a backward walk q to p's end, a
-    path by construction.  The generator is made here and nowhere else,
-    so every element drawn continues its one stream.
+    path by construction.  An element has 1 to TRIAL_TERMS terms and each
+    walk 0 to TRIAL_PATH_LEN edges, both read on the first draw, when the
+    tables and the generator are made; the generator is made here and
+    nowhere else, so every element drawn continues its one stream.
 
     The walk reads two tables, ``out`` and ``into``, that map each vertex
     int to ``(n, k, entries)``: its out-bundles or in-bundles, in the
@@ -298,11 +304,7 @@ def _walk_stream(g: Graph, seed, max_terms: int, max_path_len: int):
     A step chooses a bundle, then one of its edges.  Each draw from
     range(n) is the stdlib's rejection rule of ``randint``, ``choice``
     and ``randrange`` written out: ``r = getrandbits(k)`` again while
-    ``r >= n``, k = n.bit_length().
-    Raises ValueError at the call, before it builds anything, when
-    max_terms < 1 or max_path_len < 0."""
-    if max_terms < 1 or max_path_len < 0:
-        raise ValueError("need max_terms >= 1 and max_path_len >= 0")
+    ``r >= n``, k = n.bit_length()."""
     slots = algebra._kernel(g).first
 
     def entries(js, ends):
@@ -315,23 +317,19 @@ def _walk_stream(g: Graph, seed, max_terms: int, max_path_len: int):
 
     out = [entries(js, g.dsts) for js in g.out]
     into = [entries(js, g.srcs) for js in g.into]
-    return _walks(len(g.vertices), (out, into, random.Random(seed)),
-                  max_terms, max_path_len)
-
-
-def _walks(n_v: int, tables: tuple, max_terms: int, max_path_len: int):
-    out, into, rng = tables
-    bits = rng.getrandbits
+    bits = random.Random(seed).getrandbits
+    n_v = len(g.vertices)
     k_v = n_v.bit_length()
-    n_len = max_path_len + 1
+    n_terms = TRIAL_TERMS
+    k_terms = n_terms.bit_length()
+    n_len = TRIAL_PATH_LEN + 1
     k_len = n_len.bit_length()
-    k_terms = max_terms.bit_length()
     while not n_v:
         yield []
     while True:
         walks = []
         r = bits(k_terms)
-        while r >= max_terms:
+        while r >= n_terms:
             r = bits(k_terms)
         for _ in range(r + 1):
             r = bits(k_v)
@@ -377,20 +375,19 @@ def _walks(n_v: int, tables: tuple, max_terms: int, max_path_len: int):
         yield walks
 
 
-def random_raw_terms(g: Graph, spec: RandomSpec, max_terms: int = 4,
-                     max_path_len: int = 3) -> list:
+def random_raw_terms(g: Graph, spec: RandomSpec) -> list:
     """The raw terms of :func:`random_element` as (Monomial, coefficient)
     pairs, not normalized."""
     table = algebra._kernel(g)
     return [(algebra._monomial(g.vertices, table, key), k) for key, k in
-            next(_walk_stream(g, spec.seed, max_terms, max_path_len))]
+            next(_walk_stream(g, spec.seed))]
 
 
-def random_element(g: Graph, spec: RandomSpec, max_terms: int = 4,
-                   max_path_len: int = 3) -> algebra.Element:
+def random_element(g: Graph, spec: RandomSpec) -> algebra.Element:
     """Reproducible random element in normal form: the first element of
-    the stream that ``spec.seed`` seeds."""
-    raw = next(_walk_stream(g, spec.seed, max_terms, max_path_len))
+    the stream that ``spec.seed`` seeds, so trial 0 of a check with that
+    seed."""
+    raw = next(_walk_stream(g, spec.seed))
     return algebra.Element(g, algebra._normalize(algebra._kernel(g), raw))
 
 
@@ -597,10 +594,6 @@ class CrossCheckReport(Record):
     violations: tuple
 
 
-_TRIAL_TERMS = 4  # the most monomials of a sampled trial's element
-_TRIAL_PATH_LEN = 3  # the longest walk of a sampled trial's monomials
-
-
 def _scalar_class(terms: dict) -> frozenset:
     """An int term map up to a nonzero scalar: its items with the
     coefficients divided by their gcd, and signed so that the least key's
@@ -613,8 +606,7 @@ def _scalar_class(terms: dict) -> frozenset:
     return frozenset(terms.items() if d == 1 else [(key, k // d) for key, k in terms.items()])
 
 
-def cross_check_index(g: Graph, trials: int = 500,
-                      seed: int = 0) -> CrossCheckReport:
+def cross_check_index(g: Graph, trials: int, seed: int) -> CrossCheckReport:
     """Sample random elements of a bounded-index algebra and confirm no
     nilpotent element exceeds the reported bound n, probing each to
     ``probe_bound`` = n + 3 powers; also build the witness and confirm it
@@ -631,8 +623,9 @@ def cross_check_index(g: Graph, trials: int = 500,
     An element whose block trace (``structure.block_trace``) is nonzero is
     not nilpotent, and gets ``NotNilpotentWithin(bound)`` with no probe.
     This runs only when ``structure.trace_settles`` finds that no power
-    the probe could form can pass a limit, so the probe would give that
-    verdict too, and the report is the probe's in every case.  The trace
+    the probe could form can pass a limit, for keys of at most
+    2 * TRIAL_PATH_LEN edges (a trial's p and q walks), so the probe would
+    give that verdict too, and the report is the probe's in every case.  The trace
     is read off the trial's raw keys (:func:`_walk_stream`), before any
     normalization (tau is linear, and its rule for a key needs no normal
     form), so a settled trial builds no term map or Element.
@@ -656,9 +649,9 @@ def cross_check_index(g: Graph, trials: int = 500,
     limited = 0
     empirical = 0
     table = algebra._kernel(g)
-    stream = _walk_stream(g, seed, _TRIAL_TERMS, _TRIAL_PATH_LEN)
+    stream = _walk_stream(g, seed)
     traces = settle = None
-    if structure.trace_settles(g, bound, 2 * _TRIAL_PATH_LEN):
+    if structure.trace_settles(g, bound, 2 * TRIAL_PATH_LEN):
         traces = structure.trace_tables(g)
 
         def settle(z):

@@ -243,7 +243,7 @@ def test_cross_check_single_vertex():
 
 def test_cross_check_requires_bounded():
     with pytest.raises(PreconditionUnbounded):
-        cross_check_index(corpus.graph_f(), trials=5)
+        cross_check_index(corpus.graph_f(), trials=5, seed=0)
 
 
 def test_dp_agreement_on_random_graphs():
@@ -757,7 +757,10 @@ def _raw_lists(g, seed):
     deep) mixed in among them, and lists that cancel to zero."""
     table = algebra._kernel(g)
     rng = random.Random(seed)
-    drawn = next(oracle._walk_stream(g, seed, 6, 4))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "TRIAL_TERMS", 6)
+        mp.setattr(oracle, "TRIAL_PATH_LEN", 4)
+        drawn = next(oracle._walk_stream(g, seed))
     once = [_grown(g, key) for key, _ in drawn]
     twice = [_grown(g, key) for key in once if key is not None]
     rewriting = [(key, rng.choice([-2, -1, 1, 3]))
@@ -978,7 +981,7 @@ def _path_variants(g: Graph, p: Path, rng: random.Random) -> dict:
 
 
 @pytest.mark.parametrize("omega", [None, Fraction(0), Fraction(1, 4)])
-def test_path_key_matches_the_check_then_number_rule(omega):
+def test_path_key_matches_the_check_then_number_rule(omega, monkeypatch):
     """algebra._path_key accepts and refuses the paths the separate check
     and numbering did, with the same ids and range, on valid paths and on
     their corruptions: the 14 fixtures (omega None) or 300 seeded random
@@ -990,9 +993,11 @@ def test_path_key_matches_the_check_then_number_rule(omega):
                   for seed in range(300)]
     rng = random.Random(15)
     seen = {True: set(), False: set()}
+    monkeypatch.setattr(oracle, "TRIAL_TERMS", 6)
+    monkeypatch.setattr(oracle, "TRIAL_PATH_LEN", 5)
     for name, g in graphs:
         paths = {path for seed in range(3) for m, _ in random_raw_terms(
-            g, RandomSpec(seed=seed), 6, 5) for path in (m.p, m.q)}
+            g, RandomSpec(seed=seed)) for path in (m.p, m.q)}
         for p in sorted(paths, key=repr):
             for kind, q in _path_variants(g, p, rng).items():
                 expected = _path_key_reference(g, q)
@@ -1370,38 +1375,6 @@ def test_sampling_pins_cover_every_bounded_fixture():
 
 # -- the sampled trial loop ------------------------------------------------------
 
-@pytest.mark.parametrize("draw", [random_element, random_raw_terms])
-@pytest.mark.parametrize("kwargs", [{"max_terms": 0}, {"max_terms": -2},
-                                    {"max_path_len": -1}, {"max_path_len": -5},
-                                    {"max_terms": 0, "max_path_len": -1}])
-def test_random_draws_refuse_empty_ranges(draw, kwargs, monkeypatch):
-    """As randint did.  A rejection draw from an empty range never ends
-    (getrandbits(0) is 0 forever, and any draw is at least a negative
-    bound); here one fails the test instead of hanging it.  A draw with
-    the default ranges then shows that the draws reach the patched
-    generator."""
-    made = []
-
-    class NoEmptyDraws(random.Random):
-        calls = 0
-
-        def __init__(self, *args):
-            made.append(self)
-            super().__init__(*args)
-
-        def getrandbits(self, k):
-            self.calls += 1
-            assert k > 0 and self.calls < 10_000, "a draw from an empty range"
-            return super().getrandbits(k)
-
-    monkeypatch.setattr(oracle.random, "Random", NoEmptyDraws)
-    for g in (corpus.line(3), corpus.single_loop(), corpus.omega_gadget()):
-        with pytest.raises(ValueError):
-            draw(g, RandomSpec(seed=3), **kwargs)
-        draw(g, RandomSpec(seed=3))  # draws through the patched generator
-    assert sum(m.calls for m in made) > 0
-
-
 def test_str_seed_draws_as_random_random_seeds_it():
     """Int seeds go straight to the C seed; a str seed still takes the
     int that random.Random derives from it (its bytes, then their
@@ -1417,7 +1390,7 @@ def _stream_elements(g, trials, seed):
     the one stream of ``random.Random(seed)``, built as Monomials and
     normalized by the public ``normal_form``."""
     table = algebra._kernel(g)
-    for _, raw in zip(range(trials), oracle._walk_stream(g, seed, 4, 3)):
+    for _, raw in zip(range(trials), oracle._walk_stream(g, seed)):
         yield normal_form(g, [(algebra._monomial(g.vertices, table, key), k)
                               for key, k in raw])
 
@@ -1531,6 +1504,57 @@ def test_first_trial_is_the_seeds_random_element():
         for seed in (0, 7, 12345):
             assert next(_stream_elements(g, 1, seed)) == \
                 random_element(g, RandomSpec(seed=seed))
+
+
+def test_trial_shape_is_read_from_its_two_constants(monkeypatch):
+    """oracle.TRIAL_TERMS and oracle.TRIAL_PATH_LEN are the one home of a
+    trial's shape, read at run time: under TRIAL_PATH_LEN = 2 the check
+    hands structure.trace_settles a width of 4 and no walk of its stream,
+    of random_raw_terms or of random_element holds more than 2 edges;
+    under TRIAL_TERMS = 1 every draw has exactly one term.  Both bounds
+    are reached, and random_element is the normal form of
+    random_raw_terms' draw, so a copy of either value kept by the stream,
+    random_element or the guard fails."""
+    widths, drawn = [], []
+    settles, stream = structure.trace_settles, oracle._walk_stream
+
+    def spying(g, bound, width):
+        widths.append(width)
+        return settles(g, bound, width)
+
+    def recording(g, seed):
+        for raw in stream(g, seed):
+            drawn.append([(len(p), len(q)) for (_, p, _, q), _ in raw])
+            yield raw
+
+    monkeypatch.setattr(structure, "trace_settles", spying)
+    monkeypatch.setattr(oracle, "_walk_stream", recording)
+    graphs = [corpus.line(6), corpus.clock(3), doubled_line(4), tailed_cycle(2, 3)]
+
+    def draw_all():
+        widths.clear()
+        drawn.clear()
+        for g in graphs:
+            for seed in range(5):
+                cross_check_index(g, trials=40, seed=seed)
+                raw = random_raw_terms(g, RandomSpec(seed=seed))
+                a = random_element(g, RandomSpec(seed=seed))
+                assert a == normal_form(g, raw), seed
+                assert all(len(m.p.edges) <= oracle.TRIAL_PATH_LEN and
+                           len(m.q.edges) <= oracle.TRIAL_PATH_LEN for m, _ in a.terms())
+        assert len(drawn) == len(graphs) * 5 * (40 + 2)
+        return [n for lengths in drawn for pair in lengths for n in pair], \
+            [len(lengths) for lengths in drawn]
+
+    monkeypatch.setattr(oracle, "TRIAL_PATH_LEN", 2)
+    walks, terms = draw_all()
+    assert widths == [4] * len(graphs) * 5
+    assert max(walks) == 2 and max(terms) == 4
+    monkeypatch.setattr(oracle, "TRIAL_PATH_LEN", 3)
+    monkeypatch.setattr(oracle, "TRIAL_TERMS", 1)
+    walks, terms = draw_all()
+    assert widths == [6] * len(graphs) * 5
+    assert max(walks) == 3 and set(terms) == {1}
 
 
 def test_negative_seed_draws_the_trials_of_its_absolute_value(capsys):
@@ -1663,7 +1687,7 @@ def test_block_trace_reads_raw_draws():
     settled = rewritten = 0
     for i, g in enumerate(graphs):
         table, traces = algebra._kernel(g), structure.trace_tables(g)
-        for s, raw in zip(range(200), oracle._walk_stream(g, i, 4, 3)):
+        for s, raw in zip(range(200), oracle._walk_stream(g, i)):
             terms = algebra._normalize(table, raw)
             tau = structure.block_trace(traces, raw)
             assert tau == structure.block_trace(traces, terms.items()), (i, s)

@@ -955,8 +955,6 @@ def _reference_random_keys(g: Graph, tables: tuple, max_terms: int,
                            max_path_len: int) -> list:
     """The draw of one element as raw (kernel key, coefficient) pairs, vertex
     ints for bases, as one function that built the keys as it walked."""
-    if max_terms < 1 or max_path_len < 0:
-        raise ValueError("need max_terms >= 1 and max_path_len >= 0")
     out, into, rng = tables
     raw = []
     if not g.vertices:
@@ -1042,36 +1040,24 @@ def _recording_generators(monkeypatch) -> list:
 def test_walk_stream_draws_as_the_reference(max_terms, max_path_len, monkeypatch):
     """Trial for trial, the walk stream gives the reference's (key,
     coefficient) pairs from the same getrandbits calls, (k, r) in the
-    same order, and makes exactly one generator: 30 trials of one stream
-    on each fixture, and on 200 random graphs with multiplicities up to
-    3, without and with omega bundles, and on the empty graph."""
+    same order, under the shape set in ``oracle.TRIAL_TERMS`` and
+    ``oracle.TRIAL_PATH_LEN``, and makes exactly one generator, on its
+    first draw: 30 trials of one stream on each fixture, and on 200 random
+    graphs with multiplicities up to 3, without and with omega bundles,
+    and on the empty graph."""
     omega = 0
     graphs = _draw_graphs()
     made = _recording_generators(monkeypatch)
+    monkeypatch.setattr(oracle, "TRIAL_TERMS", max_terms)
+    monkeypatch.setattr(oracle, "TRIAL_PATH_LEN", max_path_len)
     for i, g in enumerate(graphs):
-        stream = oracle._walk_stream(g, i, max_terms, max_path_len)
-        assert len(made) == i + 1, i
-        ours, theirs = made[i], _RecordingRandom(i)
+        stream = oracle._walk_stream(g, i)
+        theirs = _RecordingRandom(i)
         reference = _reference_walk_tables(g) + (theirs,)
         for t in range(30):
             assert next(stream) == \
                 _reference_random_keys(g, reference, max_terms, max_path_len), (i, t)
-            assert ours.draws == theirs.draws, (i, t)
-        assert len(made) == i + 1, i
+            assert len(made) == i + 1, (i, t)
+            assert made[i].draws == theirs.draws, (i, t)
         omega += any(m is OMEGA for m in g.mults)
     assert omega > 50
-
-
-def test_walk_stream_refuses_empty_ranges_at_the_call(monkeypatch):
-    """ValueError from the call itself, before any generator is made or
-    any element drawn, as the reference raises it."""
-    g = corpus.line(3)
-    made = _recording_generators(monkeypatch)
-    for max_terms, max_path_len in [(0, 3), (-2, 3), (4, -1), (0, -1)]:
-        rng = _RecordingRandom(1)
-        with pytest.raises(ValueError):
-            oracle._walk_stream(g, 1, max_terms, max_path_len)
-        with pytest.raises(ValueError):
-            _reference_random_keys(g, _reference_walk_tables(g) + (rng,),
-                                   max_terms, max_path_len)
-        assert rng.draws == [] and made == []
