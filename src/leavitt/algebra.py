@@ -68,10 +68,6 @@ class GraphMismatch(LeavittError):
     pass
 
 
-class NotABreakingVertex(LeavittError):
-    pass
-
-
 class NotAnExit(LeavittError):
     pass
 
@@ -657,24 +653,6 @@ def _limit_guard(terms: dict, k: int, width: int, probe: bool) -> None:
         edges = sum(len(key[1]) + len(key[3]) for key in terms)
         if edges > POWER_EDGE_LIMIT:
             raise TooLarge(over_limit("a power holds", edges, "edges", POWER_EDGE_LIMIT))
-
-
-# -- distinguished idempotents --------------------------------------------------
-
-def breaking_vertex_element(g: Graph, H, v: str) -> Element:
-    """The idempotent of a breaking vertex: v minus the projections of its
-    finitely many edges landing outside H."""
-    from .graph import breaking_vertices
-    if v not in breaking_vertices(g, H):
-        raise NotABreakingVertex(f"{v!r} is not a breaking vertex of H")
-    out = vertex_element(g, v)
-    for j in g.out[g.vindex[v]]:
-        if g.vertices[g.dsts[j]] in H:
-            continue
-        for i in range(g.mults[j]):
-            p = Path(v, (EdgeRef(g.ids[j], i),))
-            out = out - monomial(g, p, p)
-    return out
 
 
 # -- matrix units ----------------------------------------------------------------

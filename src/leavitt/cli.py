@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import gc
-import json
 import sys
 from itertools import groupby
 from json.encoder import encode_basestring_ascii as _quote
@@ -82,12 +81,6 @@ def _dict_form(key: tuple) -> tuple:
 _BATCH = 1 << 16
 
 
-def _dumps(obj) -> str:
-    """The bytes of the stdlib's ``json.dumps(obj, indent=2,
-    sort_keys=True)``; see :func:`_json_chunks`."""
-    return "".join(_json_chunks(obj))
-
-
 def _json_chunks(obj, end: str = ""):
     """Yield the stdlib's sorted-key dump of obj at indent 2, then end, as
     strings of at least _BATCH characters (the last may be shorter), in
@@ -106,7 +99,8 @@ def _json_chunks(obj, end: str = ""):
     ``{"edges": [...]}`` and a TargetCount ``{"count": ..., "kind":
     "sink", "vertex": ...}`` or ``{"count": ..., "cycle": ..., "kind":
     "cycle"}``.  A PathTree prints as its list of paths (see
-    :func:`_tree_pieces`).  Any other type falls back to ``json.dumps``.
+    :func:`_tree_pieces`).  The table holds these twelve types and no
+    other.
 
     The generator walks only the outer containers: the top value, and the
     nonempty dicts, lists, tuples and path trees reached from it through
@@ -158,8 +152,7 @@ def _json_chunks(obj, end: str = ""):
         return f"[{inner}{(',' + inner).join(items)}{indent}]"
 
     # type -> f(value, indent: a newline and spaces) -> the value's text
-    kinds = _Memo(lambda t: lambda o, indent: json.dumps(o))  # any other type
-    kinds.update({
+    kinds = {
         str: lambda o, indent: _quote(o),
         int: lambda o, indent: algebra.coefficient_text(o),
         bool: lambda o, indent: "true" if o else "false",
@@ -172,7 +165,7 @@ def _json_chunks(obj, end: str = ""):
         Path: path,
         Cycle: cycle,
         structure.TargetCount: target_count,
-    })
+    }
     streamed = (dict, list, tuple, structure.PathTree)
     out, size = [], 0
 

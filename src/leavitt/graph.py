@@ -458,7 +458,7 @@ def validate(g: Graph) -> list:
         for end, v in (("src", g.srcs[j]), ("dst", g.dsts[j])):
             if v >= declared:
                 violations.append(f"bundle {bid!r}: {end} {names[v]!r} is not a declared vertex")
-        if m is not OMEGA and (not isinstance(m, int) or m < 1):
+        if m is not OMEGA and (type(m) is not int or m < 1):
             violations.append(f"bundle {bid!r}: multiplicity must be a positive integer or omega")
     return violations
 

@@ -29,6 +29,7 @@ from .graph import (
     Cycle,
     EdgeRef,
     Graph,
+    LeavittError,
     Path,
     Record,
     TooLarge,
@@ -245,6 +246,19 @@ def basis_monomials(g: Graph, length_cap: int) -> list:
                     raise TooLarge(f"more than {BASIS_LIMIT} monomials")
     out.sort(key=algebra._mono_key)
     return out
+
+
+class LaurentFactorPresent(LeavittError):
+    pass
+
+
+def acyclic_dimension(d: structure.Decomposition) -> int:
+    """Total dimension sum of t^2 over the factors; defined only when all
+    factors are over K."""
+    for f in d.factors:
+        if f.base != structure.BASE_K:
+            raise LaurentFactorPresent(f"factor M_{f.size}({f.base})")
+    return sum(f.size ** 2 for f in d.factors)
 
 
 # -- random generation ---------------------------------------------------------
@@ -545,6 +559,25 @@ def hereditary_saturated_closure_exhaustive(g: Graph, X) -> frozenset:
         if is_hereditary_saturated(g, Y):
             H &= Y
     return H
+
+
+class NotABreakingVertex(LeavittError):
+    pass
+
+
+def breaking_vertex_element(g: Graph, H, v: str) -> algebra.Element:
+    """The idempotent of a breaking vertex: v minus the projections of its
+    finitely many edges landing outside H."""
+    if v not in breaking_vertices(g, H):
+        raise NotABreakingVertex(f"{v!r} is not a breaking vertex of H")
+    out = algebra.vertex_element(g, v)
+    for j in g.out[g.vindex[v]]:
+        if g.vertices[g.dsts[j]] in H:
+            continue
+        for i in range(g.mults[j]):
+            p = Path(v, (EdgeRef(g.ids[j], i),))
+            out = out - algebra.monomial(g, p, p)
+    return out
 
 
 def classify_quotient(q: Graph):

@@ -60,10 +60,6 @@ class NotRowFinite(LeavittError):
     pass
 
 
-class LaurentFactorPresent(LeavittError):
-    pass
-
-
 # -- index report -------------------------------------------------------------
 
 class OmegaPathFamily(Record):
@@ -441,16 +437,24 @@ def _omega_family_units(g: Graph, v: str, n: int):
 
 
 def _shortest_path(g: Graph, u: int, v: int) -> tuple | None:
-    """The edges of a shortest path u -> v, vertex ints, by breadth-first search, or None."""
-    best = {u: ()}
+    """The edges of a shortest path u -> v, vertex ints, by breadth-first
+    search, or None.  Each vertex reached keeps the bundle that reached it
+    first, and the path is read back from v."""
+    parent = {u: None}
     queue = deque([u])
-    while queue and v not in best:
+    while queue and v not in parent:
         at = queue.popleft()
         for j in g.out[at]:
-            if g.dsts[j] not in best:
-                best[g.dsts[j]] = best[at] + (EdgeRef(g.ids[j], 0),)
+            if g.dsts[j] not in parent:
+                parent[g.dsts[j]] = j
                 queue.append(g.dsts[j])
-    return best.get(v)
+    if v not in parent:
+        return None
+    edges = []
+    while (j := parent[v]) is not None:
+        edges.append(EdgeRef(g.ids[j], 0))
+        v = g.srcs[j]
+    return tuple(reversed(edges))
 
 
 # -- matrix rings ---------------------------------------------------------------
@@ -536,12 +540,3 @@ def decompose(g: Graph) -> Decomposition:
     pairs = sorted((cnt, ring) for _, _, cnt, ring in rows)
     made = {pair: Factor(*pair) for pair in set(pairs)}
     return Decomposition(tuple(made[pair] for pair in pairs))
-
-
-def acyclic_dimension(d: Decomposition) -> int:
-    """Total dimension sum of t^2 over the factors; defined only when all
-    factors are over K."""
-    for f in d.factors:
-        if f.base != BASE_K:
-            raise LaurentFactorPresent(f"factor M_{f.size}({f.base})")
-    return sum(f.size ** 2 for f in d.factors)

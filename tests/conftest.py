@@ -1,11 +1,8 @@
-import pathlib
-
 import pytest
 
-from leavitt import corpus
+import corpus
+from corpus import FIXTURES
 from leavitt.graph import Bundle, Graph
-
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 @pytest.fixture(scope="session")

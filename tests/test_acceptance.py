@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from leavitt import corpus, oracle
+import corpus
+from leavitt import oracle
 from leavitt.algebra import (
     NilpotentOfIndex,
     jordan_element,
@@ -27,6 +28,7 @@ from leavitt.graph import (
 )
 from leavitt.oracle import (
     RandomSpec,
+    acyclic_dimension,
     basis_monomials,
     classify_quotient,
     cross_check_index,
@@ -45,7 +47,6 @@ from leavitt.structure import (
     OmegaPathFamily,
     PreconditionUnbounded,
     Unbounded,
-    acyclic_dimension,
     bounded_index_report,
     decompose,
     is_PI,
@@ -81,7 +82,7 @@ def test_criterion_01_clock5(capsys):
 
 
 def test_criterion_02_graph_f(capsys):
-    f = corpus.graph_f()
+    f = corpus.build("graph_f")
     report = bounded_index_report(f)
     assert isinstance(report, Unbounded)
     assert isinstance(report.reason, CycleWithExit)
@@ -109,7 +110,7 @@ def test_criterion_03_lines(n, capsys):
 
 
 def test_criterion_04_loop_with_tail(capsys):
-    g = corpus.loop_with_tail()
+    g = corpus.build("loop_with_tail")
     report = bounded_index_report(g)
     assert isinstance(report, Bounded) and report.n == 2
     assert decompose(g).factors == (Factor(2, BASE_LAURENT),)
@@ -129,7 +130,7 @@ def test_criterion_05_inverse_clock(capsys):
 
 
 def test_criterion_06_omega_gadget(capsys):
-    g = corpus.omega_gadget()
+    g = corpus.build("omega_gadget")
     assert is_directly_finite(g)
     report = bounded_index_report(g)
     assert isinstance(report, Unbounded)

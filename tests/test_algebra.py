@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from leavitt import algebra, corpus
+import corpus
+from leavitt import algebra
 from leavitt.algebra import (
     BadMatrixUnitPaths,
     Element,
@@ -10,7 +11,6 @@ from leavitt.algebra import (
     MatrixUnits,
     Monomial,
     NilpotentOfIndex,
-    NotABreakingVertex,
     NotAnExit,
     NotNilpotentWithin,
     POWER_EDGE_LIMIT,
@@ -18,7 +18,6 @@ from leavitt.algebra import (
     ResourceLimit,
     TooLarge,
     UnverifiedUnits,
-    breaking_vertex_element,
     edge_element,
     element_text,
     ghost_edge_element,
@@ -48,7 +47,9 @@ from leavitt.graph import (
 )
 from leavitt.graphio import load_graph
 from leavitt.oracle import (
+    NotABreakingVertex,
     RandomSpec,
+    breaking_vertex_element,
     random_element,
     random_graph,
     verify_matrix_units_exhaustive,
@@ -112,7 +113,7 @@ def test_special_edge():
     g = corpus.clock(3)
     assert special_edge(g, "v") == EdgeRef("e1", 0)
     assert special_edge(g, "w1") is None
-    og = corpus.omega_gadget()
+    og = corpus.build("omega_gadget")
     assert special_edge(og, "v") is None  # infinite emitter: no CK-2
 
 
@@ -206,7 +207,7 @@ def test_nilpotence_index():
 
 
 def test_nilpotence_resource_limit(monkeypatch):
-    g = corpus.two_loops()
+    g = corpus.build("two_loops")
     a = edge_element(g, EdgeRef("a")) + edge_element(g, EdgeRef("b"))
     monkeypatch.setattr(algebra, "TERM_LIMIT", 8)
     verdict = nilpotence_index(a, 30)
@@ -217,7 +218,7 @@ def test_nilpotence_resource_limit_names_the_first_power_formed(monkeypatch):
     """(a + b)^k has 2^k terms.  The probe forms a^2 and a^4 only, so with
     a budget of 5 terms it reports a^4, where one power at a time would
     report a^3."""
-    g = corpus.two_loops()
+    g = corpus.build("two_loops")
     a = edge_element(g, EdgeRef("a")) + edge_element(g, EdgeRef("b"))
     monkeypatch.setattr(algebra, "TERM_LIMIT", 5)
     assert nilpotence_index(a, 30) == ResourceLimit(4, 16)
@@ -225,7 +226,7 @@ def test_nilpotence_resource_limit_names_the_first_power_formed(monkeypatch):
 
 
 def test_breaking_vertex_element():
-    og = corpus.omega_gadget()
+    og = corpus.build("omega_gadget")
     b = breaking_vertex_element(og, frozenset({"h"}), "v")
     e = Path("v", (EdgeRef("e"),))
     assert b == vertex_element(og, "v") - monomial(og, e, e)
@@ -249,7 +250,7 @@ def test_matrix_units_acyclic():
         matrix_units_acyclic(g, (Path("w1"), Path("w1")))
     with pytest.raises(BadMatrixUnitPaths):
         matrix_units_acyclic(g, (Path("w1"), Path("w2")))
-    sl = corpus.single_loop()
+    sl = corpus.build("single_loop")
     with pytest.raises(BadMatrixUnitPaths):
         matrix_units_acyclic(sl, (Path("v"),))
     with pytest.raises(BadMatrixUnitPaths):  # on no cycle, but not a sink
@@ -258,7 +259,7 @@ def test_matrix_units_acyclic():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_matrix_units_exit(n):
-    f = corpus.graph_f()
+    f = corpus.build("graph_f")
     a_cycle = cycles(f)[0]
     units = matrix_units_exit(f, a_cycle, EdgeRef("f"), n)
     assert verify_matrix_units(units)
@@ -266,7 +267,7 @@ def test_matrix_units_exit(n):
 
 
 def test_matrix_units_exit_rejects_non_exit():
-    f = corpus.graph_f()
+    f = corpus.build("graph_f")
     a_cycle = cycles(f)[0]
     with pytest.raises(NotAnExit):
         matrix_units_exit(f, a_cycle, EdgeRef("a1"), 2)  # the cycle's own edge
@@ -275,7 +276,7 @@ def test_matrix_units_exit_rejects_non_exit():
 
 
 def test_matrix_units_no_exit_cycle():
-    lt = corpus.loop_with_tail()
+    lt = corpus.build("loop_with_tail")
     c = cycles(lt)[0]
     units = matrix_units_no_exit_cycle(lt, c, (Path("v"), Path("u", (EdgeRef("t"),))))
     assert verify_matrix_units(units)
@@ -284,7 +285,7 @@ def test_matrix_units_no_exit_cycle():
     with pytest.raises(BadMatrixUnitPaths):
         matrix_units_no_exit_cycle(
             lt, c, (Path("v"), Path("v", (EdgeRef("e"),))))  # runs through c
-    f = corpus.graph_f()
+    f = corpus.build("graph_f")
     with pytest.raises(BadMatrixUnitPaths):
         matrix_units_no_exit_cycle(f, cycles(f)[0], (Path("g1"),))
 
@@ -299,9 +300,9 @@ def test_verify_rejects_duplicated_leg():
 def test_verify_forms_one_product(monkeypatch):
     """P* P = n w decides a family with one product, whatever its size or
     provenance; legs with two ranges give False, not an error."""
-    f = corpus.graph_f()
+    f = corpus.build("graph_f")
     families = [witness_matrix_units(g)
-                for g in (corpus.line(6), corpus.loop_with_tail())]
+                for g in (corpus.line(6), corpus.build("loop_with_tail"))]
     families.append(matrix_units_exit(f, cycles(f)[0], EdgeRef("f"), 6))
     calls = []
     mul = Element.__mul__
@@ -324,7 +325,7 @@ def test_verify_forms_one_product(monkeypatch):
 @pytest.mark.parametrize("build,size", [
     (lambda: corpus.line(40), None),
     (lambda: tailed_cycle(30, 10), None),
-    (corpus.graph_f, 8),  # the exit family c^i f
+    (lambda: corpus.build("graph_f"), 8),  # the exit family c^i f
 ], ids=["line40", "tailed_cycle_30_10", "graph_f_exit"])
 def test_legs_are_walked_once_on_the_way_to_the_jordan_element(build, size, monkeypatch):
     """From witness_matrix_units through jordan_element, the n legs enter
@@ -360,9 +361,9 @@ def test_verify_refuses_a_leg_that_is_not_a_path():
 
 
 def test_jordan_element_is_the_sum_of_its_units():
-    f = corpus.graph_f()
+    f = corpus.build("graph_f")
     families = [witness_matrix_units(g)
-                for g in (corpus.line(6), corpus.loop_with_tail(),
+                for g in (corpus.line(6), corpus.build("loop_with_tail"),
                           load_graph(fixture_path("omega_gadget")))]
     families.append(matrix_units_exit(f, cycles(f)[0], EdgeRef("f"), 5))
     for units in families:
@@ -434,7 +435,7 @@ def test_element_text():
 
 
 def test_elements_over_omega_graphs():
-    og = corpus.omega_gadget()
+    og = corpus.build("omega_gadget")
     e5 = edge_element(og, EdgeRef("a", 5))
     e7 = edge_element(og, EdgeRef("a", 7))
     assert (e5.involution() * e7).is_zero()
@@ -469,7 +470,7 @@ def test_equal_graphs_give_equal_elements():
 
 
 def test_coefficient_of_absent_monomials_is_zero():
-    og = corpus.omega_gadget()
+    og = corpus.build("omega_gadget")
     x = edge_element(og, EdgeRef("a", 3)).scale(Fraction(5, 2))
     a3 = Monomial(Path("v", (EdgeRef("a", 3),)), Path("h"))
     assert x.coefficient(a3) == Fraction(5, 2)
@@ -525,7 +526,7 @@ def test_power_stops_at_zero_and_bounds_size():
     assert power(e1, 10 ** 8).is_zero()
     u1 = vertex_element(g, "u1")
     assert power(u1, 200_000) == u1
-    loop = edge_element(corpus.single_loop(), EdgeRef("e"))
+    loop = edge_element(corpus.build("single_loop"), EdgeRef("e"))
     assert power(loop, 5).terms()[0][0].p.edges == (EdgeRef("e"),) * 5
     with pytest.raises(TooLarge):
         power(loop, 2 * POWER_EDGE_LIMIT)

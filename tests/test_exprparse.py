@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from leavitt import corpus
+import corpus
 from leavitt.algebra import edge_element, identity_element, vertex_element
 from leavitt.exprparse import (
     BundleNeedsIndex,
@@ -105,7 +105,7 @@ def test_eval_star_reverses_products():
 
 
 def test_eval_ident_resolution():
-    og = corpus.omega_gadget()
+    og = corpus.build("omega_gadget")
     assert eval_expr(parse_expr("a[3]* a[3]"), og) == vertex_element(og, "h")
     with pytest.raises(OmegaBundleNeedsIndex):
         eval_expr(parse_expr("a"), og)
@@ -121,7 +121,7 @@ def test_eval_ident_resolution():
 
 def test_primed_idents_parse():
     # quotient graphs introduce primed vertex ids; they are valid idents
-    og = corpus.omega_gadget()
+    og = corpus.build("omega_gadget")
     from leavitt.graph import AdmissiblePair, quotient_graph
     q = quotient_graph(og, AdmissiblePair(frozenset({"h"})))
     assert eval_expr(parse_expr("v'"), q) == vertex_element(q, "v'")

@@ -27,7 +27,7 @@ import pytest
 
 from conftest import doubled_line, tailed_cycle
 from leavitt.cli import main
-from leavitt.corpus import clock, line
+from corpus import clock, line
 from leavitt.graphio import canonical_document, load_graph
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"

@@ -1,6 +1,6 @@
 import pytest
 
-from leavitt import corpus
+import corpus
 from leavitt.graph import (
     OMEGA,
     AdmissiblePair,
@@ -51,12 +51,16 @@ def test_validate_names_offenders():
     assert any("'v'" in x for x in violations)
     assert any("'e'" in x for x in violations)
 
+    # the loader's rule: a bool is not a multiplicity
+    g = Graph(["u", "v"], [Bundle("e", "u", "v", True)])
+    assert validate(g) == ["bundle 'e': multiplicity must be a positive integer or omega"]
+
 
 def test_out_degree():
     g = corpus.clock(3)
     assert g.out_degree("v") == 3 and g.is_regular("v")
     assert g.out_degree("w1") == 0 and g.is_sink("w1")
-    og = corpus.omega_gadget()
+    og = corpus.build("omega_gadget")
     assert og.out_degree("v") is OMEGA
     assert not og.is_regular("v") and not og.is_sink("v")
     assert Graph(["u"], [Bundle("d", "u", "u", 2)]).out_degree("u") == 2
@@ -69,7 +73,7 @@ def test_reachable():
     for v in g.vertices:
         assert reachable(g, v, v)
     assert not reachable(g, "w1", "v")
-    f = corpus.graph_f()
+    f = corpus.build("graph_f")
     assert reachable(f, "g1", "c1")
     assert not reachable(f, "c1", "g1")
     with pytest.raises(UnknownVertex):
@@ -77,16 +81,16 @@ def test_reachable():
 
 
 def test_downward_directed():
-    f = corpus.graph_f()
+    f = corpus.build("graph_f")
     assert downward_directed(f)
     assert not downward_directed(corpus.clock(3))
 
 
 def test_cycles_basic():
     assert cycles(corpus.line(4)) == []
-    two = cycles(corpus.two_loops())
+    two = cycles(corpus.build("two_loops"))
     assert len(two) == 2
-    f = corpus.graph_f()
+    f = corpus.build("graph_f")
     cs = cycles(f)
     assert [[e.bundle for e in c.edges] for c in cs] == [
         ["a1", "a2", "a3", "a4"], ["b1", "b2", "b3", "b4"]]
@@ -98,7 +102,7 @@ def test_cycles_parallel_edges():
 
 
 def test_cycles_canonical_and_order_independent():
-    f = corpus.graph_f()
+    f = corpus.build("graph_f")
     rev = Graph(f.vertices, list(reversed(f.bundles)))
     assert cycles(rev) == cycles(f)
     for c in cycles(f):
@@ -114,9 +118,9 @@ def test_cycles_omega_on_closed_walk():
 
 
 def test_exits():
-    sl = corpus.single_loop()
+    sl = corpus.build("single_loop")
     assert exits(sl, cycles(sl)[0]) == []
-    f = corpus.graph_f()
+    f = corpus.build("graph_f")
     a_cycle, b_cycle = cycles(f)
     xs = exits(f, a_cycle)
     assert [x.edge for x in xs] == [EdgeRef("f", 0)]
@@ -134,23 +138,23 @@ def test_exits_within_bundle_and_omega_flag():
 
 
 def test_no_exit_cycles():
-    f = corpus.graph_f()
+    f = corpus.build("graph_f")
     w = cycle_exit_witness(f)
     assert [e.bundle for e in w.cycle.edges] == ["a1", "a2", "a3", "a4"]
     assert w.edge == EdgeRef("f", 0)
-    assert is_directly_finite(corpus.loop_with_tail())
+    assert is_directly_finite(corpus.build("loop_with_tail"))
     assert is_directly_finite(corpus.line(3))
-    assert not is_directly_finite(corpus.two_loops())
+    assert not is_directly_finite(corpus.build("two_loops"))
 
 
 def test_conditions_L_K():
     acyclic = corpus.line(3)
     assert condition_L(acyclic) and condition_K(acyclic)
-    sl = corpus.single_loop()
+    sl = corpus.build("single_loop")
     assert not condition_L(sl) and not condition_K(sl)
-    tl = corpus.two_loops()
+    tl = corpus.build("two_loops")
     assert condition_L(tl) and condition_K(tl)
-    f = corpus.graph_f()
+    f = corpus.build("graph_f")
     assert not condition_L(f) and not condition_K(f)
 
 
@@ -170,19 +174,19 @@ def test_count_clock_sinks(m):
 
 
 def test_count_examples():
-    f = corpus.graph_f()
+    f = corpus.build("graph_f")
     assert count_paths_ending_at(f, "c1") is OMEGA
-    lt = corpus.loop_with_tail()
+    lt = corpus.build("loop_with_tail")
     assert count_paths_ending_at(lt, "v") == 2
-    sl = corpus.single_loop()
+    sl = corpus.build("single_loop")
     assert count_paths_ending_at(sl, "v") == 1
-    og = corpus.omega_gadget()
+    og = corpus.build("omega_gadget")
     assert count_paths_ending_at(og, "h") is OMEGA
     assert count_paths_ending_at(og, "w") == 2
 
 
 def test_count_multi_cycle_vertex_is_omega():
-    assert count_paths_ending_at(corpus.two_loops(), "v") is OMEGA
+    assert count_paths_ending_at(corpus.build("two_loops"), "v") is OMEGA
 
 
 def test_count_on_deep_line():
@@ -201,14 +205,14 @@ def test_closure():
     g = corpus.clock(3)
     assert hereditary_saturated_closure(g, []) == frozenset()
     assert hereditary_saturated_closure(g, ["w1", "w2", "w3"]) == frozenset(g.vertices)
-    og = corpus.omega_gadget()
+    og = corpus.build("omega_gadget")
     assert hereditary_saturated_closure(og, ["h"]) == frozenset({"h"})
 
 
 def test_all_hereditary_saturated():
     single = corpus.line(1)
     assert all_hereditary_saturated(single) == [frozenset(), frozenset({"u1"})]
-    sl = corpus.single_loop()
+    sl = corpus.build("single_loop")
     assert all_hereditary_saturated(sl) == [frozenset(), frozenset({"v"})]
     got = all_hereditary_saturated(corpus.clock(3))
     assert len(got) == 8
@@ -231,7 +235,7 @@ def test_breaking_vertices():
     g = corpus.clock(3)
     for H in all_hereditary_saturated(g):
         assert breaking_vertices(g, H) == frozenset()
-    og = corpus.omega_gadget()
+    og = corpus.build("omega_gadget")
     assert breaking_vertices(og, frozenset({"h"})) == frozenset({"v"})
     assert breaking_vertices(og, frozenset()) == frozenset()
     with pytest.raises(NotHereditarySaturated):
@@ -251,7 +255,7 @@ def test_quotient_full_pair_empty():
 
 
 def test_quotient_omega_gadget():
-    og = corpus.omega_gadget()
+    og = corpus.build("omega_gadget")
     q = quotient_graph(og, AdmissiblePair(frozenset({"h"}), frozenset({"v"})))
     assert q.vertices == ("v", "w")
     assert [(b.id, b.src, b.dst, b.mult) for b in q.bundles] == [("e", "v", "w", 1)]
@@ -275,7 +279,7 @@ def test_quotient_primed_edges():
 
 
 def test_quotient_rejects_bad_pair():
-    og = corpus.omega_gadget()
+    og = corpus.build("omega_gadget")
     with pytest.raises(InvalidAdmissiblePair):
         quotient_graph(og, AdmissiblePair(frozenset({"v"})))
     with pytest.raises(InvalidAdmissiblePair):

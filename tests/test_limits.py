@@ -15,8 +15,9 @@ import sys
 import pytest
 
 import leavitt
+import corpus
 from conftest import fixture_path
-from leavitt import algebra, corpus, oracle
+from leavitt import algebra, oracle
 from leavitt.cli import main
 from leavitt.graph import Bundle, Graph, TooLarge, all_hereditary_saturated
 from leavitt.graphio import canonical_document
@@ -90,14 +91,14 @@ def test_cli_refusals_are_pinned(argv, limits, message, fmt, capsys, monkeypatch
 #  the message)
 LIBRARY_REFUSALS = [
     ("omega-feeds",
-     lambda: oracle.enumerate_paths_ending_at(corpus.omega_gadget(), "h", 3), {},
+     lambda: oracle.enumerate_paths_ending_at(corpus.build("omega_gadget"), "h", 3), {},
      "omega bundle 'a' feeds paths into 'h'"),
     ("paths-listed",
      lambda: oracle.enumerate_paths_ending_at(_three_bundles(1), "v", 5),
      {"PATH_LIMIT": 3},
      "more than 3 paths into 'v'"),
     ("omega-on-a-path",
-     lambda: oracle.basis_monomials(corpus.omega_gadget(), 2), {},
+     lambda: oracle.basis_monomials(corpus.build("omega_gadget"), 2), {},
      "omega bundle 'a' on a path"),
     ("all-paths-pending",
      lambda: oracle.basis_monomials(_bundle(200_001), 2), {},

@@ -15,7 +15,8 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from leavitt import cli, corpus
+import corpus
+from leavitt import cli
 from leavitt.graph import Bundle, Graph
 from leavitt.graphio import canonical_document
 from leavitt.oracle import RandomSpec, random_graph

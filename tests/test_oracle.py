@@ -8,8 +8,9 @@ import random
 
 import pytest
 
+import corpus
 from conftest import doubled_line, fixture_path, tailed_cycle
-from leavitt import algebra, cli, corpus, oracle
+from leavitt import algebra, cli, oracle
 from leavitt.algebra import (
     BadMatrixUnitPaths,
     MatrixUnits,
@@ -42,6 +43,7 @@ from leavitt.oracle import (
     _all_paths,
     _cycles_through,
     _rotations,
+    acyclic_dimension,
     basis_monomials,
     contains_cycle,
     cross_check_index,
@@ -60,7 +62,6 @@ from leavitt.structure import (
     CycleTarget,
     PreconditionUnbounded,
     SinkTarget,
-    acyclic_dimension,
     bounded_index_report,
     decompose,
     graded_spectrum,
@@ -86,19 +87,19 @@ def test_enumerate_cap_zero():
 
 
 def test_enumerate_excludes_full_cycle():
-    lt = corpus.loop_with_tail()
+    lt = corpus.build("loop_with_tail")
     paths = enumerate_paths_ending_at(lt, "v", 12)
     assert paths == [Path("v"), Path("u", (EdgeRef("t"),))]
 
 
 def test_enumerate_guards(monkeypatch):
-    og = corpus.omega_gadget()
+    og = corpus.build("omega_gadget")
     with pytest.raises(algebra.TooLarge):
         enumerate_paths_ending_at(og, "h", 3)
     monkeypatch.setattr(oracle, "PATH_LIMIT", 20)
     with pytest.raises(algebra.TooLarge):
         # two loops at v: unboundedly many paths, tiny budget
-        enumerate_paths_ending_at(corpus.two_loops(), "v", 50)
+        enumerate_paths_ending_at(corpus.build("two_loops"), "v", 50)
 
 
 def test_path_listings_stop_at_the_budget(monkeypatch):
@@ -243,7 +244,7 @@ def test_cross_check_single_vertex():
 
 def test_cross_check_requires_bounded():
     with pytest.raises(PreconditionUnbounded):
-        cross_check_index(corpus.graph_f(), trials=5, seed=0)
+        cross_check_index(corpus.build("graph_f"), trials=5, seed=0)
 
 
 def test_dp_agreement_on_random_graphs():
@@ -312,7 +313,7 @@ def test_fast_unit_check_matches_oracle_on_fixture_witnesses(name):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_fast_unit_check_matches_oracle_on_exit_units(n):
-    f = corpus.graph_f()
+    f = corpus.build("graph_f")
     _assert_fast_check_matches_oracle(
         matrix_units_exit(f, cycles(f)[0], EdgeRef("f"), n))
 
@@ -1101,7 +1102,7 @@ def test_probe_verdict_is_invariant_under_nonzero_scalars(monkeypatch):
 def test_nilpotence_index_forms_logarithmically_many_products(monkeypatch):
     """On the loop e, never nilpotent: a^k_max from the squares of a, at
     most 2 log2(k_max) products where the sequential probe forms k_max - 1."""
-    g = corpus.single_loop()
+    g = corpus.build("single_loop")
     a = algebra.edge_element(g, EdgeRef("e"))
     products = _count_products(monkeypatch)
     for k_max in [1, 2, 3, 7, 8, 1000, 1023, 1024]:
@@ -1188,7 +1189,7 @@ def _probe_outcome(a, k_max):
 
 def _exit_cases():
     """(element, whether a^2 = c a with c != 0)."""
-    line2, clock3, loop = corpus.line(2), corpus.clock(3), corpus.single_loop()
+    line2, clock3, loop = corpus.line(2), corpus.clock(3), corpus.build("single_loop")
     v, u1, u2 = (algebra.vertex_element(g, x) for g, x in
                  ((clock3, "v"), (line2, "u1"), (line2, "u2")))
     e2 = algebra.edge_element(clock3, EdgeRef("e2"))
@@ -1268,7 +1269,7 @@ def _ladder_cases() -> list:
             g = random_graph(RandomSpec(seed=seed, omega_probability=omega))
             cases.append((f"random omega={omega} seed={seed}",
                           random_element(g, RandomSpec(seed=9_000 + seed))))
-    f = corpus.graph_f()
+    f = corpus.build("graph_f")
     for n in range(2, 15):
         g = corpus.line(n)
         cases.append((f"jordan line({n})", jordan_element(
@@ -1380,7 +1381,7 @@ def test_str_seed_draws_as_random_random_seeds_it():
     int that random.Random derives from it (its bytes, then their
     SHA-512)."""
     as_int = int.from_bytes(b"trial" + hashlib.sha512(b"trial").digest(), "big")
-    for g in (corpus.line(3), corpus.omega_gadget()):
+    for g in (corpus.line(3), corpus.build("omega_gadget")):
         assert random_raw_terms(g, RandomSpec(seed="trial")) == \
             random_raw_terms(g, RandomSpec(seed=as_int))
 
@@ -1811,7 +1812,7 @@ def test_trace_guard_counts_at_least_the_normal_form_keys(monkeypatch):
             exact = _exact_key_bound(g, bound * 6)
             monkeypatch.setattr(algebra, "TERM_LIMIT", exact - 1)
             assert not structure.trace_settles(g, bound, 6), (i, bound)
-    loop = corpus.single_loop()
+    loop = corpus.build("single_loop")
     assert _exact_key_bound(loop, 24) == 1 + 2 * 24
     monkeypatch.setattr(algebra, "TERM_LIMIT", 1 + 2 * 24)
     assert structure.trace_settles(loop, 4, 6)

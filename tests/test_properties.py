@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leavitt import corpus
+import corpus
 from leavitt.algebra import Element, normal_form, special_edge
 from leavitt.graph import (
     CycleThroughOmegaBundle,

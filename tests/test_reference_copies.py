@@ -40,9 +40,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import corpus
 from conftest import FIXTURES
 
-from leavitt import algebra, corpus, oracle
+from leavitt import algebra, oracle
 from leavitt.algebra import (
     MatrixUnits,
     Monomial,

@@ -1,7 +1,8 @@
 import pytest
 
+import corpus
 from conftest import fixture_path, tailed_cycle
-from leavitt import cli, corpus, structure
+from leavitt import cli, structure
 from leavitt.algebra import (
     NilpotentOfIndex,
     jordan_element,
@@ -16,7 +17,14 @@ from leavitt.graph import (
     hereditary_saturated_closure,
     quotient_graph,
 )
-from leavitt.oracle import RandomSpec, classify_quotient, enumerate_paths_ending_at, random_graph
+from leavitt.oracle import (
+    LaurentFactorPresent,
+    RandomSpec,
+    acyclic_dimension,
+    classify_quotient,
+    enumerate_paths_ending_at,
+    random_graph,
+)
 from leavitt.structure import (
     BASE_K,
     BASE_LAURENT,
@@ -25,13 +33,11 @@ from leavitt.structure import (
     CycleWithExit,
     Decomposition,
     Factor,
-    LaurentFactorPresent,
     NotRowFinite,
     OmegaPathFamily,
     PreconditionUnbounded,
     SinkTarget,
     Unbounded,
-    acyclic_dimension,
     blocks,
     bounded_index_report,
     decompose,
@@ -51,7 +57,7 @@ def test_clock5_bounded():
 
 
 def test_graph_f_unbounded():
-    report = bounded_index_report(corpus.graph_f())
+    report = bounded_index_report(corpus.build("graph_f"))
     assert isinstance(report, Unbounded)
     reason = report.reason
     assert isinstance(reason, CycleWithExit)
@@ -66,7 +72,7 @@ def test_line_bounded(n):
 
 
 def test_omega_gadget_unbounded():
-    report = bounded_index_report(corpus.omega_gadget())
+    report = bounded_index_report(corpus.build("omega_gadget"))
     assert report == Unbounded(OmegaPathFamily("h")) or \
         isinstance(report.reason, OmegaPathFamily)
     assert report.reason.vertex == "h"
@@ -80,14 +86,14 @@ def test_empty_graph_bounded_one():
 
 def test_is_PI():
     assert is_PI(corpus.clock(5))
-    assert not is_PI(corpus.graph_f())
+    assert not is_PI(corpus.build("graph_f"))
     assert is_PI(Graph([]))
 
 
 def test_directly_finite():
-    assert not is_directly_finite(corpus.graph_f())
-    assert is_directly_finite(corpus.single_loop())
-    og = corpus.omega_gadget()
+    assert not is_directly_finite(corpus.build("graph_f"))
+    assert is_directly_finite(corpus.build("single_loop"))
+    og = corpus.build("omega_gadget")
     assert is_directly_finite(og) and not is_PI(og)  # strict implication
 
 
@@ -104,7 +110,7 @@ def test_classify_empty_quotient():
 
 
 def test_classify_loop_with_tail():
-    lt = corpus.loop_with_tail()
+    lt = corpus.build("loop_with_tail")
     assert classify_quotient(quotient_graph(lt, AdmissiblePair(frozenset()))) == \
         Factor(2, BASE_LAURENT)
 
@@ -118,7 +124,7 @@ def test_spectrum_clock3():
 
 
 def test_spectrum_single_loop():
-    spec = graded_spectrum(corpus.single_loop())
+    spec = graded_spectrum(corpus.build("single_loop"))
     assert spec == [(AdmissiblePair(frozenset()), Factor(1, BASE_LAURENT))]
 
 
@@ -140,7 +146,7 @@ def test_decompose_clock5():
 
 
 def test_decompose_loop_with_tail():
-    d = decompose(corpus.loop_with_tail())
+    d = decompose(corpus.build("loop_with_tail"))
     assert d.factors == (Factor(2, BASE_LAURENT),)
 
 
@@ -165,7 +171,7 @@ def test_decompose_repeats_one_factor_per_distinct_ring():
                   [Bundle("e", "a", "a"), Bundle("f", "c", "c"), Bundle("t", "b", "s1"),
                    Bundle("u", "b", "s2"), Bundle("w", "s1", "s3")])
     for g in (corpus.clock(1200), corpus.clock(5), corpus.line(4), mixed,
-              corpus.loop_with_tail(), tailed_cycle(3, 2)):
+              corpus.build("loop_with_tail"), tailed_cycle(3, 2)):
         report = bounded_index_report(g)
         expected = tuple(sorted(
             Factor(cnt, BASE_K if isinstance(target, SinkTarget) else BASE_LAURENT)
@@ -179,9 +185,9 @@ def test_decompose_repeats_one_factor_per_distinct_ring():
 
 def test_decompose_errors():
     with pytest.raises(NotRowFinite):
-        decompose(corpus.omega_gadget())
+        decompose(corpus.build("omega_gadget"))
     with pytest.raises(PreconditionUnbounded):
-        decompose(corpus.graph_f())
+        decompose(corpus.build("graph_f"))
 
 
 def test_acyclic_dimension():
@@ -189,7 +195,7 @@ def test_acyclic_dimension():
     assert acyclic_dimension(decompose(corpus.line(4))) == 16
     assert acyclic_dimension(Decomposition((Factor(1, BASE_K),))) == 1
     with pytest.raises(LaurentFactorPresent):
-        acyclic_dimension(decompose(corpus.loop_with_tail()))
+        acyclic_dimension(decompose(corpus.build("loop_with_tail")))
 
 
 def test_witness_recipe_attains_bound():
@@ -204,11 +210,11 @@ def test_witness_recipe_attains_bound():
 
 
 def test_witness_any_size_when_unbounded():
-    f = corpus.graph_f()
+    f = corpus.build("graph_f")
     for n in (2, 5):
         units = witness_matrix_units(f, n)
         assert units.n == n and verify_matrix_units(units)
-    og = corpus.omega_gadget()
+    og = corpus.build("omega_gadget")
     units = witness_matrix_units(og, 4)
     assert verify_matrix_units(units)
     assert nilpotence_index(jordan_element(units), 5) == NilpotentOfIndex(4)
@@ -307,7 +313,7 @@ def test_rows_follow_the_report():
 
 
 def test_unbounded_table_has_no_rows():
-    for g in (corpus.graph_f(), corpus.omega_gadget()):
+    for g in (corpus.build("graph_f"), corpus.build("omega_gadget")):
         table = blocks(g)
         assert isinstance(table.report, Unbounded)
         assert table == (table.report, ())
