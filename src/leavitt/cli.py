@@ -66,49 +66,33 @@ def _edge_text(bundle: str, index: int, indent: str) -> str:
     return f'{{{inner}"bundle": {_quote(bundle)},{inner}"index": {index}{indent}}}'
 
 
-def _dict_form(key: tuple) -> tuple:
-    """(key tuple, indent) -> (the keys sorted, a %-template of the dict's
-    text at indent with one %s per value, in sorted key order)."""
-    keys, indent = key
-    order = sorted(keys)
-    inner = indent + "  "
-    form = ",".join(f"{inner}{_quote(k).replace('%', '%%')}: %s" for k in order)
-    return order, "{" + form + indent + "}"
-
-
 # A JSON document goes to stdout in writes of at least _BATCH characters (a
 # smaller document in one), so it is never held whole as text.
 _BATCH = 1 << 16
 
 
-def _json_chunks(obj, end: str = ""):
-    """Yield the stdlib's sorted-key dump of obj at indent 2, then end, as
-    strings of at least _BATCH characters (the last may be shorter), in
-    time linear in its size.  The stdlib's C encoder runs only without an
-    indent; with one, it walks several Python generator frames per value,
-    and a listing of n witness paths has Theta(n L) edges.
+def _write_json(obj, write, end: str = "") -> None:
+    """Write the stdlib's sorted-key dump of obj at indent 2, then end,
+    through write, in strings of at least _BATCH characters (the last may
+    be shorter), in time linear in its size.  The stdlib's C encoder runs
+    only without an indent; with one, it walks several Python generator
+    frames per value, and a listing of n witness paths has Theta(n L)
+    edges.
 
-    One table, keyed by exact type, maps each value to its whole text at
-    an indentation.  Strings print through ``_quote``, ints through
-    ``algebra.coefficient_text`` (a count past the digit limit is
-    TooLarge), bools and None as their words.  A dict fills a %-template
-    built once per key tuple and indentation, and a list or tuple is one
-    join.  The records print as leaves, each one f-string: an EdgeRef is
-    ``{"bundle": ..., "index": ...}``, built once per edge and
-    indentation, a Path ``{"base": ..., "edges": [...]}``, a Cycle
-    ``{"edges": [...]}`` and a TargetCount ``{"count": ..., "kind":
-    "sink", "vertex": ...}`` or ``{"count": ..., "cycle": ..., "kind":
-    "cycle"}``.  A PathTree prints as its list of paths (see
-    :func:`_tree_pieces`).  The table holds these twelve types and no
-    other.
-
-    The generator walks only the outer containers: the top value, and the
-    nonempty dicts, lists, tuples and path trees reached from it through
-    dicts, written key by key and element by element, each element
-    rendered whole through the table.  The pending text is written once
-    it reaches _BATCH characters."""
+    One recursive function writes every dict (keys sorted), list and
+    tuple element by element, and a PathTree as its list of paths, piece
+    by piece (see :func:`_tree_pieces`).  A string prints through
+    ``_quote``, and every other leaf through one table, keyed by exact
+    type: ints through ``algebra.coefficient_text`` (a count past the
+    digit limit is TooLarge), bools and None as their words, and the
+    records as one f-string each: an EdgeRef is ``{"bundle": ...,
+    "index": ...}``, built once per edge and indentation, a Path
+    ``{"base": ..., "edges": [...]}``, a Cycle ``{"edges": [...]}`` and a
+    TargetCount ``{"count": ..., "kind": "sink", "vertex": ...}`` or
+    ``{"count": ..., "cycle": ..., "kind": "cycle"}``.  A value of any
+    other type is a KeyError.  The pending text is written once it
+    reaches _BATCH characters."""
     edges = _Memo(lambda indent: _Memo(lambda e: _edge_text(*e, indent)))
-    forms = _Memo(_dict_form)
 
     def edge_list(es: tuple, indent: str) -> str:
         """The text of EdgeRefs es, a path's or a cycle's edges."""
@@ -136,77 +120,68 @@ def _json_chunks(obj, end: str = ""):
             return f'{head}"kind": "sink",{inner}"vertex": {_quote(t.vertex)}{indent}}}'
         return f'{head}"cycle": {cycle(t.cycle, inner)},{inner}"kind": "cycle"{indent}}}'
 
-    def mapping(o: dict, indent: str) -> str:
-        if not o:
-            return "{}"
-        order, form = forms[tuple(o), indent]
-        inner = indent + "  "
-        return form % tuple([_quote(x) if type(x) is str else kinds[type(x)](x, inner)
-                             for x in map(o.__getitem__, order)])
-
-    def sequence(o, indent: str) -> str:
-        if not o:
-            return "[]"
-        inner = indent + "  "
-        items = [_quote(x) if type(x) is str else kinds[type(x)](x, inner) for x in o]
-        return f"[{inner}{(',' + inner).join(items)}{indent}]"
-
     # type -> f(value, indent: a newline and spaces) -> the value's text
-    kinds = {
-        str: lambda o, indent: _quote(o),
+    leaves = {
         int: lambda o, indent: algebra.coefficient_text(o),
         bool: lambda o, indent: "true" if o else "false",
         type(None): lambda o, indent: "null",
-        dict: mapping,
-        list: sequence,
-        tuple: sequence,
-        structure.PathTree: lambda o, indent: "".join(_tree_pieces(o, indent)),
         EdgeRef: lambda o, indent: edges[indent][o.bundle, o.index],
         Path: path,
         Cycle: cycle,
         structure.TargetCount: target_count,
     }
-    streamed = (dict, list, tuple, structure.PathTree)
     out, size = [], 0
 
-    def write(o, indent: str):
-        """Append o, a nonempty dict, list, tuple or PathTree, yielding full
-        batches."""
+    def put(o, indent: str) -> None:
+        """Append the text of o at indent, writing each full batch."""
         nonlocal size
-        inner = indent + "  "
-        if type(o) is dict:
-            sep, comma = "{" + inner, "," + inner
-            for k, x in sorted(o.items()):
-                out.append(f"{sep}{_quote(k)}: ")
-                if type(x) in streamed and x:
-                    yield from write(x, inner)
+        kind = type(o)
+        if kind is str:
+            text = _quote(o)
+        elif kind is dict or kind is list or kind is tuple:
+            if not o:
+                text = "{}" if kind is dict else "[]"
+            else:
+                inner = indent + "  "
+                comma = "," + inner
+                if kind is dict:
+                    sep = "{" + inner
+                    for k, x in sorted(o.items()):
+                        text = f"{sep}{_quote(k)}: "
+                        out.append(text)
+                        size += len(text)
+                        put(x, inner)
+                        sep = comma
+                    text = indent + "}"
                 else:
-                    out.append(_quote(x) if type(x) is str else kinds[type(x)](x, inner))
-                sep = comma
-            out.append(indent + "}")
+                    sep = "[" + inner
+                    for x in o:
+                        out.append(sep)
+                        size += len(sep)
+                        put(x, inner)
+                        sep = comma
+                    text = indent + "]"
+        elif kind is structure.PathTree:
+            for text in _tree_pieces(o, indent):
+                out.append(text)
+                size += len(text)
+                if size >= _BATCH:
+                    write("".join(out))
+                    out.clear()
+                    size = 0
             return
-        if type(o) is structure.PathTree:
-            texts, close = _tree_pieces(o, indent), ""
         else:
-            texts = (f"{',' if i else '['}{inner}"
-                     f"{_quote(x) if type(x) is str else kinds[type(x)](x, inner)}"
-                     for i, x in enumerate(o))
-            close = indent + "]"
-        for text in texts:
-            out.append(text)
-            size += len(text)
-            if size >= _BATCH:
-                yield "".join(out)
-                out.clear()
-                size = 0
-        out.append(close)
+            text = leaves[kind](o, indent)
+        out.append(text)
+        size += len(text)
+        if size >= _BATCH:
+            write("".join(out))
+            out.clear()
+            size = 0
 
-    if type(obj) in streamed and obj:
-        yield from write(obj, "\n")
-    else:
-        out.append(kinds[type(obj)](obj, "\n"))
+    put(obj, "\n")
     out.append(end)
-    yield "".join(out)
+    write("".join(out))
 
 
 def _tree_pieces(tree: structure.PathTree, indent: str):
@@ -254,9 +229,7 @@ def _tree_pieces(tree: structure.PathTree, indent: str):
 
 def _emit(args, payload: dict, text_lines: list) -> None:
     if args.format == "json":
-        write = sys.stdout.write
-        for text in _json_chunks(payload, end="\n"):
-            write(text)
+        _write_json(payload, sys.stdout.write, "\n")
     else:
         for line in text_lines:
             print(line)

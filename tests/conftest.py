@@ -1,6 +1,5 @@
 import pytest
 
-import corpus
 from corpus import FIXTURES
 from leavitt.graph import Bundle, Graph
 
@@ -12,11 +11,6 @@ def fixture_dir():
 
 def fixture_path(name: str) -> str:
     return str(FIXTURES / f"{name}.graph")
-
-
-@pytest.fixture(scope="session")
-def corpus_graphs():
-    return {name: build() for name, build in corpus.CORPUS.items()}
 
 
 def tailed_cycle(k: int, t: int) -> Graph:

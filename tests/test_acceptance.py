@@ -20,7 +20,6 @@ from leavitt.graph import (
     AdmissiblePair,
     EdgeRef,
     TooLarge,
-    all_hereditary_saturated,
     breaking_vertices,
     count_paths_ending_at,
     cycles,

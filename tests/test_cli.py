@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import corpus
 from conftest import fixture_path, tailed_cycle
 from leavitt import algebra, cli, oracle, structure
-from leavitt.cli import _json_chunks, main
+from leavitt.cli import _write_json, main
 from leavitt.graph import (
     OMEGA,
     Bundle,
@@ -961,7 +961,9 @@ def _reference_dump(obj) -> str:
 
 def _dumps(obj) -> str:
     """The CLI writer's whole text of obj."""
-    return "".join(_json_chunks(obj))
+    writes = []
+    _write_json(obj, writes.append)
+    return "".join(writes)
 
 
 def _line_document(tmp_path, k: int, mult: int = 1) -> str:
@@ -1087,11 +1089,11 @@ _small = st.one_of(_leaves, st.lists(_leaves, max_size=3).map(tuple),
 
 @st.composite
 def _repeating(draw):
-    """Payloads for the emitter's caches and fast paths: one key set at two
-    depths, one EdgeRef at two depths, EdgeRefs mixed with other values in
-    one tuple, empty dicts and tuples nested in each other, and one path
-    tree and target rows, each streamed from a dict and rendered whole in
-    a list."""
+    """Payloads for the writer's edge cache and its containers: one key
+    set at two depths, one EdgeRef at two depths, EdgeRefs mixed with
+    other values in one tuple, empty dicts and tuples nested in each
+    other, and one path tree and target rows, each reached through a dict
+    and through a list."""
     keys, edge, tree = draw(_keysets), draw(_edges), draw(_trees())
     rows = draw(st.lists(_target_counts, min_size=1, max_size=3))
 
@@ -1150,9 +1152,9 @@ def test_dumps_paths_and_cycles_at_two_depths():
     assert _dumps(cycles[2]) == _reference_dump(_plain(cycles[2]))
 
 
-def test_json_is_written_in_batches(monkeypatch, tmp_path):
-    """JSON output reaches stdout in writes of at least _BATCH characters
-    (the last may be shorter), and a small document in one write."""
+def _json_writes(monkeypatch, *argv) -> list:
+    """The writes that JSON `argv` makes to stdout, once checked to join
+    to the stdlib's dump of the document they print."""
     writes = []
 
     class Recorder:
@@ -1160,29 +1162,45 @@ def test_json_is_written_in_batches(monkeypatch, tmp_path):
             writes.append(text)
 
     monkeypatch.setattr(sys, "stdout", Recorder())
-    assert main(["index", _line_document(tmp_path, 200), "--format", "json"]) == 0
+    assert main([*argv, "--format", "json"]) == 0
     out = "".join(writes)
     assert out == _reference_dump(json.loads(out)) + "\n"
+    return writes
+
+
+def test_json_is_written_in_batches(monkeypatch, tmp_path):
+    """JSON output reaches stdout in writes of at least _BATCH characters
+    (the last may be shorter), and a small document in one write."""
+    writes = _json_writes(monkeypatch, "index", _line_document(tmp_path, 200))
     assert len(writes) > 1 and min(map(len, writes[:-1])) >= cli._BATCH
-    writes.clear()
-    assert main(["index", fixture_path("line3"), "--format", "json"]) == 0
+    writes = _json_writes(monkeypatch, "index", fixture_path("line3"))
     assert len(writes) == 1 and writes[0].endswith("}\n")
 
 
 def test_json_writes_are_bounded(monkeypatch, tmp_path):
     """JSON index on line(300) streams its 300 witness paths: every write
     but the last holds at least _BATCH characters, and none over 256 KB."""
-    writes = []
+    writes = _json_writes(monkeypatch, "index", _line_document(tmp_path, 300))
+    assert len(json.loads("".join(writes))["witness"]["paths"]) == 300
+    assert len(writes) > 2 and min(map(len, writes[:-1])) >= cli._BATCH
+    assert max(map(len, writes)) <= 256 * 1024
 
-    class Recorder:
-        def write(self, text):
-            writes.append(text)
 
-    monkeypatch.setattr(sys, "stdout", Recorder())
-    assert main(["index", _line_document(tmp_path, 300), "--format", "json"]) == 0
-    out = "".join(writes)
-    assert out == _reference_dump(json.loads(out)) + "\n"
-    assert len(json.loads(out)["witness"]["paths"]) == 300
+def test_json_lists_inside_lists_are_batched(monkeypatch, tmp_path):
+    """JSON ideals on the line v00000 -> ... -> v29999 -> s2 plus u -> t
+    lists a quotient whose H holds 30 001 names, a list inside a dict
+    inside the list of quotients: it is written element by element, so
+    every write but the last holds at least _BATCH characters, and none
+    over 256 KB."""
+    vs = [f"v{i:05d}" for i in range(30000)]
+    g = Graph(vs + ["s2", "u", "t"],
+              [Bundle(f"e{i:05d}", vs[i], vs[i + 1]) for i in range(29999)]
+              + [Bundle("f", vs[-1], "s2"), Bundle("g", "u", "t")])
+    doc = tmp_path / "line30000.graph"
+    doc.write_text(canonical_document(g))
+    writes = _json_writes(monkeypatch, "ideals", str(doc))
+    quotients = json.loads("".join(writes))["quotients"]
+    assert max(len(q["H"]) for q in quotients) == 30001
     assert len(writes) > 2 and min(map(len, writes[:-1])) >= cli._BATCH
     assert max(map(len, writes)) <= 256 * 1024
 
@@ -1191,17 +1209,8 @@ def test_json_witness_legs_stream(monkeypatch, tmp_path):
     """JSON witness on the doubled line with k=9 streams its list of 511
     legs, each a Path rendered through the writer's table: every write but
     the last holds at least _BATCH characters."""
-    writes = []
-
-    class Recorder:
-        def write(self, text):
-            writes.append(text)
-
-    monkeypatch.setattr(sys, "stdout", Recorder())
-    assert main(["witness", _line_document(tmp_path, 9, mult=2), "--format", "json"]) == 0
-    out = "".join(writes)
-    assert out == _reference_dump(json.loads(out)) + "\n"
-    assert len(json.loads(out)["provenance"]["paths"]) == 511
+    writes = _json_writes(monkeypatch, "witness", _line_document(tmp_path, 9, mult=2))
+    assert len(json.loads("".join(writes))["provenance"]["paths"]) == 511
     assert len(writes) > 1 and min(map(len, writes[:-1])) >= cli._BATCH
 
 

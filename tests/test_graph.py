@@ -10,7 +10,6 @@ from leavitt.graph import (
     Graph,
     InvalidAdmissiblePair,
     NotHereditarySaturated,
-    Path,
     TooLarge,
     UnknownVertex,
     all_hereditary_saturated,

@@ -177,12 +177,6 @@ def test_downward_directed_matches_pairwise_check(omega, seed):
 
 # -- algebra laws -----------------------------------------------------------------
 
-def elements_for(name, count, seed_base):
-    g = corpus.build(name)
-    return g, [random_element(g, RandomSpec(seed=seed_base + i))
-               for i in range(count)]
-
-
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_confluence_two_strategies(name):
     g = corpus.build(name)

@@ -5,8 +5,11 @@ CLI must import each of them; and the CLI starts without ``dataclasses``
 or ``inspect``, whose import every command would pay for.  The record
 types store their fields in slots, through the slot setters, and each
 ``__init__`` is a copy of an initializer written out in ``leavitt.graph``;
-a record class that does not fit one is refused before it exists."""
+a record class that does not fit one is refused before it exists.  The
+repo has no linter, so an AST scan stands in for one: no module imports a
+name it never reads, and no test module keeps a helper nothing calls."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -142,3 +145,65 @@ def test_record_slots_not_starting_with_the_fields_are_refused():
             b: int
 
     _assert_refused(define, r"Swapped: __slots__ must start with the fields \('a', 'b'\)")
+
+
+def _modules() -> dict:
+    """path -> (parsed tree, source lines) of every module in src/leavitt and tests."""
+    found = {}
+    for path in sorted([*(ROOT / "src" / "leavitt").glob("*.py"), *(ROOT / "tests").glob("*.py")]):
+        text = path.read_text()
+        found[path] = (ast.parse(text), text.splitlines())
+    return found
+
+
+def _exported(tree) -> set:
+    """The names a module lists in ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def _dead_names(modules: dict) -> list:
+    """Each name a module imports and never reads, as "module: name", and
+    each module-level function in tests/ whose name starts without
+    ``test_`` and that no test module reads, imports, takes as a fixture
+    argument or reaches as an attribute, as "module::name".  Names in
+    ``__all__``, ``from __future__`` imports and lines marked ``# noqa``
+    are exempt."""
+    dead, test_refs, test_defs = [], set(), []
+    for path, (tree, lines) in modules.items():
+        imported, read = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    if "# noqa" not in lines[alias.lineno - 1]:
+                        imported.add(alias.asname or alias.name.split(".")[0])
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+        for name in sorted(imported - read - _exported(tree)):
+            dead.append(f"{path.stem}: {name}")
+        if path.parent.name == "tests":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    test_refs.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    test_refs.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    test_refs.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.arg):
+                    test_refs.add(node.arg)
+            test_defs += [(path.stem, node.name) for node in tree.body
+                          if isinstance(node, ast.FunctionDef)
+                          and not node.name.startswith("test_")]
+    dead += [f"{stem}::{name}" for stem, name in test_defs if name not in test_refs]
+    return dead
+
+
+def test_no_unread_imports_or_uncalled_test_helpers():
+    """Every import in src/leavitt and tests/ is read, and every helper
+    function in tests/ is referenced."""
+    assert _dead_names(_modules()) == []
