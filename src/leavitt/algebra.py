@@ -38,6 +38,7 @@ import sys
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .graph import (
@@ -521,6 +522,7 @@ class _Verdict(Exception):
 
 TERM_LIMIT = 10 ** 6  # terms of a probed power, and of the siblings a rewrite adds
 POWER_EDGE_LIMIT = 10 ** 6  # edges of a power formed, and of the legs and units built
+POWER_BIT_LIMIT = 10 ** 6  # bits of a coefficient of a power formed, and of a scalar power
 
 
 def _ladder(a: Element, k: int, probe: bool = False, settle=None) -> tuple:
@@ -544,15 +546,18 @@ def _ladder(a: Element, k: int, probe: bool = False, settle=None) -> tuple:
     nonzero square that satisfies it.
 
     Each product z = a^e is checked as it is formed, before either exit,
-    by :func:`_limit_guard` (squaring doubles path lengths, so memory would
-    run out long before time does)."""
+    by :func:`_limit_guard` (squaring doubles path lengths and coefficient
+    bits, so memory would run out long before time does), with a bound on
+    its coefficient bits carried from its factors."""
     table, terms = _kernel(a.graph), a._terms
     width = _width(terms)
     squares = [terms]  # squares[i] = a^(2^i), all nonzero
+    bits = [_bits(terms)]  # bits[i] bounds the bits of each coefficient of squares[i]
     j = 1
     while 2 * j <= k:
-        z = _product(table, squares[-1], squares[-1])
-        _limit_guard(z, 2 * j, width, probe)
+        x = squares[-1]
+        z = _product(table, x, x)
+        b = _limit_guard(z, 2 * j, width, 2 * bits[-1] + (len(x) ** 2).bit_length(), probe)
         if probe and j == 1 and _is_multiple(z, terms):
             return k, None
         if not z:
@@ -560,15 +565,18 @@ def _ladder(a: Element, k: int, probe: bool = False, settle=None) -> tuple:
         if settle is not None and settle(z):
             return k, None
         squares.append(z)
+        bits.append(b)
         j *= 2
-    x = squares.pop()
+    x, b = squares.pop(), bits.pop()
     for i in reversed(range(len(squares))):
         e = j + 2 ** i
         if e <= k:
-            z = _product(table, x, squares[i])
-            _limit_guard(z, e, width, probe)
+            y = squares[i]
+            z = _product(table, x, y)
+            z_bits = _limit_guard(z, e, width, b + bits[i] + (len(x) * len(y)).bit_length(),
+                                  probe)
             if z:
-                j, x = e, z
+                j, x, b = e, z, z_bits
     return j, x
 
 
@@ -596,7 +604,8 @@ def nilpotence_index(a: Element, k_max: int, settle=None):
 
     ResourceLimit names the first power formed with more than TERM_LIMIT
     terms (read at call time).  Raises TooLarge, as :func:`power` does,
-    when a power formed holds more than POWER_EDGE_LIMIT edges.  The
+    when a power formed holds more than POWER_EDGE_LIMIT edges or a
+    coefficient of more than POWER_BIT_LIMIT bits.  The
     powers are term maps multiplied by :func:`_product`; no Element is built."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -623,7 +632,7 @@ def power(a: Element, k: int) -> Element:
     """a^k for k >= 1, by the squaring ladder of :func:`_ladder`: a^k when
     its largest nonzero power is a^k itself, else zero.  Raises TooLarge
     when a power formed holds more than POWER_EDGE_LIMIT edges over all
-    its monomials."""
+    its monomials, or a coefficient of more than POWER_BIT_LIMIT bits."""
     if k < 1:
         raise ValueError("k must be >= 1")
     j, x = _ladder(a, k)
@@ -635,24 +644,62 @@ def _width(terms: dict) -> int:
     return max((len(key[1]) + len(key[3]) for key in terms), default=0)
 
 
-def _limit_guard(terms: dict, k: int, width: int, probe: bool) -> None:
+def _coefficient_bits(k) -> int:
+    """The bits of a coefficient: its numerator's, plus its denominator's
+    when that is not 1."""
+    d = k.denominator
+    return abs(k.numerator).bit_length() + (d.bit_length() if d > 1 else 0)
+
+
+def _bits(terms: dict) -> int:
+    """A bound on the bits of each coefficient of a term map, in one pass
+    when they are all ints: with d their least common denominator (1 for
+    ints), the bits of the sum of the |c| d, plus d's when d is not 1.
+    Every coefficient is an integer over d, no larger than that sum, so
+    its numerator and denominator in lowest terms are no larger."""
+    total = sum(map(abs, terms.values()))
+    if type(total) is int:  # every coefficient is an int
+        return total.bit_length()
+    d = lcm(*[k.denominator for k in terms.values()])
+    return int(total * d).bit_length() + d.bit_length()
+
+
+def _limit_guard(terms: dict, k: int, width: int, bits: int, probe: bool) -> int:
     """With ``probe``, _Verdict(ResourceLimit) when terms, the term map of
     a power a^k, has more than TERM_LIMIT terms; else TooLarge when, where
     each key of a holds at most width edges, it holds more than
-    POWER_EDGE_LIMIT edges over all its monomials.
+    POWER_EDGE_LIMIT edges over all its monomials, or when, where bits
+    bounds the bits of its coefficients, one holds more than
+    POWER_BIT_LIMIT bits (:func:`_coefficient_bits`).  Returns a bound on
+    the bits of its coefficients.
 
     A key of a^k holds at most k * width edges.  Contracting (p q*)(r s*)
     gives (p t) s* with r = q t, or p (s u)* with q = r u: at most
     |p| + |q| + |r| + |s| edges, so key lengths at most add up over the k
     factors.  A rewrite of (p g)(q g)* gives p q* and the (p e)(q e)*,
     never a longer key.  So the edges are summed only when
-    len(terms) * k * width exceeds the limit; below it they cannot."""
+    len(terms) * k * width exceeds the limit; below it they cannot.
+
+    A rewrite gives each key of its expansion once, with the sign + or -,
+    so a coefficient of a product x y is a signed sum of at most
+    T(x) T(y) products of a coefficient of x and one of y.  Over the
+    product of the two factors' common denominators (see :func:`_bits`),
+    it holds at most the sum of the factors' bounds plus
+    (T(x) T(y)).bit_length() bits, the bound the ladder passes.  So the
+    bits are counted only when that bound exceeds the limit."""
     if probe and len(terms) > TERM_LIMIT:
         raise _Verdict(ResourceLimit(k, len(terms)))
     if len(terms) * k * width > POWER_EDGE_LIMIT:
         edges = sum(len(key[1]) + len(key[3]) for key in terms)
         if edges > POWER_EDGE_LIMIT:
             raise TooLarge(over_limit("a power holds", edges, "edges", POWER_EDGE_LIMIT))
+    if bits > POWER_BIT_LIMIT:
+        most = max(map(_coefficient_bits, terms.values()), default=0)
+        if most > POWER_BIT_LIMIT:
+            raise TooLarge(over_limit("a power holds a coefficient of", most, "bits",
+                                      POWER_BIT_LIMIT))
+        bits = _bits(terms)
+    return bits
 
 
 # -- matrix units ----------------------------------------------------------------

@@ -36,7 +36,6 @@ from .graph import (
     TooLarge,
     condition_K,
     condition_L,
-    count_paths_ending_at,
     cycle_exit_witness,
     cycles,
     downward_directed,
@@ -227,21 +226,13 @@ def _tree_pieces(tree: structure.PathTree, indent: str):
     yield indent + "]"
 
 
-def _emit(args, payload: dict, text_lines: list) -> None:
-    if args.format == "json":
-        _write_json(payload, sys.stdout.write, "\n")
-    else:
-        for line in text_lines:
-            print(line)
-
-
 def _factor_text(f: structure.Factor) -> str:
     return f"M_{algebra.coefficient_text(f.size)}({f.base})"
 
 
 # -- commands -------------------------------------------------------------------
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> tuple:
     g = graphio.load_graph(args.graph)
     payload: dict = {
         "command": "analyze",
@@ -262,8 +253,7 @@ def _cmd_analyze(args) -> int:
         payload["exit_witness"] = {"cycle": w.cycle, "exit": w.edge}
     payload["condition_K"] = condition_K(g)
     payload["downward_directed"] = downward_directed(g)
-    _emit(args, payload, _analyze_lines(g, payload) if args.format == "text" else ())
-    return 0
+    return payload, _analyze_lines(g, payload) if args.format == "text" else ()
 
 
 def _analyze_lines(g: Graph, payload: dict) -> list:
@@ -296,7 +286,7 @@ def _family_json(target, paths) -> dict:
     return {"kind": "no_exit_cycle_paths", "cycle": target.cycle, "paths": paths}
 
 
-def _cmd_index(args) -> int:
+def _cmd_index(args) -> tuple:
     g = graphio.load_graph(args.graph)
     report = structure.bounded_index_report(g)
     if isinstance(report, structure.Bounded):
@@ -321,18 +311,14 @@ def _cmd_index(args) -> int:
             if target is not None:
                 payload["witness"] = _family_json(
                     target, structure.witness_tree(g, target, report.n))
-        _emit(args, payload, lines)
+        return payload, lines
+    reason = report.reason
+    if isinstance(reason, CycleWithExit):
+        rj = {"kind": "cycle_with_exit", "cycle": reason.cycle, "exit": reason.edge}
     else:
-        reason = report.reason
-        if isinstance(reason, CycleWithExit):
-            rj = {"kind": "cycle_with_exit", "cycle": reason.cycle,
-                  "exit": reason.edge}
-        else:
-            rj = {"kind": "omega_path_family", "vertex": reason.vertex}
-        payload = {"command": "index", "verdict": "unbounded", "reason": rj}
-        _emit(args, payload, [f"Unbounded: {_reason_text(g, reason)}"]
-              if args.format == "text" else ())
-    return 0
+        rj = {"kind": "omega_path_family", "vertex": reason.vertex}
+    payload = {"command": "index", "verdict": "unbounded", "reason": rj}
+    return payload, [f"Unbounded: {_reason_text(g, reason)}"] if args.format == "text" else ()
 
 
 def _reason_text(g: Graph, reason) -> str:
@@ -342,20 +328,16 @@ def _reason_text(g: Graph, reason) -> str:
     return f"infinitely many paths end at {reason.vertex}"
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> tuple:
     g = graphio.load_graph(args.graph)
     try:
         d = structure.decompose(g)
     except structure.NotRowFinite as err:
-        _emit(args, {"command": "decompose", "verdict": "not_row_finite",
-                     "detail": str(err)},
-              [f"Not row-finite: {err}; decomposition undefined"])
-        return 0
+        return ({"command": "decompose", "verdict": "not_row_finite", "detail": str(err)},
+                [f"Not row-finite: {err}; decomposition undefined"])
     except structure.PreconditionUnbounded as err:
-        _emit(args, {"command": "decompose", "verdict": "unbounded",
-                     "detail": str(err)},
-              [f"Unbounded: {err}; no matrix-ring decomposition"])
-        return 0
+        return ({"command": "decompose", "verdict": "unbounded", "detail": str(err)},
+                [f"Unbounded: {err}; no matrix-ring decomposition"])
     counted = [(f, len(list(run))) for f, run in groupby(d.factors)]  # factors are sorted
     payload = {
         "command": "decompose",
@@ -366,19 +348,16 @@ def _cmd_decompose(args) -> int:
     if args.format == "text":
         bits = [_factor_text(f) + (f" x{c}" if c > 1 else "") for f, c in counted]
         lines = [" + ".join(bits) if bits else "0 (empty graph)"]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def _cmd_ideals(args) -> int:
+def _cmd_ideals(args) -> tuple:
     g = graphio.load_graph(args.graph)
     try:
         spectrum = structure.graded_spectrum(g)
     except structure.PreconditionUnbounded as err:
-        _emit(args, {"command": "ideals", "verdict": "unbounded",
-                     "detail": str(err)},
-              [f"Unbounded: {err}; graded spectrum not computed"])
-        return 0
+        return ({"command": "ideals", "verdict": "unbounded", "detail": str(err)},
+                [f"Unbounded: {err}; graded spectrum not computed"])
     payload = {
         "command": "ideals",
         "verdict": "classified",
@@ -393,11 +372,10 @@ def _cmd_ideals(args) -> int:
         lines = [f"H={{{', '.join(sorted(p.H))}}} S={{{', '.join(sorted(p.S))}}}"
                  f" -> {_factor_text(f)}" for p, f in spectrum
                  ] or ["(no downward-directed quotients)"]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> tuple:
     if args.nilpotence_max < 1:
         raise LeavittError("--nilpotence-max must be at least 1")
     g = graphio.load_graph(args.graph)
@@ -434,11 +412,10 @@ def _cmd_eval(args) -> int:
     lines = [payload["element"]]
     lines += [f"  degree {d}: {text}" for d, text in degrees.items()]
     lines.append(f"  {nil_t}")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args) -> tuple:
     g = graphio.load_graph(args.graph)
     units = structure.witness_matrix_units(g, args.size)
     try:
@@ -467,28 +444,17 @@ def _cmd_witness(args) -> int:
         "verified": ok,
         "jordan_index": jordan_index,
     }
-    lines = [f"matrix units {units.n}x{units.n} ({pt})",
-             f"verified: {ok}",
-             f"jordan element nilpotence index: {jordan_index}"]
-    _emit(args, payload, lines)
-    return 0
+    return payload, [f"matrix units {units.n}x{units.n} ({pt})",
+                     f"verified: {ok}",
+                     f"jordan element nilpotence index: {jordan_index}"]
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple:
     if args.trials < 0:
         raise LeavittError("--trials must be at least 0")
     g = graphio.load_graph(args.graph)
-    mismatches = []
-    checked = 0
-    for v in g.vertices:
-        cnt = count_paths_ending_at(g, v)
-        if cnt is OMEGA:
-            continue
-        cap = max(1, len(g.vertices)) * (cnt + 1)
-        listed = len(oracle.enumerate_paths_ending_at(g, v, cap))
-        checked += 1
-        if listed != cnt:
-            mismatches.append({"vertex": v, "count": cnt, "listed": listed})
+    checked, mismatches = oracle.path_count_agreement(g)
+    mismatches = [{"vertex": v, "count": c, "listed": n} for v, c, n in mismatches]
     payload = {
         "command": "check",
         "dp_agreement": {"vertices_checked": checked, "mismatches": mismatches},
@@ -520,15 +486,15 @@ def _cmd_check(args) -> int:
     ok = not mismatches and not sampling_violations
     payload["ok"] = ok
     lines.append("ok" if ok else "FAILED")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
 # name -> (handler, help, arguments after the graph and --format).  An
 # argument is (name, help, type, default, choices); a name that starts with
 # "--" is an option, and a type of None keeps the string.  The parser and
-# the argv reader are both built from this table, and main calls the
-# handler it names when the command runs.
+# the argv reader are both built from this table.  A handler returns its
+# JSON payload and its text lines (it may skip the lines, and the work only
+# they need, when the format is json), and main prints the one asked for.
 _GRAPH = ("graph", "graph document file", None, None, None)
 _FORMAT = ("--format", None, None, "text", ("text", "json"))
 COMMANDS = {
@@ -625,11 +591,13 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    """Run the command argv names; return its exit code: 2 for TooLarge,
-    RecursionError and MemoryError (a resource limit), 1 for OSError and
-    every other LeavittError.  It runs with the cyclic garbage collector
-    paused, enabled again only if it was on at the start: a graph's lists
-    per vertex form no cycle to collect."""
+    """Run the command argv names and print its payload as JSON or its
+    text lines, one per line; return its exit code: 0, or 2 for TooLarge
+    (printing too: a number past the digit limit), RecursionError and
+    MemoryError (a resource limit), 1 for OSError and every other
+    LeavittError.  It runs with the cyclic garbage collector paused,
+    enabled again only if it was on at the start: a graph's lists per
+    vertex form no cycle to collect."""
     if argv is None:
         argv = sys.argv[1:]
     args = _read_argv(argv)
@@ -638,7 +606,13 @@ def main(argv=None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return COMMANDS[args.command][0](args)
+        payload, lines = COMMANDS[args.command][0](args)
+        if args.format == "json":
+            _write_json(payload, sys.stdout.write, "\n")
+        else:
+            for line in lines:
+                print(line)
+        return 0
     except TooLarge as err:
         print(f"resource limit: {err}", file=sys.stderr)
         return 2

@@ -25,9 +25,6 @@ from . import algebra
 from .graph import OMEGA, EdgeRef, Graph, LeavittError, Record, TooLarge, over_limit
 
 
-SCALAR_POWER_BIT_LIMIT = 10 ** 6  # a larger scalar power is refused unevaluated
-
-
 class ExprSyntaxError(LeavittError):
     def __init__(self, message, pos):
         super().__init__(f"at position {pos}: {message}")
@@ -84,9 +81,10 @@ def _tokenize(text: str):
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
-            if text[pos:].strip():
+            rest = text[pos:].lstrip()
+            if rest:
                 raise ExprSyntaxError(
-                    f"unexpected character {text[pos:].strip()[0]!r}", pos)
+                    f"unexpected character {rest[0]!r}", len(text) - len(rest))
             break
         kind = m.lastgroup
         val, start = m.group(kind), m.start(kind)
@@ -272,9 +270,9 @@ def _eval(node, g: Graph):
         # so 0, 1 and -1 are never refused
         bits = node.exponent * (max(abs(coeff.numerator).bit_length(),
                                     coeff.denominator.bit_length()) - 1)
-        if bits > SCALAR_POWER_BIT_LIMIT:
+        if bits > algebra.POWER_BIT_LIMIT:  # refused unevaluated
             raise TooLarge(over_limit("a scalar power holds at least", bits, "bits",
-                                      SCALAR_POWER_BIT_LIMIT))
+                                      algebra.POWER_BIT_LIMIT))
         if elem is None:
             return coeff ** node.exponent, None
         return coeff ** node.exponent, algebra.power(elem, node.exponent)

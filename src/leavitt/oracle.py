@@ -615,6 +615,24 @@ def graded_spectrum_exhaustive(g: Graph) -> list:
 
 # -- cross-checking --------------------------------------------------------------
 
+def path_count_agreement(g: Graph) -> tuple:
+    """(vertices checked, mismatches): at each vertex v whose path count
+    ``graph.count_paths_ending_at`` is finite, the count against the paths
+    :func:`enumerate_paths_ending_at` lists into v up to length
+    max(1, |V|) * (count + 1); a mismatch is (v, count, listed)."""
+    checked, mismatches = 0, []
+    for v in g.vertices:
+        count = count_paths_ending_at(g, v)
+        if count is OMEGA:
+            continue
+        cap = max(1, len(g.vertices)) * (count + 1)
+        listed = len(enumerate_paths_ending_at(g, v, cap))
+        checked += 1
+        if listed != count:
+            mismatches.append((v, count, listed))
+    return checked, mismatches
+
+
 class CrossCheckReport(Record):
     n: int
     trials: int

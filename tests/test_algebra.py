@@ -520,6 +520,38 @@ def test_power_keys_hold_at_most_k_times_the_widest_key(omega):
     assert widest > 6  # the sample has keys long enough to matter
 
 
+@pytest.mark.parametrize("omega", [Fraction(0), Fraction(1, 4)])
+def test_product_coefficients_hold_at_most_the_carried_bits(omega):
+    """Why the bit guard may skip its count: no coefficient of a term map
+    holds more bits than _bits gives, at most T.bit_length() more than the
+    largest on ints, and a product x y gives at most
+    _bits(x) + _bits(y) + (T(x) T(y)).bit_length(), also where the
+    coefficients hold fractions of several denominators."""
+    scales = (1, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7), -4, Fraction(7, 9))
+    denominators = set()
+    for seed in range(60):
+        g = random_graph(RandomSpec(seed=seed, omega_probability=omega))
+        factors = []
+        for offset in (0, 3):
+            a = random_element(g, RandomSpec(seed=9_000 + seed))
+            a = a + random_element(g, RandomSpec(seed=9_500 + seed)).involution()
+            factors.append(Element(g, {key: algebra._scalar(k * scales[(i + offset) % 6])
+                                       for i, (key, k) in enumerate(a._terms.items())}))
+        x, y = factors
+        for _ in range(3):
+            z = x * y
+            bound = algebra._bits(x._terms) + algebra._bits(y._terms) \
+                + (len(x._terms) * len(y._terms)).bit_length()
+            bits = [algebra._coefficient_bits(k) for k in z._terms.values()]
+            assert max(bits, default=0) <= algebra._bits(z._terms) <= bound, seed
+            if all(type(k) is int for k in z._terms.values()):
+                assert algebra._bits(z._terms) <= max(bits, default=0) \
+                    + len(z._terms).bit_length(), seed
+            denominators |= {k.denominator for k in z._terms.values()}
+            x, y = z, x
+    assert len(denominators) > 10  # the sample mixes denominators
+
+
 def test_power_stops_at_zero_and_bounds_size():
     g = corpus.line(3)
     e1 = edge_element(g, EdgeRef("e1"))

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import corpus
 from conftest import fixture_path, tailed_cycle
 from leavitt import algebra, cli, oracle, structure
+from test_golden import _argv, _cases
 from leavitt.cli import _write_json, main
 from leavitt.graph import (
     OMEGA,
@@ -649,7 +650,7 @@ def test_main_leaves_the_collector_as_it_found_it(enabled, capsys, monkeypatch, 
 
     def probe(args):
         seen.append(gc.isenabled())
-        return 0
+        return {}, ()
 
     monkeypatch.setitem(cli.COMMANDS, "probe", (probe, "probe", ()))
     line3 = fixture_path("line3")
@@ -664,6 +665,18 @@ def test_main_leaves_the_collector_as_it_found_it(enabled, capsys, monkeypatch, 
     finally:
         (gc.enable if was else gc.disable)()
     assert seen == [False]
+
+
+def test_handlers_return_payload_and_lines(capsys):
+    """Every handler of the command table, run on every fixture in text
+    and in JSON with the arguments of the golden table, returns its JSON
+    payload and its text lines and prints nothing: main alone prints."""
+    for name, command, fmt in _cases():
+        result = cli.COMMANDS[command][0](cli._read_argv(_argv(name, command, fmt)))
+        assert (type(result), len(result), type(result[0])) == (tuple, 2, dict), \
+            (name, command, fmt)
+        assert all(type(line) is str for line in result[1]), (name, command, fmt)
+        assert capsys.readouterr().out == "", (name, command, fmt)
 
 
 def test_exit_code_contract(capsys, monkeypatch):

@@ -52,6 +52,15 @@ def test_zero_denominator_names_its_position():
         assert err.value.pos == pos, text
 
 
+def test_unexpected_character_names_its_position():
+    """The position is the character's own index, not that of the
+    whitespace before it."""
+    for text, pos in [("u1 +   $", 7), ("  %", 2), ("%", 0)]:
+        with pytest.raises(ExprSyntaxError, match="unexpected character") as err:
+            parse_expr(text)
+        assert err.value.pos == pos, text
+
+
 def test_eval_ck_identities():
     g = corpus.clock(3)
     assert eval_expr(parse_expr("e1* e1"), g) == vertex_element(g, "w1")

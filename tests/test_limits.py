@@ -61,6 +61,15 @@ CLI_REFUSALS = [
      "more than 100000 paths into 'v'"),
     ("paths-into-listed", ["check", _three_bundles(99_998)], {},
      "more than 100000 paths into 'v'"),
+    ("coefficient-bits", ["eval", "line1", "(u1 + u1)^100000000"], {},
+     "a power holds a coefficient of 1048577 bits, over the limit of 1000000"),
+    ("probe-coefficient-bits",
+     ["eval", "line2", "2 u1 + 3 u2", "--nilpotence-max", "60000000"], {},
+     "a power holds a coefficient of 1661954 bits, over the limit of 1000000"),
+    ("fraction-coefficient-bits",
+     ["eval", "line2", "1/3 u1 + 2/5 u2", "--nilpotence-max", "1000"],
+     {"POWER_BIT_LIMIT": 100},
+     "a power holds a coefficient of 108 bits, over the limit of 100"),
     ("scalar-power", ["eval", "line3", "(2)^30000000 u1"], {},
      "a scalar power holds at least 30000000 bits, over the limit of 1000000"),
     ("digits", ["eval", "line3", "(10)^5000 u1"], {},
